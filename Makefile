@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify sched chaos recovery cluster nemesis fuzz bench bench-gpu modes obs
+.PHONY: all build vet test race verify sched chaos recovery cluster nemesis fuzz bench bench-gpu bench-check modes obs
 
 all: build
 
@@ -119,3 +119,9 @@ bench:
 # BENCH_gpu.json at the repo root.
 bench-gpu:
 	$(GO) test -bench=BenchmarkRunGPU -benchtime=2x -run=^$$ .
+
+# The end-to-end benchmark (bench/) is its own module, so the root
+# build and test never compile it: vet it and run its self-test
+# (~15s) against the current tree. CI runs this as its own job.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...

@@ -412,8 +412,10 @@ func nemesisHandler(parts *faultinject.PartitionSet, log *slog.Logger, next http
 
 // peerResultFetcher is the scrubber's first repair rung: ask a peer
 // that may hold the same content-addressed result (this shard's
-// standby) for its copy. The scrubber re-verifies whatever comes back,
-// so a lying or corrupt peer can never poison the local store.
+// standby) for its copy, returned as result JSON. The scrubber decodes
+// it and checks its ID against the content address before sealing it,
+// so a peer answering with another job's result can never poison the
+// local store.
 func peerResultFetcher(base string, rt http.RoundTripper) func(string) ([]byte, bool) {
 	hc := &http.Client{Timeout: 5 * time.Second, Transport: rt}
 	return func(id string) ([]byte, bool) {

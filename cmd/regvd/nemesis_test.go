@@ -354,8 +354,9 @@ func TestNemesis(t *testing.T) {
 		t.Fatalf("result file %s has no envelope header to corrupt", resultPath)
 	}
 	// Bit 3 of the payload's second byte: inside the checksummed body,
-	// clear of the header (a broken header decodes as legacy) and of
-	// the trailing spec section (the repair ladder's resim oracle).
+	// clear of the header and of the trailing spec section, so the
+	// spec still salvages and both repair rungs (peer refetch and
+	// re-simulation) stay open.
 	if err := faultinject.FlipBit(resultPath, uint64(nl+2)*8+3); err != nil {
 		t.Fatal(err)
 	}

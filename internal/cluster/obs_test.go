@@ -148,10 +148,16 @@ func TestRouterPromAggregation(t *testing.T) {
 		`regvd_jobs_submitted_total{shard="shard-a"}`,
 		`regvd_jobs_submitted_total{shard="shard-b"}`,
 		`regvd_router_span_duration_seconds_bucket{span="router.submit",le="+Inf"}`,
+		`regvd_submit_latency_seconds_bucket{shard="shard-a",le="+Inf"}`,
+		`regvd_submit_latency_seconds_bucket{shard="shard-b",le="+Inf"}`,
 	} {
 		if !strings.Contains(data, want) {
 			t.Errorf("aggregated exposition missing %q", want)
 		}
+	}
+	// Latency has one aggregatable mechanism; the quantile gauges are gone.
+	if strings.Contains(data, "regvd_latency_p50_seconds") {
+		t.Error("exposition still carries the non-aggregatable regvd_latency_p50_seconds gauge")
 	}
 	// Both shards' submitted counters sum to everything the router
 	// accepted (no router-cache hits here: every job was distinct).

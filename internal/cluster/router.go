@@ -44,8 +44,6 @@ type RouterOptions struct {
 	// is snappier than the client default (3 attempts, 50ms base) so a
 	// dead shard fails over in well under a second.
 	Policy *client.RetryPolicy
-	// CacheMax bounds the router's result cache (0 = 4096 entries).
-	CacheMax int
 	// Transport, when set, underlies every outbound HTTP client the
 	// router builds (probes, adoption calls, forwarded requests). The
 	// nemesis harness injects partition-simulating round-trippers here;
@@ -93,10 +91,7 @@ type Router struct {
 	nodes  map[string]*node  // ring members + learned standbys
 	epochs map[string]uint64 // keyspace -> ownership epoch (router is the authority)
 
-	cmu        sync.Mutex
-	cache      map[string]*jobs.Result
-	cacheOrder []string
-	cacheMax   int
+	cache *jobs.Cache[string, *jobs.Result]
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -167,8 +162,7 @@ func NewRouter(shards []ShardInfo, opts RouterOptions) (*Router, error) {
 		policy:       client.RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second},
 		nodes:        map[string]*node{},
 		epochs:       map[string]uint64{},
-		cache:        map[string]*jobs.Result{},
-		cacheMax:     opts.CacheMax,
+		cache:        jobs.NewCache[string, *jobs.Result](),
 		stop:         make(chan struct{}),
 		started:      time.Now(),
 		tracer:       opts.Tracer,
@@ -188,9 +182,6 @@ func NewRouter(shards []ShardInfo, opts RouterOptions) (*Router, error) {
 	}
 	if opts.Policy != nil {
 		r.policy = *opts.Policy
-	}
-	if r.cacheMax <= 0 {
-		r.cacheMax = 4096
 	}
 	r.transport = opts.Transport
 	r.probeHC = &http.Client{Timeout: r.probeTimeout, Transport: r.transport}
@@ -540,34 +531,21 @@ func (r *Router) route(id string) (target, owner *node, err error) {
 
 // ---- result cache (tenant-scrubbed) ----
 
-// cachePut files a result under its content address. The stored copy
-// is always scrubbed of tenant identity: the cache is shared across
-// every tenant the router serves, and a hit is stamped per-response —
-// never with the tenant whose request happened to fill it.
+// cachePut files a result under its content address unless one is
+// already cached (content addressing makes both the same bytes). The
+// stored copy is always scrubbed of tenant identity: the cache is
+// shared across every tenant the router serves, and a hit is stamped
+// per-response — never with the tenant whose request happened to fill
+// it.
 func (r *Router) cachePut(id string, res *jobs.Result) {
 	if res == nil {
 		return
 	}
-	cp := *res
-	cp.Tenant = ""
-	r.cmu.Lock()
-	defer r.cmu.Unlock()
-	if _, ok := r.cache[id]; !ok {
-		r.cacheOrder = append(r.cacheOrder, id)
-		for len(r.cacheOrder) > r.cacheMax {
-			evict := r.cacheOrder[0]
-			r.cacheOrder = r.cacheOrder[1:]
-			delete(r.cache, evict)
-		}
-	}
-	r.cache[id] = &cp
-}
-
-func (r *Router) cacheGet(id string) (*jobs.Result, bool) {
-	r.cmu.Lock()
-	defer r.cmu.Unlock()
-	res, ok := r.cache[id]
-	return res, ok
+	r.cache.Do(context.Background(), id, func() (*jobs.Result, error) {
+		cp := *res
+		cp.Tenant = ""
+		return &cp, nil
+	})
 }
 
 // stamped returns the response copy of a cached result: the cached
@@ -678,7 +656,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set(obs.TraceHeader, sc.HeaderValue())
 	}
 
-	if res, ok := r.cacheGet(id); ok {
+	if res, ok := r.cache.Get(id); ok {
 		r.cacheHits.Add(1)
 		span.SetAttr("outcome", "router-cache")
 		r.respondResult(w, async, id, stamped(res, job.Tenant))
@@ -776,7 +754,7 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 	if sc := span.Context(); sc.TraceID != "" {
 		w.Header().Set(obs.TraceHeader, sc.HeaderValue())
 	}
-	if res, ok := r.cacheGet(id); ok {
+	if res, ok := r.cache.Get(id); ok {
 		r.cacheHits.Add(1)
 		span.SetAttr("outcome", "router-cache")
 		clusterWriteJSON(w, http.StatusOK, jobs.JobStatus{ID: id, State: "done", Result: res})

@@ -16,9 +16,8 @@
 // payload but an intact spec can deterministically re-simulate — the
 // content address is the oracle for which of the two rotted.
 //
-// Files that do not start with the magic are returned as-is with
-// Legacy set: every pre-envelope store stays readable, and the
-// scrubber reseals such files on its next pass.
+// Input that does not start with the magic is corrupt like any other
+// failed verification: there is no unverified read path.
 package integrity
 
 import (
@@ -54,9 +53,6 @@ func (e *CorruptError) Error() string {
 type Envelope struct {
 	Payload []byte
 	Spec    []byte
-	// Legacy marks input that carried no envelope at all; Payload is
-	// then the raw input, unverified.
-	Legacy bool
 }
 
 // Seal wraps payload and an optional job spec in a checksummed
@@ -72,48 +68,52 @@ func Seal(payload, spec []byte) []byte {
 	return buf.Bytes()
 }
 
-// IsSealed reports whether data begins with the envelope magic.
-func IsSealed(data []byte) bool {
-	return bytes.HasPrefix(data, []byte(magic+" "))
-}
-
-// Open parses and verifies a sealed envelope. Input without the magic
-// prefix is returned unverified with Legacy set — old stores keep
-// working, and the scrubber upgrades them in place. Any header or
-// checksum mismatch returns a *CorruptError.
-func Open(data []byte) (Envelope, error) {
-	if !IsSealed(data) {
-		return Envelope{Payload: data, Legacy: true}, nil
+// split checks the magic and the header, and cuts the body into its
+// payload and spec sections. The checksum field is returned unparsed
+// and unverified.
+func split(data []byte) (env Envelope, sum []byte, err error) {
+	if !bytes.HasPrefix(data, []byte(magic+" ")) {
+		return env, nil, &CorruptError{Reason: "missing " + magic + " magic"}
 	}
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 || nl > len(magic)+40 {
-		return Envelope{}, &CorruptError{Reason: "unterminated header"}
+		return env, nil, &CorruptError{Reason: "unterminated header"}
 	}
 	fields := bytes.Fields(data[:nl])
 	if len(fields) != 4 {
-		return Envelope{}, &CorruptError{Reason: "malformed header"}
-	}
-	sum64, err := strconv.ParseUint(string(fields[1]), 16, 32)
-	if err != nil {
-		return Envelope{}, &CorruptError{Reason: "bad checksum field"}
+		return env, nil, &CorruptError{Reason: "malformed header"}
 	}
 	plen, err := strconv.ParseUint(string(fields[2]), 10, 63)
 	if err != nil || plen > maxSection {
-		return Envelope{}, &CorruptError{Reason: "bad payload length"}
+		return env, nil, &CorruptError{Reason: "bad payload length"}
 	}
 	slen, err := strconv.ParseUint(string(fields[3]), 10, 63)
 	if err != nil || slen > maxSection {
-		return Envelope{}, &CorruptError{Reason: "bad spec length"}
+		return env, nil, &CorruptError{Reason: "bad spec length"}
 	}
 	body := data[nl+1:]
 	if uint64(len(body)) != plen+slen {
-		return Envelope{}, &CorruptError{Reason: fmt.Sprintf(
+		return env, nil, &CorruptError{Reason: fmt.Sprintf(
 			"body length %d, header says %d+%d", len(body), plen, slen)}
 	}
-	if crc32.Checksum(body, castagnoli) != uint32(sum64) {
+	return Envelope{Payload: body[:plen:plen], Spec: body[plen:]}, fields[1], nil
+}
+
+// Open parses and verifies a sealed envelope. A missing magic prefix,
+// or any header or checksum mismatch, returns a *CorruptError.
+func Open(data []byte) (Envelope, error) {
+	env, sumField, err := split(data)
+	if err != nil {
+		return Envelope{}, err
+	}
+	sum, err := strconv.ParseUint(string(sumField), 16, 32)
+	if err != nil {
+		return Envelope{}, &CorruptError{Reason: "bad checksum field"}
+	}
+	if crc32.Update(crc32.Checksum(env.Payload, castagnoli), castagnoli, env.Spec) != uint32(sum) {
 		return Envelope{}, &CorruptError{Reason: "checksum mismatch"}
 	}
-	return Envelope{Payload: body[:plen:plen], Spec: body[plen:]}, nil
+	return env, nil
 }
 
 // Salvage extracts the payload and spec sections of a sealed envelope
@@ -122,28 +122,6 @@ func Open(data []byte) (Envelope, error) {
 // them independently (the job spec validates against the content
 // address, which is exactly what makes re-simulation a safe repair).
 func Salvage(data []byte) (payload, spec []byte, ok bool) {
-	if !IsSealed(data) {
-		return nil, nil, false
-	}
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return nil, nil, false
-	}
-	fields := bytes.Fields(data[:nl])
-	if len(fields) != 4 {
-		return nil, nil, false
-	}
-	plen, err := strconv.ParseUint(string(fields[2]), 10, 63)
-	if err != nil {
-		return nil, nil, false
-	}
-	slen, err := strconv.ParseUint(string(fields[3]), 10, 63)
-	if err != nil {
-		return nil, nil, false
-	}
-	body := data[nl+1:]
-	if plen+slen != uint64(len(body)) || plen > uint64(len(body)) {
-		return nil, nil, false
-	}
-	return body[:plen:plen], body[plen:], true
+	env, _, err := split(data)
+	return env.Payload, env.Spec, err == nil
 }

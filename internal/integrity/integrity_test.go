@@ -18,15 +18,9 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	}
 	for _, c := range cases {
 		sealed := Seal([]byte(c.payload), []byte(c.spec))
-		if !IsSealed(sealed) {
-			t.Fatalf("Seal output not recognized as sealed")
-		}
 		env, err := Open(sealed)
 		if err != nil {
 			t.Fatalf("Open(Seal(%q)): %v", c.payload, err)
-		}
-		if env.Legacy {
-			t.Fatalf("sealed envelope reported legacy")
 		}
 		if string(env.Payload) != c.payload || string(env.Spec) != c.spec {
 			t.Fatalf("round trip mismatch: payload=%q spec=%q", env.Payload, env.Spec)
@@ -34,30 +28,33 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOpenLegacyPassthrough(t *testing.T) {
-	raw := []byte(`{"plain":"json result with no envelope"}`)
-	env, err := Open(raw)
-	if err != nil {
-		t.Fatalf("legacy open: %v", err)
-	}
-	if !env.Legacy || !bytes.Equal(env.Payload, raw) {
-		t.Fatalf("legacy passthrough broken: legacy=%v payload=%q", env.Legacy, env.Payload)
+// Input without the magic has no unverified read path: raw JSON (what
+// a pre-envelope store held), an empty file, and a bare magic with no
+// separator are all corrupt.
+func TestOpenRejectsUnsealed(t *testing.T) {
+	for _, raw := range []string{`{"plain":"json result with no envelope"}`, "", magic, magic + "\n"} {
+		env, err := Open([]byte(raw))
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("Open(%q) = (%+v, %v), want *CorruptError", raw, env, err)
+		}
+		if env.Payload != nil {
+			t.Fatalf("Open(%q) returned an unverified payload", raw)
+		}
 	}
 }
 
-// Every single-bit flip anywhere past the magic must be detected; a
-// flip inside the magic degrades to legacy passthrough, which the
-// store-level scrubber catches because the "payload" is then not valid
-// JSON/gob.
+// Every single-bit flip anywhere in an envelope, the magic included,
+// must be detected.
 func TestOpenDetectsBitFlips(t *testing.T) {
 	payload, spec := []byte(`{"cycles":12345}`+"\n"), []byte(`{"kernel":"k"}`)
 	sealed := Seal(payload, spec)
-	for i := len(magic); i < len(sealed); i++ {
+	for i := 0; i < len(sealed); i++ {
 		for bit := 0; bit < 8; bit++ {
 			mut := bytes.Clone(sealed)
 			mut[i] ^= 1 << bit
 			env, err := Open(mut)
-			if err == nil && !env.Legacy {
+			if err == nil {
 				// The only tolerable clean open is a value-preserving
 				// flip (e.g. a hex digit changing case in the header):
 				// the decoded content must still be exactly right.

@@ -28,29 +28,69 @@ const (
 	Deduped
 )
 
+// CacheEntries bounds every Cache. Inline kernels make the job key
+// space unbounded, so completed values are evicted past this many
+// entries; the pool's on-disk store is the backstop for an evicted
+// result.
+const CacheEntries = 4096
+
 // Cache is a concurrency-safe memoization cache with singleflight
 // deduplication: concurrent Do calls for the same key run the fill
-// function exactly once and share its value. Completed values are kept
-// forever (the simulation configuration space is bounded and results
-// are small next to the cost of recomputing them); failures are never
+// function exactly once and share its value. Each completed fill brings
+// the cache back to at most CacheEntries entries by evicting completed
+// values in CLOCK order (a hit sets the entry's reference bit; the hand
+// clears set bits and evicts the first clear one). In-flight fills are
+// never evicted, so singleflight holds at any size. Failures are never
 // cached, so a later call retries. Cached values are shared by
 // reference and must be treated as immutable by every caller.
 type Cache[K comparable, V any] struct {
 	mu      sync.Mutex
-	entries map[K]*flight[V]
+	bound   int
+	entries map[K]*flight[K, V]
+	ring    []*flight[K, V] // completed entries, swept by the CLOCK hand
+	hand    int
 
-	hits, misses, dedups, failures atomic.Uint64
+	hits, misses, dedups, failures, evictions atomic.Uint64
 }
 
-type flight[V any] struct {
+type flight[K comparable, V any] struct {
 	done chan struct{} // closed when val/err are final
 	val  V
 	err  error
+	key  K
+	ref  bool // CLOCK reference bit, guarded by Cache.mu
 }
 
-// NewCache returns an empty cache.
+// NewCache returns an empty cache bounded at CacheEntries.
 func NewCache[K comparable, V any]() *Cache[K, V] {
-	return &Cache[K, V]{entries: make(map[K]*flight[V])}
+	return newCache[K, V](CacheEntries)
+}
+
+func newCache[K comparable, V any](bound int) *Cache[K, V] {
+	return &Cache[K, V]{bound: bound, entries: make(map[K]*flight[K, V])}
+}
+
+// evictLocked sweeps the hand over the completed entries until the
+// cache is back within its bound: a set reference bit is cleared and
+// spared, the first clear one is evicted and the ring's last entry
+// takes its slot. In-flight fills are not in the ring.
+func (c *Cache[K, V]) evictLocked() {
+	for len(c.entries) > c.bound && len(c.ring) > 0 {
+		if c.hand >= len(c.ring) {
+			c.hand = 0
+		}
+		f := c.ring[c.hand]
+		if f.ref {
+			f.ref = false
+			c.hand++
+			continue
+		}
+		last := len(c.ring) - 1
+		c.ring[c.hand], c.ring[last] = c.ring[last], nil
+		c.ring = c.ring[:last]
+		delete(c.entries, f.key)
+		c.evictions.Add(1)
+	}
 }
 
 // Do returns the cached value for key, joining an in-flight fill if one
@@ -61,6 +101,7 @@ func NewCache[K comparable, V any]() *Cache[K, V] {
 func (c *Cache[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (V, Outcome, error) {
 	c.mu.Lock()
 	if f, ok := c.entries[key]; ok {
+		f.ref = true
 		c.mu.Unlock()
 		select {
 		case <-f.done: // already complete
@@ -77,7 +118,7 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (V, O
 			return zero, Deduped, ctx.Err()
 		}
 	}
-	f := &flight[V]{done: make(chan struct{})}
+	f := &flight[K, V]{done: make(chan struct{}), key: key}
 	c.entries[key] = f
 	c.mu.Unlock()
 	c.misses.Add(1)
@@ -86,18 +127,22 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (V, O
 	// cannot poison the cache: the flight is failed and evicted before
 	// the panic unwinds, waiters are released with an error (never a
 	// zero value), and a later Do retries. The panic itself keeps
-	// propagating to the caller's containment layer.
+	// propagating to the caller's containment layer. A successful fill
+	// joins the ring, which may evict older values to stay bounded.
 	completed := false
 	defer func() {
 		if !completed {
 			f.err = fmt.Errorf("jobs: cache fill for %v panicked", key)
 		}
+		c.mu.Lock()
 		if f.err != nil {
 			c.failures.Add(1)
-			c.mu.Lock()
 			delete(c.entries, key)
-			c.mu.Unlock()
+		} else {
+			c.ring = append(c.ring, f)
+			c.evictLocked()
 		}
+		c.mu.Unlock()
 		close(f.done)
 	}()
 	f.val, f.err = fn()
@@ -110,6 +155,9 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (V, O
 func (c *Cache[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
 	f, ok := c.entries[key]
+	if ok {
+		f.ref = true
+	}
 	c.mu.Unlock()
 	if ok {
 		select {
@@ -126,11 +174,12 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 
 // CacheStats is a point-in-time counter snapshot.
 type CacheStats struct {
-	Hits     uint64 `json:"hits"`
-	Misses   uint64 `json:"misses"`
-	Dedups   uint64 `json:"dedups"`
-	Failures uint64 `json:"failures"`
-	Entries  int    `json:"entries"`
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Dedups    uint64 `json:"dedups"`
+	Failures  uint64 `json:"failures"`
+	Evictions uint64 `json:"evictions"`
+	Entries   int    `json:"entries"`
 }
 
 // Stats snapshots the cache counters.
@@ -139,10 +188,11 @@ func (c *Cache[K, V]) Stats() CacheStats {
 	n := len(c.entries)
 	c.mu.Unlock()
 	return CacheStats{
-		Hits:     c.hits.Load(),
-		Misses:   c.misses.Load(),
-		Dedups:   c.dedups.Load(),
-		Failures: c.failures.Load(),
-		Entries:  n,
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Dedups:    c.dedups.Load(),
+		Failures:  c.failures.Load(),
+		Evictions: c.evictions.Load(),
+		Entries:   n,
 	}
 }

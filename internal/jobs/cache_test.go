@@ -97,6 +97,88 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	}
 }
 
+// TestCacheBoundedFlood: 100k distinct keys keep the cache at its
+// bound, each fill past the bound evicts exactly one completed entry,
+// an in-flight fill held open across the flood is never evicted (its
+// joiners still dedup onto it), and an evicted key refills as a Miss.
+func TestCacheBoundedFlood(t *testing.T) {
+	const keys = 100_000
+	c := NewCache[int, int]()
+	ctx := context.Background()
+	inFill, release := make(chan struct{}), make(chan struct{})
+	held := make(chan int, 1)
+	go func() {
+		v, _, _ := c.Do(ctx, -1, func() (int, error) {
+			close(inFill)
+			<-release
+			return 7, nil
+		})
+		held <- v
+	}()
+	<-inFill
+
+	for k := 0; k < keys; k++ {
+		if _, out, err := c.Do(ctx, k, func() (int, error) { return k, nil }); err != nil || out != Miss {
+			t.Fatalf("Do(%d) = (%v, %v), want (Miss, nil)", k, out, err)
+		}
+	}
+	st := c.Stats()
+	// The held flight occupies one of the bound's slots throughout.
+	if st.Entries > CacheEntries || st.Evictions != keys-(CacheEntries-1) {
+		t.Fatalf("after flood: entries %d (bound %d), evictions %d, want %d",
+			st.Entries, CacheEntries, st.Evictions, keys-(CacheEntries-1))
+	}
+
+	const joiners = 4
+	var wg sync.WaitGroup
+	for i := 0; i < joiners; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, out, err := c.Do(ctx, -1, func() (int, error) { return 0, errors.New("joiner filled") })
+			if err != nil || v != 7 || out != Deduped {
+				t.Errorf("joiner Do = (%d, %v, %v), want (7, Deduped, nil)", v, out, err)
+			}
+		}()
+	}
+	for c.Stats().Dedups < joiners {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	if v := <-held; v != 7 {
+		t.Fatalf("held fill returned %d", v)
+	}
+
+	if _, out, _ := c.Do(ctx, 0, func() (int, error) { return 0, nil }); out != Miss {
+		t.Errorf("evicted key refilled as %v, want Miss", out)
+	}
+}
+
+// TestCacheClockSecondChance: a hit sets the entry's reference bit, so
+// the CLOCK hand spares it once and evicts the next unreferenced entry.
+func TestCacheClockSecondChance(t *testing.T) {
+	c := newCache[int, int](4)
+	ctx := context.Background()
+	fill := func() (int, error) { return 1, nil }
+	for k := 0; k < 4; k++ {
+		c.Do(ctx, k, fill)
+	}
+	if _, out, _ := c.Do(ctx, 0, fill); out != Hit {
+		t.Fatalf("Do(0) = %v, want Hit", out)
+	}
+	c.Do(ctx, 4, fill)
+	if _, ok := c.Get(0); !ok {
+		t.Error("referenced entry 0 was evicted")
+	}
+	if _, ok := c.Get(1); ok {
+		t.Error("unreferenced entry 1 survived; the hand should have evicted it")
+	}
+	if st := c.Stats(); st.Entries != 4 || st.Evictions != 1 {
+		t.Errorf("stats = %+v, want 4 entries, 1 eviction", st)
+	}
+}
+
 func TestCacheWaiterHonoursContext(t *testing.T) {
 	c := NewCache[string, int]()
 	inFill := make(chan struct{})

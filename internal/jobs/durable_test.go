@@ -87,6 +87,42 @@ func TestDurableResultSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestEvictedResultServedFromDisk: the store backstops the bounded
+// result cache — a result evicted from memory comes back as a disk hit,
+// byte-identical, without re-simulating.
+func TestEvictedResultServedFromDisk(t *testing.T) {
+	st, _ := openStoreT(t, t.TempDir())
+	defer st.Close()
+	p := jobs.NewPoolWith(jobs.Options{Workers: 1, Store: st})
+	defer p.Close()
+	jobs.SetResultCacheBound(p, 1)
+
+	a := jobs.Job{Workload: "VectorAdd", PhysRegs: 512}
+	first, err := p.Submit(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A second job takes the only slot, evicting a's result.
+	if _, err := p.Submit(context.Background(), jobs.Job{Workload: "VectorAdd", PhysRegs: 1024}); err != nil {
+		t.Fatal(err)
+	}
+	before := p.Metrics()
+	if before.ResultCache.Evictions != 1 {
+		t.Fatalf("result cache evictions = %d, want 1", before.ResultCache.Evictions)
+	}
+	again, err := p.Submit(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.JSON(), again.JSON()) {
+		t.Fatal("evicted result came back different from disk")
+	}
+	if m := p.Metrics(); m.DiskHits != before.DiskHits+1 || m.ResultsPersisted != before.ResultsPersisted {
+		t.Fatalf("disk_hits %d→%d, results_persisted %d→%d; want one disk hit and no re-simulation",
+			before.DiskHits, m.DiskHits, before.ResultsPersisted, m.ResultsPersisted)
+	}
+}
+
 // TestInterruptCheckpointResume is the graceful-drain contract: an
 // interrupted pool checkpoints its in-flight job; a pool restarted on
 // the same directory resumes it and finishes with a result

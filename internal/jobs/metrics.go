@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -42,55 +41,7 @@ type metrics struct {
 	queued  atomic.Int64 // tasks enqueued but not yet picked up
 	running atomic.Int64 // tasks executing on a worker
 
-	lat latencies
-}
-
-// Latency ring windows: the pool-wide window, and the smaller
-// per-tenant window (bounded per tenant so a many-tenant daemon stays
-// small).
-const (
-	latWindow       = 4096
-	tenantLatWindow = 512
-)
-
-// latencies keeps the last window job latencies (milliseconds) for
-// percentile snapshots. A fixed ring bounds memory under heavy
-// traffic. The zero value uses the pool-wide window.
-type latencies struct {
-	mu     sync.Mutex
-	window int
-	ring   []float64
-	n      int // total observations ever
-}
-
-func (l *latencies) record(ms float64) {
-	l.mu.Lock()
-	if l.window == 0 {
-		l.window = latWindow
-	}
-	if l.ring == nil {
-		l.ring = make([]float64, l.window)
-	}
-	l.ring[l.n%l.window] = ms
-	l.n++
-	l.mu.Unlock()
-}
-
-// percentiles returns the p50 and p99 of the retained window.
-func (l *latencies) percentiles() (p50, p99 float64) {
-	l.mu.Lock()
-	n := l.n
-	if l.window > 0 && n > l.window {
-		n = l.window
-	}
-	s := make([]float64, n)
-	copy(s, l.ring[:n])
-	l.mu.Unlock()
-	if n == 0 {
-		return 0, 0
-	}
-	sort.Float64s(s)
-	return s[(n-1)*50/100], s[(n-1)*99/100]
+	lat *obs.Histogram // submit latency, seconds
 }
 
 // tenantCounters is one tenant's slice of the pool counters. Gauges
@@ -103,7 +54,13 @@ type tenantCounters struct {
 	quotaRejected atomic.Uint64
 	preemptions   atomic.Uint64
 	resumes       atomic.Uint64
-	lat           latencies
+	lat           *obs.Histogram
+}
+
+// quantilesMS estimates the p50 and p99 of a latency histogram in
+// milliseconds.
+func quantilesMS(s obs.HistogramSnapshot) (p50, p99 float64) {
+	return s.Quantile(0.5) * 1000, s.Quantile(0.99) * 1000
 }
 
 // maxTrackedTenants bounds the per-tenant counter map; tenants beyond
@@ -127,14 +84,12 @@ func (p *Pool) tenantCounters(tenant string) *tenantCounters {
 		// Every folded lookup is counted so the overflow is visible in
 		// /metrics (tenants_overflowed) instead of silently aggregating.
 		p.m.tenantOverflow.Add(1)
-		tc, ok := p.tcs[overflowTenant]
-		if !ok {
-			tc = &tenantCounters{lat: latencies{window: tenantLatWindow}}
-			p.tcs[overflowTenant] = tc
+		tenant = overflowTenant
+		if tc, ok := p.tcs[tenant]; ok {
+			return tc
 		}
-		return tc
 	}
-	tc := &tenantCounters{lat: latencies{window: tenantLatWindow}}
+	tc := &tenantCounters{lat: obs.NewHistogram(obs.DefLatencyBuckets...)}
 	p.tcs[tenant] = tc
 	return tc
 }
@@ -218,7 +173,7 @@ func (p *Pool) Queues() QueuesSnapshot {
 			ts.QuotaRejected = tc.quotaRejected.Load()
 			ts.Preemptions = tc.preemptions.Load()
 			ts.Resumes = tc.resumes.Load()
-			ts.LatencyP50MS, ts.LatencyP99MS = tc.lat.percentiles()
+			ts.LatencyP50MS, ts.LatencyP99MS = quantilesMS(tc.lat.Snapshot())
 		}
 		qs.Queues = append(qs.Queues, ts)
 	}
@@ -309,10 +264,16 @@ type MetricsSnapshot struct {
 	// configuration, by GET /v1/queues).
 	Tenants map[string]TenantSnapshot `json:"tenants,omitempty"`
 
+	// Latency is the submit-latency histogram (seconds). The p50/p99
+	// fields, here and per tenant, are estimated from such buckets the
+	// way Prometheus's histogram_quantile does, so they are exact only
+	// to the bucket layout (obs.DefLatencyBuckets). Shipped whole so
+	// the cluster router can aggregate it: bucket counts sum across
+	// shards, quantiles do not.
+	Latency obs.HistogramSnapshot `json:"latency"`
+
 	// SpanDurations is the tracer's per-span-name duration histogram
-	// table (seconds), present only when tracing is on. Shipped in the
-	// JSON snapshot so the cluster router can aggregate shard latency
-	// distributions — unlike the windowed p50/p99, bucket counts sum.
+	// table (seconds), present only when tracing is on.
 	SpanDurations map[string]obs.HistogramSnapshot `json:"span_durations,omitempty"`
 }
 
@@ -333,7 +294,8 @@ func (p *Pool) AddScrubStats(scanned, corrupt, repaired int) {
 
 // Metrics snapshots the pool counters.
 func (p *Pool) Metrics() MetricsSnapshot {
-	p50, p99 := p.m.lat.percentiles()
+	lat := p.m.lat.Snapshot()
+	p50, p99 := quantilesMS(lat)
 	p.mu.Lock()
 	tracked := len(p.status)
 	p.mu.Unlock()
@@ -382,6 +344,7 @@ func (p *Pool) Metrics() MetricsSnapshot {
 		TenantsOverflowed: p.m.tenantOverflow.Load(),
 
 		Tenants:       tenants,
+		Latency:       lat,
 		SpanDurations: p.tracer.Histograms(),
 	}
 }

@@ -207,6 +207,8 @@ func TestPromExposition(t *testing.T) {
 		"regvd_jobs_submitted_total 2",
 		`regvd_tenant_submitted_total{tenant="team-a"} 1`,
 		`regvd_span_duration_seconds_bucket{span="sim.run",le="+Inf"}`,
+		`regvd_submit_latency_seconds_bucket{le="+Inf"} 2`,
+		`regvd_cache_evictions_total{cache="result"} 0`,
 		"regvd_tenant_overflow_folds_total 0",
 	} {
 		if !strings.Contains(string(data), want) {

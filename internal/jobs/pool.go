@@ -102,8 +102,8 @@ const (
 	// headroom so Exec and already-admitted work still enqueue.
 	defaultShedDepth = queueCap * 3 / 4
 	// defaultAsyncTTL is how long finished async job records stay
-	// addressable in the registry (results stay cached far longer —
-	// Status falls through to the result cache after eviction).
+	// addressable in the registry (Status falls through to the result
+	// cache, then the store, after eviction).
 	defaultAsyncTTL = 10 * time.Minute
 	// defaultAsyncMax bounds the async registry in a long-lived daemon.
 	defaultAsyncMax = 4096
@@ -219,6 +219,7 @@ func NewPoolWith(opts Options) *Pool {
 		tracer:    opts.Tracer,
 		log:       logger,
 	}
+	p.m.lat = obs.NewHistogram(obs.DefLatencyBuckets...)
 	// Preemption needs a checkpoint destination (the store) and a
 	// policy under which priorities mean something.
 	p.preemptOn = opts.Store != nil && !opts.DisablePreemption &&
@@ -345,8 +346,8 @@ func (p *Pool) Submit(ctx context.Context, job Job) (*Result, error) {
 	start := time.Now()
 	res, outcome, err := p.submitContained(ctx, job)
 	ms := float64(time.Since(start)) / float64(time.Millisecond)
-	p.m.lat.record(ms)
-	tc.lat.record(ms)
+	p.m.lat.Observe(ms / 1000)
+	tc.lat.Observe(ms / 1000)
 	span.SetAttr("outcome", outcomeLabel(outcome))
 	if err != nil {
 		p.m.failed.Add(1)
@@ -651,12 +652,12 @@ func (p *Pool) runJobContained(ctx context.Context, job Job, e *execution) (res 
 // the flooding tenant gets one scaled to its own backlog.
 func (p *Pool) retryAfter(tenant string) time.Duration {
 	queued, share := p.sched.Share(tenant)
-	p50, _ := p.m.lat.percentiles()
+	p50 := p.m.lat.Snapshot().Quantile(0.5)
 	workers := float64(p.workers) * share
 	if workers <= 0 {
 		workers = 1
 	}
-	d := time.Duration(p50 * float64(queued+1) / workers * float64(time.Millisecond))
+	d := time.Duration(p50 * float64(queued+1) / workers * float64(time.Second))
 	if d < time.Second {
 		d = time.Second
 	}

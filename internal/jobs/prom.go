@@ -24,9 +24,8 @@ type PromShard struct {
 
 // WriteProm renders the snapshots as Prometheus text exposition
 // (version 0.0.4) into w. Counter/gauge semantics follow the snapshot
-// field docs; the windowed p50/p99 are exposed as gauges for humans,
-// while regvd_span_duration_seconds carries the aggregatable bucket
-// counts scrapers should alert on.
+// field docs; latency is exposed only as histograms, whose bucket
+// counts aggregate across shards.
 func WriteProm(w *obs.PromWriter, shards ...PromShard) {
 	counter := func(name, help string, get func(MetricsSnapshot) float64) {
 		for _, s := range shards {
@@ -71,10 +70,10 @@ func WriteProm(w *obs.PromWriter, shards ...PromShard) {
 		func(m MetricsSnapshot) float64 { return float64(m.QueueDepth) })
 	gauge("regvd_running", "Tasks executing on a worker.",
 		func(m MetricsSnapshot) float64 { return float64(m.Running) })
-	gauge("regvd_latency_p50_seconds", "Windowed median submit latency (not aggregatable; see regvd_span_duration_seconds).",
-		func(m MetricsSnapshot) float64 { return m.LatencyP50MS / 1000 })
-	gauge("regvd_latency_p99_seconds", "Windowed p99 submit latency (not aggregatable; see regvd_span_duration_seconds).",
-		func(m MetricsSnapshot) float64 { return m.LatencyP99MS / 1000 })
+	for _, s := range shards {
+		w.Histogram("regvd_submit_latency_seconds", "Submit latency (hits, dedups and fills), in seconds.",
+			s.M.Latency, s.Labels...)
+	}
 
 	counter("regvd_async_evicted_total", "Async status records evicted by TTL or capacity.",
 		func(m MetricsSnapshot) float64 { return float64(m.JobsEvicted) })
@@ -115,6 +114,8 @@ func WriteProm(w *obs.PromWriter, shards ...PromShard) {
 		func(c CacheStats) float64 { return float64(c.Dedups) })
 	cacheStat("regvd_cache_failures_total", "Cache fills that failed (evicted, not cached).",
 		func(c CacheStats) float64 { return float64(c.Failures) })
+	cacheStat("regvd_cache_evictions_total", "Completed entries evicted to keep the cache within its bound.",
+		func(c CacheStats) float64 { return float64(c.Evictions) })
 	for _, s := range shards {
 		for _, c := range []struct {
 			which string

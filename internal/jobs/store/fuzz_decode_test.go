@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"reflect"
@@ -10,10 +11,14 @@ import (
 	"regvirt/internal/jobs"
 )
 
+// unsealed reports whether data lacks the envelope magic; such input
+// must always be a miss.
+func unsealed(data []byte) bool { return !bytes.HasPrefix(data, []byte("RVI1 ")) }
+
 // FuzzResultDecode holds the result read path against arbitrary file
 // bytes: decodeResult never panics, and it answers exactly when an
-// independent envelope-open + JSON decode would — corrupt input is a
-// miss, never a wrong answer.
+// independent envelope-open + JSON decode would — corrupt input
+// (unsealed input included) is a miss, never a wrong answer.
 func FuzzResultDecode(f *testing.F) {
 	job := jobs.Job{Workload: "VectorAdd", PhysRegs: 512}
 	spec, _ := json.Marshal(job)
@@ -21,7 +26,7 @@ func FuzzResultDecode(f *testing.F) {
 
 	sealed := integrity.Seal(payload, spec)
 	f.Add(sealed)
-	f.Add(payload) // legacy: raw JSON, no envelope
+	f.Add(payload) // unsealed raw JSON: a miss
 	f.Add(sealed[:len(sealed)-5])
 	flipped := append([]byte(nil), sealed...)
 	flipped[len(flipped)/2] ^= 0x10
@@ -38,6 +43,9 @@ func FuzzResultDecode(f *testing.F) {
 		wantOK := err == nil && json.Unmarshal(env.Payload, &want) == nil
 		if ok != wantOK {
 			t.Fatalf("decodeResult ok=%v, independent decode says %v", ok, wantOK)
+		}
+		if ok && unsealed(data) {
+			t.Fatalf("decodeResult accepted unsealed input")
 		}
 		if ok && !reflect.DeepEqual(res, &want) {
 			t.Fatalf("decodeResult returned %+v, independent decode %+v", res, &want)
@@ -61,10 +69,10 @@ func FuzzCheckpointDecode(f *testing.F) {
 
 	sealed := integrity.Seal(blob, nil)
 	f.Add(sealed)
-	f.Add(blob) // legacy raw blob
+	f.Add(blob) // unsealed raw blob: a miss
 	f.Add(sealed[:len(sealed)-1])
 	flipped := append([]byte(nil), sealed...)
-	flipped[0] ^= 0x01 // breaks the magic: decodes as legacy
+	flipped[0] ^= 0x01 // breaks the magic: a miss
 	f.Add(flipped)
 	f.Add(integrity.Seal(nil, nil))
 	f.Add([]byte{})
@@ -76,6 +84,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 		wantOK := len(data) > 0 && err == nil && len(env.Payload) > 0
 		if ok != wantOK {
 			t.Fatalf("decodeCheckpoint ok=%v, independent decode says %v", ok, wantOK)
+		}
+		if ok && unsealed(data) {
+			t.Fatalf("decodeCheckpoint accepted unsealed input")
 		}
 		if ok && string(got) != string(env.Payload) {
 			t.Fatalf("decodeCheckpoint returned %d bytes differing from the sealed payload", len(got))

@@ -16,9 +16,9 @@ import (
 // hooks are optional; with neither set, corrupt results can only be
 // quarantined (removed so the journal re-runs them on next restart).
 type ScrubOptions struct {
-	// Fetch retrieves a known-good copy of a result by content address
-	// from a peer or standby (sealed or raw JSON; it is re-verified
-	// before being trusted).
+	// Fetch retrieves a copy of a result by content address from a peer
+	// or standby, as result JSON. The scrubber decodes it, requires its
+	// ID to be the content address, and seals it itself.
 	Fetch func(id string) ([]byte, bool)
 	// Resim deterministically re-executes a job spec salvaged from a
 	// corrupt envelope. The spec is only used after its content address
@@ -30,9 +30,9 @@ type ScrubOptions struct {
 }
 
 // Scrub walks the result and checkpoint stores once, verifying every
-// envelope, upgrading pre-envelope files in place, and self-healing
-// corruption: results are refetched from a peer, else re-simulated
-// from the embedded spec, else quarantined; a corrupt checkpoint is
+// envelope and self-healing corruption (an unsealed file counts as
+// corrupt): results are refetched from a peer, else re-simulated from
+// the embedded spec, else quarantined; a corrupt checkpoint is
 // simply dropped (it is an optimization — the journal re-runs the job
 // from cycle 0, byte-identically). Safe to run concurrently with
 // normal store traffic: every write goes through the same atomic
@@ -71,20 +71,10 @@ func (s *Store) scrubResults(o ScrubOptions, log *slog.Logger, rep *integrity.Re
 			continue
 		}
 		rep.Scanned++
-		env, oerr := integrity.Open(data)
-		if oerr == nil && !env.Legacy {
+		_, oerr := integrity.Open(data)
+		if oerr == nil {
 			continue // sealed and checksum-clean
 		}
-		if oerr == nil && env.Legacy && json.Valid(env.Payload) {
-			// Pre-envelope file: upgrade in place so the next pass can
-			// actually verify it. No spec is available to embed.
-			if err := writeAtomic(path, integrity.Seal(env.Payload, nil), true); err == nil {
-				log.Info("scrub sealed legacy result", "job", id)
-			}
-			continue
-		}
-		// Corrupt: either a failed checksum or an unsealed file that is
-		// not JSON (e.g. bit rot in the magic bytes themselves).
 		rep.Corrupt++
 		log.Warn("scrub found corrupt result", "job", id, "err", oerr)
 		if s.repairResult(o, log, id, path, data) {
@@ -96,35 +86,33 @@ func (s *Store) scrubResults(o ScrubOptions, log *slog.Logger, rep *integrity.Re
 // repairResult climbs the ladder: peer refetch, deterministic
 // re-simulation from the salvaged spec, then quarantine.
 func (s *Store) repairResult(o ScrubOptions, log *slog.Logger, id, path string, raw []byte) bool {
+	// The spec sits inside the corrupt envelope, so it proves itself by
+	// hashing back to the file's content address. A proven spec is
+	// embedded in the repaired envelope, keeping the file re-simulable.
+	var job jobs.Job
+	_, spec, _ := integrity.Salvage(raw)
+	if json.Unmarshal(spec, &job) != nil || job.Key() != id {
+		spec = nil
+	}
 	if o.Fetch != nil {
 		if got, ok := o.Fetch(id); ok {
-			if env, err := integrity.Open(got); err == nil && json.Valid(env.Payload) {
-				sealed := got
-				if env.Legacy {
-					sealed = integrity.Seal(env.Payload, nil)
-				}
-				if werr := writeAtomic(path, sealed, true); werr == nil {
-					log.Info("scrub repaired result", "job", id, "source", "peer")
-					return true
-				}
+			var res jobs.Result
+			if err := json.Unmarshal(got, &res); err != nil || res.ID != id {
+				log.Warn("scrub rejected peer copy", "job", id, "peer_id", res.ID, "err", err)
+			} else if werr := writeAtomic(path, integrity.Seal(res.JSON(), spec), true); werr == nil {
+				log.Info("scrub repaired result", "job", id, "source", "peer")
+				return true
 			}
 		}
 	}
-	if o.Resim != nil {
-		if _, spec, ok := integrity.Salvage(raw); ok && len(spec) > 0 {
-			var job jobs.Job
-			// The spec sits inside the corrupt envelope, so it proves
-			// itself by hashing back to the file's content address.
-			if json.Unmarshal(spec, &job) == nil && job.Key() == id {
-				if res, err := o.Resim(job); err == nil && res != nil {
-					if werr := writeAtomic(path, integrity.Seal(res.JSON(), spec), true); werr == nil {
-						log.Info("scrub repaired result", "job", id, "source", "resim")
-						return true
-					}
-				} else if err != nil {
-					log.Warn("scrub re-simulation failed", "job", id, "err", err)
-				}
+	if o.Resim != nil && spec != nil {
+		if res, err := o.Resim(job); err == nil && res != nil {
+			if werr := writeAtomic(path, integrity.Seal(res.JSON(), spec), true); werr == nil {
+				log.Info("scrub repaired result", "job", id, "source", "resim")
+				return true
 			}
+		} else if err != nil {
+			log.Warn("scrub re-simulation failed", "job", id, "err", err)
 		}
 	}
 	// Quarantine: remove the poisoned file. The journal (or a fresh
@@ -151,14 +139,8 @@ func (s *Store) scrubCheckpoints(log *slog.Logger, rep *integrity.Report) {
 			continue
 		}
 		rep.Scanned++
-		env, oerr := integrity.Open(data)
-		if oerr == nil && !env.Legacy {
-			continue
-		}
-		if oerr == nil && env.Legacy {
-			if err := writeAtomic(path, integrity.Seal(env.Payload, nil), true); err == nil {
-				log.Info("scrub sealed legacy checkpoint", "job", id)
-			}
+		_, oerr := integrity.Open(data)
+		if oerr == nil {
 			continue
 		}
 		// Dropping a corrupt checkpoint IS the repair: the journal

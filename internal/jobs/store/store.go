@@ -278,10 +278,9 @@ func (s *Store) Failed(id, msg string) error {
 }
 
 // LoadResult reads a persisted result by job ID — the second tier
-// behind the in-memory cache. A missing, corrupt (envelope checksum
-// failure) or unparseable file is simply a miss: the job re-simulates
-// and the scrubber heals the file in the background. Pre-envelope
-// files (no RVI1 header) stay readable.
+// behind the in-memory cache. A missing, corrupt (unsealed, or an
+// envelope checksum failure) or unparseable file is simply a miss: the
+// job re-simulates and the scrubber heals the file in the background.
 func (s *Store) LoadResult(id string) (*jobs.Result, bool) {
 	if !safeID(id) {
 		return nil, false

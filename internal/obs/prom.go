@@ -11,14 +11,16 @@ import (
 
 // Prometheus text exposition (version 0.0.4): a writer that emits
 // HELP/TYPE-annotated counters, gauges and histograms, a lock-free
-// fixed-bucket Histogram for real latency distributions (the windowed
-// p50/p99 in MetricsSnapshot cannot be aggregated across shards;
-// bucket counts can), and a promtool-style lint used by the tests to
-// keep the exposition parseable by real scrapers.
+// fixed-bucket Histogram for latency distributions (bucket counts
+// aggregate across shards, quantiles do not), and a promtool-style
+// lint used by the tests to keep the exposition parseable by real
+// scrapers.
 
-// DefLatencyBuckets are the default duration buckets in seconds —
-// sub-millisecond cache hits through multi-minute whole-GPU runs.
+// DefLatencyBuckets are the default duration buckets in seconds, shared
+// by span durations and submit latency — cache hits (about 0.1 ms)
+// through multi-minute whole-GPU runs.
 var DefLatencyBuckets = []float64{
+	0.0001, 0.00025, 0.0005,
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
 	1, 2.5, 5, 10, 30, 60,
 }
@@ -80,6 +82,34 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s.Sum = math.Float64frombits(h.sum.Load())
 	s.Count = h.count.Load()
 	return s
+}
+
+// Quantile estimates the q-quantile (q clamped to [0, 1]) the way
+// Prometheus's histogram_quantile does: find the bucket holding rank
+// q·n and interpolate linearly within it, taking 0 as the lower edge of
+// the first bucket. Mass in the +Inf bucket clamps to the highest
+// finite bound. An empty snapshot estimates 0.
+func (s HistogramSnapshot) Quantile(q float64) float64 {
+	var n uint64
+	for _, c := range s.Counts {
+		n += c
+	}
+	if n == 0 || len(s.Bounds) == 0 {
+		return 0
+	}
+	rank := math.Max(0, math.Min(1, q)) * float64(n)
+	var below uint64
+	for i, c := range s.Counts {
+		if i < len(s.Bounds) && c > 0 && float64(below+c) >= rank {
+			lo := 0.0
+			if i > 0 {
+				lo = s.Bounds[i-1]
+			}
+			return lo + (s.Bounds[i]-lo)*(rank-float64(below))/float64(c)
+		}
+		below += c
+	}
+	return s.Bounds[len(s.Bounds)-1]
 }
 
 // Label is one name="value" pair.

@@ -32,6 +32,48 @@ func TestHistogramObserveAndSnapshot(t *testing.T) {
 	}
 }
 
+func TestHistogramQuantile(t *testing.T) {
+	if q := NewHistogram(1, 2).Snapshot().Quantile(0.5); q != 0 {
+		t.Errorf("empty histogram: p50 = %v, want 0", q)
+	}
+
+	// All mass in the (1, 2] bucket: interpolate linearly across it.
+	h := NewHistogram(1, 2, 4)
+	for i := 0; i < 4; i++ {
+		h.Observe(1.5)
+	}
+	s := h.Snapshot()
+	for q, want := range map[float64]float64{0: 1, 0.5: 1.5, 0.75: 1.75, 1: 2} {
+		if got := s.Quantile(q); got != want {
+			t.Errorf("single bucket: Quantile(%v) = %v, want %v", q, got, want)
+		}
+	}
+
+	// Mass past the last finite bound clamps to that bound.
+	h = NewHistogram(1, 2, 4)
+	h.Observe(0.5)
+	h.Observe(100)
+	h.Observe(100)
+	if got := h.Snapshot().Quantile(0.99); got != 4 {
+		t.Errorf("+Inf mass: p99 = %v, want the highest finite bound 4", got)
+	}
+
+	// Monotone in q over a spread of observations on the shared layout.
+	h = NewHistogram(DefLatencyBuckets...)
+	for i := 1; i <= 1000; i++ {
+		h.Observe(float64(i) * 1e-4) // 0.1 ms .. 100 ms
+	}
+	s = h.Snapshot()
+	prev := s.Quantile(0)
+	for q := 0.01; q <= 1; q += 0.01 {
+		v := s.Quantile(q)
+		if v < prev {
+			t.Fatalf("Quantile(%.2f) = %v < previous %v", q, v, prev)
+		}
+		prev = v
+	}
+}
+
 func TestPromWriterOutputLintsClean(t *testing.T) {
 	var w PromWriter
 	w.Counter("regvd_submitted_total", "Jobs submitted.", 42)
