@@ -26,11 +26,13 @@ verify: build vet race
 # grammar, both wrapper backends' unit tests, the five-way determinism
 # matrix (sequential vs parallel device engine), checkpoint/resume
 # byte-identity per mode, the emulator differential per backend, the
-# jobs cache-key separation of modes, and the head-to-head figure.
-# CI runs this as its own job.
+# jobs cache-key separation of modes, the head-to-head figure, and
+# regvsim's local-equals-remote table (every backend's result encoding
+# through both the in-process and the service path). CI runs this as
+# its own job.
 modes:
 	$(GO) test -race -count=1 \
-		-run 'Mode|Backend|ParseMode|RegCache|SMemSpill|ResumeMatches|ResumeGPU|ParallelMatches|Emulator' \
+		-run 'Mode|Backend|ParseMode|RegCache|SMemSpill|ResumeMatches|ResumeGPU|ParallelMatches|Emulator|LocalMatchesRemote' \
 		./internal/rename ./internal/sim ./internal/workloads \
 		./internal/jobs ./internal/experiments ./cmd/regvsim ./cmd/regvd
 
@@ -40,7 +42,7 @@ modes:
 # tenant config/HTTP/client surface. CI runs this as its own job.
 sched:
 	$(GO) test -race -count=2 \
-		-run 'Stride|FairShare|Quota|Admission|MaxRunning|Preempt|Tenant|FIFO|BadCheckpoint|Sched' \
+		-run 'Stride|FairShare|Quota|Admission|MaxRunning|Preempt|Tenant|BadCheckpoint|Sched' \
 		./internal/jobs/... ./cmd/regvd
 
 # Fault-injection and resilience drills, twice, under the race

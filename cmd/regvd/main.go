@@ -5,9 +5,8 @@
 //
 // Usage:
 //
-//	regvd [-addr host:port] [-j workers] [-shed-depth n] [-drain d]
-//	      [-async-ttl d] [-async-max n] [-data-dir dir] [-checkpoint-every n]
-//	      [-tenants spec] [-sched fair|fifo] [-strict-tenants] [-preempt=bool]
+//	regvd [-addr host:port] [-j workers] [-drain d] [-data-dir dir]
+//	      [-checkpoint-every n] [-tenants spec] [-strict-tenants]
 //	      [-faults spec] [-fault-seed n] [-scrub-every d] [-nemesis]
 //	      [-log-format text|json] [-debug-addr host:port]
 //	      [-shard name] [-peers name=url,...] [-standby name] [-cluster]
@@ -45,10 +44,10 @@
 // from the content hash and jobs differing only in gpu_par share one
 // cached result.
 //
-// Failure behavior: when the job queue reaches -shed-depth the daemon
-// refuses new unique work with 429 + Retry-After instead of letting
-// latency grow without bound (cache hits and dedup joins still serve),
-// and /healthz reports "degraded". Worker panics and simulator
+// Failure behavior: when 768 tasks are queued (jobs.ShedDepth) the
+// daemon refuses new unique work with 429 + Retry-After instead of
+// letting latency grow without bound (cache hits and dedup joins still
+// serve), and /healthz reports "degraded". Worker panics and simulator
 // invariant violations are contained per job — the daemon keeps
 // serving. -faults arms deterministic fault injection (chaos drills
 // only; see internal/faultinject.ParseSpec for the site:kind:every
@@ -65,8 +64,8 @@
 // outside that set with 403. With -data-dir armed, a higher-priority
 // arrival checkpoint-preempts the lowest-priority running job — the
 // victim snapshots, re-queues, and later resumes byte-identically from
-// its checkpoint (-preempt=false disables). GET /v1/queues shows every
-// queue's weight, quotas, depth and per-tenant latency percentiles.
+// its checkpoint. GET /v1/queues shows every queue's weight, quotas,
+// depth and per-tenant latency percentiles.
 //
 // Integrity: every result and checkpoint is written inside a
 // checksummed envelope (internal/integrity); corrupt files read as
@@ -141,16 +140,11 @@ import (
 type config struct {
 	addr       string
 	workers    int
-	shedDepth  int
-	asyncTTL   time.Duration
-	asyncMax   int
 	drain      time.Duration
 	dataDir    string
 	ckptEvery  uint64
 	tenants    string
-	schedPol   string
 	strict     bool
-	preempt    bool
 	faults     string
 	faultSeed  int64
 	scrubEvery time.Duration
@@ -172,16 +166,11 @@ func parseFlags(args []string) (config, error) {
 	cfg := config{}
 	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:8077", "listen address")
 	fs.IntVar(&cfg.workers, "j", runtime.NumCPU(), "simulation worker goroutines")
-	fs.IntVar(&cfg.shedDepth, "shed-depth", 0, "queue depth at which new unique work is shed with 429 (0 = default, negative = never shed)")
-	fs.DurationVar(&cfg.asyncTTL, "async-ttl", 0, "how long finished async job records stay addressable (0 = default 10m)")
-	fs.IntVar(&cfg.asyncMax, "async-max", 0, "max async job records kept (0 = default 4096, negative = unbounded)")
 	fs.DurationVar(&cfg.drain, "drain", 30*time.Second, "graceful-shutdown drain window for in-flight requests")
 	fs.StringVar(&cfg.dataDir, "data-dir", "", "durability directory: journal accepted jobs, persist results, checkpoint and resume across restarts (empty = in-memory only)")
 	fs.Uint64Var(&cfg.ckptEvery, "checkpoint-every", 100_000, "simulated cycles between durable checkpoints of in-flight jobs (needs -data-dir; 0 = only cancellation checkpoints)")
 	fs.StringVar(&cfg.tenants, "tenants", "", "tenant table, comma-separated name:weight[:maxQueued[:maxRunning[:maxPriority]]] (\"*\" = config for unknown tenants)")
-	fs.StringVar(&cfg.schedPol, "sched", "fair", "dispatch policy: fair (weighted stride + priorities) or fifo (legacy arrival order)")
 	fs.BoolVar(&cfg.strict, "strict-tenants", false, "reject tenants outside -tenants with 403 (the default queue always admits)")
-	fs.BoolVar(&cfg.preempt, "preempt", true, "let higher-priority arrivals checkpoint-preempt lower-priority running jobs (needs -data-dir)")
 	fs.StringVar(&cfg.logFormat, "log-format", "text", "structured log format: text (key=value) or json")
 	fs.StringVar(&cfg.debugAddr, "debug-addr", "", "serve net/http/pprof on this address (separate listener; empty = off)")
 	fs.StringVar(&cfg.faults, "faults", "", "fault injection spec, comma-separated site:kind:every[:arg] (chaos drills only)")
@@ -293,21 +282,11 @@ func peerURL(peers []cluster.ShardInfo, name string) (string, bool) {
 
 // schedConfig assembles the scheduler settings from the parsed flags.
 func (cfg config) schedConfig() (sched.Config, error) {
-	sc := sched.Config{Strict: cfg.strict}
-	switch cfg.schedPol {
-	case "", "fair":
-		sc.Policy = sched.PolicyFair
-	case "fifo":
-		sc.Policy = sched.PolicyFIFO
-	default:
-		return sched.Config{}, fmt.Errorf("regvd: -sched %q (want fair or fifo)", cfg.schedPol)
-	}
 	tenants, def, err := parseTenantsSpec(cfg.tenants)
 	if err != nil {
 		return sched.Config{}, fmt.Errorf("regvd: -tenants: %w", err)
 	}
-	sc.Tenants, sc.Default = tenants, def
-	return sc, nil
+	return sched.Config{Tenants: tenants, Default: def, Strict: cfg.strict}, nil
 }
 
 // parseTenantsSpec parses the -tenants grammar: comma-separated
@@ -507,15 +486,11 @@ func newDaemon(cfg config) (*daemon, error) {
 		return nil, err
 	}
 	opts := jobs.Options{
-		Workers:           cfg.workers,
-		ShedDepth:         cfg.shedDepth,
-		AsyncTTL:          cfg.asyncTTL,
-		AsyncMax:          cfg.asyncMax,
-		Sched:             sc,
-		DisablePreemption: !cfg.preempt,
-		Faults:            inj,
-		Tracer:            obs.NewTracer(cfg.shard),
-		Logger:            logger,
+		Workers: cfg.workers,
+		Sched:   sc,
+		Faults:  inj,
+		Tracer:  obs.NewTracer(cfg.shard),
+		Logger:  logger,
 	}
 	if st != nil {
 		opts.Store = st

@@ -72,7 +72,7 @@ func TestParseTenantsSpec(t *testing.T) {
 }
 
 func TestSchedConfigFlags(t *testing.T) {
-	cfg, err := parseFlags([]string{"-tenants", "gold:4:32,*:1", "-sched", "fifo", "-strict-tenants"})
+	cfg, err := parseFlags([]string{"-tenants", "gold:4:32,*:1", "-strict-tenants"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,21 +80,14 @@ func TestSchedConfigFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Policy != sched.PolicyFIFO || !sc.Strict {
-		t.Errorf("policy=%v strict=%v, want fifo/true", sc.Policy, sc.Strict)
+	if !sc.Strict {
+		t.Error("-strict-tenants not carried into the scheduler config")
 	}
 	if sc.Tenants["gold"].Weight != 4 || sc.Tenants["gold"].MaxQueued != 32 {
 		t.Errorf("gold = %+v", sc.Tenants["gold"])
 	}
 	if sc.Default.Weight != 1 {
 		t.Errorf("default = %+v", sc.Default)
-	}
-
-	if cfg, err = parseFlags([]string{"-sched", "lottery"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cfg.schedConfig(); err == nil || !strings.Contains(err.Error(), "-sched") {
-		t.Errorf("bad policy: err = %v, want -sched complaint", err)
 	}
 
 	if cfg, err = parseFlags([]string{"-tenants", "a:0"}); err != nil {

@@ -135,13 +135,9 @@ func routerStatus(t *testing.T, routerURL string) RouterStatus {
 
 func startRouter(t *testing.T, shards []ShardInfo) (*Router, string) {
 	t.Helper()
-	r, err := NewRouter(shards, RouterOptions{
-		ProbeEvery:   50 * time.Millisecond,
-		ProbeTimeout: 2 * time.Second,
-		FailAfter:    2,
-		Policy:       &client.RetryPolicy{MaxAttempts: 2, BaseDelay: 20 * time.Millisecond, MaxDelay: 200 * time.Millisecond},
-		Tracer:       obs.NewTracer("router"),
-	})
+	// A fast prober and a short retry budget keep failover drills quick.
+	r, err := newRouter(shards, RouterOptions{Tracer: obs.NewTracer("router")}, 50*time.Millisecond,
+		client.RetryPolicy{MaxAttempts: 2, BaseDelay: 20 * time.Millisecond, MaxDelay: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +260,9 @@ func TestClusterFailoverInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hz struct{ Status string `json:"status"` }
+	var hz struct {
+		Status string `json:"status"`
+	}
 	json.NewDecoder(resp.Body).Decode(&hz)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || hz.Status != "degraded" {

@@ -28,22 +28,26 @@ type ShardInfo struct {
 	URL  string
 }
 
-// RouterOptions tunes the router; zero values mean defaults.
+// Router health-probe and retry settings.
+const (
+	// probeInterval is how often every shard's /healthz is probed.
+	probeInterval = 500 * time.Millisecond
+	// probeTimeout bounds one probe round trip (and the router's other
+	// short control calls to shards).
+	probeTimeout = 2 * time.Second
+	// failAfter is the consecutive probe failures before a shard is
+	// declared down. A request-path connection failure declares it
+	// down immediately — the evidence is already in hand.
+	failAfter = 2
+)
+
+// shardRetry is the per-shard client retry policy: 3 attempts from
+// 50ms up to 2s, snappier than the client default so a dead shard
+// fails over in well under a second.
+var shardRetry = client.RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}
+
+// RouterOptions wires the router into its process; nil fields are off.
 type RouterOptions struct {
-	// VNodes is the ring's virtual-node count per shard (0 = 64).
-	VNodes int
-	// ProbeEvery is the health-probe interval (0 = 500ms).
-	ProbeEvery time.Duration
-	// ProbeTimeout bounds one probe round trip (0 = 2s).
-	ProbeTimeout time.Duration
-	// FailAfter is the consecutive probe failures before a shard is
-	// declared down (0 = 2). A request-path connection failure declares
-	// it down immediately — the evidence is already in hand.
-	FailAfter int
-	// Policy overrides the per-shard client retry policy. The default
-	// is snappier than the client default (3 attempts, 50ms base) so a
-	// dead shard fails over in well under a second.
-	Policy *client.RetryPolicy
 	// Transport, when set, underlies every outbound HTTP client the
 	// router builds (probes, adoption calls, forwarded requests). The
 	// nemesis harness injects partition-simulating round-trippers here;
@@ -76,11 +80,11 @@ type RouterOptions struct {
 type Router struct {
 	ring      *Ring
 	ringNames []string
-	failAfter int
 
-	probeEvery   time.Duration
-	probeTimeout time.Duration
-	policy       client.RetryPolicy
+	// probeEvery and policy are probeInterval and shardRetry; tests
+	// speed them up through newRouter.
+	probeEvery time.Duration
+	policy     client.RetryPolicy
 
 	probeHC   *http.Client // health and topology probes
 	adoptHC   *http.Client // adoption calls (journal replay takes longer)
@@ -142,6 +146,10 @@ func (n *node) isDown() bool {
 // NewRouter builds the ring and starts the health prober. Close stops
 // it.
 func NewRouter(shards []ShardInfo, opts RouterOptions) (*Router, error) {
+	return newRouter(shards, opts, probeInterval, shardRetry)
+}
+
+func newRouter(shards []ShardInfo, opts RouterOptions, probeEvery time.Duration, policy client.RetryPolicy) (*Router, error) {
 	names := make([]string, 0, len(shards))
 	for _, s := range shards {
 		if s.URL == "" {
@@ -149,42 +157,28 @@ func NewRouter(shards []ShardInfo, opts RouterOptions) (*Router, error) {
 		}
 		names = append(names, s.Name)
 	}
-	ring, err := NewRing(names, opts.VNodes)
+	ring, err := NewRing(names, defaultVNodes)
 	if err != nil {
 		return nil, err
 	}
 	r := &Router{
-		ring:         ring,
-		ringNames:    ring.Shards(),
-		failAfter:    opts.FailAfter,
-		probeEvery:   opts.ProbeEvery,
-		probeTimeout: opts.ProbeTimeout,
-		policy:       client.RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second},
-		nodes:        map[string]*node{},
-		epochs:       map[string]uint64{},
-		cache:        jobs.NewCache[string, *jobs.Result](),
-		stop:         make(chan struct{}),
-		started:      time.Now(),
-		tracer:       opts.Tracer,
-		log:          opts.Logger,
+		ring:       ring,
+		ringNames:  ring.Shards(),
+		probeEvery: probeEvery,
+		policy:     policy,
+		nodes:      map[string]*node{},
+		epochs:     map[string]uint64{},
+		cache:      jobs.NewCache[string, *jobs.Result](),
+		stop:       make(chan struct{}),
+		started:    time.Now(),
+		tracer:     opts.Tracer,
+		log:        opts.Logger,
+		transport:  opts.Transport,
 	}
 	if r.log == nil {
 		r.log = obs.Nop()
 	}
-	if r.failAfter <= 0 {
-		r.failAfter = 2
-	}
-	if r.probeEvery <= 0 {
-		r.probeEvery = 500 * time.Millisecond
-	}
-	if r.probeTimeout <= 0 {
-		r.probeTimeout = 2 * time.Second
-	}
-	if opts.Policy != nil {
-		r.policy = *opts.Policy
-	}
-	r.transport = opts.Transport
-	r.probeHC = &http.Client{Timeout: r.probeTimeout, Transport: r.transport}
+	r.probeHC = &http.Client{Timeout: probeTimeout, Transport: r.transport}
 	r.adoptHC = &http.Client{Timeout: 30 * time.Second, Transport: r.transport}
 	for _, s := range shards {
 		r.nodes[s.Name] = r.newNode(s.Name, s.URL, true)
@@ -255,7 +249,7 @@ func (r *Router) probeAll() {
 // /v1/cluster ships_to report — the standby address the router will
 // need exactly when the shard can no longer be asked for it.
 func (r *Router) probeOne(n *node) {
-	ctx, cancel := context.WithTimeout(context.Background(), r.probeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.url+"/healthz", nil)
 	if err != nil {
@@ -375,13 +369,13 @@ func (r *Router) ensureNode(name, url string) *node {
 func (r *Router) noteProbeFailure(n *node) {
 	n.mu.Lock()
 	n.failN++
-	transition := !n.down && n.failN >= r.failAfter
+	transition := !n.down && n.failN >= failAfter
 	if transition {
 		n.down = true
 	}
 	n.mu.Unlock()
 	if transition {
-		r.log.Warn("shard declared down", "shard", n.name, "reason", "probe", "consecutive_failures", r.failAfter)
+		r.log.Warn("shard declared down", "shard", n.name, "reason", "probe", "consecutive_failures", failAfter)
 		r.onDown(n)
 	}
 }
@@ -393,7 +387,7 @@ func (r *Router) noteRequestFailure(n *node) {
 	n.mu.Lock()
 	transition := !n.down
 	n.down = true
-	n.failN = r.failAfter
+	n.failN = failAfter
 	n.mu.Unlock()
 	if transition {
 		r.log.Warn("shard declared down", "shard", n.name, "reason", "request")
@@ -571,7 +565,7 @@ func (r *Router) peerLookup(ctx context.Context, id string, exclude *node) *jobs
 		if n == exclude || n.isDown() {
 			continue
 		}
-		pctx, cancel := context.WithTimeout(ctx, r.probeTimeout)
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		st, err := n.c.Status(pctx, id)
 		cancel()
 		if err == nil && st.State == "done" && st.Result != nil {
@@ -598,7 +592,7 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/queues", r.handleQueues)
 	mux.HandleFunc("GET /v1/trace/{id}", r.handleTrace)
 	mux.HandleFunc("GET /v1/workloads", func(w http.ResponseWriter, _ *http.Request) {
-		clusterWriteJSON(w, http.StatusOK, map[string][]string{"workloads": workloads.Names()})
+		jobs.WriteJSON(w, http.StatusOK, map[string][]string{"workloads": workloads.Names()})
 	})
 	return mux
 }
@@ -629,14 +623,14 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	dec := json.NewDecoder(io.LimitReader(req.Body, maxJobBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&job); err != nil {
-		clusterWriteError(w, http.StatusBadRequest, "bad job body: %v", err)
+		jobs.WriteError(w, http.StatusBadRequest, "bad job body: %v", err)
 		return
 	}
 	if job.Tenant == "" {
 		job.Tenant = req.Header.Get(jobs.TenantHeader)
 	}
 	if err := job.Validate(); err != nil {
-		clusterWriteError(w, http.StatusBadRequest, "%v", err)
+		jobs.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	async := job.Async || req.URL.Query().Get("async") == "1"
@@ -694,7 +688,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 					r.cachePut(id, st.Result)
 				}
 				r.stampOwnership(w, owner, target)
-				clusterWriteJSON(w, http.StatusAccepted, st)
+				jobs.WriteJSON(w, http.StatusAccepted, st)
 				return
 			}
 			ferr = err
@@ -706,7 +700,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 				span.SetAttr("outcome", "forwarded")
 				r.cachePut(id, res)
 				r.stampOwnership(w, owner, target)
-				clusterWriteJSON(w, http.StatusOK, res)
+				jobs.WriteJSON(w, http.StatusOK, res)
 				return
 			}
 			ferr = err
@@ -722,7 +716,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		}
 		if ctx.Err() != nil {
 			span.SetError(ctx.Err())
-			clusterWriteError(w, http.StatusRequestTimeout, "request cancelled: %v", ctx.Err())
+			jobs.WriteError(w, http.StatusRequestTimeout, "request cancelled: %v", ctx.Err())
 			return
 		}
 		// The shard did not answer through the whole retry budget:
@@ -730,7 +724,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		r.noteRequestFailure(target)
 		if hop > 0 {
 			span.SetError(ferr)
-			clusterWriteError(w, http.StatusBadGateway, "shard %s unreachable: %v", target.name, ferr)
+			jobs.WriteError(w, http.StatusBadGateway, "shard %s unreachable: %v", target.name, ferr)
 			return
 		}
 		r.log.WarnContext(ctx, "rerouting submit off unreachable shard", "shard", target.name, "err", ferr)
@@ -757,7 +751,7 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 	if res, ok := r.cache.Get(id); ok {
 		r.cacheHits.Add(1)
 		span.SetAttr("outcome", "router-cache")
-		clusterWriteJSON(w, http.StatusOK, jobs.JobStatus{ID: id, State: "done", Result: res})
+		jobs.WriteJSON(w, http.StatusOK, jobs.JobStatus{ID: id, State: "done", Result: res})
 		return
 	}
 	target, _, err := r.route(id)
@@ -772,7 +766,7 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 			if st.State == "done" && st.Result != nil {
 				r.cachePut(id, st.Result)
 			}
-			clusterWriteJSON(w, http.StatusOK, st)
+			jobs.WriteJSON(w, http.StatusOK, st)
 			return
 		}
 		var apiErr *jobs.APIError
@@ -784,7 +778,7 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 				if res := r.peerLookup(ctx, id, target); res != nil {
 					r.peerHits.Add(1)
 					r.cachePut(id, res)
-					clusterWriteJSON(w, http.StatusOK, jobs.JobStatus{ID: id, State: "done", Result: res})
+					jobs.WriteJSON(w, http.StatusOK, jobs.JobStatus{ID: id, State: "done", Result: res})
 					return
 				}
 			}
@@ -793,13 +787,13 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 		}
 		if ctx.Err() != nil {
 			span.SetError(ctx.Err())
-			clusterWriteError(w, http.StatusRequestTimeout, "request cancelled: %v", ctx.Err())
+			jobs.WriteError(w, http.StatusRequestTimeout, "request cancelled: %v", ctx.Err())
 			return
 		}
 		r.noteRequestFailure(target)
 		if hop > 0 {
 			span.SetError(err)
-			clusterWriteError(w, http.StatusBadGateway, "shard %s unreachable: %v", target.name, err)
+			jobs.WriteError(w, http.StatusBadGateway, "shard %s unreachable: %v", target.name, err)
 			return
 		}
 		next, _, rerr := r.route(id)
@@ -827,14 +821,14 @@ func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	switch {
 	case len(downNames) == 0:
-		clusterWriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		jobs.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	case len(downNames) < len(r.ringNames):
-		clusterWriteJSON(w, http.StatusOK, map[string]string{
+		jobs.WriteJSON(w, http.StatusOK, map[string]string{
 			"status": "degraded",
 			"reason": fmt.Sprintf("%d/%d shards down: %s (failing over to standbys)", len(downNames), len(r.ringNames), strings.Join(downNames, ", ")),
 		})
 	default:
-		clusterWriteJSON(w, http.StatusServiceUnavailable, map[string]string{
+		jobs.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{
 			"status": "down",
 			"reason": "every shard is unreachable",
 		})
@@ -898,7 +892,7 @@ func (r *Router) status() RouterStatus {
 }
 
 func (r *Router) handleCluster(w http.ResponseWriter, _ *http.Request) {
-	clusterWriteJSON(w, http.StatusOK, r.status())
+	jobs.WriteJSON(w, http.StatusOK, r.status())
 }
 
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
@@ -907,7 +901,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		w.Write(r.promMetrics(req.Context()))
 		return
 	}
-	clusterWriteJSON(w, http.StatusOK, map[string]any{"cluster": r.status()})
+	jobs.WriteJSON(w, http.StatusOK, map[string]any{"cluster": r.status()})
 }
 
 // promMetrics renders the cluster-wide Prometheus exposition: the
@@ -984,7 +978,7 @@ func (r *Router) promMetrics(ctx context.Context) []byte {
 
 func (r *Router) fetchShardMetrics(ctx context.Context, n *node) (jobs.MetricsSnapshot, bool) {
 	var m jobs.MetricsSnapshot
-	ctx, cancel := context.WithTimeout(ctx, r.probeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.url+"/metrics", nil)
 	if err != nil {
@@ -1017,7 +1011,7 @@ func (r *Router) handleTrace(w http.ResponseWriter, req *http.Request) {
 		if n.isDown() {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(req.Context(), r.probeTimeout)
+		ctx, cancel := context.WithTimeout(req.Context(), probeTimeout)
 		treq, err := http.NewRequestWithContext(ctx, http.MethodGet, n.url+"/v1/trace/"+id, nil)
 		if err != nil {
 			cancel()
@@ -1037,21 +1031,21 @@ func (r *Router) handleTrace(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	if len(spans) == 0 {
-		clusterWriteError(w, http.StatusNotFound, "unknown trace %q", id)
+		jobs.WriteError(w, http.StatusNotFound, "unknown trace %q", id)
 		return
 	}
 	obs.SortSpans(spans)
 	if req.URL.Query().Get("format") == "chrome" {
 		b, err := obs.ChromeTrace(spans)
 		if err != nil {
-			clusterWriteError(w, http.StatusInternalServerError, "chrome export: %v", err)
+			jobs.WriteError(w, http.StatusInternalServerError, "chrome export: %v", err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(b)
 		return
 	}
-	clusterWriteJSON(w, http.StatusOK, jobs.TraceResponse{TraceID: id, Spans: spans})
+	jobs.WriteJSON(w, http.StatusOK, jobs.TraceResponse{TraceID: id, Spans: spans})
 }
 
 // handleQueues aggregates the per-tenant scheduler state of every
@@ -1062,7 +1056,7 @@ func (r *Router) handleQueues(w http.ResponseWriter, req *http.Request) {
 		if n.isDown() {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(req.Context(), r.probeTimeout)
+		ctx, cancel := context.WithTimeout(req.Context(), probeTimeout)
 		qreq, err := http.NewRequestWithContext(ctx, http.MethodGet, n.url+"/v1/queues", nil)
 		if err != nil {
 			cancel()
@@ -1080,17 +1074,17 @@ func (r *Router) handleQueues(w http.ResponseWriter, req *http.Request) {
 			out[n.name] = json.RawMessage(data)
 		}
 	}
-	clusterWriteJSON(w, http.StatusOK, out)
+	jobs.WriteJSON(w, http.StatusOK, out)
 }
 
 // respondResult answers a submit from a cached result, preserving the
 // sync/async response shapes.
 func (r *Router) respondResult(w http.ResponseWriter, async bool, id string, res *jobs.Result) {
 	if async {
-		clusterWriteJSON(w, http.StatusAccepted, jobs.JobStatus{ID: id, State: "done", Result: res})
+		jobs.WriteJSON(w, http.StatusAccepted, jobs.JobStatus{ID: id, State: "done", Result: res})
 		return
 	}
-	clusterWriteJSON(w, http.StatusOK, res)
+	jobs.WriteJSON(w, http.StatusOK, res)
 }
 
 // writeAPIError relays a shard's typed refusal verbatim, status,
@@ -1108,12 +1102,12 @@ func (r *Router) writeAPIError(w http.ResponseWriter, apiErr *jobs.APIError) {
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
-	clusterWriteJSON(w, status, apiErr)
+	jobs.WriteJSON(w, status, apiErr)
 }
 
 func (r *Router) writeAllDown(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", "1")
-	clusterWriteJSON(w, http.StatusServiceUnavailable, &jobs.APIError{
+	jobs.WriteJSON(w, http.StatusServiceUnavailable, &jobs.APIError{
 		Message: errAllDown.Error(),
 		Kind:    "closed",
 		Status:  http.StatusServiceUnavailable,

@@ -100,7 +100,7 @@ func (s *ShardServer) Handler(next http.Handler) http.Handler {
 		// until the router grants a fresh epoch; reads fall through.
 		if s.fenced.Load() {
 			w.Header().Set("Retry-After", "1")
-			clusterWriteJSON(w, http.StatusServiceUnavailable, &jobs.APIError{
+			jobs.WriteJSON(w, http.StatusServiceUnavailable, &jobs.APIError{
 				Message: (&FencedError{Keyspace: s.name, Epoch: s.epoch.Load()}).Error(),
 				Kind:    "fenced",
 				Status:  http.StatusServiceUnavailable,
@@ -121,7 +121,7 @@ func (s *ShardServer) Handler(next http.Handler) http.Handler {
 func (s *ShardServer) fenceCheck(w http.ResponseWriter, shard string, epoch uint64) bool {
 	fence := s.standby.FenceEpoch(shard)
 	if epoch < fence {
-		clusterWriteJSON(w, http.StatusConflict, fencedBody{
+		jobs.WriteJSON(w, http.StatusConflict, fencedBody{
 			Error:  (&FencedError{Keyspace: shard, Epoch: epoch, Fence: fence}).Error(),
 			Kind:   "fenced",
 			Epoch:  fence,
@@ -131,7 +131,7 @@ func (s *ShardServer) fenceCheck(w http.ResponseWriter, shard string, epoch uint
 	}
 	if epoch > fence {
 		if err := s.standby.Fence(shard, epoch); err != nil {
-			clusterWriteError(w, http.StatusInternalServerError, "persist fence for %s: %v", shard, err)
+			jobs.WriteError(w, http.StatusInternalServerError, "persist fence for %s: %v", shard, err)
 			return false
 		}
 	}
@@ -147,11 +147,11 @@ func (s *ShardServer) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Keyspace != s.name {
-		clusterWriteError(w, http.StatusBadRequest, "epoch grant for keyspace %q does not name this shard (%s)", req.Keyspace, s.name)
+		jobs.WriteError(w, http.StatusBadRequest, "epoch grant for keyspace %q does not name this shard (%s)", req.Keyspace, s.name)
 		return
 	}
 	if req.Epoch <= s.epoch.Load() {
-		clusterWriteError(w, http.StatusBadRequest, "epoch %d does not advance current epoch %d", req.Epoch, s.epoch.Load())
+		jobs.WriteError(w, http.StatusBadRequest, "epoch %d does not advance current epoch %d", req.Epoch, s.epoch.Load())
 		return
 	}
 	s.epoch.Store(req.Epoch)
@@ -160,13 +160,13 @@ func (s *ShardServer) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		s.shipper.SetEpoch(req.Epoch)
 	}
 	s.log.Info("ownership epoch granted", "shard", s.name, "epoch", req.Epoch, "was_fenced", wasFenced)
-	clusterWriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "epoch": req.Epoch})
+	jobs.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "epoch": req.Epoch})
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxShipBody))
 	if err := dec.Decode(v); err != nil {
-		clusterWriteError(w, http.StatusBadRequest, "bad request body: %v", err)
+		jobs.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
 	return true
@@ -178,7 +178,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // arrives on this same endpoint with Snapshot set.
 func (s *ShardServer) handleShip(w http.ResponseWriter, r *http.Request) {
 	if s.standby == nil {
-		clusterWriteError(w, http.StatusServiceUnavailable, "shard %s has no standby storage (-data-dir required)", s.name)
+		jobs.WriteError(w, http.StatusServiceUnavailable, "shard %s has no standby storage (-data-dir required)", s.name)
 		return
 	}
 	var req shipRequest
@@ -186,7 +186,7 @@ func (s *ShardServer) handleShip(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Shard == "" || req.Shard == s.name {
-		clusterWriteError(w, http.StatusBadRequest, "invalid source shard %q", req.Shard)
+		jobs.WriteError(w, http.StatusBadRequest, "invalid source shard %q", req.Shard)
 		return
 	}
 	if !s.fenceCheck(w, req.Shard, req.Epoch) {
@@ -195,7 +195,7 @@ func (s *ShardServer) handleShip(w http.ResponseWriter, r *http.Request) {
 	resp := shipResponse{}
 	if req.Snapshot {
 		if err := s.standby.InstallSnapshot(req.Shard, req.Gen, req.Records, req.NextSeq); err != nil {
-			clusterWriteError(w, http.StatusInternalServerError, "install snapshot from %s: %v", req.Shard, err)
+			jobs.WriteError(w, http.StatusInternalServerError, "install snapshot from %s: %v", req.Shard, err)
 			return
 		}
 		resp.Applied = len(req.Records)
@@ -207,18 +207,18 @@ func (s *ShardServer) handleShip(w http.ResponseWriter, r *http.Request) {
 			if errors.Is(err, store.ErrGap) || errors.Is(err, store.ErrBadFrame) {
 				resp.Resync = true
 			} else {
-				clusterWriteError(w, http.StatusInternalServerError, "apply frames from %s: %v", req.Shard, err)
+				jobs.WriteError(w, http.StatusInternalServerError, "apply frames from %s: %v", req.Shard, err)
 				return
 			}
 		}
 	}
 	resp.Gen, resp.LastSeq = s.standby.State(req.Shard)
-	clusterWriteJSON(w, http.StatusOK, resp)
+	jobs.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *ShardServer) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if s.standby == nil {
-		clusterWriteError(w, http.StatusServiceUnavailable, "shard %s has no standby storage (-data-dir required)", s.name)
+		jobs.WriteError(w, http.StatusServiceUnavailable, "shard %s has no standby storage (-data-dir required)", s.name)
 		return
 	}
 	var req checkpointRequest
@@ -226,17 +226,17 @@ func (s *ShardServer) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Shard == "" || req.Shard == s.name {
-		clusterWriteError(w, http.StatusBadRequest, "invalid source shard %q", req.Shard)
+		jobs.WriteError(w, http.StatusBadRequest, "invalid source shard %q", req.Shard)
 		return
 	}
 	if !s.fenceCheck(w, req.Shard, req.Epoch) {
 		return
 	}
 	if err := s.standby.SaveCheckpoint(req.Shard, req.ID, req.Data); err != nil {
-		clusterWriteError(w, http.StatusInternalServerError, "save checkpoint from %s: %v", req.Shard, err)
+		jobs.WriteError(w, http.StatusInternalServerError, "save checkpoint from %s: %v", req.Shard, err)
 		return
 	}
-	clusterWriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	jobs.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleAdopt replays a dead shard's shipped journal into this shard's
@@ -248,7 +248,7 @@ func (s *ShardServer) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 // without double-running anything.
 func (s *ShardServer) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	if s.standby == nil {
-		clusterWriteError(w, http.StatusServiceUnavailable, "shard %s has no standby storage (-data-dir required)", s.name)
+		jobs.WriteError(w, http.StatusServiceUnavailable, "shard %s has no standby storage (-data-dir required)", s.name)
 		return
 	}
 	var req adoptRequest
@@ -256,7 +256,7 @@ func (s *ShardServer) handleAdopt(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Shard == "" || req.Shard == s.name {
-		clusterWriteError(w, http.StatusBadRequest, "cannot adopt shard %q", req.Shard)
+		jobs.WriteError(w, http.StatusBadRequest, "cannot adopt shard %q", req.Shard)
 		return
 	}
 	// Join the router's adoption trace so the standby's replay shows up
@@ -272,14 +272,14 @@ func (s *ShardServer) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	if req.Epoch > 0 {
 		if err := s.standby.Fence(req.Shard, req.Epoch); err != nil {
 			sp.SetError(err)
-			clusterWriteError(w, http.StatusInternalServerError, "fence %s at epoch %d: %v", req.Shard, req.Epoch, err)
+			jobs.WriteError(w, http.StatusInternalServerError, "fence %s at epoch %d: %v", req.Shard, req.Epoch, err)
 			return
 		}
 	}
 	recovered, ckpts, err := s.standby.Recover(req.Shard)
 	if err != nil {
 		sp.SetError(err)
-		clusterWriteError(w, http.StatusInternalServerError, "recover %s: %v", req.Shard, err)
+		jobs.WriteError(w, http.StatusInternalServerError, "recover %s: %v", req.Shard, err)
 		return
 	}
 	imported := 0
@@ -303,7 +303,7 @@ func (s *ShardServer) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	res.Resumed += prev.Resumed
 	s.adopted[req.Shard] = res
 	s.mu.Unlock()
-	clusterWriteJSON(w, http.StatusOK, res)
+	jobs.WriteJSON(w, http.StatusOK, res)
 }
 
 func (s *ShardServer) handleStatus(w http.ResponseWriter, _ *http.Request) {
@@ -321,5 +321,5 @@ func (s *ShardServer) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.mu.Unlock()
 	sort.Slice(st.Adopted, func(i, j int) bool { return st.Adopted[i].Shard < st.Adopted[j].Shard })
-	clusterWriteJSON(w, http.StatusOK, st)
+	jobs.WriteJSON(w, http.StatusOK, st)
 }

@@ -1,12 +1,6 @@
 package cluster
 
-import (
-	"encoding/json"
-	"fmt"
-	"net/http"
-
-	"regvirt/internal/jobs/store"
-)
+import "regvirt/internal/jobs/store"
 
 // Wire types of the cluster control plane. Everything is JSON over the
 // same HTTP listener the job API uses; shard-to-shard traffic (shipping
@@ -120,20 +114,3 @@ type NodeStatus struct {
 // maxShipBody bounds a shipping request body. Snapshots carry a whole
 // journal, so the cap is far above the job API's 1 MiB.
 const maxShipBody = 64 << 20
-
-func clusterWriteJSON(w http.ResponseWriter, code int, v any) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintf(w, "{\"error\":%q}\n", "encode response: "+err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(b, '\n'))
-}
-
-func clusterWriteError(w http.ResponseWriter, code int, format string, args ...any) {
-	clusterWriteJSON(w, code, map[string]any{"error": fmt.Sprintf(format, args...), "status": code})
-}

@@ -287,7 +287,8 @@ func submitUntilSuccess(ctx context.Context, c *client.Client, job jobs.Job, asy
 // Retry-After header of at least a second, a structured body with the
 // retry hint, the Shed counter, and a degraded /healthz.
 func TestShedUnderOverload(t *testing.T) {
-	pool, ts, c := chaosService(t, jobs.Options{Workers: 1, ShedDepth: 1})
+	pool, ts, c := chaosService(t, jobs.Options{Workers: 1})
+	jobs.SetShedDepth(pool, 1)
 
 	block := make(chan struct{})
 	var wg sync.WaitGroup

@@ -66,7 +66,7 @@ func quantilesMS(s obs.HistogramSnapshot) (p50, p99 float64) {
 // maxTrackedTenants bounds the per-tenant counter map; tenants beyond
 // it aggregate under overflowTenant so hostile tenant churn cannot
 // grow the metrics without bound (the scheduler bounds its own table
-// separately via sched.Config.MaxTenants).
+// separately, at sched.MaxTenants).
 const (
 	maxTrackedTenants = 128
 	overflowTenant    = "~overflow"
@@ -119,10 +119,10 @@ type TenantSnapshot struct {
 	LatencyP99MS float64 `json:"latency_p99_ms"`
 }
 
-// QueuesSnapshot is the GET /v1/queues body: the scheduling policy and
-// every tenant queue, sorted by tenant name.
+// QueuesSnapshot is the GET /v1/queues body: whether unknown tenants
+// are refused, whether checkpoint preemption is armed, and every tenant
+// queue, sorted by tenant name.
 type QueuesSnapshot struct {
-	Policy     string           `json:"policy"`
 	Strict     bool             `json:"strict"`
 	Preemption bool             `json:"preemption"`
 	Queues     []TenantSnapshot `json:"queues"`
@@ -152,9 +152,8 @@ func (p *Pool) Queues() QueuesSnapshot {
 	sort.Strings(sorted)
 
 	qs := QueuesSnapshot{
-		Policy:     string(p.sched.Policy()),
 		Strict:     p.sched.Strict(),
-		Preemption: p.preemptOn,
+		Preemption: p.store != nil,
 		Queues:     make([]TenantSnapshot, 0, len(sorted)),
 	}
 	for _, name := range sorted {

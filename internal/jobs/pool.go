@@ -36,17 +36,17 @@ import (
 // work with *OverloadError once the queue reaches the shed depth
 // instead of blocking callers indefinitely.
 type Pool struct {
-	workers   int
+	workers int
+	faults  *faultinject.Injector
+
+	// shedDepth and asyncMax are the ShedDepth and AsyncMax constants;
+	// tests shrink them through export_test.go.
 	shedDepth int
-	asyncTTL  time.Duration
 	asyncMax  int
-	faults    *faultinject.Injector
 
 	// sched replaces the old FIFO task channel: workers block in Next
-	// and Release each task when done. preemptOn gates checkpoint
-	// preemption (store armed, fair policy, not disabled).
-	sched     *sched.Scheduler
-	preemptOn bool
+	// and Release each task when done.
+	sched *sched.Scheduler
 
 	wg sync.WaitGroup
 	// submitWG tracks submissions past the closed-check; Close waits
@@ -91,22 +91,24 @@ type Pool struct {
 	m metrics
 }
 
-// queueCap bounds how many tasks may wait unpicked; beyond it the
-// scheduler refuses with ErrSaturated, which surfaces as an
-// *OverloadError (429) — the backpressure the HTTP layer propagates.
-const queueCap = 1024
-
-// Defaults for Options zero values.
+// Admission limits of every pool.
 const (
-	// defaultShedDepth sheds before the queue saturates, leaving
-	// headroom so Exec and already-admitted work still enqueue.
-	defaultShedDepth = queueCap * 3 / 4
-	// defaultAsyncTTL is how long finished async job records stay
-	// addressable in the registry (Status falls through to the result
-	// cache, then the store, after eviction).
-	defaultAsyncTTL = 10 * time.Minute
-	// defaultAsyncMax bounds the async registry in a long-lived daemon.
-	defaultAsyncMax = 4096
+	// QueueCap bounds how many tasks may wait unpicked (the scheduler's
+	// Capacity); beyond it the scheduler refuses with ErrSaturated,
+	// which surfaces as an *OverloadError (429) — the backpressure the
+	// HTTP layer propagates.
+	QueueCap = 1024
+	// ShedDepth is the queued-task count at which unique submissions
+	// are shed with *OverloadError instead of waiting. It sheds before
+	// the queue saturates, leaving headroom so Exec and
+	// already-admitted work still enqueue.
+	ShedDepth = QueueCap * 3 / 4
+	// AsyncTTL is how long finished async job records stay addressable
+	// in the registry (Status falls through to the result cache, then
+	// the store, after eviction).
+	AsyncTTL = 10 * time.Minute
+	// AsyncMax bounds the async registry in a long-lived daemon.
+	AsyncMax = 4096
 )
 
 // Options configures a pool. The zero value of every field means "the
@@ -114,33 +116,19 @@ const (
 type Options struct {
 	// Workers is the worker-goroutine count (minimum 1).
 	Workers int
-	// ShedDepth is the queued-task count at which unique submissions
-	// are shed with *OverloadError instead of waiting (0 = default 768;
-	// negative = never shed, the queue capacity alone bounds admission).
-	ShedDepth int
-	// AsyncTTL is how long finished async statuses are retained
-	// (0 = 10 minutes; negative = evict as soon as capacity demands).
-	AsyncTTL time.Duration
-	// AsyncMax caps tracked async statuses (0 = 4096; negative =
-	// unbounded, the pre-eviction behaviour).
-	AsyncMax int
-	// Sched configures the multi-tenant scheduler: dispatch policy,
-	// the tenant table with weights and quotas, strict admission. A
-	// Capacity of 0 keeps the pool default (1024); negative = unbounded.
+	// Sched configures the multi-tenant scheduler: the tenant table
+	// with weights and quotas, strict admission. Its Capacity is
+	// ignored: the pool always runs the scheduler at QueueCap.
 	Sched sched.Config
-	// DisablePreemption turns checkpoint preemption off: higher-priority
-	// arrivals wait for a free worker instead of interrupting a running
-	// lower-priority job. Preemption is automatically off without a
-	// Store (there is nowhere durable for the victim's checkpoint) and
-	// under PolicyFIFO (priorities do not order dispatch there).
-	DisablePreemption bool
 	// Faults arms fault injection at the jobs/sim sites (nil = off;
 	// see internal/faultinject). Never set it in production configs.
 	Faults *faultinject.Injector
 	// Store arms the durability layer (nil = in-memory only): accepted
 	// jobs are journaled before acknowledgement, results persist across
-	// restarts, and unfinished jobs checkpoint and resume. See
-	// internal/jobs/store for the on-disk format.
+	// restarts, and unfinished jobs checkpoint and resume. It also arms
+	// checkpoint preemption, which needs somewhere durable for the
+	// victim's checkpoint. See internal/jobs/store for the on-disk
+	// format.
 	Store Recorder
 	// CheckpointEvery is the simulated-cycle interval between durable
 	// checkpoints of in-flight jobs (0 = only cancellation checkpoints,
@@ -162,49 +150,22 @@ func NewPool(workers int) *Pool {
 	return NewPoolWith(Options{Workers: workers})
 }
 
-// NewPoolWith starts a pool with explicit admission-control settings.
+// NewPoolWith starts a pool with explicit settings.
 func NewPoolWith(opts Options) *Pool {
 	workers := opts.Workers
 	if workers < 1 {
 		workers = 1
 	}
-	shed := opts.ShedDepth
-	switch {
-	case shed == 0:
-		shed = defaultShedDepth
-	case shed < 0:
-		shed = 0 // disabled
-	case shed > queueCap:
-		shed = queueCap
-	}
-	ttl := opts.AsyncTTL
-	if ttl == 0 {
-		ttl = defaultAsyncTTL
-	} else if ttl < 0 {
-		ttl = 0 // evict finished entries whenever capacity demands
-	}
-	asyncMax := opts.AsyncMax
-	if asyncMax == 0 {
-		asyncMax = defaultAsyncMax
-	} else if asyncMax < 0 {
-		asyncMax = 0 // unbounded
-	}
 	scfg := opts.Sched
-	switch {
-	case scfg.Capacity == 0:
-		scfg.Capacity = queueCap
-	case scfg.Capacity < 0:
-		scfg.Capacity = 0 // unbounded
-	}
+	scfg.Capacity = QueueCap
 	logger := opts.Logger
 	if logger == nil {
 		logger = obs.Nop()
 	}
 	p := &Pool{
 		workers:   workers,
-		shedDepth: shed,
-		asyncTTL:  ttl,
-		asyncMax:  asyncMax,
+		shedDepth: ShedDepth,
+		asyncMax:  AsyncMax,
 		faults:    opts.Faults,
 		store:     opts.Store,
 		ckptEvery: opts.CheckpointEvery,
@@ -220,10 +181,6 @@ func NewPoolWith(opts Options) *Pool {
 		log:       logger,
 	}
 	p.m.lat = obs.NewHistogram(obs.DefLatencyBuckets...)
-	// Preemption needs a checkpoint destination (the store) and a
-	// policy under which priorities mean something.
-	p.preemptOn = opts.Store != nil && !opts.DisablePreemption &&
-		p.sched.Policy() == sched.PolicyFair
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
@@ -458,7 +415,7 @@ func (e *execution) interrupted() bool {
 }
 
 func (p *Pool) registerExec(e *execution) {
-	if !p.preemptOn {
+	if p.store == nil { // preemption needs a durable checkpoint
 		return
 	}
 	p.execMu.Lock()
@@ -469,7 +426,7 @@ func (p *Pool) registerExec(e *execution) {
 }
 
 func (p *Pool) unregisterExec(e *execution) {
-	if !p.preemptOn {
+	if p.store == nil { // preemption needs a durable checkpoint
 		return
 	}
 	p.execMu.Lock()
@@ -483,7 +440,7 @@ func (p *Pool) unregisterExec(e *execution) {
 // deterministic). The victim checkpoints via CheckpointOnCancel, frees
 // its worker, and its dispatch loop re-enqueues it to resume later.
 func (p *Pool) maybePreempt(priority int) {
-	if !p.preemptOn {
+	if p.store == nil { // preemption needs a durable checkpoint
 		return
 	}
 	if p.m.running.Load() < int64(p.workers) {
@@ -521,12 +478,10 @@ func (p *Pool) maybePreempt(priority int) {
 // once already) and resumes from its journaled checkpoint.
 func (p *Pool) runOnWorker(ctx context.Context, job Job) (*Result, error) {
 	tenant := job.schedTenant()
-	if p.shedDepth > 0 {
-		if depth := p.m.queued.Load(); depth >= int64(p.shedDepth) {
-			p.m.shed.Add(1)
-			p.tenantCounters(tenant).shed.Add(1)
-			return nil, &OverloadError{Tenant: tenant, QueueDepth: int(depth), RetryAfter: p.retryAfter(tenant)}
-		}
+	if depth := p.m.queued.Load(); depth >= int64(p.shedDepth) {
+		p.m.shed.Add(1)
+		p.tenantCounters(tenant).shed.Add(1)
+		return nil, &OverloadError{Tenant: tenant, QueueDepth: int(depth), RetryAfter: p.retryAfter(tenant)}
 	}
 	exempt := false
 	for {
@@ -670,7 +625,7 @@ func (p *Pool) retryAfter(tenant string) time.Duration {
 // Overloaded reports whether the pool is currently shedding; /healthz
 // degrades on it.
 func (p *Pool) Overloaded() bool {
-	return p.shedDepth > 0 && p.m.queued.Load() >= int64(p.shedDepth)
+	return p.m.queued.Load() >= int64(p.shedDepth)
 }
 
 // Exec runs an arbitrary function on a pool worker and waits for it —
@@ -767,7 +722,7 @@ func (p *Pool) SubmitAsync(job Job) (string, error) {
 		return id, nil
 	}
 	p.evictAsyncLocked(time.Now())
-	if p.asyncMax > 0 && len(p.status) >= p.asyncMax {
+	if len(p.status) >= p.asyncMax {
 		p.mu.Unlock()
 		tenant := job.schedTenant()
 		p.m.shed.Add(1)
@@ -820,16 +775,11 @@ func (p *Pool) runAsync(st *JobStatus, job Job) {
 // capacity, the oldest finished records go next. Running jobs are
 // never evicted — when they alone fill the registry, the caller sheds.
 func (p *Pool) evictAsyncLocked(now time.Time) {
-	if p.asyncTTL > 0 {
-		for id, st := range p.status {
-			if st.State != "running" && now.Sub(st.FinishedAt) > p.asyncTTL {
-				delete(p.status, id)
-				p.m.evicted.Add(1)
-			}
+	for id, st := range p.status {
+		if st.State != "running" && now.Sub(st.FinishedAt) > AsyncTTL {
+			delete(p.status, id)
+			p.m.evicted.Add(1)
 		}
-	}
-	if p.asyncMax <= 0 {
-		return
 	}
 	for len(p.status) >= p.asyncMax {
 		oldestID := ""

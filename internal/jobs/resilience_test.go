@@ -118,10 +118,25 @@ func TestExecPanicContained(t *testing.T) {
 	}
 }
 
+// TestAdmissionLimits pins the fixed admission limits every pool runs
+// with.
+func TestAdmissionLimits(t *testing.T) {
+	if QueueCap != 1024 || ShedDepth != 768 || AsyncMax != 4096 || AsyncTTL != 10*time.Minute {
+		t.Errorf("limits = queue %d, shed %d, async %d/%v; want 1024, 768, 4096/10m",
+			QueueCap, ShedDepth, AsyncMax, AsyncTTL)
+	}
+	p := NewPool(1)
+	defer p.Close()
+	if p.shedDepth != ShedDepth || p.asyncMax != AsyncMax {
+		t.Errorf("pool runs shed %d, async %d; want the constants", p.shedDepth, p.asyncMax)
+	}
+}
+
 // TestAsyncEviction: a tiny registry evicts finished records, counts
 // them, and keeps their results addressable through the cache.
 func TestAsyncEviction(t *testing.T) {
-	p := NewPoolWith(Options{Workers: 2, AsyncMax: 2, AsyncTTL: -1})
+	p := NewPoolWith(Options{Workers: 2})
+	p.asyncMax = 2
 	defer p.Close()
 	jobs := []Job{
 		{Workload: "VectorAdd"},
@@ -235,18 +250,5 @@ func TestCloseDuringSubmissions(t *testing.T) {
 	}
 	if _, err := p.SubmitAsync(Job{Workload: "VectorAdd"}); !errors.Is(err, ErrClosed) {
 		t.Errorf("async submit after close: %v, want ErrClosed", err)
-	}
-}
-
-// TestShedDisabled: negative ShedDepth restores the blocking behaviour
-// (no OverloadError even with a deep queue).
-func TestShedDisabled(t *testing.T) {
-	p := NewPoolWith(Options{Workers: 1, ShedDepth: -1})
-	defer p.Close()
-	if p.Overloaded() {
-		t.Error("fresh pool with shedding disabled reports overloaded")
-	}
-	if _, err := p.Submit(context.Background(), Job{Workload: "VectorAdd"}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -24,20 +24,6 @@ import (
 	"sync"
 )
 
-// Policy selects the cross-tenant dispatch order.
-type Policy string
-
-// Dispatch policies.
-const (
-	// PolicyFair is stride scheduling over tenant weights with
-	// priorities inside each queue — the default.
-	PolicyFair Policy = "fair"
-	// PolicyFIFO is the legacy order: global arrival order, weights and
-	// priorities ignored (quotas still apply). It exists so the old and
-	// new behaviour can be A/B-compared on live traffic.
-	PolicyFIFO Policy = "fifo"
-)
-
 // TenantConfig is one tenant's share and quota settings. The zero
 // value means "weight 1, no quotas".
 type TenantConfig struct {
@@ -59,8 +45,6 @@ type TenantConfig struct {
 // fair-share scheduler: unknown tenants are admitted with the Default
 // (weight-1) config and nothing but Capacity bounds the queues.
 type Config struct {
-	// Policy is the dispatch order (empty = PolicyFair).
-	Policy Policy
 	// Tenants is the explicitly configured tenant set.
 	Tenants map[string]TenantConfig
 	// Default is the config applied to tenants absent from Tenants
@@ -73,17 +57,15 @@ type Config struct {
 	// Capacity bounds the total queued tasks across all tenants;
 	// enqueueing beyond it fails with ErrSaturated. 0 = unbounded.
 	Capacity int
-	// MaxTenants bounds the tenant table in non-strict mode so hostile
-	// tenant names cannot grow it without bound (0 = default 1024).
-	// Beyond it, tasks for never-seen tenants fail with *AdmissionError.
-	MaxTenants int
 }
 
 // DefaultTenant is the queue for requests that name no tenant.
 const DefaultTenant = "default"
 
-// defaultMaxTenants bounds the tenant table when Config.MaxTenants is 0.
-const defaultMaxTenants = 1024
+// MaxTenants bounds the tenant table in non-strict mode so hostile
+// tenant names cannot grow it without bound. Beyond it, tasks for
+// never-seen tenants fail with *AdmissionError.
+const MaxTenants = 1024
 
 // strideScale is the stride numerator: stride = strideScale / weight.
 // Large enough that weight ratios up to 2^16 stay exact.
@@ -165,9 +147,9 @@ type Scheduler struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	cfg     Config
-	tenants map[string]*tenantQ
-	fifo    []*Task // PolicyFIFO arrival order (holds the same tasks)
+	cfg        Config
+	tenants    map[string]*tenantQ
+	maxTenants int // MaxTenants; tests shrink it
 
 	queued int
 	seq    uint64
@@ -179,13 +161,7 @@ type Scheduler struct {
 // /v1/queues shows them before traffic arrives); others join on first
 // use, bounded by MaxTenants.
 func New(cfg Config) *Scheduler {
-	if cfg.Policy == "" {
-		cfg.Policy = PolicyFair
-	}
-	if cfg.MaxTenants <= 0 {
-		cfg.MaxTenants = defaultMaxTenants
-	}
-	s := &Scheduler{cfg: cfg, tenants: map[string]*tenantQ{}}
+	s := &Scheduler{cfg: cfg, tenants: map[string]*tenantQ{}, maxTenants: MaxTenants}
 	s.cond = sync.NewCond(&s.mu)
 	for name, tc := range cfg.Tenants {
 		s.tenants[name] = newTenantQ(name, tc)
@@ -225,7 +201,7 @@ func (s *Scheduler) admitLocked(tenant string, priority int) (*tenantQ, error) {
 		if s.cfg.Strict && tenant != DefaultTenant {
 			return nil, &AdmissionError{Tenant: tenant, Reason: "not in the configured tenant set"}
 		}
-		if len(s.tenants) >= s.cfg.MaxTenants {
+		if len(s.tenants) >= s.maxTenants {
 			return nil, &AdmissionError{Tenant: tenant, Reason: "tenant table full"}
 		}
 		tn = newTenantQ(tenant, s.cfg.Default)
@@ -278,9 +254,6 @@ func (s *Scheduler) Enqueue(t *Task) error {
 	s.seq++
 	t.seq = s.seq
 	heap.Push(&tn.tasks, t)
-	if s.cfg.Policy == PolicyFIFO {
-		s.fifo = append(s.fifo, t)
-	}
 	s.queued++
 	s.cond.Broadcast()
 	return nil
@@ -306,9 +279,6 @@ func (s *Scheduler) Next() (*Task, bool) {
 
 // popLocked dequeues the next dispatchable task, or nil.
 func (s *Scheduler) popLocked() *Task {
-	if s.cfg.Policy == PolicyFIFO {
-		return s.popFIFOLocked()
-	}
 	var best *tenantQ
 	for _, tn := range s.tenants {
 		if tn.tasks.Len() == 0 || !tn.canRunLocked() {
@@ -328,30 +298,6 @@ func (s *Scheduler) popLocked() *Task {
 	best.dispatched++
 	s.queued--
 	return t
-}
-
-// popFIFOLocked serves global arrival order, skipping (not blocking
-// behind) tenants at their running cap.
-func (s *Scheduler) popFIFOLocked() *Task {
-	for i, t := range s.fifo {
-		tn := s.tenants[t.Tenant]
-		if !tn.canRunLocked() {
-			continue
-		}
-		s.fifo = append(s.fifo[:i], s.fifo[i+1:]...)
-		// Keep the heap consistent: remove the same task.
-		for j, ht := range tn.tasks {
-			if ht == t {
-				heap.Remove(&tn.tasks, j)
-				break
-			}
-		}
-		tn.running++
-		tn.dispatched++
-		s.queued--
-		return t
-	}
-	return nil
 }
 
 func (tn *tenantQ) canRunLocked() bool {
@@ -453,9 +399,6 @@ func (s *Scheduler) Snapshot() []QueueStat {
 	sort.Slice(stats, func(i, j int) bool { return stats[i].Tenant < stats[j].Tenant })
 	return stats
 }
-
-// Policy reports the configured dispatch policy.
-func (s *Scheduler) Policy() Policy { return s.cfg.Policy }
 
 // Strict reports whether unknown tenants are rejected.
 func (s *Scheduler) Strict() bool { return s.cfg.Strict }

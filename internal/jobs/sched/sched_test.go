@@ -212,24 +212,6 @@ func TestCloseDrains(t *testing.T) {
 	}
 }
 
-// TestFIFOPolicyIgnoresWeightsAndPriorities: the legacy order is pure
-// arrival order, even with skewed weights and priorities.
-func TestFIFOPolicyIgnoresWeightsAndPriorities(t *testing.T) {
-	s := New(Config{Policy: PolicyFIFO, Tenants: map[string]TenantConfig{
-		"heavy": {Weight: 100},
-	}})
-	a := enq(t, s, "light", 0)
-	b := enq(t, s, "heavy", 50)
-	c := enq(t, s, "light", 99)
-	for i, want := range []*Task{a, b, c} {
-		task, _ := s.Next()
-		if task != want {
-			t.Fatalf("fifo dispatch %d: got tenant %s prio %d, want arrival order", i, task.Tenant, task.Priority)
-		}
-		s.Release(task)
-	}
-}
-
 // TestShare: the share denominator counts only active tenants, so a
 // quiet tenant's Retry-After hint reflects its own queue, not the
 // flooding tenant's backlog.
@@ -302,7 +284,11 @@ func TestSnapshotShape(t *testing.T) {
 // TestTenantTableBounded: non-strict mode cannot be grown without
 // bound by hostile tenant names.
 func TestTenantTableBounded(t *testing.T) {
-	s := New(Config{MaxTenants: 3}) // default queue occupies one slot
+	s := New(Config{})
+	if MaxTenants != 1024 || s.maxTenants != MaxTenants {
+		t.Fatalf("tenant table bound %d (MaxTenants %d), want 1024", s.maxTenants, MaxTenants)
+	}
+	s.maxTenants = 3 // default queue occupies one slot
 	if err := s.Admit("t1", 0); err != nil {
 		t.Fatal(err)
 	}

@@ -69,10 +69,11 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// writeJSON marshals before touching the response: a marshal failure
-// can still become a real 500 instead of a mislabeled success with a
-// broken body.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON is the JSON responder of every regvd endpoint, shard and
+// router alike: indented JSON plus a newline. It marshals before
+// touching the response, so a marshal failure can still become a real
+// 500 instead of a mislabeled success with a broken body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		w.Header().Set("Content-Type", "application/json")
@@ -85,8 +86,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Write(append(b, '\n'))
 }
 
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, &APIError{Message: fmt.Sprintf(format, args...), Status: code})
+// WriteError answers with an *APIError body carrying the formatted
+// message and the status code.
+func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, &APIError{Message: fmt.Sprintf(format, args...), Status: code})
 }
 
 // writeSubmitError maps a Submit/SubmitAsync failure onto the HTTP
@@ -107,7 +110,7 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeJSON(w, http.StatusTooManyRequests, &APIError{
+		WriteJSON(w, http.StatusTooManyRequests, &APIError{
 			Message:      err.Error(),
 			Kind:         "overloaded",
 			Status:       http.StatusTooManyRequests,
@@ -123,26 +126,26 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeJSON(w, http.StatusForbidden, &APIError{
+		WriteJSON(w, http.StatusForbidden, &APIError{
 			Message:      err.Error(),
 			Kind:         "quota",
 			Status:       http.StatusForbidden,
 			RetryAfterMS: qe.RetryAfter,
 		})
 	case errors.As(err, &ae):
-		writeJSON(w, http.StatusForbidden, &APIError{
+		WriteJSON(w, http.StatusForbidden, &APIError{
 			Message: err.Error(),
 			Kind:    "admission",
 			Status:  http.StatusForbidden,
 		})
 	case errors.As(err, &pe):
-		writeJSON(w, http.StatusInternalServerError, &APIError{
+		WriteJSON(w, http.StatusInternalServerError, &APIError{
 			Message: err.Error(),
 			Kind:    "panic",
 			Status:  http.StatusInternalServerError,
 		})
 	case errors.As(err, &ie):
-		writeJSON(w, http.StatusInternalServerError, &APIError{
+		WriteJSON(w, http.StatusInternalServerError, &APIError{
 			Message:   err.Error(),
 			Kind:      "invariant",
 			Status:    http.StatusInternalServerError,
@@ -154,7 +157,7 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 		// Retry-After so clients back off (ideally onto another shard)
 		// instead of treating a full disk as a job failure.
 		w.Header().Set("Retry-After", strconv.Itoa(diskFullRetrySecs))
-		writeJSON(w, http.StatusServiceUnavailable, &APIError{
+		WriteJSON(w, http.StatusServiceUnavailable, &APIError{
 			Message:      err.Error(),
 			Kind:         "disk_full",
 			Status:       http.StatusServiceUnavailable,
@@ -162,21 +165,21 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 		})
 	case errors.Is(err, ErrClosed):
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, &APIError{
+		WriteJSON(w, http.StatusServiceUnavailable, &APIError{
 			Message: err.Error(), Kind: "closed", Status: http.StatusServiceUnavailable,
 		})
 	case errors.Is(err, context.DeadlineExceeded):
-		writeJSON(w, http.StatusGatewayTimeout, &APIError{
+		WriteJSON(w, http.StatusGatewayTimeout, &APIError{
 			Message: fmt.Sprintf("job deadline exceeded: %v", err),
 			Kind:    "timeout", Status: http.StatusGatewayTimeout,
 		})
 	case errors.Is(err, context.Canceled):
-		writeJSON(w, http.StatusRequestTimeout, &APIError{
+		WriteJSON(w, http.StatusRequestTimeout, &APIError{
 			Message: fmt.Sprintf("job cancelled: %v", err),
 			Kind:    "cancelled", Status: http.StatusRequestTimeout,
 		})
 	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 	}
 }
 
@@ -185,14 +188,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&job); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job body: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad job body: %v", err)
 		return
 	}
 	if job.Tenant == "" {
 		job.Tenant = r.Header.Get(TenantHeader)
 	}
 	if err := job.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Join the caller's trace (X-RegVD-Trace) or mint a fresh one, and
@@ -218,7 +221,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			r2.Tenant = job.Tenant
 			st.Result = &r2
 		}
-		writeJSON(w, http.StatusAccepted, st)
+		WriteJSON(w, http.StatusAccepted, st)
 		return
 	}
 	res, err := s.pool.Submit(ctx, job)
@@ -236,32 +239,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		r2.Tenant = job.Tenant
 		res = &r2
 	}
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, ok := s.pool.Status(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", id)
+		WriteError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleQueues(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.pool.Queues())
+	WriteJSON(w, http.StatusOK, s.pool.Queues())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.pool.Overloaded() {
-		writeJSON(w, http.StatusOK, map[string]string{
+		WriteJSON(w, http.StatusOK, map[string]string{
 			"status": "degraded",
 			"reason": "load shedding: job queue at shed depth",
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -270,7 +273,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		w.Write(PromMetrics(s.pool))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.pool.Metrics())
+	WriteJSON(w, http.StatusOK, s.pool.Metrics())
 }
 
 // TraceResponse is the GET /v1/trace/{id} body.
@@ -285,28 +288,28 @@ type TraceResponse struct {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	tr := s.pool.Tracer()
 	if tr == nil {
-		writeError(w, http.StatusNotFound, "tracing disabled")
+		WriteError(w, http.StatusNotFound, "tracing disabled")
 		return
 	}
 	id := r.PathValue("id")
 	spans := tr.Trace(id)
 	if len(spans) == 0 {
-		writeError(w, http.StatusNotFound, "unknown trace %q", id)
+		WriteError(w, http.StatusNotFound, "unknown trace %q", id)
 		return
 	}
 	if r.URL.Query().Get("format") == "chrome" {
 		b, err := obs.ChromeTrace(spans)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "chrome export: %v", err)
+			WriteError(w, http.StatusInternalServerError, "chrome export: %v", err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(b)
 		return
 	}
-	writeJSON(w, http.StatusOK, TraceResponse{TraceID: id, Spans: spans})
+	WriteJSON(w, http.StatusOK, TraceResponse{TraceID: id, Spans: spans})
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string][]string{"workloads": workloads.Names()})
+	WriteJSON(w, http.StatusOK, map[string][]string{"workloads": workloads.Names()})
 }

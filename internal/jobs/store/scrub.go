@@ -99,7 +99,7 @@ func (s *Store) repairResult(o ScrubOptions, log *slog.Logger, id, path string, 
 			var res jobs.Result
 			if err := json.Unmarshal(got, &res); err != nil || res.ID != id {
 				log.Warn("scrub rejected peer copy", "job", id, "peer_id", res.ID, "err", err)
-			} else if werr := writeAtomic(path, integrity.Seal(res.JSON(), spec), true); werr == nil {
+			} else if werr := writeAtomic(path, integrity.Seal(res.JSON(), spec)); werr == nil {
 				log.Info("scrub repaired result", "job", id, "source", "peer")
 				return true
 			}
@@ -107,7 +107,7 @@ func (s *Store) repairResult(o ScrubOptions, log *slog.Logger, id, path string, 
 	}
 	if o.Resim != nil && spec != nil {
 		if res, err := o.Resim(job); err == nil && res != nil {
-			if werr := writeAtomic(path, integrity.Seal(res.JSON(), spec), true); werr == nil {
+			if werr := writeAtomic(path, integrity.Seal(res.JSON(), spec)); werr == nil {
 				log.Info("scrub repaired result", "job", id, "source", "resim")
 				return true
 			}

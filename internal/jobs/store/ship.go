@@ -7,8 +7,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 )
 
 // Journal shipping: the primary's write-ahead journal is replicated,
@@ -135,24 +133,10 @@ func (s *Store) ExportJournal() (gen uint64, recs []Record, nextSeq uint64, err 
 // stays monotonic across restarts (the standby orders snapshots by it).
 const genName = "journal.gen"
 
-// loadGen reads the persisted generation (0 when absent or unreadable
-// — the bump that follows makes the first real generation 1).
-func loadGen(dir string) uint64 {
-	raw, err := os.ReadFile(filepath.Join(dir, genName))
-	if err != nil {
-		return 0
-	}
-	g, err := strconv.ParseUint(strings.TrimSpace(string(raw)), 10, 64)
-	if err != nil {
-		return 0
-	}
-	return g
-}
-
 // bumpGenLocked advances and persists the generation. The write is
 // atomic but its loss is benign: a re-used generation after a crash is
 // caught by the standby's seq continuity check and resolved by resync.
 func (s *Store) bumpGenLocked() {
 	s.gen++
-	_ = writeAtomic(filepath.Join(s.dir, genName), []byte(strconv.FormatUint(s.gen, 10)), true)
+	_ = writeUint(filepath.Join(s.dir, genName), s.gen)
 }

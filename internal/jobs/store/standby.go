@@ -7,8 +7,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 
 	"regvirt/internal/jobs"
@@ -104,7 +102,12 @@ func (ss *StandbyStore) loadShard(shard string) (*standbyShard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: standby: open %s: %w", shard, err)
 	}
-	sh := &standbyShard{f: f, gen: loadGen(sdir), pending: countPending(recs), fence: loadFence(sdir)}
+	sh := &standbyShard{
+		f:       f,
+		gen:     readUint(filepath.Join(sdir, genName)),
+		pending: countPending(recs),
+		fence:   readUint(filepath.Join(sdir, fenceName)),
+	}
 	if len(recs) > 0 {
 		sh.lastSeq = recs[len(recs)-1].Seq
 	}
@@ -114,19 +117,6 @@ func (ss *StandbyStore) loadShard(shard string) (*standbyShard, error) {
 // fenceName is the sidecar persisting a shard copy's fence epoch, so
 // a restarted standby keeps refusing a deposed primary's ships.
 const fenceName = "fence.epoch"
-
-// loadFence reads the persisted fence (0 when absent: accept any epoch).
-func loadFence(dir string) uint64 {
-	raw, err := os.ReadFile(filepath.Join(dir, fenceName))
-	if err != nil {
-		return 0
-	}
-	e, err := strconv.ParseUint(strings.TrimSpace(string(raw)), 10, 64)
-	if err != nil {
-		return 0
-	}
-	return e
-}
 
 // Fence raises (never lowers — the fence only ratchets forward) the
 // minimum ownership epoch accepted for the shard's copy, persisting it
@@ -146,7 +136,7 @@ func (ss *StandbyStore) Fence(shard string, epoch uint64) error {
 		return nil
 	}
 	sdir := filepath.Join(ss.dir, shard)
-	if err := writeAtomic(filepath.Join(sdir, fenceName), []byte(strconv.FormatUint(epoch, 10)), true); err != nil {
+	if err := writeUint(filepath.Join(sdir, fenceName), epoch); err != nil {
 		return err
 	}
 	sh.fence = epoch
@@ -205,7 +195,7 @@ func (ss *StandbyStore) ApplyFrames(shard string, frames []Frame) (applied int, 
 			// sees, provided the stream starts at its beginning.
 			if sh.gen == 0 && sh.lastSeq == 0 && f.Seq == 1 {
 				sdir := filepath.Join(ss.dir, shard)
-				if werr := writeAtomic(filepath.Join(sdir, genName), []byte(strconv.FormatUint(f.Gen, 10)), true); werr != nil {
+				if werr := writeUint(filepath.Join(sdir, genName), f.Gen); werr != nil {
 					err = werr
 					break
 				}
@@ -272,10 +262,10 @@ func (ss *StandbyStore) InstallSnapshot(shard string, gen uint64, recs []Record,
 	}
 	sdir := filepath.Join(ss.dir, shard)
 	sh.f.Close()
-	if err := writeAtomic(filepath.Join(sdir, shippedName), buf.Bytes(), true); err != nil {
+	if err := writeAtomic(filepath.Join(sdir, shippedName), buf.Bytes()); err != nil {
 		return err
 	}
-	if err := writeAtomic(filepath.Join(sdir, genName), []byte(strconv.FormatUint(gen, 10)), true); err != nil {
+	if err := writeUint(filepath.Join(sdir, genName), gen); err != nil {
 		return err
 	}
 	f, err := os.OpenFile(filepath.Join(sdir, shippedName), os.O_WRONLY|os.O_APPEND, 0o644)
@@ -306,7 +296,7 @@ func (ss *StandbyStore) SaveCheckpoint(shard, id string, data []byte) error {
 	if !safeID(id) {
 		return fmt.Errorf("store: standby: invalid job id %q", id)
 	}
-	return writeAtomic(filepath.Join(ss.dir, shard, checkpointsDir, id+".ckpt"), data, true)
+	return writeAtomic(filepath.Join(ss.dir, shard, checkpointsDir, id+".ckpt"), data)
 }
 
 // Recover reconstructs the shard's jobs from its shipped copy, in
@@ -334,44 +324,16 @@ func (ss *StandbyStore) Recover(shard string) ([]jobs.RecoveredJob, map[string][
 	}
 	recs, _ := readJournal(bytes.NewReader(raw))
 
-	type jstate struct {
-		job    jobs.Job
-		async  bool
-		state  string
-		errMsg string
-	}
-	states := map[string]*jstate{}
-	var order []string
-	for _, rec := range recs {
-		switch rec.Op {
-		case OpAccept:
-			if st, ok := states[rec.ID]; ok {
-				st.state, st.errMsg = "pending", ""
-				st.job, st.async = *rec.Job, rec.Async || st.async
-				continue
-			}
-			states[rec.ID] = &jstate{job: *rec.Job, async: rec.Async, state: "pending"}
-			order = append(order, rec.ID)
-		case OpDone:
-			if st, ok := states[rec.ID]; ok {
-				st.state = "pending" // result unreachable on the dead primary: re-run
-			}
-		case OpFailed:
-			if st, ok := states[rec.ID]; ok {
-				st.state, st.errMsg = "failed", rec.Err
-			}
-		}
-	}
-	var recovered []jobs.RecoveredJob
+	recovered := foldJournal(recs)
 	ckpts := map[string][]byte{}
-	for _, id := range order {
-		st := states[id]
-		recovered = append(recovered, jobs.RecoveredJob{
-			ID: id, Job: st.job, Async: st.async, State: st.state, Err: st.errMsg,
-		})
-		if st.state == "pending" {
-			if data, err := os.ReadFile(filepath.Join(ss.dir, shard, checkpointsDir, id+".ckpt")); err == nil && len(data) > 0 {
-				ckpts[id] = data
+	for i := range recovered {
+		rj := &recovered[i]
+		if rj.State == "done" {
+			rj.State = "pending" // result unreachable on the dead primary: re-run
+		}
+		if rj.State == "pending" {
+			if data, err := os.ReadFile(filepath.Join(ss.dir, shard, checkpointsDir, rj.ID+".ckpt")); err == nil && len(data) > 0 {
+				ckpts[rj.ID] = data
 			}
 		}
 	}
@@ -431,20 +393,9 @@ func (ss *StandbyStore) Close() error {
 
 // countPending tallies accepts with no terminal record.
 func countPending(recs []Record) int {
-	state := map[string]bool{} // id -> pending?
-	for _, rec := range recs {
-		switch rec.Op {
-		case OpAccept:
-			state[rec.ID] = true
-		case OpDone, OpFailed:
-			if _, ok := state[rec.ID]; ok {
-				state[rec.ID] = false
-			}
-		}
-	}
 	n := 0
-	for _, p := range state {
-		if p {
+	for _, rj := range foldJournal(recs) {
+		if rj.State == "pending" {
 			n++
 		}
 	}

@@ -32,6 +32,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 
@@ -69,8 +71,8 @@ type Store struct {
 	f       *os.File // journal, opened for append
 	size    int64    // journal byte length
 	seq     uint64
-	gen     uint64 // journal generation (bumped per Open/compaction, persisted)
-	sink    Sink   // journal-shipping sink, nil when shipping is off
+	gen     uint64                   // journal generation (bumped per Open/compaction, persisted)
+	sink    Sink                     // journal-shipping sink, nil when shipping is off
 	pending map[string]pendingAccept // accepted, neither done nor failed
 	order   []string                 // pending IDs in acceptance order
 	closed  bool
@@ -114,53 +116,21 @@ func Open(dir string) (*Store, []jobs.RecoveredJob, error) {
 	}
 	recs, _ := readJournal(bytes.NewReader(raw))
 
-	type jstate struct {
-		job    jobs.Job
-		async  bool
-		state  string
-		errMsg string
-	}
-	states := map[string]*jstate{}
-	var order []string
-	for _, rec := range recs {
-		switch rec.Op {
-		case OpAccept:
-			if st, ok := states[rec.ID]; ok {
-				// Re-accepted (e.g. a failed job retried): back to pending.
-				st.state, st.errMsg = "pending", ""
-				st.job, st.async = *rec.Job, rec.Async || st.async
-				continue
-			}
-			states[rec.ID] = &jstate{job: *rec.Job, async: rec.Async, state: "pending"}
-			order = append(order, rec.ID)
-		case OpDone:
-			if st, ok := states[rec.ID]; ok {
-				st.state = "done"
-			}
-		case OpFailed:
-			if st, ok := states[rec.ID]; ok {
-				st.state, st.errMsg = "failed", rec.Err
-			}
-		}
-	}
-
-	s := &Store{dir: dir, pending: map[string]pendingAccept{}, gen: loadGen(dir)}
-	var recovered []jobs.RecoveredJob
-	for _, id := range order {
-		st := states[id]
-		rj := jobs.RecoveredJob{ID: id, Job: st.job, Async: st.async, State: st.state, Err: st.errMsg}
-		if st.state == "done" {
-			if res, ok := s.LoadResult(id); ok {
+	s := &Store{dir: dir, pending: map[string]pendingAccept{}, gen: readUint(filepath.Join(dir, genName))}
+	recovered := foldJournal(recs)
+	for i := range recovered {
+		rj := &recovered[i]
+		if rj.State == "done" {
+			if res, ok := s.LoadResult(rj.ID); ok {
 				rj.Result = res
 			} else {
 				rj.State, rj.Err = "pending", ""
 			}
 		}
 		if rj.State == "pending" {
-			s.pending[id] = pendingAccept{job: st.job, async: st.async}
-			s.order = append(s.order, id)
+			s.pending[rj.ID] = pendingAccept{job: rj.Job, async: rj.Async}
+			s.order = append(s.order, rj.ID)
 		}
-		recovered = append(recovered, rj)
 	}
 	if err := s.compactLocked(); err != nil {
 		return nil, nil, err
@@ -245,7 +215,7 @@ func (s *Store) Done(id string, res *jobs.Result) error {
 	if pa, ok := s.pending[id]; ok {
 		spec, _ = json.Marshal(pa.job)
 	}
-	if err := writeAtomic(s.resultPath(id), integrity.Seal(data, spec), true); err != nil {
+	if err := writeAtomic(s.resultPath(id), integrity.Seal(data, spec)); err != nil {
 		return diskAware("result persist", err)
 	}
 	if err := s.appendLocked(Record{Op: OpDone, ID: id}, false); err != nil {
@@ -319,7 +289,7 @@ func (s *Store) SaveCheckpoint(id string, data []byte) error {
 	if closed {
 		return ErrClosed
 	}
-	if err := writeAtomic(s.checkpointPath(id), integrity.Seal(data, nil), true); err != nil {
+	if err := writeAtomic(s.checkpointPath(id), integrity.Seal(data, nil)); err != nil {
 		return diskAware("checkpoint persist", err)
 	}
 	if sink != nil {
@@ -461,7 +431,7 @@ func (s *Store) compactLocked() error {
 		buf.Write(frame)
 	}
 	path := filepath.Join(s.dir, journalName)
-	if err := writeAtomic(path, buf.Bytes(), true); err != nil {
+	if err := writeAtomic(path, buf.Bytes()); err != nil {
 		return err
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -477,10 +447,54 @@ func (s *Store) compactLocked() error {
 	return nil
 }
 
+// foldJournal replays accept/done/failed records into one entry per
+// job, in acceptance order: State "pending", "done" or "failed" (with
+// Err). A re-accepted ID (e.g. a failed job retried) goes back to
+// pending; terminal records for IDs never accepted are ignored.
+func foldJournal(recs []Record) []jobs.RecoveredJob {
+	index := map[string]int{}
+	var out []jobs.RecoveredJob
+	for _, rec := range recs {
+		i, ok := index[rec.ID]
+		switch {
+		case rec.Op == OpAccept && !ok:
+			index[rec.ID] = len(out)
+			out = append(out, jobs.RecoveredJob{ID: rec.ID, Job: *rec.Job, Async: rec.Async, State: "pending"})
+		case rec.Op == OpAccept:
+			st := &out[i]
+			st.Job, st.Async, st.State, st.Err = *rec.Job, rec.Async || st.Async, "pending", ""
+		case rec.Op == OpDone && ok:
+			out[i].State = "done"
+		case rec.Op == OpFailed && ok:
+			out[i].State, out[i].Err = "failed", rec.Err
+		}
+	}
+	return out
+}
+
+// readUint reads a decimal sidecar file (the journal generation, a
+// fence epoch); absent or unreadable reads as 0.
+func readUint(path string) uint64 {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return 0
+	}
+	v, err := strconv.ParseUint(strings.TrimSpace(string(raw)), 10, 64)
+	if err != nil {
+		return 0
+	}
+	return v
+}
+
+// writeUint durably replaces a decimal sidecar file.
+func writeUint(path string, v uint64) error {
+	return writeAtomic(path, []byte(strconv.FormatUint(v, 10)))
+}
+
 // writeAtomic writes data to path via a temp file in the same
-// directory: write, (optionally) fsync, rename, fsync the directory.
-// Readers see the old content or the new, never a prefix.
-func writeAtomic(path string, data []byte, sync bool) error {
+// directory: write, fsync, rename, fsync the directory. Readers see
+// the old content or the new, never a prefix.
+func writeAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
@@ -495,10 +509,8 @@ func writeAtomic(path string, data []byte, sync bool) error {
 	if _, err := tmp.Write(data); err != nil {
 		return cleanup(err)
 	}
-	if sync {
-		if err := tmp.Sync(); err != nil {
-			return cleanup(err)
-		}
+	if err := tmp.Sync(); err != nil {
+		return cleanup(err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmpName)
@@ -508,9 +520,7 @@ func writeAtomic(path string, data []byte, sync bool) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("store: rename %s: %w", filepath.Base(path), err)
 	}
-	if sync {
-		syncDir(dir)
-	}
+	syncDir(dir)
 	return nil
 }
 
