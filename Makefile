@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify sched chaos recovery cluster nemesis fuzz bench bench-gpu bench-check modes obs
+.PHONY: all build vet test race verify sched chaos recovery cluster nemesis fuzz bench bench-gpu bench-check modes obs simcost
 
 all: build
 
@@ -118,9 +118,19 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # Sequential vs parallel two-phase device engine; regenerates
-# BENCH_gpu.json at the repo root.
+# BENCH_gpu.json at the repo root (medians of five repetitions).
 bench-gpu:
-	$(GO) test -bench=BenchmarkRunGPU -benchtime=2x -run=^$$ .
+	$(GO) test -bench=BenchmarkRunGPU -benchtime=2x -count=5 -run=^$$ .
+
+# Simulator cost checks the race detector would distort, so `verify`
+# cannot run them: the steady-state zero-allocation test, the pinned
+# results against the non-race golden, and BenchmarkSim once per
+# workload (ns and allocations per simulated cycle). CI runs this in
+# its bench job.
+simcost:
+	$(GO) test -count=1 -run 'TestSteadyStateAllocatesNothing' ./internal/sim
+	$(GO) test -count=1 -run 'TestResultsPinned' ./internal/jobs
+	$(GO) test -run=^$$ -bench='^BenchmarkSim$$' -benchtime=1x .
 
 # The end-to-end benchmark (bench/) is its own module, so the root
 # build and test never compile it: vet it and run its self-test

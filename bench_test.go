@@ -11,6 +11,7 @@ package regvirt
 // cover the design decisions called out in DESIGN.md §5.
 
 import (
+	"runtime"
 	"testing"
 
 	"regvirt/internal/experiments"
@@ -166,8 +167,10 @@ func BenchmarkFig15HWOnlyComparison(b *testing.B) {
 	}
 }
 
-// Per-workload simulation throughput benches: cycles simulated per second
-// of wall time under the virtualized configuration.
+// Per-workload simulation throughput benches under the virtualized
+// configuration: besides ns/op and allocs/op, the cost per simulated
+// cycle (ns/simcycle, allocs/simcycle) and the cycles one run
+// simulates (simcycles).
 
 func BenchmarkSim(b *testing.B) {
 	for _, w := range Workloads() {
@@ -177,17 +180,42 @@ func BenchmarkSim(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var cycles uint64
-			for i := 0; i < b.N; i++ {
+			measureSim(b, func() uint64 {
 				res, err := Run(Config{Mode: ModeCompiler}, w.Spec(k))
 				if err != nil {
 					b.Fatal(err)
 				}
-				cycles = res.Cycles
-			}
-			b.ReportMetric(float64(cycles), "simcycles")
+				return res.Cycles
+			})
 		})
 	}
+}
+
+// simCost is what measureSim reports for one benchmark run.
+type simCost struct {
+	nsPerOp, allocsPerOp, nsPerCycle float64
+}
+
+// measureSim runs b.N iterations of run, which returns the cycles it
+// simulated, and reports allocs/op plus the cost per simulated cycle.
+func measureSim(b *testing.B, run func() uint64) simCost {
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	var cycles uint64
+	for i := 0; i < b.N; i++ {
+		cycles += run()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	ns := float64(b.Elapsed().Nanoseconds())
+	mallocs := float64(after.Mallocs - before.Mallocs)
+	c := float64(max(cycles, 1))
+	b.ReportMetric(ns/c, "ns/simcycle")
+	b.ReportMetric(mallocs/c, "allocs/simcycle")
+	b.ReportMetric(float64(cycles)/float64(b.N), "simcycles")
+	return simCost{nsPerOp: ns / float64(b.N), allocsPerOp: mallocs / float64(b.N), nsPerCycle: ns / c}
 }
 
 // BenchmarkShrinkSweep runs the §9.2 GPU-shrink 30%/40%/50% sweep.

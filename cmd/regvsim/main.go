@@ -87,7 +87,7 @@ func main() {
 	flag.BoolVar(&o.rfCacheWT, "rfcache-wt", false, "with -mode regcache: write-through instead of write-back")
 	flag.IntVar(&o.spillRegs, "spill-regs", 0, "with -mode smemspill: registers demoted to shared memory (0 = auto-fit)")
 	flag.BoolVar(&o.gpu, "gpu", false, "simulate all 16 SMs (whole grid) instead of one SM's share")
-	flag.IntVar(&o.gpuPar, "gpu-par", 1, "with -gpu: SM compute-phase worker goroutines (1 = sequential; results identical at any setting)")
+	flag.IntVar(&o.gpuPar, "gpu-par", 1, "with -gpu: SM compute-phase goroutines, the engine's own included (1 = sequential; results identical at any setting)")
 	flag.BoolVar(&o.json, "json", false, "emit the machine-readable result JSON the regvd service returns")
 	flag.StringVar(&o.remote, "remote", "", "regvd base URL: run the job on the service instead of in process (implies -json)")
 	flag.DurationVar(&o.timeout, "timeout", 10*time.Minute, "with -remote: overall deadline for the job including retries")

@@ -243,6 +243,13 @@ type ResultGPU struct {
 // renaming-table budget the kernel was compiled under (0 for
 // unconstrained), which prices the rename-table energy component.
 func ResultFromSim(k *compiler.Kernel, cfg sim.Config, tableBytes int, res *sim.Result) *Result {
+	return encodeResult(k, cfg, tableBytes, res, res.Stores)
+}
+
+// encodeResult encodes one SM's counters with the functional digest
+// over stores (the SM's own for single-SM runs, the device's for
+// whole-GPU runs, whose per-SM results carry none).
+func encodeResult(k *compiler.Kernel, cfg sim.Config, tableBytes int, res *sim.Result, stores map[uint32]uint32) *Result {
 	awake := 0.0
 	if res.RF.TotalSubarrayCyc > 0 {
 		awake = float64(res.RF.AwakeSubarrayCyc) / float64(res.RF.TotalSubarrayCyc) * 100
@@ -281,7 +288,7 @@ func ResultFromSim(k *compiler.Kernel, cfg sim.Config, tableBytes int, res *sim.
 		DivergentBranches: res.DivergentBranches,
 		UniformBranches:   res.UniformBranches,
 		MaxStackDepth:     res.MaxStackDepth,
-		StoresDigest:      DigestStores(res.Stores),
+		StoresDigest:      DigestStores(stores),
 	}
 	switch cfg.Mode {
 	case rename.ModeRegCache:
@@ -330,8 +337,7 @@ func ResultFromGPU(k *compiler.Kernel, cfg sim.Config, tableBytes int, g *sim.GP
 			busiest = res
 		}
 	}
-	r := ResultFromSim(k, cfg, tableBytes, busiest)
-	r.StoresDigest = DigestStores(g.Stores)
+	r := encodeResult(k, cfg, tableBytes, busiest, g.Stores)
 	r.GPU = &ResultGPU{
 		SMs:                    len(g.PerSM),
 		DeviceCycles:           g.Cycles,

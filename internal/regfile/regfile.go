@@ -68,12 +68,20 @@ type Stats struct {
 	FailedAllocs     uint64 // allocation attempts with no free register
 }
 
+// chunkRegs is how many registers' values one storage chunk holds.
+// Chunks are allocated on first use, so a run pays for the part of the
+// file its kernels touch, not for the whole file.
+const chunkRegs = 32
+
+// chunk is the value storage of chunkRegs consecutive registers.
+type chunk = [chunkRegs][arch.WarpSize]uint32
+
 // File is the physical register file.
 type File struct {
 	cfg         Config
 	perBank     int
 	perSubarray int
-	values      [][arch.WarpSize]uint32
+	chunks      []*chunk
 	freeBank    [arch.NumBanks]int
 	used        []bool
 	touched     []bool
@@ -95,7 +103,7 @@ func New(cfg Config) (*File, error) {
 		cfg:         cfg,
 		perBank:     cfg.NumRegs / arch.NumBanks,
 		perSubarray: cfg.NumRegs / arch.NumBanks / arch.SubarraysPerBank,
-		values:      make([][arch.WarpSize]uint32, cfg.NumRegs),
+		chunks:      make([]*chunk, (cfg.NumRegs+chunkRegs-1)/chunkRegs),
 		used:        make([]bool, cfg.NumRegs),
 		touched:     make([]bool, cfg.NumRegs),
 		liveInSub:   make([]int, arch.NumBanks*arch.SubarraysPerBank),
@@ -110,6 +118,16 @@ func New(cfg Config) (*File, error) {
 		}
 	}
 	return f, nil
+}
+
+// value returns register p's storage, allocating its chunk (zeroed, as
+// the whole file starts) on first use.
+func (f *File) value(p PhysReg) *[arch.WarpSize]uint32 {
+	c := &f.chunks[int(p)/chunkRegs]
+	if *c == nil {
+		*c = new(chunk)
+	}
+	return &(*c)[int(p)%chunkRegs]
 }
 
 // NumRegs returns the physical register count.
@@ -213,8 +231,9 @@ func (f *File) Release(p PhysReg) {
 		panic(fmt.Sprintf("regfile: double release of physical register %d", p))
 	}
 	if f.cfg.PoisonOnRelease {
-		for l := range f.values[p] {
-			f.values[p][l] = PoisonValue
+		v := f.value(p)
+		for l := range v {
+			v[l] = PoisonValue
 		}
 	}
 	f.used[p] = false
@@ -231,13 +250,13 @@ func (f *File) Release(p PhysReg) {
 // Read returns the 32-lane value of a register and counts the access.
 func (f *File) Read(p PhysReg) *[arch.WarpSize]uint32 {
 	f.stats.Reads++
-	return &f.values[p]
+	return f.value(p)
 }
 
 // Write stores lanes where mask is set and counts the access.
 func (f *File) Write(p PhysReg, val *[arch.WarpSize]uint32, mask uint32) {
 	f.stats.Writes++
-	v := &f.values[p]
+	v := f.value(p)
 	for l := 0; l < arch.WarpSize; l++ {
 		if mask&(1<<uint(l)) != 0 {
 			v[l] = val[l]
@@ -246,7 +265,7 @@ func (f *File) Write(p PhysReg, val *[arch.WarpSize]uint32, mask uint32) {
 }
 
 // Peek reads without counting (for assertions and debugging).
-func (f *File) Peek(p PhysReg) [arch.WarpSize]uint32 { return f.values[p] }
+func (f *File) Peek(p PhysReg) [arch.WarpSize]uint32 { return *f.value(p) }
 
 // TickPower accrues one cycle of leakage accounting.
 func (f *File) TickPower() {
@@ -280,7 +299,8 @@ func (f *File) Stats() Stats { return f.stats }
 // State is a deep, serializable copy of a register file's mutable
 // state — everything Snapshot/Restore needs beyond the Config the
 // file was built with. All fields are exported so any encoder
-// (gob, JSON) round-trips it.
+// (gob, JSON) round-trips it. Values holds every register, zero for
+// those whose storage was never used.
 type State struct {
 	Values     [][arch.WarpSize]uint32
 	Used       []bool
@@ -297,7 +317,7 @@ type State struct {
 // with the live file, so it stays valid while simulation continues.
 func (f *File) State() *State {
 	st := &State{
-		Values:     make([][arch.WarpSize]uint32, len(f.values)),
+		Values:     make([][arch.WarpSize]uint32, f.cfg.NumRegs),
 		Used:       make([]bool, len(f.used)),
 		Touched:    make([]bool, len(f.touched)),
 		Awake:      make([]bool, len(f.awake)),
@@ -307,7 +327,11 @@ func (f *File) State() *State {
 		Live:       f.live,
 		Stats:      f.stats,
 	}
-	copy(st.Values, f.values)
+	for i, c := range f.chunks {
+		if c != nil {
+			copy(st.Values[i*chunkRegs:], c[:])
+		}
+	}
 	copy(st.Used, f.used)
 	copy(st.Touched, f.touched)
 	copy(st.Awake, f.awake)
@@ -322,13 +346,15 @@ func (f *File) SetState(st *State) error {
 	if st == nil {
 		return fmt.Errorf("regfile: nil state")
 	}
-	if len(st.Values) != len(f.values) || len(st.Used) != len(f.used) ||
+	if len(st.Values) != f.cfg.NumRegs || len(st.Used) != len(f.used) ||
 		len(st.Touched) != len(f.touched) || len(st.Awake) != len(f.awake) ||
 		len(st.LiveInSub) != len(f.liveInSub) {
 		return fmt.Errorf("regfile: state geometry mismatch (%d regs vs %d)",
-			len(st.Values), len(f.values))
+			len(st.Values), f.cfg.NumRegs)
 	}
-	copy(f.values, st.Values)
+	for p, v := range st.Values {
+		*f.value(PhysReg(p)) = v
+	}
 	copy(f.used, st.Used)
 	copy(f.touched, st.Touched)
 	copy(f.awake, st.Awake)

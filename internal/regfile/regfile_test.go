@@ -2,6 +2,7 @@ package regfile
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"regvirt/internal/arch"
@@ -291,5 +292,41 @@ func TestPoisonOnRelease(t *testing.T) {
 		if got[l] != PoisonValue {
 			t.Fatalf("lane %d = %#x after release, want poison", l, got[l])
 		}
+	}
+}
+
+// TestStateRoundTrip checks that value storage allocated on first use
+// still snapshots as the whole file: State lists every register (zero
+// where storage was never touched), and SetState into a fresh file
+// restores the values and reproduces the same State.
+func TestStateRoundTrip(t *testing.T) {
+	cfg := Config{NumRegs: arch.NumPhysRegs}
+	f := newFile(t, cfg)
+	var v [arch.WarpSize]uint32
+	for l := range v {
+		v[l] = 7 + uint32(l)
+	}
+	last := PhysReg(arch.NumPhysRegs - 1)
+	f.Write(0, &v, ^uint32(0))
+	f.Write(last, &v, 0x1)
+	st := f.State()
+	if len(st.Values) != arch.NumPhysRegs {
+		t.Fatalf("State has %d values, want %d", len(st.Values), arch.NumPhysRegs)
+	}
+	if st.Values[0] != v || st.Values[last][0] != v[0] || st.Values[last][1] != 0 {
+		t.Errorf("State values %v / %v do not match the writes", st.Values[0], st.Values[last])
+	}
+	if st.Values[arch.NumPhysRegs/2] != ([arch.WarpSize]uint32{}) {
+		t.Error("an untouched register is not zero in State")
+	}
+	g := newFile(t, cfg)
+	if err := g.SetState(st); err != nil {
+		t.Fatal(err)
+	}
+	if g.Peek(0) != v || g.Peek(last) != f.Peek(last) {
+		t.Error("SetState did not restore the written values")
+	}
+	if !reflect.DeepEqual(g.State(), st) {
+		t.Error("restored file's State differs from the one it was restored from")
 	}
 }

@@ -194,12 +194,14 @@ func New(cfg Config, file *regfile.File) (*Table, error) {
 	for i := range t.lastOwner {
 		t.lastOwner[i] = -1
 	}
+	// One slab backs every warp slot's row.
+	slab := make([]regfile.PhysReg, cfg.MaxWarps*cfg.RegCount)
+	for i := range slab {
+		slab[i] = regfile.Unmapped
+	}
 	t.mapping = make([][]regfile.PhysReg, cfg.MaxWarps)
 	for w := range t.mapping {
-		t.mapping[w] = make([]regfile.PhysReg, cfg.RegCount)
-		for r := range t.mapping[w] {
-			t.mapping[w][r] = regfile.Unmapped
-		}
+		t.mapping[w] = slab[w*cfg.RegCount : (w+1)*cfg.RegCount : (w+1)*cfg.RegCount]
 	}
 	return t, nil
 }

@@ -65,7 +65,8 @@ type Snapshot struct {
 	RRIndex           int
 	PeakResidentWarps int
 	ResidentWarps     int
-	WBOutstanding     int
+	// WBOutstanding is len(WBs); kept so checkpoints keep their format.
+	WBOutstanding int
 
 	// Warps is the identity table: every live warp object — the warps of
 	// resident CTAs plus "detached" warps whose CTA already completed but
@@ -204,10 +205,13 @@ type GPUSnapshot struct {
 	SharedOutstanding int
 }
 
-// sortedCells flattens a functional-memory map deterministically.
-func sortedCells(data map[memKey]uint32) []MemCell {
-	cells := make([]MemCell, 0, len(data))
-	for k, v := range data {
+// sortedCells flattens functional memory deterministically.
+func sortedCells(m *memory) []MemCell {
+	cells := make([]MemCell, 0, len(m.global)+len(m.scratch))
+	for addr, v := range m.global {
+		cells = append(cells, MemCell{Space: isa.SpaceGlobal, Addr: addr, Val: v})
+	}
+	for k, v := range m.scratch {
 		cells = append(cells, MemCell{Space: k.space, Scope: k.scope, Lane: k.lane, Addr: k.addr, Val: v})
 	}
 	sort.Slice(cells, func(i, j int) bool {
@@ -226,25 +230,20 @@ func sortedCells(data map[memKey]uint32) []MemCell {
 	return cells
 }
 
-func cellsToMap(cells []MemCell) map[memKey]uint32 {
-	data := make(map[memKey]uint32, len(cells))
+// memoryFromCells rebuilds functional memory from its flattened cells.
+func memoryFromCells(cells []MemCell) memory {
+	m := newMemory()
 	for _, c := range cells {
-		data[memKey{space: c.Space, scope: c.Scope, lane: c.Lane, addr: c.Addr}] = c.Val
+		m.store(memKey{space: c.Space, scope: c.Scope, lane: c.Lane, addr: c.Addr}, c.Val)
 	}
-	return data
+	return m
 }
 
 // copyResult deep-copies a Result so a snapshot cannot alias the live
-// accumulator (LiveSamples/RegEvents grow by append; Stores is rebuilt
-// at finalize but copied defensively anyway).
+// accumulator (LiveSamples/RegEvents grow by append). Stores is only
+// set once a run ends, so a snapshot never carries one.
 func copyResult(r Result) Result {
 	out := r
-	if r.Stores != nil {
-		out.Stores = make(map[uint32]uint32, len(r.Stores))
-		for k, v := range r.Stores {
-			out.Stores[k] = v
-		}
-	}
 	out.LiveSamples = append([]LiveSample(nil), r.LiveSamples...)
 	out.RegEvents = append([]RegEvent(nil), r.RegEvents...)
 	out.Profile = copyProfile(r.Profile)
@@ -263,7 +262,7 @@ func (s *SM) snapshot() *Snapshot {
 		RRIndex:           s.rrIndex,
 		PeakResidentWarps: s.peakResidentWarps,
 		ResidentWarps:     s.residentWarps,
-		WBOutstanding:     s.wbOutstanding,
+		WBOutstanding:     s.wbQueue.len(),
 		LastIssued:        -1,
 		File:              s.file.State(),
 		Table:             s.table.State(),
@@ -297,26 +296,20 @@ func (s *SM) snapshot() *Snapshot {
 		snap.CTAs = append(snap.CTAs, cs)
 	}
 
-	wbCycles := make([]uint64, 0, len(s.wbQueue))
-	for cyc := range s.wbQueue {
-		wbCycles = append(wbCycles, cyc)
-	}
-	sort.Slice(wbCycles, func(i, j int) bool { return wbCycles[i] < wbCycles[j] })
-	for _, cyc := range wbCycles {
-		for _, wb := range s.wbQueue[cyc] {
-			snap.WBs = append(snap.WBs, WBSnap{
-				Cycle:   cyc,
-				Warp:    add(wb.w),
-				Reg:     wb.reg,
-				Phys:    wb.phys,
-				Val:     wb.val,
-				Mask:    wb.mask,
-				Pred:    wb.pred,
-				PredVal: wb.predVal,
-				MemReq:  wb.memReq,
-				HasReg:  wb.hasReg,
-			})
-		}
+	for _, ref := range s.wbQueue.ordered() {
+		wb := &s.wbQueue.slab[ref.idx]
+		snap.WBs = append(snap.WBs, WBSnap{
+			Cycle:   ref.cycle,
+			Warp:    add(wb.w),
+			Reg:     wb.reg,
+			Phys:    wb.phys,
+			Val:     wb.val,
+			Mask:    wb.mask,
+			Pred:    wb.pred,
+			PredVal: wb.predVal,
+			MemReq:  wb.memReq,
+			HasReg:  wb.hasReg,
+		})
 	}
 
 	for _, w := range warps {
@@ -367,7 +360,7 @@ func (s *SM) snapshot() *Snapshot {
 	switch mp := s.mem.(type) {
 	case *memSys:
 		snap.Mem = &MemState{
-			Cells:       sortedCells(mp.data),
+			Cells:       sortedCells(&mp.memory),
 			Outstanding: mp.outstanding,
 			Requests:    mp.requests,
 		}
@@ -476,7 +469,7 @@ func (s *SM) restore(snap *Snapshot) error {
 		if wb.Warp < 0 || wb.Warp >= len(warps) {
 			return fmt.Errorf("sim: restore: writeback references warp %d of %d", wb.Warp, len(warps))
 		}
-		s.wbQueue[wb.Cycle] = append(s.wbQueue[wb.Cycle], writeback{
+		s.wbQueue.push(wb.Cycle, writeback{
 			w:       warps[wb.Warp],
 			reg:     wb.Reg,
 			phys:    wb.Phys,
@@ -501,7 +494,7 @@ func (s *SM) restore(snap *Snapshot) error {
 		if snap.Mem == nil {
 			return fmt.Errorf("sim: restore: snapshot has no memory state for a single-SM run")
 		}
-		mp.data = cellsToMap(snap.Mem.Cells)
+		mp.memory = memoryFromCells(snap.Mem.Cells)
 		mp.outstanding = snap.Mem.Outstanding
 		mp.requests = snap.Mem.Requests
 	case *phasedPort:
@@ -521,7 +514,6 @@ func (s *SM) restore(snap *Snapshot) error {
 	s.rrIndex = snap.RRIndex
 	s.peakResidentWarps = snap.PeakResidentWarps
 	s.residentWarps = snap.ResidentWarps
-	s.wbOutstanding = snap.WBOutstanding
 	s.res = copyResult(snap.Res)
 	// Re-link the profiler to the restored accumulator. A profiled
 	// resume of a checkpoint taken without profiling (or by an older

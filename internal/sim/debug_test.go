@@ -122,7 +122,7 @@ func TestShrinkUnderHeavyPressure(t *testing.T) {
 			err, states, sm.file.FreeTotal(), banks, mapped, sm.res.Spills,
 			sm.file.Stats().FailedAllocs,
 			sm.gov.Throttles, sm.gov.Blocked, sm.res.Instrs,
-			len(sm.ready), len(sm.pendingQ), sm.wbOutstanding, sm.mem.(*memSys).outstanding, pcs, stuck)
+			len(sm.ready), len(sm.pendingQ), sm.wbQueue.len(), sm.mem.(*memSys).outstanding, pcs, stuck)
 	}
 	t.Logf("completed: %d cycles, %d instrs, %d spills, %d throttle blocks",
 		res.Cycles, res.Instrs, res.Spills, res.Throttle.Blocked)

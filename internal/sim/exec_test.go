@@ -183,7 +183,7 @@ func TestGlobalStoresDigest(t *testing.T) {
 	m.store(memKey{space: isa.SpaceGlobal, addr: 4}, 1)
 	m.store(memKey{space: isa.SpaceShared, scope: 1, addr: 8}, 2)
 	m.store(memKey{space: isa.SpaceSpill, scope: 1, addr: 12}, 3)
-	d := m.globalStores()
+	d := m.global
 	if len(d) != 1 || d[4] != 1 {
 		t.Errorf("digest = %v, want only the global store", d)
 	}

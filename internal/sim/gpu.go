@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"regvirt/internal/arch"
-	"regvirt/internal/isa"
 )
 
 // GPUResult aggregates a whole-GPU (16-SM) simulation.
@@ -15,7 +14,8 @@ type GPUResult struct {
 	Cycles uint64
 	// Stores is the final global memory content (shared across SMs).
 	Stores map[uint32]uint32
-	// PerSM holds each SM's individual result.
+	// PerSM holds each SM's individual result. Their Stores are nil:
+	// global memory is one device-wide copy, the Stores above.
 	PerSM []*Result
 	// Instrs sums issued instructions across SMs.
 	Instrs uint64
@@ -62,27 +62,17 @@ const dramTokensPerCycle = arch.NumSMs * arch.MemIssueWidth / 2
 //	          every SM gets a CTA-dispatch turn, again in index order.
 //
 // Because compute phases are mutually independent and commits happen in
-// a fixed order, running the compute phase on cfg.GPUParallel worker
-// goroutines (with a barrier at each phase boundary) produces results
-// byte-identical to stepping the SMs sequentially; the knob trades
-// wall-clock only. GPUParallel <= 1 is the sequential reference engine.
+// a fixed order, running the compute phase on cfg.GPUParallel
+// goroutines — the engine's own plus GPUParallel-1 helpers, with a
+// barrier at each phase boundary — produces results byte-identical to
+// stepping the SMs sequentially; the knob trades wall-clock only.
+// GPUParallel <= 1 is the sequential reference engine.
 func RunGPU(cfg Config, spec LaunchSpec) (*GPUResult, error) {
 	eng, err := buildGPU(&cfg, &spec)
 	if err != nil {
 		return nil, err
 	}
-	// Initial distribution is round-robin across SMs (GigaThread-style),
-	// one CTA per SM per round, so a small grid spreads instead of
-	// piling onto the first SMs.
-	for slot := 0; slot < spec.ConcCTAs && !eng.src.empty(); slot++ {
-		for _, sm := range eng.sms {
-			if sm.ctaSlots[slot] == nil {
-				if !sm.dispatchInto(slot) {
-					break
-				}
-			}
-		}
-	}
+	eng.distribute()
 	if err := eng.run(); err != nil {
 		return nil, err
 	}
@@ -112,7 +102,7 @@ func ResumeGPU(cfg Config, spec LaunchSpec, ck *Checkpoint) (*GPUResult, error) 
 	}
 	eng.src.next = snap.Src.Next
 	eng.src.returned = append([]int(nil), snap.Src.Returned...)
-	eng.shared.data = cellsToMap(snap.Data)
+	eng.shared.memory = memoryFromCells(snap.Data)
 	eng.shared.outstanding = snap.SharedOutstanding
 	for i, sm := range eng.sms {
 		if err := sm.restore(snap.SMs[i]); err != nil {
@@ -137,7 +127,7 @@ func buildGPU(cfg *Config, spec *LaunchSpec) (*gpuEngine, error) {
 	if err := validate(cfg, spec); err != nil {
 		return nil, err
 	}
-	shared := &gpuShared{data: make(map[memKey]uint32), tokensPerCycle: dramTokensPerCycle}
+	shared := &gpuShared{memory: newMemory(), tokensPerCycle: dramTokensPerCycle}
 	src := &ctaSource{limit: spec.GridCTAs}
 
 	sms := make([]*SM, arch.NumSMs)
@@ -158,9 +148,25 @@ func buildGPU(cfg *Config, spec *LaunchSpec) (*gpuEngine, error) {
 	return &gpuEngine{cfg: *cfg, sms: sms, ports: ports, src: src, shared: shared}, nil
 }
 
-// finish aggregates the per-SM results once the engine completed.
+// distribute makes the initial CTA placement: round-robin across SMs
+// (GigaThread-style), one CTA per SM per round, so a small grid spreads
+// instead of piling onto the first SMs.
+func (e *gpuEngine) distribute() {
+	for slot := 0; slot < len(e.sms[0].ctaSlots) && !e.src.empty(); slot++ {
+		for _, sm := range e.sms {
+			if sm.ctaSlots[slot] == nil {
+				if !sm.dispatchInto(slot) {
+					break
+				}
+			}
+		}
+	}
+}
+
+// finish aggregates the per-SM results once the engine completed. The
+// device's global memory becomes the result's Stores as it is.
 func (e *gpuEngine) finish() *GPUResult {
-	out := &GPUResult{Stores: globalStoresOf(e.shared.data)}
+	out := &GPUResult{Stores: e.shared.global}
 	for _, sm := range e.sms {
 		res := sm.finalize()
 		out.PerSM = append(out.PerSM, res)
@@ -175,16 +181,6 @@ func (e *gpuEngine) finish() *GPUResult {
 				out.Profile = newProfile()
 			}
 			mergeProfile(out.Profile, res.Profile)
-		}
-	}
-	return out
-}
-
-func globalStoresOf(data map[memKey]uint32) map[uint32]uint32 {
-	out := make(map[uint32]uint32)
-	for k, v := range data {
-		if k.space == isa.SpaceGlobal {
-			out[k.addr] = v
 		}
 	}
 	return out
@@ -217,6 +213,13 @@ type gpuEngine struct {
 	// cycle counts engine iterations (every unfinished SM steps once per
 	// iteration) — the device clock checkpoints are stamped with.
 	cycle uint64
+
+	// The compute phase runs on `workers` partitions (SM i belongs to
+	// partition i mod workers): the engine goroutine steps partition 0
+	// itself, and helper p steps partition p when start[p-1] fires.
+	workers int
+	start   []chan struct{}
+	wg      sync.WaitGroup
 }
 
 // snapshot captures the whole-device state. Only valid between
@@ -226,7 +229,7 @@ func (e *gpuEngine) snapshot() *GPUSnapshot {
 	g := &GPUSnapshot{
 		Cycle:             e.cycle,
 		Src:               SrcSnap{Next: e.src.next, Limit: e.src.limit, Returned: append([]int(nil), e.src.returned...)},
-		Data:              sortedCells(e.shared.data),
+		Data:              sortedCells(&e.shared.memory),
 		SharedOutstanding: e.shared.outstanding,
 	}
 	for _, sm := range e.sms {
@@ -235,45 +238,49 @@ func (e *gpuEngine) snapshot() *GPUSnapshot {
 	return g
 }
 
-// run executes the device to completion. cfg.GPUParallel is the
-// compute-phase goroutine count; values <= 1 step the SMs inline (the
-// sequential reference), values above the SM count are clamped.
-func (e *gpuEngine) run() error {
-	workers := e.cfg.GPUParallel
-	if workers > len(e.sms) {
-		workers = len(e.sms)
-	}
+// startWorkers sizes the compute partitions from cfg.GPUParallel
+// (values <= 1 step every SM on the engine goroutine, the sequential
+// reference; values above the SM count are clamped) and launches one
+// persistent helper per partition beyond the first. The static
+// partition leaves no cross-worker state, no work stealing, and
+// therefore nothing order-dependent. stop ends the helpers and returns
+// once they have exited.
+func (e *gpuEngine) startWorkers() (stop func()) {
+	e.workers = min(max(e.cfg.GPUParallel, 1), len(e.sms))
 	e.errs = make([]error, len(e.sms))
-
-	var (
-		start []chan struct{}
-		wg    sync.WaitGroup
-	)
-	if workers > 1 {
-		// Persistent workers with a static SM partition (SM i belongs to
-		// worker i mod workers): no cross-worker state, no work stealing,
-		// and therefore nothing order-dependent.
-		start = make([]chan struct{}, workers)
-		for w := 0; w < workers; w++ {
-			start[w] = make(chan struct{}, 1)
-			go func(w int) {
-				for range start[w] {
-					for i := w; i < len(e.sms); i += workers {
-						if sm := e.sms[i]; !sm.finished() {
-							e.errs[i] = stepContained(i, sm)
-						}
-					}
-					wg.Done()
-				}
-			}(w)
-		}
-		defer func() {
-			for _, ch := range start {
-				close(ch)
+	e.start = make([]chan struct{}, e.workers-1)
+	var exited sync.WaitGroup
+	for p := range e.start {
+		e.start[p] = make(chan struct{}, 1)
+		exited.Add(1)
+		go func(ch chan struct{}, part int) {
+			defer exited.Done()
+			for range ch {
+				e.compute(part)
+				e.wg.Done()
 			}
-		}()
+		}(e.start[p], p+1)
 	}
+	return func() {
+		for _, ch := range e.start {
+			close(ch)
+		}
+		exited.Wait()
+	}
+}
 
+// compute steps every unfinished SM of one partition.
+func (e *gpuEngine) compute(part int) {
+	for i := part; i < len(e.sms); i += e.workers {
+		if sm := e.sms[i]; !sm.finished() {
+			e.errs[i] = stepContained(i, sm)
+		}
+	}
+}
+
+// run executes the device to completion.
+func (e *gpuEngine) run() error {
+	defer e.startWorkers()()
 	for {
 		// The engine owns cancellation: one poll per device cycle at the
 		// commit boundary (per-SM polling is disabled in buildGPU), so a
@@ -289,62 +296,67 @@ func (e *gpuEngine) run() error {
 			default:
 			}
 		}
-		// Commit-side bookkeeping (also runs before the first cycle so a
-		// grid no SM can ever hold fails fast): give every SM a dispatch
-		// turn in index order, then settle termination.
-		allDone, anyLive := true, false
-		for _, sm := range e.sms {
-			if !sm.finished() {
-				sm.dispatchCTAs()
-			}
+		done, err := e.step()
+		if done || err != nil {
+			return err
 		}
-		for _, sm := range e.sms {
-			if !sm.finished() {
-				allDone = false
-			}
-			if sm.liveCTAs > 0 {
-				anyLive = true
-			}
-		}
-		if allDone {
-			return nil
-		}
-		if !anyLive && !e.src.empty() {
-			// No SM holds a CTA, none could launch one, and nothing is in
-			// flight: the remaining CTAs can never be placed.
-			return fmt.Errorf("sim: %d CTAs undispatchable (register file too small for one CTA)",
-				e.src.remaining())
-		}
-
-		// Compute phase: every unfinished SM advances one cycle against
-		// the committed shared state.
-		if workers > 1 {
-			wg.Add(workers)
-			for _, ch := range start {
-				ch <- struct{}{}
-			}
-			wg.Wait()
-		} else {
-			for i, sm := range e.sms {
-				if !sm.finished() {
-					e.errs[i] = stepContained(i, sm)
-				}
-			}
-		}
-		for i := range e.sms {
-			if e.errs[i] != nil {
-				return fmt.Errorf("sim: SM %d: %w", i, e.errs[i])
-			}
-		}
-
-		// Commit phase: apply every SM's buffered shared-state effects in
-		// index order.
-		for _, p := range e.ports {
-			p.commit()
-		}
-		e.cycle++
 		if n := e.cfg.CheckpointEvery; n > 0 && e.cfg.Checkpoint != nil && e.cycle%n == 0 {
 			e.cfg.Checkpoint(&Checkpoint{Cycle: e.cycle, GPU: e.snapshot()})
 		}
 	}
+}
+
+// step runs one device cycle: every SM's dispatch turn, the compute
+// phase, and the commit phase. done reports that every SM finished
+// before the cycle began.
+func (e *gpuEngine) step() (done bool, err error) {
+	// Commit-side bookkeeping (also runs before the first cycle so a
+	// grid no SM can ever hold fails fast): give every SM a dispatch
+	// turn in index order, then settle termination.
+	allDone, anyLive := true, false
+	for _, sm := range e.sms {
+		if !sm.finished() {
+			sm.dispatchCTAs()
+		}
+	}
+	for _, sm := range e.sms {
+		if !sm.finished() {
+			allDone = false
+		}
+		if sm.liveCTAs > 0 {
+			anyLive = true
+		}
+	}
+	if allDone {
+		return true, nil
+	}
+	if !anyLive && !e.src.empty() {
+		// No SM holds a CTA, none could launch one, and nothing is in
+		// flight: the remaining CTAs can never be placed.
+		return false, fmt.Errorf("sim: %d CTAs undispatchable (register file too small for one CTA)",
+			e.src.remaining())
+	}
+
+	// Compute phase: every unfinished SM advances one cycle against
+	// the committed shared state, the engine goroutine taking
+	// partition 0 while the helpers take the rest.
+	e.wg.Add(len(e.start))
+	for _, ch := range e.start {
+		ch <- struct{}{}
+	}
+	e.compute(0)
+	e.wg.Wait()
+	for i := range e.sms {
+		if e.errs[i] != nil {
+			return false, fmt.Errorf("sim: SM %d: %w", i, e.errs[i])
+		}
+	}
+
+	// Commit phase: apply every SM's buffered shared-state effects in
+	// index order.
+	for _, p := range e.ports {
+		p.commit()
+	}
+	e.cycle++
+	return false, nil
 }

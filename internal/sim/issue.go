@@ -294,8 +294,7 @@ func (s *SM) pushWB(cycle uint64, wb writeback) {
 	if cycle <= s.cycle {
 		cycle = s.cycle + 1
 	}
-	s.wbQueue[cycle] = append(s.wbQueue[cycle], wb)
-	s.wbOutstanding++
+	s.wbQueue.push(cycle, wb)
 }
 
 func (s *SM) execBranch(w *warp, in *isa.Instr, active, execMask uint32) {

@@ -20,6 +20,40 @@ type memKey struct {
 // functional specification in arch.SyntheticWord).
 func memInit(addr uint32) uint32 { return arch.SyntheticWord(addr) }
 
+// memory is the functional content of the memory system. Global words
+// are keyed by address alone — the map a finished run hands out as its
+// Stores — and the per-launch scratch spaces (shared and spill) by the
+// full memKey.
+type memory struct {
+	global  map[uint32]uint32
+	scratch map[memKey]uint32
+}
+
+func newMemory() memory {
+	return memory{global: make(map[uint32]uint32), scratch: make(map[memKey]uint32)}
+}
+
+// load reads one lane's word: unwritten global words read as their
+// synthetic content, unwritten scratch words as zero.
+func (m *memory) load(k memKey) uint32 {
+	if k.space == isa.SpaceGlobal {
+		if v, ok := m.global[k.addr]; ok {
+			return v
+		}
+		return memInit(k.addr)
+	}
+	return m.scratch[k]
+}
+
+// store writes one lane's word.
+func (m *memory) store(k memKey, v uint32) {
+	if k.space == isa.SpaceGlobal {
+		m.global[k.addr] = v
+		return
+	}
+	m.scratch[k] = v
+}
+
 // memSys combines functional storage with a latency/contention timing
 // model: a bounded number of outstanding requests (MSHRs) and a
 // congestion term that grows with occupancy. This coarse model is what
@@ -28,7 +62,7 @@ func memInit(addr uint32) uint32 { return arch.SyntheticWord(addr) }
 // every effect applies immediately. Whole-GPU runs use phasedPort
 // instead, which adds the device-wide DRAM coupling.
 type memSys struct {
-	data map[memKey]uint32
+	memory
 	// outstanding tracks this SM's in-flight global/spill requests.
 	outstanding int
 	requests    uint64
@@ -38,7 +72,7 @@ type memSys struct {
 }
 
 func newMemSys() *memSys {
-	return &memSys{data: make(map[memKey]uint32)}
+	return &memSys{memory: newMemory()}
 }
 
 // tick resets per-cycle port accounting.
@@ -72,43 +106,13 @@ func (m *memSys) complete() {
 	m.outstanding--
 }
 
-// load reads one lane's word.
-func (m *memSys) load(k memKey) uint32 {
-	if v, ok := m.data[k]; ok {
-		return v
-	}
-	if k.space == isa.SpaceGlobal {
-		return memInit(k.addr)
-	}
-	return 0
-}
-
-// store writes one lane's word.
-func (m *memSys) store(k memKey, v uint32) { m.data[k] = v }
-
 func (m *memSys) noteRequests(n uint64) { m.requests += n }
 func (m *memSys) requestCount() uint64  { return m.requests }
 
-// resetScratch clears the per-launch address spaces (shared and spill)
+// resetScratch drops the per-launch address spaces (shared and spill)
 // at a kernel boundary; global memory persists.
 func (m *memSys) resetScratch() {
-	for k := range m.data {
-		if k.space != isa.SpaceGlobal {
-			delete(m.data, k)
-		}
-	}
+	m.scratch = make(map[memKey]uint32)
 	m.outstanding = 0
 	m.issuedThisCycle = 0
-}
-
-// globalStores extracts the final written global words (the functional
-// digest compared across configurations).
-func (m *memSys) globalStores() map[uint32]uint32 {
-	out := make(map[uint32]uint32)
-	for k, v := range m.data {
-		if k.space == isa.SpaceGlobal {
-			out[k.addr] = v
-		}
-	}
-	return out
 }

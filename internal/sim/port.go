@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"regvirt/internal/arch"
-	"regvirt/internal/isa"
-)
+import "regvirt/internal/arch"
 
 // memPort is the only way an SM reaches the memory system. The
 // single-SM engine (Run, RunSequence) plugs in *memSys, which applies
@@ -32,9 +29,6 @@ type memPort interface {
 	noteRequests(n uint64)
 	// requestCount is the SM's cumulative global/spill transaction count.
 	requestCount() uint64
-	// globalStores is the final written global-memory content (the
-	// functional digest).
-	globalStores() map[uint32]uint32
 }
 
 // gpuShared is the state all 16 SMs of a whole-device simulation share:
@@ -42,7 +36,7 @@ type memPort interface {
 // a compute phase it is strictly read-only; only phasedPort.commit —
 // called by the engine in SM index order — mutates it.
 type gpuShared struct {
-	data map[memKey]uint32
+	memory
 	// tokensPerCycle is the device-wide memory request acceptance rate.
 	tokensPerCycle int
 	// outstanding is the committed device-wide in-flight request count
@@ -121,15 +115,7 @@ func (p *phasedPort) complete() {
 // included — become visible at the commit boundary, one cycle later;
 // proper kernels separate producer and consumer with a barrier (or a
 // kernel boundary), which always spans a commit.
-func (p *phasedPort) load(k memKey) uint32 {
-	if v, ok := p.shared.data[k]; ok {
-		return v
-	}
-	if k.space == isa.SpaceGlobal {
-		return memInit(k.addr)
-	}
-	return 0
-}
+func (p *phasedPort) load(k memKey) uint32 { return p.shared.load(k) }
 
 func (p *phasedPort) store(k memKey, v uint32) {
 	p.stores = append(p.stores, storeIntent{k: k, v: v})
@@ -143,19 +129,9 @@ func (p *phasedPort) requestCount() uint64  { return p.requests }
 // that fixed order is the whole determinism argument.
 func (p *phasedPort) commit() {
 	for _, st := range p.stores {
-		p.shared.data[st.k] = st.v
+		p.shared.store(st.k, st.v)
 	}
 	p.stores = p.stores[:0]
 	p.shared.outstanding += p.dramDelta
 	p.dramDelta = 0
-}
-
-func (p *phasedPort) globalStores() map[uint32]uint32 {
-	out := make(map[uint32]uint32)
-	for k, v := range p.shared.data {
-		if k.space == isa.SpaceGlobal {
-			out[k.addr] = v
-		}
-	}
-	return out
 }

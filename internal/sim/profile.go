@@ -155,7 +155,7 @@ func (s *SM) profiledSchedule() {
 		p.MemStallCycles++
 	case s.res.Stalls.Hazard > pre.Hazard:
 		p.HazardStallCycles++
-	case s.wbOutstanding > 0:
+	case s.wbQueue.len() > 0:
 		p.CommitStallCycles++
 	default:
 		p.IdleCycles++

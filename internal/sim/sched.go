@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"sort"
+	"slices"
 
 	"regvirt/internal/arch"
 	"regvirt/internal/rename"
@@ -66,15 +66,16 @@ func (s *SM) removeFromReady(w *warp) {
 func (s *SM) schedule() bool {
 	s.allocStalled = false
 	issuedAny := false
-	used := map[*warp]bool{}
+	// stamp marks a warp that issued this cycle (one issue per warp per
+	// cycle across both schedulers).
+	stamp := s.cycle + 1
 	for sched := 0; sched < arch.NumSchedulers; sched++ {
-		order := s.pickOrder()
-		for _, w := range order {
-			if used[w] || w.state != wReady || w.readyAt > s.cycle {
+		for _, w := range s.pickOrder() {
+			if w.issuedStamp == stamp || w.state != wReady || w.readyAt > s.cycle {
 				continue
 			}
 			if s.tryIssue(w) {
-				used[w] = true
+				w.issuedStamp = stamp
 				issuedAny = true
 				s.lastIssued = w
 				if s.prof != nil && w.slot < len(s.prof.WarpIssued) {
@@ -113,29 +114,31 @@ func (s *SM) schedule() bool {
 	return false
 }
 
-// pickOrder returns the ready warps in this cycle's selection order.
+// pickOrder returns the ready warps in this cycle's selection order,
+// in the SM's reused order buffer (valid until the next call).
 func (s *SM) pickOrder() []*warp {
 	n := len(s.ready)
-	if n == 0 {
-		return nil
-	}
-	order := make([]*warp, 0, n)
+	order := s.order[:0]
 	if s.cfg.Scheduler == SchedGTO {
 		// Greedy: the last issuer first; then oldest (lowest warp slot).
-		rest := make([]*warp, 0, n)
 		for _, w := range s.ready {
 			if w == s.lastIssued {
 				order = append(order, w)
-			} else {
-				rest = append(rest, w)
 			}
 		}
-		sort.Slice(rest, func(i, j int) bool { return rest[i].slot < rest[j].slot })
-		return append(order, rest...)
+		greedy := len(order)
+		for _, w := range s.ready {
+			if w != s.lastIssued {
+				order = append(order, w)
+			}
+		}
+		slices.SortFunc(order[greedy:], func(a, b *warp) int { return a.slot - b.slot })
+	} else {
+		for k := 0; k < n; k++ {
+			order = append(order, s.ready[(s.rrIndex+k)%n])
+		}
 	}
-	for k := 0; k < n; k++ {
-		order = append(order, s.ready[(s.rrIndex+k)%n])
-	}
+	s.order = order
 	return order
 }
 

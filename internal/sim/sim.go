@@ -12,6 +12,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"regvirt/internal/arch"
 	"regvirt/internal/compiler"
@@ -81,11 +82,13 @@ type Config struct {
 	MaxCycles uint64
 	// GPUParallel is the compute-phase worker count of the two-phase
 	// whole-device engine (RunGPU only; Run ignores it). 0 or 1 steps
-	// the 16 SMs sequentially; N > 1 steps them on N goroutines with a
-	// per-cycle barrier. The engine commits all shared-state effects in
-	// fixed SM order, so the simulated result is byte-identical at every
-	// setting — this knob trades wall-clock time only and is therefore
-	// excluded from result cache keys (jobs, experiments).
+	// the 16 SMs sequentially; N > 1 steps them on N goroutines — the
+	// engine's own goroutine, which also commits, plus N-1 helpers —
+	// with a per-cycle barrier. The engine commits all shared-state
+	// effects in fixed SM order, so the simulated result is
+	// byte-identical at every setting — this knob trades wall-clock
+	// time only and is therefore excluded from result cache keys (jobs,
+	// experiments).
 	GPUParallel int
 	// Cancel, when non-nil, aborts the run with ErrCancelled once the
 	// channel is closed (checked every cancelCheckEvery cycles). The
@@ -200,7 +203,9 @@ type Result struct {
 	// instructions (Fig. 13's dynamic code increase).
 	DecodedPirs, DecodedPbrs uint64
 	// Stores is the final content of every written global-memory word —
-	// the functional digest compared across configurations.
+	// the functional digest compared across configurations. The per-SM
+	// results of a device run (GPUResult.PerSM) carry none: the device's
+	// one copy of global memory is GPUResult.Stores.
 	Stores map[uint32]uint32
 	// MemRequests counts global/spill memory transactions.
 	MemRequests uint64
@@ -301,6 +306,9 @@ func RunSequence(cfg Config, specs ...LaunchSpec) ([]*Result, error) {
 			return nil, fmt.Errorf("sim: kernel %d: %w", i, err)
 		}
 		if mem != nil {
+			// The previous kernel's Result owns the global map it was
+			// handed; this kernel continues on a copy.
+			mem.global = maps.Clone(mem.global)
 			mem.resetScratch()
 			sm.mem = mem
 		}

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"regvirt/internal/arch"
 	"regvirt/internal/flagcache"
@@ -45,6 +46,98 @@ type writeback struct {
 	hasReg  bool
 }
 
+// wbQueue holds the scheduled writebacks: a binary min-heap, ordered
+// by (delivery cycle, push sequence), of indices into a slab whose
+// entries pops hand back to a free list. Writebacks due in one cycle
+// come out in the order they were pushed — regcache's FIFO replacement
+// depends on it — and once the slab has grown to the SM's peak
+// in-flight count, pushing and popping allocate nothing.
+type wbQueue struct {
+	slab []writeback
+	free []int32
+	heap []wbRef
+	seq  uint64
+}
+
+// wbRef places one slab entry in the heap.
+type wbRef struct {
+	cycle, seq uint64
+	idx        int32
+}
+
+func (a wbRef) before(b wbRef) bool {
+	return a.cycle < b.cycle || (a.cycle == b.cycle && a.seq < b.seq)
+}
+
+// len is the number of writebacks in flight.
+func (q *wbQueue) len() int { return len(q.heap) }
+
+// push schedules wb for delivery at cycle.
+func (q *wbQueue) push(cycle uint64, wb writeback) {
+	var idx int32
+	if n := len(q.free); n > 0 {
+		idx = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slab[idx] = wb
+	} else {
+		idx = int32(len(q.slab))
+		q.slab = append(q.slab, wb)
+	}
+	q.heap = append(q.heap, wbRef{cycle: cycle, seq: q.seq, idx: idx})
+	q.seq++
+	h := q.heap
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h[i].before(h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+// pop removes the first writeback due by cycle. The entry stays valid
+// until the next push.
+func (q *wbQueue) pop(cycle uint64) (*writeback, bool) {
+	h := q.heap
+	if len(h) == 0 || h[0].cycle > cycle {
+		return nil, false
+	}
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	q.heap = h
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && h[r].before(h[m]) {
+			m = r
+		}
+		if !h[m].before(h[i]) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	q.free = append(q.free, top.idx)
+	return &q.slab[top.idx], true
+}
+
+// ordered returns the queued entries in delivery order.
+func (q *wbQueue) ordered() []wbRef {
+	refs := slices.Clone(q.heap)
+	slices.SortFunc(refs, func(a, b wbRef) int {
+		if a.before(b) {
+			return -1
+		}
+		return 1
+	})
+	return refs
+}
+
 // SM is one streaming multiprocessor executing a launch.
 type SM struct {
 	cfg  Config
@@ -61,13 +154,15 @@ type SM struct {
 	ctaSlots    []*ctaState // nil = free
 	ready       []*warp
 	pendingQ    []*warp
+	// order is the scheduler's selection-order buffer, refilled by
+	// pickOrder every scheduler pass.
+	order []*warp
 
-	cycle         uint64
-	src           *ctaSource
-	doneCTAs      int
-	liveCTAs      int
-	wbQueue       map[uint64][]writeback
-	wbOutstanding int
+	cycle    uint64
+	src      *ctaSource
+	doneCTAs int
+	liveCTAs int
+	wbQueue  wbQueue
 
 	// smID is this SM's device index (0 in single-SM runs); fault is a
 	// recorded invariant violation or injected fault, checked at the
@@ -142,7 +237,6 @@ func newSM(cfg Config, spec LaunchSpec) (*SM, error) {
 		warpsPerCTA: wpc,
 		ctaSlots:    make([]*ctaState, spec.ConcCTAs),
 		src:         &ctaSource{limit: totalCTAs},
-		wbQueue:     map[uint64][]writeback{},
 	}
 	if cfg.Profile {
 		s.res.Profile = newProfile()
@@ -182,10 +276,11 @@ func (s *SM) stepChecked() error {
 	return nil
 }
 
-// finalize fills the result after the last cycle.
+// finalize fills the result after the last cycle. Stores is left to
+// the engine: a single-SM run hands over its memory's global map, and
+// a device run's one copy of global memory belongs to the GPUResult.
 func (s *SM) finalize() *Result {
 	s.res.Cycles = s.cycle
-	s.res.Stores = s.mem.globalStores()
 	s.res.MemRequests = s.mem.requestCount()
 	s.res.RF = s.file.Stats()
 	s.res.Rename = s.table.Stats()
@@ -224,7 +319,9 @@ func (s *SM) runLoop() (*Result, error) {
 		}
 		s.maybeCheckpoint()
 	}
-	return s.finalize(), nil
+	res := s.finalize()
+	res.Stores = s.mem.(*memSys).global // single-SM runs always use the direct port
+	return res, nil
 }
 
 // step advances one cycle. In whole-device mode this is the compute
@@ -247,21 +344,18 @@ func (s *SM) step() {
 }
 
 func (s *SM) applyWritebacks() {
-	wbs, ok := s.wbQueue[s.cycle]
-	if !ok {
-		return
-	}
-	delete(s.wbQueue, s.cycle)
-	for _, wb := range wbs {
-		s.wbOutstanding--
+	for {
+		wb, ok := s.wbQueue.pop(s.cycle)
+		if !ok {
+			return
+		}
 		if wb.memReq {
 			s.mem.complete()
 		}
 		w := wb.w
 		if wb.hasReg {
 			if wb.phys != regfile.Unmapped {
-				v := wb.val
-				s.table.Write(wb.phys, &v, wb.mask)
+				s.table.Write(wb.phys, &wb.val, wb.mask)
 			}
 			w.busyRegs = w.busyRegs.Remove(wb.reg)
 		}

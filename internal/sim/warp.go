@@ -50,6 +50,10 @@ type warp struct {
 	// inflight counts outstanding writebacks (a warp cannot exit or be
 	// spilled while results are in flight).
 	inflight int
+	// issuedStamp is cycle+1 of the last cycle the warp issued in (0 =
+	// never): the schedulers' one-issue-per-warp-per-cycle check. It
+	// only matters within a cycle, so snapshots leave it out.
+	issuedStamp uint64
 
 	// Spill fallback storage.
 	spillSaved []spilledState

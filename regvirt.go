@@ -149,7 +149,9 @@ type GPUResult = sim.GPUResult
 // RunGPU simulates the full 16-SM device: a shared CTA dispatcher,
 // shared global memory, and a device-wide DRAM bandwidth limit. Run is
 // the fast single-SM path the evaluation uses; RunGPU is the fidelity
-// path for whole-grid runs.
+// path for whole-grid runs. The device's final global memory is
+// GPUResult.Stores; the per-SM results in GPUResult.PerSM carry no
+// Stores of their own.
 func RunGPU(cfg Config, spec LaunchSpec) (*GPUResult, error) {
 	return sim.RunGPU(cfg, spec)
 }
