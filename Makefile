@@ -123,12 +123,14 @@ bench-gpu:
 	$(GO) test -bench=BenchmarkRunGPU -benchtime=2x -count=5 -run=^$$ .
 
 # Simulator cost checks the race detector would distort, so `verify`
-# cannot run them: the steady-state zero-allocation test, the pinned
-# results against the non-race golden, and BenchmarkSim once per
-# workload (ns and allocations per simulated cycle). CI runs this in
-# its bench job.
+# cannot run them: the steady-state zero-allocation test, the kernel
+# front end's allocation budget (parse + compile of generated kernels),
+# the pinned results against the non-race golden, and BenchmarkSim once
+# per workload (ns and allocations per simulated cycle). CI runs this
+# in its bench job.
 simcost:
 	$(GO) test -count=1 -run 'TestSteadyStateAllocatesNothing' ./internal/sim
+	$(GO) test -count=1 -run 'TestFrontEndAllocations' ./internal/compiler
 	$(GO) test -count=1 -run 'TestResultsPinned' ./internal/jobs
 	$(GO) test -run=^$$ -bench='^BenchmarkSim$$' -benchtime=1x .
 

@@ -436,10 +436,27 @@ func (d *daemon) armDebug() error {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	d.debugSrv = &http.Server{Handler: mux}
+	d.debugSrv = newHTTPServer(mux)
 	go d.debugSrv.Serve(ln)
 	d.log.Info("pprof debug listener armed", "addr", ln.Addr().String())
 	return nil
+}
+
+// Connection timeouts of every listener regvd serves. A client that
+// stalls before finishing its request headers, or leaves a keep-alive
+// connection idle, is disconnected instead of holding a goroutine and
+// a file descriptor indefinitely. There is deliberately no write or
+// whole-request timeout: a sync submit's response waits for its
+// simulation, which may take far longer.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is an http.Server for h with regvd's connection
+// timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // newDaemon binds the listener and builds the pool and server (or, in
@@ -590,7 +607,7 @@ func newDaemon(cfg config) (*daemon, error) {
 		cfg:        cfg,
 		ln:         ln,
 		pool:       pool,
-		srv:        &http.Server{Handler: handler},
+		srv:        newHTTPServer(handler),
 		store:      st,
 		log:        logger,
 		standby:    standby,
@@ -640,7 +657,7 @@ func newRouterDaemon(cfg config) (*daemon, error) {
 	d := &daemon{
 		cfg:        cfg,
 		ln:         ln,
-		srv:        &http.Server{Handler: handler},
+		srv:        newHTTPServer(handler),
 		log:        logger,
 		router:     router,
 		partitions: parts,

@@ -79,71 +79,109 @@ func (g *Graph) findBlocks() {
 			}
 		}
 	}
+	nBlocks := 0
+	for _, l := range leader {
+		if l {
+			nBlocks++
+		}
+	}
+	slab := make([]Block, nBlocks)
+	g.Blocks = make([]*Block, nBlocks)
 	g.BlockOf = make([]int, n)
-	for pc := 0; pc < n; {
+	for pc, id := 0, 0; pc < n; id++ {
 		end := pc + 1
 		for end < n && !leader[end] {
 			end++
 		}
-		b := &Block{ID: len(g.Blocks), Start: pc, End: end}
-		g.Blocks = append(g.Blocks, b)
+		slab[id] = Block{ID: id, Start: pc, End: end}
+		g.Blocks[id] = &slab[id]
 		for i := pc; i < end; i++ {
-			g.BlockOf[i] = b.ID
+			g.BlockOf[i] = id
 		}
 		pc = end
 	}
 }
 
+// succsOf returns block b's successors in edge order (fall-through
+// before taken) and how many there are. A conditional branch to its
+// own fall-through has that successor twice.
+func (g *Graph) succsOf(b *Block) (succs [2]int, n int) {
+	last := g.Prog.Instrs[b.End-1]
+	hasNext := b.End < len(g.Prog.Instrs)
+	switch {
+	case last.Op == isa.OpExit && !last.Guard.Guarded():
+		// no successors
+	case last.Op == isa.OpExit:
+		// Guarded exit: the non-exiting lanes fall through.
+		if hasNext {
+			succs[n], n = g.BlockOf[b.End], n+1
+		}
+	case last.Op == isa.OpBra && !last.Guard.Guarded():
+		succs[n], n = g.BlockOf[last.Target], n+1
+	case last.Op == isa.OpBra:
+		// Conditional: fall-through first, then taken.
+		if hasNext {
+			succs[n], n = g.BlockOf[b.End], n+1
+		}
+		succs[n], n = g.BlockOf[last.Target], n+1
+	default:
+		if hasNext {
+			succs[n], n = g.BlockOf[b.End], n+1
+		}
+	}
+	return succs, n
+}
+
+// linkBlocks fills Succs and Preds. Every list is an exact-capacity
+// window of one shared edge slab: a first pass counts the edges, the
+// second files them, Preds in ascending source-block order.
 func (g *Graph) linkBlocks() {
-	addEdge := func(from, to int) {
-		g.Blocks[from].Succs = append(g.Blocks[from].Succs, to)
-		g.Blocks[to].Preds = append(g.Blocks[to].Preds, from)
+	nPreds := make([]int, len(g.Blocks))
+	edges := 0
+	for _, b := range g.Blocks {
+		succs, n := g.succsOf(b)
+		for _, s := range succs[:n] {
+			nPreds[s]++
+		}
+		edges += n
+	}
+	slab := make([]int, 0, 2*edges)
+	for _, b := range g.Blocks {
+		_, n := g.succsOf(b)
+		b.Succs = slab[len(slab) : len(slab) : len(slab)+n]
+		slab = slab[:len(slab)+n]
+		b.Preds = slab[len(slab) : len(slab) : len(slab)+nPreds[b.ID]]
+		slab = slab[:len(slab)+nPreds[b.ID]]
 	}
 	for _, b := range g.Blocks {
-		last := g.Prog.Instrs[b.End-1]
-		switch {
-		case last.Op == isa.OpExit && !last.Guard.Guarded():
-			// no successors
-		case last.Op == isa.OpExit:
-			// Guarded exit: the non-exiting lanes fall through.
-			if b.End < len(g.Prog.Instrs) {
-				addEdge(b.ID, g.BlockOf[b.End])
-			}
-		case last.Op == isa.OpBra && !last.Guard.Guarded():
-			addEdge(b.ID, g.BlockOf[last.Target])
-		case last.Op == isa.OpBra:
-			// Conditional: fall-through first, then taken.
-			if b.End < len(g.Prog.Instrs) {
-				addEdge(b.ID, g.BlockOf[b.End])
-			}
-			addEdge(b.ID, g.BlockOf[last.Target])
-		default:
-			if b.End < len(g.Prog.Instrs) {
-				addEdge(b.ID, g.BlockOf[b.End])
-			}
+		succs, n := g.succsOf(b)
+		for _, s := range succs[:n] {
+			b.Succs = append(b.Succs, s)
+			g.Blocks[s].Preds = append(g.Blocks[s].Preds, b.ID)
 		}
 	}
 }
 
 // reversePostorder returns blocks in reverse postorder from the entry.
 func (g *Graph) reversePostorder() []int {
-	seen := make([]bool, len(g.Blocks))
-	var order []int
-	var visit func(int)
-	visit = func(b int) {
-		seen[b] = true
-		for _, s := range g.Blocks[b].Succs {
-			if !seen[s] {
-				visit(s)
-			}
-		}
-		order = append(order, b)
-	}
-	visit(0)
+	order := make([]int, 0, len(g.Blocks))
+	order = g.postorder(0, make([]bool, len(g.Blocks)), order)
 	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
 		order[i], order[j] = order[j], order[i]
 	}
 	return order
+}
+
+// postorder appends the blocks reachable from b, depth first along
+// Succs, in postorder.
+func (g *Graph) postorder(b int, seen []bool, order []int) []int {
+	seen[b] = true
+	for _, s := range g.Blocks[b].Succs {
+		if !seen[s] {
+			order = g.postorder(s, seen, order)
+		}
+	}
+	return append(order, b)
 }
 
 // computeDominators runs the Cooper–Harvey–Kennedy iterative algorithm.
@@ -201,36 +239,14 @@ func intersect(idom, rpoIndex []int, a, b int) int {
 }
 
 // computePostDominators runs the same algorithm over the reversed graph
-// with a virtual exit node collecting every exit block.
+// with a virtual exit node collecting every exit block. Node n is the
+// virtual exit: a block's reversed-graph successors are its Preds (the
+// exit blocks, for node n), and its reversed-graph predecessors are its
+// Succs (node n, for an exit block).
 func (g *Graph) computePostDominators() {
 	n := len(g.Blocks)
-	// Node n is the virtual exit.
-	preds := make([][]int, n+1) // preds in reversed graph = succs in original
-	succs := make([][]int, n+1)
-	for _, b := range g.Blocks {
-		if len(b.Succs) == 0 {
-			succs[b.ID] = append(succs[b.ID], n)
-			preds[n] = append(preds[n], b.ID)
-		}
-		for _, s := range b.Succs {
-			succs[b.ID] = append(succs[b.ID], s)
-			preds[s] = append(preds[s], b.ID)
-		}
-	}
 	// Reverse postorder from the virtual exit over reversed edges.
-	seen := make([]bool, n+1)
-	var order []int
-	var visit func(int)
-	visit = func(b int) {
-		seen[b] = true
-		for _, s := range preds[b] { // reversed direction
-			if !seen[s] {
-				visit(s)
-			}
-		}
-		order = append(order, b)
-	}
-	visit(n)
+	order := g.exitPostorder(n, make([]bool, n+1), make([]int, 0, n+1))
 	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
 		order[i], order[j] = order[j], order[i]
 	}
@@ -246,14 +262,19 @@ func (g *Graph) computePostDominators() {
 		ipdom[i] = -1
 	}
 	ipdom[n] = n
+	exitOnly := [1]int{n}
 	for changed := true; changed; {
 		changed = false
 		for _, b := range order {
 			if b == n {
 				continue
 			}
+			succs := g.Blocks[b].Succs // preds in reversed graph
+			if len(succs) == 0 {
+				succs = exitOnly[:]
+			}
 			newIdom := -1
-			for _, p := range succs[b] { // preds in reversed graph
+			for _, p := range succs {
 				if rpoIndex[p] < 0 || ipdom[p] == -1 {
 					continue
 				}
@@ -277,6 +298,27 @@ func (g *Graph) computePostDominators() {
 			g.IPDom[i] = ipdom[i]
 		}
 	}
+}
+
+// exitPostorder appends the nodes reachable from node b of the reversed
+// graph (n = len(g.Blocks) is the virtual exit), depth first, in
+// postorder.
+func (g *Graph) exitPostorder(b int, seen []bool, order []int) []int {
+	seen[b] = true
+	if b == len(g.Blocks) {
+		for _, x := range g.Blocks {
+			if len(x.Succs) == 0 && !seen[x.ID] {
+				order = g.exitPostorder(x.ID, seen, order)
+			}
+		}
+	} else {
+		for _, s := range g.Blocks[b].Preds {
+			if !seen[s] {
+				order = g.exitPostorder(s, seen, order)
+			}
+		}
+	}
+	return append(order, b)
 }
 
 // Dominates reports whether block a dominates block b.

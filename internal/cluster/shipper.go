@@ -24,11 +24,13 @@ import (
 // Delivery discipline mirrors the durability contract: accept frames
 // (the fsynced ones) are shipped synchronously — the standby's copy is
 // made as strong as the local disk before the daemon acknowledges the
-// job — while done/failed frames and checkpoints batch on a background
-// flusher. Any loss (network error, full queue, journal rewrite,
-// standby gap report) degrades to a full resync: the shipper exports
-// the current journal generation and ships it as a snapshot that
-// replaces the standby's copy. Nothing is ever silently divergent.
+// job. Done/failed frames only queue: they ride the next ship, a
+// synchronous one or the background flusher's, so a cold job costs one
+// standby round trip, not two. Checkpoints flush in the background. Any loss
+// (network error, full queue, journal rewrite, standby gap report)
+// degrades to a full resync: the shipper exports the current journal
+// generation and ships it as a snapshot that replaces the standby's
+// copy. Nothing is ever silently divergent.
 type Shipper struct {
 	shard string // our shard name (labels everything shipped)
 	peer  string // the standby's name (status only)
@@ -45,6 +47,10 @@ type Shipper struct {
 	closed     bool
 
 	onFenced func(fence uint64) // fired once per fenced transition
+
+	// flushEvery is the background flusher's tick, shipFlushEvery
+	// outside tests.
+	flushEvery time.Duration
 
 	wake chan struct{}
 	done chan struct{}
@@ -75,16 +81,17 @@ const (
 // shutdown.
 func NewShipper(shard, peer, base string, st *store.Store) *Shipper {
 	sh := &Shipper{
-		shard: shard,
-		peer:  peer,
-		base:  base,
-		hc:    &http.Client{Timeout: shipTimeout},
-		log:   obs.Nop(),
-		ckpts: map[string][]byte{},
-		wake:  make(chan struct{}, 1),
-		done:  make(chan struct{}),
-		exit:  make(chan struct{}),
-		st:    st,
+		shard:      shard,
+		peer:       peer,
+		base:       base,
+		hc:         &http.Client{Timeout: shipTimeout},
+		log:        obs.Nop(),
+		ckpts:      map[string][]byte{},
+		flushEvery: shipFlushEvery,
+		wake:       make(chan struct{}, 1),
+		done:       make(chan struct{}),
+		exit:       make(chan struct{}),
+		st:         st,
 	}
 	sh.epoch.Store(1) // keyspaces start life at epoch 1, matching the router
 	return sh
@@ -147,6 +154,7 @@ func (sh *Shipper) Start() {
 	sh.mu.Unlock()
 	sh.st.SetSink(sh)
 	go sh.run()
+	sh.poke()
 }
 
 // Close detaches from the store, flushes what it can, and stops.
@@ -168,6 +176,11 @@ func (sh *Shipper) Close() {
 // them in order — before the store's caller proceeds; a failure marks
 // the stream for resync and counts against syncShipFailures, but never
 // fails the local append (local durability is already secured).
+// Non-synchronous frames (done, failed) do not wake the flusher: they
+// wait for the next synchronous ship or the flusher's next pass (its
+// tick, or a checkpoint waking it). The standby never needs them
+// promptly, because adoption re-runs done jobs and a failed one fails
+// again deterministically.
 func (sh *Shipper) ShipFrame(f store.Frame, sync bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -184,14 +197,17 @@ func (sh *Shipper) ShipFrame(f store.Frame, sync bool) {
 		sh.log.Warn("ship queue overflow; backlog dropped, resync pending", "shard", sh.shard, "standby", sh.peer)
 		return
 	}
-	if sync && !sh.needResync {
+	switch {
+	case !sync:
+		// Rides the next synchronous ship or flusher pass.
+	case sh.needResync:
+		sh.poke() // the flusher resyncs first, then drains the queue
+	default:
 		if err := sh.flushFramesLocked(); err != nil {
 			sh.syncShipFailures.Add(1)
 			sh.log.Warn("synchronous frame ship failed; standby lags local disk", "shard", sh.shard, "standby", sh.peer, "err", err)
 		}
-		return
 	}
-	sh.poke()
 }
 
 // JournalRewritten implements store.Sink: a new generation invalidates
@@ -226,7 +242,7 @@ func (sh *Shipper) poke() {
 // run is the background flusher.
 func (sh *Shipper) run() {
 	defer close(sh.exit)
-	t := time.NewTicker(shipFlushEvery)
+	t := time.NewTicker(sh.flushEvery)
 	defer t.Stop()
 	for {
 		select {

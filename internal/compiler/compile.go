@@ -89,7 +89,7 @@ func Compile(src *isa.Program, opts Options) (*Kernel, error) {
 
 	// Pass 1: plan with every register renameable, to estimate lifetimes.
 	fullPlan := buildReleasePlan(li, allRegs)
-	k.Stats = registerStats(li, fullPlan)
+	k.Stats = registerStats(li, fullPlan, used)
 
 	warps := opts.ResidentWarps
 	if warps <= 0 {
@@ -118,13 +118,15 @@ func Compile(src *isa.Program, opts Options) (*Kernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	renumber(p, perm)
+	renumber(p, &perm)
 	if err := p.Rebuild(); err != nil {
 		return nil, err
 	}
 	var renameableNew liveness.RegSet
-	for _, r := range renameable.Regs() {
-		renameableNew = renameableNew.Add(perm[r])
+	for _, r := range used {
+		if renameable.Has(r) {
+			renameableNew = renameableNew.Add(perm[r])
+		}
 	}
 
 	// Pass 2: re-analyze the renumbered program and emit flags only for
@@ -135,7 +137,7 @@ func Compile(src *isa.Program, opts Options) (*Kernel, error) {
 	}
 	li2 := liveness.Analyze(g2)
 	plan := buildReleasePlan(li2, renameableNew)
-	k.ReleasePoints = plan.releaseCount()
+	k.ReleasePoints = plan.points
 
 	q, err := insertMeta(g2, plan)
 	if err != nil {

@@ -208,3 +208,62 @@ func TestMetaWordEncodesCompiledMetadata(t *testing.T) {
 		}
 	}
 }
+
+// TestRenumberKeepsUncheckedSlots compiles a program whose unused
+// operand slots hold register ids Validate never looks at, as a decoded
+// binary may: renumbering must leave them as they are, not fail.
+func TestRenumberKeepsUncheckedSlots(t *testing.T) {
+	p, err := isa.Parse(straightSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mov := p.Instrs[0] // movi r1, 1: one source slot used
+	mov.Srcs[2] = isa.R(200)
+	st := p.Instrs[3] // st.global: writes no register
+	st.Dst = isa.R(250)
+	k, err := Compile(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotSrc, gotDst isa.RegID
+	for _, in := range k.Prog.Instrs {
+		switch in.Op {
+		case isa.OpMovi:
+			if in.Srcs[0].Imm == 1 {
+				gotSrc = in.Srcs[2].Reg
+			}
+		case isa.OpSt:
+			gotDst = in.Dst.Reg
+		}
+	}
+	if gotSrc != 200 || gotDst != 250 {
+		t.Errorf("unchecked slots renumbered to r%d and r%d, want r200 and r250", gotSrc, gotDst)
+	}
+}
+
+// TestDecodedOutOfRangeRegisterRefused compiles and spills a decoded
+// program that writes r200 under .reg 255, which Parse cannot produce
+// but Unmarshal can: both must return Validate's error, not panic or
+// drop the register.
+func TestDecodedOutOfRangeRegisterRefused(t *testing.T) {
+	p, err := isa.Parse(straightSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.RegCount = 255
+	p.Instrs[0].Dst = isa.R(200)
+	data, err := p.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := isa.Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compile(q, Options{}); err == nil {
+		t.Error("Compile accepted a write to r200")
+	}
+	if _, err := SpillTo(q, 2); err == nil {
+		t.Error("SpillTo accepted a write to r200")
+	}
+}

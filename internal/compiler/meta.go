@@ -1,6 +1,8 @@
 package compiler
 
 import (
+	"math/bits"
+
 	"regvirt/internal/cfg"
 	"regvirt/internal/isa"
 )
@@ -12,65 +14,74 @@ import (
 // reconvergence PCs are remapped to the new block starts so that control
 // transfers land on the metadata instructions (which the fetch stage
 // pre-processes) before the block body.
+//
+// The output is what a compiled kernel keeps for as long as it is
+// cached, so a first pass sizes it: its instructions share one
+// exact-length slab, and so do its pbr register lists.
 func insertMeta(g *cfg.Graph, plan *releasePlan) (*isa.Program, error) {
 	prog := g.Prog
-	var out []*isa.Instr
+	nInstrs, nPbrRegs := len(prog.Instrs), 0
+	for _, b := range g.Blocks {
+		regs := plan.pbr[b.ID].Len()
+		nPbrRegs += regs
+		nInstrs += (regs + isa.PbrMaxRegs - 1) / isa.PbrMaxRegs
+		for pc := b.Start; pc < b.End; pc += isa.PirGroupCount {
+			if _, any := pirWindow(plan, pc, min(pc+isa.PirGroupCount, b.End)); any {
+				nInstrs++
+			}
+		}
+	}
+	slab := make([]isa.Instr, 0, nInstrs)
+	var pbrRegs []isa.RegID
+	if nPbrRegs > 0 {
+		pbrRegs = make([]isa.RegID, 0, nPbrRegs)
+	}
 	newStart := make([]int, len(g.Blocks))
 	for _, b := range g.Blocks {
-		newStart[b.ID] = len(out)
-		// pbr instructions first, chunked by capacity.
-		regs := plan.pbr[b.ID]
-		for len(regs) > 0 {
-			n := len(regs)
-			if n > isa.PbrMaxRegs {
-				n = isa.PbrMaxRegs
+		newStart[b.ID] = len(slab)
+		// pbr instructions first, chunked by capacity, registers in
+		// ascending order.
+		for set := uint64(plan.pbr[b.ID]); set != 0; {
+			at := len(pbrRegs)
+			for ; set != 0 && len(pbrRegs)-at < isa.PbrMaxRegs; set &= set - 1 {
+				pbrRegs = append(pbrRegs, isa.RegID(bits.TrailingZeros64(set)))
 			}
-			out = append(out, &isa.Instr{
+			slab = append(slab, isa.Instr{
 				Op: isa.OpPbr, Guard: isa.NoPred, SetPred: -1, Target: -1, Reconv: -1,
-				PbrRegs: append([]isa.RegID(nil), regs[:n]...),
+				PbrRegs: pbrRegs[at:len(pbrRegs):len(pbrRegs)],
 			})
-			regs = regs[n:]
 		}
 		// Then the block body in 18-instruction windows, each preceded by
 		// a pir when any instruction in the window releases something.
 		for pc := b.Start; pc < b.End; pc += isa.PirGroupCount {
-			end := pc + isa.PirGroupCount
-			if end > b.End {
-				end = b.End
-			}
-			var flags uint64
-			any := false
-			for i := pc; i < end; i++ {
-				if bits, ok := plan.pir[i]; ok {
-					flags = isa.PackPirGroup(flags, i-pc, bits)
-					any = true
-				}
-			}
-			if any {
+			end := min(pc+isa.PirGroupCount, b.End)
+			if flags, any := pirWindow(plan, pc, end); any {
 				if _, err := isa.EncodePir(flags); err != nil {
 					return nil, err
 				}
-				out = append(out, &isa.Instr{
+				slab = append(slab, isa.Instr{
 					Op: isa.OpPir, Guard: isa.NoPred, SetPred: -1, Target: -1, Reconv: -1,
 					PirFlags: flags,
 				})
 			}
 			for i := pc; i < end; i++ {
 				cp := *prog.Instrs[i]
-				if bits, ok := plan.pir[i]; ok {
+				if bits := plan.pir[i]; bits != noRelease {
 					cp.Rel = bits
 				}
-				out = append(out, &cp)
+				slab = append(slab, cp)
 			}
 		}
 	}
 	mapPC := func(oldPC int) int { return newStart[g.BlockOf[oldPC]] }
-	q := &isa.Program{Name: prog.Name, RegCount: prog.RegCount, Instrs: out,
+	q := &isa.Program{Name: prog.Name, RegCount: prog.RegCount, Instrs: make([]*isa.Instr, len(slab)),
 		Labels: make(map[string]int, len(prog.Labels))}
 	for name, pc := range prog.Labels {
 		q.Labels[name] = mapPC(pc)
 	}
-	for _, in := range q.Instrs {
+	for i := range slab {
+		in := &slab[i]
+		q.Instrs[i] = in
 		if in.Op == isa.OpBra {
 			// Branch targets are always block starts.
 			if in.TargetLabel == "" {
@@ -85,4 +96,19 @@ func insertMeta(g *cfg.Graph, plan *releasePlan) (*isa.Program, error) {
 		return nil, err
 	}
 	return q, nil
+}
+
+// noRelease is the pir bits of an instruction that releases nothing.
+var noRelease [isa.MaxSrcOperands]bool
+
+// pirWindow packs the release bits of instructions [pc, end) into one
+// pir payload and reports whether any is set.
+func pirWindow(plan *releasePlan, pc, end int) (flags uint64, any bool) {
+	for i := pc; i < end; i++ {
+		if bits := plan.pir[i]; bits != noRelease {
+			flags = isa.PackPirGroup(flags, i-pc, bits)
+			any = true
+		}
+	}
+	return flags, any
 }

@@ -6,8 +6,6 @@
 package compiler
 
 import (
-	"sort"
-
 	"regvirt/internal/isa"
 	"regvirt/internal/liveness"
 )
@@ -15,17 +13,17 @@ import (
 // releasePlan captures where each renameable register can be released.
 type releasePlan struct {
 	// pir[pc] holds the release bits for the instruction at pc (original
-	// numbering), one bit per source slot.
-	pir map[int][isa.MaxSrcOperands]bool
-	// pbr[block] is the sorted register list released at the start of the
-	// block (a reconvergence point).
-	pbr map[int][]isa.RegID
-	// pirBlocks[r] lists blocks holding a pir release of r (for the
-	// dominance-based pbr suppression and for lifetime estimation).
-	pirBlocks map[isa.RegID][]int
-	// releasePCs[r] lists instruction PCs after which r is released
-	// (pir points; pbr points are represented by the reconv block start).
-	releasePCs map[isa.RegID][]int
+	// numbering), one bit per source slot; all false means none.
+	pir [][isa.MaxSrcOperands]bool
+	// pbr[block] is the register set released at the start of the block
+	// (a reconvergence point); pbr metadata lists it in ascending order.
+	pbr []liveness.RegSet
+	// released[pc] is the set of registers released at pc: after the
+	// instruction there for a pir release, or at the start of the block
+	// there for a pbr release. Lifetime estimation reads it.
+	released []liveness.RegSet
+	// points is the number of (register, release point) pairs.
+	points int
 }
 
 // buildReleasePlan computes pir bits and pbr sets for every register in
@@ -44,25 +42,21 @@ type releasePlan struct {
 //     registers are forced live until the loop exit and release there.
 func buildReleasePlan(li *liveness.Info, renameable liveness.RegSet) *releasePlan {
 	g := li.G
+	nInstrs, nBlocks := len(g.Prog.Instrs), len(g.Blocks)
+	sets := make([]liveness.RegSet, nInstrs+2*nBlocks)
 	plan := &releasePlan{
-		pir:        map[int][isa.MaxSrcOperands]bool{},
-		pbr:        map[int][]isa.RegID{},
-		pirBlocks:  map[isa.RegID][]int{},
-		releasePCs: map[isa.RegID][]int{},
+		pir:      make([][isa.MaxSrcOperands]bool, nInstrs),
+		released: sets[:nInstrs:nInstrs],
+		pbr:      sets[nInstrs : nInstrs+nBlocks : nInstrs+nBlocks],
 	}
-	var scratch []isa.RegID
+	// pirIn[b] is the set of registers some pir in block b releases.
+	pirIn := sets[nInstrs+nBlocks:]
 	for _, b := range g.Blocks {
 		for pc := b.Start; pc < b.End; pc++ {
 			in := g.Prog.Instrs[pc]
 			if in.Op.IsMeta() {
 				continue
 			}
-			scratch = in.SrcRegs(scratch[:0])
-			if len(scratch) == 0 {
-				continue
-			}
-			var bits [isa.MaxSrcOperands]bool
-			any := false
 			// Walk slots from the highest so a register appearing twice
 			// releases on its last operand slot only.
 			marked := liveness.RegSet(0)
@@ -80,67 +74,43 @@ func buildReleasePlan(li *liveness.Info, renameable liveness.RegSet) *releasePla
 				if !li.SiblingSafe(r, b.ID) {
 					continue
 				}
-				bits[slot] = true
-				any = true
+				plan.pir[pc][slot] = true
 				marked = marked.Add(r)
-				plan.pirBlocks[r] = append(plan.pirBlocks[r], b.ID)
-				plan.releasePCs[r] = append(plan.releasePCs[r], pc)
 			}
-			if any {
-				plan.pir[pc] = bits
-			}
+			pirIn[b.ID] |= marked
+			plan.released[pc] |= marked
+			plan.points += marked.Len()
 		}
 	}
 	// pbr sets at reconvergence blocks.
-	pbrSets := map[int]liveness.RegSet{}
 	for _, region := range li.Regions {
 		if region.Reconv < 0 {
 			continue // reconverges at warp exit; hardware frees everything
 		}
-		for _, r := range renameable.Regs() {
-			if !li.AccessedInRegion(region, r) {
-				continue
-			}
-			if li.LiveIn[region.Reconv].Has(r) {
-				continue // still needed at/after reconvergence
-			}
-			if plan.pirDominates(li, r, region.Reconv) {
-				continue // a pir on every path already released it
-			}
-			pbrSets[region.Reconv] = pbrSets[region.Reconv].Add(r)
-		}
+		// Skip registers still needed at/after reconvergence, and those
+		// a pir on every path — in a block dominating the reconvergence
+		// point — already released.
+		set := renameable & li.RegionAccessed(region) &^ li.LiveIn[region.Reconv] &^ strictDominatorPirs(li, pirIn, region.Reconv)
+		plan.pbr[region.Reconv] |= set
 	}
-	for blk, set := range pbrSets {
-		regs := set.Regs()
-		sort.Slice(regs, func(i, j int) bool { return regs[i] < regs[j] })
-		plan.pbr[blk] = regs
-		for _, r := range regs {
-			plan.releasePCs[r] = append(plan.releasePCs[r], g.Blocks[blk].Start)
-		}
-	}
-	for _, pcs := range plan.releasePCs {
-		sort.Ints(pcs)
+	for blk, set := range plan.pbr {
+		plan.released[g.Blocks[blk].Start] |= set
+		plan.points += set.Len()
 	}
 	return plan
 }
 
-// pirDominates reports whether register r has a pir release in a block
-// that dominates blk — i.e. the release has definitely executed before
-// blk runs.
-func (p *releasePlan) pirDominates(li *liveness.Info, r isa.RegID, blk int) bool {
-	for _, b := range p.pirBlocks[r] {
-		if b != blk && li.G.Dominates(b, blk) {
-			return true
+// strictDominatorPirs is the union of pirIn over the blocks that
+// strictly dominate blk: a register in it has definitely been released
+// by a pir before blk runs.
+func strictDominatorPirs(li *liveness.Info, pirIn []liveness.RegSet, blk int) liveness.RegSet {
+	var u liveness.RegSet
+	for b := blk; b != 0; {
+		b = li.G.IDom[b]
+		if b < 0 {
+			break // unreachable block: no dominators
 		}
+		u |= pirIn[b]
 	}
-	return false
-}
-
-// releaseCount returns the total number of static release points.
-func (p *releasePlan) releaseCount() int {
-	n := 0
-	for _, pcs := range p.releasePCs {
-		n += len(pcs)
-	}
-	return n
+	return u
 }

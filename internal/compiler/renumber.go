@@ -1,36 +1,44 @@
 package compiler
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"regvirt/internal/isa"
+	"regvirt/internal/liveness"
 )
 
-// renumber applies a register permutation to every operand of the program
-// in place. perm[old] = new; registers absent from perm keep their id. RZ
-// is never remapped.
-func renumber(p *isa.Program, perm map[isa.RegID]isa.RegID) {
-	mapReg := func(r isa.RegID) isa.RegID {
-		if r == isa.RZ {
-			return r
-		}
-		if n, ok := perm[r]; ok {
-			return n
-		}
-		return r
+// regPerm is a register permutation: perm[old] = new. Registers the
+// permutation does not move, RZ among them, map to themselves. It spans
+// every RegID value, because renumber also maps operand slots that
+// Program.Validate does not check (sources past NSrc, the destination
+// of an instruction that writes none).
+type regPerm [256]isa.RegID
+
+// identityPerm returns the permutation that moves nothing.
+func identityPerm() regPerm {
+	var perm regPerm
+	for r := range perm {
+		perm[r] = isa.RegID(r)
 	}
+	return perm
+}
+
+// renumber applies a register permutation to every operand of the program
+// in place. RZ is never remapped.
+func renumber(p *isa.Program, perm *regPerm) {
 	for _, in := range p.Instrs {
 		if in.Dst.Kind == isa.OpdReg {
-			in.Dst.Reg = mapReg(in.Dst.Reg)
+			in.Dst.Reg = perm[in.Dst.Reg]
 		}
 		for i := 0; i < isa.MaxSrcOperands; i++ {
 			if in.Srcs[i].Kind == isa.OpdReg {
-				in.Srcs[i].Reg = mapReg(in.Srcs[i].Reg)
+				in.Srcs[i].Reg = perm[in.Srcs[i].Reg]
 			}
 		}
 		for i, r := range in.PbrRegs {
-			in.PbrRegs[i] = mapReg(r)
+			in.PbrRegs[i] = perm[r]
 		}
 	}
 }
@@ -44,17 +52,18 @@ func renumber(p *isa.Program, perm map[isa.RegID]isa.RegID) {
 // long-lived registers are dealt round-robin across banks by descending
 // liveness weight. Clustering them in one bank would both raise operand
 // collector conflicts and starve that bank's allocator under GPU-shrink.
-func exemptPermutation(used []isa.RegID, exempt []isa.RegID, stats []RegStat) (map[isa.RegID]isa.RegID, error) {
-	isExempt := map[isa.RegID]bool{}
+func exemptPermutation(used []isa.RegID, exempt []isa.RegID, stats []RegStat) (regPerm, error) {
+	perm := identityPerm()
+	var isExempt liveness.RegSet
 	for _, r := range exempt {
 		if r == isa.RZ {
-			return nil, fmt.Errorf("compiler: rz cannot be exempt")
+			return perm, fmt.Errorf("compiler: rz cannot be exempt")
 		}
-		isExempt[r] = true
+		isExempt = isExempt.Add(r)
 	}
 	// Liveness weight: total expected mapped time (value instances x
 	// average lifetime).
-	weight := map[isa.RegID]float64{}
+	var weight [isa.RZ + 1]float64
 	for _, st := range stats {
 		defs := st.Defs
 		if defs < 1 {
@@ -62,34 +71,34 @@ func exemptPermutation(used []isa.RegID, exempt []isa.RegID, stats []RegStat) (m
 		}
 		weight[st.Reg] = st.AvgLifetime * float64(defs)
 	}
-	var exemptRegs, renamRegs []isa.RegID
+	var exemptBuf, renamBuf [isa.RZ]isa.RegID
+	exemptRegs, renamRegs := exemptBuf[:0], renamBuf[:0]
 	for _, r := range used {
-		if isExempt[r] {
+		if isExempt.Has(r) {
 			exemptRegs = append(exemptRegs, r)
 		} else {
 			renamRegs = append(renamRegs, r)
 		}
 	}
-	perm := make(map[isa.RegID]isa.RegID, len(used))
 	var bankWeight [4]float64
 	assign := func(regs []isa.RegID, firstID int) {
-		order := append([]isa.RegID(nil), regs...)
-		sort.Slice(order, func(i, j int) bool {
-			if weight[order[i]] != weight[order[j]] {
-				return weight[order[i]] > weight[order[j]]
+		// Heaviest first; the order is total (registers are distinct).
+		slices.SortFunc(regs, func(a, b isa.RegID) int {
+			if weight[a] != weight[b] {
+				if weight[a] > weight[b] {
+					return -1
+				}
+				return 1
 			}
-			return order[i] < order[j]
+			return cmp.Compare(a, b)
 		})
-		free := make([]bool, len(regs))
-		for i := range free {
-			free[i] = true
-		}
-		for _, r := range order {
+		var taken [isa.RZ]bool
+		for _, r := range regs {
 			// Pick the free id in this class whose bank carries the least
 			// accumulated weight.
 			best, bestW := -1, 0.0
-			for i, ok := range free {
-				if !ok {
+			for i := range regs {
+				if taken[i] {
 					continue
 				}
 				bw := bankWeight[(firstID+i)%4]
@@ -97,9 +106,8 @@ func exemptPermutation(used []isa.RegID, exempt []isa.RegID, stats []RegStat) (m
 					best, bestW = i, bw
 				}
 			}
-			free[best] = false
-			id := isa.RegID(firstID + best)
-			perm[r] = id
+			taken[best] = true
+			perm[r] = isa.RegID(firstID + best)
 			bankWeight[(firstID+best)%4] += weight[r]
 		}
 	}

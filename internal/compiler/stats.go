@@ -1,7 +1,9 @@
 package compiler
 
 import (
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
 
 	"regvirt/internal/isa"
 	"regvirt/internal/liveness"
@@ -25,42 +27,48 @@ type RegStat struct {
 }
 
 // registerStats estimates per-register value lifetimes against a release
-// plan computed with every register considered renameable.
-func registerStats(li *liveness.Info, plan *releasePlan) []RegStat {
+// plan computed with every register considered renameable. used is the
+// program's UsedRegs. One backward sweep pairs each definition with the
+// next release point of its register.
+func registerStats(li *liveness.Info, plan *releasePlan, used []isa.RegID) []RegStat {
 	prog := li.G.Prog
-	defs := map[isa.RegID][]int{}
-	for pc, in := range prog.Instrs {
-		if d, ok := in.DstReg(); ok {
-			defs[d] = append(defs[d], pc)
+	n := len(prog.Instrs)
+	var (
+		next  [isa.RZ + 1]int // next release pc after the sweep position, -1 for none
+		total [isa.RZ + 1]int // summed lifetimes of the register's definitions
+		defs  [isa.RZ + 1]int
+	)
+	for r := range next {
+		next[r] = -1
+	}
+	for pc := n - 1; pc >= 0; pc-- {
+		if d, ok := prog.Instrs[pc].DstReg(); ok {
+			defs[d]++
+			if next[d] < 0 {
+				// Value written after the last release point: lives to
+				// the end of the program.
+				total[d] += n - pc
+			} else {
+				total[d] += next[d] - pc
+			}
+		}
+		for rel := uint64(plan.released[pc]); rel != 0; rel &= rel - 1 {
+			next[bits.TrailingZeros64(rel)] = pc
 		}
 	}
-	var out []RegStat
-	for _, r := range prog.UsedRegs() {
-		st := RegStat{Reg: r, Defs: len(defs[r])}
-		pcs := plan.releasePCs[r]
-		if len(pcs) == 0 {
+	out := make([]RegStat, 0, len(used))
+	for _, r := range used {
+		st := RegStat{Reg: r, Defs: defs[r]}
+		switch {
+		case next[r] < 0:
 			st.LongLived = true
-			st.AvgLifetime = float64(len(prog.Instrs))
-		} else {
-			total, n := 0, 0
-			for _, d := range defs[r] {
-				i := sort.SearchInts(pcs, d+1)
-				if i == len(pcs) {
-					// Value written after the last release point: lives to
-					// the end of the program.
-					total += len(prog.Instrs) - d
-				} else {
-					total += pcs[i] - d
-				}
-				n++
-			}
-			if n == 0 {
-				// Read-only input register (defined by the launcher):
-				// lifetime runs from program start to its first release.
-				total = pcs[0] + 1
-				n = 1
-			}
-			st.AvgLifetime = float64(total) / float64(n)
+			st.AvgLifetime = float64(n)
+		case defs[r] == 0:
+			// Read-only input register (defined by the launcher):
+			// lifetime runs from program start to its first release.
+			st.AvgLifetime = float64(next[r] + 1)
+		default:
+			st.AvgLifetime = float64(total[r]) / float64(defs[r])
 		}
 		out = append(out, st)
 	}
@@ -77,19 +85,26 @@ func selectRenameable(stats []RegStat, capacity int) (renameable liveness.RegSet
 		capacity = 0
 	}
 	order := append([]RegStat(nil), stats...)
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
+	// The comparison is a total order (registers are distinct), so any
+	// correct sort yields the same selection.
+	slices.SortFunc(order, func(a, b RegStat) int {
 		if a.LongLived != b.LongLived {
-			return !a.LongLived
+			if a.LongLived {
+				return 1
+			}
+			return -1
 		}
-		if a.AvgLifetime != b.AvgLifetime {
-			return a.AvgLifetime < b.AvgLifetime
+		if c := cmp.Compare(a.AvgLifetime, b.AvgLifetime); c != 0 {
+			return c
 		}
-		if a.Defs != b.Defs {
-			return a.Defs < b.Defs
+		if c := cmp.Compare(a.Defs, b.Defs); c != 0 {
+			return c
 		}
-		return a.Reg < b.Reg
+		return cmp.Compare(a.Reg, b.Reg)
 	})
+	if len(order) > capacity {
+		exempt = make([]isa.RegID, 0, len(order)-capacity)
+	}
 	for i, st := range order {
 		if i < capacity {
 			renameable = renameable.Add(st.Reg)
@@ -97,6 +112,6 @@ func selectRenameable(stats []RegStat, capacity int) (renameable liveness.RegSet
 			exempt = append(exempt, st.Reg)
 		}
 	}
-	sort.Slice(exempt, func(i, j int) bool { return exempt[i] < exempt[j] })
+	slices.Sort(exempt)
 	return renameable, exempt
 }

@@ -21,7 +21,11 @@ type Instr struct {
 
 	Dst  Operand                 // destination register (if Op.WritesReg)
 	Srcs [MaxSrcOperands]Operand // source operands, in encoding order
-	NSrc int                     // number of used source slots
+	// Rel is release metadata, filled by the compiler (§6.2). Rel[i]
+	// mirrors the pir bit for source slot i: release Srcs[i].Reg after
+	// this read.
+	Rel  [MaxSrcOperands]bool
+	NSrc int // number of used source slots
 
 	// ISetp fields.
 	SetPred int8  // destination predicate register, -1 if none
@@ -39,10 +43,6 @@ type Instr struct {
 	TargetLabel string
 	Target      int
 	Reconv      int
-
-	// Release metadata, filled by the compiler (§6.2). Rel[i] mirrors the
-	// pir bit for source slot i: release Srcs[i].Reg after this read.
-	Rel [MaxSrcOperands]bool
 
 	// PirFlags is the 54-bit payload of a pir metadata instruction:
 	// eighteen 3-bit groups covering the next 18 instructions, group g in

@@ -27,11 +27,28 @@ func (e *ParseError) Error() string { return fmt.Sprintf("isa: line %d: %s", e.L
 // registers (%tid.x, ...), predicates (p0..p3), and memory references
 // [rN+off].
 func Parse(src string) (*Program, error) {
-	p := &Program{Labels: make(map[string]int)}
-	for i, raw := range strings.Split(src, "\n") {
-		line := i + 1
-		text := stripComment(raw)
-		text = strings.TrimSpace(text)
+	// A first pass counts instructions and labels, so the instructions
+	// land in one exact-length slab and the label map is sized once.
+	nInstrs, nLabels := 0, 0
+	for rest := src; rest != ""; {
+		var raw string
+		raw, rest, _ = strings.Cut(rest, "\n")
+		switch text := strings.TrimSpace(stripComment(raw)); {
+		case text == "", isDirective(text):
+		case strings.HasSuffix(text, ":"):
+			nLabels++
+		default:
+			nInstrs++
+		}
+	}
+	p := &Program{Labels: make(map[string]int, nLabels)}
+	slab := make([]Instr, 0, nInstrs)
+	line := 0
+	for rest := src; rest != ""; {
+		var raw string
+		raw, rest, _ = strings.Cut(rest, "\n")
+		line++
+		text := strings.TrimSpace(stripComment(raw))
 		if text == "" {
 			continue
 		}
@@ -55,15 +72,17 @@ func Parse(src string) (*Program, error) {
 			if _, dup := p.Labels[name]; dup {
 				return nil, &ParseError{line, fmt.Sprintf("duplicate label %q", name)}
 			}
-			p.Labels[name] = len(p.Instrs)
+			p.Labels[name] = len(slab)
 		default:
-			in, err := parseInstr(text)
-			if err != nil {
+			slab = append(slab, Instr{PC: len(slab)})
+			if err := parseInstr(&slab[len(slab)-1], text); err != nil {
 				return nil, &ParseError{line, err.Error()}
 			}
-			in.PC = len(p.Instrs)
-			p.Instrs = append(p.Instrs, in)
 		}
+	}
+	p.Instrs = make([]*Instr, len(slab))
+	for i := range slab {
+		p.Instrs[i] = &slab[i]
 	}
 	if p.Name == "" {
 		// Keep print/parse round-trips closed for sources without a
@@ -77,6 +96,12 @@ func Parse(src string) (*Program, error) {
 		return nil, err
 	}
 	return p, nil
+}
+
+// isDirective reports whether a trimmed source line is a .kernel or
+// .reg directive rather than a label or an instruction.
+func isDirective(text string) bool {
+	return strings.HasPrefix(text, ".kernel") || strings.HasPrefix(text, ".reg")
 }
 
 // MustParse is Parse that panics on error; for tests and the built-in
@@ -112,18 +137,20 @@ func validLabel(s string) bool {
 	return true
 }
 
-func parseInstr(text string) (*Instr, error) {
-	in := &Instr{Guard: NoPred, SetPred: -1, Target: -1, Reconv: -1}
+// parseInstr decodes one instruction line into in, whose PC the caller
+// has set.
+func parseInstr(in *Instr, text string) error {
+	in.Guard, in.SetPred, in.Target, in.Reconv = NoPred, -1, -1, -1
 
 	// Optional predicate guard.
 	if strings.HasPrefix(text, "@") {
 		sp := strings.IndexAny(text, " \t")
 		if sp < 0 {
-			return nil, fmt.Errorf("guard without instruction")
+			return fmt.Errorf("guard without instruction")
 		}
 		g, err := parseGuard(text[:sp])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		in.Guard = g
 		text = strings.TrimSpace(text[sp:])
@@ -134,7 +161,8 @@ func parseInstr(text string) (*Instr, error) {
 	if !strings.HasPrefix(op, ".") { // .pir/.pbr keep their leading dot
 		mnemonic, mod, _ = strings.Cut(op, ".")
 	}
-	args := splitArgs(rest)
+	var argBuf [PbrMaxRegs]string
+	args := splitArgs(rest, argBuf[:0])
 
 	switch mnemonic {
 	case "nop":
@@ -146,72 +174,66 @@ func parseInstr(text string) (*Instr, error) {
 	case "bra":
 		in.Op = OpBra
 		if len(args) != 1 {
-			return nil, fmt.Errorf("bra takes one target")
+			return fmt.Errorf("bra takes one target")
 		}
-		if pc, err := strconv.Atoi(strings.TrimPrefix(args[0], "@")); err == nil && strings.HasPrefix(args[0], "@") {
+		if num, ok := strings.CutPrefix(args[0], "@"); ok {
+			pc, err := strconv.Atoi(num)
+			if err != nil {
+				return fmt.Errorf("invalid branch target %q", args[0])
+			}
 			in.Target = pc
 		} else if validLabel(args[0]) {
 			in.TargetLabel = args[0]
 		} else {
-			return nil, fmt.Errorf("invalid branch target %q", args[0])
+			return fmt.Errorf("invalid branch target %q", args[0])
 		}
 	case "mov", "movi", "s2r", "rcp":
-		ops := map[string]Opcode{"mov": OpMov, "movi": OpMovi, "s2r": OpS2R, "rcp": OpRcp}
-		in.Op = ops[mnemonic]
+		in.Op = opNamed(mnemonic)
 		if err := parseDstSrcs(in, args, 1); err != nil {
-			return nil, err
+			return err
 		}
 	case "iadd", "isub", "imul", "and", "or", "xor", "shl", "shr", "fadd", "fmul":
-		ops := map[string]Opcode{
-			"iadd": OpIAdd, "isub": OpISub, "imul": OpIMul, "and": OpAnd,
-			"or": OpOr, "xor": OpXor, "shl": OpShl, "shr": OpShr,
-			"fadd": OpFAdd, "fmul": OpFMul,
-		}
-		in.Op = ops[mnemonic]
+		in.Op = opNamed(mnemonic)
 		if err := parseDstSrcs(in, args, 2); err != nil {
-			return nil, err
+			return err
 		}
 	case "imad", "ffma":
-		if mnemonic == "imad" {
-			in.Op = OpIMad
-		} else {
-			in.Op = OpFFma
-		}
+		in.Op = opNamed(mnemonic)
 		if err := parseDstSrcs(in, args, 3); err != nil {
-			return nil, err
+			return err
 		}
 	case "sel":
 		in.Op = OpSel
 		if len(args) != 4 {
-			return nil, fmt.Errorf("sel takes rd, ra, rb, pN")
+			return fmt.Errorf("sel takes rd, ra, rb, pN")
 		}
 		if err := parseDstSrcs(in, args[:3], 2); err != nil {
-			return nil, err
+			return err
 		}
 		pr, neg, err := parsePredName(args[3])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		in.Guard = Pred{Reg: pr, Neg: neg}
 	case "isetp":
 		in.Op = OpISetp
 		c, err := parseCmp(mod)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		in.Cmp = c
 		if len(args) != 3 {
-			return nil, fmt.Errorf("isetp takes pd, ra, rb")
+			return fmt.Errorf("isetp takes pd, ra, rb")
 		}
 		pr, neg, err := parsePredName(args[0])
 		if err != nil || neg {
-			return nil, fmt.Errorf("isetp destination must be a plain predicate")
+			return fmt.Errorf("isetp destination must be a plain predicate")
 		}
 		in.SetPred = pr
 		for i, a := range args[1:] {
 			o, err := parseOperand(a)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			in.Srcs[i] = o
 		}
@@ -220,20 +242,20 @@ func parseInstr(text string) (*Instr, error) {
 		in.Op = OpLd
 		sp, err := parseSpace(mod)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		in.Space = sp
 		if len(args) != 2 {
-			return nil, fmt.Errorf("ld takes rd, [addr]")
+			return fmt.Errorf("ld takes rd, [addr]")
 		}
 		d, err := parseOperand(args[0])
 		if err != nil || d.Kind != OpdReg {
-			return nil, fmt.Errorf("ld destination must be a register")
+			return fmt.Errorf("ld destination must be a register")
 		}
 		in.Dst = d
 		base, off, err := parseMemRef(args[1])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		in.Srcs[0] = base
 		in.MemOff = off
@@ -242,19 +264,19 @@ func parseInstr(text string) (*Instr, error) {
 		in.Op = OpSt
 		sp, err := parseSpace(mod)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		in.Space = sp
 		if len(args) != 2 {
-			return nil, fmt.Errorf("st takes [addr], rs")
+			return fmt.Errorf("st takes [addr], rs")
 		}
 		base, off, err := parseMemRef(args[0])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		v, err := parseOperand(args[1])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		in.Srcs[0] = base
 		in.Srcs[1] = v
@@ -263,29 +285,29 @@ func parseInstr(text string) (*Instr, error) {
 	case ".pir":
 		in.Op = OpPir
 		if len(args) != 1 {
-			return nil, fmt.Errorf(".pir takes one hex payload")
+			return fmt.Errorf(".pir takes one hex payload")
 		}
 		v, err := strconv.ParseUint(strings.TrimPrefix(args[0], "0x"), 16, 64)
 		if err != nil || v >= 1<<54 {
-			return nil, fmt.Errorf("invalid .pir payload %q", args[0])
+			return fmt.Errorf("invalid .pir payload %q", args[0])
 		}
 		in.PirFlags = v
 	case ".pbr":
 		in.Op = OpPbr
 		if len(args) == 0 || len(args) > PbrMaxRegs {
-			return nil, fmt.Errorf(".pbr takes 1..%d registers", PbrMaxRegs)
+			return fmt.Errorf(".pbr takes 1..%d registers", PbrMaxRegs)
 		}
 		for _, a := range args {
 			o, err := parseOperand(a)
 			if err != nil || o.Kind != OpdReg {
-				return nil, fmt.Errorf("invalid .pbr register %q", a)
+				return fmt.Errorf("invalid .pbr register %q", a)
 			}
 			in.PbrRegs = append(in.PbrRegs, o.Reg)
 		}
 	default:
-		return nil, fmt.Errorf("unknown mnemonic %q", mnemonic)
+		return fmt.Errorf("unknown mnemonic %q", mnemonic)
 	}
-	return in, nil
+	return nil
 }
 
 func splitOp(text string) (op, rest string) {
@@ -295,15 +317,31 @@ func splitOp(text string) (op, rest string) {
 	return text, ""
 }
 
-func splitArgs(rest string) []string {
+// opNamed returns the opcode whose mnemonic is name (the caller has
+// matched name against a known mnemonic).
+func opNamed(name string) Opcode {
+	for op, n := range opNames {
+		if n == name {
+			return Opcode(op)
+		}
+	}
+	return OpNop
+}
+
+// splitArgs appends the comma-separated, trimmed operands of rest to
+// dst and returns it.
+func splitArgs(rest string, dst []string) []string {
 	if rest == "" {
-		return nil
+		return dst
 	}
-	parts := strings.Split(rest, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
+	for {
+		arg, tail, more := strings.Cut(rest, ",")
+		dst = append(dst, strings.TrimSpace(arg))
+		if !more {
+			return dst
+		}
+		rest = tail
 	}
-	return parts
 }
 
 func parseDstSrcs(in *Instr, args []string, nsrc int) error {

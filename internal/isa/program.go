@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -21,18 +22,32 @@ type Program struct {
 
 // Clone returns a deep copy of the program. Compiler passes operate on
 // clones so the pristine kernel remains available for baseline runs.
+// The copied instructions share one exact-length slab, and so do their
+// pbr register lists.
 func (p *Program) Clone() *Program {
 	q := &Program{Name: p.Name, RegCount: p.RegCount, Labels: make(map[string]int, len(p.Labels))}
 	for k, v := range p.Labels {
 		q.Labels[k] = v
 	}
+	nPbr := 0
+	for _, in := range p.Instrs {
+		nPbr += len(in.PbrRegs)
+	}
+	var pbrRegs []RegID
+	if nPbr > 0 {
+		pbrRegs = make([]RegID, 0, nPbr)
+	}
+	slab := make([]Instr, len(p.Instrs))
 	q.Instrs = make([]*Instr, len(p.Instrs))
 	for i, in := range p.Instrs {
-		cp := *in
-		if in.PbrRegs != nil {
-			cp.PbrRegs = append([]RegID(nil), in.PbrRegs...)
+		slab[i] = *in
+		slab[i].PbrRegs = nil
+		if len(in.PbrRegs) > 0 {
+			at := len(pbrRegs)
+			pbrRegs = append(pbrRegs, in.PbrRegs...)
+			slab[i].PbrRegs = pbrRegs[at:len(pbrRegs):len(pbrRegs)]
 		}
-		q.Instrs[i] = &cp
+		q.Instrs[i] = &slab[i]
 	}
 	return q
 }
@@ -87,10 +102,9 @@ func (p *Program) InsertAt(at int, ins ...*Instr) {
 // program (excluding RZ), or -1 if no registers are used.
 func (p *Program) MaxUsedReg() int {
 	max := -1
-	var scratch []RegID
+	var scratch [MaxSrcOperands]RegID
 	for _, in := range p.Instrs {
-		scratch = in.SrcRegs(scratch[:0])
-		for _, r := range scratch {
+		for _, r := range in.SrcRegs(scratch[:0]) {
 			if int(r) > max {
 				max = int(r)
 			}
@@ -104,24 +118,24 @@ func (p *Program) MaxUsedReg() int {
 
 // UsedRegs returns the sorted set of architected registers referenced.
 func (p *Program) UsedRegs() []RegID {
-	var seen [MaxRegsPerThread + 1]bool
-	var scratch []RegID
+	var seen uint64 // bit r: register r is referenced (RZ excluded)
+	var scratch [MaxSrcOperands]RegID
 	for _, in := range p.Instrs {
-		scratch = in.SrcRegs(scratch[:0])
-		for _, r := range scratch {
-			seen[r] = true
+		for _, r := range in.SrcRegs(scratch[:0]) {
+			seen |= 1 << r
 		}
 		if d, ok := in.DstReg(); ok {
-			seen[d] = true
+			seen |= 1 << d
 		}
 	}
-	var out []RegID
-	for r, ok := range seen {
-		if ok && RegID(r) != RZ {
-			out = append(out, RegID(r))
-		}
+	seen &^= 1 << RZ
+	if seen == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]RegID, 0, bits.OnesCount64(seen))
+	for ; seen != 0; seen &= seen - 1 {
+		out = append(out, RegID(bits.TrailingZeros64(seen)))
+	}
 	return out
 }
 
@@ -130,6 +144,9 @@ func (p *Program) UsedRegs() []RegID {
 func (p *Program) Validate() error {
 	if len(p.Instrs) == 0 {
 		return fmt.Errorf("isa: %s: empty program", p.Name)
+	}
+	if p.RegCount < 0 || p.RegCount > MaxRegsPerThread {
+		return fmt.Errorf("isa: %s: .reg %d out of range 0..%d", p.Name, p.RegCount, MaxRegsPerThread)
 	}
 	for pc, in := range p.Instrs {
 		if in.PC != pc {
@@ -154,7 +171,9 @@ func (p *Program) Validate() error {
 				return fmt.Errorf("isa: %s: pc %d reads r%d beyond declared .reg %d", p.Name, pc, r, p.RegCount)
 			}
 		}
-		if d, ok := in.DstReg(); ok && int(d) >= p.RegCount && d != RZ {
+		if d, ok := in.DstReg(); ok && d > RZ {
+			return fmt.Errorf("isa: %s: register out of range at pc %d", p.Name, pc)
+		} else if ok && int(d) >= p.RegCount {
 			return fmt.Errorf("isa: %s: pc %d writes r%d beyond declared .reg %d", p.Name, pc, d, p.RegCount)
 		}
 		for _, r := range in.PbrRegs {

@@ -199,3 +199,56 @@ func TestValidateRejectsOutOfRangeReads(t *testing.T) {
 		t.Error("out-of-range pbr accepted")
 	}
 }
+
+// TestValidateBoundsDecodedRegisters feeds Validate programs from both
+// decoders that carry register ids Parse would refuse: a .reg above
+// MaxRegsPerThread, and a destination above RZ. Later passes index
+// per-register tables by these ids, so Validate must refuse them.
+func TestValidateBoundsDecodedRegisters(t *testing.T) {
+	const src = ".kernel k\n.reg 4\n movi r1, 5\n st.global [r1+0], r1\n exit"
+
+	// Unmarshal takes .reg and every register id from its input.
+	p := MustParse(src)
+	p.RegCount = 255
+	p.Instrs[0].Dst = R(200)
+	data, err := p.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.RegCount != 255 || q.Instrs[0].Dst.Reg != 200 {
+		t.Fatalf("round trip lost the test's registers: .reg %d, dst %v", q.RegCount, q.Instrs[0].Dst)
+	}
+	if err := q.Validate(); err == nil {
+		t.Error("Unmarshal: .reg 255 validated")
+	}
+	q.RegCount = MaxRegsPerThread
+	if err := q.Validate(); err == nil {
+		t.Error("Unmarshal: a write to r200 validated")
+	}
+
+	// DecodeBinary's register fields are six bits wide, but .reg comes
+	// from the header word.
+	words, err := EncodeBinary(MustParse(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	words[0] = words[0]&0xffffffff | 255<<32
+	b, err := DecodeBinary(words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.RegCount != 255 {
+		t.Fatalf("DecodeBinary: .reg %d, want 255", b.RegCount)
+	}
+	if err := b.Validate(); err == nil {
+		t.Error("DecodeBinary: .reg 255 validated")
+	}
+	b.RegCount = MaxRegsPerThread
+	if err := b.Validate(); err != nil {
+		t.Errorf("DecodeBinary: .reg %d refused: %v", MaxRegsPerThread, err)
+	}
+}

@@ -109,13 +109,12 @@ func (p *Pool) Restore(recovered []RecoveredJob) int {
 // from the latest checkpoint if one exists, checkpoint periodically
 // (and on drain or preemption cancellation), persist the result, and
 // journal deterministic failures. Runs on a worker goroutine inside
-// runJobContained's panic barrier. e, when non-nil, is the job's
-// preemption handle: closing it cancels the run the same way a drain
-// does, and the resulting cancellation is reported as errPreempted so
-// the dispatch loop re-enqueues instead of failing the waiters.
-func (p *Pool) runDurable(ctx context.Context, job Job, e *execution) (*Result, error) {
-	id := job.Key()
-
+// runJobContained's panic barrier; id is job.Key(). e, when non-nil, is
+// the job's preemption handle: closing it cancels the run the same way
+// a drain does, and the resulting cancellation is reported as
+// errPreempted so the dispatch loop re-enqueues instead of failing the
+// waiters.
+func (p *Pool) runDurable(ctx context.Context, job Job, id string, e *execution) (*Result, error) {
 	// A drain interrupt or a preemption must reach the simulation as a
 	// cancellation so it emits its final checkpoint inside the window.
 	parent := ctx
@@ -170,7 +169,7 @@ func (p *Pool) runDurable(ctx context.Context, job Job, e *execution) (*Result, 
 		}
 	}
 
-	res, err := execute(ctx, job, p.kernels, p.faults.Hook(), hooks)
+	res, err := execute(ctx, job, id, p.kernels, p.faults.Hook(), hooks)
 	if err != nil {
 		if e != nil && e.interrupted() && parent.Err() == nil && !p.isStopping() &&
 			(errors.Is(err, sim.ErrCancelled) || errors.Is(err, context.Canceled)) {

@@ -240,7 +240,7 @@ func (j Job) Validate() error {
 		return fmt.Errorf("jobs: spill_regs requires mode \"smemspill\" (got %q)", j.Mode)
 	}
 	if j.Workload != "" {
-		if _, err := workloads.ByName(j.Workload); err != nil {
+		if err := workloads.CheckName(j.Workload); err != nil {
 			return fmt.Errorf("jobs: %w", err)
 		}
 	}
@@ -356,7 +356,7 @@ func Execute(ctx context.Context, j Job) (res *Result, err error) {
 			res, err = nil, toPanicError(v)
 		}
 	}()
-	return execute(ctx, j, nil, nil, runHooks{})
+	return execute(ctx, j, j.Key(), nil, nil, runHooks{})
 }
 
 // runHooks threads the pool's durability callbacks into one execution:
@@ -370,9 +370,10 @@ type runHooks struct {
 	resume     *sim.Checkpoint
 }
 
-// execute runs one job. faultHook, when non-nil, is threaded into
-// sim.Config.FaultHook (the pool passes its injector's hook here).
-func execute(ctx context.Context, j Job, kernels *Cache[kernelKey, *compiler.Kernel], faultHook func(string) error, hooks runHooks) (*Result, error) {
+// execute runs one job; key is j.Key(), stamped as the result's ID.
+// faultHook, when non-nil, is threaded into sim.Config.FaultHook (the
+// pool passes its injector's hook here).
+func execute(ctx context.Context, j Job, key string, kernels *Cache[kernelKey, *compiler.Kernel], faultHook func(string) error, hooks runHooks) (*Result, error) {
 	if err := j.Validate(); err != nil {
 		return nil, err
 	}
@@ -430,7 +431,7 @@ func execute(ctx context.Context, j Job, kernels *Cache[kernelKey, *compiler.Ker
 			return nil, gerr
 		}
 		r := ResultFromGPU(k, cfg, tableBytes, g)
-		r.ID = j.Key()
+		r.ID = key
 		return r, nil
 	}
 	var res *sim.Result
@@ -447,6 +448,6 @@ func execute(ctx context.Context, j Job, kernels *Cache[kernelKey, *compiler.Ker
 		return nil, rerr
 	}
 	r := ResultFromSim(k, cfg, tableBytes, res)
-	r.ID = j.Key()
+	r.ID = key
 	return r, nil
 }

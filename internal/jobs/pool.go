@@ -273,9 +273,13 @@ func (p *Pool) Submit(ctx context.Context, job Job) (*Result, error) {
 		return nil, err
 	}
 	tenant := job.schedTenant()
+	// The content address is computed once here and passed down: it
+	// names the cache entry, the persisted result, the journal entry
+	// and the result's ID.
+	key := job.Key()
 	// Correlation context first, so the submit span, every child span
 	// and every log line below carry the tenant and job ID.
-	ctx = obs.WithJobID(obs.WithTenant(ctx, tenant), job.Key())
+	ctx = obs.WithJobID(obs.WithTenant(ctx, tenant), key)
 	ctx, span := p.tracer.Start(ctx, "jobs.submit")
 	defer span.End()
 	_, asp := p.tracer.Start(ctx, "jobs.admit")
@@ -301,7 +305,7 @@ func (p *Pool) Submit(ctx context.Context, job Job) (*Result, error) {
 		defer cancel()
 	}
 	start := time.Now()
-	res, outcome, err := p.submitContained(ctx, job)
+	res, outcome, err := p.submitContained(ctx, job, key)
 	ms := float64(time.Since(start)) / float64(time.Millisecond)
 	p.m.lat.Observe(ms / 1000)
 	tc.lat.Observe(ms / 1000)
@@ -333,15 +337,15 @@ func outcomeLabel(o Outcome) string {
 
 // submitContained is the Submit body behind the panic barrier: a panic
 // escaping the cache layer (e.g. an injected fill fault) becomes a
-// *PanicError instead of unwinding into net/http.
-func (p *Pool) submitContained(ctx context.Context, job Job) (res *Result, outcome Outcome, err error) {
+// *PanicError instead of unwinding into net/http. key is job.Key().
+func (p *Pool) submitContained(ctx context.Context, job Job, key string) (res *Result, outcome Outcome, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			p.m.panicsRecovered.Add(1)
 			res, err = nil, toPanicError(v)
 		}
 	}()
-	res, outcome, err = p.results.Do(ctx, job.Key(), func() (*Result, error) {
+	res, outcome, err = p.results.Do(ctx, key, func() (*Result, error) {
 		// Counted at fill start (not on the Miss outcome) so the
 		// submitted == executed+deduped+hits invariant holds even when
 		// the fill panics out of Do.
@@ -351,7 +355,7 @@ func (p *Pool) submitContained(ctx context.Context, job Job) (res *Result, outco
 		// re-simulating.
 		if p.store != nil {
 			_, lsp := p.tracer.Start(ctx, "store.load")
-			r, ok := p.store.LoadResult(job.Key())
+			r, ok := p.store.LoadResult(key)
 			lsp.SetAttr("hit", strconv.FormatBool(ok))
 			lsp.End()
 			if ok {
@@ -367,14 +371,14 @@ func (p *Pool) submitContained(ctx context.Context, job Job) (res *Result, outco
 		// same job already journaled it).
 		if p.store != nil {
 			_, jsp := p.tracer.Start(ctx, "journal.accept")
-			aerr := p.store.Accept(job.Key(), job, false)
+			aerr := p.store.Accept(key, job, false)
 			jsp.SetError(aerr)
 			jsp.End()
 			if aerr != nil {
 				return nil, aerr
 			}
 		}
-		return p.runOnWorker(ctx, job)
+		return p.runOnWorker(ctx, job, key)
 	})
 	switch outcome {
 	case Hit:
@@ -476,7 +480,7 @@ func (p *Pool) maybePreempt(priority int) {
 // a retry hint instead of waiting unboundedly. A preempted dispatch
 // loops: the job re-enqueues exempt from quotas (its slot was admitted
 // once already) and resumes from its journaled checkpoint.
-func (p *Pool) runOnWorker(ctx context.Context, job Job) (*Result, error) {
+func (p *Pool) runOnWorker(ctx context.Context, job Job, key string) (*Result, error) {
 	tenant := job.schedTenant()
 	if depth := p.m.queued.Load(); depth >= int64(p.shedDepth) {
 		p.m.shed.Add(1)
@@ -485,7 +489,7 @@ func (p *Pool) runOnWorker(ctx context.Context, job Job) (*Result, error) {
 	}
 	exempt := false
 	for {
-		res, err := p.dispatch(ctx, job, exempt)
+		res, err := p.dispatch(ctx, job, key, exempt)
 		if !errors.Is(err, errPreempted) {
 			return res, err
 		}
@@ -496,7 +500,7 @@ func (p *Pool) runOnWorker(ctx context.Context, job Job) (*Result, error) {
 }
 
 // dispatch enqueues one attempt at the job and waits for its outcome.
-func (p *Pool) dispatch(ctx context.Context, job Job, exempt bool) (*Result, error) {
+func (p *Pool) dispatch(ctx context.Context, job Job, key string, exempt bool) (*Result, error) {
 	type out struct {
 		res *Result
 		err error
@@ -519,7 +523,7 @@ func (p *Pool) dispatch(ctx context.Context, job Job, exempt bool) (*Result, err
 				return
 			}
 			p.registerExec(e)
-			res, err := p.runJobContained(ctx, job, e)
+			res, err := p.runJobContained(ctx, job, key, e)
 			p.unregisterExec(e)
 			ch <- out{res, err}
 		},
@@ -576,7 +580,7 @@ func (p *Pool) enqueueTask(task *sched.Task) error {
 // invariants that used to panic now return errors, but defense stays
 // in depth) becomes a *PanicError delivered to the submitter, the
 // flight is evicted, and the worker survives.
-func (p *Pool) runJobContained(ctx context.Context, job Job, e *execution) (res *Result, err error) {
+func (p *Pool) runJobContained(ctx context.Context, job Job, key string, e *execution) (res *Result, err error) {
 	ctx, span := p.tracer.Start(ctx, "sim.run")
 	// Registered before the recover defer (which runs first, LIFO) so a
 	// contained panic lands on the span as its *PanicError.
@@ -594,9 +598,9 @@ func (p *Pool) runJobContained(ctx context.Context, job Job, e *execution) (res 
 		return nil, ferr
 	}
 	if p.store != nil {
-		return p.runDurable(ctx, job, e)
+		return p.runDurable(ctx, job, key, e)
 	}
-	return execute(ctx, job, p.kernels, p.faults.Hook(), runHooks{})
+	return execute(ctx, job, key, p.kernels, p.faults.Hook(), runHooks{})
 }
 
 // retryAfter estimates when a shed (or quota-refused) client should

@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"sort"
+	"slices"
 
 	"regvirt/internal/compiler"
 	"regvirt/internal/power"
@@ -358,21 +358,24 @@ func ResultFromGPU(k *compiler.Kernel, cfg sim.Config, tableBytes int, g *sim.GP
 }
 
 // DigestStores hashes final global-memory content order-independently:
-// SHA-256 over the (address, value) pairs in ascending address order.
+// SHA-256 over the (address, value) pairs in ascending address order,
+// each pair as two little-endian uint32s. Each pair is packed into one
+// uint64, address in the high half, so sorting the packed pairs orders
+// them by address without reflection, and the sorted pairs are hashed
+// as one buffer.
 func DigestStores(stores map[uint32]uint32) string {
-	addrs := make([]uint32, 0, len(stores))
-	for a := range stores {
-		addrs = append(addrs, a)
+	pairs := make([]uint64, 0, len(stores))
+	for a, v := range stores {
+		pairs = append(pairs, uint64(a)<<32|uint64(v))
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	h := sha256.New()
-	var buf [8]byte
-	for _, a := range addrs {
-		binary.LittleEndian.PutUint32(buf[:4], a)
-		binary.LittleEndian.PutUint32(buf[4:], stores[a])
-		h.Write(buf[:])
+	slices.Sort(pairs)
+	buf := make([]byte, 8*len(pairs))
+	for i, p := range pairs {
+		binary.LittleEndian.PutUint32(buf[8*i:], uint32(p>>32))
+		binary.LittleEndian.PutUint32(buf[8*i+4:], uint32(p))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // JSON renders the result as indented, deterministic JSON (trailing

@@ -169,11 +169,18 @@ func (ss *StandbyStore) shardLocked(shard string) (*standbyShard, error) {
 	return sh, nil
 }
 
-// ApplyFrames appends shipped frames to the shard's copy in order,
-// fsyncing once at the end, and returns how many were newly applied.
-// Duplicates are skipped silently; the first gap or bad frame stops
-// the batch with ErrGap/ErrBadFrame (everything before it is kept —
-// it extended the copy validly).
+// ApplyFrames appends shipped frames to the shard's copy in order and
+// returns how many were newly applied. It fsyncs once at the end, and
+// only when the batch applied an accept: an accept is the primary's
+// durability promise, and the standby's copy must be as durable before
+// the primary acknowledges the job. Done and failed frames are not
+// fsynced, as on the primary; losing them in a standby crash is safe,
+// because Recover re-runs done jobs anyway, a lost failed record only
+// re-runs a job that fails again, and the shortened copy reports a gap
+// on the next ship, which resyncs it. A later accept's fsync (or
+// Recover's own) covers them. Duplicates are skipped silently; the
+// first gap or bad frame stops the batch with ErrGap/ErrBadFrame
+// (everything before it is kept — it extended the copy validly).
 func (ss *StandbyStore) ApplyFrames(shard string, frames []Frame) (applied int, err error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -184,6 +191,7 @@ func (ss *StandbyStore) ApplyFrames(shard string, frames []Frame) (applied int, 
 	if err != nil {
 		return 0, err
 	}
+	accepts := 0
 	for _, f := range frames {
 		rec, derr := f.Decode()
 		if derr != nil {
@@ -220,6 +228,7 @@ func (ss *StandbyStore) ApplyFrames(shard string, frames []Frame) (applied int, 
 		switch rec.Op {
 		case OpAccept:
 			sh.pending++
+			accepts++
 		case OpDone, OpFailed:
 			if sh.pending > 0 {
 				sh.pending--
@@ -227,7 +236,7 @@ func (ss *StandbyStore) ApplyFrames(shard string, frames []Frame) (applied int, 
 		}
 		applied++
 	}
-	if applied > 0 {
+	if accepts > 0 {
 		if serr := sh.f.Sync(); serr != nil && err == nil {
 			err = fmt.Errorf("store: standby: sync %s: %w", shard, serr)
 		}

@@ -21,6 +21,8 @@
 package liveness
 
 import (
+	"slices"
+
 	"regvirt/internal/cfg"
 	"regvirt/internal/isa"
 )
@@ -34,8 +36,9 @@ type Region struct {
 	// Reconv is the reconvergence block (ipdom), or cfg.VirtualExit when
 	// the paths only rejoin at warp exit.
 	Reconv int
-	// Blocks is the member set (excludes Branch and Reconv).
-	Blocks map[int]bool
+	// Blocks is the sorted member set (excludes Reconv, and Branch
+	// unless a back edge re-enters it).
+	Blocks []int
 }
 
 // Info holds the analysis results for one kernel.
@@ -62,11 +65,30 @@ type Info struct {
 	Regions []Region
 	// Accessed[b] is the set of registers read or written in block b.
 	Accessed []RegSet
+	// siblingUnsafe[b] is the set of registers some sibling block of a
+	// region containing b accesses, once walk[b] has walkDone set (see
+	// SiblingSafe).
+	siblingUnsafe []RegSet
+	// walk (per-block flags) and stack are siblingAccess's scratch,
+	// made on the first SiblingSafe query.
+	walk  []uint8
+	stack []int
 }
 
 // Analyze runs the analysis over a built CFG.
 func Analyze(g *cfg.Graph) *Info {
-	info := &Info{G: g}
+	n := len(g.Blocks)
+	// The per-block sets share one slab.
+	sets := make([]RegSet, 6*n)
+	info := &Info{
+		G:             g,
+		Accessed:      sets[0*n : 1*n : 1*n],
+		LiveIn:        sets[1*n : 2*n : 2*n],
+		LiveOut:       sets[2*n : 3*n : 3*n],
+		plainLiveIn:   sets[3*n : 4*n : 4*n],
+		force:         sets[4*n : 5*n : 5*n],
+		siblingUnsafe: sets[5*n : 6*n : 6*n],
+	}
 	info.findRegions()
 	info.computeBlockAccess()
 	info.solveDataflow()
@@ -77,48 +99,79 @@ func Analyze(g *cfg.Graph) *Info {
 
 // findRegions computes the divergent region of each conditional branch by
 // DFS from the branch successors, stopping at the reconvergence block.
+// Each region is marked in one shared row, listed, and cleared entry by
+// entry, so the work stays linear in the regions' total size.
 func (li *Info) findRegions() {
 	g := li.G
-	li.Divergent = make([]bool, len(g.Blocks))
+	n := len(g.Blocks)
+	li.Divergent = make([]bool, n)
+	nRegions := 0
 	for _, b := range g.Blocks {
-		last := g.Prog.Instrs[b.End-1]
-		if last.Op != isa.OpBra || !last.Guard.Guarded() {
+		if li.divergentBranch(b) {
+			nRegions++
+		}
+	}
+	if nRegions == 0 {
+		return
+	}
+	li.Regions = make([]Region, 0, nRegions)
+	member := make([]bool, n)
+	// Each marked block pushes at most its two successors.
+	stack := make([]int, 0, 2*n+2)
+	found := make([]int, 0, n) // the regions' blocks, back to back
+	for _, b := range g.Blocks {
+		if !li.divergentBranch(b) {
 			continue
 		}
-		r := Region{Branch: b.ID, Reconv: g.IPDom[b.ID], Blocks: map[int]bool{}}
-		var visit func(int)
-		visit = func(x int) {
-			if x == r.Reconv || r.Blocks[x] {
-				return
-			}
-			r.Blocks[x] = true
-			for _, s := range g.Blocks[x].Succs {
-				visit(s)
-			}
-		}
-		for _, s := range b.Succs {
-			visit(s)
-		}
-		// The branch block itself can be re-entered through a back edge
-		// (loop bodies include their header); if the DFS reached it, it is
-		// part of the region, otherwise it executes fully converged.
-		for x := range r.Blocks {
+		at := len(found)
+		found = li.markRegion(b, member, stack, found)
+		blocks := found[at:len(found):len(found)]
+		slices.Sort(blocks)
+		for _, x := range blocks {
+			// The branch block itself can be re-entered through a back
+			// edge (loop bodies include their header); if the DFS
+			// reached it, it is part of the region, otherwise it
+			// executes fully converged.
+			member[x] = false
 			li.Divergent[x] = true
 		}
-		li.Regions = append(li.Regions, r)
+		li.Regions = append(li.Regions, Region{Branch: b.ID, Reconv: g.IPDom[b.ID], Blocks: blocks})
 	}
+}
+
+// divergentBranch reports whether block b ends in a conditional branch.
+func (li *Info) divergentBranch(b *cfg.Block) bool {
+	last := li.G.Prog.Instrs[b.End-1]
+	return last.Op == isa.OpBra && last.Guard.Guarded()
+}
+
+// markRegion marks in member the blocks reachable from b's successors
+// without passing through b's reconvergence block, and appends them to
+// found. stack is scratch space of capacity 2n+2.
+func (li *Info) markRegion(b *cfg.Block, member []bool, stack, found []int) []int {
+	reconv := li.G.IPDom[b.ID]
+	stack = append(stack[:0], b.Succs...)
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if x == reconv || member[x] {
+			continue
+		}
+		member[x] = true
+		found = append(found, x)
+		stack = append(stack, li.G.Blocks[x].Succs...)
+	}
+	return found
 }
 
 func (li *Info) computeBlockAccess() {
 	g := li.G
-	li.Accessed = make([]RegSet, len(g.Blocks))
-	var scratch []isa.RegID
+	var scratch [isa.MaxSrcOperands]isa.RegID
 	for _, b := range g.Blocks {
 		var acc RegSet
 		for pc := b.Start; pc < b.End; pc++ {
 			in := g.Prog.Instrs[pc]
-			scratch = in.SrcRegs(scratch[:0])
-			for _, r := range scratch {
+			for _, r := range in.SrcRegs(scratch[:0]) {
 				acc = acc.Add(r)
 			}
 			if d, ok := in.DstReg(); ok {
@@ -145,15 +198,14 @@ func (li *Info) kills(in *isa.Instr) bool {
 func (li *Info) solveDataflow() {
 	g := li.G
 	n := len(g.Blocks)
-	gen := make([]RegSet, n)
-	kill := make([]RegSet, n)
-	var scratch []isa.RegID
+	genKill := make([]RegSet, 2*n)
+	gen, kill := genKill[:n], genKill[n:]
+	var scratch [isa.MaxSrcOperands]isa.RegID
 	for _, b := range g.Blocks {
 		var bgen, bkill RegSet
 		for pc := b.Start; pc < b.End; pc++ {
 			in := g.Prog.Instrs[pc]
-			scratch = in.SrcRegs(scratch[:0])
-			for _, r := range scratch {
+			for _, r := range in.SrcRegs(scratch[:0]) {
 				if !bkill.Has(r) {
 					bgen = bgen.Add(r)
 				}
@@ -165,8 +217,6 @@ func (li *Info) solveDataflow() {
 		gen[b.ID] = bgen
 		kill[b.ID] = bkill
 	}
-	li.LiveIn = make([]RegSet, n)
-	li.LiveOut = make([]RegSet, n)
 	for changed := true; changed; {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
@@ -183,19 +233,18 @@ func (li *Info) solveDataflow() {
 			}
 		}
 	}
-	li.plainLiveIn = append([]RegSet(nil), li.LiveIn...)
+	copy(li.plainLiveIn, li.LiveIn)
 }
 
 // computeForcing derives per-block forced-live sets from region
 // reconvergence points and folds them into LiveIn/LiveOut.
 func (li *Info) computeForcing() {
-	li.force = make([]RegSet, len(li.G.Blocks))
 	for _, reg := range li.Regions {
 		var f RegSet
 		if reg.Reconv >= 0 {
 			f = li.plainLiveIn[reg.Reconv]
 		}
-		for b := range reg.Blocks {
+		for _, b := range reg.Blocks {
 			li.force[b] = li.force[b].Union(f)
 		}
 	}
@@ -210,7 +259,7 @@ func (li *Info) computeForcing() {
 func (li *Info) computePointLiveness() {
 	g := li.G
 	li.LiveAfter = make([]RegSet, len(g.Prog.Instrs))
-	var scratch []isa.RegID
+	var scratch [isa.MaxSrcOperands]isa.RegID
 	for _, b := range g.Blocks {
 		live := li.LiveOut[b.ID]
 		for pc := b.End - 1; pc >= b.Start; pc-- {
@@ -219,8 +268,7 @@ func (li *Info) computePointLiveness() {
 			if d, ok := in.DstReg(); ok && li.kills(in) {
 				live = live.Remove(d)
 			}
-			scratch = in.SrcRegs(scratch[:0])
-			for _, r := range scratch {
+			for _, r := range in.SrcRegs(scratch[:0]) {
 				live = live.Add(r)
 			}
 		}
@@ -239,49 +287,88 @@ func (li *Info) ForceAt(b int) RegSet { return li.force[b] }
 // x, no *sibling* block of the region (one not mutually reachable with x
 // by region-internal paths) accesses r. Loop bodies remain release-friendly
 // because back edges make their blocks mutually reachable; if/else arms do
-// not (Fig. 4(b)).
+// not (Fig. 4(b)). The answer for x is computed on the first query and
+// cached in li, so an Info must not be queried concurrently.
 func (li *Info) SiblingSafe(r isa.RegID, x int) bool {
-	for _, reg := range li.Regions {
-		if !reg.Blocks[x] {
-			continue
-		}
-		reach := li.regionReachable(reg, x)
-		for y := range reg.Blocks {
-			if y == x || !li.Accessed[y].Has(r) {
-				continue
-			}
-			if !reach[y] && !li.regionReachable(reg, y)[x] {
-				return false
-			}
-		}
-	}
-	return true
+	return !li.siblingAccess(x).Has(r)
 }
 
-// regionReachable returns the set of region blocks reachable from x along
-// region-internal edges (not passing through the reconvergence block).
-func (li *Info) regionReachable(reg Region, x int) map[int]bool {
-	seen := map[int]bool{}
-	var visit func(int)
-	visit = func(b int) {
-		for _, s := range li.G.Blocks[b].Succs {
-			if reg.Blocks[s] && !seen[s] {
-				seen[s] = true
-				visit(s)
+// Bits of Info.walk.
+const (
+	walkDone     uint8 = 1 << iota // siblingUnsafe[b] holds b's answer
+	walkInRegion                   // b belongs to the region being walked
+	walkFwd                        // x reaches b inside the region
+	walkBwd                        // b reaches x inside the region
+)
+
+// siblingAccess returns the set of registers accessed by the siblings
+// of x: the blocks y of a region containing x where neither of x and y
+// reaches the other along region-internal edges (not passing through
+// the reconvergence block). It walks forward and backward from x once
+// per such region, so its memory is linear in the block count.
+func (li *Info) siblingAccess(x int) RegSet {
+	if li.walk == nil {
+		li.walk = make([]uint8, len(li.G.Blocks))
+		li.stack = make([]int, 0, len(li.G.Blocks)+1) // a block is pushed once, when marked
+	}
+	if li.walk[x]&walkDone != 0 {
+		return li.siblingUnsafe[x]
+	}
+	var acc RegSet
+	for _, reg := range li.Regions {
+		if _, in := slices.BinarySearch(reg.Blocks, x); !in || len(reg.Blocks) < 2 {
+			continue // a lone member has no siblings
+		}
+		for _, b := range reg.Blocks {
+			li.walk[b] |= walkInRegion
+		}
+		li.reachInRegion(x, walkFwd)
+		li.reachInRegion(x, walkBwd)
+		for _, y := range reg.Blocks {
+			if y != x && li.walk[y]&(walkFwd|walkBwd) == 0 {
+				acc |= li.Accessed[y]
+			}
+			li.walk[y] &^= walkInRegion | walkFwd | walkBwd
+		}
+	}
+	li.siblingUnsafe[x] = acc
+	li.walk[x] |= walkDone
+	return acc
+}
+
+// reachInRegion marks with bit (walkFwd along Succs, walkBwd along
+// Preds) every block of the walked region that a non-empty path of
+// region blocks connects to x.
+func (li *Info) reachInRegion(x int, bit uint8) {
+	stack := append(li.stack[:0], x)
+	for len(stack) > 0 {
+		b := li.G.Blocks[stack[len(stack)-1]]
+		stack = stack[:len(stack)-1]
+		next := b.Succs
+		if bit == walkBwd {
+			next = b.Preds
+		}
+		for _, s := range next {
+			if w := li.walk[s]; w&walkInRegion != 0 && w&bit == 0 {
+				li.walk[s] |= bit
+				stack = append(stack, s)
 			}
 		}
 	}
-	visit(x)
-	return seen
 }
 
 // AccessedInRegion reports whether r is read or written anywhere in the
 // region's member blocks.
 func (li *Info) AccessedInRegion(reg Region, r isa.RegID) bool {
-	for b := range reg.Blocks {
-		if li.Accessed[b].Has(r) {
-			return true
-		}
+	return li.RegionAccessed(reg).Has(r)
+}
+
+// RegionAccessed is the set of registers read or written anywhere in
+// the region's member blocks.
+func (li *Info) RegionAccessed(reg Region) RegSet {
+	var acc RegSet
+	for _, b := range reg.Blocks {
+		acc |= li.Accessed[b]
 	}
-	return false
+	return acc
 }

@@ -1,9 +1,11 @@
 package liveness
 
 import (
+	"slices"
 	"testing"
 
 	"regvirt/internal/cfg"
+	"regvirt/internal/isa"
 	"regvirt/internal/kernelgen"
 )
 
@@ -54,10 +56,68 @@ func TestLivenessInvariantsOnRandomPrograms(t *testing.T) {
 				continue
 			}
 			f := li.PlainLiveIn(reg.Reconv)
-			for blk := range reg.Blocks {
+			for _, blk := range reg.Blocks {
 				for pc := g.Blocks[blk].Start; pc < g.Blocks[blk].End; pc++ {
 					if missing := f.Minus(li.LiveAfter[pc]); missing != 0 {
 						t.Fatalf("seed %d: forcing violated at pc %d: %v", seed, pc, missing)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSiblingSafeMatchesDefinition checks SiblingSafe against its
+// definition, computed directly: r is unsafe in x when some region
+// containing x has a member y != x that accesses r, where neither of x
+// and y reaches the other along edges into region members.
+func TestSiblingSafeMatchesDefinition(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		p := kernelgen.Generate(seed, kernelgen.Params{
+			Regs: 8 + int(seed%8), MaxItems: 6 + int(seed%8), MaxDepth: 1 + int(seed%3),
+		})
+		g, err := cfg.Build(p)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		li := Analyze(g)
+		reaches := func(reg Region, from, to int) bool {
+			in := map[int]bool{}
+			for _, b := range reg.Blocks {
+				in[b] = true
+			}
+			seen := map[int]bool{}
+			stack := []int{from}
+			for len(stack) > 0 {
+				b := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, s := range g.Blocks[b].Succs {
+					if in[s] && !seen[s] {
+						seen[s] = true
+						stack = append(stack, s)
+					}
+				}
+			}
+			return seen[to]
+		}
+		// Ask from the last block down, twice, so answers come both
+		// fresh and cached.
+		for pass := 0; pass < 2; pass++ {
+			for x := len(g.Blocks) - 1; x >= 0; x-- {
+				var want RegSet
+				for _, reg := range li.Regions {
+					if !slices.Contains(reg.Blocks, x) {
+						continue
+					}
+					for _, y := range reg.Blocks {
+						if y != x && !reaches(reg, x, y) && !reaches(reg, y, x) {
+							want |= li.Accessed[y]
+						}
+					}
+				}
+				for r := isa.RegID(0); r < isa.RZ; r++ {
+					if got := li.SiblingSafe(r, x); got != !want.Has(r) {
+						t.Fatalf("seed %d pass %d: SiblingSafe(r%d, B%d) = %v, want %v", seed, pass, r, x, got, !want.Has(r))
 					}
 				}
 			}

@@ -135,7 +135,7 @@ func TestDivergentRegionDetection(t *testing.T) {
 	if len(reg.Blocks) != 2 {
 		t.Errorf("region blocks = %v, want the two arms", reg.Blocks)
 	}
-	for b := range reg.Blocks {
+	for _, b := range reg.Blocks {
 		if !li.Divergent[b] {
 			t.Errorf("arm block %d not marked divergent", b)
 		}
@@ -151,7 +151,7 @@ func TestSiblingReadBlocksRelease(t *testing.T) {
 	thenBlk := li.G.BlockOf[2] + 1 // block after the branch block
 	_ = thenBlk
 	for _, reg := range li.Regions {
-		for b := range reg.Blocks {
+		for _, b := range reg.Blocks {
 			if li.Accessed[b].Has(1) && li.SiblingSafe(1, b) {
 				t.Errorf("r1 release in arm block %d should be sibling-unsafe", b)
 			}

@@ -20,6 +20,7 @@ package workloads
 
 import (
 	"fmt"
+	"sync"
 
 	"regvirt/internal/arch"
 	"regvirt/internal/compiler"
@@ -99,24 +100,50 @@ func simCTAs(grid, conc int) int {
 	return n
 }
 
-// All returns the 16 workloads in the paper's Table 1 order.
-func All() []*Workload {
-	return []*Workload{
-		matrixMul(), blackScholes(), dct8x8(), reduction(),
-		vectorAdd(), backProp(), bfs(), heartwall(),
-		hotSpot(), lud(), gaussian(), lib(),
-		lps(), nn(), mum(), scalarProd(),
-	}
+// builders constructs the 16 workloads in the paper's Table 1 order.
+var builders = []func() *Workload{
+	matrixMul, blackScholes, dct8x8, reduction,
+	vectorAdd, backProp, bfs, heartwall,
+	hotSpot, lud, gaussian, lib,
+	lps, nn, mum, scalarProd,
 }
 
-// ByName looks a workload up; it returns an error for unknown names.
-func ByName(name string) (*Workload, error) {
-	for _, w := range All() {
-		if w.Name == name {
-			return w, nil
-		}
+// index maps each workload name to its builder. It is built once, on
+// first use, so a name check costs a map lookup instead of building
+// every workload.
+var index = sync.OnceValue(func() map[string]func() *Workload {
+	m := make(map[string]func() *Workload, len(builders))
+	for _, b := range builders {
+		m[b().Name] = b
 	}
-	return nil, fmt.Errorf("workloads: unknown workload %q", name)
+	return m
+})
+
+// All returns the 16 workloads in the paper's Table 1 order.
+func All() []*Workload {
+	out := make([]*Workload, len(builders))
+	for i, b := range builders {
+		out[i] = b()
+	}
+	return out
+}
+
+// ByName builds the named workload; it returns an error for unknown
+// names.
+func ByName(name string) (*Workload, error) {
+	if err := CheckName(name); err != nil {
+		return nil, err
+	}
+	return index()[name](), nil
+}
+
+// CheckName returns ByName's error for an unknown name, and nil for a
+// known one, without building any workload.
+func CheckName(name string) error {
+	if _, ok := index()[name]; !ok {
+		return fmt.Errorf("workloads: unknown workload %q", name)
+	}
+	return nil
 }
 
 // Names lists the workload names in order.
