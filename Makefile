@@ -129,7 +129,7 @@ bench-gpu:
 # per workload (ns and allocations per simulated cycle). CI runs this
 # in its bench job.
 simcost:
-	$(GO) test -count=1 -run 'TestSteadyStateAllocatesNothing' ./internal/sim
+	$(GO) test -count=1 -run 'TestSteadyStateAllocatesNothing|TestLaunchAllocations' ./internal/sim
 	$(GO) test -count=1 -run 'TestFrontEndAllocations' ./internal/compiler
 	$(GO) test -count=1 -run 'TestResultsPinned' ./internal/jobs
 	$(GO) test -run=^$$ -bench='^BenchmarkSim$$' -benchtime=1x .

@@ -371,7 +371,8 @@ func nemesisHandler(parts *faultinject.PartitionSet, log *slog.Logger, next http
 			Unblock []string `json:"unblock"`
 			Clear   bool     `json:"clear"`
 		}
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+		dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+		if err := jobs.ReadBody(w, r, func() error { return dec.Decode(&req) }); err != nil {
 			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -445,9 +446,10 @@ func (d *daemon) armDebug() error {
 // Connection timeouts of every listener regvd serves. A client that
 // stalls before finishing its request headers, or leaves a keep-alive
 // connection idle, is disconnected instead of holding a goroutine and
-// a file descriptor indefinitely. There is deliberately no write or
-// whole-request timeout: a sync submit's response waits for its
-// simulation, which may take far longer.
+// a file descriptor indefinitely; one that stalls mid-body is cut off
+// by the handlers' body deadline (jobs.BodyReadTimeout). There is
+// deliberately no write or whole-request timeout: a sync submit's
+// response waits for its simulation, which may take far longer.
 const (
 	readHeaderTimeout = 5 * time.Second
 	idleTimeout       = 2 * time.Minute

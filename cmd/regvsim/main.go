@@ -73,7 +73,7 @@ func main() {
 	var o options
 	flag.StringVar(&o.workload, "workload", "", "built-in workload name (see -list)")
 	list := flag.Bool("list", false, "list built-in workloads")
-	flag.StringVar(&o.kernel, "kernel", "", "kernel assembly file (alternative to -workload)")
+	flag.StringVar(&o.kernel, "kernel", "", fmt.Sprintf("kernel assembly file (alternative to -workload; at most %d instructions)", jobs.MaxKernelInstrs))
 	flag.IntVar(&o.ctas, "ctas", 16, "grid CTAs (with -kernel)")
 	flag.IntVar(&o.threads, "threads", 128, "threads per CTA (with -kernel)")
 	flag.IntVar(&o.conc, "conc", 4, "concurrent CTAs per SM (with -kernel)")

@@ -622,7 +622,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var job jobs.Job
 	dec := json.NewDecoder(io.LimitReader(req.Body, maxJobBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&job); err != nil {
+	if err := jobs.ReadBody(w, req, func() error { return dec.Decode(&job) }); err != nil {
 		jobs.WriteError(w, http.StatusBadRequest, "bad job body: %v", err)
 		return
 	}

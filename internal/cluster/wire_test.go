@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -31,8 +33,10 @@ func TestRouterSettings(t *testing.T) {
 }
 
 // TestMalformedSubmitSameBody: the router and a shard answer a
-// malformed POST /v1/jobs through the same responder, so the 400
-// bodies are byte-identical whichever one a client reaches.
+// malformed POST /v1/jobs — an oversized kernel, or more than a few KiB
+// after the JSON value, too — through the same
+// responder, so the 400 bodies are byte-identical whichever one a
+// client reaches.
 func TestMalformedSubmitSameBody(t *testing.T) {
 	pool := jobs.NewPool(1)
 	t.Cleanup(pool.Close)
@@ -53,12 +57,23 @@ func TestMalformedSubmitSameBody(t *testing.T) {
 		}
 		return resp.StatusCode, resp.Header.Get("Content-Type"), string(b)
 	}
+	// A kernel one instruction over the cap is refused before any
+	// compile work, with the same body from both.
+	over, err := json.Marshal(jobs.Job{Kernel: ".kernel big\n" + strings.Repeat("    nop\n", jobs.MaxKernelInstrs) + "    exit\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, body := post(shard.URL, string(over)); !strings.Contains(body, fmt.Sprintf("more than the %d", jobs.MaxKernelInstrs)) {
+		t.Errorf("oversized kernel: shard answered %s, want the instruction cap named", body)
+	}
 	for _, body := range []string{
 		`{"workload":`,
 		`{"workload":"VectorAdd","bogus":1}`,
 		`{}`,
 		`{"workload":"VectorAdd","mode":"virtual"}`,
 		`{"workload":"VectorAdd","physregs":100}`,
+		string(over),
+		`{"workload":"VectorAdd"}` + strings.Repeat(" ", 10_000),
 	} {
 		sCode, sType, sBody := post(shard.URL, body)
 		rCode, rType, rBody := post(routerURL, body)

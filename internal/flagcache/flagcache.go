@@ -18,10 +18,15 @@ type Stats struct {
 // Cache is a direct-mapped release-flag cache. A zero-entry cache is
 // valid and always misses (the Dynamic-0 configuration).
 type Cache struct {
-	pcs   []int
-	valid []bool
-	flags []uint64
+	lines []line
 	stats Stats
+}
+
+// line is one direct-mapped entry.
+type line struct {
+	pc    int
+	valid bool
+	flags uint64
 }
 
 // New builds a cache with the given entry count.
@@ -29,30 +34,25 @@ func New(entries int) (*Cache, error) {
 	if entries < 0 {
 		return nil, fmt.Errorf("flagcache: negative entry count %d", entries)
 	}
-	return &Cache{
-		pcs:   make([]int, entries),
-		valid: make([]bool, entries),
-		flags: make([]uint64, entries),
-	}, nil
+	return &Cache{lines: make([]line, entries)}, nil
 }
 
 // Entries returns the configured entry count.
-func (c *Cache) Entries() int { return len(c.pcs) }
+func (c *Cache) Entries() int { return len(c.lines) }
 
-func (c *Cache) index(pc int) int { return pc % len(c.pcs) }
+func (c *Cache) index(pc int) int { return pc % len(c.lines) }
 
 // Probe checks whether the pir at pc is cached. On a hit the fetch stage
 // skips fetching/decoding the pir and uses the cached payload.
 func (c *Cache) Probe(pc int) (flags uint64, hit bool) {
 	c.stats.Probes++
-	if len(c.pcs) == 0 {
+	if len(c.lines) == 0 {
 		c.stats.Misses++
 		return 0, false
 	}
-	i := c.index(pc)
-	if c.valid[i] && c.pcs[i] == pc {
+	if l := &c.lines[c.index(pc)]; l.valid && l.pc == pc {
 		c.stats.Hits++
-		return c.flags[i], true
+		return l.flags, true
 	}
 	c.stats.Misses++
 	return 0, false
@@ -61,20 +61,17 @@ func (c *Cache) Probe(pc int) (flags uint64, hit bool) {
 // Insert stores a decoded pir payload, replacing whatever occupied the
 // direct-mapped slot.
 func (c *Cache) Insert(pc int, flags uint64) {
-	if len(c.pcs) == 0 {
+	if len(c.lines) == 0 {
 		return
 	}
-	i := c.index(pc)
-	c.pcs[i] = pc
-	c.valid[i] = true
-	c.flags[i] = flags
+	c.lines[c.index(pc)] = line{pc: pc, valid: true, flags: flags}
 	c.stats.Insertions++
 }
 
 // Invalidate clears the cache (kernel switch).
 func (c *Cache) Invalidate() {
-	for i := range c.valid {
-		c.valid[i] = false
+	for i := range c.lines {
+		c.lines[i].valid = false
 	}
 }
 
@@ -91,11 +88,11 @@ type State struct {
 
 // State deep-copies the cache contents and counters.
 func (c *Cache) State() *State {
-	st := &State{
-		PCs:   append([]int(nil), c.pcs...),
-		Valid: append([]bool(nil), c.valid...),
-		Flags: append([]uint64(nil), c.flags...),
-		Stats: c.stats,
+	st := &State{Stats: c.stats}
+	for _, l := range c.lines {
+		st.PCs = append(st.PCs, l.pc)
+		st.Valid = append(st.Valid, l.valid)
+		st.Flags = append(st.Flags, l.flags)
 	}
 	return st
 }
@@ -106,13 +103,13 @@ func (c *Cache) SetState(st *State) error {
 	if st == nil {
 		return fmt.Errorf("flagcache: nil state")
 	}
-	if len(st.PCs) != len(c.pcs) || len(st.Valid) != len(c.valid) || len(st.Flags) != len(c.flags) {
-		return fmt.Errorf("flagcache: state geometry mismatch (%d entries vs %d)",
-			len(st.PCs), len(c.pcs))
+	n := len(c.lines)
+	if len(st.PCs) != n || len(st.Valid) != n || len(st.Flags) != n {
+		return fmt.Errorf("flagcache: state geometry mismatch (%d entries vs %d)", len(st.PCs), n)
 	}
-	copy(c.pcs, st.PCs)
-	copy(c.valid, st.Valid)
-	copy(c.flags, st.Flags)
+	for i := range c.lines {
+		c.lines[i] = line{pc: st.PCs[i], valid: st.Valid[i], flags: st.Flags[i]}
+	}
 	c.stats = st.Stats
 	return nil
 }

@@ -29,18 +29,7 @@ func (e *ParseError) Error() string { return fmt.Sprintf("isa: line %d: %s", e.L
 func Parse(src string) (*Program, error) {
 	// A first pass counts instructions and labels, so the instructions
 	// land in one exact-length slab and the label map is sized once.
-	nInstrs, nLabels := 0, 0
-	for rest := src; rest != ""; {
-		var raw string
-		raw, rest, _ = strings.Cut(rest, "\n")
-		switch text := strings.TrimSpace(stripComment(raw)); {
-		case text == "", isDirective(text):
-		case strings.HasSuffix(text, ":"):
-			nLabels++
-		default:
-			nInstrs++
-		}
-	}
+	nInstrs, nLabels := Count(src)
 	p := &Program{Labels: make(map[string]int, nLabels)}
 	slab := make([]Instr, 0, nInstrs)
 	line := 0
@@ -96,6 +85,25 @@ func Parse(src string) (*Program, error) {
 		return nil, err
 	}
 	return p, nil
+}
+
+// Count is Parse's first pass: how many instruction lines and label
+// lines src holds, by Parse's own line grammar, without parsing any
+// instruction. It allocates nothing, so a caller can bound a kernel's
+// size before paying for Parse and the compiler.
+func Count(src string) (instrs, labels int) {
+	for rest := src; rest != ""; {
+		var raw string
+		raw, rest, _ = strings.Cut(rest, "\n")
+		switch text := strings.TrimSpace(stripComment(raw)); {
+		case text == "", isDirective(text):
+		case strings.HasSuffix(text, ":"):
+			labels++
+		default:
+			instrs++
+		}
+	}
+	return instrs, labels
 }
 
 // isDirective reports whether a trimmed source line is a .kernel or

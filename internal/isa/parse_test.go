@@ -47,6 +47,9 @@ func TestParseSample(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
+	if instrs, labels := Count(sampleKernel); instrs != len(p.Instrs) || labels != len(p.Labels) {
+		t.Errorf("Count = %d instructions, %d labels; Parse found %d, %d", instrs, labels, len(p.Instrs), len(p.Labels))
+	}
 }
 
 func TestParseBranchResolution(t *testing.T) {

@@ -197,29 +197,55 @@ func validTenantName(s string) bool {
 	return true
 }
 
+// deviceFlagCacheOffSalt re-keys whole-device jobs that disable the
+// flag cache (a negative flagcache). The device once applied the
+// config defaults a second time per SM, which turned "no cache" into
+// the default 10-entry cache; results stored under the unsalted key
+// were simulated with that cache and are never served for these jobs.
+const deviceFlagCacheOffSalt = "\x00device-flagcache-off"
+
 // Key is the job's content address: a hex SHA-256 prefix over the
 // canonical JSON encoding of the normalized spec. Jobs that simulate
 // the same thing share a key (and therefore a cached result and an ID)
 // even when they spell their defaults differently. DESIGN.md §"jobs"
 // documents the scheme field by field.
 func (j Job) Key() string {
-	b, err := json.Marshal(j.normalized())
+	n := j.normalized()
+	b, err := json.Marshal(n)
 	if err != nil {
 		// A Job is plain data; Marshal cannot fail. Keep the compiler
 		// honest without making every caller thread an error.
 		panic("jobs: marshal job: " + err.Error())
 	}
+	if n.WholeGPU && n.FlagCacheEntries < 0 {
+		b = append(b, deviceFlagCacheOffSalt...)
+	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:16])
 }
 
-// Validate rejects malformed specs before they reach the queue.
+// MaxKernelInstrs bounds the instruction count of an inline kernel.
+// Some kernel shapes cost the front end time or memory that grows
+// faster than the kernel: N nested divergent branches list N²/2 region
+// members, and a dying read in each of their blocks makes the sibling
+// check cubic. At this bound the worst such shapes compile in about
+// 0.3 s (dying reads) or 60 ms and 47 MB (plain nesting) on a 2-vCPU
+// host; Table 1 kernels have at most 47 instructions and generated
+// bench kernels at most 141.
+const MaxKernelInstrs = 1000
+
+// Validate rejects malformed specs before they reach the queue. It does
+// no compile work: an inline kernel is only counted, by isa.Parse's own
+// first pass, so a router and a shard refuse an oversized one alike.
 func (j Job) Validate() error {
 	switch {
 	case j.Workload == "" && j.Kernel == "":
 		return fmt.Errorf("jobs: one of workload or kernel is required")
 	case j.Workload != "" && j.Kernel != "":
 		return fmt.Errorf("jobs: workload and kernel are mutually exclusive")
+	}
+	if n, _ := isa.Count(j.Kernel); n > MaxKernelInstrs {
+		return fmt.Errorf("jobs: kernel has %d instructions, more than the %d a job may carry", n, MaxKernelInstrs)
 	}
 	if j.Mode != "" {
 		if _, err := rename.ParseMode(j.Mode); err != nil {

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -144,5 +145,31 @@ func TestExecuteNewBackends(t *testing.T) {
 	}
 	if res.Config.RFCacheEntries != 0 || res.Config.SpillRegs != 0 {
 		t.Error("compiler-mode result echoes backend knobs")
+	}
+}
+
+// TestHugeRegCacheRunsSmall submits a regcache job whose rfcache is far
+// larger than any register file: the cache can never hold more lines
+// than there are physical registers, so the job must cost what a
+// default-sized one does, on one SM and on the whole device, instead of
+// memory proportional to the requested entry count.
+func TestHugeRegCacheRunsSmall(t *testing.T) {
+	const budget = 64 << 20 // bytes; the huge cache alone would be ~136 GB
+	for _, gpu := range []bool{false, true} {
+		j := Job{Workload: "VectorAdd", Mode: "regcache", RFCacheEntries: 1_000_000_000, WholeGPU: gpu}
+		if err := j.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Execute(context.Background(), j); err != nil {
+			t.Fatalf("gpu=%v: %v", gpu, err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+			t.Errorf("gpu=%v: job allocated %d bytes, want at most %d", gpu, got, budget)
+		} else {
+			t.Logf("gpu=%v: job allocated %d bytes", gpu, got)
+		}
 	}
 }

@@ -3,7 +3,11 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -236,6 +240,38 @@ func TestJobKeyNormalization(t *testing.T) {
 	}
 }
 
+// TestDeviceFlagCacheOffKey: a whole-device job with the flag cache
+// disabled is keyed apart from the key such jobs had while the device
+// ran them with the default cache, so a result stored then is never
+// served for them. Every other job keeps its key.
+func TestDeviceFlagCacheOffKey(t *testing.T) {
+	unsalted := func(j Job) string {
+		b, err := json.Marshal(j.normalized())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:16])
+	}
+	for _, j := range []Job{
+		{Workload: "VectorAdd", WholeGPU: true, FlagCacheEntries: -1},
+		{Workload: "MatrixMul", Mode: "hwonly", WholeGPU: true, FlagCacheEntries: -3},
+	} {
+		if j.Key() == unsalted(j) {
+			t.Errorf("%+v keeps the key it had when run with the default cache", j)
+		}
+	}
+	for _, j := range []Job{
+		{Workload: "VectorAdd", FlagCacheEntries: -1},
+		{Workload: "VectorAdd", WholeGPU: true},
+		{Workload: "VectorAdd", WholeGPU: true, FlagCacheEntries: 4},
+	} {
+		if j.Key() != unsalted(j) {
+			t.Errorf("%+v changed its key", j)
+		}
+	}
+}
+
 func TestValidate(t *testing.T) {
 	bad := []Job{
 		{},
@@ -252,6 +288,17 @@ func TestValidate(t *testing.T) {
 	}
 	if err := (Job{Workload: "VectorAdd"}).Validate(); err != nil {
 		t.Errorf("good job rejected: %v", err)
+	}
+	// The instruction cap counts instruction lines only: a kernel at
+	// the cap passes whatever its labels and comments, one more fails.
+	kernel := func(n int) Job {
+		return Job{Kernel: ".kernel k\n.reg 2\ntop: # entry\n" + strings.Repeat("    nop\n", n-1) + "    exit\n"}
+	}
+	if err := kernel(MaxKernelInstrs).Validate(); err != nil {
+		t.Errorf("kernel at the %d-instruction cap rejected: %v", MaxKernelInstrs, err)
+	}
+	if err := kernel(MaxKernelInstrs + 1).Validate(); err == nil {
+		t.Errorf("kernel of %d instructions accepted", MaxKernelInstrs+1)
 	}
 }
 

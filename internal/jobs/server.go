@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"time"
 
 	"regvirt/internal/jobs/sched"
 	"regvirt/internal/obs"
@@ -50,6 +51,48 @@ func NewServer(p *Pool) *Server { return &Server{pool: p} }
 
 // maxBodyBytes bounds a job submission (inline kernels are small).
 const maxBodyBytes = 1 << 20
+
+// BodyReadTimeout bounds how long a request body may take to arrive
+// once its headers are in, so a client that trickles its body cannot
+// hold a connection indefinitely. The listeners' ReadHeaderTimeout
+// covers the headers only, and there is no whole-request ReadTimeout
+// because a sync submit's response waits for its simulation. Every
+// handler that reads a body reads it under this deadline through
+// ReadBody; the largest body, a 64 MiB journal snapshot, fits in it at
+// 7 MB/s.
+const BodyReadTimeout = 10 * time.Second
+
+// maxTrailingBytes bounds what a request body may carry after its JSON
+// value (an encoder's newline, some whitespace).
+const maxTrailingBytes = 4 << 10
+
+// ReadBody runs read — the handler's decode of r's body — under
+// BodyReadTimeout, then reads the rest of the body to EOF under the
+// same deadline: a JSON decoder stops at the end of its value, and
+// whatever it leaves the server would read before the response with no
+// deadline at all. On success it clears the deadline, so what the
+// handler does next (a sync submit waits for its simulation) is not cut
+// off. On failure the deadline stays, so a body still arriving when it
+// passes fails the read with a timeout and the server's drain of the
+// rest fails too: the connection closes after the error response.
+func ReadBody(w http.ResponseWriter, r *http.Request, read func() error) error {
+	rc := http.NewResponseController(w)
+	// A writer without deadline support (a test recorder) just reads
+	// without one.
+	_ = rc.SetReadDeadline(time.Now().Add(BodyReadTimeout))
+	if err := read(); err != nil {
+		return err
+	}
+	n, err := io.Copy(io.Discard, io.LimitReader(r.Body, maxTrailingBytes+1))
+	if err != nil {
+		return err
+	}
+	if n > maxTrailingBytes {
+		return fmt.Errorf("more than %d bytes follow the JSON value", maxTrailingBytes)
+	}
+	_ = rc.SetReadDeadline(time.Time{})
+	return nil
+}
 
 // diskFullRetrySecs is the Retry-After hint served with disk-full
 // 503s: long enough for an operator (or log rotation) to free space,
@@ -187,7 +230,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var job Job
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&job); err != nil {
+	if err := ReadBody(w, r, func() error { return dec.Decode(&job) }); err != nil {
 		WriteError(w, http.StatusBadRequest, "bad job body: %v", err)
 		return
 	}

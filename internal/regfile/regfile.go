@@ -76,18 +76,27 @@ const chunkRegs = 32
 // chunk is the value storage of chunkRegs consecutive registers.
 type chunk = [chunkRegs][arch.WarpSize]uint32
 
+// numSubarrays is the subarray count of every file: the geometry is
+// fixed, only the subarray size scales with NumRegs.
+const numSubarrays = arch.NumBanks * arch.SubarraysPerBank
+
+// regState is one physical register's allocation state.
+type regState struct {
+	used    bool // allocated now
+	touched bool // allocated at least once
+}
+
 // File is the physical register file.
 type File struct {
 	cfg         Config
 	perBank     int
 	perSubarray int
 	chunks      []*chunk
+	regs        []regState
 	freeBank    [arch.NumBanks]int
-	used        []bool
-	touched     []bool
-	liveInSub   []int // live count per (bank, subarray)
+	liveInSub   [numSubarrays]int // live count per (bank, subarray)
 	spreadNext  [arch.NumBanks]int
-	awake       []bool
+	awake       [numSubarrays]bool
 	live        int
 	stats       Stats
 }
@@ -104,10 +113,7 @@ func New(cfg Config) (*File, error) {
 		perBank:     cfg.NumRegs / arch.NumBanks,
 		perSubarray: cfg.NumRegs / arch.NumBanks / arch.SubarraysPerBank,
 		chunks:      make([]*chunk, (cfg.NumRegs+chunkRegs-1)/chunkRegs),
-		used:        make([]bool, cfg.NumRegs),
-		touched:     make([]bool, cfg.NumRegs),
-		liveInSub:   make([]int, arch.NumBanks*arch.SubarraysPerBank),
-		awake:       make([]bool, arch.NumBanks*arch.SubarraysPerBank),
+		regs:        make([]regState, cfg.NumRegs),
 	}
 	for b := range f.freeBank {
 		f.freeBank[b] = f.perBank
@@ -170,7 +176,7 @@ func (f *File) Alloc(bank int) (p PhysReg, wake int, ok bool) {
 	case f.cfg.Policy == SubarrayFirst && f.cfg.PowerGating:
 		// First pass: free register in an awake subarray.
 		for i := bank; i < f.cfg.NumRegs; i += arch.NumBanks {
-			if !f.used[i] && f.awake[f.subarrayOf(PhysReg(i))] {
+			if !f.regs[i].used && f.awake[f.subarrayOf(PhysReg(i))] {
 				chosen = i
 				break
 			}
@@ -181,7 +187,7 @@ func (f *File) Alloc(bank int) (p PhysReg, wake int, ok bool) {
 		f.spreadNext[bank] += f.perSubarray
 		for k := 0; k < f.perBank; k++ {
 			i := bank + ((start+k)%f.perBank)*arch.NumBanks
-			if !f.used[i] {
+			if !f.regs[i].used {
 				chosen = i
 				break
 			}
@@ -189,7 +195,7 @@ func (f *File) Alloc(bank int) (p PhysReg, wake int, ok bool) {
 	}
 	if chosen == -1 {
 		for i := bank; i < f.cfg.NumRegs; i += arch.NumBanks {
-			if !f.used[i] {
+			if !f.regs[i].used {
 				chosen = i
 				break
 			}
@@ -200,14 +206,15 @@ func (f *File) Alloc(bank int) (p PhysReg, wake int, ok bool) {
 		return Unmapped, 0, false
 	}
 	p = PhysReg(chosen)
-	f.used[chosen] = true
+	r := &f.regs[chosen]
+	r.used = true
 	f.freeBank[bank]--
 	f.live++
 	if f.live > f.stats.PeakLive {
 		f.stats.PeakLive = f.live
 	}
-	if !f.touched[chosen] {
-		f.touched[chosen] = true
+	if !r.touched {
+		r.touched = true
 		f.stats.TouchedRegs++
 	}
 	f.stats.Allocs++
@@ -227,7 +234,7 @@ func (f *File) Release(p PhysReg) {
 	if p == Unmapped {
 		return
 	}
-	if !f.used[p] {
+	if !f.regs[p].used {
 		panic(fmt.Sprintf("regfile: double release of physical register %d", p))
 	}
 	if f.cfg.PoisonOnRelease {
@@ -236,7 +243,7 @@ func (f *File) Release(p PhysReg) {
 			v[l] = PoisonValue
 		}
 	}
-	f.used[p] = false
+	f.regs[p].used = false
 	f.freeBank[int(p)%arch.NumBanks]++
 	f.live--
 	f.stats.Releases++
@@ -269,7 +276,7 @@ func (f *File) Peek(p PhysReg) [arch.WarpSize]uint32 { return *f.value(p) }
 
 // TickPower accrues one cycle of leakage accounting.
 func (f *File) TickPower() {
-	total := uint64(arch.NumBanks * arch.SubarraysPerBank)
+	total := uint64(numSubarrays)
 	f.stats.TotalSubarrayCyc += total
 	if !f.cfg.PowerGating {
 		f.stats.AwakeSubarrayCyc += total
@@ -318,10 +325,10 @@ type State struct {
 func (f *File) State() *State {
 	st := &State{
 		Values:     make([][arch.WarpSize]uint32, f.cfg.NumRegs),
-		Used:       make([]bool, len(f.used)),
-		Touched:    make([]bool, len(f.touched)),
-		Awake:      make([]bool, len(f.awake)),
-		LiveInSub:  make([]int, len(f.liveInSub)),
+		Used:       make([]bool, len(f.regs)),
+		Touched:    make([]bool, len(f.regs)),
+		Awake:      append([]bool(nil), f.awake[:]...),
+		LiveInSub:  append([]int(nil), f.liveInSub[:]...),
 		SpreadNext: f.spreadNext,
 		FreeBank:   f.freeBank,
 		Live:       f.live,
@@ -332,10 +339,9 @@ func (f *File) State() *State {
 			copy(st.Values[i*chunkRegs:], c[:])
 		}
 	}
-	copy(st.Used, f.used)
-	copy(st.Touched, f.touched)
-	copy(st.Awake, f.awake)
-	copy(st.LiveInSub, f.liveInSub)
+	for i, r := range f.regs {
+		st.Used[i], st.Touched[i] = r.used, r.touched
+	}
 	return st
 }
 
@@ -346,8 +352,8 @@ func (f *File) SetState(st *State) error {
 	if st == nil {
 		return fmt.Errorf("regfile: nil state")
 	}
-	if len(st.Values) != f.cfg.NumRegs || len(st.Used) != len(f.used) ||
-		len(st.Touched) != len(f.touched) || len(st.Awake) != len(f.awake) ||
+	if len(st.Values) != f.cfg.NumRegs || len(st.Used) != len(f.regs) ||
+		len(st.Touched) != len(f.regs) || len(st.Awake) != len(f.awake) ||
 		len(st.LiveInSub) != len(f.liveInSub) {
 		return fmt.Errorf("regfile: state geometry mismatch (%d regs vs %d)",
 			len(st.Values), f.cfg.NumRegs)
@@ -355,10 +361,11 @@ func (f *File) SetState(st *State) error {
 	for p, v := range st.Values {
 		*f.value(PhysReg(p)) = v
 	}
-	copy(f.used, st.Used)
-	copy(f.touched, st.Touched)
-	copy(f.awake, st.Awake)
-	copy(f.liveInSub, st.LiveInSub)
+	for i := range f.regs {
+		f.regs[i] = regState{used: st.Used[i], touched: st.Touched[i]}
+	}
+	copy(f.awake[:], st.Awake)
+	copy(f.liveInSub[:], st.LiveInSub)
 	f.spreadNext = st.SpreadNext
 	f.freeBank = st.FreeBank
 	f.live = st.Live
@@ -373,9 +380,9 @@ func (f *File) SetState(st *State) error {
 func (f *File) SelfCheck() error {
 	live := 0
 	var bankFree [arch.NumBanks]int
-	subLive := make([]int, arch.NumBanks*arch.SubarraysPerBank)
-	for i, used := range f.used {
-		if used {
+	var subLive [numSubarrays]int
+	for i, r := range f.regs {
+		if r.used {
 			live++
 			subLive[f.subarrayOf(PhysReg(i))]++
 		} else {

@@ -39,9 +39,12 @@ type Backend interface {
 	Renames() bool
 	SpillFallback() bool
 
-	// Warp lifecycle.
+	// Warp lifecycle. ReleaseWarp frees every register warp slot w
+	// holds and returns the count it freed per bank — by architected
+	// register, arch.BankOf(r), the bank the throttle governor tracks —
+	// without allocating.
 	LaunchWarp(w int) bool
-	ReleaseWarp(w int) []isa.RegID
+	ReleaseWarp(w int) [arch.NumBanks]int
 	MappedCount(w int) int
 
 	// Operand resolution and value access.

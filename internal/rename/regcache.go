@@ -17,13 +17,15 @@ import (
 // FIFO-evicted, and under the default write-back policy dirty values
 // reach the main RF only on eviction.
 type regCache struct {
-	*Table // inner baseline table: mapping, launch/release, stats
+	Table // inner baseline table: mapping, launch/release, stats
 
 	entries      int
 	writeThrough bool
 	// fifo holds the resident lines oldest-first; eviction pops the
 	// head. The line count is small (tens), so linear probes are cheap
-	// and — unlike a map — deterministic to iterate.
+	// and — unlike a map — deterministic to iterate. Lines are keyed by
+	// physical register, so it never holds more than min(entries, file
+	// size) lines; it is allocated at that capacity and never grows.
 	fifo []cacheLine
 
 	hits, misses, fills, writebacks uint64
@@ -42,11 +44,15 @@ func newRegCache(cfg Config, file *regfile.File) (*regCache, error) {
 	inner := cfg
 	inner.Mode = ModeBaseline
 	inner.Exempt = 0
-	t, err := New(inner, file)
-	if err != nil {
+	c := &regCache{
+		entries:      cfg.CacheEntries,
+		writeThrough: cfg.CacheWriteThrough,
+		fifo:         make([]cacheLine, 0, min(cfg.CacheEntries, file.NumRegs())),
+	}
+	if err := c.Table.init(inner, file); err != nil {
 		return nil, err
 	}
-	return &regCache{Table: t, entries: cfg.CacheEntries, writeThrough: cfg.CacheWriteThrough}, nil
+	return c, nil
 }
 
 func (c *regCache) Mode() Mode { return ModeRegCache }
@@ -134,7 +140,7 @@ func (c *regCache) evictOldest() {
 // read after completion), so dirty lines are discarded without a
 // writeback — exactly what a real cache does on a launch-scope flash
 // invalidate.
-func (c *regCache) ReleaseWarp(w int) []isa.RegID {
+func (c *regCache) ReleaseWarp(w int) [arch.NumBanks]int {
 	for _, p := range c.mapping[w] {
 		if p == regfile.Unmapped {
 			continue

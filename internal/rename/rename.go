@@ -165,9 +165,11 @@ type Stats struct {
 
 // Table maintains per-warp architected-to-physical mappings.
 type Table struct {
-	cfg     Config
-	file    *regfile.File
-	mapping [][]regfile.PhysReg
+	cfg  Config
+	file *regfile.File
+	// mapping holds warp slot w's row at index w < cfg.MaxWarps; the rows
+	// share one slab.
+	mapping [arch.MaxWarpsPerSM][]regfile.PhysReg
 	// lastOwner tracks the previous warp slot of each physical register
 	// (-1 = never owned) for the sharing statistics.
 	lastOwner []int16
@@ -180,31 +182,41 @@ func New(cfg Config, file *regfile.File) (*Table, error) {
 	if cfg.Mode == ModeRegCache || cfg.Mode == ModeSMemSpill {
 		return nil, fmt.Errorf("rename: mode %v is a wrapper backend; use NewBackend", cfg.Mode)
 	}
+	t := &Table{}
+	if err := t.init(cfg, file); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// init builds the table in place (the wrapper backends embed theirs).
+func (t *Table) init(cfg Config, file *regfile.File) error {
 	if cfg.RegCount <= 0 || cfg.RegCount > isa.MaxRegsPerThread {
-		return nil, fmt.Errorf("rename: RegCount %d out of range", cfg.RegCount)
+		return fmt.Errorf("rename: RegCount %d out of range", cfg.RegCount)
 	}
 	if cfg.Exempt < 0 || cfg.Exempt > cfg.RegCount {
-		return nil, fmt.Errorf("rename: Exempt %d out of range", cfg.Exempt)
+		return fmt.Errorf("rename: Exempt %d out of range", cfg.Exempt)
 	}
 	if cfg.MaxWarps <= 0 || cfg.MaxWarps > arch.MaxWarpsPerSM {
-		return nil, fmt.Errorf("rename: MaxWarps %d out of range", cfg.MaxWarps)
+		return fmt.Errorf("rename: MaxWarps %d out of range", cfg.MaxWarps)
 	}
-	t := &Table{cfg: cfg, file: file}
+	t.cfg, t.file = cfg, file
 	t.lastOwner = make([]int16, file.NumRegs())
 	for i := range t.lastOwner {
 		t.lastOwner[i] = -1
 	}
-	// One slab backs every warp slot's row.
 	slab := make([]regfile.PhysReg, cfg.MaxWarps*cfg.RegCount)
 	for i := range slab {
 		slab[i] = regfile.Unmapped
 	}
-	t.mapping = make([][]regfile.PhysReg, cfg.MaxWarps)
-	for w := range t.mapping {
+	for w := range t.rows() {
 		t.mapping[w] = slab[w*cfg.RegCount : (w+1)*cfg.RegCount : (w+1)*cfg.RegCount]
 	}
-	return t, nil
+	return nil
 }
+
+// rows returns the mapping rows of the configured warp slots.
+func (t *Table) rows() [][]regfile.PhysReg { return t.mapping[:t.cfg.MaxWarps] }
 
 // Mode returns the configured management mode.
 func (t *Table) Mode() Mode { return t.cfg.Mode }
@@ -280,15 +292,15 @@ func (t *Table) LaunchWarp(w int) bool {
 // ReleaseWarp drops every mapping of a warp slot (CTA completion, §1:
 // "once a register is allocated it is not released until the CTA
 // completes"; under virtualization the same hook reclaims leftovers).
-// It returns the architected registers that were freed.
-func (t *Table) ReleaseWarp(w int) []isa.RegID {
-	var freed []isa.RegID
-	for r := range t.mapping[w] {
-		if p := t.mapping[w][r]; p != regfile.Unmapped {
+// It returns how many registers it freed in each bank, by the
+// architected register's bank (arch.BankOf), which renaming preserves.
+func (t *Table) ReleaseWarp(w int) (freed [arch.NumBanks]int) {
+	for r, p := range t.mapping[w] {
+		if p != regfile.Unmapped {
 			t.file.Release(p)
 			t.mapping[w][r] = regfile.Unmapped
 			t.stats.Releases++
-			freed = append(freed, isa.RegID(r))
+			freed[arch.BankOf(r)]++
 		}
 	}
 	return freed
@@ -485,7 +497,7 @@ func (t *Table) SpillWarp(w int) []SpilledReg {
 // ok is false (with no side effects) when the file lacks space.
 func (t *Table) RestoreWarp(w int, regs []SpilledReg) bool {
 	// Check capacity per bank first so restoration is all-or-nothing.
-	need := map[int]int{}
+	var need [arch.NumBanks]int
 	for _, sr := range regs {
 		need[arch.BankOf(int(sr.Reg))]++
 	}
@@ -530,12 +542,12 @@ type State struct {
 // State deep-copies the table's mutable state.
 func (t *Table) State() *State {
 	st := &State{
-		Mapping:   make([][]regfile.PhysReg, len(t.mapping)),
+		Mapping:   make([][]regfile.PhysReg, t.cfg.MaxWarps),
 		LastOwner: make([]int16, len(t.lastOwner)),
 		Stats:     t.stats,
 	}
-	for w := range t.mapping {
-		st.Mapping[w] = append([]regfile.PhysReg(nil), t.mapping[w]...)
+	for w, row := range t.rows() {
+		st.Mapping[w] = append([]regfile.PhysReg(nil), row...)
 	}
 	copy(st.LastOwner, t.lastOwner)
 	return st
@@ -550,9 +562,9 @@ func (t *Table) SetState(st *State) error {
 	if st.Cache != nil || st.SMem != nil {
 		return fmt.Errorf("rename: state carries wrapper-backend payload, table is mode %v", t.cfg.Mode)
 	}
-	if len(st.Mapping) != len(t.mapping) || len(st.LastOwner) != len(t.lastOwner) {
+	if len(st.Mapping) != t.cfg.MaxWarps || len(st.LastOwner) != len(t.lastOwner) {
 		return fmt.Errorf("rename: state geometry mismatch (%d warps vs %d)",
-			len(st.Mapping), len(t.mapping))
+			len(st.Mapping), t.cfg.MaxWarps)
 	}
 	for w := range st.Mapping {
 		if len(st.Mapping[w]) != len(t.mapping[w]) {
@@ -576,8 +588,8 @@ func (t *Table) SetState(st *State) error {
 func (t *Table) SelfCheck() error {
 	owner := map[regfile.PhysReg][2]int{}
 	mapped := 0
-	for w := range t.mapping {
-		for r, p := range t.mapping[w] {
+	for w, row := range t.rows() {
+		for r, p := range row {
 			if p == regfile.Unmapped {
 				continue
 			}

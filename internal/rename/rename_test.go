@@ -150,11 +150,22 @@ func TestReleaseWarpFreesEverything(t *testing.T) {
 	tb.LaunchWarp(1)
 	tb.PhysForWrite(1, 5, true)
 	tb.PhysForWrite(1, 6, true)
-	if n := len(tb.ReleaseWarp(1)); n != 4 { // 2 exempt + 2 renamed
-		t.Errorf("ReleaseWarp freed %d, want 4", n)
+	// 2 exempt (r0, r1) + 2 renamed (r5, r6), counted by bank.
+	if got, want := tb.ReleaseWarp(1), [arch.NumBanks]int{1, 2, 1, 0}; got != want {
+		t.Errorf("ReleaseWarp freed %v per bank, want %v", got, want)
 	}
 	if tb.File().Live() != 0 {
 		t.Errorf("Live = %d, want 0", tb.File().Live())
+	}
+	// A relaunch pins the exempt pair again; releasing it allocates
+	// nothing.
+	if n := testing.AllocsPerRun(10, func() {
+		tb.LaunchWarp(1)
+		if got := tb.ReleaseWarp(1); got != [arch.NumBanks]int{1, 1, 0, 0} {
+			t.Fatalf("ReleaseWarp after relaunch freed %v", got)
+		}
+	}); n != 0 {
+		t.Errorf("ReleaseWarp allocates %v times, want 0", n)
 	}
 }
 

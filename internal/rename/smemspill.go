@@ -17,7 +17,7 @@ import (
 // range; their values live in a backend-owned per-warp store standing
 // in for the shared-memory scratch region.
 type smemSpill struct {
-	*Table // inner baseline table over the keep registers
+	Table // inner baseline table over the keep registers
 
 	regCount int // full architected register count
 	keep     int // registers 0..keep-1 stay RF-resident
@@ -42,18 +42,16 @@ func newSMemSpill(cfg Config, file *regfile.File) (*smemSpill, error) {
 	inner.Mode = ModeBaseline
 	inner.Exempt = 0
 	inner.RegCount = keep
-	t, err := New(inner, file)
-	if err != nil {
-		return nil, err
-	}
 	b := &smemSpill{
-		Table:    t,
 		regCount: cfg.RegCount,
 		keep:     keep,
 		latency:  arch.SharedMemLatency,
 		base:     regfile.PhysReg(file.NumRegs()),
-		vals:     make([][arch.WarpSize]uint32, cfg.MaxWarps*cfg.SpillRegs),
 	}
+	if err := b.Table.init(inner, file); err != nil {
+		return nil, err
+	}
+	b.vals = make([][arch.WarpSize]uint32, inner.MaxWarps*cfg.SpillRegs)
 	return b, nil
 }
 
@@ -122,7 +120,7 @@ func (b *smemSpill) Write(p regfile.PhysReg, val *[arch.WarpSize]uint32, mask ui
 // ReleaseWarp frees the warp's RF-resident registers and zeroes its
 // shared-memory slots (scratch resets between CTAs, so a relaunched
 // warp slot starts from zeroed registers either way).
-func (b *smemSpill) ReleaseWarp(w int) []isa.RegID {
+func (b *smemSpill) ReleaseWarp(w int) [arch.NumBanks]int {
 	spill := b.regCount - b.keep
 	for i := w * spill; i < (w+1)*spill; i++ {
 		b.vals[i] = [arch.WarpSize]uint32{}

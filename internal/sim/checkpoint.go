@@ -284,14 +284,14 @@ func (s *SM) snapshot() *Snapshot {
 		return len(warps) - 1
 	}
 	ctaIndex := map[*ctaState]int{}
-	for _, cta := range s.ctaSlots {
+	for _, cta := range s.slots() {
 		if cta == nil {
 			continue
 		}
 		ctaIndex[cta] = len(snap.CTAs)
 		cs := CTASnap{Slot: cta.slot, CTAID: cta.ctaID, LiveWarps: cta.liveWarps, AtBarrier: cta.atBarrier}
-		for _, w := range cta.warps {
-			cs.Warps = append(cs.Warps, add(w))
+		for i := range cta.warps {
+			cs.Warps = append(cs.Warps, add(&cta.warps[i]))
 		}
 		snap.CTAs = append(snap.CTAs, cs)
 	}
@@ -336,7 +336,7 @@ func (s *SM) snapshot() *Snapshot {
 			ws.Stack = append(ws.Stack, SIMTFrame{ReconvPC: f.reconvPC, PC: f.pc, Mask: f.mask})
 		}
 		for _, sv := range w.spillSaved {
-			ws.Spilled = append(ws.Spilled, SpillSnap{Reg: sv.reg, Val: sv.val})
+			ws.Spilled = append(ws.Spilled, SpillSnap{Reg: sv.Reg, Val: sv.Val})
 		}
 		snap.Warps = append(snap.Warps, ws)
 	}
@@ -393,25 +393,44 @@ func (s *SM) restore(snap *Snapshot) error {
 		return fmt.Errorf("sim: restore: %w", err)
 	}
 
-	// Rebuild CTA and warp object graphs.
+	// Rebuild CTA and warp object graphs: a resident CTA's warps live in
+	// its slab, at the positions its snapshot lists them in.
 	ctas := make([]*ctaState, len(snap.CTAs))
+	warps := make([]*warp, len(snap.Warps))
 	for i, cs := range snap.CTAs {
-		if cs.Slot < 0 || cs.Slot >= len(s.ctaSlots) {
+		if cs.Slot < 0 || cs.Slot >= len(s.slots()) {
 			return fmt.Errorf("sim: restore: CTA slot %d out of range", cs.Slot)
 		}
 		if s.ctaSlots[cs.Slot] != nil {
 			return fmt.Errorf("sim: restore: duplicate CTA slot %d", cs.Slot)
 		}
-		cta := &ctaState{ctaID: cs.CTAID, slot: cs.Slot, liveWarps: cs.LiveWarps, atBarrier: cs.AtBarrier}
+		cta := &ctaState{ctaID: cs.CTAID, slot: cs.Slot, liveWarps: cs.LiveWarps, atBarrier: cs.AtBarrier,
+			warps: make([]warp, len(cs.Warps))}
+		for k, wi := range cs.Warps {
+			if wi < 0 || wi >= len(warps) {
+				return fmt.Errorf("sim: restore: CTA %d references warp %d of %d", i, wi, len(warps))
+			}
+			if warps[wi] != nil || snap.Warps[wi].CTA != i {
+				return fmt.Errorf("sim: restore: CTA %d lists warp %d, which is not its own", i, wi)
+			}
+			warps[wi] = &cta.warps[k]
+		}
 		ctas[i] = cta
 		s.ctaSlots[cs.Slot] = cta
 	}
-	warps := make([]*warp, len(snap.Warps))
 	for i, ws := range snap.Warps {
 		if ws.CTA < -1 || ws.CTA >= len(ctas) {
 			return fmt.Errorf("sim: restore: warp %d references CTA %d of %d", i, ws.CTA, len(ctas))
 		}
-		w := &warp{
+		w := warps[i]
+		if w == nil {
+			if ws.CTA >= 0 {
+				return fmt.Errorf("sim: restore: warp %d is missing from CTA %d", i, ws.CTA)
+			}
+			w = new(warp)
+			warps[i] = w
+		}
+		*w = warp{
 			slot:         ws.Slot,
 			idInCTA:      ws.IDInCTA,
 			initMask:     ws.InitMask,
@@ -435,16 +454,7 @@ func (s *SM) restore(snap *Snapshot) error {
 			w.stack = append(w.stack, simtEntry{reconvPC: f.ReconvPC, pc: f.PC, mask: f.Mask})
 		}
 		for _, sv := range ws.Spilled {
-			w.spillSaved = append(w.spillSaved, spilledState{reg: sv.Reg, val: sv.Val})
-		}
-		warps[i] = w
-	}
-	for i, cs := range snap.CTAs {
-		for _, wi := range cs.Warps {
-			if wi < 0 || wi >= len(warps) {
-				return fmt.Errorf("sim: restore: CTA %d references warp %d of %d", i, wi, len(warps))
-			}
-			ctas[i].warps = append(ctas[i].warps, warps[wi])
+			w.spillSaved = append(w.spillSaved, rename.SpilledReg{Reg: sv.Reg, Val: sv.Val})
 		}
 	}
 	for _, wi := range snap.Ready {

@@ -81,11 +81,12 @@ func TestShrinkUnderHeavyPressure(t *testing.T) {
 		states := map[warpState]int{}
 		mapped := 0
 		var pcs []int
-		for _, cta := range sm.ctaSlots {
+		for _, cta := range sm.slots() {
 			if cta == nil {
 				continue
 			}
-			for _, wp := range cta.warps {
+			for i := range cta.warps {
+				wp := &cta.warps[i]
 				states[wp.state]++
 				mapped += sm.table.MappedCount(wp.slot)
 				if wp.state != wFinished && len(pcs) < 12 {
@@ -101,11 +102,12 @@ func TestShrinkUnderHeavyPressure(t *testing.T) {
 		if len(pcs) > 0 {
 			in := sm.prog.Instrs[pcs[0]]
 			stuck = in.String()
-			for _, cta := range sm.ctaSlots {
+			for _, cta := range sm.slots() {
 				if cta == nil {
 					continue
 				}
-				for _, wp := range cta.warps {
+				for i := range cta.warps {
+					wp := &cta.warps[i]
 					if wp.state == wReady {
 						stuck += " | hazard=" + boolStr(sm.hazard(wp, sm.prog.Instrs[wp.pc()]))
 						d, ok := sm.prog.Instrs[wp.pc()].DstReg()

@@ -48,8 +48,8 @@ func exemptFor(m rename.Mode, exempt int) int {
 
 // dispatchCTAs launches CTAs into every free slot.
 func (s *SM) dispatchCTAs() {
-	for slot := 0; slot < len(s.ctaSlots); slot++ {
-		if s.ctaSlots[slot] != nil {
+	for slot, cta := range s.slots() {
+		if cta != nil {
 			continue
 		}
 		if !s.dispatchInto(slot) {
@@ -58,64 +58,65 @@ func (s *SM) dispatchCTAs() {
 	}
 }
 
+// simtStackCap is the SIMT stack depth each warp gets room for at
+// dispatch: a divergent branch nesting two deep needs five frames
+// (bench kernels nest at most two). A deeper stack grows on its own.
+const simtStackCap = 5
+
 // dispatchInto launches the next CTA into one free slot; false when the
-// source is drained or registers ran out.
+// source is drained or registers ran out. The warps' registers are
+// pinned first, so a launch that fails for want of registers builds no
+// CTA state.
 func (s *SM) dispatchInto(slot int) bool {
-	{
-		id, ok := s.src.get()
-		if !ok {
-			return false
-		}
-		cta := &ctaState{ctaID: id, slot: slot}
-		launchedAll := true
-		for wi := 0; wi < s.warpsPerCTA; wi++ {
-			wslot := slot*s.warpsPerCTA + wi
-			threads := s.spec.ThreadsPerCTA - wi*arch.WarpSize
-			w := newWarp(wslot, cta, wi, threads)
-			if !s.table.LaunchWarp(wslot) {
-				// Not enough physical registers to pin this warp's
-				// registers: roll back and retry when a CTA completes.
-				for _, lw := range cta.warps {
-					s.releaseWarpRegs(lw)
-				}
-				launchedAll = false
-				break
-			}
-			pinned := s.table.MappedCount(wslot)
-			for r := 0; r < pinned; r++ {
-				s.gov.OnAlloc(slot, arch.BankOf(r))
-			}
-			s.traceLaunchPins(w, pinned)
-			cta.warps = append(cta.warps, w)
-		}
-		if !launchedAll {
-			// Not enough registers: hand the CTA back and retry when a
+	id, ok := s.src.get()
+	if !ok {
+		return false
+	}
+	first := slot * s.warpsPerCTA
+	for wslot := first; wslot < first+s.warpsPerCTA; wslot++ {
+		if !s.table.LaunchWarp(wslot) {
+			// Not enough physical registers to pin this warp's
+			// registers: roll back, hand the CTA back and retry when a
 			// resident CTA completes.
+			for lw := first; lw < wslot; lw++ {
+				s.releaseWarpRegs(slot, lw)
+			}
 			s.src.putBack(id)
 			return false
 		}
-		cta.liveWarps = len(cta.warps)
-		s.ctaSlots[slot] = cta
-		s.gov.CTALaunched(slot)
-		s.liveCTAs++
-		s.residentWarps += len(cta.warps)
-		if s.residentWarps > s.peakResidentWarps {
-			s.peakResidentWarps = s.residentWarps
+		pinned := s.table.MappedCount(wslot)
+		for r := 0; r < pinned; r++ {
+			s.gov.OnAlloc(slot, arch.BankOf(r))
 		}
-		for _, w := range cta.warps {
-			w.state = wPending
-			w.readyAt = s.cycle
-			s.pendingQ = append(s.pendingQ, w)
-		}
+		s.traceLaunchPins(wslot, pinned)
+	}
+
+	// One slab for the warps and one for their SIMT stacks.
+	cta := &ctaState{ctaID: id, slot: slot, warps: make([]warp, s.warpsPerCTA), liveWarps: s.warpsPerCTA}
+	stacks := make([]simtEntry, s.warpsPerCTA*simtStackCap)
+	for wi := range cta.warps {
+		w := &cta.warps[wi]
+		w.init(first+wi, cta, wi, s.spec.ThreadsPerCTA-wi*arch.WarpSize,
+			stacks[wi*simtStackCap:wi*simtStackCap:(wi+1)*simtStackCap])
+		w.state = wPending
+		w.readyAt = s.cycle
+		s.pendingQ = append(s.pendingQ, w)
+	}
+	s.ctaSlots[slot] = cta
+	s.gov.CTALaunched(slot)
+	s.liveCTAs++
+	s.residentWarps += s.warpsPerCTA
+	if s.residentWarps > s.peakResidentWarps {
+		s.peakResidentWarps = s.residentWarps
 	}
 	return true
 }
 
-// releaseWarpRegs reclaims every mapping of a warp and updates the
-// balance counters.
-func (s *SM) releaseWarpRegs(w *warp) {
-	for _, r := range s.table.ReleaseWarp(w.slot) {
-		s.gov.OnRelease(w.cta.slot, arch.BankOf(int(r)))
+// releaseWarpRegs reclaims every mapping of warp slot wslot, whose CTA
+// sits in slot ctaSlot, and updates the balance counters.
+func (s *SM) releaseWarpRegs(ctaSlot, wslot int) {
+	for bank, n := range s.table.ReleaseWarp(wslot) {
+		s.gov.OnReleaseN(ctaSlot, bank, n)
 	}
 }
 
@@ -127,7 +128,7 @@ func (s *SM) warpFinished(w *warp) {
 	if s.table.ReleasesAtWarpExit() {
 		// Virtualized modes reclaim at warp exit; the launch-pinned
 		// backends hold everything until the CTA completes (§1).
-		s.releaseWarpRegs(w)
+		s.releaseWarpRegs(cta.slot, w.slot)
 		s.traceWarpRelease(w)
 	}
 	cta.liveWarps--
@@ -138,20 +139,26 @@ func (s *SM) warpFinished(w *warp) {
 	}
 	// A warp exiting may satisfy a barrier the remaining warps wait at.
 	if cta.atBarrier > 0 && cta.atBarrier >= cta.liveWarps {
-		cta.atBarrier = 0
-		for _, o := range cta.warps {
-			if o.state == wBarrier {
-				o.state = wPending
-				o.readyAt = s.cycle + 1
-				s.pendingQ = append(s.pendingQ, o)
-			}
+		s.releaseBarrier(cta)
+	}
+}
+
+// releaseBarrier moves every warp of cta waiting at its barrier back to
+// pending.
+func (s *SM) releaseBarrier(cta *ctaState) {
+	cta.atBarrier = 0
+	for i := range cta.warps {
+		if o := &cta.warps[i]; o.state == wBarrier {
+			o.state = wPending
+			o.readyAt = s.cycle + 1
+			s.pendingQ = append(s.pendingQ, o)
 		}
 	}
 }
 
 func (s *SM) completeCTA(cta *ctaState) {
-	for _, w := range cta.warps {
-		s.releaseWarpRegs(w)
+	for i := range cta.warps {
+		s.releaseWarpRegs(cta.slot, cta.warps[i].slot)
 	}
 	s.gov.CTACompleted(cta.slot)
 	s.ctaSlots[cta.slot] = nil
@@ -169,14 +176,7 @@ func (s *SM) barrierArrive(w *warp) {
 	cta.atBarrier++
 	if cta.atBarrier >= cta.liveWarps {
 		// Release everyone.
-		cta.atBarrier = 0
-		for _, o := range cta.warps {
-			if o.state == wBarrier {
-				o.state = wPending
-				o.readyAt = s.cycle + 1
-				s.pendingQ = append(s.pendingQ, o)
-			}
-		}
+		s.releaseBarrier(cta)
 		// The arriving warp continues directly.
 		w.state = wPending
 		w.readyAt = s.cycle + 1

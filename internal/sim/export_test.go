@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"regvirt/internal/compiler"
+	"regvirt/internal/isa"
+)
+
 // Hooks for the external test package (alloc_test.go), which needs
 // internal/workloads and so cannot be package sim itself.
 
@@ -40,9 +45,35 @@ func (e *gpuEngine) Cycle() error {
 
 // CTAs sums CTAs() over the device's SMs.
 func (e *gpuEngine) CTAs() (live, done int) {
-	for _, sm := range e.sms {
-		l, d := sm.CTAs()
+	for i := range e.sms {
+		l, d := e.sms[i].CTAs()
 		live, done = live+l, done+d
 	}
 	return live, done
+}
+
+// HungrySpec is pressure_test.go's register-hungry kernel, compiled
+// for release, at its launch geometry.
+func HungrySpec() (LaunchSpec, error) {
+	k, err := compiler.Compile(isa.MustParse(hungrySrc), compiler.Options{TableBytes: 1024, ResidentWarps: 16})
+	if err != nil {
+		return LaunchSpec{}, err
+	}
+	return hungrySpec(k), nil
+}
+
+// Spills reports the SM's §8.1 spill count so far and how many of its
+// warps are spilled now.
+func (s *SM) Spills() (spills uint64, spilled int) {
+	for _, cta := range s.slots() {
+		if cta == nil {
+			continue
+		}
+		for i := range cta.warps {
+			if cta.warps[i].state == wSpilled {
+				spilled++
+			}
+		}
+	}
+	return s.res.Spills, spilled
 }

@@ -104,8 +104,8 @@ func ResumeGPU(cfg Config, spec LaunchSpec, ck *Checkpoint) (*GPUResult, error) 
 	eng.src.returned = append([]int(nil), snap.Src.Returned...)
 	eng.shared.memory = memoryFromCells(snap.Data)
 	eng.shared.outstanding = snap.SharedOutstanding
-	for i, sm := range eng.sms {
-		if err := sm.restore(snap.SMs[i]); err != nil {
+	for i := range eng.sms {
+		if err := eng.sms[i].restore(snap.SMs[i]); err != nil {
 			return nil, fmt.Errorf("%w: SM %d: %w", ErrBadCheckpoint, i, err)
 		}
 	}
@@ -116,45 +116,55 @@ func ResumeGPU(cfg Config, spec LaunchSpec, ck *Checkpoint) (*GPUResult, error) 
 	return eng.finish(), nil
 }
 
+// storeIntentCap is the store-intent room of each port: a cycle issues
+// at most one instruction per scheduler, and a store writes at most one
+// word per lane.
+const storeIntentCap = arch.NumSchedulers * arch.WarpSize
+
 // buildGPU constructs the shared state, the 16 SMs and their phased
 // ports — everything RunGPU and ResumeGPU have in common before any
-// CTA placement. Per-SM cancellation polling is disabled: the engine
-// polls Cancel once per device cycle at the commit boundary, which is
-// both faster than the per-SM cancelCheckEvery granularity and the only
-// point where a cancellation checkpoint is consistent.
+// CTA placement. The launch is validated once, and the SMs, the ports
+// and the ports' store intents each come from one slab. Per-SM
+// cancellation polling is disabled: the engine polls Cancel once per
+// device cycle at the commit boundary, which is both faster than the
+// per-SM cancelCheckEvery granularity and the only point where a
+// cancellation checkpoint is consistent.
 func buildGPU(cfg *Config, spec *LaunchSpec) (*gpuEngine, error) {
 	// Validate once (also applies defaulting to cfg).
 	if err := validate(cfg, spec); err != nil {
 		return nil, err
 	}
-	shared := &gpuShared{memory: newMemory(), tokensPerCycle: dramTokensPerCycle}
-	src := &ctaSource{limit: spec.GridCTAs}
-
-	sms := make([]*SM, arch.NumSMs)
-	ports := make([]*phasedPort, arch.NumSMs)
-	for i := range sms {
-		sm, err := newSM(*cfg, *spec)
-		if err != nil {
+	e := &gpuEngine{
+		cfg:    *cfg,
+		sms:    make([]SM, arch.NumSMs),
+		ports:  make([]phasedPort, arch.NumSMs),
+		src:    ctaSource{limit: spec.GridCTAs},
+		shared: gpuShared{memory: newMemory(), tokensPerCycle: dramTokensPerCycle},
+	}
+	smCfg := *cfg
+	smCfg.Cancel = nil
+	intents := make([]storeIntent, arch.NumSMs*storeIntentCap)
+	for i := range e.sms {
+		p := &e.ports[i]
+		*p = phasedPort{shared: &e.shared, smIndex: i,
+			stores: intents[i*storeIntentCap : i*storeIntentCap : (i+1)*storeIntentCap]}
+		sm := &e.sms[i]
+		if err := sm.init(smCfg, *spec, p, &e.src); err != nil {
 			return nil, err
 		}
-		sm.cfg.Cancel = nil
-		ports[i] = &phasedPort{shared: shared, smIndex: i}
-		sm.mem = ports[i]
-		sm.src = src
 		sm.deferDispatch = true
 		sm.smID = i
-		sms[i] = sm
 	}
-	return &gpuEngine{cfg: *cfg, sms: sms, ports: ports, src: src, shared: shared}, nil
+	return e, nil
 }
 
 // distribute makes the initial CTA placement: round-robin across SMs
 // (GigaThread-style), one CTA per SM per round, so a small grid spreads
 // instead of piling onto the first SMs.
 func (e *gpuEngine) distribute() {
-	for slot := 0; slot < len(e.sms[0].ctaSlots) && !e.src.empty(); slot++ {
-		for _, sm := range e.sms {
-			if sm.ctaSlots[slot] == nil {
+	for slot := 0; slot < len(e.sms[0].slots()) && !e.src.empty(); slot++ {
+		for i := range e.sms {
+			if sm := &e.sms[i]; sm.ctaSlots[slot] == nil {
 				if !sm.dispatchInto(slot) {
 					break
 				}
@@ -166,9 +176,9 @@ func (e *gpuEngine) distribute() {
 // finish aggregates the per-SM results once the engine completed. The
 // device's global memory becomes the result's Stores as it is.
 func (e *gpuEngine) finish() *GPUResult {
-	out := &GPUResult{Stores: e.shared.global}
-	for _, sm := range e.sms {
-		res := sm.finalize()
+	out := &GPUResult{Stores: e.shared.global, PerSM: make([]*Result, 0, len(e.sms))}
+	for i := range e.sms {
+		res := e.sms[i].finalize()
 		out.PerSM = append(out.PerSM, res)
 		if res.Cycles > out.Cycles {
 			out.Cycles = res.Cycles
@@ -205,11 +215,11 @@ func stepContained(i int, sm *SM) (err error) {
 // gpuEngine drives the two-phase device cycle loop.
 type gpuEngine struct {
 	cfg    Config
-	sms    []*SM
-	ports  []*phasedPort
-	src    *ctaSource
-	shared *gpuShared
-	errs   []error
+	sms    []SM
+	ports  []phasedPort
+	src    ctaSource
+	shared gpuShared
+	errs   [arch.NumSMs]error
 	// cycle counts engine iterations (every unfinished SM steps once per
 	// iteration) — the device clock checkpoints are stamped with.
 	cycle uint64
@@ -232,8 +242,8 @@ func (e *gpuEngine) snapshot() *GPUSnapshot {
 		Data:              sortedCells(&e.shared.memory),
 		SharedOutstanding: e.shared.outstanding,
 	}
-	for _, sm := range e.sms {
-		g.SMs = append(g.SMs, sm.snapshot())
+	for i := range e.sms {
+		g.SMs = append(g.SMs, e.sms[i].snapshot())
 	}
 	return g
 }
@@ -247,7 +257,6 @@ func (e *gpuEngine) snapshot() *GPUSnapshot {
 // once they have exited.
 func (e *gpuEngine) startWorkers() (stop func()) {
 	e.workers = min(max(e.cfg.GPUParallel, 1), len(e.sms))
-	e.errs = make([]error, len(e.sms))
 	e.start = make([]chan struct{}, e.workers-1)
 	var exited sync.WaitGroup
 	for p := range e.start {
@@ -272,7 +281,7 @@ func (e *gpuEngine) startWorkers() (stop func()) {
 // compute steps every unfinished SM of one partition.
 func (e *gpuEngine) compute(part int) {
 	for i := part; i < len(e.sms); i += e.workers {
-		if sm := e.sms[i]; !sm.finished() {
+		if sm := &e.sms[i]; !sm.finished() {
 			e.errs[i] = stepContained(i, sm)
 		}
 	}
@@ -314,12 +323,13 @@ func (e *gpuEngine) step() (done bool, err error) {
 	// grid no SM can ever hold fails fast): give every SM a dispatch
 	// turn in index order, then settle termination.
 	allDone, anyLive := true, false
-	for _, sm := range e.sms {
-		if !sm.finished() {
+	for i := range e.sms {
+		if sm := &e.sms[i]; !sm.finished() {
 			sm.dispatchCTAs()
 		}
 	}
-	for _, sm := range e.sms {
+	for i := range e.sms {
+		sm := &e.sms[i]
 		if !sm.finished() {
 			allDone = false
 		}
@@ -354,8 +364,8 @@ func (e *gpuEngine) step() (done bool, err error) {
 
 	// Commit phase: apply every SM's buffered shared-state effects in
 	// index order.
-	for _, p := range e.ports {
-		p.commit()
+	for i := range e.ports {
+		e.ports[i].commit()
 	}
 	e.cycle++
 	return false, nil

@@ -111,3 +111,32 @@ func TestRunGPURejectsUndispatchableCTAs(t *testing.T) {
 		t.Error("undispatchable grid must fail, not hang or drop CTAs")
 	}
 }
+
+// TestRunGPUFlagCacheOff: a device run with the flag cache disabled
+// (FlagCacheEntries -1, the Dynamic-0 configuration) probes the cache
+// for every pir and hits on no SM, while the default cache does hit.
+func TestRunGPUFlagCacheOff(t *testing.T) {
+	spec := LaunchSpec{
+		Kernel: compileFor(t, loopSrc, compiler.Options{}), GridCTAs: 16, ThreadsPerCTA: 64, ConcCTAs: 4,
+		Consts: []uint32{64, 0x1000, 50, 256 * 4, 0x50000},
+	}
+	off, err := RunGPU(Config{Mode: rename.ModeCompiler, FlagCacheEntries: -1}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	on, err := RunGPU(Config{Mode: rename.ModeCompiler}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var offProbes, onHits uint64
+	for i, res := range off.PerSM {
+		if res.Flag.Hits != 0 {
+			t.Errorf("SM %d: %d flag-cache hits with the cache disabled", i, res.Flag.Hits)
+		}
+		offProbes += res.Flag.Probes
+		onHits += on.PerSM[i].Flag.Hits
+	}
+	if offProbes == 0 || onHits == 0 {
+		t.Fatalf("%d probes without the cache, %d hits with it: the kernel exercises no pirs", offProbes, onHits)
+	}
+}

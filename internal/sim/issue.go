@@ -142,7 +142,7 @@ func (s *SM) releasesInBank(w *warp, in *isa.Instr, bank int) bool {
 func (s *SM) release(w *warp, r isa.RegID) {
 	if s.table.Release(w.slot, r) {
 		s.gov.OnRelease(w.cta.slot, arch.BankOf(int(r)))
-		s.traceMap(w, r, false)
+		s.traceMap(w.slot, r, false)
 	}
 }
 
@@ -281,7 +281,7 @@ func (s *SM) scheduleRegWrite(w *warp, in *isa.Instr, val lanes, execMask uint32
 	}
 	if res.Allocated {
 		s.gov.OnAlloc(w.cta.slot, arch.BankOf(int(d)))
-		s.traceMap(w, d, true)
+		s.traceMap(w.slot, d, true)
 	}
 	w.busyRegs = w.busyRegs.Add(d)
 	w.inflight++
@@ -362,7 +362,7 @@ func (s *SM) execLoad(w *warp, in *isa.Instr, src [isa.MaxSrcOperands]lanes, exe
 	}
 	if res.Allocated {
 		s.gov.OnAlloc(w.cta.slot, arch.BankOf(int(d)))
-		s.traceMap(w, d, true)
+		s.traceMap(w.slot, d, true)
 	}
 	w.busyRegs = w.busyRegs.Add(d)
 	w.inflight++

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"regvirt/internal/arch"
-	"regvirt/internal/rename"
 )
 
 // Two-level warp scheduling (§5) plus the §8.1 spill fallback. Every
@@ -160,11 +159,12 @@ func (s *SM) hasPromotable() bool {
 func (s *SM) spillVictim() {
 	var victim *warp
 	best := 0
-	for _, cta := range s.ctaSlots {
+	for _, cta := range s.slots() {
 		if cta == nil {
 			continue
 		}
-		for _, w := range cta.warps {
+		for i := range cta.warps {
+			w := &cta.warps[i]
 			if w.state == wFinished || w.state == wSpilled || w.inflight > 0 {
 				continue
 			}
@@ -184,10 +184,7 @@ func (s *SM) spillVictim() {
 		s.gov.OnRelease(victim.cta.slot, arch.BankOf(int(sr.Reg)))
 		s.mem.noteRequests(1) // one coalesced store per architected register
 	}
-	victim.spillSaved = make([]spilledState, len(spilled))
-	for i, sr := range spilled {
-		victim.spillSaved[i] = spilledState{reg: sr.Reg, val: sr.Val}
-	}
+	victim.spillSaved = spilled
 	victim.state = wSpilled
 	victim.restoreAfter = s.cycle + 4*uint64(arch.GlobalMemLatency)
 	s.removeFromReady(victim)
@@ -202,19 +199,23 @@ func (s *SM) spillVictim() {
 	s.lastProgress = s.cycle
 }
 
-// restoreSpilled tries to bring spilled warps back.
+// restoreSpilled tries to bring spilled warps back. It runs every
+// cycle, so it allocates nothing: a run that never spilled returns at
+// once (exact on a resumed run too, since checkpoints carry the Spills
+// count), and a restore hands the backend the saved registers as they
+// are.
 func (s *SM) restoreSpilled() {
-	for _, cta := range s.ctaSlots {
+	if s.res.Spills == 0 {
+		return
+	}
+	for _, cta := range s.slots() {
 		if cta == nil {
 			continue
 		}
-		for _, w := range cta.warps {
+		for i := range cta.warps {
+			w := &cta.warps[i]
 			if w.state != wSpilled || s.cycle < w.restoreAfter {
 				continue
-			}
-			regs := make([]rename.SpilledReg, len(w.spillSaved))
-			for i, sv := range w.spillSaved {
-				regs[i] = rename.SpilledReg{Reg: sv.reg, Val: sv.val}
 			}
 			// Restores must not steal back the headroom spilling created:
 			// warps outside the drain CTA stay in memory while the drain
@@ -225,13 +226,13 @@ func (s *SM) restoreSpilled() {
 				s.gov.NeedSpill(s.file.FreeTotal(), s.file.FreeBanks()) {
 				continue
 			}
-			if s.file.FreeTotal() < len(regs)*2 {
+			if s.file.FreeTotal() < len(w.spillSaved)*2 {
 				continue
 			}
-			if !s.table.RestoreWarp(w.slot, regs) {
+			if !s.table.RestoreWarp(w.slot, w.spillSaved) {
 				continue
 			}
-			for _, sr := range regs {
+			for _, sr := range w.spillSaved {
 				s.gov.OnAlloc(cta.slot, arch.BankOf(int(sr.Reg)))
 				s.mem.noteRequests(1) // one coalesced load per register
 			}

@@ -24,11 +24,13 @@ import (
 // boundary is what lets the whole-device engine (gpu.go) run the
 // per-SM compute phases concurrently.
 
-// ctaState is one resident CTA.
+// ctaState is one resident CTA. Its warps live in one slab allocated
+// at dispatch, so a warp pointer stays valid for as long as a
+// writeback still references it, after the CTA completed too.
 type ctaState struct {
 	ctaID     int // grid index
 	slot      int // CTA slot on the SM
-	warps     []*warp
+	warps     []warp
 	liveWarps int
 	atBarrier int
 }
@@ -50,8 +52,8 @@ type writeback struct {
 // by (delivery cycle, push sequence), of indices into a slab whose
 // entries pops hand back to a free list. Writebacks due in one cycle
 // come out in the order they were pushed — regcache's FIFO replacement
-// depends on it — and once the slab has grown to the SM's peak
-// in-flight count, pushing and popping allocate nothing.
+// depends on it — and pushing and popping allocate nothing until more
+// writebacks are in flight than the capacity init gave the queue.
 type wbQueue struct {
 	slab []writeback
 	free []int32
@@ -67,6 +69,13 @@ type wbRef struct {
 
 func (a wbRef) before(b wbRef) bool {
 	return a.cycle < b.cycle || (a.cycle == b.cycle && a.seq < b.seq)
+}
+
+// init sizes an empty queue for n writebacks in flight.
+func (q *wbQueue) init(n int) {
+	q.slab = make([]writeback, 0, n)
+	q.free = make([]int32, 0, n)
+	q.heap = make([]wbRef, 0, n)
 }
 
 // len is the number of writebacks in flight.
@@ -151,9 +160,11 @@ type SM struct {
 	mem    memPort
 
 	warpsPerCTA int
-	ctaSlots    []*ctaState // nil = free
-	ready       []*warp
-	pendingQ    []*warp
+	// ctaSlots holds the resident CTA of each slot (nil = free); the
+	// launch uses the first spec.ConcCTAs (slots).
+	ctaSlots [arch.MaxCTAsPerSM]*ctaState
+	ready    []*warp
+	pendingQ []*warp
 	// order is the scheduler's selection-order buffer, refilled by
 	// pickOrder every scheduler pass.
 	order []*warp
@@ -190,10 +201,23 @@ type SM struct {
 	residentWarps     int
 }
 
+// newSM builds a single-SM run, with its own memory system and its
+// share of the grid.
 func newSM(cfg Config, spec LaunchSpec) (*SM, error) {
 	if err := validate(&cfg, &spec); err != nil {
 		return nil, err
 	}
+	s := &SM{}
+	src := &ctaSource{limit: max(spec.GridCTAs/arch.NumSMs, 1)}
+	if err := s.init(cfg, spec, newMemSys(), src); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// init builds the SM in place for a validated launch, around the
+// memory port and CTA source it is given.
+func (s *SM) init(cfg Config, spec LaunchSpec, mem memPort, src *ctaSource) error {
 	file, err := regfile.New(regfile.Config{
 		NumRegs:         cfg.PhysRegs,
 		PowerGating:     cfg.PowerGating,
@@ -202,7 +226,7 @@ func newSM(cfg Config, spec LaunchSpec) (*SM, error) {
 		PoisonOnRelease: cfg.PoisonReleased,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	table, err := rename.NewBackend(rename.Config{
 		Mode:              cfg.Mode,
@@ -214,36 +238,46 @@ func newSM(cfg Config, spec LaunchSpec) (*SM, error) {
 		SpillRegs:         cfg.SpillRegs,
 	}, file)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fcache, err := flagcache.New(cfg.FlagCacheEntries)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	wpc := spec.warpsPerCTA()
 	gov, err := throttle.New(arch.MaxCTAsPerSM, spec.Kernel.Prog.RegCount, wpc)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	gov.Policy = cfg.ThrottlePolicy
-	totalCTAs := spec.GridCTAs / arch.NumSMs
-	if totalCTAs < 1 {
-		totalCTAs = 1
-	}
-	s := &SM{
+	*s = SM{
 		cfg: cfg, spec: spec, prog: spec.Kernel.Prog,
 		file: file, table: table, fcache: fcache, gov: gov,
-		mem:         newMemSys(),
+		mem:         mem,
 		warpsPerCTA: wpc,
-		ctaSlots:    make([]*ctaState, spec.ConcCTAs),
-		src:         &ctaSource{limit: totalCTAs},
+		src:         src,
 	}
+	// The queues are sized from the launch once. The writeback queue
+	// gets room for one writeback per MSHR plus one per resident warp
+	// (bench kernels peak at 56 of 64); a deeper queue still grows. The
+	// ready queue and the scheduler's order buffer never hold more than
+	// ReadyQueueSize warps, and the pending queue holds each resident
+	// warp at most once; the three share one slab.
+	residents := wpc * spec.ConcCTAs
+	s.wbQueue.init(arch.MaxOutstandingReqs + residents)
+	q := make([]*warp, 2*arch.ReadyQueueSize+residents)
+	s.ready = q[:0:arch.ReadyQueueSize]
+	s.order = q[arch.ReadyQueueSize : arch.ReadyQueueSize : 2*arch.ReadyQueueSize]
+	s.pendingQ = q[2*arch.ReadyQueueSize : 2*arch.ReadyQueueSize]
 	if cfg.Profile {
 		s.res.Profile = newProfile()
 		s.prof = s.res.Profile
 	}
-	return s, nil
+	return nil
 }
+
+// slots returns the launch's CTA slots.
+func (s *SM) slots() []*ctaState { return s.ctaSlots[:s.spec.ConcCTAs] }
 
 // finished reports that the SM has no work left.
 func (s *SM) finished() bool { return s.src.empty() && s.liveCTAs == 0 }
@@ -378,8 +412,8 @@ func (s *SM) trace() {
 	}
 }
 
-func (s *SM) tracked(w *warp, r isa.RegID) bool {
-	if w.slot != s.cfg.Trace.TrackWarp {
+func (s *SM) tracked(wslot int, r isa.RegID) bool {
+	if wslot != s.cfg.Trace.TrackWarp {
 		return false
 	}
 	for _, tr := range s.cfg.Trace.TrackRegs {
@@ -390,15 +424,15 @@ func (s *SM) tracked(w *warp, r isa.RegID) bool {
 	return false
 }
 
-func (s *SM) traceMap(w *warp, r isa.RegID, mapped bool) {
-	if s.tracked(w, r) {
+func (s *SM) traceMap(wslot int, r isa.RegID, mapped bool) {
+	if s.tracked(wslot, r) {
 		s.res.RegEvents = append(s.res.RegEvents, RegEvent{Cycle: s.cycle, Reg: r, Mapped: mapped})
 	}
 }
 
-func (s *SM) traceLaunchPins(w *warp, pinned int) {
+func (s *SM) traceLaunchPins(wslot, pinned int) {
 	for r := 0; r < pinned; r++ {
-		s.traceMap(w, isa.RegID(r), true)
+		s.traceMap(wslot, isa.RegID(r), true)
 	}
 }
 
@@ -415,6 +449,6 @@ func (s *SM) traceRestorePins(w *warp) {
 		return
 	}
 	for _, sv := range w.spillSaved {
-		s.traceMap(w, sv.reg, true)
+		s.traceMap(w.slot, sv.Reg, true)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"regvirt/internal/arch"
 	"regvirt/internal/isa"
 	"regvirt/internal/liveness"
+	"regvirt/internal/rename"
 )
 
 // warpState is the scheduler-visible state of a warp.
@@ -55,16 +56,12 @@ type warp struct {
 	// only matters within a cycle, so snapshots leave it out.
 	issuedStamp uint64
 
-	// Spill fallback storage.
-	spillSaved []spilledState
+	// spillSaved holds the registers the §8.1 fallback evacuated, in
+	// the form the backend restores them from.
+	spillSaved []rename.SpilledReg
 	// restoreAfter gates re-admission of a spilled warp so spill/restore
 	// pairs cannot thrash.
 	restoreAfter uint64
-}
-
-type spilledState struct {
-	reg isa.RegID
-	val [arch.WarpSize]uint32
 }
 
 // fullMask returns the initial active mask for a warp covering `threads`
@@ -76,14 +73,18 @@ func fullMask(threads int) uint32 {
 	return (uint32(1) << uint(threads)) - 1
 }
 
-func newWarp(slot int, cta *ctaState, idInCTA, threads int) *warp {
+// init sets w up as warp idInCTA of cta, in SM warp slot slot,
+// covering threads lanes. Its SIMT stack starts as the one launch
+// frame, appended to stack (an empty slice whose capacity the
+// dispatcher provides).
+func (w *warp) init(slot int, cta *ctaState, idInCTA, threads int, stack []simtEntry) {
 	m := fullMask(threads)
-	return &warp{
+	*w = warp{
 		slot:     slot,
 		cta:      cta,
 		idInCTA:  idInCTA,
 		initMask: m,
-		stack:    []simtEntry{{reconvPC: -1, pc: 0, mask: m}},
+		stack:    append(stack, simtEntry{reconvPC: -1, pc: 0, mask: m}),
 	}
 }
 

@@ -6,6 +6,13 @@ import (
 	"regvirt/internal/isa"
 )
 
+// newWarp is a lone warp covering threads lanes, with no CTA.
+func newWarp(threads int) *warp {
+	w := new(warp)
+	w.init(0, nil, 0, threads, nil)
+	return w
+}
+
 func TestFullMask(t *testing.T) {
 	if fullMask(32) != ^uint32(0) {
 		t.Error("fullMask(32) wrong")
@@ -22,7 +29,7 @@ func TestFullMask(t *testing.T) {
 }
 
 func TestSIMTDivergeAndReconverge(t *testing.T) {
-	w := newWarp(0, nil, 0, 32)
+	w := newWarp(32)
 	w.top().pc = 10 // at the branch
 	// Lanes 0..15 take the branch to 20, 16..31 fall through to 11;
 	// reconvergence at 30.
@@ -55,7 +62,7 @@ func TestSIMTDivergeSideAtReconvergence(t *testing.T) {
 	// The fall-through side starts at the reconvergence point (a loop
 	// back edge): only the taken side gets a frame; the waiting lanes
 	// merge into the parked base frame.
-	w := newWarp(0, nil, 0, 32)
+	w := newWarp(32)
 	w.top().pc = 5
 	w.diverge(2, 6, 6, 0x0f, ^uint32(0xf))
 	if len(w.stack) != 2 {
@@ -72,7 +79,7 @@ func TestSIMTDivergeSideAtReconvergence(t *testing.T) {
 }
 
 func TestSIMTNestedDivergence(t *testing.T) {
-	w := newWarp(0, nil, 0, 32)
+	w := newWarp(32)
 	w.top().pc = 0
 	w.diverge(10, 1, 40, 0xffff, 0xffff0000) // outer
 	// Inside the taken path (pc 10, lanes 0..15), diverge again.
@@ -102,7 +109,7 @@ func TestSIMTNestedDivergence(t *testing.T) {
 }
 
 func TestExitLanesPartialAndFull(t *testing.T) {
-	w := newWarp(0, nil, 0, 32)
+	w := newWarp(32)
 	if w.exitLanes(0x0000ffff) {
 		t.Error("half the lanes exiting should not finish the warp")
 	}
@@ -116,7 +123,7 @@ func TestExitLanesPartialAndFull(t *testing.T) {
 
 func TestExitLanesAcrossDivergence(t *testing.T) {
 	// Lanes exiting inside a divergent path must drain from every frame.
-	w := newWarp(0, nil, 0, 32)
+	w := newWarp(32)
 	w.top().pc = 0
 	w.diverge(10, 1, -1, 0xff, ^uint32(0xff)) // reconverge only at exit
 	if w.pc() != 10 {
@@ -135,7 +142,7 @@ func TestExitLanesAcrossDivergence(t *testing.T) {
 }
 
 func TestPredMask(t *testing.T) {
-	w := newWarp(0, nil, 0, 32)
+	w := newWarp(32)
 	w.preds[1] = 0x0f0f
 	if got := w.predMask(isa.Pred{Reg: 1}); got != 0x0f0f {
 		t.Errorf("predMask(p1) = %#x", got)

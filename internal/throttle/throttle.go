@@ -43,9 +43,9 @@ type Governor struct {
 	maxPerCTA int
 	// maxPerBank[b] is C_b: worst-case registers CTA needs in bank b.
 	maxPerBank [arch.NumBanks]int
-	allocated  []int
-	allocBank  [][arch.NumBanks]int
-	active     []bool
+	// cta[s] is CTA slot s's balance, for s < slots.
+	cta   [arch.MaxCTAsPerSM]ctaBalance
+	slots int
 	// reservedBank/reservedSlot form the single outstanding drain
 	// reservation (PolicyReservation); reservedBank == -1 means none.
 	// A single reservation cannot form circular waits between CTAs.
@@ -55,18 +55,24 @@ type Governor struct {
 	Throttles, Blocked uint64
 }
 
-// New builds a governor for up to slots concurrent CTAs running a kernel
-// with regsPerWarp architected registers and warpsPerCTA warps per CTA.
+// ctaBalance is k_i, in total and per bank, of one CTA slot.
+type ctaBalance struct {
+	allocated int
+	bank      [arch.NumBanks]int
+	active    bool
+}
+
+// New builds a governor for up to slots (at most arch.MaxCTAsPerSM)
+// concurrent CTAs running a kernel with regsPerWarp architected
+// registers and warpsPerCTA warps per CTA.
 func New(slots, regsPerWarp, warpsPerCTA int) (*Governor, error) {
-	if slots <= 0 || regsPerWarp <= 0 || warpsPerCTA <= 0 {
+	if slots <= 0 || slots > arch.MaxCTAsPerSM || regsPerWarp <= 0 || warpsPerCTA <= 0 {
 		return nil, fmt.Errorf("throttle: invalid geometry (%d slots, %d regs/warp, %d warps/CTA)",
 			slots, regsPerWarp, warpsPerCTA)
 	}
 	g := &Governor{
 		maxPerCTA: regsPerWarp * warpsPerCTA,
-		allocated: make([]int, slots),
-		allocBank: make([][arch.NumBanks]int, slots),
-		active:    make([]bool, slots),
+		slots:     slots,
 	}
 	for r := 0; r < regsPerWarp; r++ {
 		g.maxPerBank[arch.BankOf(r)] += warpsPerCTA
@@ -78,16 +84,12 @@ func New(slots, regsPerWarp, warpsPerCTA int) (*Governor, error) {
 
 // CTALaunched marks a CTA slot active with zero registers allocated.
 func (g *Governor) CTALaunched(slot int) {
-	g.active[slot] = true
-	g.allocated[slot] = 0
-	g.allocBank[slot] = [arch.NumBanks]int{}
+	g.cta[slot] = ctaBalance{active: true}
 }
 
 // CTACompleted frees the slot and drops its reservation.
 func (g *Governor) CTACompleted(slot int) {
-	g.active[slot] = false
-	g.allocated[slot] = 0
-	g.allocBank[slot] = [arch.NumBanks]int{}
+	g.cta[slot] = ctaBalance{}
 	if g.reservedSlot == slot {
 		g.reservedBank, g.reservedSlot = -1, -1
 	}
@@ -96,27 +98,33 @@ func (g *Governor) CTACompleted(slot int) {
 // OnAlloc and OnRelease track k_i per bank. A successful allocation by
 // the reservation holder releases its reservation.
 func (g *Governor) OnAlloc(slot, bank int) {
-	g.allocated[slot]++
-	g.allocBank[slot][bank]++
+	g.cta[slot].allocated++
+	g.cta[slot].bank[bank]++
 	if g.reservedSlot == slot && g.reservedBank == bank {
 		g.reservedBank, g.reservedSlot = -1, -1
 	}
 }
 
 func (g *Governor) OnRelease(slot, bank int) {
-	g.allocated[slot]--
-	g.allocBank[slot][bank]--
+	g.OnReleaseN(slot, bank, 1)
+}
+
+// OnReleaseN records n registers released at once in one bank (a warp
+// release, rename.Backend.ReleaseWarp).
+func (g *Governor) OnReleaseN(slot, bank, n int) {
+	g.cta[slot].allocated -= n
+	g.cta[slot].bank[bank] -= n
 }
 
 // Allocated returns k for a CTA slot.
-func (g *Governor) Allocated(slot int) int { return g.allocated[slot] }
+func (g *Governor) Allocated(slot int) int { return g.cta[slot].allocated }
 
 // Balance returns C - k for a CTA slot (worst-case remaining demand).
-func (g *Governor) Balance(slot int) int { return g.maxPerCTA - g.allocated[slot] }
+func (g *Governor) Balance(slot int) int { return g.maxPerCTA - g.cta[slot].allocated }
 
 // BankBalance returns C_b - k_b for a CTA slot and bank.
 func (g *Governor) BankBalance(slot, bank int) int {
-	return g.maxPerBank[bank] - g.allocBank[slot][bank]
+	return g.maxPerBank[bank] - g.cta[slot].bank[bank]
 }
 
 // Drain returns the active CTA with the minimum total balance — the one
@@ -127,8 +135,8 @@ func (g *Governor) Drain() int { return g.drain() }
 // broken by slot index, §8.1 "arbitrarily breaking ties"), or -1.
 func (g *Governor) drain() int {
 	best, bestBal := -1, 0
-	for s, on := range g.active {
-		if !on {
+	for s := range g.slots {
+		if !g.cta[s].active {
 			continue
 		}
 		if b := g.Balance(s); best == -1 || b < bestBal {
@@ -174,8 +182,8 @@ func (g *Governor) MayIssue(slot, bank, freeTotal int, freeBank [arch.NumBanks]i
 		}
 		return true
 	}
-	for s, on := range g.active {
-		if on && g.feasible(s, freeTotal, freeBank) {
+	for s := range g.slots {
+		if g.cta[s].active && g.feasible(s, freeTotal, freeBank) {
 			return true
 		}
 	}
@@ -233,13 +241,16 @@ type State struct {
 // State deep-copies the governor's mutable state.
 func (g *Governor) State() *State {
 	st := &State{
-		Allocated:    append([]int(nil), g.allocated...),
-		AllocBank:    append([][arch.NumBanks]int(nil), g.allocBank...),
-		Active:       append([]bool(nil), g.active...),
+		Allocated:    make([]int, g.slots),
+		AllocBank:    make([][arch.NumBanks]int, g.slots),
+		Active:       make([]bool, g.slots),
 		ReservedBank: g.reservedBank,
 		ReservedSlot: g.reservedSlot,
 		Throttles:    g.Throttles,
 		Blocked:      g.Blocked,
+	}
+	for s, c := range g.cta[:g.slots] {
+		st.Allocated[s], st.AllocBank[s], st.Active[s] = c.allocated, c.bank, c.active
 	}
 	return st
 }
@@ -250,14 +261,13 @@ func (g *Governor) SetState(st *State) error {
 	if st == nil {
 		return fmt.Errorf("throttle: nil state")
 	}
-	if len(st.Allocated) != len(g.allocated) || len(st.AllocBank) != len(g.allocBank) ||
-		len(st.Active) != len(g.active) {
+	if len(st.Allocated) != g.slots || len(st.AllocBank) != g.slots || len(st.Active) != g.slots {
 		return fmt.Errorf("throttle: state geometry mismatch (%d slots vs %d)",
-			len(st.Allocated), len(g.allocated))
+			len(st.Allocated), g.slots)
 	}
-	copy(g.allocated, st.Allocated)
-	copy(g.allocBank, st.AllocBank)
-	copy(g.active, st.Active)
+	for s := range g.slots {
+		g.cta[s] = ctaBalance{allocated: st.Allocated[s], bank: st.AllocBank[s], active: st.Active[s]}
+	}
 	g.reservedBank = st.ReservedBank
 	g.reservedSlot = st.ReservedSlot
 	g.Throttles = st.Throttles
