@@ -23,8 +23,8 @@ race:
 verify: build vet race
 
 # Per-backend register-file suite under the race detector: the mode
-# grammar, both wrapper backends' unit tests, the five-way determinism
-# matrix (sequential vs parallel device engine), checkpoint/resume
+# grammar, both wrapper backends' unit tests, the five-way device
+# determinism matrix (each launch alone and twice at once), checkpoint/resume
 # byte-identity per mode, the emulator differential per backend, the
 # jobs cache-key separation of modes, the head-to-head figure, and
 # regvsim's local-equals-remote table (every backend's result encoding
@@ -101,7 +101,7 @@ nemesis:
 	$(GO) test -race -count=1 -run 'TestNemesis' -v ./cmd/regvd
 
 # Short fuzz smoke: the journal-replay parser (never panics, accepts
-# exactly the longest valid prefix), the three ISA surface parsers, and
+# exactly the longest valid prefix), the ISA text and binary parsers, and
 # the integrity-envelope decoders behind every result/checkpoint read
 # (differential against an independent open+decode; corrupt bytes are
 # misses, never wrong answers). ~30s per target; CI runs this as its
@@ -112,13 +112,13 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointDecode -fuzztime=30s ./internal/jobs/store
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=30s ./internal/isa
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBinary -fuzztime=30s ./internal/isa
-	$(GO) test -run=^$$ -fuzz=FuzzUnmarshal -fuzztime=30s ./internal/isa
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# Sequential vs parallel two-phase device engine; regenerates
-# BENCH_gpu.json at the repo root (medians of five repetitions).
+# The whole-device engine on three workloads under four backends;
+# regenerates BENCH_gpu.json at the repo root (medians of five
+# repetitions).
 bench-gpu:
 	$(GO) test -bench=BenchmarkRunGPU -benchtime=2x -count=5 -run=^$$ .
 

@@ -1,11 +1,10 @@
 package regvirt
 
-// BenchmarkRunGPU measures the two-phase whole-device engine: the
-// sequential reference (gpu-par=1) against the pooled compute phase
-// (gpu-par=8) across memory-diverse workloads under every register
-// management backend ("Dynamic" = hardware-only renaming, "Static" =
-// compiler-assisted, plus the register-cache and shared-memory-spill
-// wrappers). Run via:
+// BenchmarkRunGPU measures the whole-device engine (sim.RunGPU, all 16
+// SMs stepped on one goroutine) across memory-diverse workloads under
+// every register management backend ("Dynamic" = hardware-only
+// renaming, "Static" = compiler-assisted, plus the register-cache and
+// shared-memory-spill wrappers). Run via:
 //
 //	make bench-gpu
 //
@@ -13,16 +12,10 @@ package regvirt
 // allocs/simcycle, where a simulated cycle is one device cycle) it
 // writes BENCH_gpu.json: per configuration the median ns/op,
 // allocs/op and ns/simcycle over the -count repetitions and their
-// spread, the parallel speedup, and the host core count and
-// GOMAXPROCS. The speedup is a wall-clock property only: the engine
-// commits shared state in fixed SM order, so both settings produce
-// byte-identical results (internal/sim's determinism matrix enforces
-// this), and with fewer cores than workers the extra goroutines only
-// add barrier overhead.
+// spread, and the host core count and GOMAXPROCS.
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"runtime"
 	"slices"
@@ -30,12 +23,9 @@ import (
 	"testing"
 )
 
-const benchGPUWorkers = 8
-
 type gpuBenchEntry struct {
 	Workload      string  `json:"workload"`
 	Mode          string  `json:"mode"`
-	Workers       int     `json:"workers"`
 	NsPerOp       float64 `json:"ns_per_op"`
 	AllocsPerOp   float64 `json:"allocs_per_op"`
 	NsPerSimCycle float64 `json:"ns_per_simcycle"`
@@ -47,11 +37,9 @@ type gpuBenchEntry struct {
 }
 
 type gpuBenchReport struct {
-	Cores      int                `json:"cores"`
-	GoMaxProcs int                `json:"gomaxprocs"`
-	Workers    int                `json:"workers"`
-	Entries    []gpuBenchEntry    `json:"entries"`
-	Speedup    map[string]float64 `json:"speedup"` // workload/mode -> seq/par
+	Cores      int             `json:"cores"`
+	GoMaxProcs int             `json:"gomaxprocs"`
+	Entries    []gpuBenchEntry `json:"entries"`
 }
 
 // gpuBench collects one measurement per configuration per -count
@@ -91,33 +79,31 @@ func BenchmarkRunGPU(b *testing.B) {
 				}
 			}
 			spec := w.Spec(k)
-			for _, workers := range []int{1, benchGPUWorkers} {
-				name := fmt.Sprintf("%s/%s/par%d", app, m.name, workers)
-				// Each -count repetition calls the closure with b.N == 1
-				// first, then (unless -benchtime=1x) with larger b.N; the
-				// last call of a repetition is its measurement.
-				var reps []simCost
-				b.Run(name, func(b *testing.B) {
-					cfg := Config{Mode: m.mode, PhysRegs: 512, GPUParallel: workers}
-					c := measureSim(b, func() uint64 {
-						res, err := RunGPU(cfg, spec)
-						if err != nil {
-							b.Fatal(err)
-						}
-						return res.Cycles
-					})
-					if b.N == 1 || len(reps) == 0 {
-						reps = append(reps, c)
-					} else {
-						reps[len(reps)-1] = c
+			name := app + "/" + m.name
+			// Each -count repetition calls the closure with b.N == 1
+			// first, then (unless -benchtime=1x) with larger b.N; the
+			// last call of a repetition is its measurement.
+			var reps []simCost
+			b.Run(name, func(b *testing.B) {
+				cfg := Config{Mode: m.mode, PhysRegs: 512}
+				c := measureSim(b, func() uint64 {
+					res, err := RunGPU(cfg, spec)
+					if err != nil {
+						b.Fatal(err)
 					}
+					return res.Cycles
 				})
-				for _, c := range reps {
-					recordGPUBench(name, gpuBenchEntry{
-						Workload: app, Mode: m.name, Workers: workers,
-						NsPerOp: c.nsPerOp, AllocsPerOp: c.allocsPerOp, NsPerSimCycle: c.nsPerCycle,
-					})
+				if b.N == 1 || len(reps) == 0 {
+					reps = append(reps, c)
+				} else {
+					reps[len(reps)-1] = c
 				}
+			})
+			for _, c := range reps {
+				recordGPUBench(name, gpuBenchEntry{
+					Workload: app, Mode: m.name,
+					NsPerOp: c.nsPerOp, AllocsPerOp: c.allocsPerOp, NsPerSimCycle: c.nsPerCycle,
+				})
 			}
 		}
 	}
@@ -159,8 +145,6 @@ func writeGPUBenchReport() error {
 	rep := gpuBenchReport{
 		Cores:      runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Workers:    benchGPUWorkers,
-		Speedup:    map[string]float64{},
 	}
 	for _, key := range gpuBench.order {
 		runs := gpuBench.samples[key]
@@ -181,16 +165,6 @@ func writeGPUBenchReport() error {
 			e.SpreadPct = (slices.Max(ns) - slices.Min(ns)) / e.NsPerOp * 100
 		}
 		rep.Entries = append(rep.Entries, e)
-	}
-	for _, e := range rep.Entries {
-		if e.Workers != 1 {
-			continue
-		}
-		for _, p := range rep.Entries {
-			if p.Workload == e.Workload && p.Mode == e.Mode && p.Workers == benchGPUWorkers && p.NsPerOp > 0 {
-				rep.Speedup[e.Workload+"/"+e.Mode] = e.NsPerOp / p.NsPerOp
-			}
-		}
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

@@ -12,8 +12,6 @@
 //
 // "gpu" is the whole-device comparison (sim.RunGPU, 16 SMs); it costs
 // 16 single-SM runs per workload and is therefore not part of "all".
-// -gpu-par sets its compute-phase worker count (wall-clock only; the
-// two-phase engine's rows are identical at any setting).
 package main
 
 import (
@@ -34,7 +32,6 @@ import (
 var (
 	csvDir   = flag.String("csv", "", "directory to write plot-ready CSV files into")
 	parallel = flag.Int("j", 1, "worker goroutines for independent experiments")
-	gpuPar   = flag.Int("gpu-par", 1, "compute-phase workers for the gpu experiment (wall-clock only)")
 )
 
 var order = []string{
@@ -46,7 +43,7 @@ var order = []string{
 func main() {
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintf(os.Stderr, "usage: %s [-csv dir] [-j N] [-gpu-par N] <%s|gpu|all>\n", os.Args[0], join(order))
+		fmt.Fprintf(os.Stderr, "usage: %s [-csv dir] [-j N] <%s|gpu|all>\n", os.Args[0], join(order))
 		os.Exit(2)
 	}
 	if *csvDir != "" {
@@ -268,7 +265,7 @@ func run(w io.Writer, r *experiments.Runner, which string) error {
 		}
 	case "gpu":
 		header(w, "Whole-device (16 SM) vs single-SM under GPU-shrink")
-		rows, err := experiments.Device(r, *gpuPar)
+		rows, err := experiments.Device(r)
 		if err != nil {
 			return err
 		}

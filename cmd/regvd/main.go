@@ -38,11 +38,11 @@
 //	regvd -addr 127.0.0.1:8077 &
 //	curl -s localhost:8077/v1/jobs -d '{"workload":"MatrixMul","physregs":512,"gating":true}'
 //
-// Whole-device jobs ({"gpu":true}) accept "gpu_par": the compute-phase
-// worker count of the two-phase SM engine. It changes wall-clock time
-// only — results are byte-identical at any setting — so it is excluded
-// from the content hash and jobs differing only in gpu_par share one
-// cached result.
+// Jobs still accept "gpu_par", which once set the whole-device
+// engine's compute-phase worker count, and ignore it: the engine steps
+// the 16 SMs on one goroutine, and the service runs jobs side by side
+// instead. It keeps its validation and stays out of the content hash,
+// so a job that sends it gets the status and ID it always got.
 //
 // Failure behavior: when 768 tasks are queued (jobs.ShedDepth) the
 // daemon refuses new unique work with 429 + Retry-After instead of

@@ -8,7 +8,7 @@
 //	regvsim -workload MUM -mode compiler -physregs 512 -gating
 //	regvsim -kernel my.asm -ctas 16 -threads 128 -conc 4 -mode baseline
 //	regvsim -workload BFS -json        # machine-readable (same JSON as regvd)
-//	regvsim -workload MatrixMul -gpu -gpu-par 8   # whole device, parallel engine
+//	regvsim -workload MatrixMul -gpu   # whole 16-SM device
 //	regvsim -workload MUM -remote http://127.0.0.1:8077   # run on a regvd service
 //
 // The flags are packed into one jobs.Job — the same spec a POST to
@@ -61,7 +61,6 @@ type options struct {
 	rfCacheWT           bool
 	spillRegs           int
 	gpu                 bool
-	gpuPar              int
 	json                bool
 	remote              string
 	timeout             time.Duration
@@ -78,7 +77,7 @@ func main() {
 	flag.IntVar(&o.threads, "threads", 128, "threads per CTA (with -kernel)")
 	flag.IntVar(&o.conc, "conc", 4, "concurrent CTAs per SM (with -kernel)")
 	flag.StringVar(&o.mode, "mode", "compiler", "register-file backend: "+strings.Join(rename.ModeNames(), "|"))
-	flag.IntVar(&o.physRegs, "physregs", arch.NumPhysRegs, "physical registers (1024 baseline, 512 GPU-shrink)")
+	flag.IntVar(&o.physRegs, "physregs", arch.NumPhysRegs, fmt.Sprintf("physical registers (1024 baseline, 512 GPU-shrink; a multiple of 16, at most %d)", sim.MaxPhysRegs))
 	flag.BoolVar(&o.gating, "gating", false, "enable subarray power gating")
 	flag.IntVar(&o.wakeup, "wakeup", 1, "subarray wakeup latency in cycles (at least 1; job field wakeup)")
 	flag.IntVar(&o.flagCache, "flagcache", arch.FlagCacheEntries, "release flag cache entries (-1 disables)")
@@ -87,7 +86,6 @@ func main() {
 	flag.BoolVar(&o.rfCacheWT, "rfcache-wt", false, "with -mode regcache: write-through instead of write-back")
 	flag.IntVar(&o.spillRegs, "spill-regs", 0, "with -mode smemspill: registers demoted to shared memory (0 = auto-fit)")
 	flag.BoolVar(&o.gpu, "gpu", false, "simulate all 16 SMs (whole grid) instead of one SM's share")
-	flag.IntVar(&o.gpuPar, "gpu-par", 1, "with -gpu: SM compute-phase goroutines, the engine's own included (1 = sequential; results identical at any setting)")
 	flag.BoolVar(&o.json, "json", false, "emit the machine-readable result JSON the regvd service returns")
 	flag.StringVar(&o.remote, "remote", "", "regvd base URL: run the job on the service instead of in process (implies -json)")
 	flag.DurationVar(&o.timeout, "timeout", 10*time.Minute, "with -remote: overall deadline for the job including retries")
@@ -130,7 +128,6 @@ func (o options) job() (jobs.Job, error) {
 		RFCacheWriteThrough: o.rfCacheWT,
 		SpillRegs:           o.spillRegs,
 		WholeGPU:            o.gpu,
-		GPUParallel:         o.gpuPar,
 		Profile:             o.profile,
 	}
 	if o.kernel != "" {

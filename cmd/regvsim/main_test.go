@@ -22,7 +22,7 @@ func defaults(workload string) options {
 	return options{
 		workload: workload, ctas: 16, threads: 128, conc: 4, mode: "compiler",
 		physRegs: arch.NumPhysRegs, wakeup: 1, flagCache: arch.FlagCacheEntries,
-		table: arch.RenameTableBudgetBytes, gpuPar: 1, timeout: time.Minute,
+		table: arch.RenameTableBudgetBytes, timeout: time.Minute,
 	}
 }
 
@@ -65,17 +65,13 @@ func TestRunBackendKnobs(t *testing.T) {
 
 func TestRunWholeGPU(t *testing.T) {
 	o := defaults("Gaussian")
-	o.physRegs, o.gpu, o.gpuPar = 512, true, 4
+	o.physRegs, o.gpu = 512, true
 	out, err := runString(t, o)
 	if err != nil {
 		t.Fatalf("whole-GPU run: %v", err)
 	}
 	if !strings.HasPrefix(out, "whole GPU        16 SMs, ") {
 		t.Errorf("whole-GPU report does not open with the device line:\n%s", out)
-	}
-	o.gpu = false
-	if _, err := runString(t, o); err == nil {
-		t.Error("-gpu-par 4 accepted without -gpu")
 	}
 }
 
@@ -202,7 +198,7 @@ func TestLocalMatchesRemote(t *testing.T) {
 		rows = append(rows, row{fmt.Sprintf("Heartwall/table%d", table), o})
 	}
 	gpu := defaults("Gaussian")
-	gpu.mode, gpu.physRegs, gpu.gpu, gpu.gpuPar = "regcache", 512, true, 2
+	gpu.mode, gpu.physRegs, gpu.gpu = "regcache", 512, true
 	rows = append(rows, row{"Gaussian/regcache/gpu", gpu})
 
 	for _, r := range rows {

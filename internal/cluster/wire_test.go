@@ -12,6 +12,7 @@ import (
 
 	"regvirt/internal/jobs"
 	"regvirt/internal/jobs/client"
+	"regvirt/internal/sim"
 )
 
 // TestRouterSettings pins the router's fixed probe, retry and ring
@@ -33,8 +34,8 @@ func TestRouterSettings(t *testing.T) {
 }
 
 // TestMalformedSubmitSameBody: the router and a shard answer a
-// malformed POST /v1/jobs — an oversized kernel, or more than a few KiB
-// after the JSON value, too — through the same
+// malformed POST /v1/jobs — an oversized kernel or register file, or
+// more than a few KiB after the JSON value, too — through the same
 // responder, so the 400 bodies are byte-identical whichever one a
 // client reaches.
 func TestMalformedSubmitSameBody(t *testing.T) {
@@ -72,6 +73,7 @@ func TestMalformedSubmitSameBody(t *testing.T) {
 		`{}`,
 		`{"workload":"VectorAdd","mode":"virtual"}`,
 		`{"workload":"VectorAdd","physregs":100}`,
+		fmt.Sprintf(`{"workload":"VectorAdd","gpu":true,"physregs":%d}`, sim.MaxPhysRegs+16),
 		string(over),
 		`{"workload":"VectorAdd"}` + strings.Repeat(" ", 10_000),
 	} {

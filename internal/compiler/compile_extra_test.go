@@ -241,10 +241,10 @@ func TestRenumberKeepsUncheckedSlots(t *testing.T) {
 	}
 }
 
-// TestDecodedOutOfRangeRegisterRefused compiles and spills a decoded
-// program that writes r200 under .reg 255, which Parse cannot produce
-// but Unmarshal can: both must return Validate's error, not panic or
-// drop the register.
+// TestDecodedOutOfRangeRegisterRefused compiles and spills a program
+// that writes r200 under .reg 255, which Parse cannot produce but a
+// program built in memory can: both must return Validate's error, not
+// panic or drop the register.
 func TestDecodedOutOfRangeRegisterRefused(t *testing.T) {
 	p, err := isa.Parse(straightSrc)
 	if err != nil {
@@ -252,18 +252,10 @@ func TestDecodedOutOfRangeRegisterRefused(t *testing.T) {
 	}
 	p.RegCount = 255
 	p.Instrs[0].Dst = isa.R(200)
-	data, err := p.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := isa.Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Compile(q, Options{}); err == nil {
+	if _, err := Compile(p, Options{}); err == nil {
 		t.Error("Compile accepted a write to r200")
 	}
-	if _, err := SpillTo(q, 2); err == nil {
+	if _, err := SpillTo(p, 2); err == nil {
 		t.Error("SpillTo accepted a write to r200")
 	}
 }

@@ -35,7 +35,10 @@ type releasePlan struct {
 //   - Reconvergence (Fig. 4(b)/(c)/(d)): registers accessed inside a
 //     divergent region and dead at its reconvergence point are released
 //     by a pbr at the reconvergence block, unless a pir release in a
-//     dominating block already freed them on every path.
+//     dominating block already freed them on every path, or a sibling
+//     of the reconvergence block in an enclosing region accesses them:
+//     an inner join runs while the enclosing region's other path still
+//     waits, and a pbr frees its registers for the whole warp.
 //   - Loops (Fig. 4(e)): loop bodies are divergent regions whose blocks
 //     are mutually reachable through the back edge, so intra-iteration
 //     lifetimes still release via pir; loop-carried or post-loop-read
@@ -87,10 +90,12 @@ func buildReleasePlan(li *liveness.Info, renameable liveness.RegSet) *releasePla
 		if region.Reconv < 0 {
 			continue // reconverges at warp exit; hardware frees everything
 		}
-		// Skip registers still needed at/after reconvergence, and those
-		// a pir on every path — in a block dominating the reconvergence
-		// point — already released.
-		set := renameable & li.RegionAccessed(region) &^ li.LiveIn[region.Reconv] &^ strictDominatorPirs(li, pirIn, region.Reconv)
+		// Skip registers still needed at/after reconvergence, those a
+		// pir on every path — in a block dominating the reconvergence
+		// point — already released, and those a sibling path of an
+		// enclosing region still accesses.
+		set := renameable & li.RegionAccessed(region) &^ li.LiveIn[region.Reconv] &^
+			strictDominatorPirs(li, pirIn, region.Reconv) &^ li.SiblingAccess(region.Reconv)
 		plan.pbr[region.Reconv] |= set
 	}
 	for blk, set := range plan.pbr {

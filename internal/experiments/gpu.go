@@ -41,19 +41,15 @@ func CSVDevice(rows []DeviceRow) string {
 
 // Device runs the whole-device comparison under GPU-shrink (512
 // registers, the configuration where register management couples with
-// occupancy and therefore with the shared memory system). par is the
-// compute-phase worker count handed to the two-phase engine; it alters
-// wall-clock time only, never the rows.
-func Device(r *Runner, par int) ([]DeviceRow, error) {
+// occupancy and therefore with the shared memory system).
+func Device(r *Runner) ([]DeviceRow, error) {
 	var out []DeviceRow
 	for _, name := range deviceApps {
 		w, err := workloads.ByName(name)
 		if err != nil {
 			return nil, err
 		}
-		cfg := shrinkCfg()
-		cfg.GPUParallel = par
-		g, err := r.RunGPU(w, KernelVirt, cfg)
+		g, err := r.RunGPU(w, KernelVirt, shrinkCfg())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: device %s: %w", name, err)
 		}

@@ -61,10 +61,7 @@ type resultKey struct {
 // configKey is the hashable image of sim.Config. Every field of
 // sim.Config that can influence a Result must appear here, or two
 // different configurations would collide on one cache slot (the
-// DESIGN.md cache-key table mirrors this struct). sim.Config.GPUParallel
-// is deliberately absent: the two-phase device engine is byte-identical
-// at every worker count (enforced by internal/sim's determinism tests),
-// so runs differing only in parallelism must share one cache slot.
+// DESIGN.md cache-key table mirrors this struct).
 type configKey struct {
 	mode        rename.Mode
 	physRegs    int
@@ -179,10 +176,7 @@ func (r *Runner) Run(w *workloads.Workload, kind KernelKind, cfg sim.Config) (*s
 }
 
 // RunGPU simulates (or returns the cached result of) a workload on the
-// whole 16-SM device. The cache key is confKey(cfg), which omits
-// cfg.GPUParallel: parallelism only changes wall-clock time, so a
-// sequential and a parallel run of the same configuration share one
-// slot — and, because the engine is deterministic, one result.
+// whole 16-SM device, keyed like Run by confKey(cfg).
 func (r *Runner) RunGPU(w *workloads.Workload, kind KernelKind, cfg sim.Config) (*sim.GPUResult, error) {
 	key := resultKey{w.Name, kind, confKey(cfg)}
 	res, _, err := r.gpuResults.Do(context.Background(), key, func() (*sim.GPUResult, error) {

@@ -1,10 +1,6 @@
 package isa
 
-import (
-	"bytes"
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // The paper keeps metadata instructions compliant with the 64-bit CUDA
 // instruction format: a 10-bit opcode split into a four-bit and a six-bit
@@ -98,190 +94,4 @@ func MetaWord(in *Instr) (uint64, error) {
 		return EncodePbr(in.PbrRegs)
 	}
 	return 0, fmt.Errorf("isa: %s is not a metadata instruction", in.Op)
-}
-
-// Binary program serialization. The container format is ours (the paper
-// specifies only the metadata words); it exists so kernels can be stored
-// and shipped, and it is round-trip tested.
-
-var binMagic = [4]byte{'G', 'R', 'V', '1'}
-
-// Marshal serializes the program to a compact binary form.
-func (p *Program) Marshal() ([]byte, error) {
-	var b bytes.Buffer
-	b.Write(binMagic[:])
-	writeStr := func(s string) {
-		var n [4]byte
-		binary.LittleEndian.PutUint32(n[:], uint32(len(s)))
-		b.Write(n[:])
-		b.WriteString(s)
-	}
-	w32 := func(v uint32) {
-		var n [4]byte
-		binary.LittleEndian.PutUint32(n[:], v)
-		b.Write(n[:])
-	}
-	writeStr(p.Name)
-	w32(uint32(p.RegCount))
-	w32(uint32(len(p.Labels)))
-	for name, pc := range p.Labels {
-		writeStr(name)
-		w32(uint32(pc))
-	}
-	w32(uint32(len(p.Instrs)))
-	for _, in := range p.Instrs {
-		rec := instrRecord{
-			Op: uint16(in.Op), GuardReg: in.Guard.Reg, GuardNeg: boolByte(in.Guard.Neg),
-			DstKind: uint8(in.Dst.Kind), DstReg: uint8(in.Dst.Reg), DstCIdx: in.Dst.CIdx,
-			DstSpec: uint8(in.Dst.Spec), DstImm: in.Dst.Imm,
-			NSrc: uint8(in.NSrc), SetPred: in.SetPred, Cmp: uint8(in.Cmp),
-			Space: uint8(in.Space), MemOff: in.MemOff,
-			Target: int32(in.Target), Reconv: int32(in.Reconv),
-			PirFlags: in.PirFlags,
-		}
-		for i := 0; i < MaxSrcOperands; i++ {
-			rec.Src[i] = opdRecord{
-				Kind: uint8(in.Srcs[i].Kind), Reg: uint8(in.Srcs[i].Reg),
-				CIdx: in.Srcs[i].CIdx, Spec: uint8(in.Srcs[i].Spec), Imm: in.Srcs[i].Imm,
-			}
-			rec.Rel[i] = boolByte(in.Rel[i])
-		}
-		if err := binary.Write(&b, binary.LittleEndian, rec); err != nil {
-			return nil, err
-		}
-		writeStr(in.TargetLabel)
-		w32(uint32(len(in.PbrRegs)))
-		for _, r := range in.PbrRegs {
-			b.WriteByte(byte(r))
-		}
-	}
-	return b.Bytes(), nil
-}
-
-// Unmarshal deserializes a program produced by Marshal.
-func Unmarshal(data []byte) (*Program, error) {
-	b := bytes.NewReader(data)
-	var magic [4]byte
-	if _, err := b.Read(magic[:]); err != nil || magic != binMagic {
-		return nil, fmt.Errorf("isa: bad program magic")
-	}
-	readStr := func() (string, error) {
-		var n uint32
-		if err := binary.Read(b, binary.LittleEndian, &n); err != nil {
-			return "", err
-		}
-		if n > uint32(b.Len()) {
-			return "", fmt.Errorf("isa: truncated string")
-		}
-		buf := make([]byte, n)
-		if _, err := b.Read(buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	r32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(b, binary.LittleEndian, &v)
-		return v, err
-	}
-	p := &Program{Labels: make(map[string]int)}
-	var err error
-	if p.Name, err = readStr(); err != nil {
-		return nil, err
-	}
-	rc, err := r32()
-	if err != nil {
-		return nil, err
-	}
-	p.RegCount = int(rc)
-	nl, err := r32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nl; i++ {
-		name, err := readStr()
-		if err != nil {
-			return nil, err
-		}
-		pc, err := r32()
-		if err != nil {
-			return nil, err
-		}
-		p.Labels[name] = int(pc)
-	}
-	ni, err := r32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < ni; i++ {
-		var rec instrRecord
-		if err := binary.Read(b, binary.LittleEndian, &rec); err != nil {
-			return nil, err
-		}
-		in := &Instr{
-			PC: int(i), Op: Opcode(rec.Op),
-			Guard: Pred{Reg: rec.GuardReg, Neg: rec.GuardNeg != 0},
-			Dst: Operand{Kind: OperandKind(rec.DstKind), Reg: RegID(rec.DstReg),
-				CIdx: rec.DstCIdx, Spec: Special(rec.DstSpec), Imm: rec.DstImm},
-			NSrc: int(rec.NSrc), SetPred: rec.SetPred, Cmp: CmpOp(rec.Cmp),
-			Space: MemSpace(rec.Space), MemOff: rec.MemOff,
-			Target: int(rec.Target), Reconv: int(rec.Reconv),
-			PirFlags: rec.PirFlags,
-		}
-		for s := 0; s < MaxSrcOperands; s++ {
-			in.Srcs[s] = Operand{Kind: OperandKind(rec.Src[s].Kind), Reg: RegID(rec.Src[s].Reg),
-				CIdx: rec.Src[s].CIdx, Spec: Special(rec.Src[s].Spec), Imm: rec.Src[s].Imm}
-			in.Rel[s] = rec.Rel[s] != 0
-		}
-		if in.TargetLabel, err = readStr(); err != nil {
-			return nil, err
-		}
-		np, err := r32()
-		if err != nil {
-			return nil, err
-		}
-		for j := uint32(0); j < np; j++ {
-			var rb [1]byte
-			if _, err := b.Read(rb[:]); err != nil {
-				return nil, err
-			}
-			in.PbrRegs = append(in.PbrRegs, RegID(rb[0]))
-		}
-		p.Instrs = append(p.Instrs, in)
-	}
-	if err := p.Rebuild(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-type opdRecord struct {
-	Kind, Reg, CIdx, Spec uint8
-	Imm                   int32
-}
-
-type instrRecord struct {
-	Op                                uint16
-	GuardReg                          int8
-	GuardNeg                          uint8
-	DstKind, DstReg, DstCIdx, DstSpec uint8
-	DstImm                            int32
-	NSrc                              uint8
-	SetPred                           int8
-	Cmp                               uint8
-	Space                             uint8
-	MemOff                            int32
-	Target                            int32
-	Reconv                            int32
-	Src                               [MaxSrcOperands]opdRecord
-	Rel                               [MaxSrcOperands]uint8
-	_                                 uint8 // pad to 8-byte alignment for PirFlags
-	PirFlags                          uint64
-}
-
-func boolByte(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -117,45 +117,3 @@ func TestPirGroupPackUnpack(t *testing.T) {
 		}
 	}
 }
-
-func TestProgramMarshalRoundTrip(t *testing.T) {
-	p := MustParse(sampleKernel)
-	// Exercise metadata fields too.
-	p.Instrs[0].Rel[1] = true
-	data, err := p.Marshal()
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	q, err := Unmarshal(data)
-	if err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	if q.Name != p.Name || q.RegCount != p.RegCount || len(q.Instrs) != len(p.Instrs) {
-		t.Fatalf("header mismatch: %s/%d/%d", q.Name, q.RegCount, len(q.Instrs))
-	}
-	for i := range p.Instrs {
-		if p.Instrs[i].String() != q.Instrs[i].String() {
-			t.Errorf("instr %d: %q != %q", i, p.Instrs[i], q.Instrs[i])
-		}
-	}
-	if !q.Instrs[0].Rel[1] {
-		t.Error("Rel bits lost in round trip")
-	}
-	if q.Labels["loop"] != p.Labels["loop"] {
-		t.Error("labels lost in round trip")
-	}
-}
-
-func TestUnmarshalRejectsGarbage(t *testing.T) {
-	if _, err := Unmarshal([]byte("not a program")); err == nil {
-		t.Error("Unmarshal accepted garbage")
-	}
-	if _, err := Unmarshal(nil); err == nil {
-		t.Error("Unmarshal accepted nil")
-	}
-	p := MustParse(sampleKernel)
-	data, _ := p.Marshal()
-	if _, err := Unmarshal(data[:len(data)/2]); err == nil {
-		t.Error("Unmarshal accepted truncated data")
-	}
-}

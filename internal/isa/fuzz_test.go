@@ -70,19 +70,3 @@ func FuzzDecodeBinary(f *testing.F) {
 		}
 	})
 }
-
-func FuzzUnmarshal(f *testing.F) {
-	p := MustParse(sampleKernel)
-	data, _ := p.Marshal()
-	f.Add(data)
-	f.Add([]byte("GRV1"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		q, err := Unmarshal(data)
-		if err != nil {
-			return
-		}
-		if _, err := q.Marshal(); err != nil {
-			t.Fatalf("unmarshaled program does not re-marshal: %v", err)
-		}
-	})
-}

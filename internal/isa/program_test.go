@@ -200,34 +200,24 @@ func TestValidateRejectsOutOfRangeReads(t *testing.T) {
 	}
 }
 
-// TestValidateBoundsDecodedRegisters feeds Validate programs from both
-// decoders that carry register ids Parse would refuse: a .reg above
-// MaxRegsPerThread, and a destination above RZ. Later passes index
-// per-register tables by these ids, so Validate must refuse them.
+// TestValidateBoundsDecodedRegisters feeds Validate programs that carry
+// register ids Parse would refuse: a .reg above MaxRegsPerThread, and a
+// destination above RZ. A program built in memory, or decoded, can hold
+// them. Later passes index per-register tables by these ids, so
+// Validate must refuse them.
 func TestValidateBoundsDecodedRegisters(t *testing.T) {
 	const src = ".kernel k\n.reg 4\n movi r1, 5\n st.global [r1+0], r1\n exit"
 
-	// Unmarshal takes .reg and every register id from its input.
+	// A program built in memory takes .reg and every register id as set.
 	p := MustParse(src)
 	p.RegCount = 255
 	p.Instrs[0].Dst = R(200)
-	data, err := p.Marshal()
-	if err != nil {
-		t.Fatal(err)
+	if err := p.Validate(); err == nil {
+		t.Error("built program: .reg 255 validated")
 	}
-	q, err := Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.RegCount != 255 || q.Instrs[0].Dst.Reg != 200 {
-		t.Fatalf("round trip lost the test's registers: .reg %d, dst %v", q.RegCount, q.Instrs[0].Dst)
-	}
-	if err := q.Validate(); err == nil {
-		t.Error("Unmarshal: .reg 255 validated")
-	}
-	q.RegCount = MaxRegsPerThread
-	if err := q.Validate(); err == nil {
-		t.Error("Unmarshal: a write to r200 validated")
+	p.RegCount = MaxRegsPerThread
+	if err := p.Validate(); err == nil {
+		t.Error("built program: a write to r200 validated")
 	}
 
 	// DecodeBinary's register fields are six bits wide, but .reg comes

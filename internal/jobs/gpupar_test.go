@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// GPUParallel is a wall-clock knob: the two-phase device engine commits
-// shared state in fixed SM order, so results are byte-identical at any
-// worker count. The jobs layer therefore must (a) exclude gpu_par from
-// the content hash, (b) deduplicate submissions differing only in it,
-// and (c) reject settings the engine cannot honor.
+// gpu_par is accepted and ignored: the device engine steps its SMs on
+// one goroutine. Its wire contract stays as it was, so no request
+// changes its status code or ID: the jobs layer must (a) exclude
+// gpu_par from the content hash, (b) deduplicate submissions differing
+// only in it, and (c) refuse the values it always refused.
 
 func TestGPUParallelNotInKey(t *testing.T) {
 	base := Job{Workload: "VectorAdd", WholeGPU: true}
@@ -25,7 +25,7 @@ func TestGPUParallelNotInKey(t *testing.T) {
 func TestGPUParallelValidate(t *testing.T) {
 	bad := []Job{
 		{Workload: "VectorAdd", WholeGPU: true, GPUParallel: -1},
-		{Workload: "VectorAdd", GPUParallel: 4}, // parallelism without "gpu": true
+		{Workload: "VectorAdd", GPUParallel: 4}, // above 1 without "gpu": true
 	}
 	for i, j := range bad {
 		if err := j.Validate(); err == nil {
@@ -34,7 +34,7 @@ func TestGPUParallelValidate(t *testing.T) {
 	}
 	good := []Job{
 		{Workload: "VectorAdd", WholeGPU: true, GPUParallel: 8},
-		{Workload: "VectorAdd", GPUParallel: 1}, // 1 == sequential, harmless anywhere
+		{Workload: "VectorAdd", GPUParallel: 1}, // 1 is accepted anywhere
 	}
 	for i, j := range good {
 		if err := j.Validate(); err != nil {

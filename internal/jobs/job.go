@@ -23,9 +23,7 @@ import (
 // body of {"workload":"MatrixMul"} is a complete job. Five fields
 // never influence the result and are excluded from the cache key:
 // TimeoutMS (how long we are willing to wait), Async (how the caller
-// wants to be answered), GPUParallel (how many goroutines the
-// two-phase device engine spreads the SM compute phases over — results
-// are byte-identical by construction at any setting), and the
+// wants to be answered), GPUParallel (accepted and ignored), and the
 // scheduling metadata Tenant and Priority (which queue serves the job
 // and in what order — identical jobs from different tenants share one
 // cached result).
@@ -73,13 +71,13 @@ type Job struct {
 	// WholeGPU simulates all 16 SMs (sim.RunGPU) instead of one SM's
 	// share of the grid.
 	WholeGPU bool `json:"gpu,omitempty"`
-	// GPUParallel is the compute-phase worker count of the whole-device
-	// engine (only meaningful with "gpu": true): 0 or 1 steps the SMs
-	// sequentially, N > 1 uses N goroutines. The two-phase engine
-	// commits shared state in fixed SM order, so the result is
-	// byte-identical at every setting; like TimeoutMS and Async this
-	// field is therefore not part of the cache key, and jobs differing
-	// only in gpu_par deduplicate onto one result.
+	// GPUParallel is accepted and ignored: the device engine steps its
+	// SMs on one goroutine. It keeps its validation (non-negative, and
+	// above 1 only with "gpu": true) and stays out of the cache key, so
+	// a request carrying it gets the status and ID it always got.
+	//
+	// Deprecated: gpu_par once set the device engine's compute-phase
+	// worker count.
 	GPUParallel int `json:"gpu_par,omitempty"`
 
 	// Profile enables sim-phase profiling: the result gains a "profile"
@@ -164,7 +162,7 @@ func (j Job) normalized() Job {
 	}
 	j.TimeoutMS = 0
 	j.Async = false
-	j.GPUParallel = 0 // wall-clock knob; never affects the result
+	j.GPUParallel = 0 // ignored; never affects the result
 	j.Tenant = ""     // scheduling metadata; results dedup across tenants
 	j.Priority = 0
 	return j
@@ -229,9 +227,10 @@ func (j Job) Key() string {
 // faster than the kernel: N nested divergent branches list N²/2 region
 // members, and a dying read in each of their blocks makes the sibling
 // check cubic. At this bound the worst such shapes compile in about
-// 0.3 s (dying reads) or 60 ms and 47 MB (plain nesting) on a 2-vCPU
-// host; Table 1 kernels have at most 47 instructions and generated
-// bench kernels at most 141.
+// 0.5 s (nested branches, each with its own join, and a dying read in
+// every block) or 35 ms and 47 MB (plain nesting) on a 2-vCPU host;
+// Table 1 kernels have at most 47 instructions and generated bench
+// kernels at most 141.
 const MaxKernelInstrs = 1000
 
 // Validate rejects malformed specs before they reach the queue. It does
@@ -272,6 +271,9 @@ func (j Job) Validate() error {
 	}
 	if j.PhysRegs < 0 || j.PhysRegs%16 != 0 {
 		return fmt.Errorf("jobs: physregs %d must be a non-negative multiple of 16", j.PhysRegs)
+	}
+	if j.PhysRegs > sim.MaxPhysRegs {
+		return fmt.Errorf("jobs: physregs %d above the limit of %d", j.PhysRegs, sim.MaxPhysRegs)
 	}
 	if j.TimeoutMS < 0 {
 		return fmt.Errorf("jobs: negative timeout_ms %d", j.TimeoutMS)
@@ -423,12 +425,9 @@ func execute(ctx context.Context, j Job, key string, kernels *Cache[kernelKey, *
 		Profile:             n.Profile,
 		Cancel:              ctx.Done(),
 		FaultHook:           faultHook,
-		// Wall-clock-only knob, read from the raw job (normalization
-		// strips it so it cannot leak into the cache key).
-		GPUParallel: j.GPUParallel,
-		// Durability hooks; like GPUParallel these never influence the
-		// result (checkpoint_test.go proves checkpointing is
-		// observation-only), so they are not part of the cache key.
+		// Durability hooks: these never influence the result
+		// (checkpoint_test.go proves checkpointing is observation-only),
+		// so they are not part of the cache key.
 		CheckpointEvery:    hooks.every,
 		Checkpoint:         hooks.checkpoint,
 		CheckpointOnCancel: hooks.onCancel,

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"regvirt/internal/isa"
 	"regvirt/internal/rename"
+	"regvirt/internal/sim"
 )
 
 // TestModeKeysDistinct proves the content address separates every
@@ -170,6 +172,41 @@ func TestHugeRegCacheRunsSmall(t *testing.T) {
 			t.Errorf("gpu=%v: job allocated %d bytes, want at most %d", gpu, got, budget)
 		} else {
 			t.Logf("gpu=%v: job allocated %d bytes", gpu, got)
+		}
+	}
+}
+
+// TestLargestRegisterFileRuns runs every backend with the largest
+// register file a job may ask for (sim.MaxPhysRegs), on one SM and on
+// the whole device. smemspill demotes as many registers as it may, so
+// its shared-memory register numbers, which start at the file size,
+// reach their highest: they must still fit an int16 physical register.
+func TestLargestRegisterFileRuns(t *testing.T) {
+	const budget = 64 << 20 // bytes
+	for _, mode := range rename.ModeNames() {
+		for _, gpu := range []bool{false, true} {
+			j := Job{Workload: "MatrixMul", Mode: mode, PhysRegs: sim.MaxPhysRegs, WholeGPU: gpu}
+			if mode == "smemspill" {
+				j.SpillRegs = isa.MaxRegsPerThread - 1
+			}
+			if err := j.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := Execute(context.Background(), j)
+			if err != nil {
+				t.Fatalf("%s gpu=%v: %v", mode, gpu, err)
+			}
+			runtime.ReadMemStats(&after)
+			if res.Cycles == 0 {
+				t.Errorf("%s gpu=%v: no cycles simulated", mode, gpu)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+				t.Errorf("%s gpu=%v: job allocated %d bytes, want at most %d", mode, gpu, got, budget)
+			} else {
+				t.Logf("%s gpu=%v: job allocated %d bytes", mode, gpu, got)
+			}
 		}
 	}
 }

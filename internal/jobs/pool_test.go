@@ -300,6 +300,13 @@ func TestValidate(t *testing.T) {
 	if err := kernel(MaxKernelInstrs + 1).Validate(); err == nil {
 		t.Errorf("kernel of %d instructions accepted", MaxKernelInstrs+1)
 	}
+	// The register file is bounded too.
+	if err := (Job{Workload: "VectorAdd", PhysRegs: sim.MaxPhysRegs}).Validate(); err != nil {
+		t.Errorf("physregs at the %d bound rejected: %v", sim.MaxPhysRegs, err)
+	}
+	if err := (Job{Workload: "VectorAdd", PhysRegs: sim.MaxPhysRegs + 16}).Validate(); err == nil {
+		t.Errorf("physregs %d accepted", sim.MaxPhysRegs+16)
+	}
 }
 
 // TestInlineKernelJob runs a job specified as inline assembly.

@@ -69,8 +69,8 @@ type Info struct {
 	// region containing b accesses, once walk[b] has walkDone set (see
 	// SiblingSafe).
 	siblingUnsafe []RegSet
-	// walk (per-block flags) and stack are siblingAccess's scratch,
-	// made on the first SiblingSafe query.
+	// walk (per-block flags) and stack are SiblingAccess's scratch,
+	// made on the first query.
 	walk  []uint8
 	stack []int
 }
@@ -290,7 +290,7 @@ func (li *Info) ForceAt(b int) RegSet { return li.force[b] }
 // not (Fig. 4(b)). The answer for x is computed on the first query and
 // cached in li, so an Info must not be queried concurrently.
 func (li *Info) SiblingSafe(r isa.RegID, x int) bool {
-	return !li.siblingAccess(x).Has(r)
+	return !li.SiblingAccess(x).Has(r)
 }
 
 // Bits of Info.walk.
@@ -301,12 +301,14 @@ const (
 	walkBwd                        // b reaches x inside the region
 )
 
-// siblingAccess returns the set of registers accessed by the siblings
+// SiblingAccess returns the set of registers accessed by the siblings
 // of x: the blocks y of a region containing x where neither of x and y
 // reaches the other along region-internal edges (not passing through
-// the reconvergence block). It walks forward and backward from x once
-// per such region, so its memory is linear in the block count.
-func (li *Info) siblingAccess(x int) RegSet {
+// the reconvergence block). None of them may be released in x, nor at
+// its start. It walks forward and backward from x once per such
+// region, so its memory is linear in the block count; like SiblingSafe
+// it caches the answer and must not be called concurrently.
+func (li *Info) SiblingAccess(x int) RegSet {
 	if li.walk == nil {
 		li.walk = make([]uint8, len(li.G.Blocks))
 		li.stack = make([]int, 0, len(li.G.Blocks)+1) // a block is pushed once, when marked

@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"fmt"
 	"testing"
 
 	"regvirt/internal/arch"
@@ -43,10 +42,9 @@ func matrixMul(t *testing.T) sim.LaunchSpec {
 // TestSteadyStateAllocatesNothing proves the simulator core allocates
 // nothing per simulated cycle once a launch is under way: one SM step,
 // one SM step under the §8.1 spill fallback, and one whole-device
-// engine cycle (compute plus commit) with the compute phase on one
-// goroutine and on two. The measured window holds no CTA launch or
-// exit, which allocate by design (warp and SIMT-stack slabs and CTA
-// state), and no spill, which saves the warp's registers.
+// engine cycle (compute plus commit). The measured window holds no CTA
+// launch or exit, which allocate by design (warp and SIMT-stack slabs
+// and CTA state), and no spill, which saves the warp's registers.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -113,35 +111,30 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 			t.Fatalf("window saw a spill or restore (spills %d→%d, spilled %d→%d)", spills, n, spilled, w)
 		}
 	})
-	for _, par := range []int{1, 2} {
-		t.Run(fmt.Sprintf("gpu-par%d", par), func(t *testing.T) {
-			c := cfg
-			c.GPUParallel = par
-			eng, stop, err := sim.NewLaunchedGPU(c, spec)
-			if err != nil {
+	t.Run("gpu", func(t *testing.T) {
+		eng, err := sim.NewLaunchedGPU(cfg, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycle := func() {
+			if err := eng.Cycle(); err != nil {
 				t.Fatal(err)
 			}
-			defer stop()
-			cycle := func() {
-				if err := eng.Cycle(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 1000; i++ {
-				cycle()
-			}
-			live, done := eng.CTAs()
-			if live == 0 {
-				t.Fatal("no CTA resident: the window must be mid-run")
-			}
-			if got := windowAllocs(cycle); got != 0 {
-				t.Errorf("%d device cycles allocate %v times, want 0", allocWindow, got)
-			}
-			if l, d := eng.CTAs(); l != live || d != done {
-				t.Fatalf("window saw CTAs launch or exit (live %d→%d, done %d→%d)", live, l, done, d)
-			}
-		})
-	}
+		}
+		for i := 0; i < 1000; i++ {
+			cycle()
+		}
+		live, done := eng.CTAs()
+		if live == 0 {
+			t.Fatal("no CTA resident: the window must be mid-run")
+		}
+		if got := windowAllocs(cycle); got != 0 {
+			t.Errorf("%d device cycles allocate %v times, want 0", allocWindow, got)
+		}
+		if l, d := eng.CTAs(); l != live || d != done {
+			t.Fatalf("window saw CTAs launch or exit (live %d→%d, done %d→%d)", live, l, done, d)
+		}
+	})
 }
 
 // launchKernels are the fixed generated kernels TestLaunchAllocations
@@ -164,19 +157,19 @@ func launchKernels(t *testing.T, mode rename.Mode) []sim.LaunchSpec {
 }
 
 // Per-launch allocation bounds of TestLaunchAllocations: the maximum
-// measured over its kernels and backends (328 and 49) plus about 10%.
+// measured over its kernels and backends (322 and 49) plus about 10%.
 const (
-	gpuLaunchAllocs = 361
+	gpuLaunchAllocs = 354
 	smLaunchAllocs  = 54
 )
 
 // TestLaunchAllocations bounds what building and running one launch
 // allocates, on every backend, through both engines: the bench's
-// whole-device job (16 CTAs on the full file, two compute goroutines)
-// and its single-SM job (the register-saving backends on the shrunk
-// 512-register file). A launch's simulator state is sized from the
-// launch once, so what remains is register storage on first use, the
-// global-memory map, the per-CTA warp slabs and engine bookkeeping.
+// whole-device job (16 CTAs on the full file) and its single-SM job
+// (the register-saving backends on the shrunk 512-register file). A
+// launch's simulator state is sized from the launch once, so what
+// remains is register storage on first use, the global-memory map, the
+// per-CTA warp slabs and engine bookkeeping.
 func TestLaunchAllocations(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -194,7 +187,7 @@ func TestLaunchAllocations(t *testing.T) {
 			var gpuMax, smMax float64
 			for _, spec := range specs {
 				gpu := testing.AllocsPerRun(1, func() {
-					if _, err := sim.RunGPU(sim.Config{Mode: m.mode, PhysRegs: 1024, GPUParallel: 2}, spec); err != nil {
+					if _, err := sim.RunGPU(sim.Config{Mode: m.mode, PhysRegs: 1024}, spec); err != nil {
 						t.Fatal(err)
 					}
 				})

@@ -35,7 +35,7 @@ import (
 // Because the simulator is deterministic and RNG-free, "resume from any
 // checkpoint" and "never stopped" traverse identical state sequences;
 // checkpoint_test.go enforces this with the determinism-matrix
-// machinery across schedulers, modes and GPUParallel settings.
+// machinery across schedulers and modes.
 
 // ErrBadCheckpoint marks a checkpoint that cannot be applied to the
 // given config and launch — corrupt, truncated, or taken under

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"regvirt/internal/compiler"
@@ -12,15 +11,14 @@ import (
 )
 
 // hookFiring returns a FaultHook that fails the nth hit of site
-// (1-based) with err and passes every other call. Atomic because hooks
-// run concurrently from the device engine's compute-phase workers.
-func hookFiring(site string, nth int64, err error) func(string) error {
-	var count atomic.Int64
+// (1-based) with err and passes every other call.
+func hookFiring(site string, nth int, err error) func(string) error {
+	count := 0
 	return func(s string) error {
 		if s != site {
 			return nil
 		}
-		if count.Add(1) == nth {
+		if count++; count == nth {
 			return err
 		}
 		return nil
@@ -95,15 +93,17 @@ func TestLaterAllocFaultCarriesProgressContext(t *testing.T) {
 	}
 }
 
-// TestRunGPUPanicInHookIsContained: a panic raised on a compute-phase
-// worker goroutine of the parallel device engine must come back as an
-// error, never crash the process.
+// TestRunGPUPanicInHookIsContained: a panic raised in an SM's compute
+// phase well into a device run comes back as an error, never crashes
+// the process.
 func TestRunGPUPanicInHookIsContained(t *testing.T) {
 	k := compileFor(t, saxpySrc, compiler.Options{})
-	var count atomic.Int64
-	cfg := Config{Mode: rename.ModeCompiler, GPUParallel: 8, FaultHook: func(s string) error {
-		if s == FaultSiteAlloc && count.Add(1) == 100 {
-			panic(fmt.Sprintf("injected panic at %s", s))
+	allocs := 0
+	cfg := Config{Mode: rename.ModeCompiler, FaultHook: func(s string) error {
+		if s == FaultSiteAlloc {
+			if allocs++; allocs == 100 {
+				panic(fmt.Sprintf("injected panic at %s", s))
+			}
 		}
 		return nil
 	}}
@@ -116,12 +116,12 @@ func TestRunGPUPanicInHookIsContained(t *testing.T) {
 	}
 }
 
-// TestRunGPUSequentialPanicIsContained covers the sequential branch of
-// the two-phase engine with the same containment contract.
+// TestRunGPUSequentialPanicIsContained: the same containment contract
+// for a panic at the first allocation of the run.
 func TestRunGPUSequentialPanicIsContained(t *testing.T) {
 	k := compileFor(t, saxpySrc, compiler.Options{})
 	fired := false
-	cfg := Config{Mode: rename.ModeCompiler, GPUParallel: 1, FaultHook: func(s string) error {
+	cfg := Config{Mode: rename.ModeCompiler, FaultHook: func(s string) error {
 		if s == FaultSiteAlloc && !fired {
 			fired = true
 			panic("injected panic")
@@ -138,7 +138,7 @@ func TestRunGPUSequentialPanicIsContained(t *testing.T) {
 // SM tripped, so a structured 500 can localize the failure.
 func TestRunGPUFaultNamesFailingSM(t *testing.T) {
 	k := compileFor(t, saxpySrc, compiler.Options{})
-	_, err := RunGPU(Config{Mode: rename.ModeCompiler, GPUParallel: 4,
+	_, err := RunGPU(Config{Mode: rename.ModeCompiler,
 		FaultHook: hookFiring(FaultSiteAlloc, 1, errors.New("boom"))},
 		withKernel(saxpySpec(), k))
 	var ie *InvariantError

@@ -26,15 +26,14 @@ func (s *SM) Step() { s.step() }
 // which neither moves saw no CTA launch or exit.
 func (s *SM) CTAs() (live, done int) { return s.liveCTAs, s.doneCTAs }
 
-// NewLaunchedGPU builds a whole-device run with its first CTAs placed
-// and its compute helpers started; stop ends the helpers.
-func NewLaunchedGPU(cfg Config, spec LaunchSpec) (e *gpuEngine, stop func(), err error) {
-	e, err = buildGPU(&cfg, &spec)
+// NewLaunchedGPU builds a whole-device run with its first CTAs placed.
+func NewLaunchedGPU(cfg Config, spec LaunchSpec) (*gpuEngine, error) {
+	e, err := buildGPU(&cfg, &spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	e.distribute()
-	return e, e.startWorkers(), nil
+	return e, nil
 }
 
 // Cycle runs one device cycle: dispatch turns, compute and commit.

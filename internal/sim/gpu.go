@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"runtime/debug"
-	"sync"
 
 	"regvirt/internal/arch"
 )
@@ -52,21 +51,21 @@ const dramTokensPerCycle = arch.NumSMs * arch.MemIssueWidth / 2
 // budget couples their memory behaviour. Run (single SM) remains the
 // fast path for the evaluation harness; RunGPU is the fidelity path.
 //
-// The device steps on a two-phase cycle engine:
+// The device steps on a two-phase cycle engine, on the calling
+// goroutine:
 //
-//	compute — every SM advances one cycle touching only SM-private
-//	          state; shared memory is read through its phasedPort as
-//	          of the previous commit, and all shared-state effects
-//	          (stores, DRAM token movement) are buffered as intents.
+//	compute — every SM advances one cycle, in index order, touching
+//	          only SM-private state; shared memory is read through its
+//	          phasedPort as of the previous commit, and all shared-state
+//	          effects (stores, DRAM token movement) are buffered as
+//	          intents.
 //	commit  — the buffered intents are applied in SM index order, then
 //	          every SM gets a CTA-dispatch turn, again in index order.
 //
-// Because compute phases are mutually independent and commits happen in
-// a fixed order, running the compute phase on cfg.GPUParallel
-// goroutines — the engine's own plus GPUParallel-1 helpers, with a
-// barrier at each phase boundary — produces results byte-identical to
-// stepping the SMs sequentially; the knob trades wall-clock only.
-// GPUParallel <= 1 is the sequential reference engine.
+// The split makes every SM's cycle independent of where it falls in
+// the stepping order (an SM never sees a store another SM made in the
+// same cycle), and it leaves shared state quiescent at each commit
+// boundary, where checkpoints and cancellation are taken.
 func RunGPU(cfg Config, spec LaunchSpec) (*GPUResult, error) {
 	eng, err := buildGPU(&cfg, &spec)
 	if err != nil {
@@ -83,8 +82,7 @@ func RunGPU(cfg Config, spec LaunchSpec) (*GPUResult, error) {
 // earlier RunGPU with the same Config and LaunchSpec. Like the
 // single-SM Resume, it skips the initial CTA distribution — the
 // snapshot already reflects every dispatch decision — and the resumed
-// device is byte-identical to the uninterrupted one at any GPUParallel
-// setting.
+// device is byte-identical to the uninterrupted one.
 func ResumeGPU(cfg Config, spec LaunchSpec, ck *Checkpoint) (*GPUResult, error) {
 	if ck == nil || ck.GPU == nil {
 		return nil, fmt.Errorf("%w: ResumeGPU needs a whole-device checkpoint", ErrBadCheckpoint)
@@ -196,13 +194,10 @@ func (e *gpuEngine) finish() *GPUResult {
 	return out
 }
 
-// stepContained runs one SM cycle, converting a panic into an error.
-// On a compute-phase worker goroutine an uncontained panic would kill
-// the whole process (no caller can recover it), so the device engine
-// — both its parallel and sequential paths, which must behave
-// identically — turns panics into run failures. The single-SM Run
-// keeps natural panic propagation; its callers (the jobs layer) do
-// their own containment.
+// stepContained runs one SM cycle, converting a panic into an error
+// that names the SM and its cycle, so a device failure is localized
+// like any other per-SM error. The single-SM Run keeps natural panic
+// propagation; its callers (the jobs layer) do their own containment.
 func stepContained(i int, sm *SM) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -219,17 +214,9 @@ type gpuEngine struct {
 	ports  []phasedPort
 	src    ctaSource
 	shared gpuShared
-	errs   [arch.NumSMs]error
 	// cycle counts engine iterations (every unfinished SM steps once per
 	// iteration) — the device clock checkpoints are stamped with.
 	cycle uint64
-
-	// The compute phase runs on `workers` partitions (SM i belongs to
-	// partition i mod workers): the engine goroutine steps partition 0
-	// itself, and helper p steps partition p when start[p-1] fires.
-	workers int
-	start   []chan struct{}
-	wg      sync.WaitGroup
 }
 
 // snapshot captures the whole-device state. Only valid between
@@ -248,48 +235,8 @@ func (e *gpuEngine) snapshot() *GPUSnapshot {
 	return g
 }
 
-// startWorkers sizes the compute partitions from cfg.GPUParallel
-// (values <= 1 step every SM on the engine goroutine, the sequential
-// reference; values above the SM count are clamped) and launches one
-// persistent helper per partition beyond the first. The static
-// partition leaves no cross-worker state, no work stealing, and
-// therefore nothing order-dependent. stop ends the helpers and returns
-// once they have exited.
-func (e *gpuEngine) startWorkers() (stop func()) {
-	e.workers = min(max(e.cfg.GPUParallel, 1), len(e.sms))
-	e.start = make([]chan struct{}, e.workers-1)
-	var exited sync.WaitGroup
-	for p := range e.start {
-		e.start[p] = make(chan struct{}, 1)
-		exited.Add(1)
-		go func(ch chan struct{}, part int) {
-			defer exited.Done()
-			for range ch {
-				e.compute(part)
-				e.wg.Done()
-			}
-		}(e.start[p], p+1)
-	}
-	return func() {
-		for _, ch := range e.start {
-			close(ch)
-		}
-		exited.Wait()
-	}
-}
-
-// compute steps every unfinished SM of one partition.
-func (e *gpuEngine) compute(part int) {
-	for i := part; i < len(e.sms); i += e.workers {
-		if sm := &e.sms[i]; !sm.finished() {
-			e.errs[i] = stepContained(i, sm)
-		}
-	}
-}
-
 // run executes the device to completion.
 func (e *gpuEngine) run() error {
-	defer e.startWorkers()()
 	for {
 		// The engine owns cancellation: one poll per device cycle at the
 		// commit boundary (per-SM polling is disabled in buildGPU), so a
@@ -348,17 +295,12 @@ func (e *gpuEngine) step() (done bool, err error) {
 	}
 
 	// Compute phase: every unfinished SM advances one cycle against
-	// the committed shared state, the engine goroutine taking
-	// partition 0 while the helpers take the rest.
-	e.wg.Add(len(e.start))
-	for _, ch := range e.start {
-		ch <- struct{}{}
-	}
-	e.compute(0)
-	e.wg.Wait()
+	// the committed shared state. The first SM to fail ends the run.
 	for i := range e.sms {
-		if e.errs[i] != nil {
-			return false, fmt.Errorf("sim: SM %d: %w", i, e.errs[i])
+		if sm := &e.sms[i]; !sm.finished() {
+			if err := stepContained(i, sm); err != nil {
+				return false, fmt.Errorf("sim: SM %d: %w", i, err)
+			}
 		}
 	}
 

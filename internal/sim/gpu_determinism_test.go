@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"regvirt/internal/compiler"
@@ -11,11 +13,14 @@ import (
 	"regvirt/internal/rename"
 )
 
-// The two-phase engine's contract: RunGPU with GPUParallel > 1 must
-// produce a GPUResult byte-identical (as canonical JSON) to the
-// sequential engine, across every rename mode, both register-file
-// sizes, and structurally different workloads. Run these under -race
-// (make verify does) to also certify the compute phase shares nothing.
+// The device engine's contract: RunGPU is a function of its Config and
+// LaunchSpec, so the same launch gives a byte-identical GPUResult (as
+// canonical JSON) every time, on its own or beside other runs of the
+// same launch, across every rename mode, both register-file sizes, and
+// structurally different workloads. The service runs jobs side by side,
+// so the matrix also runs launches concurrently; under -race (make
+// verify and make modes run it so) that certifies two device runs
+// share no mutable state.
 
 // gpuDetWorkload is one determinism-matrix workload: kernels cover
 // streaming stores (phase1Src), a data-dependent loop of global loads
@@ -89,6 +94,9 @@ func (m detMode) apply(cfg Config) Config {
 	return cfg
 }
 
+// TestRunGPUParallelMatchesSequential runs each launch alone, then
+// twice at once on two goroutines, and requires the same bytes (or the
+// same error) from all three.
 func TestRunGPUParallelMatchesSequential(t *testing.T) {
 	for _, w := range gpuDetWorkloads() {
 		for _, m := range detModes() {
@@ -98,19 +106,35 @@ func TestRunGPUParallelMatchesSequential(t *testing.T) {
 					spec := gpuDetSpec(t, w, m.mode)
 					cfg := m.apply(Config{Mode: m.mode, PhysRegs: physRegs, MaxCycles: 2_000_000})
 
-					seq, seqErr := gpuResultJSON(t, cfg, spec)
-					cfg.GPUParallel = 5 // uneven 16/5 split stresses the partition
-					par, parErr := gpuResultJSON(t, cfg, spec)
-
-					switch {
-					case seqErr != nil || parErr != nil:
-						// A config that cannot run must fail identically.
-						if fmt.Sprint(seqErr) != fmt.Sprint(parErr) {
-							t.Fatalf("sequential err %v, parallel err %v", seqErr, parErr)
+					ref, refErr := gpuResultJSON(t, cfg, spec)
+					var (
+						got  [2][]byte
+						errs [2]error
+						wg   sync.WaitGroup
+					)
+					for i := range got {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							res, err := RunGPU(cfg, spec)
+							if err == nil {
+								got[i], err = json.Marshal(res)
+							}
+							errs[i] = err
+						}()
+					}
+					wg.Wait()
+					for i := range got {
+						switch {
+						case refErr != nil || errs[i] != nil:
+							// A config that cannot run must fail identically.
+							if fmt.Sprint(refErr) != fmt.Sprint(errs[i]) {
+								t.Fatalf("run %d: err %v, alone %v", i, errs[i], refErr)
+							}
+						case !bytes.Equal(ref, got[i]):
+							t.Fatalf("concurrent run %d diverges from the lone run (%d vs %d JSON bytes)",
+								i, len(got[i]), len(ref))
 						}
-					case !bytes.Equal(seq, par):
-						t.Fatalf("parallel GPUResult diverges from sequential (%d vs %d JSON bytes)",
-							len(par), len(seq))
 					}
 				})
 			}
@@ -118,35 +142,17 @@ func TestRunGPUParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunGPUWorkerCountInvariant pins the determinism argument against
-// the worker-count axis, including counts above the SM count (clamped).
-func TestRunGPUWorkerCountInvariant(t *testing.T) {
+// TestRunGPUWatchdogNamesFirstSM: when several SMs fail in one device
+// cycle, the error names the lowest-indexed one. Every SM hits the
+// MaxCycles watchdog at the same cycle here, so that is SM 0.
+func TestRunGPUWatchdogNamesFirstSM(t *testing.T) {
 	w := gpuDetWorkloads()[0]
 	spec := gpuDetSpec(t, w, rename.ModeCompiler)
-	cfg := Config{Mode: rename.ModeCompiler, PhysRegs: 512, MaxCycles: 2_000_000}
-	ref, err := gpuResultJSON(t, cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8, 16, 64} {
-		cfg.GPUParallel = workers
-		got, gerr := gpuResultJSON(t, cfg, spec)
-		if gerr != nil {
-			t.Fatalf("workers=%d: %v", workers, gerr)
-		}
-		if !bytes.Equal(ref, got) {
-			t.Errorf("workers=%d diverges from sequential", workers)
-		}
-	}
-}
-
-// TestRunGPUParallelPropagatesErrors ensures a per-SM watchdog error
-// surfaces identically from the pooled compute phase.
-func TestRunGPUParallelPropagatesErrors(t *testing.T) {
-	w := gpuDetWorkloads()[0]
-	spec := gpuDetSpec(t, w, rename.ModeCompiler)
-	cfg := Config{Mode: rename.ModeCompiler, MaxCycles: 3, GPUParallel: 4}
-	if _, err := RunGPU(cfg, spec); err == nil {
+	_, err := RunGPU(Config{Mode: rename.ModeCompiler, MaxCycles: 3}, spec)
+	if err == nil {
 		t.Fatal("MaxCycles=3 run must fail")
+	}
+	if !strings.HasPrefix(err.Error(), "sim: SM 0: ") {
+		t.Errorf("err = %v, want it to name SM 0", err)
 	}
 }

@@ -8,8 +8,9 @@ import "regvirt/internal/arch"
 // *phasedPort, which buffers all shared-state effects — global/shared/
 // spill stores and DRAM token movement — as intents during the per-SM
 // compute phase and applies them in fixed SM order during the commit
-// phase, so SM compute phases may run concurrently and still produce
-// results byte-identical to stepping the SMs sequentially.
+// phase. So no SM's cycle depends on where it falls in the stepping
+// order, and shared state is quiescent at every commit boundary, where
+// a device checkpoint is consistent.
 type memPort interface {
 	// tick opens a new cycle (resets per-cycle port accounting).
 	tick(cycle uint64)

@@ -80,15 +80,11 @@ type Config struct {
 	// MaxCycles aborts runs that exceed this cycle count (watchdog);
 	// zero defaults to 50M.
 	MaxCycles uint64
-	// GPUParallel is the compute-phase worker count of the two-phase
-	// whole-device engine (RunGPU only; Run ignores it). 0 or 1 steps
-	// the 16 SMs sequentially; N > 1 steps them on N goroutines — the
-	// engine's own goroutine, which also commits, plus N-1 helpers —
-	// with a per-cycle barrier. The engine commits all shared-state
-	// effects in fixed SM order, so the simulated result is
-	// byte-identical at every setting — this knob trades wall-clock
-	// time only and is therefore excluded from result cache keys (jobs,
-	// experiments).
+	// GPUParallel is ignored: RunGPU steps the 16 SMs on the calling
+	// goroutine.
+	//
+	// Deprecated: it once set the device engine's compute-phase worker
+	// count; it stays only so existing callers still compile.
 	GPUParallel int
 	// Cancel, when non-nil, aborts the run with ErrCancelled once the
 	// channel is closed (checked every cancelCheckEvery cycles). The
@@ -98,13 +94,13 @@ type Config struct {
 	// CheckpointEvery, with a non-nil Checkpoint hook, emits a state
 	// snapshot every N cycles (engine iterations in RunGPU). Snapshots
 	// are taken at exact cycle boundaries and never change the simulated
-	// result, so — like GPUParallel — the checkpoint knobs are excluded
-	// from result cache keys. 0 disables periodic checkpoints.
+	// result, so the checkpoint knobs are excluded from result cache
+	// keys. 0 disables periodic checkpoints.
 	CheckpointEvery uint64
-	// Checkpoint receives each snapshot on the simulating goroutine (the
-	// engine goroutine in RunGPU). The payload is deeply copied from live
-	// state: the hook may retain or serialize it freely. A slow hook
-	// stalls simulated time, not correctness.
+	// Checkpoint receives each snapshot on the simulating goroutine.
+	// The payload is deeply copied from live state: the hook may retain
+	// or serialize it freely. A slow hook stalls simulated time, not
+	// correctness.
 	Checkpoint func(*Checkpoint)
 	// CheckpointOnCancel additionally emits a final snapshot when the
 	// run aborts via Cancel — the graceful-shutdown path: a drain window
@@ -125,12 +121,9 @@ type Config struct {
 	// wrapped error (FaultSiteMemAccept) or takes the
 	// invariant-violation path (FaultSiteAlloc, -> *InvariantError).
 	// The hook may also sleep (latency injection) or panic (crash
-	// injection; the parallel device engine contains worker panics and
-	// returns them as errors). With GPUParallel > 1 the hook is called
-	// concurrently from the compute-phase workers and must be safe for
-	// concurrent use (faultinject.Injector is). Production configs
-	// leave this nil — only the chaos tests and regvd -faults thread
-	// internal/faultinject through it.
+	// injection; the device engine turns a panic into an error naming
+	// the SM). Production configs leave this nil — only the chaos tests
+	// and regvd -faults thread internal/faultinject through it.
 	FaultHook func(site string) error
 	// Trace enables the register-liveness tracing used by Figs. 1-3.
 	Trace TraceConfig
@@ -344,6 +337,13 @@ const cancelCheckEvery = 4096
 // stops because Config.Cancel closed. Match it with errors.Is.
 var ErrCancelled = errors.New("sim: run cancelled")
 
+// MaxPhysRegs bounds Config.PhysRegs at 16 times the paper's file. A
+// physical register number is an int16 (regfile.PhysReg), and mode
+// smemspill numbers its demoted registers upward from the file size,
+// at most MaxWarpsPerSM × MaxRegsPerThread (3,024) of them; at this
+// bound they still fit.
+const MaxPhysRegs = 16 * arch.NumPhysRegs
+
 func validate(cfg *Config, spec *LaunchSpec) error {
 	if spec.Kernel == nil || spec.Kernel.Prog == nil {
 		return fmt.Errorf("sim: nil kernel")
@@ -363,6 +363,9 @@ func validate(cfg *Config, spec *LaunchSpec) error {
 	}
 	if cfg.PhysRegs == 0 {
 		cfg.PhysRegs = arch.NumPhysRegs
+	}
+	if cfg.PhysRegs > MaxPhysRegs {
+		return fmt.Errorf("sim: PhysRegs %d above the limit of %d", cfg.PhysRegs, MaxPhysRegs)
 	}
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 50_000_000

@@ -394,6 +394,13 @@ func TestValidationErrors(t *testing.T) {
 			t.Errorf("spec %d accepted: %+v", i, spec)
 		}
 	}
+	spec := LaunchSpec{Kernel: k, GridCTAs: 1, ThreadsPerCTA: 64, ConcCTAs: 1}
+	if _, err := Run(Config{PhysRegs: MaxPhysRegs + 16}, spec); err == nil {
+		t.Errorf("PhysRegs %d accepted on one SM", MaxPhysRegs+16)
+	}
+	if _, err := RunGPU(Config{PhysRegs: MaxPhysRegs + 16}, spec); err == nil {
+		t.Errorf("PhysRegs %d accepted on the device", MaxPhysRegs+16)
+	}
 }
 
 func TestHWOnlyReleasesFewerThanCompiler(t *testing.T) {

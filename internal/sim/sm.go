@@ -21,8 +21,10 @@ import (
 //
 // Everything in these files touches only SM-private state plus the
 // memPort (port.go), which is the sole route to shared memory. That
-// boundary is what lets the whole-device engine (gpu.go) run the
-// per-SM compute phases concurrently.
+// boundary is what lets the whole-device engine (gpu.go) buffer an
+// SM's shared-state effects until the commit phase: an SM's cycle is
+// then independent of the order the SMs step in, and a device
+// checkpoint taken after a commit is consistent.
 
 // ctaState is one resident CTA. Its warps live in one slab allocated
 // at dispatch, so a warp pointer stays valid for as long as a
