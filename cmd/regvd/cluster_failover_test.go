@@ -97,8 +97,8 @@ func TestClusterFailover(t *testing.T) {
 	}
 
 	// Pull the plug only after the owning shard is mid-simulation and
-	// has cut at least one checkpoint, so the standby resumes from a
-	// shipped checkpoint rather than only re-running from scratch.
+	// has cut at least one checkpoint, so the kill lands mid-run and
+	// the hub must re-run the job from the shipped journal alone.
 	vp := procs[victim]
 	deadline := time.Now().Add(60 * time.Second)
 	for {
@@ -112,8 +112,6 @@ func TestClusterFailover(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	// Give the async shipper a flush interval to move the checkpoint.
-	time.Sleep(300 * time.Millisecond)
 	vp.kill(t, syscall.SIGKILL)
 
 	// Every accepted job must complete through the router, byte-identical

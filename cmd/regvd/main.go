@@ -95,9 +95,9 @@
 // with -shard and, with `-standby <peer>` (the peer resolved through
 // -peers), ships every journal frame to that peer so its accepted jobs
 // survive its own death: the router tells the standby to adopt the
-// dead shard's journal, pending jobs re-enqueue there (resuming from
-// shipped checkpoints), and results come back byte-identical by the
-// determinism contract. The router's /healthz aggregates shard health
+// dead shard's journal, pending jobs re-enqueue there and re-run from
+// cycle 0, and results come back byte-identical by the determinism
+// contract. The router's /healthz aggregates shard health
 // ("ok" / "degraded" with shards down / 503 with none reachable);
 // GET /v1/cluster reports the topology from either role. See the
 // README's cluster operations section for a 3-shard quickstart.
@@ -530,10 +530,8 @@ func newDaemon(cfg config) (*daemon, error) {
 	var (
 		standby *store.StandbyStore
 		shipper *cluster.Shipper
-		rec     jobs.Recorder
 	)
 	if st != nil {
-		rec = st
 		standby, err = store.OpenStandby(filepath.Join(cfg.dataDir, "standby"))
 		if err != nil {
 			pool.Close()
@@ -599,7 +597,7 @@ func newDaemon(cfg config) (*daemon, error) {
 		logger.Info("integrity scrubber armed", "every", cfg.scrubEvery)
 	}
 
-	shardSrv := cluster.NewShardServer(cfg.shard, pool, rec, standby, shipper)
+	shardSrv := cluster.NewShardServer(cfg.shard, pool, nil, standby, shipper)
 	shardSrv.SetLogger(logger)
 	handler := shardSrv.Handler(jobs.NewServer(pool).Handler())
 	if parts != nil {

@@ -212,14 +212,14 @@ func TestNemesis(t *testing.T) {
 		ids = append(ids, j.Key())
 	}
 
-	// --- Phase 1: SIGKILL the spin owner mid-simulation, after a
-	// checkpoint has shipped, so the hub resumes rather than re-runs. ---
+	// --- Phase 1: SIGKILL the spin owner mid-simulation, after it has
+	// cut a checkpoint, so the hub re-runs from the shipped journal a
+	// job its owner had half done. ---
 	vp := procs[victim]
 	waitNemesis(t, "victim running+checkpointed", 60*time.Second, func() bool {
 		m := daemonMetrics(t, vp.base)
 		return m.Running > 0 && m.CheckpointsWritten > 0
 	})
-	time.Sleep(300 * time.Millisecond) // one shipper flush for the checkpoint
 	vp.kill(t, syscall.SIGKILL)
 
 	waitNemesis(t, "router to adopt the killed shard", 60*time.Second, func() bool {

@@ -81,7 +81,7 @@ func (ts *testShard) serve(standbyName, standbyURL string) {
 		ts.ship = NewShipper(ts.name, standbyName, standbyURL, ts.st)
 		ts.ship.Start()
 	}
-	ss := NewShardServer(ts.name, ts.pool, ts.st, ts.sb, ts.ship)
+	ss := NewShardServer(ts.name, ts.pool, nil, ts.sb, ts.ship)
 	ts.srv = &http.Server{Handler: ss.Handler(jobs.NewServer(ts.pool).Handler())}
 	go ts.srv.Serve(ts.ln)
 }

@@ -7,8 +7,7 @@ import "fmt"
 // increasing ownership epoch, starting at 1. Exactly one writer holds
 // each (keyspace, epoch) pair:
 //
-//   - The primary stamps its current epoch on every ship and
-//     checkpoint request.
+//   - The primary stamps its current epoch on every ship request.
 //   - Adoption bumps the epoch: the router hands the bumped value to
 //     the adopting standby, which persists it as a fence on the
 //     shipped copy. From that moment the old primary's ships — stamped

@@ -197,17 +197,6 @@ func TestShipFencedAtLowerEpoch(t *testing.T) {
 		t.Errorf("fenced body = %s, want kind fenced epoch 5", raw)
 	}
 
-	// Checkpoints obey the same fence.
-	resp2, err := http.Post(hub.url+"/v1/cluster/checkpoint", "application/json",
-		strings.NewReader(`{"shard":"a","epoch":3,"id":"x","data":"AA=="}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusConflict {
-		t.Errorf("stale checkpoint: HTTP %d, want 409", resp2.StatusCode)
-	}
-
 	// Epoch 0 (a pre-fencing peer) is fenced too once any fence exists:
 	// an unstamped ship cannot prove ownership. Before the first fence
 	// (0 < 0 is false) such peers pass, preserving mixed-version compat

@@ -2,7 +2,7 @@
 // consistent-hash router fronts the shards (job IDs are already
 // SHA-256 content addresses, so placement is a hash-ring lookup), and
 // each shard ships its write-ahead journal to a warm-standby peer so a
-// dead shard's accepted jobs resume elsewhere — with the same
+// dead shard's accepted jobs re-run elsewhere — with the same
 // byte-identical-result guarantee the single-node daemon makes.
 //
 // The pieces:
@@ -11,8 +11,8 @@
 //     shard names, with virtual nodes for spread and a deterministic
 //     walk for failover targets.
 //   - Shipper (shipper.go): the store.Sink that replicates a shard's
-//     journal frames and checkpoints to its standby over HTTP,
-//     synchronously for accepts, with gap-triggered full resync.
+//     journal frames to its standby over HTTP, synchronously for
+//     accepts, with gap-triggered full resync.
 //   - ShardServer (shard.go): the shard-side HTTP surface — receiving
 //     shipments, adopting a dead peer's jobs, and reporting /v1/cluster
 //     status — layered over the internal/jobs handler.

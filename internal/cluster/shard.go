@@ -19,21 +19,19 @@ import (
 // ShardServer is the shard-side cluster surface, layered over the
 // plain job API:
 //
-//	POST /v1/cluster/ship        receive shipped journal frames/snapshots
-//	POST /v1/cluster/checkpoint  receive a shipped checkpoint blob
-//	POST /v1/cluster/adopt       take over a dead shard's jobs
-//	POST /v1/cluster/epoch       install a router-granted ownership epoch
-//	GET  /v1/cluster             role, shipping target, standby holdings
+//	POST /v1/cluster/ship   receive shipped journal frames/snapshots
+//	POST /v1/cluster/adopt  take over a dead shard's jobs
+//	POST /v1/cluster/epoch  install a router-granted ownership epoch
+//	GET  /v1/cluster        role, shipping target, standby holdings
 //
 // A shard can play both halves at once: primary for its own keyspace
 // (shipping its journal out via Shipper) and standby for a peer's
-// (filing shipments in a StandbyStore, adopting on demand). Any field
-// but the pool may be nil — a diskless shard serves jobs and reports
-// status but refuses shipping and adoption with 503.
+// (filing shipped journals in a StandbyStore, adopting on demand).
+// Any field but the pool may be nil — a diskless shard serves jobs and
+// reports status but refuses shipping and adoption with 503.
 type ShardServer struct {
 	name    string
 	pool    *jobs.Pool
-	rec     jobs.Recorder       // own durable store: adopted checkpoints import here
 	standby *store.StandbyStore // shipped copies filed here
 	shipper *Shipper            // our own journal's replication, nil when not shipping
 
@@ -60,15 +58,19 @@ func (s *ShardServer) SetLogger(l *slog.Logger) {
 	s.log = l
 }
 
-// NewShardServer assembles the shard-side surface. rec is the shard's
-// own durability store (nil when running in-memory), standby the
-// receiving store for peers' shipments (nil when not a standby), and
-// shipper the outbound replication (nil when not shipping).
-func NewShardServer(name string, pool *jobs.Pool, rec jobs.Recorder, standby *store.StandbyStore, shipper *Shipper) *ShardServer {
+// NewShardServer assembles the shard-side surface. standby is the
+// receiving store for peers' shipped journals (nil when not a standby)
+// and shipper the outbound replication (nil when not shipping).
+func NewShardServer(name string, pool *jobs.Pool,
+	// Deprecated: the recorder argument is ignored. Adoption re-runs
+	// marooned jobs from cycle 0 and imports nothing into the shard's
+	// own store; the parameter stays only so existing callers still
+	// compile.
+	_ jobs.Recorder,
+	standby *store.StandbyStore, shipper *Shipper) *ShardServer {
 	s := &ShardServer{
 		name:    name,
 		pool:    pool,
-		rec:     rec,
 		standby: standby,
 		shipper: shipper,
 		log:     obs.Nop(),
@@ -90,7 +92,6 @@ func NewShardServer(name string, pool *jobs.Pool, rec jobs.Recorder, standby *st
 func (s *ShardServer) Handler(next http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/cluster/ship", s.handleShip)
-	mux.HandleFunc("POST /v1/cluster/checkpoint", s.handleCheckpoint)
 	mux.HandleFunc("POST /v1/cluster/adopt", s.handleAdopt)
 	mux.HandleFunc("POST /v1/cluster/epoch", s.handleEpoch)
 	mux.HandleFunc("GET /v1/cluster", s.handleStatus)
@@ -216,36 +217,12 @@ func (s *ShardServer) handleShip(w http.ResponseWriter, r *http.Request) {
 	jobs.WriteJSON(w, http.StatusOK, resp)
 }
 
-func (s *ShardServer) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if s.standby == nil {
-		jobs.WriteError(w, http.StatusServiceUnavailable, "shard %s has no standby storage (-data-dir required)", s.name)
-		return
-	}
-	var req checkpointRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Shard == "" || req.Shard == s.name {
-		jobs.WriteError(w, http.StatusBadRequest, "invalid source shard %q", req.Shard)
-		return
-	}
-	if !s.fenceCheck(w, req.Shard, req.Epoch) {
-		return
-	}
-	if err := s.standby.SaveCheckpoint(req.Shard, req.ID, req.Data); err != nil {
-		jobs.WriteError(w, http.StatusInternalServerError, "save checkpoint from %s: %v", req.Shard, err)
-		return
-	}
-	jobs.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
 // handleAdopt replays a dead shard's shipped journal into this shard's
-// pool: shipped checkpoints are imported into our own store first (so
-// resumed jobs continue mid-simulation instead of restarting), then the
-// recovered jobs are re-registered — pending ones re-enqueue and run
-// here. Adoption is idempotent: jobs already known to the pool are
-// skipped by Restore, so the router may call this on every failover
-// without double-running anything.
+// pool: the recovered jobs are re-registered, and pending ones
+// re-enqueue and run here from cycle 0 (determinism makes the re-run
+// byte-identical). Adoption is idempotent: jobs already known to the
+// pool are skipped by Restore, so the router may call this on every
+// failover without double-running anything.
 func (s *ShardServer) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	if s.standby == nil {
 		jobs.WriteError(w, http.StatusServiceUnavailable, "shard %s has no standby storage (-data-dir required)", s.name)
@@ -276,26 +253,18 @@ func (s *ShardServer) handleAdopt(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	recovered, ckpts, err := s.standby.Recover(req.Shard)
+	recovered, err := s.standby.Recover(req.Shard)
 	if err != nil {
 		sp.SetError(err)
 		jobs.WriteError(w, http.StatusInternalServerError, "recover %s: %v", req.Shard, err)
 		return
 	}
-	imported := 0
-	if s.rec != nil {
-		for id, data := range ckpts {
-			if s.rec.SaveCheckpoint(id, data) == nil {
-				imported++
-			}
-		}
-	}
 	resumed := s.pool.Restore(recovered)
 	sp.SetAttr("jobs", strconv.Itoa(len(recovered)))
 	sp.SetAttr("resumed", strconv.Itoa(resumed))
 	s.log.InfoContext(ctx, "adopted peer shard's jobs", "shard", s.name, "from", req.Shard,
-		"jobs", len(recovered), "resumed", resumed, "checkpoints", imported)
-	res := AdoptResult{Shard: req.Shard, Jobs: len(recovered), Resumed: resumed, Checkpoints: imported}
+		"jobs", len(recovered), "resumed", resumed)
+	res := AdoptResult{Shard: req.Shard, Jobs: len(recovered), Resumed: resumed}
 	s.mu.Lock()
 	prev := s.adopted[req.Shard]
 	// Accumulate across repeated adoptions of the same shard: each call

@@ -18,15 +18,15 @@ import (
 )
 
 // Shipper is the sending half of journal shipping: a store.Sink that
-// replicates one shard's journal frames and checkpoints to its
-// warm-standby peer over HTTP.
+// replicates one shard's journal frames to its warm-standby peer over
+// HTTP.
 //
 // Delivery discipline mirrors the durability contract: accept frames
 // (the fsynced ones) are shipped synchronously — the standby's copy is
 // made as strong as the local disk before the daemon acknowledges the
 // job. Done/failed frames only queue: they ride the next ship, a
 // synchronous one or the background flusher's, so a cold job costs one
-// standby round trip, not two. Checkpoints flush in the background. Any loss
+// standby round trip, not two. Any loss
 // (network error, full queue, journal rewrite, standby gap report)
 // degrades to a full resync: the shipper exports the current journal
 // generation and ships it as a snapshot that replaces the standby's
@@ -40,8 +40,6 @@ type Shipper struct {
 
 	mu         sync.Mutex
 	queue      []store.Frame
-	ckpts      map[string][]byte // latest blob per job, coalesced
-	ckptOrder  []string
 	needResync bool
 	fenced     bool // standby refused our epoch: stop shipping until SetEpoch
 	closed     bool
@@ -58,13 +56,12 @@ type Shipper struct {
 
 	st *store.Store
 
-	epoch              atomic.Uint64 // our keyspace ownership epoch, stamped on every request
-	framesShipped      atomic.Uint64
-	resyncs            atomic.Uint64
-	checkpointsShipped atomic.Uint64
-	syncShipFailures   atomic.Uint64
-	ackGen             atomic.Uint64
-	ackSeq             atomic.Uint64
+	epoch            atomic.Uint64 // our keyspace ownership epoch, stamped on every request
+	framesShipped    atomic.Uint64
+	resyncs          atomic.Uint64
+	syncShipFailures atomic.Uint64
+	ackGen           atomic.Uint64
+	ackSeq           atomic.Uint64
 }
 
 // Shipper tuning. The queue bound is generous (frames are tiny); once
@@ -86,7 +83,6 @@ func NewShipper(shard, peer, base string, st *store.Store) *Shipper {
 		base:       base,
 		hc:         &http.Client{Timeout: shipTimeout},
 		log:        obs.Nop(),
-		ckpts:      map[string][]byte{},
 		flushEvery: shipFlushEvery,
 		wake:       make(chan struct{}, 1),
 		done:       make(chan struct{}),
@@ -177,10 +173,9 @@ func (sh *Shipper) Close() {
 // the stream for resync and counts against syncShipFailures, but never
 // fails the local append (local durability is already secured).
 // Non-synchronous frames (done, failed) do not wake the flusher: they
-// wait for the next synchronous ship or the flusher's next pass (its
-// tick, or a checkpoint waking it). The standby never needs them
-// promptly, because adoption re-runs done jobs and a failed one fails
-// again deterministically.
+// wait for the next synchronous ship or the flusher's next pass. The
+// standby never needs them promptly, because adoption re-runs done
+// jobs and a failed one fails again deterministically.
 func (sh *Shipper) ShipFrame(f store.Frame, sync bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -220,18 +215,6 @@ func (sh *Shipper) JournalRewritten(uint64) {
 	sh.poke()
 }
 
-// ShipCheckpoint implements store.Sink: checkpoints coalesce (only the
-// latest blob per job matters) and flush in the background.
-func (sh *Shipper) ShipCheckpoint(id string, data []byte) {
-	sh.mu.Lock()
-	if _, ok := sh.ckpts[id]; !ok {
-		sh.ckptOrder = append(sh.ckptOrder, id)
-	}
-	sh.ckpts[id] = data
-	sh.mu.Unlock()
-	sh.poke()
-}
-
 func (sh *Shipper) poke() {
 	select {
 	case sh.wake <- struct{}{}:
@@ -256,7 +239,7 @@ func (sh *Shipper) run() {
 	}
 }
 
-// flush resyncs if needed, then drains frames and checkpoints.
+// flush resyncs if needed, then drains the frame queue.
 func (sh *Shipper) flush() {
 	sh.mu.Lock()
 	needResync, fenced := sh.needResync, sh.fenced
@@ -270,40 +253,16 @@ func (sh *Shipper) flush() {
 		}
 	}
 	sh.mu.Lock()
-	if len(sh.queue) > 0 {
-		sh.flushFramesLocked()
-	}
-	ckpts := make(map[string][]byte, len(sh.ckpts))
-	order := sh.ckptOrder
-	for id, data := range sh.ckpts {
-		ckpts[id] = data
-	}
-	sh.ckpts = map[string][]byte{}
-	sh.ckptOrder = nil
+	// A failure needs nothing more here: the frames stay queued, or a
+	// resync or the fence latch is already recorded, for the next pass.
+	_ = sh.flushFramesLocked()
 	sh.mu.Unlock()
-	for _, id := range order {
-		if err := sh.postCheckpoint(id, ckpts[id]); err != nil {
-			// Requeue only if no newer blob arrived meanwhile — and not
-			// when the failure was a fence: those blobs belong to a
-			// keyspace we no longer own.
-			sh.mu.Lock()
-			sh.noteFencedLocked(err)
-			if _, ok := sh.ckpts[id]; !ok && !sh.fenced {
-				sh.ckpts[id] = ckpts[id]
-				sh.ckptOrder = append(sh.ckptOrder, id)
-			}
-			sh.mu.Unlock()
-			return
-		}
-		sh.checkpointsShipped.Add(1)
-	}
 }
 
 // noteFencedLocked latches the fenced state when err is a fencing
-// rejection (sh.mu held). Queued frames and checkpoints are dropped —
-// they belong to a keyspace this node no longer owns — and the
-// transition callback fires once so the shard server can refuse new
-// submissions too.
+// rejection (sh.mu held). Queued frames are dropped — they belong to a
+// keyspace this node no longer owns — and the transition callback
+// fires once so the shard server can refuse new submissions too.
 func (sh *Shipper) noteFencedLocked(err error) {
 	var fe *FencedError
 	if !errors.As(err, &fe) || sh.fenced {
@@ -311,8 +270,6 @@ func (sh *Shipper) noteFencedLocked(err error) {
 	}
 	sh.fenced = true
 	sh.queue = sh.queue[:0]
-	sh.ckpts = map[string][]byte{}
-	sh.ckptOrder = nil
 	sh.log.Warn("shipper fenced: keyspace adopted elsewhere; awaiting fresh epoch",
 		"shard", sh.shard, "standby", sh.peer, "epoch", fe.Epoch, "fence", fe.Fence)
 	if sh.onFenced != nil {
@@ -370,26 +327,17 @@ func (sh *Shipper) resync() error {
 	return nil
 }
 
+// postShip posts one ship request to the standby and decodes its
+// acknowledgement.
 func (sh *Shipper) postShip(req shipRequest) (*shipResponse, error) {
-	var resp shipResponse
-	if err := sh.postJSON("/v1/cluster/ship", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-func (sh *Shipper) postCheckpoint(id string, data []byte) error {
-	return sh.postJSON("/v1/cluster/checkpoint", checkpointRequest{Shard: sh.shard, Epoch: sh.epoch.Load(), ID: id, Data: data}, nil)
-}
-
-func (sh *Shipper) postJSON(path string, body, out any) error {
-	data, err := json.Marshal(body)
+	const path = "/v1/cluster/ship"
+	data, err := json.Marshal(req)
 	if err != nil {
-		return fmt.Errorf("cluster: encode %s: %w", path, err)
+		return nil, fmt.Errorf("cluster: encode %s: %w", path, err)
 	}
 	resp, err := sh.hc.Post(sh.base+path, "application/json", bytes.NewReader(data))
 	if err != nil {
-		return fmt.Errorf("cluster: %s: %w", path, err)
+		return nil, fmt.Errorf("cluster: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -398,14 +346,15 @@ func (sh *Shipper) postJSON(path string, body, out any) error {
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 		var fb fencedBody
 		if resp.StatusCode == http.StatusConflict && json.Unmarshal(raw, &fb) == nil && fb.Kind == "fenced" {
-			return &FencedError{Keyspace: sh.shard, Epoch: sh.epoch.Load(), Fence: fb.Epoch}
+			return nil, &FencedError{Keyspace: sh.shard, Epoch: sh.epoch.Load(), Fence: fb.Epoch}
 		}
-		return fmt.Errorf("cluster: %s: HTTP %d: %s", path, resp.StatusCode, strings.TrimSpace(string(raw)))
+		return nil, fmt.Errorf("cluster: %s: HTTP %d: %s", path, resp.StatusCode, strings.TrimSpace(string(raw)))
 	}
-	if out == nil {
-		return nil
+	var ack shipResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+		return nil, fmt.Errorf("cluster: decode %s response: %w", path, err)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return &ack, nil
 }
 
 // Status reports the shipper's view for /v1/cluster.
@@ -414,17 +363,16 @@ func (sh *Shipper) Status() *ShipTargetStatus {
 	queued, pendingResync, fenced := len(sh.queue), sh.needResync, sh.fenced
 	sh.mu.Unlock()
 	return &ShipTargetStatus{
-		Name:               sh.peer,
-		URL:                sh.base,
-		AckGen:             sh.ackGen.Load(),
-		AckSeq:             sh.ackSeq.Load(),
-		Queued:             queued,
-		PendingResync:      pendingResync,
-		FramesShipped:      sh.framesShipped.Load(),
-		Resyncs:            sh.resyncs.Load(),
-		CheckpointsShipped: sh.checkpointsShipped.Load(),
-		SyncShipFailures:   sh.syncShipFailures.Load(),
-		Epoch:              sh.epoch.Load(),
-		Fenced:             fenced,
+		Name:             sh.peer,
+		URL:              sh.base,
+		AckGen:           sh.ackGen.Load(),
+		AckSeq:           sh.ackSeq.Load(),
+		Queued:           queued,
+		PendingResync:    pendingResync,
+		FramesShipped:    sh.framesShipped.Load(),
+		Resyncs:          sh.resyncs.Load(),
+		SyncShipFailures: sh.syncShipFailures.Load(),
+		Epoch:            sh.epoch.Load(),
+		Fenced:           fenced,
 	}
 }

@@ -3,12 +3,15 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"io/fs"
 	"net/http"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"regvirt/internal/jobs"
+	"regvirt/internal/jobs/store"
 )
 
 // shipCounter is a transport that counts the frame-shipping POSTs it
@@ -99,4 +102,72 @@ func TestShipperDoneRidesAcceptShip(t *testing.T) {
 			t.Errorf("one submit and one tick made %d ship POSTs, want 2", got)
 		}
 	})
+}
+
+// TestStandbyHoldsOnlyShippedJournal: a primary checkpoints two jobs
+// mid-run, they finish, and a restart compacts them out of its journal.
+// The standby's copy of that shard must then hold nothing but the
+// shipped journal and its sidecars: no checkpoint the primary cut
+// reaches the standby's disk, so nothing there outlives its job.
+func TestStandbyHoldsOnlyShippedJournal(t *testing.T) {
+	sb := newTestShard(t, "sb")
+	sb.serve("", "")
+	pri := newTestShard(t, "p")
+	sh := NewShipper(pri.name, sb.name, sb.url, pri.st)
+	sh.Start()
+	var ids []string
+	for i := 0; i < 2; i++ {
+		j := tinyJob(i)
+		id := j.Key()
+		ids = append(ids, id)
+		if err := pri.st.Accept(id, j, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := pri.st.SaveCheckpoint(id, []byte("mid-run state")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range ids {
+		if err := pri.st.Done(id, &jobs.Result{ID: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh.Close() // the final flush delivers everything still queued
+
+	// Restart the primary: Open compacts the finished jobs away, and the
+	// new shipper's first resync installs that journal on the standby.
+	if err := pri.st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := store.Open(pri.st.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	sh2 := NewShipper(pri.name, sb.name, sb.url, st)
+	sh2.Start()
+	t.Cleanup(sh2.Close)
+	waitFor(t, "resync of the compacted journal", 10*time.Second, func() bool {
+		gen, _ := sb.sb.State(pri.name)
+		return gen == st.Generation()
+	})
+
+	if _, last := sb.sb.State(pri.name); last != 0 {
+		t.Errorf("standby copy ends at seq %d after compaction, want an empty journal", last)
+	}
+	sdir := filepath.Join(sb.st.Dir(), "standby", pri.name)
+	want := map[string]bool{"shipped.wal": true, "journal.gen": true, "fence.epoch": true}
+	err = filepath.WalkDir(sdir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(sdir, path)
+		if !want[rel] {
+			t.Errorf("standby copy of %s holds %s; want only the shipped journal and its sidecars", pri.name, rel)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

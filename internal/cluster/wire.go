@@ -4,8 +4,8 @@ import "regvirt/internal/jobs/store"
 
 // Wire types of the cluster control plane. Everything is JSON over the
 // same HTTP listener the job API uses; shard-to-shard traffic (shipping
-// frames, snapshots, checkpoints, adoption) shares these shapes with
-// the router's probes.
+// frames, snapshots, adoption) shares these shapes with the router's
+// probes.
 
 // shipRequest carries journal replication: either a batch of frames
 // (Frames) extending the standby's copy, or — with Snapshot set — a
@@ -31,15 +31,6 @@ type shipResponse struct {
 	LastSeq uint64 `json:"last_seq"`
 	Applied int    `json:"applied"`
 	Resync  bool   `json:"resync,omitempty"`
-}
-
-// checkpointRequest ships one job's latest checkpoint blob, fenced by
-// the same epoch rule as frames.
-type checkpointRequest struct {
-	Shard string `json:"shard"`
-	Epoch uint64 `json:"epoch,omitempty"`
-	ID    string `json:"id"`
-	Data  []byte `json:"data"`
 }
 
 // adoptRequest asks a standby to take over a dead shard's jobs. Epoch
@@ -70,31 +61,28 @@ type fencedBody struct {
 }
 
 // AdoptResult reports one adoption: how many journal entries were
-// recovered from the shipped copy, how many unfinished jobs were
-// re-enqueued here, and how many shipped checkpoints were imported for
-// them to resume from.
+// recovered from the shipped copy and how many unfinished jobs were
+// re-enqueued here to run again.
 type AdoptResult struct {
-	Shard       string `json:"shard"`
-	Jobs        int    `json:"jobs"`
-	Resumed     int    `json:"resumed"`
-	Checkpoints int    `json:"checkpoints"`
+	Shard   string `json:"shard"`
+	Jobs    int    `json:"jobs"`
+	Resumed int    `json:"resumed"`
 }
 
 // ShipTargetStatus is the shipping half of a shard's /v1/cluster
 // report: who it ships to and how far the standby has acknowledged.
 type ShipTargetStatus struct {
-	Name               string `json:"name"`
-	URL                string `json:"url"`
-	AckGen             uint64 `json:"ack_gen"`
-	AckSeq             uint64 `json:"ack_seq"`
-	Queued             int    `json:"queued"`
-	PendingResync      bool   `json:"pending_resync,omitempty"`
-	FramesShipped      uint64 `json:"frames_shipped"`
-	Resyncs            uint64 `json:"resyncs"`
-	CheckpointsShipped uint64 `json:"checkpoints_shipped"`
-	SyncShipFailures   uint64 `json:"sync_ship_failures"`
-	Epoch              uint64 `json:"epoch,omitempty"`
-	Fenced             bool   `json:"fenced,omitempty"`
+	Name             string `json:"name"`
+	URL              string `json:"url"`
+	AckGen           uint64 `json:"ack_gen"`
+	AckSeq           uint64 `json:"ack_seq"`
+	Queued           int    `json:"queued"`
+	PendingResync    bool   `json:"pending_resync,omitempty"`
+	FramesShipped    uint64 `json:"frames_shipped"`
+	Resyncs          uint64 `json:"resyncs"`
+	SyncShipFailures uint64 `json:"sync_ship_failures"`
+	Epoch            uint64 `json:"epoch,omitempty"`
+	Fenced           bool   `json:"fenced,omitempty"`
 }
 
 // NodeStatus is a shard's GET /v1/cluster body: its own name, where it

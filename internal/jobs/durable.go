@@ -50,11 +50,11 @@ type RecoveredJob struct {
 }
 
 // Interrupt begins a graceful drain: every in-flight durable
-// simulation is cancelled, which makes it emit a final consistent
-// checkpoint (sim.Config.CheckpointOnCancel) before aborting. Call it
-// ahead of Close so the drain window is spent checkpointing rather
-// than waiting out simulations; a later restart resumes each
-// interrupted job from its shutdown checkpoint.
+// simulation is cancelled, which makes it hand its sim.Config.Checkpoint
+// hook a final consistent checkpoint before aborting. Call it ahead of
+// Close so the drain window is spent checkpointing rather than waiting
+// out simulations; a later restart resumes each interrupted job from
+// its shutdown checkpoint.
 func (p *Pool) Interrupt() {
 	p.stopOnce.Do(func() { close(p.stopping) })
 }
@@ -140,8 +140,7 @@ func (p *Pool) runDurable(ctx context.Context, job Job, id string, e *execution)
 	// the periodic snapshots (0 = none), and the on-cancel snapshot —
 	// what Restore and preemption resume from — is unconditional.
 	hooks := runHooks{
-		every:    p.ckptEvery,
-		onCancel: true,
+		every: p.ckptEvery,
 		checkpoint: func(ck *sim.Checkpoint) {
 			_, sp := p.tracer.Start(ctx, "checkpoint.write")
 			defer sp.End()

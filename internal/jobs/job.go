@@ -388,13 +388,12 @@ func Execute(ctx context.Context, j Job) (res *Result, err error) {
 }
 
 // runHooks threads the pool's durability callbacks into one execution:
-// periodic checkpointing, a final checkpoint on cancellation, and an
-// optional checkpoint to resume from instead of starting at cycle 0.
-// The zero value runs the job plainly.
+// periodic checkpointing (checkpoint also receives the final snapshot
+// of a cancelled run), and an optional checkpoint to resume from
+// instead of starting at cycle 0. The zero value runs the job plainly.
 type runHooks struct {
 	every      uint64
 	checkpoint func(*sim.Checkpoint)
-	onCancel   bool
 	resume     *sim.Checkpoint
 }
 
@@ -428,9 +427,8 @@ func execute(ctx context.Context, j Job, key string, kernels *Cache[kernelKey, *
 		// Durability hooks: these never influence the result
 		// (checkpoint_test.go proves checkpointing is observation-only),
 		// so they are not part of the cache key.
-		CheckpointEvery:    hooks.every,
-		Checkpoint:         hooks.checkpoint,
-		CheckpointOnCancel: hooks.onCancel,
+		CheckpointEvery: hooks.every,
+		Checkpoint:      hooks.checkpoint,
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

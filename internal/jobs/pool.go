@@ -441,8 +441,9 @@ func (p *Pool) unregisterExec(e *execution) {
 // maybePreempt runs after a task is enqueued: with every worker busy,
 // it interrupts the lowest-priority running job strictly below the
 // arriving priority (oldest first on ties, so the victim choice is
-// deterministic). The victim checkpoints via CheckpointOnCancel, frees
-// its worker, and its dispatch loop re-enqueues it to resume later.
+// deterministic). The victim's cancelled run writes a final checkpoint,
+// frees its worker, and its dispatch loop re-enqueues it to resume
+// later.
 func (p *Pool) maybePreempt(priority int) {
 	if p.store == nil { // preemption needs a durable checkpoint
 		return

@@ -11,7 +11,10 @@ import (
 
 // Journal shipping: the primary's write-ahead journal is replicated,
 // frame by frame, to a warm-standby peer so a dead shard's accepted
-// jobs can resume somewhere else. The unit of shipment is the same
+// jobs can run again somewhere else. Only the journal ships: the
+// standby re-runs every marooned job from cycle 0, which the
+// simulator's determinism makes byte-identical to the run the dead
+// shard would have finished. The unit of shipment is the same
 // CRC-framed record the journal itself stores, tagged with a
 // (generation, sequence) pair:
 //
@@ -87,10 +90,6 @@ type Sink interface {
 	// compaction): whatever the sink shipped before is stale, and it
 	// must resync the standby from ExportJournal.
 	JournalRewritten(gen uint64)
-	// ShipCheckpoint offers the latest checkpoint blob of an unfinished
-	// job. Best-effort: a lost checkpoint only costs the standby a
-	// fresh run instead of a resume.
-	ShipCheckpoint(id string, data []byte)
 }
 
 // SetSink arms (or, with nil, disarms) journal shipping and returns

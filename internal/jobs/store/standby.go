@@ -14,12 +14,16 @@ import (
 
 // StandbyStore is the receiving half of journal shipping: it files
 // journal copies shipped by primary shards so that, when a shard dies,
-// its accepted-but-unfinished jobs can be adopted and resumed here.
-// One directory per primary:
+// its accepted jobs can be adopted and re-run here. One directory per
+// primary, holding nothing but the shipped journal and its sidecars:
 //
-//	<dir>/<shard>/shipped.wal       — the shipped journal (same frame format)
-//	<dir>/<shard>/journal.gen       — the shipped generation
-//	<dir>/<shard>/checkpoints/<id>.ckpt — shipped checkpoint blobs
+//	<dir>/<shard>/shipped.wal  — the shipped journal (same frame format)
+//	<dir>/<shard>/journal.gen  — the shipped generation
+//	<dir>/<shard>/fence.epoch  — the fence epoch (see Fence)
+//
+// The copy stays bounded because the primary compacts the journal it
+// ships: a compaction reaches the standby as a snapshot that replaces
+// shipped.wal wholesale.
 //
 // Continuity discipline: a frame is appended only when its generation
 // matches and its sequence number is exactly last+1. Duplicates (seq
@@ -82,10 +86,14 @@ func OpenStandby(dir string) (*StandbyStore, error) {
 // resumes, and the next frame either extends it or forces a resync.
 func (ss *StandbyStore) loadShard(shard string) (*standbyShard, error) {
 	sdir := filepath.Join(ss.dir, shard)
-	for _, d := range []string{sdir, filepath.Join(sdir, checkpointsDir)} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("store: standby: %w", err)
-		}
+	if err := os.MkdirAll(sdir, 0o755); err != nil {
+		return nil, fmt.Errorf("store: standby: %w", err)
+	}
+	// A checkpoints/ directory here is left by a standby that also
+	// received checkpoint blobs and never deleted them. Nothing reads
+	// it, so loading the copy reclaims the space.
+	if err := os.RemoveAll(filepath.Join(sdir, checkpointsDir)); err != nil {
+		return nil, fmt.Errorf("store: standby: %w", err)
 	}
 	path := filepath.Join(sdir, shippedName)
 	raw, err := os.ReadFile(path)
@@ -291,62 +299,38 @@ func (ss *StandbyStore) InstallSnapshot(shard string, gen uint64, recs []Record,
 	return nil
 }
 
-// SaveCheckpoint files a shipped checkpoint blob for one of the
-// shard's jobs.
-func (ss *StandbyStore) SaveCheckpoint(shard, id string, data []byte) error {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.closed {
-		return ErrClosed
-	}
-	if _, err := ss.shardLocked(shard); err != nil {
-		return err
-	}
-	if !safeID(id) {
-		return fmt.Errorf("store: standby: invalid job id %q", id)
-	}
-	return writeAtomic(filepath.Join(ss.dir, shard, checkpointsDir, id+".ckpt"), data)
-}
-
 // Recover reconstructs the shard's jobs from its shipped copy, in
-// acceptance order, plus the shipped checkpoints of unfinished ones.
-// "done" entries come back as pending: the result file lives on the
-// (dead) primary's disk, and re-running is byte-identical by the
-// determinism contract, so adoption re-enqueues them. "failed" entries
-// stay failed — the journal promises they fail deterministically.
-func (ss *StandbyStore) Recover(shard string) ([]jobs.RecoveredJob, map[string][]byte, error) {
+// acceptance order. "done" entries come back as pending: the result
+// file lives on the (dead) primary's disk, and re-running is
+// byte-identical by the determinism contract, so adoption re-enqueues
+// them. "failed" entries stay failed — the journal promises they fail
+// deterministically.
+func (ss *StandbyStore) Recover(shard string) ([]jobs.RecoveredJob, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if ss.closed {
-		return nil, nil, ErrClosed
+		return nil, ErrClosed
 	}
 	sh, err := ss.shardLocked(shard)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := sh.f.Sync(); err != nil {
-		return nil, nil, fmt.Errorf("store: standby: sync %s: %w", shard, err)
+		return nil, fmt.Errorf("store: standby: sync %s: %w", shard, err)
 	}
 	raw, err := os.ReadFile(filepath.Join(ss.dir, shard, shippedName))
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, nil, fmt.Errorf("store: standby: read %s: %w", shard, err)
+		return nil, fmt.Errorf("store: standby: read %s: %w", shard, err)
 	}
 	recs, _ := readJournal(bytes.NewReader(raw))
 
 	recovered := foldJournal(recs)
-	ckpts := map[string][]byte{}
 	for i := range recovered {
-		rj := &recovered[i]
-		if rj.State == "done" {
-			rj.State = "pending" // result unreachable on the dead primary: re-run
-		}
-		if rj.State == "pending" {
-			if data, err := os.ReadFile(filepath.Join(ss.dir, shard, checkpointsDir, rj.ID+".ckpt")); err == nil && len(data) > 0 {
-				ckpts[rj.ID] = data
-			}
+		if recovered[i].State == "done" {
+			recovered[i].State = "pending" // result unreachable on the dead primary: re-run
 		}
 	}
-	return recovered, ckpts, nil
+	return recovered, nil
 }
 
 // ShardStatus is one shipped copy's point-in-time state.

@@ -98,10 +98,10 @@ func TestStandbyResyncRacesApplyAndRecover(t *testing.T) {
 			}
 		}
 	}()
-	go func() { // recoverer: full journal replay + checkpoint sweep
+	go func() { // recoverer: full journal replay
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			if _, _, err := ss.Recover("a"); err != nil {
+			if _, err := ss.Recover("a"); err != nil {
 				t.Errorf("Recover: %v", err)
 				return
 			}
@@ -113,17 +113,11 @@ func TestStandbyResyncRacesApplyAndRecover(t *testing.T) {
 			ss.State("a")
 			ss.Status()
 			ss.FenceEpoch("a")
-			if i%10 == 0 {
-				if err := ss.SaveCheckpoint("a", fmt.Sprintf("app-%03d", i), []byte("ck")); err != nil {
-					t.Errorf("SaveCheckpoint: %v", err)
-					return
-				}
-			}
 		}
 	}()
 	wg.Wait()
 
-	recovered, _, err := ss.Recover("a")
+	recovered, err := ss.Recover("a")
 	if err != nil {
 		t.Fatalf("final Recover: %v", err)
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,19 +13,16 @@ import (
 
 // captureSink records everything a Store ships, for wiring assertions.
 type captureSink struct {
-	frames    []Frame
-	syncs     []bool
-	rewrites  []uint64
-	ckptIDs   []string
-	ckptBlobs [][]byte
+	frames   []Frame
+	syncs    []bool
+	rewrites []uint64
 }
 
 func (c *captureSink) ShipFrame(f Frame, sync bool) {
 	c.frames = append(c.frames, f)
 	c.syncs = append(c.syncs, sync)
 }
-func (c *captureSink) JournalRewritten(gen uint64)        { c.rewrites = append(c.rewrites, gen) }
-func (c *captureSink) ShipCheckpoint(id string, b []byte) { c.ckptIDs = append(c.ckptIDs, id); c.ckptBlobs = append(c.ckptBlobs, b) }
+func (c *captureSink) JournalRewritten(gen uint64) { c.rewrites = append(c.rewrites, gen) }
 
 func shipJob(name string) jobs.Job { return jobs.Job{Workload: name} }
 
@@ -84,12 +82,6 @@ func TestStoreShipsFramesInOrder(t *testing.T) {
 	}
 	if sink.syncs[2] {
 		t.Error("failed frame shipped synchronously; accepts only")
-	}
-	if err := s.SaveCheckpoint("job1", []byte("ckptblob")); err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.ckptIDs) != 1 || sink.ckptIDs[0] != "job1" || string(sink.ckptBlobs[0]) != "ckptblob" {
-		t.Errorf("checkpoint ship = %v, want [job1]", sink.ckptIDs)
 	}
 }
 
@@ -173,7 +165,7 @@ func TestStandbyTruncatedFrameMidShip(t *testing.T) {
 		t.Errorf("forged-CRC truncated frame: err = %v, want ErrBadFrame", err)
 	}
 	// Recovery sees only the intact record.
-	recovered, _, err := ss.Recover("shard1")
+	recovered, err := ss.Recover("shard1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +198,7 @@ func TestStandbyDuplicateReplayIdempotent(t *testing.T) {
 	if n, err := ss.ApplyFrames("shard1", overlap); err != nil || n != 1 {
 		t.Fatalf("overlapping batch = %d, %v; want 1, nil", n, err)
 	}
-	recovered, _, err := ss.Recover("shard1")
+	recovered, err := ss.Recover("shard1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +236,7 @@ func TestStandbyGapForcesResync(t *testing.T) {
 	if n, err := ss.ApplyFrames("s", []Frame{frameFor(t, 2, 4, acceptRec("ddd4"))}); err != nil || n != 1 {
 		t.Fatalf("post-snapshot frame = %d, %v", n, err)
 	}
-	recovered, _, err := ss.Recover("s")
+	recovered, err := ss.Recover("s")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +302,7 @@ func TestStandbyRestartDuringResync(t *testing.T) {
 	if n, err := ss3.ApplyFrames("s", []Frame{frameFor(t, 3, 3, acceptRec("ccc3"))}); err != nil || n != 1 {
 		t.Fatalf("re-shipped torn record = %d, %v", n, err)
 	}
-	recovered, _, err := ss3.Recover("s")
+	recovered, err := ss3.Recover("s")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,8 +312,7 @@ func TestStandbyRestartDuringResync(t *testing.T) {
 }
 
 // TestStandbyRecoverStates: done records (result marooned on the dead
-// primary) re-run as pending; failed records stay failed; shipped
-// checkpoints ride along for pending jobs.
+// primary) re-run as pending; failed records stay failed.
 func TestStandbyRecoverStates(t *testing.T) {
 	ss, err := OpenStandby(t.TempDir())
 	if err != nil {
@@ -338,10 +329,7 @@ func TestStandbyRecoverStates(t *testing.T) {
 	if _, err := ss.ApplyFrames("s", frames); err != nil {
 		t.Fatal(err)
 	}
-	if err := ss.SaveCheckpoint("s", "ccc3", []byte("blob")); err != nil {
-		t.Fatal(err)
-	}
-	recovered, ckpts, err := ss.Recover("s")
+	recovered, err := ss.Recover("s")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,10 +342,41 @@ func TestStandbyRecoverStates(t *testing.T) {
 			t.Errorf("job %s state %q, want %q", rj.ID, rj.State, want[rj.ID])
 		}
 	}
-	if string(ckpts["ccc3"]) != "blob" {
-		t.Errorf("checkpoint for ccc3 = %q, want blob", ckpts["ccc3"])
+}
+
+// TestOpenStandbyRemovesCheckpointsDir: a standby that also received
+// checkpoint blobs left them under <shard>/checkpoints/ for good.
+// Opening the standby deletes that directory and keeps the shipped
+// journal.
+func TestOpenStandbyRemovesCheckpointsDir(t *testing.T) {
+	dir := t.TempDir()
+	ss, err := OpenStandby(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := ckpts["aaa1"]; ok {
-		t.Error("checkpoint map has aaa1, which never checkpointed")
+	if _, err := ss.ApplyFrames("s", []Frame{frameFor(t, 1, 1, acceptRec("aaa1"))}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
+	leak := filepath.Join(dir, "s", "checkpoints")
+	if err := os.MkdirAll(leak, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(leak, "aaa1.ckpt"), []byte("blob"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ss2, err := OpenStandby(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss2.Close()
+	if _, err := os.Stat(leak); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("checkpoints/ after reopen: stat err = %v, want not exist", err)
+	}
+	if gen, last := ss2.State("s"); gen != 1 || last != 1 {
+		t.Errorf("reopened state = gen %d seq %d, want 1/1", gen, last)
 	}
 }

@@ -284,18 +284,13 @@ func (s *Store) SaveCheckpoint(id string, data []byte) error {
 		return fmt.Errorf("store: invalid job id %q", id)
 	}
 	s.mu.Lock()
-	closed, sink := s.closed, s.sink
+	closed := s.closed
 	s.mu.Unlock()
 	if closed {
 		return ErrClosed
 	}
 	if err := writeAtomic(s.checkpointPath(id), integrity.Seal(data, nil)); err != nil {
 		return diskAware("checkpoint persist", err)
-	}
-	if sink != nil {
-		// The standby receives the raw blob; its copy is sealed by the
-		// store that eventually adopts it.
-		sink.ShipCheckpoint(id, data)
 	}
 	return nil
 }

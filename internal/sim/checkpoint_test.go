@@ -167,7 +167,6 @@ func TestCheckpointOnCancel(t *testing.T) {
 		var last *Checkpoint
 		ckCfg := cfg
 		ckCfg.Cancel = cancel
-		ckCfg.CheckpointOnCancel = true
 		ckCfg.Checkpoint = func(c *Checkpoint) { last = c }
 		if _, err := Run(ckCfg, spec); !errors.Is(err, ErrCancelled) {
 			t.Fatalf("want ErrCancelled, got %v", err)
@@ -193,7 +192,6 @@ func TestCheckpointOnCancel(t *testing.T) {
 		ckCfg := cfg
 		ckCfg.Cancel = cancel
 		ckCfg.CheckpointEvery = 300
-		ckCfg.CheckpointOnCancel = true
 		ckCfg.Checkpoint = func(c *Checkpoint) {
 			last = c
 			select {

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"regvirt/internal/compiler"
@@ -39,6 +41,29 @@ func faultSpec(k *compiler.Kernel) LaunchSpec {
 	}
 }
 
+// injectEarlyPir returns a copy of virt (compiled from faultSrc) that
+// releases r2 at its FIRST read (the iadd r3, r2, 1), which is unsound
+// because r2 is read again two instructions later, together with the
+// register that read releases.
+func injectEarlyPir(t *testing.T, virt *compiler.Kernel) (*compiler.Kernel, isa.RegID) {
+	t.Helper()
+	bad := virt.Prog.Clone()
+	for _, in := range bad.Instrs {
+		if in.Op == isa.OpIAdd && in.NSrc == 2 &&
+			in.Srcs[1].Kind == isa.OpdImm && in.Srcs[1].Imm == 1 {
+			if in.Rel[0] {
+				t.Fatal("compiler already releases here?!")
+			}
+			in.Rel[0] = true
+			k := *virt
+			k.Prog = bad
+			return &k, in.Srcs[0].Reg
+		}
+	}
+	t.Fatalf("could not find injection site:\n%s", bad)
+	return nil, 0
+}
+
 func TestInjectedPirFaultIsCaught(t *testing.T) {
 	base, err := compiler.Compile(isa.MustParse(faultSrc), compiler.Options{NoFlags: true})
 	if err != nil {
@@ -60,27 +85,8 @@ func TestInjectedPirFaultIsCaught(t *testing.T) {
 	if !reflect.DeepEqual(clean.Stores, ref.Stores) {
 		t.Fatal("clean kernel already differs; fault injection meaningless")
 	}
-	// Inject: release r2 at its FIRST read (the iadd r3, r2, 1), which is
-	// unsound because r2 is read again two instructions later.
-	bad := virt.Prog.Clone()
-	injected := false
-	for _, in := range bad.Instrs {
-		if in.Op == isa.OpIAdd && in.NSrc == 2 &&
-			in.Srcs[1].Kind == isa.OpdImm && in.Srcs[1].Imm == 1 {
-			if in.Rel[0] {
-				t.Fatal("compiler already releases here?!")
-			}
-			in.Rel[0] = true
-			injected = true
-			break
-		}
-	}
-	if !injected {
-		t.Fatalf("could not find injection site:\n%s", bad)
-	}
-	k := *virt
-	k.Prog = bad
-	faulty, err := Run(Config{Mode: rename.ModeCompiler, PoisonReleased: true}, faultSpec(&k))
+	k, _ := injectEarlyPir(t, virt)
+	faulty, err := Run(Config{Mode: rename.ModeCompiler, PoisonReleased: true}, faultSpec(k))
 	if err != nil {
 		// A hard failure (invariant violation) is also an acceptable
 		// detection.
@@ -174,19 +180,10 @@ func TestPoisonStrictlyStrongerThanPlainEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := virt.Prog.Clone()
-	for _, in := range bad.Instrs {
-		if in.Op == isa.OpIAdd && in.NSrc == 2 &&
-			in.Srcs[1].Kind == isa.OpdImm && in.Srcs[1].Imm == 1 {
-			in.Rel[0] = true
-			break
-		}
-	}
-	k := *virt
-	k.Prog = bad
+	k, _ := injectEarlyPir(t, virt)
 	// Run without poison at a huge file: the freed register is unlikely
 	// to be re-allocated, so the stale value survives and the bug hides.
-	quiet, err := Run(Config{Mode: rename.ModeCompiler}, faultSpec(&k))
+	quiet, err := Run(Config{Mode: rename.ModeCompiler}, faultSpec(k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +196,41 @@ func TestPoisonStrictlyStrongerThanPlainEquivalence(t *testing.T) {
 		t.Skip("fault visible even without poison on this schedule")
 	}
 	// Same fault, poison on: must be caught now.
-	loud, err := Run(Config{Mode: rename.ModeCompiler, PoisonReleased: true}, faultSpec(&k))
+	loud, err := Run(Config{Mode: rename.ModeCompiler, PoisonReleased: true}, faultSpec(k))
 	if err != nil {
 		return
 	}
 	if reflect.DeepEqual(loud.Stores, ref.Stores) {
 		t.Error("poisoning failed to expose a fault that plain equivalence missed")
+	}
+}
+
+// TestPoisonedReadOfReleasedRegisterFails: under PoisonReleased, the
+// second read of the register the injected pir released finds it
+// unmapped, and the run — on one SM and on the whole device — fails
+// with an *InvariantError naming that register instead of completing
+// on a silent zero.
+func TestPoisonedReadOfReleasedRegisterFails(t *testing.T) {
+	virt, err := compiler.Compile(isa.MustParse(faultSrc), compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, victim := injectEarlyPir(t, virt)
+	cfg := Config{Mode: rename.ModeCompiler, PoisonReleased: true}
+	runs := map[string]func() error{
+		"single-sm": func() error { _, err := Run(cfg, faultSpec(k)); return err },
+		"device":    func() error { _, err := RunGPU(cfg, faultSpec(k)); return err },
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			err := run()
+			var inv *InvariantError
+			if !errors.As(err, &inv) {
+				t.Fatalf("read after release: err = %v, want *InvariantError", err)
+			}
+			if want := "register " + victim.String() + " "; !strings.Contains(inv.Msg, want) {
+				t.Errorf("invariant %q does not name the released register %v", inv.Msg, victim)
+			}
+		})
 	}
 }

@@ -245,7 +245,7 @@ func (e *gpuEngine) run() error {
 		if e.cfg.Cancel != nil {
 			select {
 			case <-e.cfg.Cancel:
-				if e.cfg.CheckpointOnCancel && e.cfg.Checkpoint != nil {
+				if e.cfg.Checkpoint != nil {
 					e.cfg.Checkpoint(&Checkpoint{Cycle: e.cycle, GPU: e.snapshot()})
 				}
 				return fmt.Errorf("%w at device cycle %d", ErrCancelled, e.cycle)

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"regvirt/internal/arch"
 	"regvirt/internal/isa"
 )
@@ -180,6 +182,11 @@ func (s *SM) issue(w *warp, in *isa.Instr) {
 					bankUse[rd.Bank]++
 				}
 				penalty += rd.Penalty
+			} else if s.cfg.PoisonReleased {
+				// An unmapped register was released by a pir/pbr or never
+				// written; either way the read would yield zero and never
+				// touch the poisoned value, so it is caught here instead.
+				s.failInvariant(w, in.PC, fmt.Sprintf("read of unmapped register %v (released or never written)", op.Reg))
 			}
 			renamed = true
 		case isa.OpdImm:

@@ -71,7 +71,9 @@ type Config struct {
 	RenameLatency int
 	// PoisonReleased overwrites released registers with a sentinel so
 	// any use-after-release corrupts results instead of silently reading
-	// stale values (verification aid; see regfile.PoisonValue).
+	// stale values, and fails the run with an *InvariantError on a read
+	// of an unmapped register — one released by a pir/pbr, or never
+	// written (verification aid; see regfile.PoisonValue).
 	PoisonReleased bool
 	// SelfCheckEvery runs the renaming-table and register-file invariant
 	// checks every N cycles, failing the run on the first violation
@@ -100,13 +102,11 @@ type Config struct {
 	// Checkpoint receives each snapshot on the simulating goroutine.
 	// The payload is deeply copied from live state: the hook may retain
 	// or serialize it freely. A slow hook stalls simulated time, not
-	// correctness.
-	Checkpoint func(*Checkpoint)
-	// CheckpointOnCancel additionally emits a final snapshot when the
-	// run aborts via Cancel — the graceful-shutdown path: a drain window
-	// cancels in-flight simulations and persists where they stopped so a
+	// correctness. A run that aborts via Cancel also hands the hook a
+	// final snapshot of where it stopped — the graceful-shutdown path: a
+	// drain window cancels in-flight simulations and persists them so a
 	// restart resumes instead of recomputing.
-	CheckpointOnCancel bool
+	Checkpoint func(*Checkpoint)
 	// Profile enables sim-phase profiling: per-SM cycle attribution
 	// (issue vs operand-collector vs memory vs commit stalls) and a
 	// warp-state timeline, accumulated into Result.Profile. Off by

@@ -346,7 +346,7 @@ func (s *SM) run() (*Result, error) {
 func (s *SM) runLoop() (*Result, error) {
 	for !s.finished() {
 		if err := s.stepChecked(); err != nil {
-			if s.cfg.CheckpointOnCancel && s.cfg.Checkpoint != nil && errors.Is(err, ErrCancelled) {
+			if s.cfg.Checkpoint != nil && errors.Is(err, ErrCancelled) {
 				// Cancellation is detected before the cycle's first
 				// mutation, so the SM still sits on a clean boundary.
 				s.emitCheckpoint()
