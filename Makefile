@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify sched chaos recovery cluster nemesis fuzz bench bench-gpu bench-check modes obs simcost
+.PHONY: all build vet test race verify sched chaos recovery cluster nemesis fuzz bench bench-gpu bench-check modes obs simcost loc
 
 all: build
 
@@ -139,3 +139,10 @@ simcost:
 # (~15s) against the current tree. CI runs this as its own job.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Size of the tracked tree: lines of non-test Go outside bench/ (the
+# figure the ROADMAP's quality aim tracks), then bench/'s own.
+# Informational, not a gate; CI's lint job logs it on every run.
+loc:
+	@echo "non-test Go outside bench/: $$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l)"
+	@echo "non-test Go in bench/: $$(git ls-files 'bench/*.go' | grep -v _test.go | xargs cat | wc -l)"

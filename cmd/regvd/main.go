@@ -130,6 +130,7 @@ import (
 	"regvirt/internal/faultinject"
 	"regvirt/internal/integrity"
 	"regvirt/internal/jobs"
+	"regvirt/internal/jobs/client"
 	"regvirt/internal/jobs/sched"
 	"regvirt/internal/jobs/store"
 	"regvirt/internal/obs"
@@ -392,30 +393,18 @@ func nemesisHandler(parts *faultinject.PartitionSet, log *slog.Logger, next http
 
 // peerResultFetcher is the scrubber's first repair rung: ask a peer
 // that may hold the same content-addressed result (this shard's
-// standby) for its copy, returned as result JSON. The scrubber decodes
-// it and checks its ID against the content address before sealing it,
-// so a peer answering with another job's result can never poison the
-// local store.
-func peerResultFetcher(base string, rt http.RoundTripper) func(string) ([]byte, bool) {
-	hc := &http.Client{Timeout: 5 * time.Second, Transport: rt}
-	return func(id string) ([]byte, bool) {
-		resp, err := hc.Get(base + "/v1/jobs/" + id)
-		if err != nil {
-			return nil, false
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return nil, false
-		}
-		var st struct {
-			State  string          `json:"state"`
-			Result json.RawMessage `json:"result"`
-		}
-		if json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&st) != nil ||
-			st.State != "done" || len(st.Result) == 0 {
-			return nil, false
-		}
-		return st.Result, true
+// standby) for its copy, in one status call of at most 5 s. The
+// scrubber checks the result's ID against the content address before
+// sealing it, so a peer answering with another job's result can never
+// poison the local store.
+func peerResultFetcher(base string, rt http.RoundTripper) func(string) (*jobs.Result, bool) {
+	c := client.New(base, client.WithPolicy(client.RetryPolicy{MaxAttempts: 1}), client.WithTenant(""),
+		client.WithHTTPClient(&http.Client{Transport: rt}))
+	return func(id string) (*jobs.Result, bool) {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		st, err := c.Status(ctx, id)
+		return st.Result, err == nil && st.State == "done" && st.Result != nil
 	}
 }
 
@@ -572,7 +561,7 @@ func newDaemon(cfg config) (*daemon, error) {
 	// last resort. Tallies surface as scrub_* in /metrics.
 	var scrubber *integrity.Scrubber
 	if st != nil && cfg.scrubEvery > 0 {
-		var fetch func(string) ([]byte, bool)
+		var fetch func(string) (*jobs.Result, bool)
 		if standbyURL != "" {
 			var rt http.RoundTripper
 			if parts != nil {

@@ -15,9 +15,9 @@ import (
 )
 
 // TestPeerRungHeals: the scrubber's peer rung end to end. The fetcher
-// reads a peer's GET /v1/jobs/{id} answer, and the scrubber turns that
-// result JSON back into exactly the envelope the store wrote before one
-// payload bit rotted.
+// reads a peer's GET /v1/jobs/{id} answer through the jobs client, and
+// the scrubber turns that result back into exactly the envelope the
+// store wrote before one payload bit rotted.
 func TestPeerRungHeals(t *testing.T) {
 	peer := jobs.NewPool(1)
 	defer peer.Close()

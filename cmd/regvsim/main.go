@@ -14,11 +14,12 @@
 // The flags are packed into one jobs.Job — the same spec a POST to
 // regvd carries — and that job either runs in process (jobs.Execute)
 // or, with -remote, is submitted to a regvd daemon through the
-// retrying client (REGVD_RETRY_* environment tunes its backoff;
-// overload 429s and contained panics are retried, and jobs are
-// content-addressed, so a re-run of the same configuration is a cache
-// hit). Either way the same *jobs.Result comes back, so -json prints
-// the same bytes on both paths; -remote implies -json.
+// retrying client (client.DefaultPolicy: overload 429s and contained
+// panics are retried, up to five attempts in all, and -timeout bounds
+// the whole job; jobs are content-addressed, so a re-run of the same
+// configuration is a cache hit). Either way the same *jobs.Result
+// comes back, so -json prints the same bytes on both paths; -remote
+// implies -json.
 //
 // Flags map onto job fields one to one (README "Job fields"), with two
 // exceptions. -table 0 means "unconstrained" and is sent as
@@ -152,7 +153,7 @@ func run(w io.Writer, o options) error {
 	if o.remote != "" {
 		ctx, cancel := context.WithTimeout(context.Background(), o.timeout)
 		defer cancel()
-		res, err = client.New(o.remote, client.WithPolicy(client.PolicyFromEnv())).Submit(ctx, job)
+		res, err = client.New(o.remote).Submit(ctx, job)
 	} else {
 		res, err = jobs.Execute(context.Background(), job)
 	}

@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"regvirt/internal/jobs"
 	"regvirt/internal/obs"
@@ -174,5 +176,72 @@ func TestRouterPromAggregation(t *testing.T) {
 	}
 	if sum != 4 {
 		t.Errorf("shard-labelled submitted counters sum to %d, want 4", sum)
+	}
+}
+
+// TestRouterQueuesAggregation: the router's GET /v1/queues is every
+// live shard's own GET /v1/queues body, keyed by shard name; a dead
+// shard is simply absent.
+func TestRouterQueuesAggregation(t *testing.T) {
+	a := newTestShard(t, "shard-a")
+	b := newTestShard(t, "shard-b")
+	c := newTestShard(t, "shard-c")
+	for _, s := range []*testShard{a, b, c} {
+		s.serve("", "")
+	}
+	r, routerURL := startRouter(t, []ShardInfo{{Name: "shard-a", URL: a.url}, {Name: "shard-b", URL: b.url}, {Name: "shard-c", URL: c.url}})
+	// Give each live shard's queues some tenant state to report.
+	for i, s := range []*testShard{a, b} {
+		if _, err := s.pool.Submit(context.Background(), jobs.Job{Workload: "VectorAdd", Tenant: fmt.Sprintf("team-%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.kill()
+	waitFor(t, "shard-c marked down", 10*time.Second, func() bool {
+		for _, row := range r.status().Shards {
+			if row.Name == "shard-c" {
+				return !row.Healthy
+			}
+		}
+		return false
+	})
+
+	get := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Get(url + "/v1/queues")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s/v1/queues: HTTP %d: %s", url, resp.StatusCode, buf.Bytes())
+		}
+		return buf.Bytes()
+	}
+	var agg map[string]json.RawMessage
+	if err := json.Unmarshal(get(routerURL), &agg); err != nil {
+		t.Fatal(err)
+	}
+	if len(agg) != 2 {
+		t.Errorf("router queues keyed by %d shards, want shard-a and shard-b only", len(agg))
+	}
+	for _, s := range []*testShard{a, b} {
+		var want, got bytes.Buffer
+		if err := json.Compact(&want, get(s.url)); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Compact(&got, agg[s.name]); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: router relays %s\nshard answers %s", s.name, got.String(), want.String())
+		}
+	}
+	if _, ok := agg["shard-c"]; ok {
+		t.Error("dead shard-c appears in the router's queues")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -32,9 +31,14 @@ type ShardInfo struct {
 const (
 	// probeInterval is how often every shard's /healthz is probed.
 	probeInterval = 500 * time.Millisecond
-	// probeTimeout bounds one probe round trip (and the router's other
-	// short control calls to shards).
+	// probeTimeout bounds one probe (its /healthz and /v1/cluster calls
+	// together) and each of the router's other short control calls to
+	// shards: an epoch grant, a peer lookup, one shard's part of a
+	// fan-out.
 	probeTimeout = 2 * time.Second
+	// adoptTimeout bounds an adoption call: the standby replays the dead
+	// shard's journal before it answers.
+	adoptTimeout = 30 * time.Second
 	// failAfter is the consecutive probe failures before a shard is
 	// declared down. A request-path connection failure declares it
 	// down immediately — the evidence is already in hand.
@@ -48,10 +52,10 @@ var shardRetry = client.RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Millise
 
 // RouterOptions wires the router into its process; nil fields are off.
 type RouterOptions struct {
-	// Transport, when set, underlies every outbound HTTP client the
-	// router builds (probes, adoption calls, forwarded requests). The
-	// nemesis harness injects partition-simulating round-trippers here;
-	// nil uses the default transport.
+	// Transport, when set, carries every call the router makes to a
+	// shard (probes, epoch grants, adoptions, fan-outs, forwarded
+	// requests). The nemesis harness injects partition-simulating
+	// round-trippers here; nil uses the default transport.
 	Transport http.RoundTripper
 	// Tracer records router-side spans (submit, forward hops, peer
 	// lookups, adoptions); the trace context is propagated to shards on
@@ -72,11 +76,14 @@ type RouterOptions struct {
 // dead keyspace to the standby holding its shipped journal — after
 // telling that standby to adopt the dead shard's unfinished jobs.
 //
-// All forwarding rides internal/jobs/client, so the cluster inherits
+// Every call to a shard rides its node's internal/jobs/client. Submit,
+// status and peer lookups use its retry loop, so the cluster inherits
 // the single-node failure contract: 429s back off with full jitter and
 // honor Retry-After floors, 403 policy refusals fail fast untried, and
 // network errors burn through the retry budget before the router
-// reroutes.
+// reroutes. Probes, epoch grants, adoptions and the /metrics, trace and
+// queues fan-outs make one attempt each: the router itself decides what
+// a failure there means.
 type Router struct {
 	ring      *Ring
 	ringNames []string
@@ -86,8 +93,6 @@ type Router struct {
 	probeEvery time.Duration
 	policy     client.RetryPolicy
 
-	probeHC   *http.Client // health and topology probes
-	adoptHC   *http.Client // adoption calls (journal replay takes longer)
 	transport http.RoundTripper
 	started   time.Time
 
@@ -114,7 +119,6 @@ type Router struct {
 // learned from a shard's /v1/cluster report.
 type node struct {
 	name   string
-	url    string
 	inRing bool
 	c      *client.Client
 
@@ -178,8 +182,6 @@ func newRouter(shards []ShardInfo, opts RouterOptions, probeEvery time.Duration,
 	if r.log == nil {
 		r.log = obs.Nop()
 	}
-	r.probeHC = &http.Client{Timeout: probeTimeout, Transport: r.transport}
-	r.adoptHC = &http.Client{Timeout: 30 * time.Second, Transport: r.transport}
 	for _, s := range shards {
 		r.nodes[s.Name] = r.newNode(s.Name, s.URL, true)
 		r.epochs[s.Name] = 1 // every keyspace starts life at epoch 1
@@ -192,17 +194,15 @@ func newRouter(shards []ShardInfo, opts RouterOptions, probeEvery time.Duration,
 // newNode builds a backend handle. The client's tenant is pinned empty:
 // the router copies each request's tenant into the job body before
 // forwarding, so the router process's own REGVD_TENANT must not leak
-// onto traffic it relays.
+// onto traffic it relays. Its HTTP client has no timeout of its own (a
+// sync submit waits for its simulation); every other call bounds itself
+// with a context deadline.
 func (r *Router) newNode(name, url string, inRing bool) *node {
-	opts := []client.Option{client.WithPolicy(r.policy), client.WithTenant("")}
-	if r.transport != nil {
-		opts = append(opts, client.WithHTTPClient(&http.Client{Transport: r.transport}))
-	}
 	return &node{
 		name:   name,
-		url:    strings.TrimRight(url, "/"),
 		inRing: inRing,
-		c:      client.New(url, opts...),
+		c: client.New(url, client.WithPolicy(r.policy), client.WithTenant(""),
+			client.WithHTTPClient(&http.Client{Transport: r.transport})),
 	}
 }
 
@@ -251,29 +251,13 @@ func (r *Router) probeAll() {
 func (r *Router) probeOne(n *node) {
 	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.url+"/healthz", nil)
-	if err != nil {
-		r.noteProbeFailure(n)
-		return
-	}
-	resp, err := r.probeHC.Do(req)
-	if err != nil {
-		r.noteProbeFailure(n)
-		return
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if n.c.Get(ctx, "/healthz", nil) != nil {
 		r.noteProbeFailure(n)
 		return
 	}
 	var st NodeStatus
-	if cresp, err := r.probeHC.Do(mustGet(ctx, n.url+"/v1/cluster")); err == nil {
-		err = json.NewDecoder(io.LimitReader(cresp.Body, 1<<20)).Decode(&st)
-		cresp.Body.Close()
-		if err != nil {
-			st = NodeStatus{}
-		}
+	if n.c.Get(ctx, "/v1/cluster", &st) != nil {
+		st = NodeStatus{}
 	}
 	// A ring shard reporting an epoch below the router's record is a
 	// rejoiner — deposed while partitioned, or restarted with fresh
@@ -299,16 +283,11 @@ func (r *Router) probeOne(n *node) {
 	sbName, sbURL := n.standbyName, n.standbyURL
 	n.mu.Unlock()
 	if wasDown {
-		r.log.Info("shard recovered", "shard", n.name, "url", n.url)
+		r.log.Info("shard recovered", "shard", n.name, "url", n.c.Base())
 	}
 	if sbName != "" {
 		r.ensureNode(sbName, sbURL)
 	}
-}
-
-func mustGet(ctx context.Context, url string) *http.Request {
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	return req
 }
 
 // keyspaceEpoch returns the router's current epoch for a keyspace.
@@ -333,16 +312,11 @@ func (r *Router) ensureEpoch(n *node, reported uint64) bool {
 		return true
 	}
 	grant := cur + 1
-	body, _ := json.Marshal(epochRequest{Keyspace: n.name, Epoch: grant})
-	resp, err := r.probeHC.Post(n.url+"/v1/cluster/epoch", "application/json", strings.NewReader(string(body)))
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
+	err := n.c.Post(ctx, "/v1/cluster/epoch", epochRequest{Keyspace: n.name, Epoch: grant}, nil)
+	cancel()
 	if err != nil {
 		r.log.Warn("epoch grant failed", "shard", n.name, "epoch", grant, "err", err)
-		return false
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		r.log.Warn("epoch grant refused", "shard", n.name, "epoch", grant, "status", resp.StatusCode)
 		return false
 	}
 	r.mu.Lock()
@@ -354,7 +328,8 @@ func (r *Router) ensureEpoch(n *node, reported uint64) bool {
 	return true
 }
 
-// ensureNode registers a learned standby as a probe-able backend.
+// ensureNode returns the backend registered under name, first
+// registering a learned standby at url as a probe-able one.
 func (r *Router) ensureNode(name, url string) *node {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -421,6 +396,7 @@ func (r *Router) ensureAdopted(n *node) {
 	if done || sbURL == "" {
 		return
 	}
+	sb := r.ensureNode(sbName, sbURL)
 	// Adoption starts a fresh trace: it is triggered by a shard death,
 	// not by any single client request. The context rides the HTTP call
 	// so the standby's cluster.adopt span lands in the same trace.
@@ -433,32 +409,16 @@ func (r *Router) ensureAdopted(n *node) {
 	// primary — maybe only partitioned, not dead — cannot extend it or
 	// accept writes as owner from that moment on.
 	newEpoch := r.keyspaceEpoch(n.name) + 1
-	body, _ := json.Marshal(adoptRequest{Shard: n.name, Epoch: newEpoch})
-	req, err := http.NewRequest(http.MethodPost, sbURL+"/v1/cluster/adopt", strings.NewReader(string(body)))
-	if err != nil {
-		sp.SetError(err)
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	obs.InjectHTTP(ctx, req.Header)
-	resp, err := r.adoptHC.Do(req)
-	if err != nil {
-		sp.SetError(err)
-		r.log.Warn("adoption call failed", "shard", n.name, "standby", sbName, "err", err)
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		err := fmt.Errorf("standby %s answered HTTP %d", sbName, resp.StatusCode)
-		sp.SetError(err)
-		r.log.Warn("adoption refused", "shard", n.name, "standby", sbName, "status", resp.StatusCode)
-		return
-	}
+	ctx, cancel := context.WithTimeout(ctx, adoptTimeout)
+	defer cancel()
 	var res AdoptResult
-	if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&res) == nil {
-		n.replayed.Add(uint64(res.Resumed))
-		sp.SetAttr("resumed", strconv.Itoa(res.Resumed))
+	if err := sb.c.Post(ctx, "/v1/cluster/adopt", adoptRequest{Shard: n.name, Epoch: newEpoch}, &res); err != nil {
+		sp.SetError(err)
+		r.log.Warn("adoption failed", "shard", n.name, "standby", sbName, "err", err)
+		return
 	}
+	n.replayed.Add(uint64(res.Resumed))
+	sp.SetAttr("resumed", strconv.Itoa(res.Resumed))
 	r.log.Info("standby adopted dead shard's jobs", "shard", n.name, "standby", sbName, "resumed", res.Resumed, "epoch", newEpoch)
 	r.mu.Lock()
 	if newEpoch > r.epochs[n.name] {
@@ -556,8 +516,8 @@ func stamped(res *jobs.Result, tenant string) *jobs.Result {
 
 // peerLookup asks every healthy backend's cache/disk tier for an
 // already-computed result before anyone re-simulates — the failover
-// path's dedup. One status round per peer, no retries: a miss is
-// cheap, the job runs anyway.
+// path's dedup. One status call per peer (its retry budget included)
+// under the probe timeout: a miss is cheap, the job runs anyway.
 func (r *Router) peerLookup(ctx context.Context, id string, exclude *node) *jobs.Result {
 	ctx, sp := r.tracer.Start(ctx, "peer.lookup")
 	defer sp.End()
@@ -597,8 +557,6 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-const maxJobBody = 1 << 20
-
 // Ownership ack headers. Every submit the router forwards is stamped
 // with the keyspace it hashed to, the router's current epoch for that
 // keyspace, and which backend actually served it — the observable the
@@ -618,22 +576,65 @@ func (r *Router) stampOwnership(w http.ResponseWriter, owner, target *node) {
 	w.Header().Set(ServedByHeader, target.name)
 }
 
+// forward is the one forward-and-reroute step behind submit and
+// status. It routes id and hands the backend to send, which makes one
+// forward (the client's whole retry budget) and writes the response
+// when the shard answers it with success; failover reports that the
+// backend is not the ring owner. Every failure is answered here, the
+// same way for both: a shard's typed refusal is relayed verbatim,
+// Retry-After included; a cancelled caller gets 408; a backend that
+// never answered is marked down and the request rerouted once, after
+// which the answer is 502, or the all-down 503.
+func (r *Router) forward(ctx context.Context, w http.ResponseWriter, span *obs.Span, id string,
+	send func(target, owner *node, failover bool) error) {
+	target, owner, err := r.route(id)
+	if err != nil {
+		span.SetError(err)
+		r.writeAllDown(w)
+		return
+	}
+	failover := target != owner
+	for hop := 0; ; hop++ {
+		err := send(target, owner, failover)
+		if err == nil {
+			return
+		}
+		var apiErr *jobs.APIError
+		if errors.As(err, &apiErr) {
+			// The shard answered: its verdict (and Retry-After) stands.
+			span.SetError(err)
+			r.writeAPIError(w, apiErr)
+			return
+		}
+		if ctx.Err() != nil {
+			span.SetError(ctx.Err())
+			jobs.WriteError(w, http.StatusRequestTimeout, "request cancelled: %v", ctx.Err())
+			return
+		}
+		// The shard did not answer through the whole retry budget:
+		// declare it down and reroute once.
+		r.noteRequestFailure(target)
+		if hop > 0 {
+			span.SetError(err)
+			jobs.WriteError(w, http.StatusBadGateway, "shard %s unreachable: %v", target.name, err)
+			return
+		}
+		r.log.WarnContext(ctx, "rerouting off unreachable shard", "shard", target.name, "err", err)
+		next, _, err := r.route(id)
+		if err != nil || next == target {
+			span.SetError(errAllDown)
+			r.writeAllDown(w)
+			return
+		}
+		target, failover = next, true
+	}
+}
+
 func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
-	var job jobs.Job
-	dec := json.NewDecoder(io.LimitReader(req.Body, maxJobBody))
-	dec.DisallowUnknownFields()
-	if err := jobs.ReadBody(w, req, func() error { return dec.Decode(&job) }); err != nil {
-		jobs.WriteError(w, http.StatusBadRequest, "bad job body: %v", err)
+	job, ok := jobs.ReadJob(w, req)
+	if !ok {
 		return
 	}
-	if job.Tenant == "" {
-		job.Tenant = req.Header.Get(jobs.TenantHeader)
-	}
-	if err := job.Validate(); err != nil {
-		jobs.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	async := job.Async || req.URL.Query().Get("async") == "1"
 	id := job.Key()
 	r.submitted.Add(1)
 
@@ -653,90 +654,51 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	if res, ok := r.cache.Get(id); ok {
 		r.cacheHits.Add(1)
 		span.SetAttr("outcome", "router-cache")
-		r.respondResult(w, async, id, stamped(res, job.Tenant))
+		r.respondResult(w, job.Async, id, stamped(res, job.Tenant))
 		return
 	}
 
-	failover := false
-	target, owner, err := r.route(id)
-	if err != nil {
-		span.SetError(err)
-		r.writeAllDown(w)
-		return
-	}
-	failover = target != owner
-	for hop := 0; ; hop++ {
+	r.forward(ctx, w, span, id, func(target, owner *node, failover bool) error {
 		if failover {
 			if res := r.peerLookup(ctx, id, nil); res != nil {
 				r.peerHits.Add(1)
 				span.SetAttr("outcome", "peer-hit")
 				r.cachePut(id, res)
-				r.respondResult(w, async, id, stamped(res, job.Tenant))
-				return
+				r.respondResult(w, job.Async, id, stamped(res, job.Tenant))
+				return nil
 			}
 		}
 		fctx, fsp := r.tracer.Start(ctx, "router.forward")
 		fsp.SetAttr("shard", target.name)
-		var ferr error
-		if async {
-			st, err := target.c.SubmitAsyncStatus(fctx, job)
-			if err == nil {
-				fsp.End()
-				target.routed.Add(1)
-				span.SetAttr("outcome", "forwarded")
-				if st.State == "done" {
-					r.cachePut(id, st.Result)
-				}
-				r.stampOwnership(w, owner, target)
-				jobs.WriteJSON(w, http.StatusAccepted, st)
-				return
+		var (
+			code = http.StatusOK
+			body any
+			res  *jobs.Result
+			err  error
+		)
+		if job.Async {
+			var st jobs.JobStatus
+			st, err = target.c.SubmitAsyncStatus(fctx, job)
+			code, body = http.StatusAccepted, st
+			if st.State == "done" {
+				res = st.Result
 			}
-			ferr = err
 		} else {
-			res, err := target.c.Submit(fctx, job)
-			if err == nil {
-				fsp.End()
-				target.routed.Add(1)
-				span.SetAttr("outcome", "forwarded")
-				r.cachePut(id, res)
-				r.stampOwnership(w, owner, target)
-				jobs.WriteJSON(w, http.StatusOK, res)
-				return
-			}
-			ferr = err
+			res, err = target.c.Submit(fctx, job)
+			body = res
 		}
-		fsp.SetError(ferr)
+		fsp.SetError(err)
 		fsp.End()
-		var apiErr *jobs.APIError
-		if errors.As(ferr, &apiErr) {
-			// The shard answered: its verdict (and Retry-After) stands.
-			span.SetError(ferr)
-			r.writeAPIError(w, apiErr)
-			return
+		if err != nil {
+			return err
 		}
-		if ctx.Err() != nil {
-			span.SetError(ctx.Err())
-			jobs.WriteError(w, http.StatusRequestTimeout, "request cancelled: %v", ctx.Err())
-			return
-		}
-		// The shard did not answer through the whole retry budget:
-		// declare it down and reroute once.
-		r.noteRequestFailure(target)
-		if hop > 0 {
-			span.SetError(ferr)
-			jobs.WriteError(w, http.StatusBadGateway, "shard %s unreachable: %v", target.name, ferr)
-			return
-		}
-		r.log.WarnContext(ctx, "rerouting submit off unreachable shard", "shard", target.name, "err", ferr)
-		next, _, err := r.route(id)
-		if err != nil || next == target {
-			span.SetError(errAllDown)
-			r.writeAllDown(w)
-			return
-		}
-		target = next
-		failover = true
-	}
+		target.routed.Add(1)
+		span.SetAttr("outcome", "forwarded")
+		r.cachePut(id, res)
+		r.stampOwnership(w, owner, target)
+		jobs.WriteJSON(w, code, body)
+		return nil
+	})
 }
 
 func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
@@ -754,56 +716,29 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 		jobs.WriteJSON(w, http.StatusOK, jobs.JobStatus{ID: id, State: "done", Result: res})
 		return
 	}
-	target, _, err := r.route(id)
-	if err != nil {
-		span.SetError(err)
-		r.writeAllDown(w)
-		return
-	}
-	for hop := 0; ; hop++ {
+	r.forward(ctx, w, span, id, func(target, _ *node, _ bool) error {
 		st, err := target.c.Status(ctx, id)
-		if err == nil {
-			if st.State == "done" && st.Result != nil {
-				r.cachePut(id, st.Result)
+		if err != nil {
+			// On a 404 the target may not own the job's history (a
+			// failover landed it elsewhere, or it finished on a peer
+			// before the reshard). Ask around before echoing it.
+			var apiErr *jobs.APIError
+			if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
+				return err
 			}
-			jobs.WriteJSON(w, http.StatusOK, st)
-			return
-		}
-		var apiErr *jobs.APIError
-		if errors.As(err, &apiErr) {
-			if apiErr.Status == http.StatusNotFound {
-				// The target may not own the job's history (a failover
-				// landed it elsewhere, or it finished on a peer before the
-				// reshard). Ask around before echoing the 404.
-				if res := r.peerLookup(ctx, id, target); res != nil {
-					r.peerHits.Add(1)
-					r.cachePut(id, res)
-					jobs.WriteJSON(w, http.StatusOK, jobs.JobStatus{ID: id, State: "done", Result: res})
-					return
-				}
+			res := r.peerLookup(ctx, id, target)
+			if res == nil {
+				return err
 			}
-			r.writeAPIError(w, apiErr)
-			return
+			r.peerHits.Add(1)
+			st = jobs.JobStatus{ID: id, State: "done", Result: res}
 		}
-		if ctx.Err() != nil {
-			span.SetError(ctx.Err())
-			jobs.WriteError(w, http.StatusRequestTimeout, "request cancelled: %v", ctx.Err())
-			return
+		if st.State == "done" && st.Result != nil {
+			r.cachePut(id, st.Result)
 		}
-		r.noteRequestFailure(target)
-		if hop > 0 {
-			span.SetError(err)
-			jobs.WriteError(w, http.StatusBadGateway, "shard %s unreachable: %v", target.name, err)
-			return
-		}
-		next, _, rerr := r.route(id)
-		if rerr != nil || next == target {
-			span.SetError(errAllDown)
-			r.writeAllDown(w)
-			return
-		}
-		target = next
-	}
+		jobs.WriteJSON(w, http.StatusOK, st)
+		return nil
+	})
 }
 
 // handleHealthz aggregates shard health: ok with every ring shard up,
@@ -873,7 +808,7 @@ func (r *Router) status() RouterStatus {
 		n.mu.Lock()
 		row := RouterShardStatus{
 			Name:       n.name,
-			URL:        n.url,
+			URL:        n.c.Base(),
 			InRing:     n.inRing,
 			Healthy:    !n.down && n.everProbed,
 			Standby:    n.standbyName,
@@ -957,16 +892,9 @@ func (r *Router) promMetrics(ctx context.Context) []byte {
 	// Append every reachable shard's families, shard-labelled. Sorted by
 	// name so the exposition is stable across scrapes.
 	var shards []jobs.PromShard
-	for _, n := range r.snapshotNodes() {
-		if n.isDown() {
-			continue
-		}
-		m, ok := r.fetchShardMetrics(ctx, n)
-		if !ok {
-			continue
-		}
+	fanOut(ctx, r, "/metrics", func(n *node, m jobs.MetricsSnapshot) {
 		shards = append(shards, jobs.PromShard{Labels: shardLabel(n.name), M: m})
-	}
+	})
 	sort.Slice(shards, func(i, j int) bool {
 		return shards[i].Labels[0].Value < shards[j].Labels[0].Value
 	})
@@ -976,27 +904,23 @@ func (r *Router) promMetrics(ctx context.Context) []byte {
 	return w.Bytes()
 }
 
-func (r *Router) fetchShardMetrics(ctx context.Context, n *node) (jobs.MetricsSnapshot, bool) {
-	var m jobs.MetricsSnapshot
-	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.url+"/metrics", nil)
-	if err != nil {
-		return m, false
+// fanOut GETs path from every backend not marked down, one attempt
+// each under probeTimeout, and hands keep the decoded answer of each
+// one that answered with success. A silent or refusing backend is
+// simply absent from the aggregate.
+func fanOut[T any](ctx context.Context, r *Router, path string, keep func(n *node, v T)) {
+	for _, n := range r.snapshotNodes() {
+		if n.isDown() {
+			continue
+		}
+		var v T
+		cctx, cancel := context.WithTimeout(ctx, probeTimeout)
+		err := n.c.Get(cctx, path, &v)
+		cancel()
+		if err == nil {
+			keep(n, v)
+		}
 	}
-	resp, err := r.probeHC.Do(req)
-	if err != nil {
-		return m, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return m, false
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&m); err != nil {
-		return m, false
-	}
-	return m, true
 }
 
 // handleTrace stitches one trace across the cluster: the router's own
@@ -1007,73 +931,20 @@ func (r *Router) fetchShardMetrics(ctx context.Context, n *node) (jobs.MetricsSn
 func (r *Router) handleTrace(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	spans := append([]obs.SpanRecord(nil), r.tracer.Trace(id)...)
-	for _, n := range r.snapshotNodes() {
-		if n.isDown() {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(req.Context(), probeTimeout)
-		treq, err := http.NewRequestWithContext(ctx, http.MethodGet, n.url+"/v1/trace/"+id, nil)
-		if err != nil {
-			cancel()
-			continue
-		}
-		resp, err := r.probeHC.Do(treq)
-		if err != nil {
-			cancel()
-			continue
-		}
-		var tr jobs.TraceResponse
-		derr := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&tr)
-		resp.Body.Close()
-		cancel()
-		if derr == nil && resp.StatusCode == http.StatusOK {
-			spans = append(spans, tr.Spans...)
-		}
-	}
-	if len(spans) == 0 {
-		jobs.WriteError(w, http.StatusNotFound, "unknown trace %q", id)
-		return
-	}
+	fanOut(req.Context(), r, "/v1/trace/"+id, func(_ *node, tr jobs.TraceResponse) {
+		spans = append(spans, tr.Spans...)
+	})
 	obs.SortSpans(spans)
-	if req.URL.Query().Get("format") == "chrome" {
-		b, err := obs.ChromeTrace(spans)
-		if err != nil {
-			jobs.WriteError(w, http.StatusInternalServerError, "chrome export: %v", err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(b)
-		return
-	}
-	jobs.WriteJSON(w, http.StatusOK, jobs.TraceResponse{TraceID: id, Spans: spans})
+	jobs.WriteTrace(w, req, id, spans)
 }
 
 // handleQueues aggregates the per-tenant scheduler state of every
 // reachable shard, keyed by shard name.
 func (r *Router) handleQueues(w http.ResponseWriter, req *http.Request) {
 	out := map[string]json.RawMessage{}
-	for _, n := range r.snapshotNodes() {
-		if n.isDown() {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(req.Context(), probeTimeout)
-		qreq, err := http.NewRequestWithContext(ctx, http.MethodGet, n.url+"/v1/queues", nil)
-		if err != nil {
-			cancel()
-			continue
-		}
-		resp, err := r.probeHC.Do(qreq)
-		if err != nil {
-			cancel()
-			continue
-		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-		resp.Body.Close()
-		cancel()
-		if err == nil && resp.StatusCode == http.StatusOK && json.Valid(data) {
-			out[n.name] = json.RawMessage(data)
-		}
-	}
+	fanOut(req.Context(), r, "/v1/queues", func(n *node, q json.RawMessage) {
+		out[n.name] = q
+	})
 	jobs.WriteJSON(w, http.StatusOK, out)
 }
 

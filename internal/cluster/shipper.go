@@ -71,6 +71,8 @@ const (
 	shipQueueMax   = 4096
 	shipFlushEvery = 50 * time.Millisecond
 	shipTimeout    = 5 * time.Second
+	// maxShipReply bounds the standby's answer to one ship request.
+	maxShipReply = 1 << 20
 )
 
 // NewShipper wires a shipper for st's journal toward the standby at
@@ -340,10 +342,16 @@ func (sh *Shipper) postShip(req shipRequest) (*shipResponse, error) {
 		return nil, fmt.Errorf("cluster: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
+	// An ack and a refusal are both a few dozen bytes: read either under
+	// one bound, so a broken or hostile standby cannot make the shipper
+	// buffer an endless body.
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxShipReply))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: read %s response: %w", path, err)
+	}
 	if resp.StatusCode != http.StatusOK {
-		// Read the refusal body: a 409 of kind "fenced" is a typed
-		// verdict (we lost the keyspace), not a generic transport error.
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+		// A 409 of kind "fenced" is a typed verdict (we lost the
+		// keyspace), not a generic transport error.
 		var fb fencedBody
 		if resp.StatusCode == http.StatusConflict && json.Unmarshal(raw, &fb) == nil && fb.Kind == "fenced" {
 			return nil, &FencedError{Keyspace: sh.shard, Epoch: sh.epoch.Load(), Fence: fb.Epoch}
@@ -351,7 +359,7 @@ func (sh *Shipper) postShip(req shipRequest) (*shipResponse, error) {
 		return nil, fmt.Errorf("cluster: %s: HTTP %d: %s", path, resp.StatusCode, strings.TrimSpace(string(raw)))
 	}
 	var ack shipResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+	if err := json.Unmarshal(raw, &ack); err != nil {
 		return nil, fmt.Errorf("cluster: decode %s response: %w", path, err)
 	}
 	return &ack, nil

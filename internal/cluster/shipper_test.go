@@ -3,9 +3,12 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"io"
 	"io/fs"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -169,5 +172,29 @@ func TestStandbyHoldsOnlyShippedJournal(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShipAckBounded: the shipper reads a standby's ship ack under the
+// same 1 MiB bound as its refusals. A standby answering a valid JSON
+// ack padded past it fails the ship, so the stream stays marked for
+// resync instead of the shipper buffering the whole body.
+func TestShipAckBounded(t *testing.T) {
+	pad := strings.Repeat("x", maxShipReply)
+	standby := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		fmt.Fprintf(w, `{"gen":1,"last_seq":0,"applied":0,"pad":%q}`, pad)
+	}))
+	t.Cleanup(standby.Close)
+	st, _, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	sh := NewShipper("p", "sb", standby.URL, st)
+	sh.JournalRewritten(0) // marks the stream for resync, as Start does
+	sh.flush()
+	if got := sh.Status(); !got.PendingResync || got.Resyncs != 0 {
+		t.Fatalf("after an oversized ack: pending resync %v, resyncs %d; want still pending, none done", got.PendingResync, got.Resyncs)
 	}
 }

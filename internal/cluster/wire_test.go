@@ -34,10 +34,10 @@ func TestRouterSettings(t *testing.T) {
 }
 
 // TestMalformedSubmitSameBody: the router and a shard answer a
-// malformed POST /v1/jobs — an oversized kernel or register file, or
-// more than a few KiB after the JSON value, too — through the same
-// responder, so the 400 bodies are byte-identical whichever one a
-// client reaches.
+// malformed POST /v1/jobs — an oversized kernel or register file, more
+// than a few KiB after the JSON value, or an inline kernel that does
+// not assemble, too — with the same 400, byte for byte, whichever one
+// a client reaches.
 func TestMalformedSubmitSameBody(t *testing.T) {
 	pool := jobs.NewPool(1)
 	t.Cleanup(pool.Close)
@@ -76,6 +76,11 @@ func TestMalformedSubmitSameBody(t *testing.T) {
 		fmt.Sprintf(`{"workload":"VectorAdd","gpu":true,"physregs":%d}`, sim.MaxPhysRegs+16),
 		string(over),
 		`{"workload":"VectorAdd"}` + strings.Repeat(" ", 10_000),
+		// Validate only counts an inline kernel's lines; these fail in
+		// the assembler, which must still make them invalid jobs.
+		`{"kernel":"this is not assembly"}`,
+		`{"kernel":".kernel k\n.reg 4\n    iadd r0, r1\n    exit\n"}`,
+		`{"kernel":".kernel k\n.reg 4\n    bra nowhere\n    exit\n"}`,
 	} {
 		sCode, sType, sBody := post(shard.URL, body)
 		rCode, rType, rBody := post(routerURL, body)

@@ -15,6 +15,10 @@
 // MaxQueued cap) and "admission" (strict mode or a priority beyond the
 // tenant's cap) — are never retried: backing off cannot change a
 // policy decision, so the client fails fast and lets the caller decide.
+//
+// Get and Post reach any other endpoint of a regvd process in one
+// attempt over the same request path, for callers that count failures
+// themselves (the cluster router's probes and fan-outs).
 package client
 
 import (
@@ -50,39 +54,15 @@ type RetryPolicy struct {
 	MaxDelay time.Duration
 }
 
-// DefaultPolicy is used when no policy (and no environment) says
-// otherwise.
+// DefaultPolicy is used when no WithPolicy option says otherwise: 5
+// attempts, backing off from 100ms up to 5s.
 func DefaultPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 5, BaseDelay: 100 * time.Millisecond, MaxDelay: 5 * time.Second}
 }
 
-// Environment variables PolicyFromEnv reads (documented in the README
-// ops section). Unset or malformed values fall back to the default.
-const (
-	EnvMaxAttempts = "REGVD_RETRY_ATTEMPTS"
-	EnvBaseDelayMS = "REGVD_RETRY_BASE_MS"
-	EnvMaxDelayMS  = "REGVD_RETRY_MAX_MS"
-)
-
 // EnvTenant names the tenant every request is attributed to when no
 // WithTenant option is given.
 const EnvTenant = "REGVD_TENANT"
-
-// PolicyFromEnv builds a policy from the REGVD_RETRY_* environment,
-// falling back to DefaultPolicy per variable.
-func PolicyFromEnv() RetryPolicy {
-	p := DefaultPolicy()
-	if v, err := strconv.Atoi(os.Getenv(EnvMaxAttempts)); err == nil && v > 0 {
-		p.MaxAttempts = v
-	}
-	if v, err := strconv.Atoi(os.Getenv(EnvBaseDelayMS)); err == nil && v > 0 {
-		p.BaseDelay = time.Duration(v) * time.Millisecond
-	}
-	if v, err := strconv.Atoi(os.Getenv(EnvMaxDelayMS)); err == nil && v > 0 {
-		p.MaxDelay = time.Duration(v) * time.Millisecond
-	}
-	return p
-}
 
 // Metrics is a point-in-time snapshot of client activity.
 type Metrics struct {
@@ -250,6 +230,33 @@ func (c *Client) Healthz(ctx context.Context) (string, error) {
 		return "", err
 	}
 	return v.Status, nil
+}
+
+// Get fetches path in one attempt and decodes a successful JSON answer
+// into out (nil discards the body). It shares Submit's request path —
+// the response bound, *jobs.APIError decoding of a refusal, trace
+// injection and the transport — but never retries: it serves callers
+// that decide for themselves what a failure means, such as a health
+// probe that counts consecutive misses or a fan-out that skips a
+// silent shard. ctx bounds the call.
+func (c *Client) Get(ctx context.Context, path string, out any) error {
+	return c.once(ctx, http.MethodGet, path, nil, out)
+}
+
+// Post sends in as a JSON body to path in one attempt and decodes a
+// successful answer into out (nil discards it), like Get.
+func (c *Client) Post(ctx context.Context, path string, in, out any) error {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return fmt.Errorf("client: encode %s body: %w", path, err)
+	}
+	return c.once(ctx, http.MethodPost, path, body, out)
+}
+
+func (c *Client) once(ctx context.Context, method, path string, body []byte, out any) error {
+	c.attempts.Add(1)
+	_, err := c.attempt(ctx, method, path, body, out)
+	return err
 }
 
 // RetriesExhaustedError reports a retry loop that used every attempt

@@ -293,21 +293,40 @@ func TestWaitSurfacesFailedJob(t *testing.T) {
 	}
 }
 
-func TestPolicyFromEnv(t *testing.T) {
-	t.Setenv(EnvMaxAttempts, "9")
-	t.Setenv(EnvBaseDelayMS, "7")
-	t.Setenv(EnvMaxDelayMS, "123")
-	p := PolicyFromEnv()
-	if p.MaxAttempts != 9 || p.BaseDelay != 7*time.Millisecond || p.MaxDelay != 123*time.Millisecond {
-		t.Errorf("policy = %+v", p)
+// TestGetPostOneAttempt: the control-plane calls make exactly one
+// round trip even on a retriable 503 — their callers count misses
+// themselves — decode a refusal into *jobs.APIError, and send Post's
+// argument as a JSON body.
+func TestGetPostOneAttempt(t *testing.T) {
+	var hits atomic.Int64
+	ts := scriptServer(t, []scripted{
+		{status: 503, header: map[string]string{"Retry-After": "2"}, body: `{"error":"closing","kind":"closed","status":503}`},
+		{status: 200, body: `{"status":"ok"}`},
+	}, &hits)
+	c := New(ts.URL, WithPolicy(fastPolicy(5)))
+	var apiErr *jobs.APIError
+	if err := c.Get(context.Background(), "/healthz", nil); !errors.As(err, &apiErr) || apiErr.Kind != "closed" || apiErr.RetryAfterMS != 2000 {
+		t.Fatalf("Get on a 503: %v, want the closed APIError with its 2s hint", err)
 	}
-	t.Setenv(EnvMaxAttempts, "garbage")
-	t.Setenv(EnvBaseDelayMS, "-4")
-	t.Setenv(EnvMaxDelayMS, "")
-	p = PolicyFromEnv()
-	def := DefaultPolicy()
-	if p != def {
-		t.Errorf("malformed env: policy = %+v, want defaults %+v", p, def)
+	if hits.Load() != 1 {
+		t.Fatalf("Get made %d round trips on a 503, want 1", hits.Load())
+	}
+	var v struct{ Status string }
+	if err := c.Get(context.Background(), "/healthz", &v); err != nil || v.Status != "ok" {
+		t.Fatalf("Get = %v, %+v", err, v)
+	}
+
+	var got struct{ Epoch uint64 }
+	echo := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || r.Header.Get("Content-Type") != "application/json" {
+			t.Errorf("%s with content type %q", r.Method, r.Header.Get("Content-Type"))
+		}
+		json.NewDecoder(r.Body).Decode(&got)
+		w.Write([]byte(`{"status":"ok"}`))
+	}))
+	t.Cleanup(echo.Close)
+	if err := New(echo.URL).Post(context.Background(), "/v1/cluster/epoch", map[string]uint64{"epoch": 7}, nil); err != nil || got.Epoch != 7 {
+		t.Fatalf("Post = %v, server saw epoch %d, want 7", err, got.Epoch)
 	}
 }
 

@@ -81,6 +81,15 @@ func (e *DiskFullError) Error() string {
 
 func (e *DiskFullError) Unwrap() error { return e.Err }
 
+// KernelError is an inline kernel that does not assemble or fails the
+// program checks: an invalid job that Validate, which only counts
+// instructions, let through. The HTTP layer answers it with 400.
+type KernelError struct{ Err error }
+
+func (e *KernelError) Error() string { return e.Err.Error() }
+
+func (e *KernelError) Unwrap() error { return e.Err }
+
 // APIError is the structured JSON error body every service failure
 // returns (and the error type the client package surfaces).
 type APIError struct {

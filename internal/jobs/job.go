@@ -349,8 +349,11 @@ func (j Job) buildKernel(n Job, kernels *Cache[kernelKey, *compiler.Kernel]) (*c
 	key := kernelKey{source: "asm:" + hex.EncodeToString(sum[:]), tableB: tableBytes, noFlags: noFlags, residents: residents}
 	k, cerr := compileCached(kernels, key, func() (*compiler.Kernel, error) {
 		p, perr := isa.Parse(n.Kernel)
+		if perr == nil {
+			perr = p.Validate()
+		}
 		if perr != nil {
-			return nil, perr
+			return nil, &KernelError{Err: perr}
 		}
 		return compiler.Compile(p, compiler.Options{
 			TableBytes:    tableBytes,

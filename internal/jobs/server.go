@@ -145,8 +145,13 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 		pe *PanicError
 		ie *sim.InvariantError
 		de *DiskFullError
+		ke *KernelError
 	)
 	switch {
+	case errors.As(err, &ke):
+		// An invalid job that only the assembler could tell apart: the
+		// same 400 an invalid spec gets before it is queued.
+		WriteError(w, http.StatusBadRequest, "%v", err)
 	case errors.As(err, &ov):
 		secs := int(math.Ceil(ov.RetryAfter.Seconds()))
 		if secs < 1 {
@@ -226,19 +231,34 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 	}
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// ReadJob reads a POST /v1/jobs body: the JSON job (unknown fields
+// refused, under ReadBody's deadline), the X-RegVD-Tenant header
+// naming a tenant the body does not, and ?async=1 setting Async. It
+// answers a malformed or invalid job with 400 itself and returns
+// false. The shard and the cluster router both read submissions
+// through it, so they refuse a bad one with the same bytes.
+func ReadJob(w http.ResponseWriter, r *http.Request) (Job, bool) {
 	var job Job
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := ReadBody(w, r, func() error { return dec.Decode(&job) }); err != nil {
 		WriteError(w, http.StatusBadRequest, "bad job body: %v", err)
-		return
+		return job, false
 	}
 	if job.Tenant == "" {
 		job.Tenant = r.Header.Get(TenantHeader)
 	}
 	if err := job.Validate(); err != nil {
 		WriteError(w, http.StatusBadRequest, "%v", err)
+		return job, false
+	}
+	job.Async = job.Async || r.URL.Query().Get("async") == "1"
+	return job, true
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	job, ok := ReadJob(w, r)
+	if !ok {
 		return
 	}
 	// Join the caller's trace (X-RegVD-Trace) or mint a fresh one, and
@@ -252,7 +272,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if sc := hsp.Context(); sc.TraceID != "" {
 		w.Header().Set(obs.TraceHeader, sc.HeaderValue())
 	}
-	if job.Async || r.URL.Query().Get("async") == "1" {
+	if job.Async {
 		id, err := s.pool.SubmitAsync(job)
 		if err != nil {
 			writeSubmitError(w, err)
@@ -325,9 +345,6 @@ type TraceResponse struct {
 	Spans   []obs.SpanRecord `json:"spans"`
 }
 
-// handleTrace serves one trace's retained spans, as JSON span records
-// or (?format=chrome) as a Chrome trace_event file loadable in
-// chrome://tracing or Perfetto.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	tr := s.pool.Tracer()
 	if tr == nil {
@@ -335,7 +352,14 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	spans := tr.Trace(id)
+	WriteTrace(w, r, id, tr.Trace(id))
+}
+
+// WriteTrace answers GET /v1/trace/{id} with one trace's spans, as JSON
+// span records or (?format=chrome) as a Chrome trace_event file
+// loadable in chrome://tracing or Perfetto; no spans is a 404. The
+// shard and the cluster router both render traces through it.
+func WriteTrace(w http.ResponseWriter, r *http.Request, id string, spans []obs.SpanRecord) {
 	if len(spans) == 0 {
 		WriteError(w, http.StatusNotFound, "unknown trace %q", id)
 		return

@@ -17,9 +17,9 @@ import (
 // quarantined (removed so the journal re-runs them on next restart).
 type ScrubOptions struct {
 	// Fetch retrieves a copy of a result by content address from a peer
-	// or standby, as result JSON. The scrubber decodes it, requires its
-	// ID to be the content address, and seals it itself.
-	Fetch func(id string) ([]byte, bool)
+	// or standby. The scrubber requires its ID to be the content
+	// address, and seals it itself.
+	Fetch func(id string) (*jobs.Result, bool)
 	// Resim deterministically re-executes a job spec salvaged from a
 	// corrupt envelope. The spec is only used after its content address
 	// matches the file name, so a rotted spec can never re-simulate the
@@ -95,10 +95,9 @@ func (s *Store) repairResult(o ScrubOptions, log *slog.Logger, id, path string, 
 		spec = nil
 	}
 	if o.Fetch != nil {
-		if got, ok := o.Fetch(id); ok {
-			var res jobs.Result
-			if err := json.Unmarshal(got, &res); err != nil || res.ID != id {
-				log.Warn("scrub rejected peer copy", "job", id, "peer_id", res.ID, "err", err)
+		if res, ok := o.Fetch(id); ok {
+			if res.ID != id {
+				log.Warn("scrub rejected peer copy", "job", id, "peer_id", res.ID)
 			} else if werr := writeAtomic(path, integrity.Seal(res.JSON(), spec)); werr == nil {
 				log.Info("scrub repaired result", "job", id, "source", "peer")
 				return true

@@ -25,26 +25,26 @@ func TestScrubRepairLadder(t *testing.T) {
 		b[bytes.IndexByte(b, '\n')+2] ^= 0x08
 		return b
 	}
-	peer := func(body []byte) func(string) ([]byte, bool) {
-		return func(string) ([]byte, bool) { return body, true }
+	peer := func(r *jobs.Result) func(string) (*jobs.Result, bool) {
+		return func(string) (*jobs.Result, bool) { return r, true }
 	}
 
 	cases := []struct {
 		name       string
 		checkpoint bool   // plant under checkpoints/ instead of results/
 		data       []byte // planted before the pass
-		fetch      func(string) ([]byte, bool)
+		fetch      func(string) (*jobs.Result, bool)
 		want       integrity.Report
 		wantData   []byte // on disk after the pass; nil = removed
 		wantResims int
 	}{
 		{"clean result is skipped", false, good, nil,
 			integrity.Report{Scanned: 1}, good, 0},
-		{"corrupt result healed from a correct peer", false, flip(good), peer(res.JSON()),
+		{"corrupt result healed from a correct peer", false, flip(good), peer(res),
 			integrity.Report{Scanned: 1, Corrupt: 1, Repaired: 1}, good, 0},
-		{"peer answering another job's result is rejected; re-simulated", false, flip(good), peer(fakeResult("other").JSON()),
+		{"peer answering another job's result is rejected; re-simulated", false, flip(good), peer(fakeResult("other")),
 			integrity.Report{Scanned: 1, Corrupt: 1, Repaired: 1}, good, 1},
-		{"unsealed result counts as corrupt", false, res.JSON(), peer(res.JSON()),
+		{"unsealed result counts as corrupt", false, res.JSON(), peer(res),
 			integrity.Report{Scanned: 1, Corrupt: 1, Repaired: 1}, integrity.Seal(res.JSON(), nil), 0},
 		{"no peer and no spec: removed, not repaired", false, flip(integrity.Seal(res.JSON(), nil)), nil,
 			integrity.Report{Scanned: 1, Corrupt: 1}, nil, 0},
