@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -58,10 +59,15 @@ func TestCSVOutput(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/all.golden")
+
 // TestParallelMatchesSequential is the -j acceptance check: the full
 // `all` sweep on 8 workers must produce bytes identical to the
 // sequential sweep (each with a fresh runner, so the parallel run
-// really computes everything itself).
+// really computes everything itself), and the sequential sweep must
+// match testdata/all.golden, the published `experiments all` output.
+// Regenerate the golden with -args -update only when a figure is meant
+// to move.
 func TestParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full double sweep in -short mode")
@@ -69,6 +75,17 @@ func TestParallelMatchesSequential(t *testing.T) {
 	var seq bytes.Buffer
 	if err := runAll(&seq, experiments.NewRunner(), order, 1); err != nil {
 		t.Fatalf("sequential: %v", err)
+	}
+	golden := filepath.Join("testdata", "all.golden")
+	if *update {
+		if err := os.WriteFile(golden, seq.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want, err := os.ReadFile(golden); err != nil {
+		t.Fatal(err)
+	} else if !bytes.Equal(seq.Bytes(), want) {
+		t.Errorf("`all` output differs from %s (%d vs %d bytes)", golden, seq.Len(), len(want))
 	}
 	var par bytes.Buffer
 	if err := runAll(&par, experiments.NewRunner(), order, 8); err != nil {

@@ -37,18 +37,22 @@ const CacheEntries = 4096
 // Cache is a concurrency-safe memoization cache with singleflight
 // deduplication: concurrent Do calls for the same key run the fill
 // function exactly once and share its value. Each completed fill brings
-// the cache back to at most CacheEntries entries by evicting completed
-// values in CLOCK order (a hit sets the entry's reference bit; the hand
-// clears set bits and evicts the first clear one). In-flight fills are
-// never evicted, so singleflight holds at any size. Failures are never
-// cached, so a later call retries. Cached values are shared by
-// reference and must be treated as immutable by every caller.
+// the cache back to at most CacheEntries entries by evicting older
+// completed values in CLOCK order (a hit sets the entry's reference
+// bit; the hand clears set bits and evicts the first clear one), then
+// joins the back of the clock itself: a fill never evicts its own
+// value, and a new value is evicted only after every value ahead of it
+// has been evicted or spared. In-flight fills are never evicted, so
+// singleflight holds at any size. Failures are never cached, so a later
+// call retries. Cached values are shared by reference and must be
+// treated as immutable by every caller.
 type Cache[K comparable, V any] struct {
 	mu      sync.Mutex
 	bound   int
 	entries map[K]*flight[K, V]
-	ring    []*flight[K, V] // completed entries, swept by the CLOCK hand
-	hand    int
+	// clock is the completed entries in CLOCK order, a FIFO queue: the
+	// hand takes from the front, and a new or spared entry joins the back.
+	clock []*flight[K, V]
 
 	hits, misses, dedups, failures, evictions atomic.Uint64
 }
@@ -70,24 +74,21 @@ func newCache[K comparable, V any](bound int) *Cache[K, V] {
 	return &Cache[K, V]{bound: bound, entries: make(map[K]*flight[K, V])}
 }
 
-// evictLocked sweeps the hand over the completed entries until the
-// cache is back within its bound: a set reference bit is cleared and
-// spared, the first clear one is evicted and the ring's last entry
-// takes its slot. In-flight fills are not in the ring.
+// evictLocked brings the cache back within its bound before a
+// completed fill joins the clock. The hand takes entries from the
+// front: a set reference bit is cleared and the entry goes to the back,
+// spared once; the first clear one is evicted. In-flight fills are not
+// in the clock.
 func (c *Cache[K, V]) evictLocked() {
-	for len(c.entries) > c.bound && len(c.ring) > 0 {
-		if c.hand >= len(c.ring) {
-			c.hand = 0
-		}
-		f := c.ring[c.hand]
+	for len(c.entries) > c.bound && len(c.clock) > 0 {
+		f := c.clock[0]
+		c.clock[0] = nil
+		c.clock = c.clock[1:]
 		if f.ref {
 			f.ref = false
-			c.hand++
+			c.clock = append(c.clock, f)
 			continue
 		}
-		last := len(c.ring) - 1
-		c.ring[c.hand], c.ring[last] = c.ring[last], nil
-		c.ring = c.ring[:last]
 		delete(c.entries, f.key)
 		c.evictions.Add(1)
 	}
@@ -128,7 +129,7 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (V, O
 	// the panic unwinds, waiters are released with an error (never a
 	// zero value), and a later Do retries. The panic itself keeps
 	// propagating to the caller's containment layer. A successful fill
-	// joins the ring, which may evict older values to stay bounded.
+	// evicts older values to stay bounded, then joins the clock.
 	completed := false
 	defer func() {
 		if !completed {
@@ -139,8 +140,8 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (V, O
 			c.failures.Add(1)
 			delete(c.entries, key)
 		} else {
-			c.ring = append(c.ring, f)
 			c.evictLocked()
+			c.clock = append(c.clock, f)
 		}
 		c.mu.Unlock()
 		close(f.done)

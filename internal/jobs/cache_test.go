@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -176,6 +177,46 @@ func TestCacheClockSecondChance(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 4 || st.Evictions != 1 {
 		t.Errorf("stats = %+v, want 4 entries, 1 eviction", st)
+	}
+}
+
+// TestCacheClockKeepsNewFills: a completed fill joins the back of the
+// clock, so unreferenced values go oldest first, and a fill never
+// evicts its own value, even when every older value was referenced.
+func TestCacheClockKeepsNewFills(t *testing.T) {
+	c := newCache[int, int](4)
+	ctx := context.Background()
+	fill := func() (int, error) { return 1, nil }
+	cached := func() []int { // the keys held, without touching reference bits
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		var keys []int
+		for k := 0; k < 8; k++ {
+			if _, ok := c.entries[k]; ok {
+				keys = append(keys, k)
+			}
+		}
+		return keys
+	}
+	for k := 0; k < 6; k++ {
+		c.Do(ctx, k, fill)
+	}
+	if got := fmt.Sprint(cached()); got != "[2 3 4 5]" {
+		t.Errorf("after six fills: cached %s, want [2 3 4 5] (oldest evicted first)", got)
+	}
+	for _, k := range []int{2, 3, 4, 5} {
+		c.Get(k)
+	}
+	c.Do(ctx, 6, fill)
+	if got := fmt.Sprint(cached()); got != "[3 4 5 6]" {
+		t.Errorf("after a fill with every older value referenced: cached %s, want [3 4 5 6]", got)
+	}
+	c = newCache[int, int](1)
+	c.Do(ctx, 0, fill)
+	c.Get(0)
+	c.Do(ctx, 1, fill)
+	if got := fmt.Sprint(cached()); got != "[1]" {
+		t.Errorf("bound 1, after a fill past a referenced value: cached %s, want [1]", got)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
-	"time"
 
 	"regvirt/internal/sim"
 )
@@ -18,7 +17,8 @@ import (
 // keeps the pool fully in-memory.
 type Recorder interface {
 	// Accept journals an admitted job; it must be durable (fsynced)
-	// before returning. Accepting an already-pending ID is a no-op.
+	// before returning. Accepting an already-pending ID, or one whose
+	// result is already persisted, is a no-op.
 	Accept(id string, job Job, async bool) error
 	// Done persists the result and closes the job's journal entry.
 	Done(id string, res *Result) error
@@ -38,15 +38,14 @@ type Recorder interface {
 
 // RecoveredJob is one journal entry reconstructed at startup, in
 // acceptance order. State is "pending" (unfinished — re-enqueue),
-// "done" (Result carries the persisted result) or "failed" (Err
-// carries the recorded deterministic failure).
+// "done" (its result is in the store) or "failed" (Err carries the
+// recorded deterministic failure).
 type RecoveredJob struct {
-	ID     string
-	Job    Job
-	Async  bool
-	State  string
-	Err    string
-	Result *Result
+	ID    string
+	Job   Job
+	Async bool
+	State string
+	Err   string
 }
 
 // Interrupt begins a graceful drain: every in-flight durable
@@ -69,38 +68,37 @@ func (p *Pool) isStopping() bool {
 	}
 }
 
-// Restore re-registers journal-recovered jobs on a fresh pool: done
-// and failed jobs become addressable statuses again, pending jobs are
-// re-enqueued in the background (resuming from their latest checkpoint
-// when one exists). It returns the number of re-enqueued jobs.
+// Restore re-registers journal-recovered jobs on a fresh pool: failed
+// jobs get their failure records back, and pending jobs re-run in the
+// background as async jobs (resuming from their latest checkpoint when
+// one exists) unless this pool already has their results. Done jobs
+// need nothing: Status finds their results in the store. It returns
+// the number of re-run jobs.
 func (p *Pool) Restore(recovered []RecoveredJob) int {
-	now := time.Now()
 	resumed := 0
 	for _, rj := range recovered {
-		p.m.journalReplayed.Add(1)
+		p.m.c[cJournalReplayed].Add(1)
+		if rj.State == "pending" {
+			if _, ok := p.finished(rj.ID); ok {
+				continue // e.g. an earlier adoption of the same shard ran it
+			}
+		}
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
 			return resumed
 		}
-		if _, ok := p.status[rj.ID]; ok {
-			p.mu.Unlock()
-			continue
+		if _, running := p.running[rj.ID]; !running { // else adopted again while it runs
+			switch rj.State {
+			case "failed":
+				p.failures.put(rj.ID, rj.Err, p.asyncMax)
+			case "pending":
+				p.running[rj.ID] = struct{}{}
+				go p.runAsync(rj.ID, rj.Job)
+				resumed++
+			}
 		}
-		switch rj.State {
-		case "done":
-			p.status[rj.ID] = &JobStatus{ID: rj.ID, State: "done", Result: rj.Result, SubmittedAt: now, FinishedAt: now}
-			p.mu.Unlock()
-		case "failed":
-			p.status[rj.ID] = &JobStatus{ID: rj.ID, State: "failed", Error: rj.Err, SubmittedAt: now, FinishedAt: now}
-			p.mu.Unlock()
-		default: // pending
-			st := &JobStatus{ID: rj.ID, State: "running", SubmittedAt: now}
-			p.status[rj.ID] = st
-			p.mu.Unlock()
-			go p.runAsync(st, rj.Job)
-			resumed++
-		}
+		p.mu.Unlock()
 	}
 	return resumed
 }
@@ -150,7 +148,7 @@ func (p *Pool) runDurable(ctx context.Context, job Job, id string, e *execution)
 				return
 			}
 			if err := p.store.SaveCheckpoint(id, buf.Bytes()); err == nil {
-				p.m.checkpointsWritten.Add(1)
+				p.m.c[cCheckpointsWritten].Add(1)
 			} else {
 				sp.SetError(err)
 			}
@@ -186,7 +184,7 @@ func (p *Pool) runDurable(ctx context.Context, job Job, id string, e *execution)
 		return nil, err
 	}
 	if p.store.Done(id, res) == nil {
-		p.m.resultsPersisted.Add(1)
+		p.m.c[cResultsPersisted].Add(1)
 	}
 	return res, nil
 }

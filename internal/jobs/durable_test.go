@@ -9,6 +9,11 @@ package jobs_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,6 +125,107 @@ func TestEvictedResultServedFromDisk(t *testing.T) {
 	if m := p.Metrics(); m.DiskHits != before.DiskHits+1 || m.ResultsPersisted != before.ResultsPersisted {
 		t.Fatalf("disk_hits %d→%d, results_persisted %d→%d; want one disk hit and no re-simulation",
 			before.DiskHits, m.DiskHits, before.ResultsPersisted, m.ResultsPersisted)
+	}
+}
+
+// TestAsyncSubmitOfFinishedJob: an async submit of a job whose result
+// is already cached, or on disk, is answered from there. The 202 says
+// done and carries the result, and the journal gains no accept, which
+// nothing would ever close: every later open would re-run the job.
+func TestAsyncSubmitOfFinishedJob(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := openStoreT(t, dir)
+	job := jobs.Job{Workload: "VectorAdd", PhysRegs: 512}
+	p := jobs.NewPoolWith(jobs.Options{Workers: 1, Store: st})
+	want, err := p.Submit(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first pool answers from its result cache, a fresh pool on the
+	// same store from disk.
+	for _, tier := range []string{"cache", "disk"} {
+		if tier == "disk" {
+			p.Close()
+			p = jobs.NewPoolWith(jobs.Options{Workers: 1, Store: st})
+		}
+		srv := httptest.NewServer(jobs.NewServer(p).Handler())
+		resp, err := http.Post(srv.URL+"/v1/jobs?async=1", "application/json",
+			strings.NewReader(`{"workload":"VectorAdd","physregs":512}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got jobs.JobStatus
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		srv.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := st.PendingCount(); n != 0 {
+			t.Fatalf("%s: %d journal accepts left open, want 0", tier, n)
+		}
+		if resp.StatusCode != http.StatusAccepted || got.State != "done" || got.Result == nil ||
+			!bytes.Equal(got.Result.JSON(), want.JSON()) {
+			t.Fatalf("%s: HTTP %d, status %+v; want 202 done with the result", tier, resp.StatusCode, got)
+		}
+	}
+	p.Close()
+	st.Close()
+	st2, recovered := openStoreT(t, dir)
+	defer st2.Close()
+	p2 := jobs.NewPoolWith(jobs.Options{Workers: 1, Store: st2})
+	defer p2.Close()
+	if resumed := p2.Restore(recovered); resumed != 0 {
+		t.Fatalf("reopen re-ran %d jobs, want 0", resumed)
+	}
+}
+
+// staleStore is a store whose first LoadResult misses, as a lookup does
+// that runs just before a concurrent run of the same job seals its
+// result.
+type staleStore struct {
+	*store.Store
+	missed atomic.Bool
+}
+
+func (s *staleStore) LoadResult(id string) (*jobs.Result, bool) {
+	if s.missed.CompareAndSwap(false, true) {
+		return nil, false
+	}
+	return s.Store.LoadResult(id)
+}
+
+// TestAsyncAcceptAfterResultSealed: an async submit whose lookup missed
+// a result sealed just after it journals no accept, so none is left
+// open, and the job still finishes done.
+func TestAsyncAcceptAfterResultSealed(t *testing.T) {
+	st, _ := openStoreT(t, t.TempDir())
+	defer st.Close()
+	job := jobs.Job{Workload: "VectorAdd", PhysRegs: 512}
+	p := jobs.NewPoolWith(jobs.Options{Workers: 1, Store: st})
+	if _, err := p.Submit(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	p = jobs.NewPoolWith(jobs.Options{Workers: 1, Store: &staleStore{Store: st}})
+	defer p.Close()
+	id, err := p.SubmitAsync(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		stt, _ := p.Status(id)
+		if stt.State == "done" {
+			break
+		}
+		if stt.State != "running" || time.Now().After(deadline) {
+			t.Fatalf("status %+v, want done", stt)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if n := st.PendingCount(); n != 0 {
+		t.Fatalf("%d journal accepts left open, want 0", n)
 	}
 }
 

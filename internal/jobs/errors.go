@@ -41,7 +41,7 @@ func toPanicError(v any) *PanicError {
 
 // OverloadError is returned when admission control sheds a submission
 // instead of letting it wait unboundedly: the task queue is at the
-// shed depth, or the async registry is full of running jobs. The HTTP
+// shed depth, or AsyncMax async jobs are already running. The HTTP
 // layer maps it to 429 with a Retry-After header; jobs are
 // content-addressed and idempotent, so retrying after the hint is
 // always safe.

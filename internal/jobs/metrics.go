@@ -9,34 +9,10 @@ import (
 	"regvirt/internal/obs"
 )
 
-// metrics is the pool's counter set. All counters are monotonically
-// increasing except the two gauges (queued, running).
+// metrics is the pool's counter set: the monotonic counters, indexed
+// by counter and described once in counterRows, and two gauges.
 type metrics struct {
-	submitted atomic.Uint64 // Submit calls accepted past validation
-	completed atomic.Uint64 // Submit calls that returned a result
-	failed    atomic.Uint64 // Submit calls that returned an error
-	executed  atomic.Uint64 // submissions that ran a simulation (cache misses)
-	deduped   atomic.Uint64 // submissions that joined an in-flight run
-	cacheHits atomic.Uint64 // submissions answered from the completed cache
-
-	panicsRecovered atomic.Uint64 // panics contained by a worker/submit barrier
-	shed            atomic.Uint64 // submissions refused by admission control (429)
-	quotaRejected   atomic.Uint64 // submissions refused by tenant quota/admission (403)
-	evicted         atomic.Uint64 // async status records evicted (TTL/capacity)
-
-	preemptions atomic.Uint64 // running jobs checkpoint-interrupted for higher priority
-	resumes     atomic.Uint64 // preempted jobs re-dispatched (from checkpoint when stored)
-
-	tenantOverflow atomic.Uint64 // counter lookups folded into the ~overflow row
-
-	journalReplayed    atomic.Uint64 // jobs reconstructed from the journal at startup
-	checkpointsWritten atomic.Uint64 // durable checkpoints of in-flight simulations
-	resultsPersisted   atomic.Uint64 // results written to the on-disk store
-	diskHits           atomic.Uint64 // fills served from the on-disk store
-
-	scrubScanned  atomic.Uint64 // files examined by the at-rest scrubber
-	scrubCorrupt  atomic.Uint64 // files that failed envelope verification
-	scrubRepaired atomic.Uint64 // corrupt files self-healed (refetch/resim/drop)
+	c [numCounters]atomic.Uint64
 
 	queued  atomic.Int64 // tasks enqueued but not yet picked up
 	running atomic.Int64 // tasks executing on a worker
@@ -44,17 +20,94 @@ type metrics struct {
 	lat *obs.Histogram // submit latency, seconds
 }
 
-// tenantCounters is one tenant's slice of the pool counters. Gauges
-// (queued/running) live in the scheduler; these are monotonic.
+// counter names one monotonic pool counter.
+type counter int
+
+// The pool counters, in the order the Prometheus exposition renders
+// them.
+const (
+	cSubmitted counter = iota
+	cCompleted
+	cFailed
+	cExecuted
+	cDeduped
+	cCacheHits
+	cShed
+	cQuotaRejected
+	cPanicsRecovered
+	cPreemptions
+	cResumes
+	// Rendered after the queue gauges and the latency histogram.
+	cJournalReplayed
+	cCheckpointsWritten
+	cResultsPersisted
+	cDiskHits
+	cScrubScanned
+	cScrubCorrupt
+	cScrubRepaired
+	// Rendered after the cache families and the tenant-table gauge.
+	cTenantOverflow
+	numCounters
+)
+
+// counterRow is a pool counter's one description: the MetricsSnapshot
+// field it fills (whose doc and JSON key say what it counts) and its
+// Prometheus family.
+type counterRow struct {
+	field      func(*MetricsSnapshot) *uint64
+	name, help string
+}
+
+var counterRows = [numCounters]counterRow{
+	cSubmitted:          {func(m *MetricsSnapshot) *uint64 { return &m.Submitted }, "regvd_jobs_submitted_total", "Submissions accepted past validation."},
+	cCompleted:          {func(m *MetricsSnapshot) *uint64 { return &m.Completed }, "regvd_jobs_completed_total", "Submissions that returned a result."},
+	cFailed:             {func(m *MetricsSnapshot) *uint64 { return &m.Failed }, "regvd_jobs_failed_total", "Submissions that returned an error."},
+	cExecuted:           {func(m *MetricsSnapshot) *uint64 { return &m.Executed }, "regvd_jobs_executed_total", "Submissions that started a simulation (cache misses)."},
+	cDeduped:            {func(m *MetricsSnapshot) *uint64 { return &m.Deduped }, "regvd_jobs_deduped_total", "Submissions that joined an in-flight run."},
+	cCacheHits:          {func(m *MetricsSnapshot) *uint64 { return &m.CacheHits }, "regvd_jobs_cache_hits_total", "Submissions answered from the completed-result cache."},
+	cShed:               {func(m *MetricsSnapshot) *uint64 { return &m.Shed }, "regvd_jobs_shed_total", "Submissions refused by admission control (HTTP 429)."},
+	cQuotaRejected:      {func(m *MetricsSnapshot) *uint64 { return &m.QuotaRejected }, "regvd_jobs_quota_rejected_total", "Submissions refused by tenant quota or admission policy (HTTP 403)."},
+	cPanicsRecovered:    {func(m *MetricsSnapshot) *uint64 { return &m.PanicsRecovered }, "regvd_panics_recovered_total", "Panics contained by a worker or submit barrier."},
+	cPreemptions:        {func(m *MetricsSnapshot) *uint64 { return &m.Preemptions }, "regvd_preemptions_total", "Running jobs checkpoint-interrupted for higher-priority work."},
+	cResumes:            {func(m *MetricsSnapshot) *uint64 { return &m.Resumes }, "regvd_resumes_total", "Preempted jobs re-dispatched (from checkpoint when stored)."},
+	cJournalReplayed:    {func(m *MetricsSnapshot) *uint64 { return &m.JournalReplayed }, "regvd_journal_replayed_total", "Jobs reconstructed from the write-ahead journal at startup."},
+	cCheckpointsWritten: {func(m *MetricsSnapshot) *uint64 { return &m.CheckpointsWritten }, "regvd_checkpoints_written_total", "Durable checkpoints of in-flight simulations."},
+	cResultsPersisted:   {func(m *MetricsSnapshot) *uint64 { return &m.ResultsPersisted }, "regvd_results_persisted_total", "Results written to the on-disk store."},
+	cDiskHits:           {func(m *MetricsSnapshot) *uint64 { return &m.DiskHits }, "regvd_disk_hits_total", "Cache fills served from the on-disk store."},
+	cScrubScanned:       {func(m *MetricsSnapshot) *uint64 { return &m.ScrubScanned }, "regvd_scrub_scanned_total", "Files examined by the at-rest integrity scrubber."},
+	cScrubCorrupt:       {func(m *MetricsSnapshot) *uint64 { return &m.ScrubCorrupt }, "regvd_scrub_corrupt_total", "Files that failed at-rest envelope verification."},
+	cScrubRepaired:      {func(m *MetricsSnapshot) *uint64 { return &m.ScrubRepaired }, "regvd_scrub_repaired_total", "Corrupt files self-healed by the scrubber (refetch, re-simulate, or safe drop)."},
+	cTenantOverflow:     {func(m *MetricsSnapshot) *uint64 { return &m.TenantsOverflowed }, "regvd_tenant_overflow_folds_total", "Counter updates folded into the ~overflow row because the tenant table was full."},
+}
+
+// tenantRows are the counters also kept per tenant: the TenantSnapshot
+// field each fills and its Prometheus family (none for the two that
+// only /v1/queues and the JSON breakdown show).
+var tenantRows = []struct {
+	c          counter
+	field      func(*TenantSnapshot) *uint64
+	name, help string
+}{
+	{cSubmitted, func(t *TenantSnapshot) *uint64 { return &t.Submitted }, "regvd_tenant_submitted_total", "Per-tenant submissions accepted past validation."},
+	{cCompleted, func(t *TenantSnapshot) *uint64 { return &t.Completed }, "regvd_tenant_completed_total", "Per-tenant submissions that returned a result."},
+	{cFailed, func(t *TenantSnapshot) *uint64 { return &t.Failed }, "regvd_tenant_failed_total", "Per-tenant submissions that returned an error."},
+	{cShed, func(t *TenantSnapshot) *uint64 { return &t.Shed }, "regvd_tenant_shed_total", "Per-tenant submissions refused by admission control."},
+	{cQuotaRejected, func(t *TenantSnapshot) *uint64 { return &t.QuotaRejected }, "regvd_tenant_quota_rejected_total", "Per-tenant submissions refused by quota or admission policy."},
+	{cPreemptions, func(t *TenantSnapshot) *uint64 { return &t.Preemptions }, "", ""},
+	{cResumes, func(t *TenantSnapshot) *uint64 { return &t.Resumes }, "", ""},
+}
+
+// tenantCounters is one tenant's copy of the pool counters in
+// tenantRows. Gauges (queued/running) live in the scheduler.
 type tenantCounters struct {
-	submitted     atomic.Uint64
-	completed     atomic.Uint64
-	failed        atomic.Uint64
-	shed          atomic.Uint64
-	quotaRejected atomic.Uint64
-	preemptions   atomic.Uint64
-	resumes       atomic.Uint64
-	lat           *obs.Histogram
+	c   [numCounters]atomic.Uint64
+	lat *obs.Histogram
+}
+
+// count bumps pool counter c together with tenant tc's copy of it.
+func (p *Pool) count(tc *tenantCounters, c counter) {
+	p.m.c[c].Add(1)
+	tc.c[c].Add(1)
 }
 
 // quantilesMS estimates the p50 and p99 of a latency histogram in
@@ -83,7 +136,7 @@ func (p *Pool) tenantCounters(tenant string) *tenantCounters {
 	if len(p.tcs) >= maxTrackedTenants {
 		// Every folded lookup is counted so the overflow is visible in
 		// /metrics (tenants_overflowed) instead of silently aggregating.
-		p.m.tenantOverflow.Add(1)
+		p.m.c[cTenantOverflow].Add(1)
 		tenant = overflowTenant
 		if tc, ok := p.tcs[tenant]; ok {
 			return tc
@@ -165,13 +218,9 @@ func (p *Pool) Queues() QueuesSnapshot {
 			ts.Dispatched = st.Dispatched
 		}
 		if tc, ok := tcs[name]; ok {
-			ts.Submitted = tc.submitted.Load()
-			ts.Completed = tc.completed.Load()
-			ts.Failed = tc.failed.Load()
-			ts.Shed = tc.shed.Load()
-			ts.QuotaRejected = tc.quotaRejected.Load()
-			ts.Preemptions = tc.preemptions.Load()
-			ts.Resumes = tc.resumes.Load()
+			for _, r := range tenantRows {
+				*r.field(&ts) = tc.c[r.c].Load()
+			}
 			ts.LatencyP50MS, ts.LatencyP99MS = quantilesMS(tc.lat.Snapshot())
 		}
 		qs.Queues = append(qs.Queues, ts)
@@ -218,10 +267,6 @@ type MetricsSnapshot struct {
 	// interrupt landed is counted as a preemption without a resume.
 	Preemptions uint64 `json:"preemptions"`
 	Resumes     uint64 `json:"resumes"`
-	// JobsEvicted counts async status records dropped by TTL/capacity
-	// eviction; AsyncTracked is the registry's current size.
-	JobsEvicted  uint64 `json:"jobs_evicted"`
-	AsyncTracked int    `json:"async_tracked"`
 
 	// UptimeSeconds is the time since this pool (and in practice this
 	// daemon process) started — after a crash-restart it resets, while
@@ -280,70 +325,36 @@ type MetricsSnapshot struct {
 // The daemon's background scrubber calls this after every pass so the
 // scrub_* metrics surface through /metrics in both formats.
 func (p *Pool) AddScrubStats(scanned, corrupt, repaired int) {
-	if scanned > 0 {
-		p.m.scrubScanned.Add(uint64(scanned))
-	}
-	if corrupt > 0 {
-		p.m.scrubCorrupt.Add(uint64(corrupt))
-	}
-	if repaired > 0 {
-		p.m.scrubRepaired.Add(uint64(repaired))
-	}
+	p.m.c[cScrubScanned].Add(uint64(scanned))
+	p.m.c[cScrubCorrupt].Add(uint64(corrupt))
+	p.m.c[cScrubRepaired].Add(uint64(repaired))
 }
 
 // Metrics snapshots the pool counters.
 func (p *Pool) Metrics() MetricsSnapshot {
 	lat := p.m.lat.Snapshot()
-	p50, p99 := quantilesMS(lat)
-	p.mu.Lock()
-	tracked := len(p.status)
-	p.mu.Unlock()
 	p.tmu.Lock()
 	tenantsTracked := len(p.tcs)
 	p.tmu.Unlock()
 	queues := p.Queues()
-	tenants := make(map[string]TenantSnapshot, len(queues.Queues))
+	m := MetricsSnapshot{
+		Workers:        p.workers,
+		QueueDepth:     p.m.queued.Load(),
+		Running:        p.m.running.Load(),
+		UptimeSeconds:  time.Since(p.started).Seconds(),
+		ResultCache:    p.results.Stats(),
+		KernelCache:    p.kernels.Stats(),
+		TenantsTracked: tenantsTracked,
+		Tenants:        make(map[string]TenantSnapshot, len(queues.Queues)),
+		Latency:        lat,
+		SpanDurations:  p.tracer.Histograms(),
+	}
+	m.LatencyP50MS, m.LatencyP99MS = quantilesMS(lat)
+	for c, row := range counterRows {
+		*row.field(&m) = p.m.c[c].Load()
+	}
 	for _, ts := range queues.Queues {
-		tenants[ts.Tenant] = ts
+		m.Tenants[ts.Tenant] = ts
 	}
-	return MetricsSnapshot{
-		Workers:         p.workers,
-		Submitted:       p.m.submitted.Load(),
-		Completed:       p.m.completed.Load(),
-		Failed:          p.m.failed.Load(),
-		Executed:        p.m.executed.Load(),
-		Deduped:         p.m.deduped.Load(),
-		CacheHits:       p.m.cacheHits.Load(),
-		QueueDepth:      p.m.queued.Load(),
-		Running:         p.m.running.Load(),
-		LatencyP50MS:    p50,
-		LatencyP99MS:    p99,
-		PanicsRecovered: p.m.panicsRecovered.Load(),
-		Shed:            p.m.shed.Load(),
-		QuotaRejected:   p.m.quotaRejected.Load(),
-		Preemptions:     p.m.preemptions.Load(),
-		Resumes:         p.m.resumes.Load(),
-		JobsEvicted:     p.m.evicted.Load(),
-		AsyncTracked:    tracked,
-
-		UptimeSeconds:      time.Since(p.started).Seconds(),
-		JournalReplayed:    p.m.journalReplayed.Load(),
-		CheckpointsWritten: p.m.checkpointsWritten.Load(),
-		ResultsPersisted:   p.m.resultsPersisted.Load(),
-		DiskHits:           p.m.diskHits.Load(),
-
-		ScrubScanned:  p.m.scrubScanned.Load(),
-		ScrubCorrupt:  p.m.scrubCorrupt.Load(),
-		ScrubRepaired: p.m.scrubRepaired.Load(),
-
-		ResultCache: p.results.Stats(),
-		KernelCache: p.kernels.Stats(),
-
-		TenantsTracked:    tenantsTracked,
-		TenantsOverflowed: p.m.tenantOverflow.Load(),
-
-		Tenants:       tenants,
-		Latency:       lat,
-		SpanDurations: p.tracer.Histograms(),
-	}
+	return m
 }

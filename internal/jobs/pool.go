@@ -68,9 +68,14 @@ type Pool struct {
 	stopOnce sync.Once
 	started  time.Time
 
-	mu     sync.Mutex
-	status map[string]*JobStatus
-	closed bool
+	// mu guards closed and the async bookkeeping: running holds the IDs
+	// of async jobs still running, failures the last error of those
+	// that failed. Everything else about an async job (its result) is
+	// where a sync job's is, in the result cache and the store.
+	mu       sync.Mutex
+	closed   bool
+	running  map[string]struct{}
+	failures failureLog
 
 	// tcs is the per-tenant counter table (metrics.go), bounded by
 	// maxTrackedTenants.
@@ -103,11 +108,8 @@ const (
 	// the queue saturates, leaving headroom so Exec and
 	// already-admitted work still enqueue.
 	ShedDepth = QueueCap * 3 / 4
-	// AsyncTTL is how long finished async job records stay addressable
-	// in the registry (Status falls through to the result cache, then
-	// the store, after eviction).
-	AsyncTTL = 10 * time.Minute
-	// AsyncMax bounds the async registry in a long-lived daemon.
+	// AsyncMax bounds the async jobs running at once (past it an async
+	// submission is shed) and the failure records kept for Status.
 	AsyncMax = 4096
 )
 
@@ -174,7 +176,8 @@ func NewPoolWith(opts Options) *Pool {
 		sched:     sched.New(scfg),
 		results:   NewCache[string, *Result](),
 		kernels:   NewCache[kernelKey, *compiler.Kernel](),
-		status:    map[string]*JobStatus{},
+		running:   map[string]struct{}{},
+		failures:  failureLog{byID: map[string]failure{}},
 		tcs:       map[string]*tenantCounters{},
 		execs:     map[*execution]struct{}{},
 		tracer:    opts.Tracer,
@@ -211,7 +214,7 @@ func (p *Pool) Tracer() *obs.Tracer { return p.tracer }
 func (p *Pool) runTask(task func()) {
 	defer func() {
 		if v := recover(); v != nil {
-			p.m.panicsRecovered.Add(1)
+			p.m.c[cPanicsRecovered].Add(1)
 		}
 	}()
 	task()
@@ -253,8 +256,7 @@ func (p *Pool) enter() error {
 // (403, never retry unchanged).
 func (p *Pool) admit(job Job) error {
 	if err := p.sched.Admit(job.schedTenant(), job.Priority); err != nil {
-		p.m.quotaRejected.Add(1)
-		p.tenantCounters(job.schedTenant()).quotaRejected.Add(1)
+		p.count(p.tenantCounters(job.schedTenant()), cQuotaRejected)
 		return err
 	}
 	return nil
@@ -297,8 +299,7 @@ func (p *Pool) Submit(ctx context.Context, job Job) (*Result, error) {
 	}
 	defer p.submitWG.Done()
 	tc := p.tenantCounters(tenant)
-	p.m.submitted.Add(1)
-	tc.submitted.Add(1)
+	p.count(tc, cSubmitted)
 	if job.TimeoutMS > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(job.TimeoutMS)*time.Millisecond)
@@ -311,14 +312,12 @@ func (p *Pool) Submit(ctx context.Context, job Job) (*Result, error) {
 	tc.lat.Observe(ms / 1000)
 	span.SetAttr("outcome", outcomeLabel(outcome))
 	if err != nil {
-		p.m.failed.Add(1)
-		tc.failed.Add(1)
+		p.count(tc, cFailed)
 		span.SetError(err)
 		p.log.WarnContext(ctx, "job failed", "outcome", outcomeLabel(outcome), "ms", ms, "err", err)
 		return nil, err
 	}
-	p.m.completed.Add(1)
-	tc.completed.Add(1)
+	p.count(tc, cCompleted)
 	p.log.InfoContext(ctx, "job completed", "outcome", outcomeLabel(outcome), "ms", ms)
 	return res, nil
 }
@@ -341,7 +340,7 @@ func outcomeLabel(o Outcome) string {
 func (p *Pool) submitContained(ctx context.Context, job Job, key string) (res *Result, outcome Outcome, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			p.m.panicsRecovered.Add(1)
+			p.m.c[cPanicsRecovered].Add(1)
 			res, err = nil, toPanicError(v)
 		}
 	}()
@@ -349,7 +348,7 @@ func (p *Pool) submitContained(ctx context.Context, job Job, key string) (res *R
 		// Counted at fill start (not on the Miss outcome) so the
 		// submitted == executed+deduped+hits invariant holds even when
 		// the fill panics out of Do.
-		p.m.executed.Add(1)
+		p.m.c[cExecuted].Add(1)
 		// Second cache tier: a result persisted by an earlier process
 		// (or an earlier life of this one) is served from disk without
 		// re-simulating.
@@ -359,7 +358,7 @@ func (p *Pool) submitContained(ctx context.Context, job Job, key string) (res *R
 			lsp.SetAttr("hit", strconv.FormatBool(ok))
 			lsp.End()
 			if ok {
-				p.m.diskHits.Add(1)
+				p.m.c[cDiskHits].Add(1)
 				return r, nil
 			}
 		}
@@ -382,9 +381,9 @@ func (p *Pool) submitContained(ctx context.Context, job Job, key string) (res *R
 	})
 	switch outcome {
 	case Hit:
-		p.m.cacheHits.Add(1)
+		p.m.c[cCacheHits].Add(1)
 	case Deduped:
-		p.m.deduped.Add(1)
+		p.m.c[cDeduped].Add(1)
 	}
 	return res, outcome, err
 }
@@ -467,8 +466,7 @@ func (p *Pool) maybePreempt(priority int) {
 		return
 	}
 	victim.interrupt()
-	p.m.preemptions.Add(1)
-	p.tenantCounters(victim.tenant).preemptions.Add(1)
+	p.count(p.tenantCounters(victim.tenant), cPreemptions)
 }
 
 // runOnWorker schedules the simulation onto a pool worker and waits.
@@ -484,9 +482,7 @@ func (p *Pool) maybePreempt(priority int) {
 func (p *Pool) runOnWorker(ctx context.Context, job Job, key string) (*Result, error) {
 	tenant := job.schedTenant()
 	if depth := p.m.queued.Load(); depth >= int64(p.shedDepth) {
-		p.m.shed.Add(1)
-		p.tenantCounters(tenant).shed.Add(1)
-		return nil, &OverloadError{Tenant: tenant, QueueDepth: int(depth), RetryAfter: p.retryAfter(tenant)}
+		return nil, p.overload(tenant, depth)
 	}
 	exempt := false
 	for {
@@ -495,8 +491,7 @@ func (p *Pool) runOnWorker(ctx context.Context, job Job, key string) (*Result, e
 			return res, err
 		}
 		exempt = true
-		p.m.resumes.Add(1)
-		p.tenantCounters(tenant).resumes.Add(1)
+		p.count(p.tenantCounters(tenant), cResumes)
 	}
 }
 
@@ -548,7 +543,8 @@ func (p *Pool) dispatch(ctx context.Context, job Job, key string, exempt bool) (
 // enqueueTask hands a task to the scheduler, translating its typed
 // refusals: saturation becomes an *OverloadError (429), quota errors
 // get their Retry-After hint filled from the tenant's own drain time,
-// and a closed scheduler becomes ErrClosed.
+// and a closed scheduler becomes ErrClosed. Exempt tasks meet neither
+// saturation nor quotas, so only ErrClosed can refuse them.
 func (p *Pool) enqueueTask(task *sched.Task) error {
 	err := p.sched.Enqueue(task)
 	if err == nil {
@@ -559,21 +555,21 @@ func (p *Pool) enqueueTask(task *sched.Task) error {
 	case errors.Is(err, sched.ErrClosed):
 		return ErrClosed
 	case errors.Is(err, sched.ErrSaturated):
-		p.m.shed.Add(1)
-		p.tenantCounters(task.Tenant).shed.Add(1)
-		return &OverloadError{
-			Tenant:     task.Tenant,
-			QueueDepth: int(p.m.queued.Load()),
-			RetryAfter: p.retryAfter(task.Tenant),
-		}
+		return p.overload(task.Tenant, p.m.queued.Load())
 	}
 	var qe *sched.QuotaError
 	if errors.As(err, &qe) {
 		qe.RetryAfter = int64(p.retryAfter(task.Tenant) / time.Millisecond)
 	}
-	p.m.quotaRejected.Add(1)
-	p.tenantCounters(task.Tenant).quotaRejected.Add(1)
+	p.count(p.tenantCounters(task.Tenant), cQuotaRejected)
 	return err
+}
+
+// overload counts a shed submission of tenant's, refused at queue
+// depth depth, and returns its *OverloadError (429).
+func (p *Pool) overload(tenant string, depth int64) error {
+	p.count(p.tenantCounters(tenant), cShed)
+	return &OverloadError{Tenant: tenant, QueueDepth: int(depth), RetryAfter: p.retryAfter(tenant)}
 }
 
 // runJobContained executes one job on the worker goroutine with panic
@@ -591,7 +587,7 @@ func (p *Pool) runJobContained(ctx context.Context, job Job, key string, e *exec
 	}()
 	defer func() {
 		if v := recover(); v != nil {
-			p.m.panicsRecovered.Add(1)
+			p.m.c[cPanicsRecovered].Add(1)
 			res, err = nil, toPanicError(v)
 		}
 	}()
@@ -652,20 +648,16 @@ func (p *Pool) Exec(ctx context.Context, fn func() error) error {
 		Do: func() {
 			defer func() {
 				if v := recover(); v != nil {
-					p.m.panicsRecovered.Add(1)
+					p.m.c[cPanicsRecovered].Add(1)
 					done <- toPanicError(v)
 				}
 			}()
 			done <- fn()
 		},
 	}
-	if err := p.sched.Enqueue(task); err != nil {
-		if errors.Is(err, sched.ErrClosed) {
-			return ErrClosed
-		}
+	if err := p.enqueueTask(task); err != nil {
 		return err
 	}
-	p.m.queued.Add(1)
 	select {
 	case err := <-done:
 		return err
@@ -678,153 +670,161 @@ func (p *Pool) Exec(ctx context.Context, fn func() error) error {
 type JobStatus struct {
 	ID string `json:"id"`
 	// State is "running", "done" or "failed" ("done" with a Result).
-	State       string    `json:"state"`
-	Result      *Result   `json:"result,omitempty"`
-	Error       string    `json:"error,omitempty"`
-	SubmittedAt time.Time `json:"submitted_at"`
-	FinishedAt  time.Time `json:"finished_at"`
+	State  string  `json:"state"`
+	Result *Result `json:"result,omitempty"`
+	Error  string  `json:"error,omitempty"`
 }
 
-// SubmitAsync validates and registers the job, starts it in the
-// background, and returns its content-addressed ID immediately.
-// Submitting an identical job again returns the same ID (and, through
-// the cache, the same result) while it is running or done; a *failed*
-// record is retried — failures are never cached, so resubmission
-// re-simulates, mirroring the sync retry contract. The registry is
-// bounded: finished records past the TTL are evicted on insert (their
-// results stay addressable through the result cache), and when every
-// tracked job is still running at capacity, the submission is shed
-// with *OverloadError.
+// SubmitAsync validates the job and returns its content-addressed ID
+// without waiting for it. An async job is a sync Submit that nobody
+// waits for: a job already finished is answered from the result cache
+// or the store, as Submit would answer it, and writes nothing; any
+// other job is journaled, joins the running set and runs Submit in the
+// background. Submitting an identical job again returns the same ID
+// while it runs; a failed one is retried, because failures are never
+// cached. Past AsyncMax running jobs, the submission is shed with
+// *OverloadError.
 func (p *Pool) SubmitAsync(job Job) (string, error) {
+	st, err := p.submitAsync(job)
+	return st.ID, err
+}
+
+// submitAsync is SubmitAsync returning the job's status, which the 202
+// carries: "done" with the result when the job had already finished,
+// "running" otherwise.
+func (p *Pool) submitAsync(job Job) (JobStatus, error) {
 	if err := job.Validate(); err != nil {
-		return "", err
+		return JobStatus{}, err
 	}
 	if err := p.admit(job); err != nil {
-		return "", err
+		return JobStatus{}, err
 	}
+	if err := p.enter(); err != nil {
+		return JobStatus{}, err
+	}
+	defer p.submitWG.Done()
 	id := job.Key()
+	if res, ok := p.finished(id); ok {
+		p.mu.Lock()
+		p.failures.drop(id)
+		p.mu.Unlock()
+		return JobStatus{ID: id, State: "done", Result: res}, nil
+	}
 	p.mu.Lock()
-	if p.closed {
+	if _, ok := p.running[id]; ok {
 		p.mu.Unlock()
-		return "", ErrClosed
+		return JobStatus{ID: id, State: "running"}, nil
 	}
-	if st, ok := p.status[id]; ok {
-		if st.State != "failed" {
-			p.mu.Unlock()
-			return id, nil // running or done; idempotent
-		}
-		st.State, st.Error = "running", ""
-		st.SubmittedAt, st.FinishedAt = time.Now(), time.Time{}
+	if len(p.running) >= p.asyncMax {
 		p.mu.Unlock()
-		if err := p.acceptDurable(id, job); err != nil {
-			p.mu.Lock()
-			st.State, st.Error = "failed", err.Error()
-			st.FinishedAt = time.Now()
-			p.mu.Unlock()
-			return "", err
-		}
-		go p.runAsync(st, job)
-		return id, nil
+		return JobStatus{}, p.overload(job.schedTenant(), p.m.queued.Load())
 	}
-	p.evictAsyncLocked(time.Now())
-	if len(p.status) >= p.asyncMax {
-		p.mu.Unlock()
-		tenant := job.schedTenant()
-		p.m.shed.Add(1)
-		p.tenantCounters(tenant).shed.Add(1)
-		return "", &OverloadError{
-			Tenant:     tenant,
-			QueueDepth: int(p.m.queued.Load()),
-			RetryAfter: p.retryAfter(tenant),
-		}
-	}
-	st := &JobStatus{ID: id, State: "running", SubmittedAt: time.Now()}
-	p.status[id] = st
+	p.running[id] = struct{}{}
 	p.mu.Unlock()
 	// The 202 the caller is about to send is a durability promise:
 	// journal the acceptance (fsynced) before acknowledging, so the job
 	// survives a crash between the response and its execution.
-	if err := p.acceptDurable(id, job); err != nil {
-		p.mu.Lock()
-		delete(p.status, id)
-		p.mu.Unlock()
-		return "", err
+	if p.store != nil {
+		if err := p.store.Accept(id, job, true); err != nil {
+			p.mu.Lock()
+			delete(p.running, id)
+			p.mu.Unlock()
+			return JobStatus{}, err
+		}
 	}
-	go p.runAsync(st, job)
-	return id, nil
+	go p.runAsync(id, job)
+	return JobStatus{ID: id, State: "running"}, nil
 }
 
-// acceptDurable journals an async acceptance when a store is armed.
-func (p *Pool) acceptDurable(id string, job Job) error {
-	if p.store == nil {
-		return nil
-	}
-	return p.store.Accept(id, job, true)
-}
-
-// runAsync executes an asynchronous submission and records its outcome.
-func (p *Pool) runAsync(st *JobStatus, job Job) {
-	res, err := p.Submit(context.Background(), job)
+// runAsync runs an async job to its end, then takes it out of the
+// running set and records a failure (or clears an earlier one).
+func (p *Pool) runAsync(id string, job Job) {
+	_, err := p.Submit(context.Background(), job)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st.FinishedAt = time.Now()
+	delete(p.running, id)
 	if err != nil {
-		st.State, st.Error = "failed", err.Error()
-		return
-	}
-	st.State, st.Result = "done", res
-}
-
-// evictAsyncLocked bounds the async registry (p.mu held): finished
-// records older than the TTL go first; if the registry is still at
-// capacity, the oldest finished records go next. Running jobs are
-// never evicted — when they alone fill the registry, the caller sheds.
-func (p *Pool) evictAsyncLocked(now time.Time) {
-	for id, st := range p.status {
-		if st.State != "running" && now.Sub(st.FinishedAt) > AsyncTTL {
-			delete(p.status, id)
-			p.m.evicted.Add(1)
-		}
-	}
-	for len(p.status) >= p.asyncMax {
-		oldestID := ""
-		var oldest time.Time
-		for id, st := range p.status {
-			if st.State == "running" {
-				continue
-			}
-			if oldestID == "" || st.FinishedAt.Before(oldest) {
-				oldestID, oldest = id, st.FinishedAt
-			}
-		}
-		if oldestID == "" {
-			return // everything tracked is still running
-		}
-		delete(p.status, oldestID)
-		p.m.evicted.Add(1)
+		p.failures.put(id, err.Error(), p.asyncMax)
+	} else {
+		p.failures.drop(id)
 	}
 }
 
-// Status looks a job up by ID: first among asynchronous submissions,
-// then in the completed-result cache (so synchronously submitted and
-// TTL-evicted jobs are addressable too), and finally in the durable
-// result store — a job finished by a previous life of the daemon stays
-// addressable after a restart. The returned value is a copy.
-func (p *Pool) Status(id string) (JobStatus, bool) {
-	p.mu.Lock()
-	if st, ok := p.status[id]; ok {
-		cp := *st
-		p.mu.Unlock()
-		return cp, true
-	}
-	p.mu.Unlock()
+// finished looks a job's result up where Submit would find it: the
+// result cache, then the store.
+func (p *Pool) finished(id string) (*Result, bool) {
 	if res, ok := p.results.Get(id); ok {
-		return JobStatus{ID: id, State: "done", Result: res}, true
+		return res, true
 	}
 	if p.store != nil {
-		if res, ok := p.store.LoadResult(id); ok {
-			return JobStatus{ID: id, State: "done", Result: res}, true
+		return p.store.LoadResult(id)
+	}
+	return nil, false
+}
+
+// Status looks a job up by ID: the running async jobs, the result cache
+// and the store, then the failure records, so a synchronously submitted
+// job is addressable too, and so is a job finished by a previous life
+// of the daemon. A result outranks a failure record: a job that failed
+// as an async job and was finished since, by a sync submit or a
+// restart, is done, and its record goes. Without a store, a finished
+// job the result cache has evicted is unknown.
+func (p *Pool) Status(id string) (JobStatus, bool) {
+	p.mu.Lock()
+	_, running := p.running[id]
+	f, failed := p.failures.byID[id]
+	p.mu.Unlock()
+	if running {
+		return JobStatus{ID: id, State: "running"}, true
+	}
+	if res, ok := p.finished(id); ok {
+		if failed {
+			p.mu.Lock()
+			p.failures.drop(id)
+			p.mu.Unlock()
 		}
+		return JobStatus{ID: id, State: "done", Result: res}, true
+	}
+	if failed {
+		return JobStatus{ID: id, State: "failed", Error: f.msg}, true
 	}
 	return JobStatus{}, false
+}
+
+// failureLog holds the last error of each async job whose run failed,
+// at most limit records (the put argument). Once the ring is full, a
+// new record takes the slot after the newest and evicts the record
+// that held it, so each put and drop is O(1).
+type failureLog struct {
+	byID map[string]failure
+	ring []string // record IDs by slot; "" for a dropped record
+	next int      // the slot a new record takes once the ring is full
+}
+
+type failure struct {
+	msg  string
+	slot int
+}
+
+func (l *failureLog) put(id, msg string, limit int) {
+	if f, ok := l.byID[id]; ok {
+		l.byID[id] = failure{msg, f.slot}
+		return
+	}
+	slot := len(l.ring)
+	if slot < limit {
+		l.ring = append(l.ring, id)
+	} else {
+		slot, l.next = l.next, (l.next+1)%len(l.ring)
+		delete(l.byID, l.ring[slot])
+		l.ring[slot] = id
+	}
+	l.byID[id] = failure{msg, slot}
+}
+
+func (l *failureLog) drop(id string) {
+	if f, ok := l.byID[id]; ok {
+		l.ring[f.slot] = ""
+		delete(l.byID, id)
+	}
 }

@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"errors"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -121,9 +122,9 @@ func TestExecPanicContained(t *testing.T) {
 // TestAdmissionLimits pins the fixed admission limits every pool runs
 // with.
 func TestAdmissionLimits(t *testing.T) {
-	if QueueCap != 1024 || ShedDepth != 768 || AsyncMax != 4096 || AsyncTTL != 10*time.Minute {
-		t.Errorf("limits = queue %d, shed %d, async %d/%v; want 1024, 768, 4096/10m",
-			QueueCap, ShedDepth, AsyncMax, AsyncTTL)
+	if QueueCap != 1024 || ShedDepth != 768 || AsyncMax != 4096 {
+		t.Errorf("limits = queue %d, shed %d, async %d; want 1024, 768, 4096",
+			QueueCap, ShedDepth, AsyncMax)
 	}
 	p := NewPool(1)
 	defer p.Close()
@@ -132,40 +133,115 @@ func TestAdmissionLimits(t *testing.T) {
 	}
 }
 
-// TestAsyncEviction: a tiny registry evicts finished records, counts
-// them, and keeps their results addressable through the cache.
+// TestAsyncEviction pins the bounds of the async bookkeeping at
+// AsyncMax = 2: the running set sheds past 2, the failure records keep
+// the newest 2, finished jobs resolve through the result cache, and
+// without a store a finished job the cache has evicted is a 404.
 func TestAsyncEviction(t *testing.T) {
-	p := NewPoolWith(Options{Workers: 2})
-	p.asyncMax = 2
-	defer p.Close()
-	jobs := []Job{
-		{Workload: "VectorAdd"},
-		{Workload: "VectorAdd", PhysRegs: 512},
-		{Workload: "VectorAdd", PhysRegs: 768},
-		{Workload: "VectorAdd", PhysRegs: 528},
-	}
-	var ids []string
-	for _, j := range jobs {
-		id, err := p.SubmitAsync(j)
-		if err != nil {
-			t.Fatal(err)
+	t.Run("running", func(t *testing.T) {
+		p := NewPoolWith(Options{Workers: 1})
+		p.asyncMax = 2
+		defer p.Close()
+		// Hold the only worker so the async jobs stay running.
+		block, held := make(chan struct{}), make(chan struct{})
+		release := sync.OnceFunc(func() { close(block) })
+		defer release()
+		go p.Exec(context.Background(), func() error { close(held); <-block; return nil })
+		<-held
+		var ids []string
+		for _, regs := range []int{512, 768} {
+			id, err := p.SubmitAsync(Job{Workload: "VectorAdd", PhysRegs: regs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
 		}
-		ids = append(ids, id)
-		waitDone(t, p, id)
-	}
-	m := p.Metrics()
-	if m.AsyncTracked > 2 {
-		t.Errorf("async_tracked = %d, want <= 2", m.AsyncTracked)
-	}
-	if m.JobsEvicted < 2 {
-		t.Errorf("jobs_evicted = %d, want >= 2", m.JobsEvicted)
-	}
-	// Every ID — evicted or not — still resolves to a done result.
-	for i, id := range ids {
+		var oe *OverloadError
+		if _, err := p.SubmitAsync(Job{Workload: "VectorAdd", PhysRegs: 1024}); !errors.As(err, &oe) {
+			t.Fatalf("third async submit: %v, want *OverloadError", err)
+		}
+		if m := p.Metrics(); m.Shed != 1 {
+			t.Errorf("shed = %d, want 1", m.Shed)
+		}
+		release()
+		for _, id := range ids {
+			waitDone(t, p, id)
+			if st, ok := p.Status(id); !ok || st.Result == nil {
+				t.Errorf("job %s: status %+v, want done through the result cache", id, st)
+			}
+		}
+	})
+	t.Run("failures", func(t *testing.T) {
+		inj := faultinject.New(1, faultinject.Rule{Site: faultinject.SitePoolTask, Kind: faultinject.KindError, Every: 1})
+		p := NewPoolWith(Options{Workers: 1, Faults: inj})
+		p.asyncMax = 2
+		defer p.Close()
+		var ids []string
+		for _, regs := range []int{512, 768, 1024} {
+			id, err := p.SubmitAsync(Job{Workload: "VectorAdd", PhysRegs: regs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+			if st := waitFinished(t, p, id); st.State != "failed" {
+				t.Fatalf("job %s: %+v, want failed", id, st)
+			}
+		}
+		p.mu.Lock()
+		records := len(p.failures.byID)
+		p.mu.Unlock()
+		if records != 2 {
+			t.Errorf("%d failure records, want 2", records)
+		}
+		if st, ok := p.Status(ids[0]); ok {
+			t.Errorf("oldest failure still tracked: %+v", st)
+		}
+	})
+	t.Run("evicted-result", func(t *testing.T) {
+		p, ts := newTestServer(t, 1)
+		SetResultCacheBound(p, 1)
+		var ids []string
+		for _, regs := range []int{512, 768} {
+			id, err := p.SubmitAsync(Job{Workload: "VectorAdd", PhysRegs: regs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+			waitFinished(t, p, id)
+		}
+		// The second job's fill evicted the first result, already polled,
+		// to keep the cache at one entry: the job that just finished is
+		// done, the older one is unknown.
+		if ev := p.Metrics().ResultCache.Evictions; ev != 1 {
+			t.Fatalf("result cache evictions = %d, want 1", ev)
+		}
+		for i, want := range []int{http.StatusNotFound, http.StatusOK} {
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + ids[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Errorf("GET /v1/jobs/{id} of job %d: HTTP %d, want %d", i, resp.StatusCode, want)
+			}
+		}
+	})
+}
+
+// waitFinished polls Status until the job leaves the running set and
+// returns its status (zero when the job is unknown).
+func waitFinished(t *testing.T, p *Pool, id string) JobStatus {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
 		st, ok := p.Status(id)
-		if !ok || st.State != "done" || st.Result == nil {
-			t.Errorf("job %d (%s): status %+v, want done via cache fallback", i, id, st)
+		if !ok || st.State != "running" {
+			return st
 		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never finished", id)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -187,39 +263,41 @@ func waitDone(t *testing.T, p *Pool, id string) {
 	}
 }
 
-// TestAsyncFailedRecordIsRetriable: resubmitting a failed async job
-// re-runs it instead of pinning the failure forever.
+// TestAsyncFailedRecordIsRetriable: a failed async job is retried by an
+// async resubmit, and a sync submit finishes it as well. Either way its
+// Status is done and its failure record goes: a result outranks it.
 func TestAsyncFailedRecordIsRetriable(t *testing.T) {
-	inj := faultinject.New(1, faultinject.Rule{
-		Site: faultinject.SitePoolTask, Kind: faultinject.KindError, Every: 1, Times: 1,
-	})
-	p := NewPoolWith(Options{Workers: 1, Faults: inj})
-	defer p.Close()
-	job := Job{Workload: "VectorAdd"}
-	id, err := p.SubmitAsync(job)
-	if err != nil {
-		t.Fatal(err)
+	for _, retry := range []string{"async", "sync"} {
+		t.Run(retry, func(t *testing.T) {
+			inj := faultinject.New(1, faultinject.Rule{
+				Site: faultinject.SitePoolTask, Kind: faultinject.KindError, Every: 1, Times: 1,
+			})
+			p := NewPoolWith(Options{Workers: 1, Faults: inj})
+			defer p.Close()
+			job := Job{Workload: "VectorAdd"}
+			id, err := p.SubmitAsync(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := waitFinished(t, p, id); st.State != "failed" {
+				t.Fatalf("first run: %+v, want failed on the injected fault", st)
+			}
+			if retry == "async" {
+				if id2, err := p.SubmitAsync(job); err != nil || id2 != id {
+					t.Fatalf("resubmit: id %s err %v", id2, err)
+				}
+			} else if _, err := p.Submit(context.Background(), job); err != nil {
+				t.Fatal(err)
+			}
+			waitDone(t, p, id)
+			p.mu.Lock()
+			records := len(p.failures.byID)
+			p.mu.Unlock()
+			if records != 0 {
+				t.Errorf("%d failure records, want 0", records)
+			}
+		})
 	}
-	// First run fails on the injected fault.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st, _ := p.Status(id)
-		if st.State == "failed" {
-			break
-		}
-		if st.State == "done" {
-			t.Fatal("first run succeeded; injected fault never fired")
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("first run never finished")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	id2, err := p.SubmitAsync(job)
-	if err != nil || id2 != id {
-		t.Fatalf("resubmit: id %s err %v", id2, err)
-	}
-	waitDone(t, p, id)
 }
 
 // TestCloseDuringSubmissions: concurrent Close and Submit must never

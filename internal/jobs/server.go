@@ -273,12 +273,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(obs.TraceHeader, sc.HeaderValue())
 	}
 	if job.Async {
-		id, err := s.pool.SubmitAsync(job)
+		st, err := s.pool.submitAsync(job)
 		if err != nil {
 			writeSubmitError(w, err)
 			return
 		}
-		st, _ := s.pool.Status(id)
 		if job.Tenant != "" && st.Result != nil {
 			r2 := *st.Result
 			r2.Tenant = job.Tenant

@@ -99,11 +99,13 @@ func diskAware(op string, err error) error {
 // Open creates or reopens the data directory, replays the journal
 // (truncating any corrupt tail to the longest valid prefix), compacts
 // it down to the still-unfinished accepts, and returns every job the
-// journal knows about in acceptance order: State "done" entries carry
-// their persisted Result, "failed" entries their recorded error, and
-// "pending" entries are the ones the caller must re-enqueue. A "done"
-// record whose result file has gone missing is downgraded to pending —
-// the journal promises completion, so the job re-runs.
+// journal knows about in acceptance order: "failed" entries carry
+// their recorded error, "done" entries have their result in the store,
+// and "pending" entries are the ones the caller must re-enqueue. The
+// result decides between done and pending, not the done frame: a job
+// whose sealed result loads is done even if its done frame was lost
+// (Done does not fsync it), and a done job whose result file has gone
+// missing re-runs.
 func Open(dir string) (*Store, []jobs.RecoveredJob, error) {
 	for _, d := range []string{dir, filepath.Join(dir, resultsDir), filepath.Join(dir, checkpointsDir)} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -120,11 +122,12 @@ func Open(dir string) (*Store, []jobs.RecoveredJob, error) {
 	recovered := foldJournal(recs)
 	for i := range recovered {
 		rj := &recovered[i]
-		if rj.State == "done" {
-			if res, ok := s.LoadResult(rj.ID); ok {
-				rj.Result = res
-			} else {
-				rj.State, rj.Err = "pending", ""
+		if rj.State != "failed" {
+			if _, ok := s.LoadResult(rj.ID); !ok {
+				rj.State = "pending"
+			} else if rj.State == "pending" {
+				rj.State = "done"
+				s.dropCheckpointLocked(rj.ID) // as the lost Done did
 			}
 		}
 		if rj.State == "pending" {
@@ -169,7 +172,11 @@ func (s *Store) Close() error {
 // Accept journals an admitted job and fsyncs before returning — the
 // durability point of the whole subsystem. Accepting an ID that is
 // already pending is a no-op (an async submission and the cache fill
-// both announce the same job).
+// both announce the same job), and so is accepting a job whose sealed
+// result is already stored: it has finished, so an accept would stay
+// open with nothing left to close it. The check runs under the lock
+// Done holds, so an accept racing a concurrent Done is either closed by
+// it or never written.
 func (s *Store) Accept(id string, job jobs.Job, async bool) error {
 	if !safeID(id) {
 		return fmt.Errorf("store: invalid job id %q", id)
@@ -182,6 +189,9 @@ func (s *Store) Accept(id string, job jobs.Job, async bool) error {
 	if _, ok := s.pending[id]; ok {
 		return nil
 	}
+	if _, ok := s.LoadResult(id); ok {
+		return nil
+	}
 	if err := s.appendLocked(Record{Op: OpAccept, ID: id, Async: async, Job: &job}, true); err != nil {
 		return diskAware("journal append", err)
 	}
@@ -192,8 +202,8 @@ func (s *Store) Accept(id string, job jobs.Job, async bool) error {
 
 // Done persists the result (atomic rename; the file is the durable
 // artifact), closes the journal entry and drops the job's checkpoint.
-// The journal frame is not fsynced: if it is lost, replay re-runs the
-// job, finds the persisted result, and converges to the same state.
+// The journal frame is not fsynced: if it is lost, the next Open finds
+// the sealed result and counts the job done all the same.
 func (s *Store) Done(id string, res *jobs.Result) error {
 	if !safeID(id) {
 		return fmt.Errorf("store: invalid job id %q", id)

@@ -58,7 +58,7 @@ func TestAcceptReplayResume(t *testing.T) {
 	}
 
 	// A reopened store must reconstruct all three fates in acceptance
-	// order: done (with the persisted result), pending, failed.
+	// order: done (its result in the store), pending, failed.
 	s2, recovered := openT(t, dir)
 	defer s2.Close()
 	if len(recovered) != 3 {
@@ -68,8 +68,11 @@ func TestAcceptReplayResume(t *testing.T) {
 	for _, rj := range recovered {
 		byID[rj.ID] = rj
 	}
-	if rj := byID["aaa1"]; rj.State != "done" || rj.Result == nil || rj.Result.Cycles != 1234 || !rj.Async {
-		t.Fatalf("aaa1 = %+v, want done with persisted result", rj)
+	if rj := byID["aaa1"]; rj.State != "done" || !rj.Async {
+		t.Fatalf("aaa1 = %+v, want done", rj)
+	}
+	if res, ok := s2.LoadResult("aaa1"); !ok || res.Cycles != 1234 {
+		t.Fatal("aaa1's persisted result does not load")
 	}
 	if rj := byID["bbb2"]; rj.State != "pending" || rj.Job.PhysRegs != 512 || rj.Async {
 		t.Fatalf("bbb2 = %+v, want pending sync job", rj)
@@ -112,6 +115,38 @@ func TestDoneWithoutResultFileReruns(t *testing.T) {
 	defer s2.Close()
 	if len(recovered) != 1 || recovered[0].State != "pending" {
 		t.Fatalf("recovery = %+v, want the done-but-resultless job downgraded to pending", recovered)
+	}
+}
+
+// TestLostDoneFrameConverges: Done does not fsync its journal frame, so
+// a crash may lose it while the sealed result survives. The next open
+// must count the job done from its result, not leave it pending at
+// every later open (a re-run is a disk hit, which writes no done frame).
+func TestLostDoneFrameConverges(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, dir)
+	if err := s.Accept("feed", jobs.Job{Workload: "VectorAdd"}, true); err != nil {
+		t.Fatal(err)
+	}
+	acceptedSize := s.size
+	if err := s.Done("feed", fakeResult("feed")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	// Lose the done frame: cut the journal back to the accept.
+	if err := os.Truncate(filepath.Join(dir, journalName), acceptedSize); err != nil {
+		t.Fatal(err)
+	}
+	for open := 1; open <= 2; open++ {
+		s2, recovered := openT(t, dir)
+		pending := s2.PendingCount()
+		s2.Close()
+		if pending != 0 {
+			t.Fatalf("open %d: pending = %d, want 0 (recovered %+v)", open, pending, recovered)
+		}
+		if open == 1 && (len(recovered) != 1 || recovered[0].State != "done") {
+			t.Fatalf("open 1: recovered %+v, want feed done", recovered)
+		}
 	}
 }
 
