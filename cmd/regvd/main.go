@@ -444,10 +444,14 @@ const (
 	idleTimeout       = 2 * time.Minute
 )
 
+// headerTimeout is the header timeout newHTTPServer applies:
+// readHeaderTimeout, which only tests shorten.
+var headerTimeout = readHeaderTimeout
+
 // newHTTPServer is an http.Server for h with regvd's connection
 // timeouts.
 func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	return &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout, IdleTimeout: idleTimeout}
 }
 
 // newDaemon binds the listener and builds the pool and server (or, in

@@ -17,11 +17,31 @@ import (
 	"regvirt/internal/jobs"
 )
 
+// testDeadline stands in for the header and body deadlines in these
+// tests, so they exercise the deadlines without waiting out the
+// production values.
+const testDeadline = time.Second
+
+// shortHeaderTimeout makes the daemons the test starts use testDeadline
+// as their header timeout. The tests that call it do not run in
+// parallel, so no other daemon reads it meanwhile.
+func shortHeaderTimeout(t *testing.T) {
+	headerTimeout = testDeadline
+	t.Cleanup(func() { headerTimeout = readHeaderTimeout })
+}
+
+// shortBodyDeadline makes every body read use testDeadline until the
+// test ends.
+func shortBodyDeadline(t *testing.T) {
+	t.Cleanup(jobs.SetBodyReadTimeoutForTest(testDeadline))
+}
+
 // TestStalledClientDisconnected holds regvd to its header timeout: a
 // client that opens a connection and never finishes its request line
-// is disconnected once readHeaderTimeout passes, instead of holding a
+// is disconnected once the header timeout passes, instead of holding a
 // goroutine and a file descriptor for as long as it likes.
 func TestStalledClientDisconnected(t *testing.T) {
+	shortHeaderTimeout(t)
 	d := serveDaemon(t, config{addr: "127.0.0.1:0", workers: 1, drain: time.Second})
 
 	conn, err := net.Dial("tcp", d.addr())
@@ -35,7 +55,7 @@ func TestStalledClientDisconnected(t *testing.T) {
 	// The server may answer 408 before it closes; either way the
 	// connection must end.
 	start := time.Now()
-	conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second))
+	conn.SetReadDeadline(start.Add(testDeadline + 10*time.Second))
 	_, err = io.ReadAll(conn)
 	var ne net.Error
 	switch {
@@ -44,8 +64,8 @@ func TestStalledClientDisconnected(t *testing.T) {
 	case err != nil && !errors.Is(err, syscall.ECONNRESET):
 		t.Fatalf("read: %v, want the connection closed", err)
 	}
-	if waited := time.Since(start); waited < readHeaderTimeout/2 {
-		t.Errorf("disconnected after %v, before the %v header timeout", waited, readHeaderTimeout)
+	if waited := time.Since(start); waited < testDeadline/2 {
+		t.Errorf("disconnected after %v, before the %v header timeout", waited, testDeadline)
 	}
 }
 
@@ -68,11 +88,11 @@ func serveDaemon(t *testing.T, cfg config) *daemon {
 
 // TestStalledBodyDisconnected holds regvd to its body deadline, as
 // shard and as router: a client that sends complete headers and then
-// stalls is disconnected once jobs.BodyReadTimeout passes, whether it
+// stalls is disconnected once the body deadline passes, whether it
 // stalls mid-value or after a complete value, with a Content-Length
 // promising a few bytes more.
 func TestStalledBodyDisconnected(t *testing.T) {
-	t.Parallel()
+	shortBodyDeadline(t)
 	const body = `{"workload":"VectorAdd"}`
 	stalls := map[string]struct {
 		sent          string
@@ -101,7 +121,7 @@ func TestStalledBodyDisconnected(t *testing.T) {
 				// The server answers 400 (the body read timed out) and
 				// closes.
 				start := time.Now()
-				conn.SetReadDeadline(start.Add(jobs.BodyReadTimeout + 10*time.Second))
+				conn.SetReadDeadline(start.Add(testDeadline + 10*time.Second))
 				_, err = io.ReadAll(conn)
 				var ne net.Error
 				switch {
@@ -110,8 +130,8 @@ func TestStalledBodyDisconnected(t *testing.T) {
 				case err != nil && !errors.Is(err, syscall.ECONNRESET):
 					t.Fatalf("read: %v, want the connection closed", err)
 				}
-				if waited := time.Since(start); waited < jobs.BodyReadTimeout/2 {
-					t.Errorf("disconnected after %v, before the %v body deadline", waited, jobs.BodyReadTimeout)
+				if waited := time.Since(start); waited < testDeadline/2 {
+					t.Errorf("disconnected after %v, before the %v body deadline", waited, testDeadline)
 				}
 			})
 		}
@@ -122,8 +142,8 @@ func TestStalledBodyDisconnected(t *testing.T) {
 // sync submit whose simulation (slowed by injected latency) outlasts
 // the deadline still gets its result.
 func TestSlowSyncSubmitAnswers(t *testing.T) {
-	t.Parallel()
-	delay := jobs.BodyReadTimeout + 2*time.Second
+	shortBodyDeadline(t)
+	delay := 2 * testDeadline
 	d := serveDaemon(t, config{addr: "127.0.0.1:0", workers: 1, drain: time.Second,
 		faults: fmt.Sprintf("%s:latency:1:%d", faultinject.SitePoolTask, delay.Milliseconds())})
 	start := time.Now()

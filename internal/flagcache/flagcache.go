@@ -31,10 +31,26 @@ type line struct {
 
 // New builds a cache with the given entry count.
 func New(entries int) (*Cache, error) {
+	cs, err := NewCaches(entries, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &cs[0], nil
+}
+
+// NewCaches builds n caches of the given entry count from two slabs
+// they share: the caches and their lines. A whole-device launch builds
+// its SMs' caches this way, once.
+func NewCaches(entries, n int) ([]Cache, error) {
 	if entries < 0 {
 		return nil, fmt.Errorf("flagcache: negative entry count %d", entries)
 	}
-	return &Cache{lines: make([]line, entries)}, nil
+	cs := make([]Cache, n)
+	lines := make([]line, n*entries)
+	for i := range cs {
+		cs[i].lines = lines[i*entries : (i+1)*entries : (i+1)*entries]
+	}
+	return cs, nil
 }
 
 // Entries returns the configured entry count.

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"regvirt/internal/jobs/sched"
@@ -62,6 +63,27 @@ const maxBodyBytes = 1 << 20
 // 7 MB/s.
 const BodyReadTimeout = 10 * time.Second
 
+// testBodyReadTimeout, when positive, replaces BodyReadTimeout in
+// ReadBody (SetBodyReadTimeoutForTest).
+var testBodyReadTimeout atomic.Int64
+
+// SetBodyReadTimeoutForTest makes ReadBody apply d instead of
+// BodyReadTimeout until restore is called. It exists so tests can
+// exercise the deadline without waiting out the production value;
+// nothing else calls it.
+func SetBodyReadTimeoutForTest(d time.Duration) (restore func()) {
+	testBodyReadTimeout.Store(int64(d))
+	return func() { testBodyReadTimeout.Store(0) }
+}
+
+// bodyReadTimeout is the deadline ReadBody applies.
+func bodyReadTimeout() time.Duration {
+	if d := testBodyReadTimeout.Load(); d > 0 {
+		return time.Duration(d)
+	}
+	return BodyReadTimeout
+}
+
 // maxTrailingBytes bounds what a request body may carry after its JSON
 // value (an encoder's newline, some whitespace).
 const maxTrailingBytes = 4 << 10
@@ -79,7 +101,7 @@ func ReadBody(w http.ResponseWriter, r *http.Request, read func() error) error {
 	rc := http.NewResponseController(w)
 	// A writer without deadline support (a test recorder) just reads
 	// without one.
-	_ = rc.SetReadDeadline(time.Now().Add(BodyReadTimeout))
+	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout()))
 	if err := read(); err != nil {
 		return err
 	}

@@ -104,26 +104,43 @@ type File struct {
 // New builds a register file. NumRegs must be divisible by the bank and
 // subarray geometry.
 func New(cfg Config) (*File, error) {
+	files, err := NewFiles(cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &files[0], nil
+}
+
+// NewFiles builds n register files of one configuration from three
+// slabs they share: the files, their chunk tables and their allocation
+// states. A whole-device launch builds its SMs' files this way, once.
+// Value storage is still allocated per chunk, on first use.
+func NewFiles(cfg Config, n int) ([]File, error) {
 	if cfg.NumRegs <= 0 || cfg.NumRegs%(arch.NumBanks*arch.SubarraysPerBank) != 0 {
 		return nil, fmt.Errorf("regfile: NumRegs %d not divisible by %d banks x %d subarrays",
 			cfg.NumRegs, arch.NumBanks, arch.SubarraysPerBank)
 	}
-	f := &File{
-		cfg:         cfg,
-		perBank:     cfg.NumRegs / arch.NumBanks,
-		perSubarray: cfg.NumRegs / arch.NumBanks / arch.SubarraysPerBank,
-		chunks:      make([]*chunk, (cfg.NumRegs+chunkRegs-1)/chunkRegs),
-		regs:        make([]regState, cfg.NumRegs),
-	}
-	for b := range f.freeBank {
-		f.freeBank[b] = f.perBank
-	}
-	if !cfg.PowerGating {
-		for i := range f.awake {
-			f.awake[i] = true
+	nc := (cfg.NumRegs + chunkRegs - 1) / chunkRegs
+	files := make([]File, n)
+	chunks := make([]*chunk, n*nc)
+	regs := make([]regState, n*cfg.NumRegs)
+	for i := range files {
+		f := &files[i]
+		f.cfg = cfg
+		f.perBank = cfg.NumRegs / arch.NumBanks
+		f.perSubarray = cfg.NumRegs / arch.NumBanks / arch.SubarraysPerBank
+		f.chunks = chunks[i*nc : (i+1)*nc : (i+1)*nc]
+		f.regs = regs[i*cfg.NumRegs : (i+1)*cfg.NumRegs : (i+1)*cfg.NumRegs]
+		for b := range f.freeBank {
+			f.freeBank[b] = f.perBank
+		}
+		if !cfg.PowerGating {
+			for j := range f.awake {
+				f.awake[j] = true
+			}
 		}
 	}
-	return f, nil
+	return files, nil
 }
 
 // value returns register p's storage, allocating its chunk (zeroed, as
@@ -264,6 +281,10 @@ func (f *File) Read(p PhysReg) *[arch.WarpSize]uint32 {
 func (f *File) Write(p PhysReg, val *[arch.WarpSize]uint32, mask uint32) {
 	f.stats.Writes++
 	v := f.value(p)
+	if mask == ^uint32(0) {
+		*v = *val
+		return
+	}
 	for l := 0; l < arch.WarpSize; l++ {
 		if mask&(1<<uint(l)) != 0 {
 			v[l] = val[l]
@@ -274,19 +295,22 @@ func (f *File) Write(p PhysReg, val *[arch.WarpSize]uint32, mask uint32) {
 // Peek reads without counting (for assertions and debugging).
 func (f *File) Peek(p PhysReg) [arch.WarpSize]uint32 { return *f.value(p) }
 
-// TickPower accrues one cycle of leakage accounting.
-func (f *File) TickPower() {
+// TickPower accrues the leakage accounting of the given number of
+// cycles, over which no subarray changes state.
+func (f *File) TickPower(cycles uint64) {
 	total := uint64(numSubarrays)
-	f.stats.TotalSubarrayCyc += total
+	f.stats.TotalSubarrayCyc += cycles * total
 	if !f.cfg.PowerGating {
-		f.stats.AwakeSubarrayCyc += total
+		f.stats.AwakeSubarrayCyc += cycles * total
 		return
 	}
+	awake := uint64(0)
 	for _, a := range f.awake {
 		if a {
-			f.stats.AwakeSubarrayCyc++
+			awake++
 		}
 	}
+	f.stats.AwakeSubarrayCyc += cycles * awake
 }
 
 // AwakeSubarrays returns the number of currently awake subarrays.

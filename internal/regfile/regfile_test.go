@@ -173,8 +173,8 @@ func TestSubarrayFirstConsolidates(t *testing.T) {
 func TestTickPowerAccounting(t *testing.T) {
 	f := newFile(t, Config{NumRegs: arch.NumPhysRegs, PowerGating: true, WakeupLatency: 1, Policy: SubarrayFirst})
 	f.Alloc(0)
-	f.TickPower()
-	f.TickPower()
+	f.TickPower(1)
+	f.TickPower(1)
 	s := f.Stats()
 	want := uint64(2 * arch.NumBanks * arch.SubarraysPerBank)
 	if s.TotalSubarrayCyc != want {
@@ -185,9 +185,14 @@ func TestTickPowerAccounting(t *testing.T) {
 	}
 	// Without gating every subarray leaks.
 	g := newFile(t, Config{NumRegs: arch.NumPhysRegs})
-	g.TickPower()
+	g.TickPower(1)
 	if got := g.Stats().AwakeSubarrayCyc; got != uint64(arch.NumBanks*arch.SubarraysPerBank) {
 		t.Errorf("ungated AwakeSubarrayCyc = %d, want all", got)
+	}
+	// A bulk tick accrues what as many single ticks would.
+	f.TickPower(5)
+	if s := f.Stats(); s.TotalSubarrayCyc != 7*uint64(arch.NumBanks*arch.SubarraysPerBank) || s.AwakeSubarrayCyc != 7 {
+		t.Errorf("after 2+5 cycles: TotalSubarrayCyc = %d, AwakeSubarrayCyc = %d", s.TotalSubarrayCyc, s.AwakeSubarrayCyc)
 	}
 }
 

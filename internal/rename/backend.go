@@ -70,17 +70,87 @@ type Backend interface {
 }
 
 // NewBackend builds the backend for cfg.Mode over a physical register
-// file — the single construction seam internal/sim uses.
+// file.
 func NewBackend(cfg Config, file *regfile.File) (Backend, error) {
+	bs, err := newBackends(cfg, 1, func(int) *regfile.File { return file })
+	if err != nil {
+		return nil, err
+	}
+	return bs[0], nil
+}
+
+// NewBackends builds one backend for cfg.Mode over each of files — the
+// single construction seam internal/sim uses. The backends, their
+// mapping rows, their ownership histories and the wrapper backends'
+// state each come from one slab, so a whole-device launch builds its
+// SMs' backends at once.
+func NewBackends(cfg Config, files []regfile.File) ([]Backend, error) {
+	return newBackends(cfg, len(files), func(i int) *regfile.File { return &files[i] })
+}
+
+func newBackends(cfg Config, n int, file func(int) *regfile.File) ([]Backend, error) {
+	// The wrapper backends keep the baseline discipline in an inner
+	// table; smemspill's covers only the RF-resident registers.
+	inner := cfg
 	switch cfg.Mode {
 	case ModeBaseline, ModeHWOnly, ModeCompiler:
-		return New(cfg, file)
 	case ModeRegCache:
-		return newRegCache(cfg, file)
+		if cfg.CacheEntries <= 0 {
+			return nil, fmt.Errorf("rename: regcache needs a positive CacheEntries, got %d", cfg.CacheEntries)
+		}
+		inner.Mode, inner.Exempt = ModeBaseline, 0
 	case ModeSMemSpill:
-		return newSMemSpill(cfg, file)
+		if cfg.SpillRegs < 0 || cfg.SpillRegs >= cfg.RegCount {
+			return nil, fmt.Errorf("rename: smemspill SpillRegs %d out of range [0, %d)",
+				cfg.SpillRegs, cfg.RegCount)
+		}
+		inner.Mode, inner.Exempt = ModeBaseline, 0
+		inner.RegCount = cfg.RegCount - cfg.SpillRegs
+	default:
+		return nil, fmt.Errorf("rename: unknown mode %v", cfg.Mode)
 	}
-	return nil, fmt.Errorf("rename: unknown mode %v", cfg.Mode)
+	if err := inner.check(); err != nil {
+		return nil, err
+	}
+	numRegs := file(0).NumRegs()
+	sl := newTableSlabs(inner, n, numRegs)
+	out := make([]Backend, n)
+	switch cfg.Mode {
+	case ModeRegCache:
+		// Lines are keyed by physical register, so a cache never holds
+		// more than min(entries, file size) of them; each gets exactly
+		// that capacity and never grows.
+		lines := min(cfg.CacheEntries, numRegs)
+		cs := make([]regCache, n)
+		fifo := make([]cacheLine, n*lines)
+		for i := range cs {
+			c := &cs[i]
+			c.Table.init(inner, file(i), &sl, i)
+			c.entries, c.writeThrough = cfg.CacheEntries, cfg.CacheWriteThrough
+			c.fifo = fifo[i*lines : i*lines : (i+1)*lines]
+			out[i] = c
+		}
+	case ModeSMemSpill:
+		slots := inner.MaxWarps * cfg.SpillRegs
+		bs := make([]smemSpill, n)
+		vals := make([][arch.WarpSize]uint32, n*slots)
+		for i := range bs {
+			b := &bs[i]
+			b.Table.init(inner, file(i), &sl, i)
+			b.regCount, b.keep = cfg.RegCount, inner.RegCount
+			b.latency = arch.SharedMemLatency
+			b.base = regfile.PhysReg(numRegs)
+			b.vals = vals[i*slots : (i+1)*slots : (i+1)*slots]
+			out[i] = b
+		}
+	default:
+		ts := make([]Table, n)
+		for i := range ts {
+			ts[i].init(cfg, file(i), &sl, i)
+			out[i] = &ts[i]
+		}
+	}
+	return out, nil
 }
 
 // baseState returns a shallow copy of st with the wrapper payloads

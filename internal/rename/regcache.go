@@ -37,24 +37,6 @@ type cacheLine struct {
 	dirty bool
 }
 
-func newRegCache(cfg Config, file *regfile.File) (*regCache, error) {
-	if cfg.CacheEntries <= 0 {
-		return nil, fmt.Errorf("rename: regcache needs a positive CacheEntries, got %d", cfg.CacheEntries)
-	}
-	inner := cfg
-	inner.Mode = ModeBaseline
-	inner.Exempt = 0
-	c := &regCache{
-		entries:      cfg.CacheEntries,
-		writeThrough: cfg.CacheWriteThrough,
-		fifo:         make([]cacheLine, 0, min(cfg.CacheEntries, file.NumRegs())),
-	}
-	if err := c.Table.init(inner, file); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 func (c *regCache) Mode() Mode { return ModeRegCache }
 
 // find returns the fifo index holding phys, or -1.

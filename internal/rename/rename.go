@@ -182,15 +182,15 @@ func New(cfg Config, file *regfile.File) (*Table, error) {
 	if cfg.Mode == ModeRegCache || cfg.Mode == ModeSMemSpill {
 		return nil, fmt.Errorf("rename: mode %v is a wrapper backend; use NewBackend", cfg.Mode)
 	}
-	t := &Table{}
-	if err := t.init(cfg, file); err != nil {
+	b, err := NewBackend(cfg, file)
+	if err != nil {
 		return nil, err
 	}
-	return t, nil
+	return b.(*Table), nil
 }
 
-// init builds the table in place (the wrapper backends embed theirs).
-func (t *Table) init(cfg Config, file *regfile.File) error {
+// check validates a table geometry.
+func (cfg Config) check() error {
 	if cfg.RegCount <= 0 || cfg.RegCount > isa.MaxRegsPerThread {
 		return fmt.Errorf("rename: RegCount %d out of range", cfg.RegCount)
 	}
@@ -200,19 +200,44 @@ func (t *Table) init(cfg Config, file *regfile.File) error {
 	if cfg.MaxWarps <= 0 || cfg.MaxWarps > arch.MaxWarpsPerSM {
 		return fmt.Errorf("rename: MaxWarps %d out of range", cfg.MaxWarps)
 	}
-	t.cfg, t.file = cfg, file
-	t.lastOwner = make([]int16, file.NumRegs())
-	for i := range t.lastOwner {
-		t.lastOwner[i] = -1
-	}
-	slab := make([]regfile.PhysReg, cfg.MaxWarps*cfg.RegCount)
-	for i := range slab {
-		slab[i] = regfile.Unmapped
-	}
-	for w := range t.rows() {
-		t.mapping[w] = slab[w*cfg.RegCount : (w+1)*cfg.RegCount : (w+1)*cfg.RegCount]
-	}
 	return nil
+}
+
+// tableSlabs are the ownership histories and mapping rows of a group
+// of tables of one checked geometry over files of one size, each a
+// single allocation.
+type tableSlabs struct {
+	owners  []int16
+	rows    []regfile.PhysReg
+	numRegs int
+}
+
+func newTableSlabs(cfg Config, n, numRegs int) tableSlabs {
+	sl := tableSlabs{
+		owners:  make([]int16, n*numRegs),
+		rows:    make([]regfile.PhysReg, n*cfg.MaxWarps*cfg.RegCount),
+		numRegs: numRegs,
+	}
+	for i := range sl.owners {
+		sl.owners[i] = -1
+	}
+	for i := range sl.rows {
+		sl.rows[i] = regfile.Unmapped
+	}
+	return sl
+}
+
+// init builds table i of the group in place over file (the wrapper
+// backends embed theirs).
+func (t *Table) init(cfg Config, file *regfile.File, sl *tableSlabs, i int) {
+	t.cfg, t.file = cfg, file
+	t.lastOwner = sl.owners[i*sl.numRegs : (i+1)*sl.numRegs : (i+1)*sl.numRegs]
+	row := cfg.RegCount
+	base := i * cfg.MaxWarps * row
+	for w := range t.rows() {
+		lo := base + w*row
+		t.mapping[w] = sl.rows[lo : lo+row : lo+row]
+	}
 }
 
 // rows returns the mapping rows of the configured warp slots.

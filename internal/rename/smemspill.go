@@ -32,29 +32,6 @@ type smemSpill struct {
 	reads, writes uint64
 }
 
-func newSMemSpill(cfg Config, file *regfile.File) (*smemSpill, error) {
-	if cfg.SpillRegs < 0 || cfg.SpillRegs >= cfg.RegCount {
-		return nil, fmt.Errorf("rename: smemspill SpillRegs %d out of range [0, %d)",
-			cfg.SpillRegs, cfg.RegCount)
-	}
-	keep := cfg.RegCount - cfg.SpillRegs
-	inner := cfg
-	inner.Mode = ModeBaseline
-	inner.Exempt = 0
-	inner.RegCount = keep
-	b := &smemSpill{
-		regCount: cfg.RegCount,
-		keep:     keep,
-		latency:  arch.SharedMemLatency,
-		base:     regfile.PhysReg(file.NumRegs()),
-	}
-	if err := b.Table.init(inner, file); err != nil {
-		return nil, err
-	}
-	b.vals = make([][arch.WarpSize]uint32, inner.MaxWarps*cfg.SpillRegs)
-	return b, nil
-}
-
 func (b *smemSpill) Mode() Mode { return ModeSMemSpill }
 
 func (b *smemSpill) demoted(r isa.RegID) bool {

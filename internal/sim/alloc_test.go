@@ -40,9 +40,11 @@ func matrixMul(t *testing.T) sim.LaunchSpec {
 }
 
 // TestSteadyStateAllocatesNothing proves the simulator core allocates
-// nothing per simulated cycle once a launch is under way: one SM step,
-// one SM step under the §8.1 spill fallback, and one whole-device
-// engine cycle (compute plus commit). The measured window holds no CTA
+// nothing per simulated cycle once a launch is under way: single-SM
+// run-loop iterations, the same under the §8.1 spill fallback, and
+// whole-device engine cycles (compute plus commit). The single-SM and
+// device windows span cycles the SMs slept through as well as stepped
+// ones (the spill window's allocation stalls never sleep). It holds no CTA
 // launch or exit, which allocate by design (warp and SIMT-stack slabs
 // and CTA state), and no spill, which saves the warp's registers.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
@@ -52,23 +54,35 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	spec := matrixMul(t)
 	cfg := sim.Config{Mode: rename.ModeCompiler, PhysRegs: 512}
 
+	// advance is one run-loop iteration of sm.
+	advance := func(sm *sim.SM) func() {
+		return func() {
+			if _, err := sm.Advance(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	t.Run("sm", func(t *testing.T) {
 		sm, err := sim.NewLaunchedSM(cfg, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 1000; i++ {
-			sm.Step()
+			advance(sm)()
 		}
 		live, done := sm.CTAs()
 		if live == 0 {
 			t.Fatal("no CTA resident: the window must be mid-run")
 		}
-		if got := windowAllocs(sm.Step); got != 0 {
-			t.Errorf("%d steps allocate %v times, want 0", allocWindow, got)
+		slept := sm.Slept()
+		if got := windowAllocs(advance(sm)); got != 0 {
+			t.Errorf("%d run-loop iterations allocate %v times, want 0", allocWindow, got)
 		}
 		if l, d := sm.CTAs(); l != live || d != done {
 			t.Fatalf("window saw CTAs launch or exit (live %d→%d, done %d→%d)", live, l, done, d)
+		}
+		if sm.Slept() == slept {
+			t.Fatal("the window slept through no cycle")
 		}
 	})
 	// A file far too small for the hungry kernel: every 10,000 cycles
@@ -101,8 +115,8 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 		if spilled == 0 {
 			t.Fatal("the spilled warp came back before the window")
 		}
-		if got := windowAllocs(sm.Step); got != 0 {
-			t.Errorf("%d steps with %d warps spilled allocate %v times, want 0", allocWindow, spilled, got)
+		if got := windowAllocs(advance(sm)); got != 0 {
+			t.Errorf("%d run-loop iterations with %d warps spilled allocate %v times, want 0", allocWindow, spilled, got)
 		}
 		if l, d := sm.CTAs(); l != live || d != done {
 			t.Fatalf("window saw CTAs launch or exit (live %d→%d, done %d→%d)", live, l, done, d)
@@ -128,11 +142,15 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 		if live == 0 {
 			t.Fatal("no CTA resident: the window must be mid-run")
 		}
+		slept := eng.Slept()
 		if got := windowAllocs(cycle); got != 0 {
 			t.Errorf("%d device cycles allocate %v times, want 0", allocWindow, got)
 		}
 		if l, d := eng.CTAs(); l != live || d != done {
 			t.Fatalf("window saw CTAs launch or exit (live %d→%d, done %d→%d)", live, l, done, d)
+		}
+		if eng.Slept() == slept {
+			t.Fatal("the window slept through no cycle")
 		}
 	})
 }
@@ -157,19 +175,20 @@ func launchKernels(t *testing.T, mode rename.Mode) []sim.LaunchSpec {
 }
 
 // Per-launch allocation bounds of TestLaunchAllocations: the maximum
-// measured over its kernels and backends (322 and 49) plus about 10%.
+// measured over its kernels and backends (69 and 35) plus about 10%.
 const (
-	gpuLaunchAllocs = 354
-	smLaunchAllocs  = 54
+	gpuLaunchAllocs = 76
+	smLaunchAllocs  = 39
 )
 
 // TestLaunchAllocations bounds what building and running one launch
 // allocates, on every backend, through both engines: the bench's
 // whole-device job (16 CTAs on the full file) and its single-SM job
-// (the register-saving backends on the shrunk 512-register file). A
-// launch's simulator state is sized from the launch once, so what
-// remains is register storage on first use, the global-memory map, the
-// per-CTA warp slabs and engine bookkeeping.
+// (the register-saving backends on the shrunk 512-register file). Each
+// kind of per-SM state comes from one launch-wide slab, so what remains
+// is register storage on first use, the global-memory table and the
+// Stores map made from it, CTAs after the first wave, and engine
+// bookkeeping.
 func TestLaunchAllocations(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("the race detector allocates on its own")

@@ -207,10 +207,10 @@ type GPUSnapshot struct {
 
 // sortedCells flattens functional memory deterministically.
 func sortedCells(m *memory) []MemCell {
-	cells := make([]MemCell, 0, len(m.global)+len(m.scratch))
-	for addr, v := range m.global {
+	cells := make([]MemCell, 0, m.global.len()+len(m.scratch))
+	m.global.each(func(addr, v uint32) {
 		cells = append(cells, MemCell{Space: isa.SpaceGlobal, Addr: addr, Val: v})
-	}
+	})
 	for k, v := range m.scratch {
 		cells = append(cells, MemCell{Space: k.space, Scope: k.scope, Lane: k.lane, Addr: k.addr, Val: v})
 	}
@@ -232,7 +232,7 @@ func sortedCells(m *memory) []MemCell {
 
 // memoryFromCells rebuilds functional memory from its flattened cells.
 func memoryFromCells(cells []MemCell) memory {
-	m := newMemory()
+	var m memory
 	for _, c := range cells {
 		m.store(memKey{space: c.Space, scope: c.Scope, lane: c.Lane, addr: c.Addr}, c.Val)
 	}
@@ -479,7 +479,7 @@ func (s *SM) restore(snap *Snapshot) error {
 		if wb.Warp < 0 || wb.Warp >= len(warps) {
 			return fmt.Errorf("sim: restore: writeback references warp %d of %d", wb.Warp, len(warps))
 		}
-		s.wbQueue.push(wb.Cycle, writeback{
+		*s.wbQueue.push(wb.Cycle) = writeback{
 			w:       warps[wb.Warp],
 			reg:     wb.Reg,
 			phys:    wb.Phys,
@@ -489,7 +489,7 @@ func (s *SM) restore(snap *Snapshot) error {
 			predVal: wb.PredVal,
 			memReq:  wb.MemReq,
 			hasReg:  wb.HasReg,
-		})
+		}
 	}
 
 	if snap.Src != nil {

@@ -63,6 +63,22 @@ func (s *SM) dispatchCTAs() {
 // (bench kernels nest at most two). A deeper stack grows on its own.
 const simtStackCap = 5
 
+// newCTAs returns storage for n CTAs of wpc warps from three slabs —
+// the CTAs, their warps and the warps' SIMT stacks — with each warp's
+// stack an empty slice of simtStackCap frames.
+func newCTAs(n, wpc int) []ctaState {
+	ctas := make([]ctaState, n)
+	warps := make([]warp, n*wpc)
+	stacks := make([]simtEntry, n*wpc*simtStackCap)
+	for i := range ctas {
+		ctas[i].warps = warps[i*wpc : (i+1)*wpc : (i+1)*wpc]
+	}
+	for i := range warps {
+		warps[i].stack = stacks[i*simtStackCap : i*simtStackCap : (i+1)*simtStackCap]
+	}
+	return ctas
+}
+
 // dispatchInto launches the next CTA into one free slot; false when the
 // source is drained or registers ran out. The warps' registers are
 // pinned first, so a launch that fails for want of registers builds no
@@ -91,16 +107,20 @@ func (s *SM) dispatchInto(slot int) bool {
 		s.traceLaunchPins(wslot, pinned)
 	}
 
-	// One slab for the warps and one for their SIMT stacks.
-	cta := &ctaState{ctaID: id, slot: slot, warps: make([]warp, s.warpsPerCTA), liveWarps: s.warpsPerCTA}
-	stacks := make([]simtEntry, s.warpsPerCTA*simtStackCap)
+	// The slot's first CTA takes the storage the launch carved for it;
+	// a later one gets its own, because a warp of the CTA the slot held
+	// before may still be referenced by a writeback in flight.
+	cta := s.fresh[slot]
+	if cta != nil {
+		s.fresh[slot] = nil
+	} else {
+		cta = &newCTAs(1, s.warpsPerCTA)[0]
+	}
+	cta.ctaID, cta.slot, cta.liveWarps, cta.atBarrier = id, slot, s.warpsPerCTA, 0
 	for wi := range cta.warps {
 		w := &cta.warps[wi]
-		w.init(first+wi, cta, wi, s.spec.ThreadsPerCTA-wi*arch.WarpSize,
-			stacks[wi*simtStackCap:wi*simtStackCap:(wi+1)*simtStackCap])
-		w.state = wPending
-		w.readyAt = s.cycle
-		s.pendingQ = append(s.pendingQ, w)
+		w.init(first+wi, cta, wi, s.spec.ThreadsPerCTA-wi*arch.WarpSize, w.stack[:0])
+		s.pend(w, s.cycle)
 	}
 	s.ctaSlots[slot] = cta
 	s.gov.CTALaunched(slot)
@@ -149,9 +169,7 @@ func (s *SM) releaseBarrier(cta *ctaState) {
 	cta.atBarrier = 0
 	for i := range cta.warps {
 		if o := &cta.warps[i]; o.state == wBarrier {
-			o.state = wPending
-			o.readyAt = s.cycle + 1
-			s.pendingQ = append(s.pendingQ, o)
+			s.pend(o, s.cycle+1)
 		}
 	}
 }
@@ -178,10 +196,8 @@ func (s *SM) barrierArrive(w *warp) {
 		// Release everyone.
 		s.releaseBarrier(cta)
 		// The arriving warp continues directly.
-		w.state = wPending
-		w.readyAt = s.cycle + 1
 		s.removeFromReady(w)
-		s.pendingQ = append(s.pendingQ, w)
+		s.pend(w, s.cycle+1)
 		return
 	}
 	w.state = wBarrier

@@ -11,10 +11,11 @@ import (
 type lanes = [arch.WarpSize]uint32
 
 // evalALU computes the lane-wise result of a non-memory, register-writing
-// instruction. Predicates and control flow are handled by the issue
-// logic; this is pure data computation.
-func evalALU(in *isa.Instr, src [isa.MaxSrcOperands]lanes, sel uint32) lanes {
-	var out lanes
+// instruction into out (its writeback slot), from the SM's operand
+// scratch. Predicates and control flow are handled by the issue logic;
+// this is pure data computation. Every register-writing opcode but ld
+// has a case, so every lane of out is written.
+func evalALU(in *isa.Instr, src *[isa.MaxSrcOperands]lanes, sel uint32, out *lanes) {
 	for l := 0; l < arch.WarpSize; l++ {
 		a, b, c := src[0][l], src[1][l], src[2][l]
 		switch in.Op {
@@ -54,11 +55,10 @@ func evalALU(in *isa.Instr, src [isa.MaxSrcOperands]lanes, sel uint32) lanes {
 			out[l] = f32bits(1 / f32(a))
 		}
 	}
-	return out
 }
 
 // evalCmp computes an isetp lane mask over signed operands.
-func evalCmp(cmp isa.CmpOp, a, b lanes) uint32 {
+func evalCmp(cmp isa.CmpOp, a, b *lanes) uint32 {
 	var m uint32
 	for l := 0; l < arch.WarpSize; l++ {
 		if cmp.Eval(int32(a[l]), int32(b[l])) {
@@ -71,9 +71,10 @@ func evalCmp(cmp isa.CmpOp, a, b lanes) uint32 {
 func f32(b uint32) float32     { return math.Float32frombits(b) }
 func f32bits(f float32) uint32 { return math.Float32bits(f) }
 
-// specialValue materializes an s2r source for a warp.
-func (s *SM) specialValue(w *warp, sp isa.Special) lanes {
-	var out lanes
+// specialValue materializes an s2r source for a warp into out (zero
+// for a special register it does not know).
+func (s *SM) specialValue(w *warp, sp isa.Special, out *lanes) {
+	*out = lanes{}
 	for l := 0; l < arch.WarpSize; l++ {
 		switch sp {
 		case isa.SpecTidX:
@@ -90,5 +91,4 @@ func (s *SM) specialValue(w *warp, sp isa.Special) lanes {
 			out[l] = uint32(w.idInCTA)
 		}
 	}
-	return out
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"maps"
 	"math"
 	"testing"
 
@@ -14,7 +15,8 @@ func aluCase(op isa.Opcode, a, b, c uint32, sel uint32) uint32 {
 	for l := 0; l < len(src[0]); l++ {
 		src[0][l], src[1][l], src[2][l] = a, b, c
 	}
-	out := evalALU(in, src, sel)
+	var out lanes
+	evalALU(in, &src, sel, &out)
 	return out[0]
 }
 
@@ -75,7 +77,8 @@ func TestEvalALUSelPerLane(t *testing.T) {
 		src[0][l] = 100
 		src[1][l] = 200
 	}
-	out := evalALU(in, src, 0x0000ffff)
+	var out lanes
+	evalALU(in, &src, 0x0000ffff, &out)
 	for l := 0; l < 16; l++ {
 		if out[l] != 100 {
 			t.Fatalf("lane %d = %d, want selected 100", l, out[l])
@@ -94,13 +97,13 @@ func TestEvalCmpLanewise(t *testing.T) {
 		a[l] = uint32(l)
 		b[l] = 16
 	}
-	m := evalCmp(isa.CmpLT, a, b)
+	m := evalCmp(isa.CmpLT, &a, &b)
 	if m != 0x0000ffff {
 		t.Errorf("lt mask = %#x, want 0xffff", m)
 	}
 	// Signed comparison: -1 < 16.
 	a[0] = 0xffffffff
-	if evalCmp(isa.CmpLT, a, b)&1 == 0 {
+	if evalCmp(isa.CmpLT, &a, &b)&1 == 0 {
 		t.Error("signed compare treated -1 as large")
 	}
 }
@@ -183,8 +186,49 @@ func TestGlobalStoresDigest(t *testing.T) {
 	m.store(memKey{space: isa.SpaceGlobal, addr: 4}, 1)
 	m.store(memKey{space: isa.SpaceShared, scope: 1, addr: 8}, 2)
 	m.store(memKey{space: isa.SpaceSpill, scope: 1, addr: 12}, 3)
-	d := m.global
+	d := m.global.stores()
 	if len(d) != 1 || d[4] != 1 {
 		t.Errorf("digest = %v, want only the global store", d)
+	}
+}
+
+// TestWordTableMatchesMap drives global memory's word table and a Go
+// map with the same strided, overwriting and edge-address stores
+// across several doublings, and checks that every read and the final
+// Stores agree.
+func TestWordTableMatchesMap(t *testing.T) {
+	var tab wordTable
+	ref := map[uint32]uint32{}
+	addrs := []uint32{0, 4, emptyAddr, emptyAddr - 3, 1 << 31}
+	for i := uint32(0); i < 5000; i++ {
+		addrs = append(addrs, 0x10000+i*256, 0x10000+(i%700)*256+4)
+	}
+	for i, a := range addrs {
+		v := uint32(i) * 7
+		tab.put(a, v)
+		ref[a] = v
+		if got, ok := tab.get(a); !ok || got != v {
+			t.Fatalf("get(%#x) = %d, %v after put %d", a, got, ok, v)
+		}
+	}
+	for _, a := range []uint32{8, 0x10000 + 3, emptyAddr - 7} {
+		if _, ok := tab.get(a); ok {
+			t.Errorf("get(%#x) finds a word never written", a)
+		}
+	}
+	if got := tab.stores(); !maps.Equal(got, ref) {
+		t.Errorf("stores() has %d words, want %d", len(got), len(ref))
+	}
+	if n := tab.len(); n != len(ref) {
+		t.Errorf("len() = %d, want %d", n, len(ref))
+	}
+	// A table at its load limit takes an overwrite without doubling.
+	var full wordTable
+	for a := uint32(0); a < 7*wordTableSlots/8; a++ {
+		full.put(4*a, a)
+	}
+	full.put(0, 1)
+	if v, _ := full.get(0); v != 1 || len(full.slots) != wordTableSlots {
+		t.Errorf("overwrite at the load limit: value %d, %d slots, want 1 and %d", v, len(full.slots), wordTableSlots)
 	}
 }

@@ -121,12 +121,13 @@ const storeIntentCap = arch.NumSchedulers * arch.WarpSize
 
 // buildGPU constructs the shared state, the 16 SMs and their phased
 // ports — everything RunGPU and ResumeGPU have in common before any
-// CTA placement. The launch is validated once, and the SMs, the ports
-// and the ports' store intents each come from one slab. Per-SM
-// cancellation polling is disabled: the engine polls Cancel once per
-// device cycle at the commit boundary, which is both faster than the
-// per-SM cancelCheckEvery granularity and the only point where a
-// cancellation checkpoint is consistent.
+// CTA placement. The launch is validated once; the SMs, the ports, the
+// ports' store intents and each kind of per-SM component come from
+// launch-wide slabs (buildSMs). Per-SM cancellation polling and
+// checkpointing are disabled: the engine polls Cancel once per device
+// cycle at the commit boundary, which is both faster than the per-SM
+// cancelCheckEvery granularity and the only point where a cancellation
+// checkpoint is consistent, and it takes every device checkpoint.
 func buildGPU(cfg *Config, spec *LaunchSpec) (*gpuEngine, error) {
 	// Validate once (also applies defaulting to cfg).
 	if err := validate(cfg, spec); err != nil {
@@ -137,21 +138,20 @@ func buildGPU(cfg *Config, spec *LaunchSpec) (*gpuEngine, error) {
 		sms:    make([]SM, arch.NumSMs),
 		ports:  make([]phasedPort, arch.NumSMs),
 		src:    ctaSource{limit: spec.GridCTAs},
-		shared: gpuShared{memory: newMemory(), tokensPerCycle: dramTokensPerCycle},
+		shared: gpuShared{tokensPerCycle: dramTokensPerCycle},
 	}
 	smCfg := *cfg
-	smCfg.Cancel = nil
+	smCfg.Cancel, smCfg.Checkpoint, smCfg.CheckpointEvery = nil, nil, 0
 	intents := make([]storeIntent, arch.NumSMs*storeIntentCap)
-	for i := range e.sms {
-		p := &e.ports[i]
-		*p = phasedPort{shared: &e.shared, smIndex: i,
+	for i := range e.ports {
+		e.ports[i] = phasedPort{shared: &e.shared, smIndex: i,
 			stores: intents[i*storeIntentCap : i*storeIntentCap : (i+1)*storeIntentCap]}
-		sm := &e.sms[i]
-		if err := sm.init(smCfg, *spec, p, &e.src); err != nil {
-			return nil, err
-		}
-		sm.deferDispatch = true
-		sm.smID = i
+	}
+	if err := buildSMs(e.sms, smCfg, *spec, func(i int) memPort { return &e.ports[i] }, &e.src); err != nil {
+		return nil, err
+	}
+	for i := range e.sms {
+		e.sms[i].deferDispatch = true
 	}
 	return e, nil
 }
@@ -174,7 +174,7 @@ func (e *gpuEngine) distribute() {
 // finish aggregates the per-SM results once the engine completed. The
 // device's global memory becomes the result's Stores as it is.
 func (e *gpuEngine) finish() *GPUResult {
-	out := &GPUResult{Stores: e.shared.global, PerSM: make([]*Result, 0, len(e.sms))}
+	out := &GPUResult{Stores: e.shared.global.stores(), PerSM: make([]*Result, 0, len(e.sms))}
 	for i := range e.sms {
 		res := e.sms[i].finalize()
 		out.PerSM = append(out.PerSM, res)
@@ -221,8 +221,14 @@ type gpuEngine struct {
 
 // snapshot captures the whole-device state. Only valid between
 // iterations (after commit), when every port's buffered intents are
-// empty and shared state is quiescent.
+// empty and shared state is quiescent. Sleeping SMs are caught up to
+// the device cycle first; they sleep on after it.
 func (e *gpuEngine) snapshot() *GPUSnapshot {
+	for i := range e.sms {
+		if sm := &e.sms[i]; sm.asleep() {
+			sm.catchUp(e.cycle)
+		}
+	}
 	g := &GPUSnapshot{
 		Cycle:             e.cycle,
 		Src:               SrcSnap{Next: e.src.next, Limit: e.src.limit, Returned: append([]int(nil), e.src.returned...)},
@@ -269,11 +275,23 @@ func (e *gpuEngine) step() (done bool, err error) {
 	// Commit-side bookkeeping (also runs before the first cycle so a
 	// grid no SM can ever hold fails fast): give every SM a dispatch
 	// turn in index order, then settle termination.
+	// A turn with the source drained places nothing, so none is given;
+	// a sleeping SM whose turn could place a CTA is caught up and woken
+	// first (sleep.go).
 	allDone, anyLive := true, false
 	for i := range e.sms {
-		if sm := &e.sms[i]; !sm.finished() {
-			sm.dispatchCTAs()
+		sm := &e.sms[i]
+		if e.src.empty() {
+			break
 		}
+		if sm.finished() {
+			continue
+		}
+		if sm.asleep() && sm.liveCTAs < sm.spec.ConcCTAs {
+			sm.catchUp(e.cycle)
+			sm.wake = 0
+		}
+		sm.dispatchCTAs()
 	}
 	for i := range e.sms {
 		sm := &e.sms[i]
@@ -295,12 +313,16 @@ func (e *gpuEngine) step() (done bool, err error) {
 	}
 
 	// Compute phase: every unfinished SM advances one cycle against
-	// the committed shared state. The first SM to fail ends the run.
+	// the committed shared state, a sleeping one by skipping its turn
+	// until its wake (sleep.go). The first SM to fail ends the run.
 	for i := range e.sms {
-		if sm := &e.sms[i]; !sm.finished() {
-			if err := stepContained(i, sm); err != nil {
-				return false, fmt.Errorf("sim: SM %d: %w", i, err)
-			}
+		sm := &e.sms[i]
+		if sm.finished() || sm.wake > e.cycle {
+			continue
+		}
+		sm.catchUp(e.cycle)
+		if err := stepContained(i, sm); err != nil {
+			return false, fmt.Errorf("sim: SM %d: %w", i, err)
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 
 	"regvirt/internal/arch"
 	"regvirt/internal/isa"
+	"regvirt/internal/liveness"
 )
 
 // tryIssue attempts to issue the next instruction of a warp. It returns
@@ -19,6 +20,7 @@ func (s *SM) tryIssue(w *warp) bool {
 		in := s.prog.Instrs[w.pc()]
 		if in.Op == isa.OpPir {
 			if _, hit := s.fcache.Probe(in.PC); hit {
+				s.busy = true
 				w.advance()
 				continue
 			}
@@ -39,7 +41,9 @@ func (s *SM) tryIssue(w *warp) bool {
 	}
 	in := s.prog.Instrs[w.pc()]
 
-	// Scoreboard: in-order issue blocks on RAW, WAW and predicate hazards.
+	// Scoreboard: in-order issue blocks on RAW, WAW and predicate
+	// hazards. This is the one way an attempt fails without changing
+	// state (see sleep.go).
 	if s.hazard(w, in) {
 		s.res.Stalls.Hazard++
 		return false
@@ -77,6 +81,7 @@ func (s *SM) tryIssue(w *warp) bool {
 	if longMem {
 		if !s.mem.canAccept() {
 			s.res.Stalls.MemPort++
+			s.busy = true
 			return false
 		}
 		// Fault seam of the memory port: the request is about to be
@@ -93,23 +98,43 @@ func (s *SM) tryIssue(w *warp) bool {
 	return true
 }
 
+// scoreMask is one instruction's scoreboard footprint: the registers
+// it reads or writes and the predicates it reads or sets. A launch
+// computes its program's masks once (scoreMasks), so the hazard test is
+// one mask AND per instruction.
+type scoreMask struct {
+	regs  liveness.RegSet
+	preds uint8
+}
+
 // hazard reports a scoreboard conflict for the next instruction.
 func (s *SM) hazard(w *warp, in *isa.Instr) bool {
-	for i := 0; i < in.NSrc; i++ {
-		if in.Srcs[i].IsReg() && w.busyRegs.Has(in.Srcs[i].Reg) {
-			return true
+	m := &s.masks[in.PC]
+	return w.busyRegs&m.regs != 0 || w.busyPreds&m.preds != 0
+}
+
+// scoreMasks returns the scoreboard footprint of every instruction of
+// p, indexed by PC.
+func scoreMasks(p *isa.Program) []scoreMask {
+	out := make([]scoreMask, len(p.Instrs))
+	for pc, in := range p.Instrs {
+		m := &out[pc]
+		for i := 0; i < in.NSrc; i++ {
+			if in.Srcs[i].IsReg() {
+				m.regs = m.regs.Add(in.Srcs[i].Reg)
+			}
+		}
+		if d, ok := in.DstReg(); ok {
+			m.regs = m.regs.Add(d)
+		}
+		if in.Guard.Guarded() {
+			m.preds |= 1 << uint(in.Guard.Reg)
+		}
+		if in.Op == isa.OpISetp {
+			m.preds |= 1 << uint(in.SetPred)
 		}
 	}
-	if d, ok := in.DstReg(); ok && w.busyRegs.Has(d) {
-		return true
-	}
-	if in.Guard.Guarded() && w.busyPreds&(1<<uint(in.Guard.Reg)) != 0 {
-		return true
-	}
-	if in.Op == isa.OpISetp && w.busyPreds&(1<<uint(in.SetPred)) != 0 {
-		return true
-	}
-	return false
+	return out
 }
 
 // needsAlloc reports whether writing r will require a fresh physical
@@ -158,21 +183,27 @@ func (s *SM) issue(w *warp, in *isa.Instr) {
 		execMask &= w.predMask(in.Guard)
 	}
 
-	// Operand collection: read sources through the backend, counting
-	// bank conflicts among register operands (§7.1: operands in the same
-	// bank serialize). Accesses the backend served outside the banked RF
-	// (cache hits, shared-memory-resident registers) report Bank -1 and
-	// cannot conflict; demoted-register accesses add their latency
-	// penalty to the dependent-use path instead.
-	var src [isa.MaxSrcOperands]lanes
+	// Operand collection: read sources through the backend into the
+	// operand scratch, counting bank conflicts among register operands
+	// (§7.1: operands in the same bank serialize). Accesses the backend
+	// served outside the banked RF (cache hits, shared-memory-resident
+	// registers) report Bank -1 and cannot conflict; demoted-register
+	// accesses add their latency penalty to the dependent-use path
+	// instead. A slot the instruction does not fill reads as zero.
+	src := &s.operands
 	var bankUse [arch.NumBanks]int
 	renamed := false
 	penalty := 0
-	for i := 0; i < in.NSrc; i++ {
-		op := in.Srcs[i]
+	for i := range src {
+		if i >= in.NSrc {
+			src[i] = lanes{}
+			continue
+		}
+		op := &in.Srcs[i]
 		switch op.Kind {
 		case isa.OpdReg:
 			if op.Reg == isa.RZ {
+				src[i] = lanes{}
 				continue
 			}
 			rd, ok := s.table.ReadOperand(w.slot, op.Reg)
@@ -182,11 +213,15 @@ func (s *SM) issue(w *warp, in *isa.Instr) {
 					bankUse[rd.Bank]++
 				}
 				penalty += rd.Penalty
-			} else if s.cfg.PoisonReleased {
-				// An unmapped register was released by a pir/pbr or never
-				// written; either way the read would yield zero and never
-				// touch the poisoned value, so it is caught here instead.
-				s.failInvariant(w, in.PC, fmt.Sprintf("read of unmapped register %v (released or never written)", op.Reg))
+			} else {
+				src[i] = lanes{}
+				if s.cfg.PoisonReleased {
+					// An unmapped register was released by a pir/pbr or
+					// never written; either way the read would yield zero
+					// and never touch the poisoned value, so it is caught
+					// here instead.
+					s.failInvariant(w, in.PC, fmt.Sprintf("read of unmapped register %v (released or never written)", op.Reg))
+				}
 			}
 			renamed = true
 		case isa.OpdImm:
@@ -203,7 +238,9 @@ func (s *SM) issue(w *warp, in *isa.Instr) {
 				src[i][l] = v
 			}
 		case isa.OpdSpecial:
-			src[i] = s.specialValue(w, op.Spec)
+			s.specialValue(w, op.Spec, &src[i])
+		default:
+			src[i] = lanes{}
 		}
 	}
 	conflicts := 0
@@ -238,24 +275,26 @@ func (s *SM) issue(w *warp, in *isa.Instr) {
 		w.advance()
 		s.barrierArrive(w)
 	case isa.OpISetp:
-		mask := evalCmp(in.Cmp, src[0], src[1]) & execMask
+		mask := evalCmp(in.Cmp, &src[0], &src[1]) & execMask
 		w.busyPreds |= 1 << uint(in.SetPred)
 		w.inflight++
-		s.pushWB(s.cycle+uint64(in.Op.Latency()+extra), writeback{
+		*s.pushWB(s.cycle + uint64(in.Op.Latency()+extra)) = writeback{
 			w: w, pred: in.SetPred, predVal: mask, mask: execMask,
-		})
+		}
 		w.advance()
 	case isa.OpSt:
-		s.execStore(w, in, src, execMask)
+		s.execStore(w, in, execMask)
 		w.advance()
 	case isa.OpLd:
-		s.execLoad(w, in, src, execMask, extra)
+		s.execLoad(w, in, execMask, extra)
 		w.advance()
 	default:
-		// ALU / SFU.
-		res := evalALU(in, src, w.predMask(in.Guard)&execMask)
+		// ALU / SFU: the result is computed straight into its writeback
+		// slot.
 		lat := in.Op.Latency() + extra
-		s.scheduleRegWrite(w, in, res, execMask, lat)
+		if wb := s.scheduleRegWrite(w, in, execMask, s.cycle+uint64(lat)); wb != nil {
+			evalALU(in, src, w.predMask(in.Guard)&execMask, &wb.val)
+		}
 		w.advance()
 		if in.Op == isa.OpRcp {
 			s.demote(w, s.cycle+uint64(lat))
@@ -263,17 +302,20 @@ func (s *SM) issue(w *warp, in *isa.Instr) {
 	}
 }
 
-// scheduleRegWrite maps the destination (allocating if needed) and queues
-// the writeback.
-func (s *SM) scheduleRegWrite(w *warp, in *isa.Instr, val lanes, execMask uint32, lat int) {
+// scheduleRegWrite maps the destination (allocating if needed) and
+// queues a writeback of it for delivery at cycle plus any wakeup
+// penalty. It returns the queued slot, whose value the caller fills
+// before the next push, or nil when the instruction writes no register
+// or the allocation failed.
+func (s *SM) scheduleRegWrite(w *warp, in *isa.Instr, execMask uint32, cycle uint64) *writeback {
 	d, ok := in.DstReg()
 	if !ok {
-		return
+		return nil
 	}
 	fullWrite := !in.Guard.Guarded() && execMask == w.initMask
 	if err := s.injectFault(FaultSiteAlloc); err != nil {
 		s.failInvariant(w, in.PC, "allocation failed after pre-check (injected)")
-		return
+		return nil
 	}
 	res, allocOK := s.table.PhysForWrite(w.slot, d, fullWrite)
 	if !allocOK {
@@ -281,7 +323,7 @@ func (s *SM) scheduleRegWrite(w *warp, in *isa.Instr, val lanes, execMask uint32
 		// an invariant violation. Recorded, not panicked: the run fails
 		// with full context and the hosting process stays up.
 		s.failInvariant(w, in.PC, "allocation failed after pre-check")
-		return
+		return nil
 	}
 	if res.Freed {
 		s.gov.OnRelease(w.cta.slot, arch.BankOf(int(d)))
@@ -292,16 +334,19 @@ func (s *SM) scheduleRegWrite(w *warp, in *isa.Instr, val lanes, execMask uint32
 	}
 	w.busyRegs = w.busyRegs.Add(d)
 	w.inflight++
-	s.pushWB(s.cycle+uint64(lat+res.WakeCycles), writeback{
-		w: w, reg: d, phys: res.Phys, val: val, mask: execMask, pred: -1, hasReg: true,
-	})
+	wb := s.pushWB(cycle + uint64(res.WakeCycles))
+	wb.w, wb.reg, wb.phys, wb.mask = w, d, res.Phys, execMask
+	wb.pred, wb.predVal, wb.memReq, wb.hasReg = -1, 0, false, true
+	return wb
 }
 
-func (s *SM) pushWB(cycle uint64, wb writeback) {
+// pushWB queues a writeback for delivery at cycle (the next cycle at
+// the earliest) and returns its slot for the caller to fill.
+func (s *SM) pushWB(cycle uint64) *writeback {
 	if cycle <= s.cycle {
 		cycle = s.cycle + 1
 	}
-	s.wbQueue.push(cycle, wb)
+	return s.wbQueue.push(cycle)
 }
 
 func (s *SM) execBranch(w *warp, in *isa.Instr, active, execMask uint32) {
@@ -326,7 +371,8 @@ func (s *SM) execBranch(w *warp, in *isa.Instr, active, execMask uint32) {
 	}
 }
 
-func (s *SM) execStore(w *warp, in *isa.Instr, src [isa.MaxSrcOperands]lanes, execMask uint32) {
+func (s *SM) execStore(w *warp, in *isa.Instr, execMask uint32) {
+	src := &s.operands
 	for l := 0; l < arch.WarpSize; l++ {
 		if execMask&(1<<uint(l)) == 0 {
 			continue
@@ -336,20 +382,15 @@ func (s *SM) execStore(w *warp, in *isa.Instr, src [isa.MaxSrcOperands]lanes, ex
 	}
 	if in.Space != isa.SpaceShared {
 		done := s.mem.accept()
-		s.pushWB(done, writeback{w: w, pred: -1, memReq: true})
+		*s.pushWB(done) = writeback{w: w, pred: -1, memReq: true}
 		w.inflight++
 	}
 }
 
-func (s *SM) execLoad(w *warp, in *isa.Instr, src [isa.MaxSrcOperands]lanes, execMask uint32, extra int) {
-	var val lanes
-	for l := 0; l < arch.WarpSize; l++ {
-		if execMask&(1<<uint(l)) == 0 {
-			continue
-		}
-		k := s.memLaneKey(w, in, src[0][l], l)
-		val[l] = s.mem.load(k)
-	}
+// execLoad issues a load: the destination is mapped and the writeback
+// queued first, then each active lane's word is read straight into the
+// writeback's slot (inactive lanes read as zero).
+func (s *SM) execLoad(w *warp, in *isa.Instr, execMask uint32, extra int) {
 	d, ok := in.DstReg()
 	if !ok {
 		return
@@ -373,17 +414,25 @@ func (s *SM) execLoad(w *warp, in *isa.Instr, src [isa.MaxSrcOperands]lanes, exe
 	}
 	w.busyRegs = w.busyRegs.Add(d)
 	w.inflight++
+	long := in.Space != isa.SpaceShared
 	var done uint64
-	if in.Space == isa.SpaceShared {
-		done = s.cycle + uint64(arch.SharedMemLatency+extra+res.WakeCycles)
-	} else {
+	if long {
 		done = s.mem.accept() + uint64(extra+res.WakeCycles)
 		s.demote(w, done)
+	} else {
+		done = s.cycle + uint64(arch.SharedMemLatency+extra+res.WakeCycles)
 	}
-	s.pushWB(done, writeback{
-		w: w, reg: d, phys: res.Phys, val: val, mask: execMask, pred: -1,
-		hasReg: true, memReq: in.Space != isa.SpaceShared,
-	})
+	wb := s.pushWB(done)
+	wb.w, wb.reg, wb.phys, wb.mask = w, d, res.Phys, execMask
+	wb.pred, wb.predVal, wb.memReq, wb.hasReg = -1, 0, long, true
+	base := &s.operands[0]
+	for l := 0; l < arch.WarpSize; l++ {
+		if execMask&(1<<uint(l)) == 0 {
+			wb.val[l] = 0
+			continue
+		}
+		wb.val[l] = s.mem.load(s.memLaneKey(w, in, base[l], l))
+	}
 }
 
 // memLaneKey builds the functional memory key for one lane's access.

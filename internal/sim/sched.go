@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"slices"
-
-	"regvirt/internal/arch"
-)
+import "regvirt/internal/arch"
 
 // Two-level warp scheduling (§5) plus the §8.1 spill fallback. Every
 // routine here mutates SM-private state only; memory effects go through
@@ -18,35 +14,44 @@ const spillTriggerWindow = 5000
 // scheduler, §5: pending warps enter the ready queue when their
 // long-latency operation completes and a slot frees up).
 func (s *SM) promote() {
-	for len(s.ready) < arch.ReadyQueueSize {
+	for len(s.ready) < arch.ReadyQueueSize && s.cycle >= s.promoteAt {
 		idx := -1
+		next := ^uint64(0)
 		for i, w := range s.pendingQ {
-			if w.state == wPending && w.readyAt <= s.cycle {
+			if w.state != wPending {
+				continue
+			}
+			if w.readyAt <= s.cycle {
 				idx = i
 				break
 			}
+			next = min(next, w.readyAt)
 		}
 		if idx == -1 {
+			s.promoteAt = next
 			return
 		}
 		w := s.pendingQ[idx]
 		s.pendingQ = append(s.pendingQ[:idx], s.pendingQ[idx+1:]...)
 		w.state = wReady
 		s.ready = append(s.ready, w)
+		s.busy = true
 	}
 }
 
 // demote removes a warp from the ready queue into pending.
 func (s *SM) demote(w *warp, readyAt uint64) {
+	s.removeFromReady(w)
+	s.pend(w, readyAt)
+}
+
+// pend queues w as pending until cycle readyAt, keeping promoteAt at
+// or below the readyAt of every pending warp.
+func (s *SM) pend(w *warp, readyAt uint64) {
 	w.state = wPending
 	w.readyAt = readyAt
-	for i, r := range s.ready {
-		if r == w {
-			s.ready = append(s.ready[:i], s.ready[i+1:]...)
-			break
-		}
-	}
 	s.pendingQ = append(s.pendingQ, w)
+	s.promoteAt = min(s.promoteAt, readyAt)
 }
 
 // removeFromReady drops a warp that stopped being schedulable (barrier,
@@ -92,7 +97,11 @@ func (s *SM) schedule() bool {
 	}
 	if issuedAny {
 		s.lastProgress = s.cycle
+		s.busy = true
 		return true
+	}
+	if s.allocStalled {
+		s.busy = true
 	}
 	// Zero-issue cycle caused by register-allocation pressure with a full
 	// ready queue: rotate one stalled warp out so pending warps (whose
@@ -108,6 +117,7 @@ func (s *SM) schedule() bool {
 	if s.table.SpillFallback() &&
 		s.cycle-s.lastProgress > spillTriggerWindow &&
 		(s.cycle-s.lastProgress)%spillTriggerWindow == 0 {
+		s.busy = true
 		s.spillVictim()
 	}
 	return false
@@ -125,17 +135,26 @@ func (s *SM) pickOrder() []*warp {
 				order = append(order, w)
 			}
 		}
+		// The rest by slot: an insertion sort, the ready queue holding
+		// at most ReadyQueueSize warps.
 		greedy := len(order)
 		for _, w := range s.ready {
-			if w != s.lastIssued {
-				order = append(order, w)
+			if w == s.lastIssued {
+				continue
 			}
+			i := len(order)
+			order = append(order, w)
+			for ; i > greedy && order[i-1].slot > w.slot; i-- {
+				order[i] = order[i-1]
+			}
+			order[i] = w
 		}
-		slices.SortFunc(order[greedy:], func(a, b *warp) int { return a.slot - b.slot })
-	} else {
-		for k := 0; k < n; k++ {
-			order = append(order, s.ready[(s.rrIndex+k)%n])
-		}
+	} else if n > 0 {
+		// Loose round-robin: the ready queue rotated to start at
+		// rrIndex.
+		start := s.rrIndex % n
+		order = append(order, s.ready[start:]...)
+		order = append(order, s.ready[:start]...)
 	}
 	s.order = order
 	return order
@@ -237,10 +256,9 @@ func (s *SM) restoreSpilled() {
 				s.mem.noteRequests(1) // one coalesced load per register
 			}
 			s.traceRestorePins(w)
+			s.busy = true
 			w.spillSaved = nil
-			w.state = wPending
-			w.readyAt = s.cycle + uint64(arch.GlobalMemLatency)
-			s.pendingQ = append(s.pendingQ, w)
+			s.pend(w, s.cycle+uint64(arch.GlobalMemLatency))
 		}
 	}
 }

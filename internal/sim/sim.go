@@ -12,7 +12,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"maps"
 
 	"regvirt/internal/arch"
 	"regvirt/internal/compiler"
@@ -288,6 +287,12 @@ func Run(cfg Config, spec LaunchSpec) (*Result, error) {
 // per kernel (§7.2: it is indexed by PC, which a kernel switch
 // invalidates). One Result is returned per launch.
 func RunSequence(cfg Config, specs ...LaunchSpec) ([]*Result, error) {
+	return runSequence(cfg, specs, nil)
+}
+
+// runSequence is RunSequence, calling prepare (when non-nil) on each
+// kernel's SM before it runs.
+func runSequence(cfg Config, specs []LaunchSpec, prepare func(*SM)) ([]*Result, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("sim: empty kernel sequence")
 	}
@@ -299,11 +304,13 @@ func RunSequence(cfg Config, specs ...LaunchSpec) ([]*Result, error) {
 			return nil, fmt.Errorf("sim: kernel %d: %w", i, err)
 		}
 		if mem != nil {
-			// The previous kernel's Result owns the global map it was
-			// handed; this kernel continues on a copy.
-			mem.global = maps.Clone(mem.global)
+			// Global memory carries over; the previous kernel's Result
+			// holds a map of it made when that kernel ended.
 			mem.resetScratch()
 			sm.mem = mem
+		}
+		if prepare != nil {
+			prepare(sm)
 		}
 		res, err := sm.run()
 		if err != nil {

@@ -40,12 +40,12 @@ type ctaState struct {
 // writeback is a scheduled result delivery.
 type writeback struct {
 	w       *warp
-	reg     isa.RegID
-	phys    regfile.PhysReg
 	val     lanes
 	mask    uint32
-	pred    int8 // destination predicate (isetp), -1 otherwise
 	predVal uint32
+	phys    regfile.PhysReg
+	reg     isa.RegID
+	pred    int8 // destination predicate (isetp), -1 otherwise
 	memReq  bool // retires a memory request
 	hasReg  bool
 }
@@ -55,7 +55,7 @@ type writeback struct {
 // entries pops hand back to a free list. Writebacks due in one cycle
 // come out in the order they were pushed — regcache's FIFO replacement
 // depends on it — and pushing and popping allocate nothing until more
-// writebacks are in flight than the capacity init gave the queue.
+// writebacks are in flight than the capacity the launch gave the queue.
 type wbQueue struct {
 	slab []writeback
 	free []int32
@@ -73,26 +73,28 @@ func (a wbRef) before(b wbRef) bool {
 	return a.cycle < b.cycle || (a.cycle == b.cycle && a.seq < b.seq)
 }
 
-// init sizes an empty queue for n writebacks in flight.
-func (q *wbQueue) init(n int) {
-	q.slab = make([]writeback, 0, n)
-	q.free = make([]int32, 0, n)
-	q.heap = make([]wbRef, 0, n)
-}
-
 // len is the number of writebacks in flight.
 func (q *wbQueue) len() int { return len(q.heap) }
 
-// push schedules wb for delivery at cycle.
-func (q *wbQueue) push(cycle uint64, wb writeback) {
+// next returns the delivery cycle of the first writeback due, if any.
+func (q *wbQueue) next() (uint64, bool) {
+	if len(q.heap) == 0 {
+		return 0, false
+	}
+	return q.heap[0].cycle, true
+}
+
+// push schedules a writeback for delivery at cycle and returns its
+// slot, valid until the next push, for the caller to fill: a result is
+// computed straight into the queue, never copied through it.
+func (q *wbQueue) push(cycle uint64) *writeback {
 	var idx int32
 	if n := len(q.free); n > 0 {
 		idx = q.free[n-1]
 		q.free = q.free[:n-1]
-		q.slab[idx] = wb
 	} else {
 		idx = int32(len(q.slab))
-		q.slab = append(q.slab, wb)
+		q.slab = append(q.slab, writeback{})
 	}
 	q.heap = append(q.heap, wbRef{cycle: cycle, seq: q.seq, idx: idx})
 	q.seq++
@@ -105,6 +107,7 @@ func (q *wbQueue) push(cycle uint64, wb writeback) {
 		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
+	return &q.slab[idx]
 }
 
 // pop removes the first writeback due by cycle. The entry stays valid
@@ -165,11 +168,25 @@ type SM struct {
 	// ctaSlots holds the resident CTA of each slot (nil = free); the
 	// launch uses the first spec.ConcCTAs (slots).
 	ctaSlots [arch.MaxCTAsPerSM]*ctaState
+	// fresh holds, per slot, storage the launch carved for the slot's
+	// first CTA (nil once used, or when the launch has none for it).
+	fresh    [arch.MaxCTAsPerSM]*ctaState
 	ready    []*warp
 	pendingQ []*warp
+	// promoteAt is at or below the readyAt of every pending warp, so
+	// promote skips its scan before it (pend lowers it; a scan that
+	// finds no warp to promote raises it to their earliest readyAt).
+	promoteAt uint64
 	// order is the scheduler's selection-order buffer, refilled by
 	// pickOrder every scheduler pass.
 	order []*warp
+
+	// operands is the operand scratch: issue reads an instruction's
+	// source operands into it once, and the execute stage takes them by
+	// pointer. masks is every instruction's scoreboard footprint, by PC
+	// (one slice per launch, shared by its SMs).
+	operands [isa.MaxSrcOperands]lanes
+	masks    []scoreMask
 
 	cycle    uint64
 	src      *ctaSource
@@ -193,6 +210,18 @@ type SM struct {
 	// the feature when off.
 	prof *Profile
 
+	// Stall skipping (sleep.go): busy records that the cycle in progress
+	// changed state beyond the hazard-stall count; wake, when above
+	// cycle, is the next cycle the SM must step, every cycle before it
+	// repeating the last quiet one, which counted quietHazards hazard
+	// stalls; slept counts the cycles skipped so far; stepEvery turns
+	// skipping off (tests).
+	busy         bool
+	wake         uint64
+	quietHazards uint64
+	slept        uint64
+	stepEvery    bool
+
 	res               Result
 	residentWarpCyc   uint64
 	allocStalled      bool
@@ -209,28 +238,34 @@ func newSM(cfg Config, spec LaunchSpec) (*SM, error) {
 	if err := validate(&cfg, &spec); err != nil {
 		return nil, err
 	}
-	s := &SM{}
+	sms := make([]SM, 1)
 	src := &ctaSource{limit: max(spec.GridCTAs/arch.NumSMs, 1)}
-	if err := s.init(cfg, spec, newMemSys(), src); err != nil {
+	mem := newMemSys()
+	if err := buildSMs(sms, cfg, spec, func(int) memPort { return mem }, src); err != nil {
 		return nil, err
 	}
-	return s, nil
+	return &sms[0], nil
 }
 
-// init builds the SM in place for a validated launch, around the
-// memory port and CTA source it is given.
-func (s *SM) init(cfg Config, spec LaunchSpec, mem memPort, src *ctaSource) error {
-	file, err := regfile.New(regfile.Config{
+// buildSMs builds the SMs of a validated launch in place, SM i around
+// memory port port(i), all drawing CTAs from src. Each kind of per-SM
+// component — register files, backends, flag caches, governors,
+// writeback and scheduler queues, profiles, and the first wave of CTAs
+// — comes from launch-wide slabs, one allocation per kind for the
+// whole launch.
+func buildSMs(sms []SM, cfg Config, spec LaunchSpec, port func(i int) memPort, src *ctaSource) error {
+	n := len(sms)
+	files, err := regfile.NewFiles(regfile.Config{
 		NumRegs:         cfg.PhysRegs,
 		PowerGating:     cfg.PowerGating,
 		WakeupLatency:   cfg.WakeupLatency,
 		Policy:          cfg.AllocPolicy,
 		PoisonOnRelease: cfg.PoisonReleased,
-	})
+	}, n)
 	if err != nil {
 		return err
 	}
-	table, err := rename.NewBackend(rename.Config{
+	tables, err := rename.NewBackends(rename.Config{
 		Mode:              cfg.Mode,
 		RegCount:          spec.Kernel.Prog.RegCount,
 		Exempt:            exemptFor(cfg.Mode, spec.Kernel.Exempt),
@@ -238,42 +273,71 @@ func (s *SM) init(cfg Config, spec LaunchSpec, mem memPort, src *ctaSource) erro
 		CacheEntries:      cfg.RFCacheEntries,
 		CacheWriteThrough: cfg.RFCacheWriteThrough,
 		SpillRegs:         cfg.SpillRegs,
-	}, file)
+	}, files)
 	if err != nil {
 		return err
 	}
-	fcache, err := flagcache.New(cfg.FlagCacheEntries)
+	fcaches, err := flagcache.NewCaches(cfg.FlagCacheEntries, n)
 	if err != nil {
 		return err
 	}
 	wpc := spec.warpsPerCTA()
-	gov, err := throttle.New(arch.MaxCTAsPerSM, spec.Kernel.Prog.RegCount, wpc)
+	govs, err := throttle.NewGovernors(n, arch.MaxCTAsPerSM, spec.Kernel.Prog.RegCount, wpc)
 	if err != nil {
 		return err
-	}
-	gov.Policy = cfg.ThrottlePolicy
-	*s = SM{
-		cfg: cfg, spec: spec, prog: spec.Kernel.Prog,
-		file: file, table: table, fcache: fcache, gov: gov,
-		mem:         mem,
-		warpsPerCTA: wpc,
-		src:         src,
 	}
 	// The queues are sized from the launch once. The writeback queue
 	// gets room for one writeback per MSHR plus one per resident warp
 	// (bench kernels peak at 56 of 64); a deeper queue still grows. The
 	// ready queue and the scheduler's order buffer never hold more than
 	// ReadyQueueSize warps, and the pending queue holds each resident
-	// warp at most once; the three share one slab.
+	// warp at most once.
 	residents := wpc * spec.ConcCTAs
-	s.wbQueue.init(arch.MaxOutstandingReqs + residents)
-	q := make([]*warp, 2*arch.ReadyQueueSize+residents)
-	s.ready = q[:0:arch.ReadyQueueSize]
-	s.order = q[arch.ReadyQueueSize : arch.ReadyQueueSize : 2*arch.ReadyQueueSize]
-	s.pendingQ = q[2*arch.ReadyQueueSize : 2*arch.ReadyQueueSize]
+	wbs := arch.MaxOutstandingReqs + residents
+	wbSlab, wbFree, wbHeap := make([]writeback, n*wbs), make([]int32, n*wbs), make([]wbRef, n*wbs)
+	qs := 2*arch.ReadyQueueSize + residents
+	queues := make([]*warp, n*qs)
+	// The first wave: the CTAs the launch places before any completes,
+	// dealt one per SM per slot round, as distribute and dispatchCTAs
+	// place them.
+	wave := newCTAs(min(src.limit, n*spec.ConcCTAs), wpc)
+	var profiles []Profile
+	var issued []uint64
 	if cfg.Profile {
-		s.res.Profile = newProfile()
-		s.prof = s.res.Profile
+		profiles = make([]Profile, n)
+		issued = make([]uint64, n*arch.MaxWarpsPerSM)
+	}
+	masks := scoreMasks(spec.Kernel.Prog)
+	for i := range sms {
+		govs[i].Policy = cfg.ThrottlePolicy
+		s := &sms[i]
+		*s = SM{
+			cfg: cfg, spec: spec, prog: spec.Kernel.Prog,
+			file: &files[i], table: tables[i], fcache: &fcaches[i], gov: &govs[i],
+			mem:         port(i),
+			warpsPerCTA: wpc,
+			masks:       masks,
+			src:         src,
+			smID:        i,
+		}
+		s.wbQueue.slab = wbSlab[i*wbs : i*wbs : (i+1)*wbs]
+		s.wbQueue.free = wbFree[i*wbs : i*wbs : (i+1)*wbs]
+		s.wbQueue.heap = wbHeap[i*wbs : i*wbs : (i+1)*wbs]
+		q := queues[i*qs : (i+1)*qs : (i+1)*qs]
+		s.ready = q[:0:arch.ReadyQueueSize]
+		s.order = q[arch.ReadyQueueSize : arch.ReadyQueueSize : 2*arch.ReadyQueueSize]
+		s.pendingQ = q[2*arch.ReadyQueueSize : 2*arch.ReadyQueueSize]
+		for slot := range spec.ConcCTAs {
+			if k := slot*n + i; k < len(wave) {
+				s.fresh[slot] = &wave[k]
+			}
+		}
+		if cfg.Profile {
+			p := &profiles[i]
+			p.WarpIssued = issued[i*arch.MaxWarpsPerSM : (i+1)*arch.MaxWarpsPerSM : (i+1)*arch.MaxWarpsPerSM]
+			s.res.Profile = p
+			s.prof = p
+		}
 	}
 	return nil
 }
@@ -345,6 +409,9 @@ func (s *SM) run() (*Result, error) {
 // the uninterrupted run would and diverge the two.
 func (s *SM) runLoop() (*Result, error) {
 	for !s.finished() {
+		if s.asleep() {
+			s.catchUp(s.wake)
+		}
 		if err := s.stepChecked(); err != nil {
 			if s.cfg.Checkpoint != nil && errors.Is(err, ErrCancelled) {
 				// Cancellation is detected before the cycle's first
@@ -356,27 +423,32 @@ func (s *SM) runLoop() (*Result, error) {
 		s.maybeCheckpoint()
 	}
 	res := s.finalize()
-	res.Stores = s.mem.(*memSys).global // single-SM runs always use the direct port
+	res.Stores = s.mem.(*memSys).global.stores() // single-SM runs always use the direct port
 	return res, nil
 }
 
 // step advances one cycle. In whole-device mode this is the compute
 // phase: it reads shared memory (as of the last commit) through the
-// memPort but never mutates shared state directly.
+// memPort but never mutates shared state directly. A cycle that
+// changed nothing but the hazard-stall count puts the SM to sleep
+// until its next event (settle).
 func (s *SM) step() {
+	s.busy = false
 	s.mem.tick(s.cycle)
 	s.applyWritebacks()
 	s.restoreSpilled()
 	s.promote()
+	hazards := s.res.Stalls.Hazard
 	if s.prof != nil {
 		s.profiledSchedule()
 	} else {
 		s.schedule()
 	}
-	s.file.TickPower()
+	s.file.TickPower(1)
 	s.trace()
 	s.residentWarpCyc += uint64(s.residentWarps)
 	s.cycle++
+	s.settle(s.res.Stalls.Hazard - hazards)
 }
 
 func (s *SM) applyWritebacks() {
@@ -385,6 +457,7 @@ func (s *SM) applyWritebacks() {
 		if !ok {
 			return
 		}
+		s.busy = true
 		if wb.memReq {
 			s.mem.complete()
 		}

@@ -66,20 +66,32 @@ type ctaBalance struct {
 // concurrent CTAs running a kernel with regsPerWarp architected
 // registers and warpsPerCTA warps per CTA.
 func New(slots, regsPerWarp, warpsPerCTA int) (*Governor, error) {
+	gs, err := NewGovernors(1, slots, regsPerWarp, warpsPerCTA)
+	if err != nil {
+		return nil, err
+	}
+	return &gs[0], nil
+}
+
+// NewGovernors builds n governors of one geometry in one slab (see
+// New): a whole-device launch builds its SMs' governors this way, once.
+func NewGovernors(n, slots, regsPerWarp, warpsPerCTA int) ([]Governor, error) {
 	if slots <= 0 || slots > arch.MaxCTAsPerSM || regsPerWarp <= 0 || warpsPerCTA <= 0 {
 		return nil, fmt.Errorf("throttle: invalid geometry (%d slots, %d regs/warp, %d warps/CTA)",
 			slots, regsPerWarp, warpsPerCTA)
 	}
-	g := &Governor{
-		maxPerCTA: regsPerWarp * warpsPerCTA,
-		slots:     slots,
+	gs := make([]Governor, n)
+	for i := range gs {
+		g := &gs[i]
+		g.maxPerCTA = regsPerWarp * warpsPerCTA
+		g.slots = slots
+		for r := 0; r < regsPerWarp; r++ {
+			g.maxPerBank[arch.BankOf(r)] += warpsPerCTA
+		}
+		g.reservedBank = -1
+		g.reservedSlot = -1
 	}
-	for r := 0; r < regsPerWarp; r++ {
-		g.maxPerBank[arch.BankOf(r)] += warpsPerCTA
-	}
-	g.reservedBank = -1
-	g.reservedSlot = -1
-	return g, nil
+	return gs, nil
 }
 
 // CTALaunched marks a CTA slot active with zero registers allocated.
