@@ -101,13 +101,16 @@ nemesis:
 	$(GO) test -race -count=1 -run 'TestNemesis' -v ./cmd/regvd
 
 # Short fuzz smoke: the journal-replay parser (never panics, accepts
-# exactly the longest valid prefix), the ISA text and binary parsers, and
+# exactly the longest valid prefix), the standby's ship-body parser and
+# frame append (only frames whose checksum and record verify reach the
+# copy), the ISA text and binary parsers, and
 # the integrity-envelope decoders behind every result/checkpoint read
 # (differential against an independent open+decode; corrupt bytes are
 # misses, never wrong answers). ~30s per target; CI runs this as its
 # own job.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzJournalReplay -fuzztime=30s ./internal/jobs/store
+	$(GO) test -run=^$$ -fuzz=FuzzShipFrames -fuzztime=30s ./internal/jobs/store
 	$(GO) test -run=^$$ -fuzz=FuzzResultDecode -fuzztime=30s ./internal/jobs/store
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointDecode -fuzztime=30s ./internal/jobs/store
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=30s ./internal/isa

@@ -23,7 +23,7 @@
 //	GET  /v1/cluster    cluster role and replication/routing state
 //
 // Observability: every request carries a trace (join with the
-// X-RegVD-Trace header, read the ID back from the response) whose
+// X-Regvd-Trace header, read the ID back from the response) whose
 // spans — admission, queue wait, simulation, checkpoint writes, and in
 // cluster mode the router hops — are served by GET /v1/trace/{id};
 // through the router the trace is stitched across every shard it
@@ -56,7 +56,7 @@
 // Scheduling: jobs are dispatched by a multi-tenant fair-share
 // scheduler (stride scheduling over the -tenants weights; priorities
 // order jobs within a tenant's queue). Requests name their tenant in
-// the job body ("tenant") or the X-RegVD-Tenant header; tenantless
+// the job body ("tenant") or the X-Regvd-Tenant header; tenantless
 // requests ride the shared "default" queue, so pre-tenancy clients
 // keep working unchanged. -tenants takes comma-separated
 // name:weight[:maxQueued[:maxRunning[:maxPriority]]] entries ("*" for

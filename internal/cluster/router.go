@@ -100,7 +100,10 @@ type Router struct {
 	nodes  map[string]*node  // ring members + learned standbys
 	epochs map[string]uint64 // keyspace -> ownership epoch (router is the authority)
 
-	cache *jobs.Cache[string, *jobs.Result]
+	// cache holds tenantless result encodings (Result.JSON's bytes): a
+	// hit is written out as it is, with the requester's tenant spliced
+	// in, and nothing is decoded.
+	cache *jobs.Cache[string, []byte]
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -172,7 +175,7 @@ func newRouter(shards []ShardInfo, opts RouterOptions, probeEvery time.Duration,
 		policy:     policy,
 		nodes:      map[string]*node{},
 		epochs:     map[string]uint64{},
-		cache:      jobs.NewCache[string, *jobs.Result](),
+		cache:      jobs.NewCache[string, []byte](),
 		stop:       make(chan struct{}),
 		started:    time.Now(),
 		tracer:     opts.Tracer,
@@ -485,33 +488,25 @@ func (r *Router) route(id string) (target, owner *node, err error) {
 
 // ---- result cache (tenant-scrubbed) ----
 
-// cachePut files a result under its content address unless one is
-// already cached (content addressing makes both the same bytes). The
-// stored copy is always scrubbed of tenant identity: the cache is
-// shared across every tenant the router serves, and a hit is stamped
-// per-response — never with the tenant whose request happened to fill
-// it.
-func (r *Router) cachePut(id string, res *jobs.Result) {
-	if res == nil {
-		return
-	}
-	r.cache.Do(context.Background(), id, func() (*jobs.Result, error) {
-		cp := *res
-		cp.Tenant = ""
-		return &cp, nil
+// cachePut files a result encoding under its content address unless
+// one is already cached (content addressing makes both the same
+// bytes), and returns the cached encoding. The stored copy is always
+// scrubbed of tenant identity: the cache is shared across every tenant
+// the router serves, and a hit is stamped per-response — never with
+// the tenant whose request happened to fill it.
+func (r *Router) cachePut(id string, res []byte) []byte {
+	cached, _, _ := r.cache.Do(context.Background(), id, func() ([]byte, error) {
+		return jobs.ResultWithTenant(res, ""), nil
 	})
+	return cached
 }
 
-// stamped returns the response copy of a cached result: the cached
-// encoding is tenantless and shared; requests that name a tenant get
-// it echoed on their own copy only.
-func stamped(res *jobs.Result, tenant string) *jobs.Result {
-	if tenant == "" {
-		return res
-	}
+// cachePutResult is cachePut of a decoded result (a status answer, a
+// peer's copy).
+func (r *Router) cachePutResult(id string, res *jobs.Result) []byte {
 	cp := *res
-	cp.Tenant = tenant
-	return &cp
+	cp.Tenant = ""
+	return r.cachePut(id, cp.JSON())
 }
 
 // peerLookup asks every healthy backend's cache/disk tier for an
@@ -561,11 +556,12 @@ func (r *Router) Handler() http.Handler {
 // with the keyspace it hashed to, the router's current epoch for that
 // keyspace, and which backend actually served it — the observable the
 // nemesis suite groups by (keyspace, epoch) to assert at most one
-// writer ever acked in any epoch.
+// writer ever acked in any epoch. The names are spelled in the
+// canonical form net/http puts on the wire.
 const (
-	KeyspaceHeader = "X-RegVD-Keyspace"
-	EpochHeader    = "X-RegVD-Epoch"
-	ServedByHeader = "X-RegVD-Served-By"
+	KeyspaceHeader = "X-Regvd-Keyspace"
+	EpochHeader    = "X-Regvd-Epoch"
+	ServedByHeader = "X-Regvd-Served-By"
 )
 
 // stampOwnership writes the ownership ack headers for a forwarded
@@ -654,7 +650,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	if res, ok := r.cache.Get(id); ok {
 		r.cacheHits.Add(1)
 		span.SetAttr("outcome", "router-cache")
-		r.respondResult(w, job.Async, id, stamped(res, job.Tenant))
+		respondResult(w, job.Async, id, res, job.Tenant)
 		return
 	}
 
@@ -663,29 +659,21 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 			if res := r.peerLookup(ctx, id, nil); res != nil {
 				r.peerHits.Add(1)
 				span.SetAttr("outcome", "peer-hit")
-				r.cachePut(id, res)
-				r.respondResult(w, job.Async, id, stamped(res, job.Tenant))
+				respondResult(w, job.Async, id, r.cachePutResult(id, res), job.Tenant)
 				return nil
 			}
 		}
 		fctx, fsp := r.tracer.Start(ctx, "router.forward")
 		fsp.SetAttr("shard", target.name)
 		var (
-			code = http.StatusOK
-			body any
-			res  *jobs.Result
-			err  error
+			st  jobs.JobStatus
+			raw []byte // a sync answer: the result encoding, relayed as it came
+			err error
 		)
 		if job.Async {
-			var st jobs.JobStatus
 			st, err = target.c.SubmitAsyncStatus(fctx, job)
-			code, body = http.StatusAccepted, st
-			if st.State == "done" {
-				res = st.Result
-			}
 		} else {
-			res, err = target.c.Submit(fctx, job)
-			body = res
+			raw, err = target.c.SubmitBytes(fctx, job)
 		}
 		fsp.SetError(err)
 		fsp.End()
@@ -694,9 +682,16 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		}
 		target.routed.Add(1)
 		span.SetAttr("outcome", "forwarded")
-		r.cachePut(id, res)
 		r.stampOwnership(w, owner, target)
-		jobs.WriteJSON(w, code, body)
+		if !job.Async {
+			r.cachePut(id, raw)
+			jobs.WriteRaw(w, http.StatusOK, raw)
+			return nil
+		}
+		if st.State == "done" && st.Result != nil {
+			r.cachePutResult(id, st.Result)
+		}
+		jobs.WriteJSON(w, http.StatusAccepted, st)
 		return nil
 	})
 }
@@ -713,7 +708,7 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 	if res, ok := r.cache.Get(id); ok {
 		r.cacheHits.Add(1)
 		span.SetAttr("outcome", "router-cache")
-		jobs.WriteJSON(w, http.StatusOK, jobs.JobStatus{ID: id, State: "done", Result: res})
+		jobs.WriteDoneStatus(w, http.StatusOK, id, res)
 		return
 	}
 	r.forward(ctx, w, span, id, func(target, _ *node, _ bool) error {
@@ -734,7 +729,7 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 			st = jobs.JobStatus{ID: id, State: "done", Result: res}
 		}
 		if st.State == "done" && st.Result != nil {
-			r.cachePut(id, st.Result)
+			r.cachePutResult(id, st.Result)
 		}
 		jobs.WriteJSON(w, http.StatusOK, st)
 		return nil
@@ -948,14 +943,16 @@ func (r *Router) handleQueues(w http.ResponseWriter, req *http.Request) {
 	jobs.WriteJSON(w, http.StatusOK, out)
 }
 
-// respondResult answers a submit from a cached result, preserving the
-// sync/async response shapes.
-func (r *Router) respondResult(w http.ResponseWriter, async bool, id string, res *jobs.Result) {
+// respondResult answers a submit from a cached, tenantless result
+// encoding, stamped with the requester's tenant on this response only,
+// preserving the sync/async response shapes.
+func respondResult(w http.ResponseWriter, async bool, id string, res []byte, tenant string) {
+	res = jobs.ResultWithTenant(res, tenant)
 	if async {
-		jobs.WriteJSON(w, http.StatusAccepted, jobs.JobStatus{ID: id, State: "done", Result: res})
+		jobs.WriteDoneStatus(w, http.StatusAccepted, id, res)
 		return
 	}
-	jobs.WriteJSON(w, http.StatusOK, res)
+	jobs.WriteRaw(w, http.StatusOK, res)
 }
 
 // writeAPIError relays a shard's typed refusal verbatim, status,

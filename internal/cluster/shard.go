@@ -176,10 +176,14 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // handleShip files shipped frames (or a snapshot) into the standby
 // copy. Continuity violations are not errors at the HTTP layer: the
 // response's resync flag tells the shipper to export a snapshot, which
-// arrives on this same endpoint with Snapshot set.
+// arrives on this same endpoint as JSON with Snapshot set.
 func (s *ShardServer) handleShip(w http.ResponseWriter, r *http.Request) {
 	if s.standby == nil {
 		jobs.WriteError(w, http.StatusServiceUnavailable, "shard %s has no standby storage (-data-dir required)", s.name)
+		return
+	}
+	if r.Header.Get("Content-Type") == shipFramesType {
+		s.handleShipFrames(w, r)
 		return
 	}
 	var req shipRequest
@@ -190,30 +194,65 @@ func (s *ShardServer) handleShip(w http.ResponseWriter, r *http.Request) {
 		jobs.WriteError(w, http.StatusBadRequest, "invalid source shard %q", req.Shard)
 		return
 	}
+	if !req.Snapshot {
+		jobs.WriteError(w, http.StatusBadRequest, "a JSON ship must be a snapshot; frames travel as %s", shipFramesType)
+		return
+	}
 	if !s.fenceCheck(w, req.Shard, req.Epoch) {
 		return
 	}
-	resp := shipResponse{}
-	if req.Snapshot {
-		if err := s.standby.InstallSnapshot(req.Shard, req.Gen, req.Records, req.NextSeq); err != nil {
-			jobs.WriteError(w, http.StatusInternalServerError, "install snapshot from %s: %v", req.Shard, err)
+	if err := s.standby.InstallSnapshot(req.Shard, req.Gen, req.Records, req.NextSeq); err != nil {
+		jobs.WriteError(w, http.StatusInternalServerError, "install snapshot from %s: %v", req.Shard, err)
+		return
+	}
+	s.log.Info("installed journal snapshot", "shard", s.name, "from", req.Shard, "gen", req.Gen, "records", len(req.Records))
+	resp := shipResponse{Applied: len(req.Records)}
+	resp.Gen, resp.LastSeq = s.standby.State(req.Shard)
+	jobs.WriteJSON(w, http.StatusOK, resp)
+}
+
+// handleShipFrames applies a binary batch of shipped frames. A body
+// that ends mid-frame applies the whole frames before that point and
+// asks for a resync, as a frame that fails verification does.
+func (s *ShardServer) handleShipFrames(w http.ResponseWriter, r *http.Request) {
+	shard := jobs.QueryValue(r.URL.RawQuery, "shard")
+	if shard == "" || shard == s.name {
+		jobs.WriteError(w, http.StatusBadRequest, "invalid source shard %q", shard)
+		return
+	}
+	var epoch uint64
+	if v := jobs.QueryValue(r.URL.RawQuery, "epoch"); v != "" {
+		var err error
+		if epoch, err = strconv.ParseUint(v, 10, 64); err != nil {
+			jobs.WriteError(w, http.StatusBadRequest, "bad epoch %q", v)
 			return
 		}
-		resp.Applied = len(req.Records)
-		s.log.Info("installed journal snapshot", "shard", s.name, "from", req.Shard, "gen", req.Gen, "records", len(req.Records))
-	} else {
-		applied, err := s.standby.ApplyFrames(req.Shard, req.Frames)
-		resp.Applied = applied
-		if err != nil {
-			if errors.Is(err, store.ErrGap) || errors.Is(err, store.ErrBadFrame) {
-				resp.Resync = true
-			} else {
-				jobs.WriteError(w, http.StatusInternalServerError, "apply frames from %s: %v", req.Shard, err)
-				return
-			}
-		}
 	}
-	resp.Gen, resp.LastSeq = s.standby.State(req.Shard)
+	var body []byte
+	if err := jobs.ReadBody(w, r, func() (err error) {
+		body, err = jobs.ReadLimited(r.Body, r.ContentLength, maxShipBody)
+		return err
+	}); err != nil {
+		jobs.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return
+	}
+	if !s.fenceCheck(w, shard, epoch) {
+		return
+	}
+	frames, err := store.ParseShipFrames(body)
+	applied, aerr := s.standby.ApplyFrames(shard, frames)
+	if aerr != nil {
+		err = aerr
+	}
+	resp := shipResponse{Applied: applied}
+	if err != nil {
+		if !errors.Is(err, store.ErrGap) && !errors.Is(err, store.ErrBadFrame) {
+			jobs.WriteError(w, http.StatusInternalServerError, "apply frames from %s: %v", shard, err)
+			return
+		}
+		resp.Resync = true
+	}
+	resp.Gen, resp.LastSeq = s.standby.State(shard)
 	jobs.WriteJSON(w, http.StatusOK, resp)
 }
 

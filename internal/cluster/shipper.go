@@ -2,12 +2,15 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,11 +35,12 @@ import (
 // generation and ships it as a snapshot that replaces the standby's
 // copy. Nothing is ever silently divergent.
 type Shipper struct {
-	shard string // our shard name (labels everything shipped)
-	peer  string // the standby's name (status only)
-	base  string // the standby's base URL
-	hc    *http.Client
-	log   *slog.Logger
+	shard     string // our shard name (labels everything shipped)
+	peer      string // the standby's name (status only)
+	base      string // the standby's base URL
+	framesURL string // the frame-batch URL, up to the epoch's value
+	hc        *http.Client
+	log       *slog.Logger
 
 	mu         sync.Mutex
 	queue      []store.Frame
@@ -70,9 +74,12 @@ type Shipper struct {
 const (
 	shipQueueMax   = 4096
 	shipFlushEvery = 50 * time.Millisecond
-	shipTimeout    = 5 * time.Second
+	// shipTimeout bounds one ship request, from dial to the read of the
+	// standby's answer.
+	shipTimeout = 5 * time.Second
 	// maxShipReply bounds the standby's answer to one ship request.
 	maxShipReply = 1 << 20
+	shipPath     = "/v1/cluster/ship"
 )
 
 // NewShipper wires a shipper for st's journal toward the standby at
@@ -83,7 +90,8 @@ func NewShipper(shard, peer, base string, st *store.Store) *Shipper {
 		shard:      shard,
 		peer:       peer,
 		base:       base,
-		hc:         &http.Client{Timeout: shipTimeout},
+		framesURL:  base + shipPath + "?shard=" + url.QueryEscape(shard) + "&epoch=",
+		hc:         &http.Client{},
 		log:        obs.Nop(),
 		flushEvery: shipFlushEvery,
 		wake:       make(chan struct{}, 1),
@@ -279,14 +287,22 @@ func (sh *Shipper) noteFencedLocked(err error) {
 	}
 }
 
-// flushFramesLocked posts the queued frames (sh.mu held). On success
-// the queue empties; a gap report clears it too (the snapshot will
-// supersede); a network error keeps it for the next tick.
+// flushFramesLocked posts the queued frames as one binary batch (sh.mu
+// held). On success the queue empties; a gap report clears it too (the
+// snapshot will supersede); a network error keeps it for the next tick.
 func (sh *Shipper) flushFramesLocked() error {
 	if len(sh.queue) == 0 {
 		return nil
 	}
-	resp, err := sh.postShip(shipRequest{Shard: sh.shard, Epoch: sh.epoch.Load(), Frames: sh.queue})
+	size := 0
+	for _, f := range sh.queue {
+		size += store.ShipFrameOverhead + len(f.Payload)
+	}
+	body := make([]byte, 0, size)
+	for _, f := range sh.queue {
+		body = store.AppendShipFrame(body, f)
+	}
+	resp, err := sh.post(sh.framesURL+strconv.FormatUint(sh.epoch.Load(), 10), shipFramesType, body)
 	if err != nil {
 		sh.noteFencedLocked(err)
 		return err
@@ -310,7 +326,11 @@ func (sh *Shipper) resync() error {
 	if err != nil {
 		return err
 	}
-	resp, err := sh.postShip(shipRequest{Shard: sh.shard, Epoch: sh.epoch.Load(), Snapshot: true, Gen: gen, NextSeq: nextSeq, Records: recs})
+	data, err := json.Marshal(shipRequest{Shard: sh.shard, Epoch: sh.epoch.Load(), Snapshot: true, Gen: gen, NextSeq: nextSeq, Records: recs})
+	if err != nil {
+		return fmt.Errorf("cluster: encode snapshot: %w", err)
+	}
+	resp, err := sh.post(sh.base+shipPath, "application/json", data)
 	if err != nil {
 		sh.mu.Lock()
 		sh.noteFencedLocked(err)
@@ -329,17 +349,19 @@ func (sh *Shipper) resync() error {
 	return nil
 }
 
-// postShip posts one ship request to the standby and decodes its
-// acknowledgement.
-func (sh *Shipper) postShip(req shipRequest) (*shipResponse, error) {
-	const path = "/v1/cluster/ship"
-	data, err := json.Marshal(req)
+// post sends one ship request (a frame batch or a snapshot) to the
+// standby under shipTimeout and decodes its acknowledgement.
+func (sh *Shipper) post(target, contentType string, body []byte) (*shipResponse, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), shipTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(body))
 	if err != nil {
-		return nil, fmt.Errorf("cluster: encode %s: %w", path, err)
+		return nil, fmt.Errorf("cluster: %s: %w", shipPath, err)
 	}
-	resp, err := sh.hc.Post(sh.base+path, "application/json", bytes.NewReader(data))
+	req.Header.Set("Content-Type", contentType)
+	resp, err := sh.hc.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: %s: %w", path, err)
+		return nil, fmt.Errorf("cluster: %s: %w", shipPath, err)
 	}
 	defer resp.Body.Close()
 	// An ack and a refusal are both a few dozen bytes: read either under
@@ -347,7 +369,7 @@ func (sh *Shipper) postShip(req shipRequest) (*shipResponse, error) {
 	// buffer an endless body.
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxShipReply))
 	if err != nil {
-		return nil, fmt.Errorf("cluster: read %s response: %w", path, err)
+		return nil, fmt.Errorf("cluster: read %s response: %w", shipPath, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		// A 409 of kind "fenced" is a typed verdict (we lost the
@@ -356,11 +378,11 @@ func (sh *Shipper) postShip(req shipRequest) (*shipResponse, error) {
 		if resp.StatusCode == http.StatusConflict && json.Unmarshal(raw, &fb) == nil && fb.Kind == "fenced" {
 			return nil, &FencedError{Keyspace: sh.shard, Epoch: sh.epoch.Load(), Fence: fb.Epoch}
 		}
-		return nil, fmt.Errorf("cluster: %s: HTTP %d: %s", path, resp.StatusCode, strings.TrimSpace(string(raw)))
+		return nil, fmt.Errorf("cluster: %s: HTTP %d: %s", shipPath, resp.StatusCode, strings.TrimSpace(string(raw)))
 	}
 	var ack shipResponse
 	if err := json.Unmarshal(raw, &ack); err != nil {
-		return nil, fmt.Errorf("cluster: decode %s response: %w", path, err)
+		return nil, fmt.Errorf("cluster: decode %s response: %w", shipPath, err)
 	}
 	return &ack, nil
 }

@@ -2,21 +2,31 @@ package cluster
 
 import "regvirt/internal/jobs/store"
 
-// Wire types of the cluster control plane. Everything is JSON over the
-// same HTTP listener the job API uses; shard-to-shard traffic (shipping
-// frames, snapshots, adoption) shares these shapes with the router's
-// probes.
+// Wire types of the cluster control plane. Everything but a batch of
+// shipped journal frames is JSON over the same HTTP listener the job
+// API uses; shard-to-shard traffic (shipping frames, snapshots,
+// adoption) shares these shapes with the router's probes.
 
-// shipRequest carries journal replication: either a batch of frames
-// (Frames) extending the standby's copy, or — with Snapshot set — a
-// full journal export that replaces it (the resync path). Epoch is the
-// sender's ownership epoch for its keyspace: the standby rejects any
-// request below its fence (see FencedError), so a partitioned-away
-// primary cannot keep replicating after its keyspace was adopted.
+// Journal replication reaches POST /v1/cluster/ship in two forms. A
+// batch of frames extending the standby's copy is a binary body of
+// type shipFramesType: the frames in store.AppendShipFrame's wire form
+// (generation and sequence number, then the frame exactly as the
+// journal stores it), with the sender's shard name and epoch in the
+// query (?shard=NAME&epoch=N). The standby verifies each frame as
+// store.Frame.Decode does and appends the ones that extend its copy
+// with one write. A snapshot, the resync path, is a JSON shipRequest.
+// Either way the answer is a JSON shipResponse, or a 409 fencedBody.
+const shipFramesType = "application/octet-stream"
+
+// shipRequest is a snapshot: a full journal export that replaces the
+// standby's copy of the sender's journal. Snapshot must be set (frames
+// travel as shipFramesType). Epoch is the sender's ownership epoch for
+// its keyspace: the standby rejects any request below its fence (see
+// FencedError), so a partitioned-away primary cannot keep replicating
+// after its keyspace was adopted.
 type shipRequest struct {
 	Shard    string         `json:"shard"`
 	Epoch    uint64         `json:"epoch,omitempty"`
-	Frames   []store.Frame  `json:"frames,omitempty"`
 	Snapshot bool           `json:"snapshot,omitempty"`
 	Gen      uint64         `json:"gen,omitempty"`
 	NextSeq  uint64         `json:"next_seq,omitempty"`

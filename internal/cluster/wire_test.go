@@ -6,12 +6,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/textproto"
 	"strings"
 	"testing"
 	"time"
 
 	"regvirt/internal/jobs"
 	"regvirt/internal/jobs/client"
+	"regvirt/internal/obs"
 	"regvirt/internal/sim"
 )
 
@@ -90,5 +92,68 @@ func TestMalformedSubmitSameBody(t *testing.T) {
 		if sType != rType || sBody != rBody {
 			t.Errorf("%s: bodies differ\nshard  (%s) %s\nrouter (%s) %s", body, sType, sBody, rType, rBody)
 		}
+	}
+}
+
+// TestHeaderNamesCanonical: every regvd header name is spelled as
+// net/http writes it on the wire, so Header.Get and Set use it as the
+// map key as it is instead of building a canonical one first.
+func TestHeaderNamesCanonical(t *testing.T) {
+	for _, name := range []string{jobs.TenantHeader, obs.TraceHeader, KeyspaceHeader, EpochHeader, ServedByHeader} {
+		if c := textproto.CanonicalMIMEHeaderKey(name); c != name {
+			t.Errorf("header name %q is not canonical (%q)", name, c)
+		}
+	}
+}
+
+// TestRouterRelaysResultBytes: the router answers a submit with the
+// bytes a shard would have written, whether it relays a forwarded
+// answer or serves its byte cache (tenant spliced in or not, sync,
+// async or status), and never decodes a result on the way.
+func TestRouterRelaysResultBytes(t *testing.T) {
+	pool := jobs.NewPool(1)
+	t.Cleanup(pool.Close)
+	shard := httptest.NewServer(jobs.NewServer(pool).Handler())
+	t.Cleanup(shard.Close)
+	_, routerURL := startRouter(t, []ShardInfo{{Name: "s1", URL: shard.URL}})
+
+	do := func(method, url, tenant, body string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tenant != "" {
+			req.Header.Set(jobs.TenantHeader, tenant)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b)
+	}
+	job := `{"workload":"VectorAdd","physregs":512}`
+	id := jobs.Job{Workload: "VectorAdd", PhysRegs: 512}.Key()
+	for _, tc := range []struct{ name, method, path, tenant, body string }{
+		{"forwarded", http.MethodPost, "/v1/jobs", "alice", job},
+		{"cached, another tenant", http.MethodPost, "/v1/jobs", "bob", job},
+		{"cached, tenant in the body", http.MethodPost, "/v1/jobs", "", `{"workload":"VectorAdd","physregs":512,"tenant":"carol"}`},
+		{"cached, tenantless", http.MethodPost, "/v1/jobs", "", job},
+		{"cached, async", http.MethodPost, "/v1/jobs?async=1", "alice", job},
+		{"cached, status", http.MethodGet, "/v1/jobs/" + id, "", ""},
+	} {
+		rCode, rBody := do(tc.method, routerURL+tc.path, tc.tenant, tc.body)
+		sCode, sBody := do(tc.method, shard.URL+tc.path, tc.tenant, tc.body)
+		if rCode != sCode || rBody != sBody {
+			t.Errorf("%s: router answered %d\n%s\nshard answered %d\n%s", tc.name, rCode, rBody, sCode, sBody)
+		}
+	}
+	if got := pool.Metrics().Executed; got != 1 {
+		t.Errorf("shard executed %d jobs, want 1", got)
 	}
 }

@@ -9,7 +9,7 @@
 // result no matter how many times it arrives.
 //
 // Every request carries the client's tenant (WithTenant, or the
-// REGVD_TENANT environment) in the X-RegVD-Tenant header, so the
+// REGVD_TENANT environment) in the X-Regvd-Tenant header, so the
 // service schedules it under the right fair-share queue. Per-tenant
 // policy refusals — 403 kind "quota" (the tenant's queue is at its
 // MaxQueued cap) and "admission" (strict mode or a priority beyond the
@@ -147,16 +147,28 @@ func (c *Client) Metrics() Metrics {
 // Submit runs a job synchronously on the service and returns its
 // result, retrying transient failures per the policy.
 func (c *Client) Submit(ctx context.Context, job jobs.Job) (*jobs.Result, error) {
+	data, err := c.SubmitBytes(ctx, job)
+	if err != nil {
+		return nil, err
+	}
+	var res jobs.Result
+	if err := decode(http.MethodPost, "/v1/jobs", data, &res); err != nil {
+		return nil, err
+	}
+	return &res, nil
+}
+
+// SubmitBytes is Submit without the decode: it returns the service's
+// answer as it arrived, the result's JSON encoding (a tenant-stamped
+// one when job names a tenant). The cluster router relays these bytes
+// to its caller unchanged.
+func (c *Client) SubmitBytes(ctx context.Context, job jobs.Job) ([]byte, error) {
 	job.Async = false
 	body, err := json.Marshal(job)
 	if err != nil {
 		return nil, fmt.Errorf("client: encode job: %w", err)
 	}
-	var res jobs.Result
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs", body, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return c.do(ctx, http.MethodPost, "/v1/jobs", body)
 }
 
 // SubmitAsync registers a job and returns its content-addressed ID.
@@ -179,7 +191,7 @@ func (c *Client) SubmitAsyncStatus(ctx context.Context, job jobs.Job) (jobs.JobS
 		return jobs.JobStatus{}, fmt.Errorf("client: encode job: %w", err)
 	}
 	var st jobs.JobStatus
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs", body, &st); err != nil {
+	if err := c.doJSON(ctx, http.MethodPost, "/v1/jobs", body, &st); err != nil {
 		return jobs.JobStatus{}, err
 	}
 	if st.ID == "" {
@@ -191,7 +203,7 @@ func (c *Client) SubmitAsyncStatus(ctx context.Context, job jobs.Job) (jobs.JobS
 // Status fetches a job's lifecycle record by ID.
 func (c *Client) Status(ctx context.Context, id string) (jobs.JobStatus, error) {
 	var st jobs.JobStatus
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
+	err := c.doJSON(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
 	return st, err
 }
 
@@ -226,7 +238,7 @@ func (c *Client) Healthz(ctx context.Context) (string, error) {
 	var v struct {
 		Status string `json:"status"`
 	}
-	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &v); err != nil {
+	if err := c.doJSON(ctx, http.MethodGet, "/healthz", nil, &v); err != nil {
 		return "", err
 	}
 	return v.Status, nil
@@ -255,8 +267,28 @@ func (c *Client) Post(ctx context.Context, path string, in, out any) error {
 
 func (c *Client) once(ctx context.Context, method, path string, body []byte, out any) error {
 	c.attempts.Add(1)
-	_, err := c.attempt(ctx, method, path, body, out)
-	return err
+	data, _, err := c.attempt(ctx, method, path, body)
+	if err != nil || out == nil {
+		return err
+	}
+	return decode(method, path, data, out)
+}
+
+// doJSON is do, decoding the successful answer into out.
+func (c *Client) doJSON(ctx context.Context, method, path string, body []byte, out any) error {
+	data, err := c.do(ctx, method, path, body)
+	if err != nil {
+		return err
+	}
+	return decode(method, path, data, out)
+}
+
+// decode unmarshals a successful answer into out.
+func decode(method, path string, data []byte, out any) error {
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("client: decode %s %s response: %w", method, path, err)
+	}
+	return nil
 }
 
 // RetriesExhaustedError reports a retry loop that used every attempt
@@ -292,10 +324,11 @@ func (e *RetriesExhaustedError) Unwrap() error { return e.Last }
 
 // do is the retry loop: attempts the request up to MaxAttempts times,
 // sleeping exponential-backoff-with-full-jitter between attempts and
-// honoring Retry-After hints as a floor. Non-retriable failures (4xx
-// validation errors, invariant 500s) return immediately; exhaustion
-// returns a *RetriesExhaustedError wrapping the last attempt.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
+// honoring Retry-After hints as a floor, and returns the body of the
+// first success. Non-retriable failures (4xx validation errors,
+// invariant 500s) return immediately; exhaustion returns a
+// *RetriesExhaustedError wrapping the last attempt.
+func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	var lastErr error
 	var hint time.Duration
 	for attempt := 0; attempt < c.policy.MaxAttempts; attempt++ {
@@ -304,26 +337,26 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 			select {
 			case <-time.After(c.backoff(attempt, hint)):
 			case <-ctx.Done():
-				return fmt.Errorf("client: %w (last attempt: %v)", ctx.Err(), lastErr)
+				return nil, fmt.Errorf("client: %w (last attempt: %v)", ctx.Err(), lastErr)
 			}
 			// When the backoff timer and the cancellation are both ready,
 			// select picks arbitrarily — a cancelled caller must not be
 			// charged for one more round trip (and its backoff) before
 			// hearing the answer it already gave.
 			if ctx.Err() != nil {
-				return fmt.Errorf("client: %w (last attempt: %v)", ctx.Err(), lastErr)
+				return nil, fmt.Errorf("client: %w (last attempt: %v)", ctx.Err(), lastErr)
 			}
 		}
 		c.attempts.Add(1)
-		retriable, err := c.attempt(ctx, method, path, body, out)
+		data, retriable, err := c.attempt(ctx, method, path, body)
 		if err == nil {
-			return nil
+			return data, nil
 		}
 		if ctx.Err() != nil {
-			return fmt.Errorf("client: %w (last attempt: %v)", ctx.Err(), err)
+			return nil, fmt.Errorf("client: %w (last attempt: %v)", ctx.Err(), err)
 		}
 		if !retriable {
-			return err
+			return nil, err
 		}
 		lastErr = err
 		hint = retryAfterOf(err)
@@ -333,19 +366,22 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	if errors.As(lastErr, &apiErr) {
 		ex.LastStatus = apiErr.Status
 	}
-	return ex
+	return nil, ex
 }
 
-// attempt performs one HTTP round trip. The bool reports whether a
-// failure is worth retrying.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, out any) (bool, error) {
+// maxResponse bounds one response body.
+const maxResponse = 16 << 20
+
+// attempt performs one HTTP round trip and returns the body of a
+// success. The bool reports whether a failure is worth retrying.
+func (c *Client) attempt(ctx context.Context, method, path string, body []byte) ([]byte, bool, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return false, fmt.Errorf("client: %w", err)
+		return nil, false, fmt.Errorf("client: %w", err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -358,21 +394,17 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	obs.InjectHTTP(ctx, req.Header)
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return true, fmt.Errorf("client: %s %s: %w", method, path, err) // network: retriable
+		return nil, true, fmt.Errorf("client: %s %s: %w", method, path, err) // network: retriable
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	// A body past the bound is refused, never cut: the router relays
+	// what SubmitBytes returns as a whole result.
+	data, err := jobs.ReadLimited(resp.Body, resp.ContentLength, maxResponse)
 	if err != nil {
-		return true, fmt.Errorf("client: read response: %w", err)
+		return nil, true, fmt.Errorf("client: read response: %w", err)
 	}
 	if resp.StatusCode < 400 {
-		if out == nil {
-			return false, nil
-		}
-		if err := json.Unmarshal(data, out); err != nil {
-			return false, fmt.Errorf("client: decode %s %s response: %w", method, path, err)
-		}
-		return false, nil
+		return data, false, nil
 	}
 	apiErr := &jobs.APIError{Status: resp.StatusCode}
 	if err := json.Unmarshal(data, apiErr); err != nil || apiErr.Message == "" {
@@ -392,7 +424,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	if resp.StatusCode == http.StatusForbidden {
 		c.rejections.Add(1)
 	}
-	return retriable(resp.StatusCode, apiErr.Kind), apiErr
+	return nil, retriable(resp.StatusCode, apiErr.Kind), apiErr
 }
 
 // retriable classifies a service failure. 429 (shed) and 503 (closing

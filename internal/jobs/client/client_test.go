@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -538,7 +539,7 @@ func TestRetriesExhaustedNetworkError(t *testing.T) {
 }
 
 // TestClientPropagatesTraceHeader: a context carrying a span context
-// stamps X-RegVD-Trace on the outgoing request.
+// stamps X-Regvd-Trace on the outgoing request.
 func TestClientPropagatesTraceHeader(t *testing.T) {
 	var got atomic.Value
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -554,5 +555,34 @@ func TestClientPropagatesTraceHeader(t *testing.T) {
 	}
 	if got.Load() != "deadbeef/beef" {
 		t.Errorf("trace header = %q, want deadbeef/beef", got.Load())
+	}
+}
+
+// TestSubmitBytesReturnsBodyWhole: SubmitBytes hands back the service's
+// answer byte for byte, of a known length or not, and refuses one past
+// the 16 MiB bound instead of handing on a cut copy.
+func TestSubmitBytesReturnsBodyWhole(t *testing.T) {
+	const body = "{\n  \"kernel\": \"k\"\n}\n"
+	var size atomic.Int64 // bytes of a chunked answer; 0 = the small body
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		if n := size.Load(); n > 0 {
+			w.Write(bytes.Repeat([]byte(" "), int(n)))
+			return
+		}
+		w.Write([]byte(body))
+	}))
+	defer ts.Close()
+	c := New(ts.URL, WithPolicy(fastPolicy(1)), WithTenant(""))
+	got, err := c.SubmitBytes(context.Background(), jobs.Job{Workload: "VectorAdd"})
+	if err != nil || string(got) != body {
+		t.Fatalf("SubmitBytes = %q, %v; want %q", got, err, body)
+	}
+	size.Store(maxResponse)
+	if got, err := c.SubmitBytes(context.Background(), jobs.Job{Workload: "VectorAdd"}); err != nil || len(got) != maxResponse {
+		t.Fatalf("a body at the bound: %d bytes, %v", len(got), err)
+	}
+	size.Store(maxResponse + 1)
+	if got, err := c.SubmitBytes(context.Background(), jobs.Job{Workload: "VectorAdd"}); err == nil {
+		t.Fatalf("a body past the bound came back as %d bytes, want an error", len(got))
 	}
 }

@@ -97,7 +97,7 @@ type Job struct {
 
 	// Tenant names the fair-share queue the job is scheduled under
 	// (empty = "default"; the HTTP layer also accepts the
-	// X-RegVD-Tenant header). Like gpu_par it never influences the
+	// X-Regvd-Tenant header). Like gpu_par it never influences the
 	// result, so it is excluded from the cache key — identical jobs
 	// from different tenants dedup onto one simulation.
 	Tenant string `json:"tenant,omitempty"`

@@ -74,7 +74,7 @@ func TestSubmitTrace(t *testing.T) {
 	if byName["jobs.submit"].JobID == "" {
 		t.Error("jobs.submit span has no job ID")
 	}
-	if got := byName["jobs.submit"].Attrs["outcome"]; got != "miss" {
+	if got := byName["jobs.submit"].Attrs.Get("outcome"); got != "miss" {
 		t.Errorf("first submit outcome = %q, want miss", got)
 	}
 	if byName["sim.run"].Parent == "" || byName["queue.wait"].Parent == "" {
@@ -109,7 +109,7 @@ func TestSubmitTrace(t *testing.T) {
 	}
 	var hit bool
 	for _, sp := range p.Tracer().Trace(sc2.TraceID) {
-		if sp.Name == "jobs.submit" && sp.Attrs["outcome"] == "hit" {
+		if sp.Name == "jobs.submit" && sp.Attrs.Get("outcome") == "hit" {
 			hit = true
 		}
 	}

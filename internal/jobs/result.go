@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -376,6 +377,38 @@ func DigestStores(stores map[uint32]uint32) string {
 	}
 	sum := sha256.Sum256(buf)
 	return hex.EncodeToString(sum[:])
+}
+
+// ResultWithTenant returns the result encoding b (Result.JSON's bytes,
+// or WriteJSON's of a *Result) with its tenant line set to tenant, or
+// removed when tenant is empty: byte for byte the encoding of the same
+// result with Tenant set so. The tenant line is the one MarshalIndent
+// writes after the optional id line, and a "kernel" line always
+// follows it. b itself is never modified; when nothing changes it is
+// returned as is.
+func ResultWithTenant(b []byte, tenant string) []byte {
+	const idLine, tenantLine = "  \"id\": ", "  \"tenant\": "
+	if !bytes.HasPrefix(b, []byte("{\n")) {
+		return b
+	}
+	at := 2 // where a tenant line starts, if there is one
+	if rest := b[at:]; bytes.HasPrefix(rest, []byte(idLine)) {
+		at += bytes.IndexByte(rest, '\n') + 1
+	}
+	end := at
+	if rest := b[at:]; bytes.HasPrefix(rest, []byte(tenantLine)) {
+		end += bytes.IndexByte(rest, '\n') + 1
+	}
+	if tenant == "" {
+		if end == at {
+			return b
+		}
+		return append(b[:at:at], b[end:]...)
+	}
+	quoted, _ := json.Marshal(tenant) // a string always encodes
+	out := make([]byte, 0, len(b)-(end-at)+len(tenantLine)+len(quoted)+2)
+	out = append(append(append(out, b[:at]...), tenantLine...), quoted...)
+	return append(append(out, ",\n"...), b[end:]...)
 }
 
 // JSON renders the result as indented, deterministic JSON (trailing

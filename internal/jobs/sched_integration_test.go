@@ -404,7 +404,7 @@ func newSchedServer(t *testing.T, opts jobs.Options) (*jobs.Pool, *httptest.Serv
 }
 
 // TestHTTPTenantSurface covers the wire-level tenant contract: the
-// X-RegVD-Tenant header routes the job, the response echoes the
+// X-Regvd-Tenant header routes the job, the response echoes the
 // tenant, /v1/queues reports per-tenant state, and policy refusals are
 // structured 403s.
 func TestHTTPTenantSurface(t *testing.T) {

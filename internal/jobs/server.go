@@ -8,7 +8,9 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -19,8 +21,11 @@ import (
 )
 
 // TenantHeader names the submitting tenant when the job body does not
-// (the body's "tenant" field wins when both are present).
-const TenantHeader = "X-RegVD-Tenant"
+// (the body's "tenant" field wins when both are present). Header names
+// are case-insensitive; this one is spelled in the canonical form
+// net/http puts on the wire, so Header.Get and Set find it without
+// building a canonical key first.
+const TenantHeader = "X-Regvd-Tenant"
 
 // Server exposes a Pool over HTTP/JSON:
 //
@@ -33,7 +38,7 @@ const TenantHeader = "X-RegVD-Tenant"
 //	GET  /v1/workloads built-in workload names
 //
 // Submissions name their tenant in the job body ("tenant") or the
-// X-RegVD-Tenant header; tenantless requests ride the shared "default"
+// X-Regvd-Tenant header; tenantless requests ride the shared "default"
 // queue. Failure contract: overload sheds with 429 plus a Retry-After
 // header (jobs are content-addressed, so retrying is always safe),
 // tenant policy refusals return 403 (APIError.Kind "quota" for a
@@ -116,6 +121,22 @@ func ReadBody(w http.ResponseWriter, r *http.Request, read func() error) error {
 	return nil
 }
 
+// ReadLimited reads a whole body whose declared length is n (-1 when
+// unknown) and refuses one longer than limit rather than cut it short.
+// A known length is read into one buffer of exactly that size.
+func ReadLimited(body io.Reader, n, limit int64) ([]byte, error) {
+	if n >= 0 && n <= limit {
+		data := make([]byte, n)
+		_, err := io.ReadFull(body, data)
+		return data, err
+	}
+	data, err := io.ReadAll(io.LimitReader(body, limit+1))
+	if err == nil && int64(len(data)) > limit {
+		err = fmt.Errorf("body exceeds %d bytes", limit)
+	}
+	return data, err
+}
+
 // diskFullRetrySecs is the Retry-After hint served with disk-full
 // 503s: long enough for an operator (or log rotation) to free space,
 // short enough that clients re-probe a recovered shard promptly.
@@ -141,14 +162,30 @@ func (s *Server) Handler() http.Handler {
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintf(w, "{\"error\":%q}\n", "encode response: "+err.Error())
+		WriteRaw(w, http.StatusInternalServerError, fmt.Appendf(nil, "{\"error\":%q}\n", "encode response: "+err.Error()))
 		return
 	}
+	WriteRaw(w, code, append(b, '\n'))
+}
+
+// WriteRaw answers with body, JSON that is already encoded (a relayed
+// or cached result encoding, trailing newline included).
+func WriteRaw(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	w.Write(append(b, '\n'))
+	w.Write(body)
+}
+
+// WriteDoneStatus answers with the JobStatus of a finished job whose
+// result encoding is res (Result.JSON's bytes): byte for byte what
+// WriteJSON writes for a JobStatus holding the decoded result, without
+// decoding it.
+func WriteDoneStatus(w http.ResponseWriter, code int, id string, res []byte) {
+	WriteJSON(w, code, struct {
+		ID     string          `json:"id"`
+		State  string          `json:"state"`
+		Result json.RawMessage `json:"result"`
+	}{id, "done", res})
 }
 
 // WriteError answers with an *APIError body carrying the formatted
@@ -254,7 +291,7 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 }
 
 // ReadJob reads a POST /v1/jobs body: the JSON job (unknown fields
-// refused, under ReadBody's deadline), the X-RegVD-Tenant header
+// refused, under ReadBody's deadline), the X-Regvd-Tenant header
 // naming a tenant the body does not, and ?async=1 setting Async. It
 // answers a malformed or invalid job with 400 itself and returns
 // false. The shard and the cluster router both read submissions
@@ -274,8 +311,30 @@ func ReadJob(w http.ResponseWriter, r *http.Request) (Job, bool) {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return job, false
 	}
-	job.Async = job.Async || r.URL.Query().Get("async") == "1"
+	job.Async = job.Async || QueryValue(r.URL.RawQuery, "async") == "1"
 	return job, true
+}
+
+// QueryValue returns the first value of key in a raw URL query, as
+// url.Values.Get of the request's parsed query would, without building
+// the map: pairs split on '&', a pair holding ';' or failing to
+// unescape is skipped, and key and value are unescaped.
+func QueryValue(rawQuery, key string) string {
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -283,7 +342,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Join the caller's trace (X-RegVD-Trace) or mint a fresh one, and
+	// Join the caller's trace (X-Regvd-Trace) or mint a fresh one, and
 	// echo the trace ID on the response so the client can fetch the
 	// stitched trace from GET /v1/trace/{id} afterwards.
 	ctx := obs.ExtractHTTP(r.Context(), r.Header)

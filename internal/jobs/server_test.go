@@ -3,8 +3,10 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -172,6 +174,36 @@ func TestHealthzAndMetricsAndWorkloads(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK || err != nil {
 			t.Errorf("GET %s: status %d, decode err %v", path, resp.StatusCode, err)
+		}
+	}
+}
+
+// TestQueryValueMatchesValuesGet: ReadJob reads ?async= from the raw
+// query without building url.Values, so QueryValue must answer exactly
+// as url.Values.Get of the parsed query does: first value wins, key and
+// value are unescaped, and a pair holding ';' or a bad escape is
+// skipped. Fixed cases, then random queries over a small alphabet.
+func TestQueryValueMatchesValuesGet(t *testing.T) {
+	queries := []string{
+		"", "async=1", "async=0&async=1", "async=1&async=0", "a%73ync=%31", "async=%zz&async=1",
+		"async;x=1&async=2", "async=1;x", "async", "async=", "&&async=1&", "x=1&async=1+2",
+		"async%=1&async=3", "async=a%20b", "async==1", "=1&async=4", "async=%",
+	}
+	rng := rand.New(rand.NewSource(1))
+	const alphabet = "async=&;%+01zA"
+	for i := 0; i < 20000; i++ {
+		b := make([]byte, rng.Intn(14))
+		for j := range b {
+			b[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		queries = append(queries, string(b))
+	}
+	for _, q := range queries {
+		vals, _ := url.ParseQuery(q)
+		for _, key := range []string{"async", "x", ""} {
+			if got, want := QueryValue(q, key), vals.Get(key); got != want {
+				t.Fatalf("QueryValue(%q, %q) = %q, url.Values.Get = %q", q, key, got, want)
+			}
 		}
 	}
 }

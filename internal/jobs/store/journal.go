@@ -87,12 +87,6 @@ func recordPayload(rec Record) ([]byte, error) {
 	return payload, nil
 }
 
-// putFrameHeader writes the length+CRC header for payload into buf.
-func putFrameHeader(buf, payload []byte) {
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
-}
-
 // readJournal decodes the longest valid prefix of a journal stream. It
 // never fails: any malformed frame — short header, oversized or zero
 // length, checksum mismatch, non-JSON payload, semantically invalid
@@ -123,16 +117,23 @@ func readJournal(r io.Reader) ([]Record, int64) {
 		if crc32.Checksum(payload, castagnoli) != sum {
 			return recs, valid
 		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return recs, valid
-		}
-		if !validRecord(rec) {
+		rec, ok := decodeRecord(payload)
+		if !ok {
 			return recs, valid
 		}
 		recs = append(recs, rec)
 		valid += int64(frameHeaderSize) + int64(n)
 	}
+}
+
+// decodeRecord parses a checksummed frame payload into a record that
+// makes sense as a journal entry.
+func decodeRecord(payload []byte) (Record, bool) {
+	var rec Record
+	if err := json.Unmarshal(payload, &rec); err != nil || !validRecord(rec) {
+		return Record{}, false
+	}
+	return rec, true
 }
 
 // validRecord rejects frames that checksum correctly but make no sense

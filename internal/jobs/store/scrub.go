@@ -35,9 +35,13 @@ type ScrubOptions struct {
 // the embedded spec, else quarantined; a corrupt checkpoint is
 // simply dropped (it is an optimization — the journal re-runs the job
 // from cycle 0, byte-identically). Safe to run concurrently with
-// normal store traffic: every write goes through the same atomic
-// temp-and-rename door, and a racing Done writes the identical bytes
-// the scrubber would (determinism is the tiebreak).
+// normal store traffic. Done writes a result in place under the store
+// lock, so the scrubber reads each result under that lock too and
+// never mistakes a half-written file for a corrupt one. A repair is
+// fetched or re-simulated outside the lock, then written or quarantined
+// under it only if the file still fails to open: a racing Done has
+// already written the identical bytes the scrubber would (determinism
+// is the tiebreak).
 func (s *Store) Scrub(o ScrubOptions) integrity.Report {
 	log := o.Log
 	if log == nil {
@@ -65,8 +69,9 @@ func (s *Store) scrubResults(o ScrubOptions, log *slog.Logger, rep *integrity.Re
 		if !ok || !safeID(id) || !e.Type().IsRegular() {
 			continue
 		}
-		path := s.resultPath(id)
-		data, err := os.ReadFile(path)
+		s.mu.Lock()
+		data, err := os.ReadFile(s.resultPath(id))
+		s.mu.Unlock()
 		if err != nil {
 			continue
 		}
@@ -77,15 +82,38 @@ func (s *Store) scrubResults(o ScrubOptions, log *slog.Logger, rep *integrity.Re
 		}
 		rep.Corrupt++
 		log.Warn("scrub found corrupt result", "job", id, "err", oerr)
-		if s.repairResult(o, log, id, path, data) {
+		if s.repairResult(o, log, id, data) {
 			rep.Repaired++
 		}
 	}
 }
 
+// stillCorruptLocked reports whether the result file of id exists and
+// fails to open (s.mu held): a repair or quarantine decided outside the
+// lock applies only then, since a Done may have written the file since.
+func (s *Store) stillCorruptLocked(id string) bool {
+	data, err := os.ReadFile(s.resultPath(id))
+	if err != nil {
+		return false
+	}
+	_, oerr := integrity.Open(data)
+	return oerr != nil
+}
+
+// replaceCorrupt writes a repaired envelope over a result file that is
+// still corrupt; a file healed meanwhile counts as repaired.
+func (s *Store) replaceCorrupt(id string, sealed []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.stillCorruptLocked(id) {
+		return nil
+	}
+	return writeInPlace(s.resultPath(id), sealed)
+}
+
 // repairResult climbs the ladder: peer refetch, deterministic
 // re-simulation from the salvaged spec, then quarantine.
-func (s *Store) repairResult(o ScrubOptions, log *slog.Logger, id, path string, raw []byte) bool {
+func (s *Store) repairResult(o ScrubOptions, log *slog.Logger, id string, raw []byte) bool {
 	// The spec sits inside the corrupt envelope, so it proves itself by
 	// hashing back to the file's content address. A proven spec is
 	// embedded in the repaired envelope, keeping the file re-simulable.
@@ -98,7 +126,7 @@ func (s *Store) repairResult(o ScrubOptions, log *slog.Logger, id, path string, 
 		if res, ok := o.Fetch(id); ok {
 			if res.ID != id {
 				log.Warn("scrub rejected peer copy", "job", id, "peer_id", res.ID)
-			} else if werr := writeAtomic(path, integrity.Seal(res.JSON(), spec)); werr == nil {
+			} else if werr := s.replaceCorrupt(id, integrity.Seal(res.JSON(), spec)); werr == nil {
 				log.Info("scrub repaired result", "job", id, "source", "peer")
 				return true
 			}
@@ -106,7 +134,7 @@ func (s *Store) repairResult(o ScrubOptions, log *slog.Logger, id, path string, 
 	}
 	if o.Resim != nil && spec != nil {
 		if res, err := o.Resim(job); err == nil && res != nil {
-			if werr := writeAtomic(path, integrity.Seal(res.JSON(), spec)); werr == nil {
+			if werr := s.replaceCorrupt(id, integrity.Seal(res.JSON(), spec)); werr == nil {
 				log.Info("scrub repaired result", "job", id, "source", "resim")
 				return true
 			}
@@ -116,7 +144,9 @@ func (s *Store) repairResult(o ScrubOptions, log *slog.Logger, id, path string, 
 	}
 	// Quarantine: remove the poisoned file. The journal (or a fresh
 	// submission of the same content address) re-runs the job.
-	if err := os.Remove(path); err == nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stillCorruptLocked(id) && os.Remove(s.resultPath(id)) == nil {
 		log.Warn("scrub quarantined unrecoverable result", "job", id)
 	}
 	return false

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -38,11 +39,16 @@ import (
 // is the CRC-32C of Payload (the JSON record), the same checksum the
 // on-disk journal stores, so the standby verifies integrity end to end
 // before trusting a byte of it.
+//
+// On the wire (AppendShipFrame, ParseShipFrames) a batch of frames is
+// one binary body, each frame its generation and sequence number (u64
+// LE each) followed by the frame exactly as the journal stores it:
+// payload length and CRC (u32 LE each), then the payload.
 type Frame struct {
-	Gen     uint64 `json:"gen"`
-	Seq     uint64 `json:"seq"`
-	CRC     uint32 `json:"crc"`
-	Payload []byte `json:"payload"`
+	Gen     uint64
+	Seq     uint64
+	CRC     uint32
+	Payload []byte
 }
 
 // ErrBadFrame rejects a shipped frame whose checksum does not match
@@ -51,7 +57,8 @@ type Frame struct {
 // standby's journal copy.
 var ErrBadFrame = errors.New("store: shipped frame failed verification")
 
-// Decode verifies the frame's checksum and decodes its record.
+// Decode verifies the frame as journal replay verifies a frame on disk
+// (payload length, checksum, a valid record) and decodes its record.
 func (f Frame) Decode() (Record, error) {
 	if len(f.Payload) == 0 || len(f.Payload) > maxRecordSize {
 		return Record{}, fmt.Errorf("%w: payload %d bytes", ErrBadFrame, len(f.Payload))
@@ -59,19 +66,69 @@ func (f Frame) Decode() (Record, error) {
 	if crc32.Checksum(f.Payload, castagnoli) != f.CRC {
 		return Record{}, fmt.Errorf("%w: checksum mismatch", ErrBadFrame)
 	}
-	recs, _ := readJournal(bytes.NewReader(frameBytes(f.Payload)))
-	if len(recs) != 1 {
+	rec, ok := decodeRecord(f.Payload)
+	if !ok {
 		return Record{}, fmt.Errorf("%w: payload is not a journal record", ErrBadFrame)
 	}
-	return recs[0], nil
+	return rec, nil
 }
 
 // frameBytes wraps a payload in the on-disk frame header.
 func frameBytes(payload []byte) []byte {
-	buf := make([]byte, frameHeaderSize+len(payload))
-	putFrameHeader(buf, payload)
-	copy(buf[frameHeaderSize:], payload)
-	return buf
+	return appendFrame(make([]byte, 0, frameHeaderSize+len(payload)), payload, crc32.Checksum(payload, castagnoli))
+}
+
+// appendFrame appends the on-disk frame of payload, whose CRC-32C is
+// crc: the length and the CRC, then the payload.
+func appendFrame(dst, payload []byte, crc uint32) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc)
+	return append(dst, payload...)
+}
+
+// shipPrefix is the generation and sequence number ahead of each frame
+// in a ship body.
+const shipPrefix = 16
+
+// ShipFrameOverhead is what a frame adds to a ship body beyond its
+// payload.
+const ShipFrameOverhead = shipPrefix + frameHeaderSize
+
+// AppendShipFrame appends f to a ship body in the wire form Frame
+// describes. f.CRC travels as given, so a frame corrupted before it was
+// shipped is refused by the standby.
+func AppendShipFrame(body []byte, f Frame) []byte {
+	body = binary.LittleEndian.AppendUint64(body, f.Gen)
+	body = binary.LittleEndian.AppendUint64(body, f.Seq)
+	return appendFrame(body, f.Payload, f.CRC)
+}
+
+// ParseShipFrames splits a ship body into its frames, in order, without
+// copying: each Payload aliases body. It checks only the framing (whole
+// frames, each payload within the journal's record bound); ApplyFrames
+// verifies checksums and records. A body that ends mid-frame or carries
+// an impossible length yields the frames before that point and
+// ErrBadFrame.
+func ParseShipFrames(body []byte) ([]Frame, error) {
+	var frames []Frame
+	for len(body) > 0 {
+		if len(body) < ShipFrameOverhead {
+			return frames, fmt.Errorf("%w: ship body ends mid-frame", ErrBadFrame)
+		}
+		n := binary.LittleEndian.Uint32(body[shipPrefix:])
+		if n == 0 || n > maxRecordSize || uint64(len(body)-ShipFrameOverhead) < uint64(n) {
+			return frames, fmt.Errorf("%w: ship frame of %d payload bytes in %d", ErrBadFrame, n, len(body)-ShipFrameOverhead)
+		}
+		end := ShipFrameOverhead + int(n)
+		frames = append(frames, Frame{
+			Gen:     binary.LittleEndian.Uint64(body[0:]),
+			Seq:     binary.LittleEndian.Uint64(body[8:]),
+			CRC:     binary.LittleEndian.Uint32(body[shipPrefix+4:]),
+			Payload: body[ShipFrameOverhead:end:end],
+		})
+		body = body[end:]
+	}
+	return frames, nil
 }
 
 // Sink receives journal activity for replication. Implementations run

@@ -41,6 +41,7 @@ type StandbyStore struct {
 
 type standbyShard struct {
 	f       *os.File // shipped.wal, opened for append
+	size    int64    // shipped.wal's length: where a failed append is cut back to
 	gen     uint64
 	lastSeq uint64
 	pending int    // pending accepts per the last full replay (status only)
@@ -112,6 +113,7 @@ func (ss *StandbyStore) loadShard(shard string) (*standbyShard, error) {
 	}
 	sh := &standbyShard{
 		f:       f,
+		size:    valid,
 		gen:     readUint(filepath.Join(sdir, genName)),
 		pending: countPending(recs),
 		fence:   readUint(filepath.Join(sdir, fenceName)),
@@ -178,7 +180,10 @@ func (ss *StandbyStore) shardLocked(shard string) (*standbyShard, error) {
 }
 
 // ApplyFrames appends shipped frames to the shard's copy in order and
-// returns how many were newly applied. It fsyncs once at the end, and
+// returns how many were newly applied. Each frame is verified as
+// Frame.Decode does, and the frames that extend the copy are appended
+// with one write; a failed write applies none of them (the copy is cut
+// back to its previous length). It fsyncs once at the end, and
 // only when the batch applied an accept: an accept is the primary's
 // durability promise, and the standby's copy must be as durable before
 // the primary acknowledges the job. Done and failed frames are not
@@ -199,7 +204,12 @@ func (ss *StandbyStore) ApplyFrames(shard string, frames []Frame) (applied int, 
 	if err != nil {
 		return 0, err
 	}
-	accepts := 0
+	var (
+		buf     []byte
+		lastSeq = sh.lastSeq
+		pending = sh.pending
+		accepts int
+	)
 	for _, f := range frames {
 		rec, derr := f.Decode()
 		if derr != nil {
@@ -209,7 +219,7 @@ func (ss *StandbyStore) ApplyFrames(shard string, frames []Frame) (applied int, 
 		if f.Gen != sh.gen {
 			// Bootstrap: an empty copy adopts the first generation it
 			// sees, provided the stream starts at its beginning.
-			if sh.gen == 0 && sh.lastSeq == 0 && f.Seq == 1 {
+			if sh.gen == 0 && lastSeq == 0 && f.Seq == 1 {
 				sdir := filepath.Join(ss.dir, shard)
 				if werr := writeUint(filepath.Join(sdir, genName), f.Gen); werr != nil {
 					err = werr
@@ -221,29 +231,39 @@ func (ss *StandbyStore) ApplyFrames(shard string, frames []Frame) (applied int, 
 				break
 			}
 		}
-		if f.Seq <= sh.lastSeq {
+		if f.Seq <= lastSeq {
 			continue // duplicate replay: idempotent
 		}
-		if f.Seq != sh.lastSeq+1 {
-			err = fmt.Errorf("%w: frame seq %d, have seq %d", ErrGap, f.Seq, sh.lastSeq)
+		if f.Seq != lastSeq+1 {
+			err = fmt.Errorf("%w: frame seq %d, have seq %d", ErrGap, f.Seq, lastSeq)
 			break
 		}
-		if _, werr := sh.f.Write(frameBytes(f.Payload)); werr != nil {
-			err = fmt.Errorf("store: standby: append %s: %w", shard, werr)
-			break
-		}
-		sh.lastSeq = f.Seq
+		buf = appendFrame(buf, f.Payload, f.CRC) // Decode checked f.CRC
+		lastSeq = f.Seq
 		switch rec.Op {
 		case OpAccept:
-			sh.pending++
+			pending++
 			accepts++
 		case OpDone, OpFailed:
-			if sh.pending > 0 {
-				sh.pending--
+			if pending > 0 {
+				pending--
 			}
 		}
 		applied++
 	}
+	if len(buf) == 0 {
+		return 0, err
+	}
+	if _, werr := sh.f.Write(buf); werr != nil {
+		// A short write would leave a torn frame that every later append
+		// follows: cut the copy back to its last whole frame. Should the
+		// cut fail too, the next load truncates the copy to its valid
+		// prefix, and the frames lost past it come back by resync.
+		_ = sh.f.Truncate(sh.size)
+		return 0, fmt.Errorf("store: standby: append %s: %w", shard, werr)
+	}
+	sh.size += int64(len(buf))
+	sh.lastSeq, sh.pending = lastSeq, pending
 	if accepts > 0 {
 		if serr := sh.f.Sync(); serr != nil && err == nil {
 			err = fmt.Errorf("store: standby: sync %s: %w", shard, serr)
@@ -290,6 +310,7 @@ func (ss *StandbyStore) InstallSnapshot(shard string, gen uint64, recs []Record,
 		return fmt.Errorf("store: standby: reopen %s: %w", shard, err)
 	}
 	sh.f = f
+	sh.size = int64(buf.Len())
 	sh.gen = gen
 	if nextSeq == 0 {
 		nextSeq = 1

@@ -4,7 +4,7 @@
 // directory:
 //
 //	<dir>/journal.wal      — CRC-framed append-only journal (journal.go)
-//	<dir>/results/<id>.json — persisted results, atomically renamed in
+//	<dir>/results/<id>.json — persisted results, sealed, written in place
 //	<dir>/checkpoints/<id>.ckpt — latest gob checkpoint of an unfinished job
 //
 // The contract regvd's crash-recovery test enforces: once Accept
@@ -15,12 +15,15 @@
 // never killed.
 //
 // Crash-safety mechanics: Accept fsyncs its journal frame before
-// returning; results and checkpoints are written to a temp file in the
-// target directory, fsynced and renamed into place (readers never see
-// a partial file); journal replay truncates to the longest valid
-// prefix, so a torn append loses only the torn record; compaction
-// rewrites the journal through the same temp-and-rename door. *Store
-// satisfies jobs.Recorder.
+// returning. A result is written in place under the store lock and
+// fsynced before Done returns; its envelope's checksum makes a torn
+// file a miss, which re-simulates, so no temp file or rename is needed.
+// Its directory entry becomes durable no later than the compaction
+// that drops its accept, which fsyncs results/ first. Checkpoints are
+// written to a temp file, fsynced and renamed into place; journal
+// replay truncates to the longest valid prefix, so a torn append loses
+// only the torn record; compaction rewrites the journal through the
+// same temp-and-rename door. *Store satisfies jobs.Recorder.
 package store
 
 import (
@@ -152,9 +155,9 @@ func (s *Store) PendingCount() int {
 	return len(s.pending)
 }
 
-// Close fsyncs and closes the journal. Result and checkpoint files are
-// always complete on disk (temp-and-rename), so Close has nothing else
-// to flush.
+// Close fsyncs and closes the journal. Done fsyncs each result and
+// checkpoints are renamed in complete, so Close has nothing else to
+// flush.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -200,10 +203,17 @@ func (s *Store) Accept(id string, job jobs.Job, async bool) error {
 	return nil
 }
 
-// Done persists the result (atomic rename; the file is the durable
-// artifact), closes the journal entry and drops the job's checkpoint.
-// The journal frame is not fsynced: if it is lost, the next Open finds
-// the sealed result and counts the job done all the same.
+// Done persists the result (the file is the durable artifact), closes
+// the journal entry and drops the job's checkpoint. The result is
+// written in place and fsynced under the store lock; every other reader
+// or writer that must not see it half-written (Accept, the scrubber)
+// takes that lock, and LoadResult outside it treats a half-written file
+// as the miss it would have been a moment earlier. The journal frame is
+// not fsynced: if it is lost, the next Open finds the sealed result and
+// counts the job done all the same. A crash that loses the result's
+// directory entry leaves its accept in the journal, so the job re-runs:
+// compaction, the only thing that drops the accept, fsyncs results/
+// first.
 func (s *Store) Done(id string, res *jobs.Result) error {
 	if !safeID(id) {
 		return fmt.Errorf("store: invalid job id %q", id)
@@ -225,7 +235,7 @@ func (s *Store) Done(id string, res *jobs.Result) error {
 	if pa, ok := s.pending[id]; ok {
 		spec, _ = json.Marshal(pa.job)
 	}
-	if err := writeAtomic(s.resultPath(id), integrity.Seal(data, spec)); err != nil {
+	if err := writeInPlace(s.resultPath(id), integrity.Seal(data, spec)); err != nil {
 		return diskAware("result persist", err)
 	}
 	if err := s.appendLocked(Record{Op: OpDone, ID: id}, false); err != nil {
@@ -258,7 +268,7 @@ func (s *Store) Failed(id, msg string) error {
 }
 
 // LoadResult reads a persisted result by job ID — the second tier
-// behind the in-memory cache. A missing, corrupt (unsealed, or an
+// behind the in-memory cache. A missing, corrupt (unsealed, torn, or an
 // envelope checksum failure) or unparseable file is simply a miss: the
 // job re-simulates and the scrubber heals the file in the background.
 func (s *Store) LoadResult(id string) (*jobs.Result, bool) {
@@ -376,7 +386,8 @@ func (s *Store) appendLocked(rec Record, sync bool) error {
 	if err != nil {
 		return err
 	}
-	buf := frameBytes(payload)
+	crc := crc32.Checksum(payload, castagnoli)
+	buf := appendFrame(make([]byte, 0, frameHeaderSize+len(payload)), payload, crc)
 	if _, err := s.f.Write(buf); err != nil {
 		return fmt.Errorf("store: append journal: %w", err)
 	}
@@ -390,7 +401,7 @@ func (s *Store) appendLocked(rec Record, sync bool) error {
 		s.sink.ShipFrame(Frame{
 			Gen:     s.gen,
 			Seq:     rec.Seq,
-			CRC:     crc32.Checksum(payload, castagnoli),
+			CRC:     crc,
 			Payload: payload,
 		}, sync)
 	}
@@ -407,9 +418,12 @@ func (s *Store) maybeCompactLocked() error {
 // compactLocked rewrites the journal to contain only the accepts still
 // pending, through a temp file fsynced and renamed over the old
 // journal — a crash at any point leaves either the old or the new
-// generation, both valid. The generation counter bumps with the
-// rewrite, and an armed shipping sink is told so it resyncs the
-// standby onto the new generation.
+// generation, both valid. The rewrite drops the accepts of finished
+// jobs, so results/ is fsynced before it: the result files Done wrote
+// in place since the last compaction then have durable directory
+// entries before the journal stops naming their jobs. The generation
+// counter bumps with the rewrite, and an armed shipping sink is told
+// so it resyncs the standby onto the new generation.
 func (s *Store) compactLocked() error {
 	if s.f != nil {
 		s.f.Close()
@@ -435,6 +449,7 @@ func (s *Store) compactLocked() error {
 		}
 		buf.Write(frame)
 	}
+	syncDir(filepath.Join(s.dir, resultsDir))
 	path := filepath.Join(s.dir, journalName)
 	if err := writeAtomic(path, buf.Bytes()); err != nil {
 		return err
@@ -529,10 +544,35 @@ func writeAtomic(path string, data []byte) error {
 	return nil
 }
 
-// syncDir makes a rename durable. Failure is ignored: some filesystems
-// refuse directory fsync, and the fallback behaviour (rename durable at
-// the filesystem's leisure) is the best available there.
-func syncDir(dir string) {
+// writeInPlace replaces path's content: create or truncate, write,
+// fsync, close. A crash mid-write leaves a torn file, so only content
+// that verifies itself on read (a sealed envelope) is written this way,
+// and only under the lock its other writers and checked readers hold.
+// A new file's directory entry is not fsynced here (see compactLocked).
+func writeInPlace(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return fmt.Errorf("store: write %s: %w", filepath.Base(path), err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("store: sync %s: %w", filepath.Base(path), err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("store: write %s: %w", filepath.Base(path), err)
+	}
+	return nil
+}
+
+// syncDir makes renames and new entries in dir durable. Failure is
+// ignored: some filesystems refuse directory fsync, and the fallback
+// behaviour (entries durable at the filesystem's leisure) is the best
+// available there. A variable so tests can observe when it runs.
+var syncDir = func(dir string) {
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()

@@ -113,8 +113,8 @@ func ChromeTrace(spans []SpanRecord) ([]byte, error) {
 		if sp.Error != "" {
 			args["error"] = sp.Error
 		}
-		for k, v := range sp.Attrs {
-			args[k] = v
+		for _, kv := range sp.Attrs {
+			args[kv.Key] = kv.Value
 		}
 		events = append(events, ChromeEvent{
 			Name: sp.Name,

@@ -1,6 +1,6 @@
 // Package obs is the observability layer threaded through every tier
 // of the service: request tracing (trace/span IDs propagated via the
-// X-RegVD-Trace header and context.Context, recorded into a bounded
+// X-Regvd-Trace header and context.Context, recorded into a bounded
 // in-process ring buffer), Prometheus text exposition with real
 // latency histograms, Chrome trace_event export, and structured
 // logging helpers that stamp every line with trace/tenant/job context.
@@ -14,9 +14,10 @@ package obs
 
 import (
 	"context"
-	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
+	"math/rand/v2"
 	"net/http"
 	"sort"
 	"sync"
@@ -26,8 +27,10 @@ import (
 // TraceHeader carries trace context across HTTP hops. The value is
 // "<trace-id>/<span-id>": the trace ID names the whole request tree,
 // the span ID is the caller's span (the parent of whatever the callee
-// records). Both are lowercase hex.
-const TraceHeader = "X-RegVD-Trace"
+// records). Both are lowercase hex. The name is spelled in the
+// canonical form net/http puts on the wire, so Header.Get and Set find
+// it without building a canonical key first.
+const TraceHeader = "X-Regvd-Trace"
 
 // SpanContext is the propagated identity of a point in a trace.
 type SpanContext struct {
@@ -80,14 +83,22 @@ type (
 	shardKey   struct{}
 )
 
-// SpanContextFrom returns the current span context, if any.
+// SpanContextFrom returns the current span context, if any. The
+// context holds either a local span (a *Span, which Start installs) or
+// a remote parent (a SpanContext, which ContextWithSpan installs).
 func SpanContextFrom(ctx context.Context) (SpanContext, bool) {
-	sc, ok := ctx.Value(spanCtxKey{}).(SpanContext)
-	return sc, ok && sc.Valid()
+	switch v := ctx.Value(spanCtxKey{}).(type) {
+	case *Span:
+		return v.Context(), true
+	case SpanContext:
+		return v, true
+	}
+	return SpanContext{}, false
 }
 
 // ContextWithSpan installs a remote parent (e.g. parsed from an
-// incoming TraceHeader) so spans started under ctx join its trace.
+// incoming TraceHeader) so spans started under ctx join its trace. An
+// invalid context installs nothing.
 func ContextWithSpan(ctx context.Context, sc SpanContext) context.Context {
 	if !sc.Valid() {
 		return ctx
@@ -163,13 +174,61 @@ type SpanRecord struct {
 	Name    string `json:"name"`
 	// Service is the recording tier: the tracer's construction-time
 	// name ("router", or the shard name).
-	Service string            `json:"service,omitempty"`
-	Tenant  string            `json:"tenant,omitempty"`
-	JobID   string            `json:"job_id,omitempty"`
-	StartNS int64             `json:"start_unix_ns"`
-	DurNS   int64             `json:"dur_ns"`
-	Attrs   map[string]string `json:"attrs,omitempty"`
-	Error   string            `json:"error,omitempty"`
+	Service string `json:"service,omitempty"`
+	Tenant  string `json:"tenant,omitempty"`
+	JobID   string `json:"job_id,omitempty"`
+	StartNS int64  `json:"start_unix_ns"`
+	DurNS   int64  `json:"dur_ns"`
+	Attrs   Attrs  `json:"attrs,omitempty"`
+	Error   string `json:"error,omitempty"`
+}
+
+// Attr is one span attribute.
+type Attr struct {
+	Key, Value string
+}
+
+// Attrs holds a span's attributes in the order they were set; a key
+// set twice keeps its last value. A span rarely carries more than two,
+// so a slice costs one allocation where a map cost two. It encodes as a
+// JSON object with sorted keys, byte for byte what a map[string]string
+// encodes to.
+type Attrs []Attr
+
+// Get returns the value last set for key k ("" when unset).
+func (a Attrs) Get(k string) string {
+	for i := len(a) - 1; i >= 0; i-- {
+		if a[i].Key == k {
+			return a[i].Value
+		}
+	}
+	return ""
+}
+
+// MarshalJSON encodes the attributes as the map they stand for, so the
+// bytes are the map's by construction. Only trace exports pay for it.
+func (a Attrs) MarshalJSON() ([]byte, error) {
+	m := make(map[string]string, len(a))
+	for _, kv := range a {
+		m[kv.Key] = kv.Value
+	}
+	return json.Marshal(m)
+}
+
+// UnmarshalJSON decodes a JSON object of string values (the form
+// MarshalJSON writes; another shard's trace arrives this way).
+func (a *Attrs) UnmarshalJSON(b []byte) error {
+	var m map[string]string
+	if err := json.Unmarshal(b, &m); err != nil {
+		return err
+	}
+	out := make(Attrs, 0, len(m))
+	for k, v := range m {
+		out = append(out, Attr{k, v})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	*a = out
+	return nil
 }
 
 // Defaults for Tracer bounds.
@@ -220,7 +279,7 @@ func WithClock(now func() time.Time) TracerOption {
 	return func(t *Tracer) { t.now = now }
 }
 
-// WithDeterministicIDs replaces the crypto/rand ID source with a
+// WithDeterministicIDs replaces the random ID source with a
 // seeded counter, so tests (and the golden Chrome trace) get stable
 // IDs run over run.
 func WithDeterministicIDs(seed uint64) TracerOption {
@@ -257,16 +316,17 @@ func NewTracer(service string, opts ...TracerOption) *Tracer {
 	return t
 }
 
+// randomID returns bytes (at most 16) random bytes as lowercase hex,
+// allocating only the string. The source is math/rand/v2's, which the
+// runtime seeds from the operating system per process: IDs must be
+// unique, not secret.
 func randomID(bytes int) string {
-	b := make([]byte, bytes)
-	if _, err := rand.Read(b); err != nil {
-		// crypto/rand failing is a broken platform; an all-zero ID keeps
-		// the service up and is still a valid hex ID.
-		for i := range b {
-			b[i] = 0
-		}
-	}
-	return hex.EncodeToString(b)
+	var b [16]byte
+	binary.LittleEndian.PutUint64(b[:8], rand.Uint64())
+	binary.LittleEndian.PutUint64(b[8:], rand.Uint64())
+	var h [32]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:2*bytes])
 }
 
 // Service returns the tracer's tier name ("" for a nil tracer).
@@ -295,6 +355,10 @@ type Span struct {
 // propagate it via InjectHTTP. End must be called to record the span;
 // an unended span is simply never recorded (no leak — the handle is
 // garbage).
+//
+// A child span costs three allocations: the span, its ID string and the
+// context value, which holds the *Span itself. A root span adds its
+// trace ID.
 func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil
@@ -304,13 +368,12 @@ func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span
 	if traceID == "" {
 		traceID = t.newID(16)
 	}
-	sc := SpanContext{TraceID: traceID, SpanID: t.newID(8)}
 	sp := &Span{
 		t:     t,
 		start: t.now(),
 		rec: SpanRecord{
 			TraceID: traceID,
-			SpanID:  sc.SpanID,
+			SpanID:  t.newID(8),
 			Parent:  parent.SpanID,
 			Name:    name,
 			Service: t.service,
@@ -318,10 +381,11 @@ func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span
 			JobID:   JobIDFrom(ctx),
 		},
 	}
-	return ContextWithSpan(ctx, sc), sp
+	return context.WithValue(ctx, spanCtxKey{}, sp), sp
 }
 
-// Context returns the span's propagation identity.
+// Context returns the span's propagation identity. TraceID and SpanID
+// are fixed at Start, so reading them needs no lock.
 func (s *Span) Context() SpanContext {
 	if s == nil {
 		return SpanContext{}
@@ -329,16 +393,14 @@ func (s *Span) Context() SpanContext {
 	return SpanContext{TraceID: s.rec.TraceID, SpanID: s.rec.SpanID}
 }
 
-// SetAttr attaches a string attribute.
+// SetAttr attaches a string attribute, overriding an earlier value of
+// the same key.
 func (s *Span) SetAttr(k, v string) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	if s.rec.Attrs == nil {
-		s.rec.Attrs = make(map[string]string, 4)
-	}
-	s.rec.Attrs[k] = v
+	s.rec.Attrs = append(s.rec.Attrs, Attr{k, v})
 	s.mu.Unlock()
 }
 

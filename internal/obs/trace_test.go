@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -194,4 +195,50 @@ func TestTracerConcurrentUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestAttrsEncodeLikeAMap: span attributes encode byte for byte as the
+// map[string]string they replaced (sorted keys, the same escaping,
+// indented alike inside a record), a repeated key keeps its last value,
+// and they decode back from that form.
+func TestAttrsEncodeLikeAMap(t *testing.T) {
+	for _, m := range []map[string]string{
+		{"outcome": "miss"},
+		{"shard": "s1", "hit": "true", "peer": "a<&>b", "": "empty key", "ü": "line sep \"q\"", "Z": "upper"},
+	} {
+		sp := &Span{}
+		for k, v := range m {
+			sp.SetAttr(k, "overwritten")
+			sp.SetAttr(k, v)
+		}
+		for k, v := range m {
+			if got := sp.rec.Attrs.Get(k); got != v {
+				t.Fatalf("Get(%q) = %q, want the last value set, %q", k, got, v)
+			}
+		}
+		got, err := json.MarshalIndent(SpanRecord{Name: "x", Attrs: sp.rec.Attrs}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.MarshalIndent(struct {
+			TraceID string            `json:"trace_id"`
+			SpanID  string            `json:"span_id"`
+			Name    string            `json:"name"`
+			StartNS int64             `json:"start_unix_ns"`
+			DurNS   int64             `json:"dur_ns"`
+			Attrs   map[string]string `json:"attrs,omitempty"`
+		}{Name: "x", Attrs: m}, "", "  ")
+		if string(got) != string(want) {
+			t.Fatalf("attrs encode as\n%s\nwant\n%s", got, want)
+		}
+		var back SpanRecord
+		if err := json.Unmarshal(got, &back); err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range m {
+			if back.Attrs.Get(k) != v {
+				t.Fatalf("decoded %q = %q, want %q", k, back.Attrs.Get(k), v)
+			}
+		}
+	}
 }
