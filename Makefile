@@ -101,9 +101,10 @@ nemesis:
 	$(GO) test -race -count=1 -run 'TestNemesis' -v ./cmd/regvd
 
 # Short fuzz smoke: the journal-replay parser (never panics, accepts
-# exactly the longest valid prefix), the standby's ship-body parser and
-# frame append (only frames whose checksum and record verify reach the
-# copy), the ISA text and binary parsers, and
+# exactly the longest valid prefix), the standby's apply of shipped
+# journal bytes (a batch appends exactly the frames a correct copy
+# takes; a snapshot installs only if it replays whole), the ISA text
+# and binary parsers, and
 # the integrity-envelope decoders behind every result/checkpoint read
 # (differential against an independent open+decode; corrupt bytes are
 # misses, never wrong answers). ~30s per target; CI runs this as its

@@ -405,15 +405,17 @@ func TestShardClusterStatusEndpoint(t *testing.T) {
 func TestShardRejectsSelfShipment(t *testing.T) {
 	s1 := newTestShard(t, "s1")
 	s1.serve("", "")
-	for _, path := range []string{"/v1/cluster/ship", "/v1/cluster/adopt"} {
-		body := fmt.Sprintf(`{"shard":%q}`, "s1")
-		resp, err := http.Post(s1.url+path, "application/json", bytes.NewReader([]byte(body)))
+	for _, req := range []struct{ path, contentType, body string }{
+		{"/v1/cluster/ship?shard=s1&gen=1&snapshot=1", shipType, ""},
+		{"/v1/cluster/adopt", "application/json", fmt.Sprintf(`{"shard":%q}`, "s1")},
+	} {
+		resp, err := http.Post(s1.url+req.path, req.contentType, bytes.NewReader([]byte(req.body)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %s naming self: HTTP %d, want 400", path, resp.StatusCode)
+			t.Errorf("POST %s naming self: HTTP %d, want 400", req.path, resp.StatusCode)
 		}
 	}
 }

@@ -162,14 +162,16 @@ func TestFencingShipperLatchesAndRejoins(t *testing.T) {
 // TestShipFencedAtLowerEpoch pins the wire-level contract directly: a
 // ship stamped below the standby's fence gets a 409 whose body decodes
 // as the typed fencing verdict, and a higher-epoch ship teaches the
-// standby the new fence.
+// standby the new fence. Every ship is a snapshot of an empty journal,
+// but the last: a torn one, which is refused.
 func TestShipFencedAtLowerEpoch(t *testing.T) {
 	hub := newTestShard(t, "hub")
 	hub.serve("", "")
 
-	post := func(body string) (*http.Response, []byte) {
+	var journal []byte
+	post := func(query string) (*http.Response, []byte) {
 		t.Helper()
-		resp, err := http.Post(hub.url+"/v1/cluster/ship", "application/json", bytes.NewReader([]byte(body)))
+		resp, err := http.Post(hub.url+"/v1/cluster/ship?"+query+"&gen=1&snapshot=1", shipType, bytes.NewReader(journal))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +181,7 @@ func TestShipFencedAtLowerEpoch(t *testing.T) {
 	}
 
 	// Epoch 5 snapshot: accepted, fence learned.
-	resp, _ := post(`{"shard":"a","epoch":5,"snapshot":true,"gen":1,"next_seq":1}`)
+	resp, _ := post("shard=a&epoch=5")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("epoch-5 ship: HTTP %d, want 200", resp.StatusCode)
 	}
@@ -188,7 +190,7 @@ func TestShipFencedAtLowerEpoch(t *testing.T) {
 	}
 
 	// Epoch 3 ship: fenced with the typed body.
-	resp, raw := post(`{"shard":"a","epoch":3,"snapshot":true,"gen":1,"next_seq":1}`)
+	resp, raw := post("shard=a&epoch=3")
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("stale ship: HTTP %d, want 409 (body %s)", resp.StatusCode, raw)
 	}
@@ -201,13 +203,21 @@ func TestShipFencedAtLowerEpoch(t *testing.T) {
 	// an unstamped ship cannot prove ownership. Before the first fence
 	// (0 < 0 is false) such peers pass, preserving mixed-version compat
 	// until the first failover.
-	resp, raw = post(`{"shard":"a","snapshot":true,"gen":1,"next_seq":1}`)
+	resp, raw = post("shard=a")
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("epoch-0 ship against fence 5: HTTP %d, want 409 (body %s)", resp.StatusCode, raw)
 	}
-	resp, raw = post(`{"shard":"b","snapshot":true,"gen":1,"next_seq":1}`)
+	resp, raw = post("shard=b")
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("epoch-0 ship on unfenced keyspace: HTTP %d, want 200 (body %s)", resp.StatusCode, raw)
+	}
+
+	// A snapshot that does not replay whole is refused, not acknowledged
+	// with a resync flag: the shipper must keep its resync pending.
+	journal = []byte{9, 0, 0, 0, 1, 2, 3, 4, '{'}
+	resp, raw = post("shard=b")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("torn snapshot: HTTP %d, want 400 (body %s)", resp.StatusCode, raw)
 	}
 }
 

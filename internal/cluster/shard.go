@@ -173,60 +173,34 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// handleShip files shipped frames (or a snapshot) into the standby
-// copy. Continuity violations are not errors at the HTTP layer: the
-// response's resync flag tells the shipper to export a snapshot, which
-// arrives on this same endpoint as JSON with Snapshot set.
+// handleShip files shipped journal bytes into the standby copy: a
+// batch of frames, or with snapshot=1 a whole journal that replaces the
+// copy. The fence check runs before anything is applied. Continuity
+// violations in a batch are not errors at the HTTP layer: the
+// response's resync flag tells the shipper to send a snapshot. A batch
+// that ends mid-frame applies the whole frames before that point and
+// asks for a resync, as a frame that fails verification does; a
+// snapshot that does not replay whole is a 400 and installs nothing.
 func (s *ShardServer) handleShip(w http.ResponseWriter, r *http.Request) {
 	if s.standby == nil {
 		jobs.WriteError(w, http.StatusServiceUnavailable, "shard %s has no standby storage (-data-dir required)", s.name)
 		return
 	}
-	if r.Header.Get("Content-Type") == shipFramesType {
-		s.handleShipFrames(w, r)
-		return
-	}
-	var req shipRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Shard == "" || req.Shard == s.name {
-		jobs.WriteError(w, http.StatusBadRequest, "invalid source shard %q", req.Shard)
-		return
-	}
-	if !req.Snapshot {
-		jobs.WriteError(w, http.StatusBadRequest, "a JSON ship must be a snapshot; frames travel as %s", shipFramesType)
-		return
-	}
-	if !s.fenceCheck(w, req.Shard, req.Epoch) {
-		return
-	}
-	if err := s.standby.InstallSnapshot(req.Shard, req.Gen, req.Records, req.NextSeq); err != nil {
-		jobs.WriteError(w, http.StatusInternalServerError, "install snapshot from %s: %v", req.Shard, err)
-		return
-	}
-	s.log.Info("installed journal snapshot", "shard", s.name, "from", req.Shard, "gen", req.Gen, "records", len(req.Records))
-	resp := shipResponse{Applied: len(req.Records)}
-	resp.Gen, resp.LastSeq = s.standby.State(req.Shard)
-	jobs.WriteJSON(w, http.StatusOK, resp)
-}
-
-// handleShipFrames applies a binary batch of shipped frames. A body
-// that ends mid-frame applies the whole frames before that point and
-// asks for a resync, as a frame that fails verification does.
-func (s *ShardServer) handleShipFrames(w http.ResponseWriter, r *http.Request) {
-	shard := jobs.QueryValue(r.URL.RawQuery, "shard")
+	q := r.URL.RawQuery
+	shard := jobs.QueryValue(q, "shard")
 	if shard == "" || shard == s.name {
 		jobs.WriteError(w, http.StatusBadRequest, "invalid source shard %q", shard)
 		return
 	}
-	var epoch uint64
-	if v := jobs.QueryValue(r.URL.RawQuery, "epoch"); v != "" {
-		var err error
-		if epoch, err = strconv.ParseUint(v, 10, 64); err != nil {
-			jobs.WriteError(w, http.StatusBadRequest, "bad epoch %q", v)
-			return
-		}
+	epoch, err := queryUint(q, "epoch")
+	if err != nil {
+		jobs.WriteError(w, http.StatusBadRequest, "bad epoch: %v", err)
+		return
+	}
+	gen, err := queryUint(q, "gen")
+	if err != nil {
+		jobs.WriteError(w, http.StatusBadRequest, "bad gen: %v", err)
+		return
 	}
 	var body []byte
 	if err := jobs.ReadBody(w, r, func() (err error) {
@@ -239,13 +213,18 @@ func (s *ShardServer) handleShipFrames(w http.ResponseWriter, r *http.Request) {
 	if !s.fenceCheck(w, shard, epoch) {
 		return
 	}
-	frames, err := store.ParseShipFrames(body)
-	applied, aerr := s.standby.ApplyFrames(shard, frames)
-	if aerr != nil {
-		err = aerr
-	}
-	resp := shipResponse{Applied: applied}
-	if err != nil {
+	var resp shipResponse
+	if jobs.QueryValue(q, "snapshot") == "1" {
+		if resp.Applied, err = s.standby.InstallSnapshot(shard, gen, body); err != nil {
+			status := http.StatusInternalServerError
+			if errors.Is(err, store.ErrBadFrame) {
+				status = http.StatusBadRequest
+			}
+			jobs.WriteError(w, status, "install snapshot from %s: %v", shard, err)
+			return
+		}
+		s.log.Info("installed journal snapshot", "shard", s.name, "from", shard, "gen", gen, "records", resp.Applied)
+	} else if resp.Applied, err = s.standby.ApplyFrames(shard, gen, body); err != nil {
 		if !errors.Is(err, store.ErrGap) && !errors.Is(err, store.ErrBadFrame) {
 			jobs.WriteError(w, http.StatusInternalServerError, "apply frames from %s: %v", shard, err)
 			return
@@ -254,6 +233,15 @@ func (s *ShardServer) handleShipFrames(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Gen, resp.LastSeq = s.standby.State(shard)
 	jobs.WriteJSON(w, http.StatusOK, resp)
+}
+
+// queryUint reads an optional decimal query value; absent reads as 0.
+func queryUint(rawQuery, key string) (uint64, error) {
+	v := jobs.QueryValue(rawQuery, key)
+	if v == "" {
+		return 0, nil
+	}
+	return strconv.ParseUint(v, 10, 64)
 }
 
 // handleAdopt replays a dead shard's shipped journal into this shard's

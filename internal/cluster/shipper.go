@@ -21,29 +21,37 @@ import (
 )
 
 // Shipper is the sending half of journal shipping: a store.Sink that
-// replicates one shard's journal frames to its warm-standby peer over
-// HTTP.
+// replicates one shard's journal to its warm-standby peer over HTTP, as
+// the journal's own bytes.
 //
-// Delivery discipline mirrors the durability contract: accept frames
-// (the fsynced ones) are shipped synchronously — the standby's copy is
-// made as strong as the local disk before the daemon acknowledges the
-// job. Done/failed frames only queue: they ride the next ship, a
-// synchronous one or the background flusher's, so a cold job costs one
-// standby round trip, not two. Any loss
-// (network error, full queue, journal rewrite, standby gap report)
-// degrades to a full resync: the shipper exports the current journal
-// generation and ships it as a snapshot that replaces the standby's
-// copy. Nothing is ever silently divergent.
+// Delivery discipline mirrors the durability contract: an accept frame
+// (the fsynced one) is shipped before the daemon acknowledges the job,
+// so the standby's copy is as strong as the local disk. The store only
+// queues frames under its lock; Accept ships after releasing it, so a
+// slow standby holds up that accept and nothing else. Done/failed
+// frames only queue: they ride the next ship, an accept's or the
+// background flusher's, so a cold job costs one standby round trip,
+// not two. Any loss (network error, full queue, journal rewrite,
+// standby gap report) degrades to a full resync: the shipper exports
+// the current journal and ships it whole, replacing the standby's copy.
+// Nothing is ever silently divergent.
 type Shipper struct {
-	shard     string // our shard name (labels everything shipped)
-	peer      string // the standby's name (status only)
-	base      string // the standby's base URL
-	framesURL string // the frame-batch URL, up to the epoch's value
-	hc        *http.Client
-	log       *slog.Logger
+	shard   string // our shard name (labels everything shipped)
+	peer    string // the standby's name (status only)
+	base    string // the standby's base URL
+	shipURL string // the ship URL, up to the epoch's value
+	hc      *http.Client
+	log     *slog.Logger
+
+	// send serializes ship POSTs, so the standby sees frames in journal
+	// order. Nothing an append takes waits for it: Queue and
+	// JournalRewritten take only mu.
+	send sync.Mutex
 
 	mu         sync.Mutex
-	queue      []store.Frame
+	gen        uint64 // generation of the queued frames
+	queue      []byte // queued frames, back to back, as the journal holds them
+	queued     int    // frames in queue
 	needResync bool
 	fenced     bool // standby refused our epoch: stop shipping until SetEpoch
 	closed     bool
@@ -90,7 +98,7 @@ func NewShipper(shard, peer, base string, st *store.Store) *Shipper {
 		shard:      shard,
 		peer:       peer,
 		base:       base,
-		framesURL:  base + shipPath + "?shard=" + url.QueryEscape(shard) + "&epoch=",
+		shipURL:    base + shipPath + "?shard=" + url.QueryEscape(shard) + "&epoch=",
 		hc:         &http.Client{},
 		log:        obs.Nop(),
 		flushEvery: shipFlushEvery,
@@ -177,16 +185,12 @@ func (sh *Shipper) Close() {
 	<-sh.exit
 }
 
-// ShipFrame implements store.Sink. Synchronous frames are delivered
-// inline — together with anything already queued, so the standby sees
-// them in order — before the store's caller proceeds; a failure marks
-// the stream for resync and counts against syncShipFailures, but never
-// fails the local append (local durability is already secured).
-// Non-synchronous frames (done, failed) do not wake the flusher: they
-// wait for the next synchronous ship or the flusher's next pass. The
-// standby never needs them promptly, because adoption re-runs done
-// jobs and a failed one fails again deterministically.
-func (sh *Shipper) ShipFrame(f store.Frame, sync bool) {
+// Queue implements store.Sink: it queues one appended frame, under
+// the store lock, and never waits on the network. Done and failed
+// frames wait here for the next ship: the standby never needs them
+// promptly, because adoption re-runs done jobs and a failed one fails
+// again deterministically.
+func (sh *Shipper) Queue(gen uint64, frame []byte) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.closed || sh.fenced {
@@ -194,21 +198,37 @@ func (sh *Shipper) ShipFrame(f store.Frame, sync bool) {
 		// arrives, at which point a full resync supersedes this frame.
 		return
 	}
-	sh.queue = append(sh.queue, f)
-	if len(sh.queue) > shipQueueMax {
+	if sh.queued == shipQueueMax {
 		// Overflow: drop the backlog, resync when the standby returns.
-		sh.queue = sh.queue[:0]
+		sh.queue, sh.queued = nil, 0
 		sh.needResync = true
 		sh.log.Warn("ship queue overflow; backlog dropped, resync pending", "shard", sh.shard, "standby", sh.peer)
 		return
 	}
+	sh.gen = gen
+	sh.queue = append(sh.queue, frame...)
+	sh.queued++
+}
+
+// Ship implements store.Sink: Accept calls it, outside the store lock,
+// once its frame is queued. While the stream is in sync it ships the
+// queue, the accept's frame and everything before it, and returns once
+// the standby has answered; a failure marks the stream for resync and
+// counts against syncShipFailures, but never fails the accept (local
+// durability is already secured). While a resync is pending or the
+// shipper is fenced it returns at once: the flusher resyncs, and the
+// snapshot carries the frame.
+func (sh *Shipper) Ship() {
+	sh.mu.Lock()
+	closed, fenced, needResync := sh.closed, sh.fenced, sh.needResync
+	sh.mu.Unlock()
 	switch {
-	case !sync:
-		// Rides the next synchronous ship or flusher pass.
-	case sh.needResync:
-		sh.poke() // the flusher resyncs first, then drains the queue
+	case closed || fenced:
+		// Nothing ships; after a grant, a resync carries the frame.
+	case needResync:
+		sh.poke()
 	default:
-		if err := sh.flushFramesLocked(); err != nil {
+		if err := sh.shipFrames(); err != nil {
 			sh.syncShipFailures.Add(1)
 			sh.log.Warn("synchronous frame ship failed; standby lags local disk", "shard", sh.shard, "standby", sh.peer, "err", err)
 		}
@@ -219,7 +239,7 @@ func (sh *Shipper) ShipFrame(f store.Frame, sync bool) {
 // every queued frame; the flusher resyncs from ExportJournal.
 func (sh *Shipper) JournalRewritten(uint64) {
 	sh.mu.Lock()
-	sh.queue = sh.queue[:0]
+	sh.queue, sh.queued = nil, 0
 	sh.needResync = true
 	sh.mu.Unlock()
 	sh.poke()
@@ -249,7 +269,7 @@ func (sh *Shipper) run() {
 	}
 }
 
-// flush resyncs if needed, then drains the frame queue.
+// flush resyncs if needed, then ships the frame queue.
 func (sh *Shipper) flush() {
 	sh.mu.Lock()
 	needResync, fenced := sh.needResync, sh.fenced
@@ -262,24 +282,24 @@ func (sh *Shipper) flush() {
 			return // standby unreachable; try again next tick
 		}
 	}
-	sh.mu.Lock()
-	// A failure needs nothing more here: the frames stay queued, or a
-	// resync or the fence latch is already recorded, for the next pass.
-	_ = sh.flushFramesLocked()
-	sh.mu.Unlock()
+	// A failure needs nothing more here: a resync or the fence latch is
+	// already recorded for the next pass.
+	_ = sh.shipFrames()
 }
 
 // noteFencedLocked latches the fenced state when err is a fencing
-// rejection (sh.mu held). Queued frames are dropped — they belong to a
-// keyspace this node no longer owns — and the transition callback
-// fires once so the shard server can refuse new submissions too.
+// rejection of our current epoch (sh.mu held). A refusal of an epoch
+// that a grant has since replaced is stale and ignored. Queued frames
+// are dropped — they belong to a keyspace this node no longer owns —
+// and the transition callback fires once so the shard server can
+// refuse new submissions too.
 func (sh *Shipper) noteFencedLocked(err error) {
 	var fe *FencedError
-	if !errors.As(err, &fe) || sh.fenced {
+	if !errors.As(err, &fe) || sh.fenced || fe.Epoch < sh.epoch.Load() {
 		return
 	}
 	sh.fenced = true
-	sh.queue = sh.queue[:0]
+	sh.queue, sh.queued = nil, 0
 	sh.log.Warn("shipper fenced: keyspace adopted elsewhere; awaiting fresh epoch",
 		"shard", sh.shard, "standby", sh.peer, "epoch", fe.Epoch, "fence", fe.Fence)
 	if sh.onFenced != nil {
@@ -287,30 +307,31 @@ func (sh *Shipper) noteFencedLocked(err error) {
 	}
 }
 
-// flushFramesLocked posts the queued frames as one binary batch (sh.mu
-// held). On success the queue empties; a gap report clears it too (the
-// snapshot will supersede); a network error keeps it for the next tick.
-func (sh *Shipper) flushFramesLocked() error {
-	if len(sh.queue) == 0 {
+// shipFrames posts the queued frames as one batch. Under send, a queue
+// found empty was shipped by the POST before this one. The queue is
+// taken whole; a failed POST or a gap report marks the stream for
+// resync, whose snapshot carries the frames.
+func (sh *Shipper) shipFrames() error {
+	sh.send.Lock()
+	defer sh.send.Unlock()
+	sh.mu.Lock()
+	batch, gen := sh.queue, sh.gen
+	sh.queue, sh.queued = nil, 0
+	sh.mu.Unlock()
+	if len(batch) == 0 {
 		return nil
 	}
-	size := 0
-	for _, f := range sh.queue {
-		size += store.ShipFrameOverhead + len(f.Payload)
-	}
-	body := make([]byte, 0, size)
-	for _, f := range sh.queue {
-		body = store.AppendShipFrame(body, f)
-	}
-	resp, err := sh.post(sh.framesURL+strconv.FormatUint(sh.epoch.Load(), 10), shipFramesType, body)
+	resp, err := sh.post(gen, false, batch)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if err != nil {
+		sh.needResync = true
 		sh.noteFencedLocked(err)
 		return err
 	}
 	sh.framesShipped.Add(uint64(resp.Applied))
 	sh.ackGen.Store(resp.Gen)
 	sh.ackSeq.Store(resp.LastSeq)
-	sh.queue = sh.queue[:0]
 	if resp.Resync {
 		sh.needResync = true
 		sh.poke()
@@ -319,18 +340,16 @@ func (sh *Shipper) flushFramesLocked() error {
 	return nil
 }
 
-// resync exports the journal and ships it as a snapshot. Runs outside
-// sh.mu (ExportJournal takes the store lock).
+// resync ships the whole journal as a snapshot. ExportJournal takes
+// the store lock; the POST runs under send only.
 func (sh *Shipper) resync() error {
-	gen, recs, nextSeq, err := sh.st.ExportJournal()
+	sh.send.Lock()
+	defer sh.send.Unlock()
+	gen, journal, err := sh.st.ExportJournal()
 	if err != nil {
 		return err
 	}
-	data, err := json.Marshal(shipRequest{Shard: sh.shard, Epoch: sh.epoch.Load(), Snapshot: true, Gen: gen, NextSeq: nextSeq, Records: recs})
-	if err != nil {
-		return fmt.Errorf("cluster: encode snapshot: %w", err)
-	}
-	resp, err := sh.post(sh.base+shipPath, "application/json", data)
+	resp, err := sh.post(gen, true, journal)
 	if err != nil {
 		sh.mu.Lock()
 		sh.noteFencedLocked(err)
@@ -338,7 +357,7 @@ func (sh *Shipper) resync() error {
 		return err
 	}
 	sh.resyncs.Add(1)
-	sh.log.Info("journal resynced to standby", "shard", sh.shard, "standby", sh.peer, "gen", gen, "records", len(recs))
+	sh.log.Info("journal resynced to standby", "shard", sh.shard, "standby", sh.peer, "gen", gen, "records", resp.Applied)
 	sh.ackGen.Store(resp.Gen)
 	sh.ackSeq.Store(resp.LastSeq)
 	sh.mu.Lock()
@@ -349,16 +368,22 @@ func (sh *Shipper) resync() error {
 	return nil
 }
 
-// post sends one ship request (a frame batch or a snapshot) to the
-// standby under shipTimeout and decodes its acknowledgement.
-func (sh *Shipper) post(target, contentType string, body []byte) (*shipResponse, error) {
+// post sends one ship request, journal frames of generation gen (the
+// whole journal when snapshot is set), to the standby under shipTimeout
+// and decodes its acknowledgement.
+func (sh *Shipper) post(gen uint64, snapshot bool, body []byte) (*shipResponse, error) {
+	epoch := sh.epoch.Load()
+	target := sh.shipURL + strconv.FormatUint(epoch, 10) + "&gen=" + strconv.FormatUint(gen, 10)
+	if snapshot {
+		target += "&snapshot=1"
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), shipTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %s: %w", shipPath, err)
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", shipType)
 	resp, err := sh.hc.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %s: %w", shipPath, err)
@@ -376,7 +401,7 @@ func (sh *Shipper) post(target, contentType string, body []byte) (*shipResponse,
 		// keyspace), not a generic transport error.
 		var fb fencedBody
 		if resp.StatusCode == http.StatusConflict && json.Unmarshal(raw, &fb) == nil && fb.Kind == "fenced" {
-			return nil, &FencedError{Keyspace: sh.shard, Epoch: sh.epoch.Load(), Fence: fb.Epoch}
+			return nil, &FencedError{Keyspace: sh.shard, Epoch: epoch, Fence: fb.Epoch}
 		}
 		return nil, fmt.Errorf("cluster: %s: HTTP %d: %s", shipPath, resp.StatusCode, strings.TrimSpace(string(raw)))
 	}
@@ -390,7 +415,7 @@ func (sh *Shipper) post(target, contentType string, body []byte) (*shipResponse,
 // Status reports the shipper's view for /v1/cluster.
 func (sh *Shipper) Status() *ShipTargetStatus {
 	sh.mu.Lock()
-	queued, pendingResync, fenced := len(sh.queue), sh.needResync, sh.fenced
+	queued, pendingResync, fenced := sh.queued, sh.needResync, sh.fenced
 	sh.mu.Unlock()
 	return &ShipTargetStatus{
 		Name:             sh.peer,

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -196,5 +197,123 @@ func TestShipAckBounded(t *testing.T) {
 	sh.flush()
 	if got := sh.Status(); !got.PendingResync || got.Resyncs != 0 {
 		t.Fatalf("after an oversized ack: pending resync %v, resyncs %d; want still pending, none done", got.PendingResync, got.Resyncs)
+	}
+}
+
+// TestSlowStandbyHoldsOnlyItsAccept: the store only queues frames under
+// its lock, and an accept ships after releasing it. Against a standby
+// that answers frame batches after about a second, a Done of one job
+// returns while another job's accept waits on its ship, and that accept
+// returns only once its POST is answered.
+func TestSlowStandbyHoldsOnlyItsAccept(t *testing.T) {
+	const delay = time.Second
+	sbStore, err := store.OpenStandby(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sbStore.Close() })
+	standby := NewShardServer("sb", nil, nil, sbStore, nil).Handler(http.NotFoundHandler())
+	var slow, answered atomic.Bool
+	arrived := make(chan struct{}, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if slow.Load() && jobs.QueryValue(r.URL.RawQuery, "snapshot") == "" {
+			select {
+			case arrived <- struct{}{}:
+			default:
+			}
+			time.Sleep(delay)
+			defer answered.Store(true) // before the response leaves the handler
+		}
+		standby.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+
+	st, _, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	sh := NewShipper("p", "sb", srv.URL, st)
+	sh.flushEvery = time.Hour // only accepts ship
+	sh.Start()
+	t.Cleanup(sh.Close)
+	waitFor(t, "initial resync", 10*time.Second, func() bool {
+		s := sh.Status()
+		return s.Resyncs == 1 && !s.PendingResync
+	})
+
+	finished, waiting := tinyJob(0), tinyJob(1)
+	if err := st.Accept(finished.Key(), finished, false); err != nil {
+		t.Fatal(err)
+	}
+	slow.Store(true)
+	accepted := make(chan error, 1)
+	go func() {
+		err := st.Accept(waiting.Key(), waiting, false)
+		if err == nil && !answered.Load() {
+			err = fmt.Errorf("Accept returned before its ship POST was answered")
+		}
+		accepted <- err
+	}()
+	select {
+	case <-arrived:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the accept's ship never reached the standby")
+	}
+	start := time.Now()
+	if err := st.Done(finished.Key(), &jobs.Result{ID: finished.Key()}); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > delay/2 {
+		t.Errorf("Done took %v while another job's accept was shipping to a standby answering after %v", took, delay)
+	}
+	if err := <-accepted; err != nil {
+		t.Fatal(err)
+	}
+	slow.Store(false)
+	if _, last := sbStore.State("p"); last != 2 {
+		t.Errorf("standby holds seq %d after the two accepts, want 2", last)
+	}
+}
+
+// TestConcurrentAcceptsShipTheirFrames: accepts from several goroutines
+// share ship POSTs, and each still returns only once the standby holds
+// its frame, whether its own POST or another accept's carried it.
+func TestConcurrentAcceptsShipTheirFrames(t *testing.T) {
+	sb := newTestShard(t, "sb")
+	sb.serve("", "")
+	pri := newTestShard(t, "p")
+	// A tick that never fires within the test: only accepts ship.
+	startCountedShipper(t, pri, sb, time.Hour)
+	const workers, each = 4, 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				j := tinyJob(w*each + i)
+				if err := pri.st.Accept(j.Key(), j, false); err != nil {
+					t.Error(err)
+					return
+				}
+				recovered, err := sb.sb.Recover(pri.name)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				found := false
+				for _, rj := range recovered {
+					found = found || rj.ID == j.Key()
+				}
+				if !found {
+					t.Errorf("accept of job %d returned before the standby held its frame", w*each+i)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if _, last := sb.sb.State(pri.name); last != workers*each {
+		t.Errorf("standby holds seq %d after %d accepts, want %d", last, workers*each, workers*each)
 	}
 }

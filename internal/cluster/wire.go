@@ -2,40 +2,25 @@ package cluster
 
 import "regvirt/internal/jobs/store"
 
-// Wire types of the cluster control plane. Everything but a batch of
-// shipped journal frames is JSON over the same HTTP listener the job
-// API uses; shard-to-shard traffic (shipping frames, snapshots,
-// adoption) shares these shapes with the router's probes.
+// Wire types of the cluster control plane. Everything but shipped
+// journal bytes is JSON over the same HTTP listener the job API uses;
+// shard-to-shard traffic (shipping, adoption) shares these shapes with
+// the router's probes.
 
-// Journal replication reaches POST /v1/cluster/ship in two forms. A
-// batch of frames extending the standby's copy is a binary body of
-// type shipFramesType: the frames in store.AppendShipFrame's wire form
-// (generation and sequence number, then the frame exactly as the
-// journal stores it), with the sender's shard name and epoch in the
-// query (?shard=NAME&epoch=N). The standby verifies each frame as
-// store.Frame.Decode does and appends the ones that extend its copy
-// with one write. A snapshot, the resync path, is a JSON shipRequest.
-// Either way the answer is a JSON shipResponse, or a 409 fencedBody.
-const shipFramesType = "application/octet-stream"
+// Journal replication reaches POST /v1/cluster/ship as the journal's
+// own bytes, a body of type shipType: a batch is the frames the primary
+// appended, and a resync snapshot (snapshot=1 in the query) its whole
+// journal. The query names the sender's shard, its ownership epoch and
+// the journal generation (?shard=NAME&epoch=N&gen=G). The standby checks
+// the bytes with the store's replay decoder; this package never looks
+// inside them. The answer is a JSON shipResponse, or a 409 fencedBody.
+const shipType = "application/octet-stream"
 
-// shipRequest is a snapshot: a full journal export that replaces the
-// standby's copy of the sender's journal. Snapshot must be set (frames
-// travel as shipFramesType). Epoch is the sender's ownership epoch for
-// its keyspace: the standby rejects any request below its fence (see
-// FencedError), so a partitioned-away primary cannot keep replicating
-// after its keyspace was adopted.
-type shipRequest struct {
-	Shard    string         `json:"shard"`
-	Epoch    uint64         `json:"epoch,omitempty"`
-	Snapshot bool           `json:"snapshot,omitempty"`
-	Gen      uint64         `json:"gen,omitempty"`
-	NextSeq  uint64         `json:"next_seq,omitempty"`
-	Records  []store.Record `json:"records,omitempty"`
-}
-
-// shipResponse acknowledges what the standby now holds. Resync asks
-// the shipper to send a snapshot: the frames did not extend the copy
-// contiguously (a gap, a generation change, or a corrupt frame).
+// shipResponse acknowledges what the standby now holds. Applied counts
+// the frames a batch appended, or the records a snapshot installed.
+// Resync asks the shipper to send a snapshot: the batch did not extend
+// the copy contiguously (a gap, a generation change, or a corrupt
+// frame).
 type shipResponse struct {
 	Gen     uint64 `json:"gen"`
 	LastSeq uint64 `json:"last_seq"`
@@ -109,6 +94,8 @@ type NodeStatus struct {
 	Adopted    []AdoptResult       `json:"adopted,omitempty"`
 }
 
-// maxShipBody bounds a shipping request body. Snapshots carry a whole
-// journal, so the cap is far above the job API's 1 MiB.
+// maxShipBody bounds a ship body. A resync carries the whole journal:
+// the accepts still pending and whatever finished since the last
+// compaction (which runs once the journal passes 1 MiB), so the cap is
+// far above the job API's 1 MiB.
 const maxShipBody = 64 << 20

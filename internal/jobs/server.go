@@ -64,8 +64,8 @@ const maxBodyBytes = 1 << 20
 // covers the headers only, and there is no whole-request ReadTimeout
 // because a sync submit's response waits for its simulation. Every
 // handler that reads a body reads it under this deadline through
-// ReadBody; the largest body, a 64 MiB journal snapshot, fits in it at
-// 7 MB/s.
+// ReadBody; the largest body, a resync's whole journal (at most 64 MiB
+// of journal bytes), fits in it at 7 MB/s.
 const BodyReadTimeout = 10 * time.Second
 
 // testBodyReadTimeout, when positive, replaces BodyReadTimeout in

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -133,7 +132,7 @@ func TestCompactionSyncsResultsBeforeJournal(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
-		recs, _ := readJournal(bytes.NewReader(raw))
+		recs, _ := readJournal(raw)
 		ids := map[string]bool{}
 		for _, rec := range recs {
 			if rec.Op == OpAccept {
@@ -176,14 +175,14 @@ func TestStandbyFailedAppendAppliesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	if n, err := ss.ApplyFrames("s", []Frame{frameFor(t, 1, 1, acceptRec("aaa1"))}); err != nil || n != 1 {
+	if n, err := ss.ApplyFrames("s", 1, frameFor(t, 1, acceptRec("aaa1"))); err != nil || n != 1 {
 		t.Fatalf("first frame: applied %d, err %v", n, err)
 	}
 	ss.mu.Lock()
-	ss.shards["s"].f.Close() // every write now fails
+	ss.shards["s"].j.f.Close() // every write now fails
 	ss.mu.Unlock()
-	batch := []Frame{frameFor(t, 1, 2, acceptRec("bbb2")), frameFor(t, 1, 3, acceptRec("ccc3"))}
-	n, err := ss.ApplyFrames("s", batch)
+	batch := batchOf(frameFor(t, 2, acceptRec("bbb2")), frameFor(t, 3, acceptRec("ccc3")))
+	n, err := ss.ApplyFrames("s", 1, batch)
 	if err == nil || errors.Is(err, ErrGap) || errors.Is(err, ErrBadFrame) || n != 0 {
 		t.Fatalf("batch into a failing file: applied %d, err %v; want 0 and a write error", n, err)
 	}

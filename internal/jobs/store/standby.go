@@ -1,10 +1,8 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -17,7 +15,7 @@ import (
 // its accepted jobs can be adopted and re-run here. One directory per
 // primary, holding nothing but the shipped journal and its sidecars:
 //
-//	<dir>/<shard>/shipped.wal  — the shipped journal (same frame format)
+//	<dir>/<shard>/shipped.wal  — the shipped journal, a journalFile like the primary's
 //	<dir>/<shard>/journal.gen  — the shipped generation
 //	<dir>/<shard>/fence.epoch  — the fence epoch (see Fence)
 //
@@ -25,12 +23,13 @@ import (
 // ships: a compaction reaches the standby as a snapshot that replaces
 // shipped.wal wholesale.
 //
-// Continuity discipline: a frame is appended only when its generation
-// matches and its sequence number is exactly last+1. Duplicates (seq
-// at or below last) are acknowledged and dropped — shippers retry
-// batches after network errors, so replay idempotence is part of the
-// contract. Anything else is ErrGap, which tells the shipper to send
-// a full snapshot; InstallSnapshot replaces the shard's copy wholesale.
+// Continuity discipline: a frame is appended only when its batch's
+// generation matches and its sequence number is exactly last+1.
+// Duplicates (seq at or below last) are acknowledged and dropped —
+// shippers retry batches after network errors, so replay idempotence
+// is part of the contract. Anything else is ErrGap, which tells the
+// shipper to send a full snapshot; InstallSnapshot replaces the shard's
+// copy wholesale.
 type StandbyStore struct {
 	dir string
 
@@ -40,12 +39,9 @@ type StandbyStore struct {
 }
 
 type standbyShard struct {
-	f       *os.File // shipped.wal, opened for append
-	size    int64    // shipped.wal's length: where a failed append is cut back to
-	gen     uint64
-	lastSeq uint64
-	pending int    // pending accepts per the last full replay (status only)
-	fence   uint64 // minimum ownership epoch this copy accepts ships from
+	j       *journalFile // shipped.wal
+	pending int          // pending accepts per the last full replay (status only)
+	fence   uint64       // minimum ownership epoch this copy accepts ships from
 }
 
 // ErrGap reports a shipped frame that does not extend the standby's
@@ -80,11 +76,11 @@ func OpenStandby(dir string) (*StandbyStore, error) {
 	return ss, nil
 }
 
-// loadShard opens one shard's copy: replay the shipped journal,
-// truncate the corrupt tail, recover (gen, lastSeq) and open for
-// append. Also the "standby restart during resync" path — whatever
-// valid prefix the interrupted shipment left is where continuity
-// resumes, and the next frame either extends it or forces a resync.
+// loadShard opens one shard's copy as the primary opens its journal:
+// replay, cut the torn tail, recover (gen, lastSeq). Also the "standby
+// restart during resync" path — whatever valid prefix the interrupted
+// shipment left is where continuity resumes, and the next frame either
+// extends it or forces a resync.
 func (ss *StandbyStore) loadShard(shard string) (*standbyShard, error) {
 	sdir := filepath.Join(ss.dir, shard)
 	if err := os.MkdirAll(sdir, 0o755); err != nil {
@@ -96,32 +92,11 @@ func (ss *StandbyStore) loadShard(shard string) (*standbyShard, error) {
 	if err := os.RemoveAll(filepath.Join(sdir, checkpointsDir)); err != nil {
 		return nil, fmt.Errorf("store: standby: %w", err)
 	}
-	path := filepath.Join(sdir, shippedName)
-	raw, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("store: standby: read %s: %w", shard, err)
-	}
-	recs, valid := readJournal(bytes.NewReader(raw))
-	if int64(len(raw)) > valid {
-		if err := os.Truncate(path, valid); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("store: standby: truncate %s: %w", shard, err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	j, recs, err := openJournal(sdir, shippedName)
 	if err != nil {
-		return nil, fmt.Errorf("store: standby: open %s: %w", shard, err)
+		return nil, fmt.Errorf("store: standby %s: %w", shard, err)
 	}
-	sh := &standbyShard{
-		f:       f,
-		size:    valid,
-		gen:     readUint(filepath.Join(sdir, genName)),
-		pending: countPending(recs),
-		fence:   readUint(filepath.Join(sdir, fenceName)),
-	}
-	if len(recs) > 0 {
-		sh.lastSeq = recs[len(recs)-1].Seq
-	}
-	return sh, nil
+	return &standbyShard{j: j, pending: countPending(recs), fence: readUint(filepath.Join(sdir, fenceName))}, nil
 }
 
 // fenceName is the sidecar persisting a shard copy's fence epoch, so
@@ -179,22 +154,24 @@ func (ss *StandbyStore) shardLocked(shard string) (*standbyShard, error) {
 	return sh, nil
 }
 
-// ApplyFrames appends shipped frames to the shard's copy in order and
-// returns how many were newly applied. Each frame is verified as
-// Frame.Decode does, and the frames that extend the copy are appended
-// with one write; a failed write applies none of them (the copy is cut
-// back to its previous length). It fsyncs once at the end, and
-// only when the batch applied an accept: an accept is the primary's
-// durability promise, and the standby's copy must be as durable before
-// the primary acknowledges the job. Done and failed frames are not
-// fsynced, as on the primary; losing them in a standby crash is safe,
-// because Recover re-runs done jobs anyway, a lost failed record only
-// re-runs a job that fails again, and the shortened copy reports a gap
-// on the next ship, which resyncs it. A later accept's fsync (or
-// Recover's own) covers them. Duplicates are skipped silently; the
-// first gap or bad frame stops the batch with ErrGap/ErrBadFrame
-// (everything before it is kept — it extended the copy validly).
-func (ss *StandbyStore) ApplyFrames(shard string, frames []Frame) (applied int, err error) {
+// ApplyFrames appends a shipped batch — journal frames of generation
+// gen, as the primary's journal holds them — to the shard's copy, and
+// returns how many frames were newly applied. Frames are checked with
+// the replay decoder, and the ones that extend the copy are appended
+// with one write; a failed write applies none of them. It fsyncs once
+// at the end, and only when the batch applied an accept: an accept is
+// the primary's durability promise, and the standby's copy must be as
+// durable before the primary acknowledges the job. Done and failed
+// frames are not fsynced, as on the primary; losing them in a standby
+// crash is safe, because Recover re-runs done jobs anyway, a lost
+// failed record only re-runs a job that fails again, and the shortened
+// copy reports a gap on the next ship, which resyncs it. A later
+// accept's fsync (or Recover's own) covers them. Duplicates are skipped
+// silently; the first gap or bad frame stops the batch with
+// ErrGap/ErrBadFrame (everything before it is kept — it extended the
+// copy validly). An empty copy adopts the generation of the first
+// batch whose first frame is seq 1.
+func (ss *StandbyStore) ApplyFrames(shard string, gen uint64, batch []byte) (applied int, err error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if ss.closed {
@@ -205,41 +182,36 @@ func (ss *StandbyStore) ApplyFrames(shard string, frames []Frame) (applied int, 
 		return 0, err
 	}
 	var (
-		buf     []byte
-		lastSeq = sh.lastSeq
+		keep    = make([]byte, 0, len(batch))
+		copyGen = sh.j.gen
+		seq     = sh.j.seq
 		pending = sh.pending
 		accepts int
 	)
-	for _, f := range frames {
-		rec, derr := f.Decode()
-		if derr != nil {
-			err = derr
+	for rest := batch; len(rest) > 0; {
+		rec, n, ok := nextFrame(rest)
+		if !ok {
+			err = fmt.Errorf("%w: %d bytes after seq %d do not start a whole, valid frame", ErrBadFrame, len(rest), seq)
 			break
 		}
-		if f.Gen != sh.gen {
-			// Bootstrap: an empty copy adopts the first generation it
-			// sees, provided the stream starts at its beginning.
-			if sh.gen == 0 && lastSeq == 0 && f.Seq == 1 {
-				sdir := filepath.Join(ss.dir, shard)
-				if werr := writeUint(filepath.Join(sdir, genName), f.Gen); werr != nil {
-					err = werr
-					break
-				}
-				sh.gen = f.Gen
-			} else {
-				err = fmt.Errorf("%w: frame gen %d, have gen %d", ErrGap, f.Gen, sh.gen)
+		frame := rest[:n]
+		rest = rest[n:]
+		if gen != copyGen {
+			if copyGen != 0 || seq != 0 || rec.Seq != 1 {
+				err = fmt.Errorf("%w: batch gen %d, have gen %d", ErrGap, gen, copyGen)
 				break
 			}
+			copyGen = gen // bootstrap: the stream starts at its beginning
 		}
-		if f.Seq <= lastSeq {
+		if rec.Seq <= seq {
 			continue // duplicate replay: idempotent
 		}
-		if f.Seq != lastSeq+1 {
-			err = fmt.Errorf("%w: frame seq %d, have seq %d", ErrGap, f.Seq, lastSeq)
+		if rec.Seq != seq+1 {
+			err = fmt.Errorf("%w: frame seq %d, have seq %d", ErrGap, rec.Seq, seq)
 			break
 		}
-		buf = appendFrame(buf, f.Payload, f.CRC) // Decode checked f.CRC
-		lastSeq = f.Seq
+		keep = append(keep, frame...)
+		seq = rec.Seq
 		switch rec.Op {
 		case OpAccept:
 			pending++
@@ -251,73 +223,50 @@ func (ss *StandbyStore) ApplyFrames(shard string, frames []Frame) (applied int, 
 		}
 		applied++
 	}
-	if len(buf) == 0 {
+	if applied == 0 {
 		return 0, err
 	}
-	if _, werr := sh.f.Write(buf); werr != nil {
-		// A short write would leave a torn frame that every later append
-		// follows: cut the copy back to its last whole frame. Should the
-		// cut fail too, the next load truncates the copy to its valid
-		// prefix, and the frames lost past it come back by resync.
-		_ = sh.f.Truncate(sh.size)
-		return 0, fmt.Errorf("store: standby: append %s: %w", shard, werr)
+	if werr := sh.j.append(keep, seq); werr != nil {
+		return 0, fmt.Errorf("store: standby %s: %w", shard, werr)
 	}
-	sh.size += int64(len(buf))
-	sh.lastSeq, sh.pending = lastSeq, pending
+	sh.j.setGen(copyGen)
+	sh.pending = pending
 	if accepts > 0 {
-		if serr := sh.f.Sync(); serr != nil && err == nil {
-			err = fmt.Errorf("store: standby: sync %s: %w", shard, serr)
+		if serr := sh.j.sync(); serr != nil && err == nil {
+			err = fmt.Errorf("store: standby %s: %w", shard, serr)
 		}
 	}
 	return applied, err
 }
 
 // InstallSnapshot replaces the shard's copy wholesale with a shipped
-// journal export: records re-framed into a fresh shipped.wal, the
-// generation sidecar updated, continuity reset to nextSeq-1. This is
-// the resync path — after it, ApplyFrames expects seq nextSeq.
-func (ss *StandbyStore) InstallSnapshot(shard string, gen uint64, recs []Record, nextSeq uint64) error {
+// journal of generation gen: the resync path. The snapshot must replay
+// whole (ErrBadFrame otherwise, and the copy stays as it was); after
+// it, ApplyFrames expects the sequence number after its last record's.
+// It returns the number of records installed.
+func (ss *StandbyStore) InstallSnapshot(shard string, gen uint64, journal []byte) (int, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if ss.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	sh, err := ss.shardLocked(shard)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	var buf bytes.Buffer
-	for _, rec := range recs {
-		if !validRecord(rec) {
-			return fmt.Errorf("%w: snapshot record for %q", ErrBadFrame, rec.ID)
-		}
-		frame, err := frameRecord(rec)
-		if err != nil {
-			return err
-		}
-		buf.Write(frame)
+	recs, valid := readJournal(journal)
+	if valid != int64(len(journal)) {
+		return 0, fmt.Errorf("%w: snapshot replays %d of %d bytes", ErrBadFrame, valid, len(journal))
 	}
-	sdir := filepath.Join(ss.dir, shard)
-	sh.f.Close()
-	if err := writeAtomic(filepath.Join(sdir, shippedName), buf.Bytes()); err != nil {
-		return err
+	var seq uint64
+	if len(recs) > 0 {
+		seq = recs[len(recs)-1].Seq
 	}
-	if err := writeUint(filepath.Join(sdir, genName), gen); err != nil {
-		return err
+	if err := sh.j.replace(journal, gen, seq); err != nil {
+		return 0, fmt.Errorf("store: standby %s: %w", shard, err)
 	}
-	f, err := os.OpenFile(filepath.Join(sdir, shippedName), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: standby: reopen %s: %w", shard, err)
-	}
-	sh.f = f
-	sh.size = int64(buf.Len())
-	sh.gen = gen
-	if nextSeq == 0 {
-		nextSeq = 1
-	}
-	sh.lastSeq = nextSeq - 1
 	sh.pending = countPending(recs)
-	return nil
+	return len(recs), nil
 }
 
 // Recover reconstructs the shard's jobs from its shipped copy, in
@@ -336,14 +285,14 @@ func (ss *StandbyStore) Recover(shard string) ([]jobs.RecoveredJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := sh.f.Sync(); err != nil {
-		return nil, fmt.Errorf("store: standby: sync %s: %w", shard, err)
+	if err := sh.j.sync(); err != nil {
+		return nil, fmt.Errorf("store: standby %s: %w", shard, err)
 	}
-	raw, err := os.ReadFile(filepath.Join(ss.dir, shard, shippedName))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("store: standby: read %s: %w", shard, err)
+	raw, err := sh.j.contents()
+	if err != nil {
+		return nil, fmt.Errorf("store: standby %s: %w", shard, err)
 	}
-	recs, _ := readJournal(bytes.NewReader(raw))
+	recs, _ := readJournal(raw)
 
 	recovered := foldJournal(recs)
 	for i := range recovered {
@@ -369,7 +318,7 @@ func (ss *StandbyStore) State(shard string) (gen, lastSeq uint64) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if sh, ok := ss.shards[shard]; ok {
-		return sh.gen, sh.lastSeq
+		return sh.j.gen, sh.j.seq
 	}
 	return 0, 0
 }
@@ -380,7 +329,7 @@ func (ss *StandbyStore) Status() []ShardStatus {
 	defer ss.mu.Unlock()
 	var out []ShardStatus
 	for name, sh := range ss.shards {
-		out = append(out, ShardStatus{Shard: name, Gen: sh.gen, LastSeq: sh.lastSeq, Pending: sh.pending, Fence: sh.fence})
+		out = append(out, ShardStatus{Shard: name, Gen: sh.j.gen, LastSeq: sh.j.seq, Pending: sh.pending, Fence: sh.fence})
 	}
 	return out
 }
@@ -395,10 +344,7 @@ func (ss *StandbyStore) Close() error {
 	ss.closed = true
 	var firstErr error
 	for _, sh := range ss.shards {
-		if err := sh.f.Sync(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := sh.f.Close(); err != nil && firstErr == nil {
+		if err := sh.j.close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

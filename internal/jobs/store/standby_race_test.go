@@ -68,14 +68,12 @@ func TestStandbyResyncRacesApplyAndRecover(t *testing.T) {
 	defer ss.Close()
 
 	const iters = 150
-	recsOf := func(n int) []Record {
-		recs := make([]Record, 0, n)
+	journalOf := func(n int) []byte {
+		var journal []byte
 		for i := 0; i < n; i++ {
-			rec := acceptRec(fmt.Sprintf("job-%02d", i))
-			rec.Seq = uint64(i + 1)
-			recs = append(recs, rec)
+			journal = append(journal, frameFor(t, uint64(i+1), acceptRec(fmt.Sprintf("job-%02d", i)))...)
 		}
-		return recs
+		return journal
 	}
 
 	var wg sync.WaitGroup
@@ -84,15 +82,15 @@ func TestStandbyResyncRacesApplyAndRecover(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			_, lastSeq := ss.State("a")
-			f := frameFor(t, 1, lastSeq+1, acceptRec(fmt.Sprintf("app-%03d", i)))
-			ss.ApplyFrames("a", []Frame{f}) // ErrGap expected when a snapshot won the race
+			f := frameFor(t, lastSeq+1, acceptRec(fmt.Sprintf("app-%03d", i)))
+			ss.ApplyFrames("a", 1, f) // ErrGap expected when a snapshot won the race
 		}
 	}()
 	go func() { // resyncer: snapshots replace the copy wholesale
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			n := 1 + i%5
-			if err := ss.InstallSnapshot("a", 1, recsOf(n), uint64(n+1)); err != nil {
+			if _, err := ss.InstallSnapshot("a", 1, journalOf(n)); err != nil {
 				t.Errorf("InstallSnapshot: %v", err)
 				return
 			}

@@ -1,50 +1,88 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"regvirt/internal/jobs"
 )
 
 // captureSink records everything a Store ships, for wiring assertions.
+// With a store set, it also notes whether Ship ran under the store
+// lock.
 type captureSink struct {
-	frames   []Frame
-	syncs    []bool
-	rewrites []uint64
+	st         *Store
+	gens       []uint64
+	frames     [][]byte
+	ships      int
+	shipLocked bool
+	rewrites   []uint64
 }
 
-func (c *captureSink) ShipFrame(f Frame, sync bool) {
-	c.frames = append(c.frames, f)
-	c.syncs = append(c.syncs, sync)
+func (c *captureSink) Queue(gen uint64, frame []byte) {
+	c.gens = append(c.gens, gen)
+	c.frames = append(c.frames, frame)
 }
+
+func (c *captureSink) Ship() {
+	c.ships++
+	if c.st != nil {
+		if c.st.mu.TryLock() {
+			c.st.mu.Unlock()
+		} else {
+			c.shipLocked = true
+		}
+	}
+}
+
 func (c *captureSink) JournalRewritten(gen uint64) { c.rewrites = append(c.rewrites, gen) }
+
+// seqs decodes the sequence numbers of the captured frames.
+func (c *captureSink) seqs(t *testing.T) []uint64 {
+	t.Helper()
+	var seqs []uint64
+	for i, frame := range c.frames {
+		recs, n := readJournal(frame)
+		if len(recs) != 1 || n != int64(len(frame)) {
+			t.Fatalf("shipped frame %d is not one whole journal frame", i)
+		}
+		seqs = append(seqs, recs[0].Seq)
+	}
+	return seqs
+}
 
 func shipJob(name string) jobs.Job { return jobs.Job{Workload: name} }
 
-// frameFor builds a valid shipped frame from a record.
-func frameFor(t *testing.T, gen, seq uint64, rec Record) Frame {
+// frameFor builds a valid journal frame from a record.
+func frameFor(t *testing.T, seq uint64, rec Record) []byte {
 	t.Helper()
 	rec.Seq = seq
-	payload, err := recordPayload(rec)
+	frame, err := frameRecord(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Frame{Gen: gen, Seq: seq, CRC: crc32.Checksum(payload, castagnoli), Payload: payload}
+	return frame
 }
+
+// batchOf joins frames into one ship body.
+func batchOf(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
 
 func acceptRec(id string) Record {
 	j := shipJob("VectorAdd")
 	return Record{Op: OpAccept, ID: id, Job: &j}
 }
 
-// TestStoreShipsFramesInOrder: an armed sink sees every append as a
-// contiguous (gen, seq) stream, accepts synchronously, and generation
-// bumps on compaction with a rewrite notice.
+// TestStoreShipsFramesInOrder: an armed sink is handed every append as
+// a contiguous (gen, seq) stream of journal frames, Accept ships each
+// accept once the store lock is released, Failed only queues, and the
+// frames are the journal's own bytes.
 func TestStoreShipsFramesInOrder(t *testing.T) {
 	dir := t.TempDir()
 	s, _, err := Open(dir)
@@ -52,7 +90,7 @@ func TestStoreShipsFramesInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	sink := &captureSink{}
+	sink := &captureSink{st: s}
 	gen := s.SetSink(sink)
 	if gen == 0 {
 		t.Fatalf("generation = 0, want bumped at Open")
@@ -66,22 +104,26 @@ func TestStoreShipsFramesInOrder(t *testing.T) {
 	if err := s.Failed("job2", "boom"); err != nil {
 		t.Fatal(err)
 	}
-	if len(sink.frames) != 3 {
-		t.Fatalf("shipped %d frames, want 3", len(sink.frames))
+	if got := sink.seqs(t); !reflect.DeepEqual(got, []uint64{1, 2, 3}) {
+		t.Fatalf("shipped seqs %v, want [1 2 3]", got)
 	}
-	for i, f := range sink.frames {
-		if f.Gen != gen || f.Seq != uint64(i+1) {
-			t.Errorf("frame %d: gen/seq = %d/%d, want %d/%d", i, f.Gen, f.Seq, gen, i+1)
-		}
-		if _, err := f.Decode(); err != nil {
-			t.Errorf("frame %d fails decode: %v", i, err)
+	for i, g := range sink.gens {
+		if g != gen {
+			t.Errorf("frame %d: gen %d, want %d", i, g, gen)
 		}
 	}
-	if !sink.syncs[0] || !sink.syncs[1] {
-		t.Error("accept frames must ship synchronously")
+	if sink.ships != 2 {
+		t.Errorf("Ship ran %d times, want once per accept (2)", sink.ships)
 	}
-	if sink.syncs[2] {
-		t.Error("failed frame shipped synchronously; accepts only")
+	if sink.shipLocked {
+		t.Error("Ship ran under the store lock")
+	}
+	_, journal, err := s.ExportJournal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(journal, batchOf(sink.frames...)) {
+		t.Error("the shipped frames are not the journal's bytes")
 	}
 }
 
@@ -106,8 +148,9 @@ func TestGenerationMonotonicAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestExportJournalRoundTrip: ExportJournal returns the exact records
-// a resync needs, with NextSeq where the live stream continues.
+// TestExportJournalRoundTrip: ExportJournal returns the journal's
+// bytes, whose last record's sequence number is where the live stream
+// continues.
 func TestExportJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, _, err := Open(dir)
@@ -118,15 +161,16 @@ func TestExportJournalRoundTrip(t *testing.T) {
 	s.Accept("aaa1", shipJob("VectorAdd"), false)
 	s.Accept("bbb2", shipJob("Reduction"), false)
 	s.Failed("bbb2", "nope")
-	gen, recs, nextSeq, err := s.ExportJournal()
+	gen, journal, err := s.ExportJournal()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gen != s.Generation() {
 		t.Errorf("export gen %d != live gen %d", gen, s.Generation())
 	}
-	if len(recs) != 3 || nextSeq != 4 {
-		t.Fatalf("export = %d records, nextSeq %d; want 3, 4", len(recs), nextSeq)
+	recs, n := readJournal(journal)
+	if len(recs) != 3 || n != int64(len(journal)) || recs[2].Seq != 3 {
+		t.Fatalf("export = %d records over %d of %d bytes; want 3 whole, the last seq 3", len(recs), n, len(journal))
 	}
 	if recs[0].Op != OpAccept || recs[2].Op != OpFailed {
 		t.Errorf("record ops = %s..%s, want accept..failed", recs[0].Op, recs[2].Op)
@@ -143,12 +187,14 @@ func TestStandbyTruncatedFrameMidShip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	f1 := frameFor(t, 1, 1, acceptRec("aaa1"))
-	f2 := frameFor(t, 1, 2, acceptRec("bbb2"))
-	f2.Payload = f2.Payload[:len(f2.Payload)/2] // truncated mid-ship
-	f3 := frameFor(t, 1, 3, acceptRec("ccc3"))
+	f1 := frameFor(t, 1, acceptRec("aaa1"))
+	payload := frameFor(t, 2, acceptRec("bbb2"))[frameHeaderSize:]
+	cut := payload[:len(payload)/2] // truncated mid-ship
+	f2 := frameBytes(cut)
+	binary.LittleEndian.PutUint32(f2[4:], crc32.Checksum(payload, castagnoli)) // the CRC of the whole payload
+	f3 := frameFor(t, 3, acceptRec("ccc3"))
 
-	applied, err := ss.ApplyFrames("shard1", []Frame{f1, f2, f3})
+	applied, err := ss.ApplyFrames("shard1", 1, batchOf(f1, f2, f3))
 	if !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("err = %v, want ErrBadFrame", err)
 	}
@@ -160,8 +206,7 @@ func TestStandbyTruncatedFrameMidShip(t *testing.T) {
 	}
 	// A CRC forged to match the truncated payload is still rejected:
 	// the payload no longer decodes as a journal record.
-	f2.CRC = crc32.Checksum(f2.Payload, castagnoli)
-	if _, err := ss.ApplyFrames("shard1", []Frame{f2}); !errors.Is(err, ErrBadFrame) {
+	if _, err := ss.ApplyFrames("shard1", 1, frameBytes(cut)); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("forged-CRC truncated frame: err = %v, want ErrBadFrame", err)
 	}
 	// Recovery sees only the intact record.
@@ -183,19 +228,16 @@ func TestStandbyDuplicateReplayIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	batch := []Frame{
-		frameFor(t, 1, 1, acceptRec("aaa1")),
-		frameFor(t, 1, 2, acceptRec("bbb2")),
-	}
-	if n, err := ss.ApplyFrames("shard1", batch); err != nil || n != 2 {
+	f1, f2 := frameFor(t, 1, acceptRec("aaa1")), frameFor(t, 2, acceptRec("bbb2"))
+	if n, err := ss.ApplyFrames("shard1", 1, batchOf(f1, f2)); err != nil || n != 2 {
 		t.Fatalf("first apply = %d, %v", n, err)
 	}
 	// Full replay, then a partially-overlapping batch.
-	if n, err := ss.ApplyFrames("shard1", batch); err != nil || n != 0 {
+	if n, err := ss.ApplyFrames("shard1", 1, batchOf(f1, f2)); err != nil || n != 0 {
 		t.Fatalf("duplicate replay = %d, %v; want 0, nil", n, err)
 	}
-	overlap := []Frame{batch[1], frameFor(t, 1, 3, acceptRec("ccc3"))}
-	if n, err := ss.ApplyFrames("shard1", overlap); err != nil || n != 1 {
+	overlap := batchOf(f2, frameFor(t, 3, acceptRec("ccc3")))
+	if n, err := ss.ApplyFrames("shard1", 1, overlap); err != nil || n != 1 {
 		t.Fatalf("overlapping batch = %d, %v; want 1, nil", n, err)
 	}
 	recovered, err := ss.Recover("shard1")
@@ -209,31 +251,28 @@ func TestStandbyDuplicateReplayIdempotent(t *testing.T) {
 
 // TestStandbyGapForcesResync: skipping a sequence number is ErrGap;
 // installing the snapshot a resync would ship repairs continuity and
-// the stream continues from NextSeq.
+// the stream continues after the snapshot's last record.
 func TestStandbyGapForcesResync(t *testing.T) {
 	ss, err := OpenStandby(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	if _, err := ss.ApplyFrames("s", []Frame{frameFor(t, 1, 1, acceptRec("aaa1"))}); err != nil {
+	if _, err := ss.ApplyFrames("s", 1, frameFor(t, 1, acceptRec("aaa1"))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ss.ApplyFrames("s", []Frame{frameFor(t, 1, 3, acceptRec("ccc3"))}); !errors.Is(err, ErrGap) {
+	if _, err := ss.ApplyFrames("s", 1, frameFor(t, 3, acceptRec("ccc3"))); !errors.Is(err, ErrGap) {
 		t.Fatalf("seq gap err = %v, want ErrGap", err)
 	}
-	if _, err := ss.ApplyFrames("s", []Frame{frameFor(t, 2, 2, acceptRec("ccc3"))}); !errors.Is(err, ErrGap) {
+	if _, err := ss.ApplyFrames("s", 2, frameFor(t, 2, acceptRec("ccc3"))); !errors.Is(err, ErrGap) {
 		t.Fatalf("gen change err = %v, want ErrGap", err)
 	}
-	// Resync: gen 2 snapshot with 3 records, next live seq 4.
-	snap := []Record{acceptRec("aaa1"), acceptRec("bbb2"), acceptRec("ccc3")}
-	for i := range snap {
-		snap[i].Seq = uint64(i + 1)
+	// Resync: a gen 2 journal of 3 records, so the next live seq is 4.
+	snap := batchOf(frameFor(t, 1, acceptRec("aaa1")), frameFor(t, 2, acceptRec("bbb2")), frameFor(t, 3, acceptRec("ccc3")))
+	if n, err := ss.InstallSnapshot("s", 2, snap); err != nil || n != 3 {
+		t.Fatalf("snapshot installed %d records, %v; want 3", n, err)
 	}
-	if err := ss.InstallSnapshot("s", 2, snap, 4); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := ss.ApplyFrames("s", []Frame{frameFor(t, 2, 4, acceptRec("ddd4"))}); err != nil || n != 1 {
+	if n, err := ss.ApplyFrames("s", 2, frameFor(t, 4, acceptRec("ddd4"))); err != nil || n != 1 {
 		t.Fatalf("post-snapshot frame = %d, %v", n, err)
 	}
 	recovered, err := ss.Recover("s")
@@ -256,11 +295,8 @@ func TestStandbyRestartDuringResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := []Record{acceptRec("aaa1"), acceptRec("bbb2")}
-	for i := range snap {
-		snap[i].Seq = uint64(i + 1)
-	}
-	if err := ss.InstallSnapshot("s", 3, snap, 3); err != nil {
+	snap := batchOf(frameFor(t, 1, acceptRec("aaa1")), frameFor(t, 2, acceptRec("bbb2")))
+	if _, err := ss.InstallSnapshot("s", 3, snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := ss.Close(); err != nil {
@@ -275,7 +311,7 @@ func TestStandbyRestartDuringResync(t *testing.T) {
 	if gen, last := ss2.State("s"); gen != 3 || last != 2 {
 		t.Fatalf("reopened state = gen %d seq %d, want 3/2", gen, last)
 	}
-	if n, err := ss2.ApplyFrames("s", []Frame{frameFor(t, 3, 3, acceptRec("ccc3"))}); err != nil || n != 1 {
+	if n, err := ss2.ApplyFrames("s", 3, frameFor(t, 3, acceptRec("ccc3"))); err != nil || n != 1 {
 		t.Fatalf("resumed stream = %d, %v", n, err)
 	}
 	ss2.Close()
@@ -299,7 +335,7 @@ func TestStandbyRestartDuringResync(t *testing.T) {
 		t.Fatalf("post-tear state = gen %d seq %d, want 3/2", gen, last)
 	}
 	// The dropped record re-ships as seq 3 — accepted, not a duplicate.
-	if n, err := ss3.ApplyFrames("s", []Frame{frameFor(t, 3, 3, acceptRec("ccc3"))}); err != nil || n != 1 {
+	if n, err := ss3.ApplyFrames("s", 3, frameFor(t, 3, acceptRec("ccc3"))); err != nil || n != 1 {
 		t.Fatalf("re-shipped torn record = %d, %v", n, err)
 	}
 	recovered, err := ss3.Recover("s")
@@ -319,14 +355,14 @@ func TestStandbyRecoverStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	frames := []Frame{
-		frameFor(t, 1, 1, acceptRec("aaa1")),
-		frameFor(t, 1, 2, acceptRec("bbb2")),
-		frameFor(t, 1, 3, acceptRec("ccc3")),
-		frameFor(t, 1, 4, Record{Op: OpDone, ID: "aaa1"}),
-		frameFor(t, 1, 5, Record{Op: OpFailed, ID: "bbb2", Err: "deterministic"}),
-	}
-	if _, err := ss.ApplyFrames("s", frames); err != nil {
+	batch := batchOf(
+		frameFor(t, 1, acceptRec("aaa1")),
+		frameFor(t, 2, acceptRec("bbb2")),
+		frameFor(t, 3, acceptRec("ccc3")),
+		frameFor(t, 4, Record{Op: OpDone, ID: "aaa1"}),
+		frameFor(t, 5, Record{Op: OpFailed, ID: "bbb2", Err: "deterministic"}),
+	)
+	if _, err := ss.ApplyFrames("s", 1, batch); err != nil {
 		t.Fatal(err)
 	}
 	recovered, err := ss.Recover("s")
@@ -354,7 +390,7 @@ func TestOpenStandbyRemovesCheckpointsDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ss.ApplyFrames("s", []Frame{frameFor(t, 1, 1, acceptRec("aaa1"))}); err != nil {
+	if _, err := ss.ApplyFrames("s", 1, frameFor(t, 1, acceptRec("aaa1"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := ss.Close(); err != nil {

@@ -14,6 +14,9 @@
 // finished from the result store, byte-identical to a daemon that was
 // never killed.
 //
+// The journal is a journalFile (journal.go), the type a standby's
+// shipped copy of it is built on too.
+//
 // Crash-safety mechanics: Accept fsyncs its journal frame before
 // returning. A result is written in place under the store lock and
 // fsynced before Done returns; its envelope's checksum makes a torn
@@ -22,16 +25,16 @@
 // that drops its accept, which fsyncs results/ first. Checkpoints are
 // written to a temp file, fsynced and renamed into place; journal
 // replay truncates to the longest valid prefix, so a torn append loses
-// only the torn record; compaction rewrites the journal through the
-// same temp-and-rename door. *Store satisfies jobs.Recorder.
+// only the torn record, and an append that fails is cut back to the
+// last whole frame at once, so no later record follows a torn one;
+// compaction rewrites the journal through the same temp-and-rename
+// door. *Store satisfies jobs.Recorder.
 package store
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -71,10 +74,7 @@ type Store struct {
 	faults *faultinject.Injector // nil = no injection (nil receiver is inert)
 
 	mu      sync.Mutex
-	f       *os.File // journal, opened for append
-	size    int64    // journal byte length
-	seq     uint64
-	gen     uint64                   // journal generation (bumped per Open/compaction, persisted)
+	j       *journalFile             // journal.wal; its generation bumps per Open and compaction
 	sink    Sink                     // journal-shipping sink, nil when shipping is off
 	pending map[string]pendingAccept // accepted, neither done nor failed
 	order   []string                 // pending IDs in acceptance order
@@ -115,13 +115,11 @@ func Open(dir string) (*Store, []jobs.RecoveredJob, error) {
 			return nil, nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, journalName))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, nil, fmt.Errorf("store: read journal: %w", err)
+	j, recs, err := openJournal(dir, journalName)
+	if err != nil {
+		return nil, nil, err
 	}
-	recs, _ := readJournal(bytes.NewReader(raw))
-
-	s := &Store{dir: dir, pending: map[string]pendingAccept{}, gen: readUint(filepath.Join(dir, genName))}
+	s := &Store{dir: dir, j: j, pending: map[string]pendingAccept{}}
 	recovered := foldJournal(recs)
 	for i := range recovered {
 		rj := &recovered[i]
@@ -139,6 +137,7 @@ func Open(dir string) (*Store, []jobs.RecoveredJob, error) {
 		}
 	}
 	if err := s.compactLocked(); err != nil {
+		s.j.f.Close()
 		return nil, nil, err
 	}
 	return s, recovered, nil
@@ -165,11 +164,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if err := s.f.Sync(); err != nil {
-		s.f.Close()
-		return fmt.Errorf("store: sync journal: %w", err)
-	}
-	return s.f.Close()
+	return s.j.close()
 }
 
 // Accept journals an admitted job and fsyncs before returning — the
@@ -179,28 +174,40 @@ func (s *Store) Close() error {
 // result is already stored: it has finished, so an accept would stay
 // open with nothing left to close it. The check runs under the lock
 // Done holds, so an accept racing a concurrent Done is either closed by
-// it or never written.
+// it or never written. With a shipping sink armed, the frame is only
+// queued under the lock and shipped after it is released: a slow
+// standby holds up this accept, not every other append.
 func (s *Store) Accept(id string, job jobs.Job, async bool) error {
 	if !safeID(id) {
 		return fmt.Errorf("store: invalid job id %q", id)
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	sink, err := s.acceptLocked(id, job, async)
+	s.mu.Unlock()
+	if sink != nil {
+		sink.Ship()
+	}
+	return err
+}
+
+// acceptLocked is Accept under the store lock. It returns the sink to
+// ship through when it appended a frame.
+func (s *Store) acceptLocked(id string, job jobs.Job, async bool) (Sink, error) {
 	if s.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	if _, ok := s.pending[id]; ok {
-		return nil
+		return nil, nil
 	}
 	if _, ok := s.LoadResult(id); ok {
-		return nil
+		return nil, nil
 	}
 	if err := s.appendLocked(Record{Op: OpAccept, ID: id, Async: async, Job: &job}, true); err != nil {
-		return diskAware("journal append", err)
+		return nil, diskAware("journal append", err)
 	}
 	s.pending[id] = pendingAccept{job: job, async: async}
 	s.order = append(s.order, id)
-	return nil
+	return s.sink, nil
 }
 
 // Done persists the result (the file is the durable artifact), closes
@@ -371,45 +378,34 @@ func (s *Store) dropCheckpointLocked(id string) error {
 	return nil
 }
 
-// appendLocked frames and writes one record; sync makes it durable
-// before returning. With a shipping sink armed, the frame is offered
-// to it after the local write succeeds — synchronously for fsynced
-// (accept) frames, so the standby's copy is as strong as the local
-// one before the caller acknowledges anything.
+// appendLocked frames and writes one record as the journal's next
+// sequence number; sync makes it durable before returning. With a
+// shipping sink armed, the frame is queued for it once it is written.
 func (s *Store) appendLocked(rec Record, sync bool) error {
 	if err := s.faults.Fire(faultinject.SiteStoreAppend); err != nil {
 		return fmt.Errorf("store: append journal: %w", err)
 	}
-	s.seq++
-	rec.Seq = s.seq
-	payload, err := recordPayload(rec)
+	rec.Seq = s.j.seq + 1
+	frame, err := frameRecord(rec)
 	if err != nil {
 		return err
 	}
-	crc := crc32.Checksum(payload, castagnoli)
-	buf := appendFrame(make([]byte, 0, frameHeaderSize+len(payload)), payload, crc)
-	if _, err := s.f.Write(buf); err != nil {
-		return fmt.Errorf("store: append journal: %w", err)
+	if err := s.j.append(frame, rec.Seq); err != nil {
+		return err
 	}
-	s.size += int64(len(buf))
 	if sync {
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("store: sync journal: %w", err)
+		if err := s.j.sync(); err != nil {
+			return err
 		}
 	}
 	if s.sink != nil {
-		s.sink.ShipFrame(Frame{
-			Gen:     s.gen,
-			Seq:     rec.Seq,
-			CRC:     crc,
-			Payload: payload,
-		}, sync)
+		s.sink.Queue(s.j.gen, frame)
 	}
 	return nil
 }
 
 func (s *Store) maybeCompactLocked() error {
-	if s.size <= compactBytes {
+	if s.j.size <= compactBytes {
 		return nil
 	}
 	return s.compactLocked()
@@ -425,10 +421,6 @@ func (s *Store) maybeCompactLocked() error {
 // counter bumps with the rewrite, and an armed shipping sink is told
 // so it resyncs the standby onto the new generation.
 func (s *Store) compactLocked() error {
-	if s.f != nil {
-		s.f.Close()
-		s.f = nil
-	}
 	// Drop IDs that left the pending set since their accept.
 	live := s.order[:0]
 	for _, id := range s.order {
@@ -438,31 +430,21 @@ func (s *Store) compactLocked() error {
 	}
 	s.order = live
 
-	var buf bytes.Buffer
-	s.seq = 0
-	for _, id := range s.order {
+	var buf []byte
+	for i, id := range s.order {
 		pa := s.pending[id]
-		s.seq++
-		frame, err := frameRecord(Record{Seq: s.seq, Op: OpAccept, ID: id, Async: pa.async, Job: &pa.job})
+		frame, err := frameRecord(Record{Seq: uint64(i + 1), Op: OpAccept, ID: id, Async: pa.async, Job: &pa.job})
 		if err != nil {
 			return err
 		}
-		buf.Write(frame)
+		buf = append(buf, frame...)
 	}
 	syncDir(filepath.Join(s.dir, resultsDir))
-	path := filepath.Join(s.dir, journalName)
-	if err := writeAtomic(path, buf.Bytes()); err != nil {
+	if err := s.j.replace(buf, s.j.gen+1, uint64(len(s.order))); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: reopen journal: %w", err)
-	}
-	s.f = f
-	s.size = int64(buf.Len())
-	s.bumpGenLocked()
 	if s.sink != nil {
-		s.sink.JournalRewritten(s.gen)
+		s.sink.JournalRewritten(s.j.gen)
 	}
 	return nil
 }

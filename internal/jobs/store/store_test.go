@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"regvirt/internal/jobs"
@@ -128,7 +129,7 @@ func TestLostDoneFrameConverges(t *testing.T) {
 	if err := s.Accept("feed", jobs.Job{Workload: "VectorAdd"}, true); err != nil {
 		t.Fatal(err)
 	}
-	acceptedSize := s.size
+	acceptedSize := s.j.size
 	if err := s.Done("feed", fakeResult("feed")); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestCorruptRecordStopsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _ := readJournal(bytes.NewReader(raw))
+	recs, _ := readJournal(raw)
 	if len(recs) != 2 {
 		t.Fatalf("fixture journal has %d records, want 2", len(recs))
 	}
@@ -292,5 +293,107 @@ func TestCompactionTriggersOnSize(t *testing.T) {
 	}
 	if info.Size() > compactBytes {
 		t.Fatalf("journal is %d bytes; compaction never fired", info.Size())
+	}
+}
+
+// failNextAppend makes the store's next journal append fail after part
+// of its frame reached the file, as a short write would: half of the
+// frame rec would have written goes in through a second descriptor, and
+// the store's handle is swapped for a read-only one, so its own write
+// fails. The returned func puts the writable handle back.
+func failNextAppend(t *testing.T, s *Store, rec Record) (restore func()) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec.Seq = s.j.seq + 1
+	frame, err := frameRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := os.OpenFile(s.j.path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(frame[:len(frame)/2]); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	ro, err := os.Open(s.j.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := s.j.f
+	s.j.f = ro
+	return func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.j.f = good
+		ro.Close()
+	}
+}
+
+// TestAppendFaultKeepsLaterAccepts: an append that fails after writing
+// part of its frame must leave the journal at its last whole frame. A
+// later accept, acknowledged and fsynced, must then survive a restart,
+// not sit behind a torn frame that replay stops at.
+func TestAppendFaultKeepsLaterAccepts(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, dir)
+	if err := s.Accept("aaa1", jobs.Job{Workload: "VectorAdd"}, false); err != nil {
+		t.Fatal(err)
+	}
+	restore := failNextAppend(t, s, acceptRec("bbb2"))
+	if err := s.Accept("bbb2", jobs.Job{Workload: "VectorAdd"}, false); err == nil {
+		t.Fatal("Accept through a read-only journal handle succeeded")
+	}
+	restore()
+	if err := s.Accept("ccc3", jobs.Job{Workload: "MUM"}, false); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2, recovered := openT(t, dir)
+	defer s2.Close()
+	var got []string
+	for _, rj := range recovered {
+		if rj.State != "pending" {
+			t.Errorf("%s recovered %s, want pending", rj.ID, rj.State)
+		}
+		got = append(got, rj.ID)
+	}
+	if want := []string{"aaa1", "ccc3"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %v, want %v", got, want)
+	}
+}
+
+// TestAppendFaultUsesNoSeq: a failed append uses up no sequence number,
+// so the frames shipped around it stay contiguous and a standby takes
+// them without a gap (and the full resync a gap costs).
+func TestAppendFaultUsesNoSeq(t *testing.T) {
+	s, _ := openT(t, t.TempDir())
+	defer s.Close()
+	sink := &captureSink{}
+	gen := s.SetSink(sink)
+	if err := s.Accept("aaa1", jobs.Job{Workload: "VectorAdd"}, false); err != nil {
+		t.Fatal(err)
+	}
+	restore := failNextAppend(t, s, acceptRec("bbb2"))
+	if err := s.Accept("bbb2", jobs.Job{Workload: "VectorAdd"}, false); err == nil {
+		t.Fatal("Accept through a read-only journal handle succeeded")
+	}
+	restore()
+	if err := s.Accept("ccc3", jobs.Job{Workload: "MUM"}, false); err != nil {
+		t.Fatal(err)
+	}
+	if got := sink.seqs(t); !reflect.DeepEqual(got, []uint64{1, 2}) {
+		t.Fatalf("shipped seqs %v, want [1 2]", got)
+	}
+	ss, err := OpenStandby(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	if n, err := ss.ApplyFrames("p", gen, batchOf(sink.frames...)); err != nil || n != 2 {
+		t.Fatalf("standby applied %d of the shipped frames, err %v; want 2, nil", n, err)
 	}
 }
