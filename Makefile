@@ -132,12 +132,14 @@ bench-gpu:
 # RunGPU at most 76 allocations, a single-SM Run at most 39, on all five
 # backends; 69 and 35 measured), the kernel front end's allocation
 # budget (parse + compile of generated kernels), the pinned results
-# against the non-race golden, and BenchmarkSim once per workload (ns
-# and allocations per simulated cycle). CI runs this in its bench job.
+# against the non-race golden, the pool's live heap per job
+# (TestPoolKeepsNoKernels: a pool keeps results, not compiled kernels),
+# and BenchmarkSim once per workload (ns and allocations per simulated
+# cycle). CI runs this in its bench job.
 simcost:
 	$(GO) test -count=1 -run 'TestSteadyStateAllocatesNothing|TestLaunchAllocations' ./internal/sim
 	$(GO) test -count=1 -run 'TestFrontEndAllocations' ./internal/compiler
-	$(GO) test -count=1 -run 'TestResultsPinned' ./internal/jobs
+	$(GO) test -count=1 -run 'TestResultsPinned|TestPoolKeepsNoKernels' ./internal/jobs
 	$(GO) test -run=^$$ -bench='^BenchmarkSim$$' -benchtime=1x .
 
 # The end-to-end benchmark (bench/) is its own module, so the root

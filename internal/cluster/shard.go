@@ -165,7 +165,7 @@ func (s *ShardServer) handleEpoch(w http.ResponseWriter, r *http.Request) {
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxShipBody))
+	dec := json.NewDecoder(io.LimitReader(r.Body, maxControlBody))
 	if err := jobs.ReadBody(w, r, func() error { return dec.Decode(v) }); err != nil {
 		jobs.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false

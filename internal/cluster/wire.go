@@ -99,3 +99,7 @@ type NodeStatus struct {
 // compaction (which runs once the journal passes 1 MiB), so the cap is
 // far above the job API's 1 MiB.
 const maxShipBody = 64 << 20
+
+// maxControlBody bounds the JSON body of an epoch grant or an adoption
+// request: a keyspace or shard name and an epoch, a few dozen bytes.
+const maxControlBody = 4 << 10

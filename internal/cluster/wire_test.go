@@ -13,6 +13,7 @@ import (
 
 	"regvirt/internal/jobs"
 	"regvirt/internal/jobs/client"
+	"regvirt/internal/jobs/store"
 	"regvirt/internal/obs"
 	"regvirt/internal/sim"
 )
@@ -32,6 +33,43 @@ func TestRouterSettings(t *testing.T) {
 	}
 	if n := len(r.ring.points); n != 64 {
 		t.Errorf("ring has %d points for one shard, want 64 vnodes", n)
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestControlBodyBounded: an epoch grant or an adoption request whose
+// body is larger than maxControlBody is refused with a 400 after at
+// most maxControlBody bytes of it are read.
+func TestControlBodyBounded(t *testing.T) {
+	sb, err := store.OpenStandby(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sb.Close() })
+	pool := jobs.NewPool(1)
+	t.Cleanup(pool.Close)
+	h := NewShardServer("a", pool, nil, sb, nil).Handler(http.NotFoundHandler())
+	for path, field := range map[string]string{"/v1/cluster/epoch": "keyspace", "/v1/cluster/adopt": "shard"} {
+		body := &countingReader{r: strings.NewReader(`{"` + field + `":"` + strings.Repeat("a", 1<<20) + `","epoch":2}`)}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want 400", path, rec.Code)
+		}
+		if body.n > maxControlBody {
+			t.Errorf("%s: read %d body bytes, want at most %d", path, body.n, maxControlBody)
+		}
 	}
 }
 

@@ -36,7 +36,11 @@ func TestDigestStoresMatchesReference(t *testing.T) {
 		"nil":    nil,
 		"empty":  {},
 		"single": {0x0300_0000: 7},
+		"max":    {0xffff_ffff: 8},
 		"top":    {0xffff_fffc: 1, 0x8000_0000: 2, 0x7fff_fffc: 3, 0: 4},
+		// Addresses that differ in their top byte only: one radix pass.
+		"topbyte":  {0xff12_3456: 1, 0x0012_3456: 2, 0x8012_3456: 3, 0x7f12_3456: 4, 0x0112_3456: 5},
+		"extremes": {0xffff_ffff: 1, 0: 2, 0xff00_0000: 3, 0x00ff_ffff: 4},
 	}
 	for i := 0; i < 200; i++ {
 		m := map[uint32]uint32{}
@@ -61,5 +65,22 @@ func TestDigestStoresMatchesReference(t *testing.T) {
 		if got, want := DigestStores(m), digestStoresReference(m); got != want {
 			t.Errorf("%s (%d entries): digest %s, reference %s", name, len(m), got, want)
 		}
+	}
+}
+
+var digestSink string
+
+// BenchmarkDigestStores digests 1,500 words stored into one region, the
+// size of a generated kernel's output at the benchmark's cold geometry.
+func BenchmarkDigestStores(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	stores := make(map[uint32]uint32, 1500)
+	for i := uint32(0); i < 1500; i++ {
+		stores[0x0300_0000+4*i] = rng.Uint32()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		digestSink = DigestStores(stores)
 	}
 }

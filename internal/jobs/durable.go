@@ -166,7 +166,7 @@ func (p *Pool) runDurable(ctx context.Context, job Job, id string, e *execution)
 		}
 	}
 
-	res, err := execute(ctx, job, id, p.kernels, p.faults.Hook(), hooks)
+	res, err := execute(ctx, job, id, p.faults.Hook(), hooks)
 	if err != nil {
 		if e != nil && e.interrupted() && parent.Err() == nil && !p.isStopping() &&
 			(errors.Is(err, sim.ErrCancelled) || errors.Is(err, context.Canceled)) {

@@ -304,76 +304,45 @@ func (j Job) renameMode() (rename.Mode, error) {
 	return m, nil
 }
 
-// kernelKey identifies a compilation for the pool's kernel cache:
-// compiling depends only on the source (or workload), the table budget,
-// whether release metadata is emitted, and the resident-warp count.
-type kernelKey struct {
-	source    string // workload name or hash of inline assembly
-	tableB    int
-	noFlags   bool
-	residents int
-}
-
-// buildKernel compiles the job's kernel, via cache when one is given.
-func (j Job) buildKernel(n Job, kernels *Cache[kernelKey, *compiler.Kernel]) (*compiler.Kernel, sim.LaunchSpec, error) {
-	mode, err := j.renameMode()
-	if err != nil {
-		return nil, sim.LaunchSpec{}, err
-	}
-	tableBytes := n.TableBytes
-	if tableBytes < 0 {
-		tableBytes = 0 // compiler convention: 0 = unconstrained
-	}
+// buildKernel compiles n's kernel (n is a normalized job) for mode
+// under a table budget of tableBytes. Nothing keeps the compiled
+// kernel: compiling is one static pass per job, and a job the service
+// has answered before is served from a result tier without reaching
+// here.
+func buildKernel(n Job, mode rename.Mode, tableBytes int) (*compiler.Kernel, sim.LaunchSpec, error) {
 	noFlags := mode != rename.ModeCompiler
-
 	if n.Workload != "" {
-		w, werr := workloads.ByName(n.Workload)
-		if werr != nil {
-			return nil, sim.LaunchSpec{}, werr
+		w, err := workloads.ByName(n.Workload)
+		if err != nil {
+			return nil, sim.LaunchSpec{}, err
 		}
-		key := kernelKey{source: "workload:" + w.Name, tableB: tableBytes, noFlags: noFlags, residents: w.ResidentWarps()}
-		k, cerr := compileCached(kernels, key, func() (*compiler.Kernel, error) {
-			opts := w.CompileOptions()
-			opts.TableBytes = tableBytes
-			opts.NoFlags = noFlags
-			return compiler.Compile(w.Program(), opts)
-		})
-		if cerr != nil {
-			return nil, sim.LaunchSpec{}, cerr
+		opts := w.CompileOptions()
+		opts.TableBytes = tableBytes
+		opts.NoFlags = noFlags
+		k, err := compiler.Compile(w.Program(), opts)
+		if err != nil {
+			return nil, sim.LaunchSpec{}, err
 		}
 		return k, w.Spec(k), nil
 	}
 
-	sum := sha256.Sum256([]byte(n.Kernel))
-	residents := (n.ThreadsPerCTA + arch.WarpSize - 1) / arch.WarpSize * n.ConcCTAs
-	key := kernelKey{source: "asm:" + hex.EncodeToString(sum[:]), tableB: tableBytes, noFlags: noFlags, residents: residents}
-	k, cerr := compileCached(kernels, key, func() (*compiler.Kernel, error) {
-		p, perr := isa.Parse(n.Kernel)
-		if perr == nil {
-			perr = p.Validate()
-		}
-		if perr != nil {
-			return nil, &KernelError{Err: perr}
-		}
-		return compiler.Compile(p, compiler.Options{
-			TableBytes:    tableBytes,
-			ResidentWarps: residents,
-			NoFlags:       noFlags,
-		})
+	p, err := isa.Parse(n.Kernel)
+	if err == nil {
+		err = p.Validate()
+	}
+	if err != nil {
+		return nil, sim.LaunchSpec{}, &KernelError{Err: err}
+	}
+	k, err := compiler.Compile(p, compiler.Options{
+		TableBytes:    tableBytes,
+		ResidentWarps: (n.ThreadsPerCTA + arch.WarpSize - 1) / arch.WarpSize * n.ConcCTAs,
+		NoFlags:       noFlags,
 	})
-	if cerr != nil {
-		return nil, sim.LaunchSpec{}, cerr
+	if err != nil {
+		return nil, sim.LaunchSpec{}, err
 	}
 	spec := sim.LaunchSpec{Kernel: k, GridCTAs: n.GridCTAs, ThreadsPerCTA: n.ThreadsPerCTA, ConcCTAs: n.ConcCTAs}
 	return k, spec, nil
-}
-
-func compileCached(kernels *Cache[kernelKey, *compiler.Kernel], key kernelKey, fn func() (*compiler.Kernel, error)) (*compiler.Kernel, error) {
-	if kernels == nil {
-		return fn()
-	}
-	k, _, err := kernels.Do(context.Background(), key, fn)
-	return k, err
 }
 
 // Execute runs one job to completion on the calling goroutine (the
@@ -387,7 +356,7 @@ func Execute(ctx context.Context, j Job) (res *Result, err error) {
 			res, err = nil, toPanicError(v)
 		}
 	}()
-	return execute(ctx, j, j.Key(), nil, nil, runHooks{})
+	return execute(ctx, j, j.Key(), nil, runHooks{})
 }
 
 // runHooks threads the pool's durability callbacks into one execution:
@@ -403,16 +372,17 @@ type runHooks struct {
 // execute runs one job; key is j.Key(), stamped as the result's ID.
 // faultHook, when non-nil, is threaded into sim.Config.FaultHook (the
 // pool passes its injector's hook here).
-func execute(ctx context.Context, j Job, key string, kernels *Cache[kernelKey, *compiler.Kernel], faultHook func(string) error, hooks runHooks) (*Result, error) {
+func execute(ctx context.Context, j Job, key string, faultHook func(string) error, hooks runHooks) (*Result, error) {
 	if err := j.Validate(); err != nil {
 		return nil, err
 	}
-	n := j.normalized()
-	k, spec, err := j.buildKernel(n, kernels)
+	mode, err := j.renameMode()
 	if err != nil {
 		return nil, err
 	}
-	mode, err := j.renameMode()
+	n := j.normalized()
+	tableBytes := max(n.TableBytes, 0) // compiler convention: 0 = unconstrained
+	k, spec, err := buildKernel(n, mode, tableBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -435,10 +405,6 @@ func execute(ctx context.Context, j Job, key string, kernels *Cache[kernelKey, *
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	tableBytes := n.TableBytes
-	if tableBytes < 0 {
-		tableBytes = 0
 	}
 	if n.WholeGPU {
 		var g *sim.GPUResult

@@ -293,7 +293,6 @@ type MetricsSnapshot struct {
 	ScrubRepaired uint64 `json:"scrub_repaired"`
 
 	ResultCache CacheStats `json:"result_cache"`
-	KernelCache CacheStats `json:"kernel_cache"`
 
 	// TenantsTracked is the per-tenant counter table's current size.
 	// The table is bounded at 128 tenants; once full, counter updates
@@ -343,7 +342,6 @@ func (p *Pool) Metrics() MetricsSnapshot {
 		Running:        p.m.running.Load(),
 		UptimeSeconds:  time.Since(p.started).Seconds(),
 		ResultCache:    p.results.Stats(),
-		KernelCache:    p.kernels.Stats(),
 		TenantsTracked: tenantsTracked,
 		Tenants:        make(map[string]TenantSnapshot, len(queues.Queues)),
 		Latency:        lat,

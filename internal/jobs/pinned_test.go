@@ -101,7 +101,7 @@ func pinnedDigest(r pinnedRow) (string, error) {
 			first = ck
 		}
 	}}
-	if _, err := execute(context.Background(), r.job, r.job.Key(), nil, nil, hooks); err != nil {
+	if _, err := execute(context.Background(), r.job, r.job.Key(), nil, hooks); err != nil {
 		return "", err
 	}
 	if first == nil {

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"regvirt/internal/compiler"
 	"regvirt/internal/faultinject"
 	"regvirt/internal/jobs/sched"
 	"regvirt/internal/obs"
@@ -55,7 +54,6 @@ type Pool struct {
 	submitWG sync.WaitGroup
 
 	results *Cache[string, *Result]
-	kernels *Cache[kernelKey, *compiler.Kernel]
 
 	// store, when non-nil, is the durability layer (durable.go):
 	// accepted jobs are journaled before acknowledgement, results
@@ -175,7 +173,6 @@ func NewPoolWith(opts Options) *Pool {
 		started:   time.Now(),
 		sched:     sched.New(scfg),
 		results:   NewCache[string, *Result](),
-		kernels:   NewCache[kernelKey, *compiler.Kernel](),
 		running:   map[string]struct{}{},
 		failures:  failureLog{byID: map[string]failure{}},
 		tcs:       map[string]*tenantCounters{},
@@ -597,7 +594,7 @@ func (p *Pool) runJobContained(ctx context.Context, job Job, key string, e *exec
 	if p.store != nil {
 		return p.runDurable(ctx, job, key, e)
 	}
-	return execute(ctx, job, key, p.kernels, p.faults.Hook(), runHooks{})
+	return execute(ctx, job, key, p.faults.Hook(), runHooks{})
 }
 
 // retryAfter estimates when a shed (or quota-refused) client should

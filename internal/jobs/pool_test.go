@@ -7,11 +7,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"regvirt/internal/kernelgen"
 	"regvirt/internal/rename"
 	"regvirt/internal/sim"
 	"regvirt/internal/workloads"
@@ -329,5 +331,62 @@ func TestInlineKernelJob(t *testing.T) {
 	}
 	if res.Kernel != "inline" || res.Cycles == 0 || res.StoresDigest == "" {
 		t.Errorf("unexpected inline result: %+v", res)
+	}
+}
+
+// TestPoolKeepsNoKernels: a pool keeps each job's result, not its
+// compiled kernel. Distinct generated kernels at the cold benchmark's
+// parameters and backend rotation run through a pool without a store,
+// and the live heap, read after a collection, grows by at most
+// heapPerJob a job. A cached result costs under 1 KB; a compiled kernel
+// of this size costs 8 to 9 KB, so a pool that keeps kernels fails.
+func TestPoolKeepsNoKernels(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const n, heapPerJob = 400, 4 << 10
+	modes := []struct {
+		mode     string
+		physregs int
+	}{{"compiler", 512}, {"regcache", 512}, {"smemspill", 512}, {"baseline", 1024}, {"hwonly", 1024}}
+	coldJobs := func(base int64, n int) []Job {
+		js := make([]Job, n)
+		for i := range js {
+			kseed := base | int64(i)
+			params := kernelgen.Params{Regs: 8 + int(kseed%8), MaxItems: 10, MaxDepth: 2}
+			m := modes[i%len(modes)]
+			js[i] = Job{Kernel: kernelgen.Generate(kseed, params).String(), Mode: m.mode, PhysRegs: m.physregs}
+		}
+		return js
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // and what sync.Pools kept through the first
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	p := NewPool(2)
+	defer p.Close()
+	submit := func(js []Job) {
+		for _, j := range js {
+			if _, err := p.Submit(ctx, j); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Warm-up jobs from another seed range first, so one-time set-up
+	// is not counted against the measured jobs.
+	submit(coldJobs(24<<20, 2*len(modes)))
+	measured := coldJobs(25<<20, n)
+	before := liveHeap()
+	submit(measured)
+	perJob := (int64(liveHeap()) - int64(before)) / n
+	if perJob > heapPerJob {
+		t.Errorf("live heap grew %d bytes a job over %d jobs, want at most %d", perJob, n, heapPerJob)
+	} else {
+		t.Logf("live heap grew %d bytes a job over %d jobs", perJob, n)
 	}
 }

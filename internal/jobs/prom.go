@@ -43,7 +43,6 @@ func WriteProm(w *obs.PromWriter, shards ...PromShard) {
 	caches := func(add emit, name, help string, get func(CacheStats) float64) {
 		for _, s := range shards {
 			add(name, help, get(s.M.ResultCache), withLabel(s.Labels, "cache", "result")...)
-			add(name, help, get(s.M.KernelCache), withLabel(s.Labels, "cache", "kernel")...)
 		}
 	}
 	tenants := func(add emit, name, help string, get func(TenantSnapshot) float64) {
@@ -69,7 +68,7 @@ func WriteProm(w *obs.PromWriter, shards ...PromShard) {
 	}
 	counters(cJournalReplayed, cTenantOverflow)
 
-	// Internal cache tiers, one family per counter with a cache label.
+	// The result cache, one family per counter.
 	caches(w.Counter, "regvd_cache_hits_total", "Cache.Do calls answered from a completed entry.",
 		func(c CacheStats) float64 { return float64(c.Hits) })
 	caches(w.Counter, "regvd_cache_misses_total", "Cache.Do calls that executed the fill.",

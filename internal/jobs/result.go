@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"slices"
 
 	"regvirt/internal/compiler"
 	"regvirt/internal/power"
@@ -361,15 +360,16 @@ func ResultFromGPU(k *compiler.Kernel, cfg sim.Config, tableBytes int, g *sim.GP
 // DigestStores hashes final global-memory content order-independently:
 // SHA-256 over the (address, value) pairs in ascending address order,
 // each pair as two little-endian uint32s. Each pair is packed into one
-// uint64, address in the high half, so sorting the packed pairs orders
-// them by address without reflection, and the sorted pairs are hashed
-// as one buffer.
+// uint64, address in the high half, the packed pairs are ordered by
+// address with sortByAddress, and the sorted pairs are hashed as one
+// buffer.
 func DigestStores(stores map[uint32]uint32) string {
-	pairs := make([]uint64, 0, len(stores))
+	slab := make([]uint64, 2*len(stores))
+	pairs := slab[:0:len(stores)]
 	for a, v := range stores {
 		pairs = append(pairs, uint64(a)<<32|uint64(v))
 	}
-	slices.Sort(pairs)
+	pairs = sortByAddress(pairs, slab[len(stores):])
 	buf := make([]byte, 8*len(pairs))
 	for i, p := range pairs {
 		binary.LittleEndian.PutUint32(buf[8*i:], uint32(p>>32))
@@ -377,6 +377,39 @@ func DigestStores(stores map[uint32]uint32) string {
 	}
 	sum := sha256.Sum256(buf)
 	return hex.EncodeToString(sum[:])
+}
+
+// sortByAddress orders packed pairs by address (their high half) with
+// a least-significant-digit radix sort over the address bytes, tmp
+// being a second buffer as long as pairs, and returns the buffer that
+// holds the result. A map's addresses are distinct, so the order is
+// total. A byte every address shares takes no pass: a kernel stores
+// into one region, so its addresses' high bytes agree.
+func sortByAddress(pairs, tmp []uint64) []uint64 {
+	var counts [4][256]int
+	for _, p := range pairs {
+		a := uint32(p >> 32)
+		counts[0][uint8(a)]++
+		counts[1][uint8(a>>8)]++
+		counts[2][uint8(a>>16)]++
+		counts[3][uint8(a>>24)]++
+	}
+	for b := range counts {
+		c, shift := &counts[b], 32+8*b
+		if len(pairs) == 0 || c[uint8(pairs[0]>>shift)] == len(pairs) {
+			continue
+		}
+		for d, at := 0, 0; d < len(c); d++ {
+			c[d], at = at, at+c[d]
+		}
+		for _, p := range pairs {
+			d := uint8(p >> shift)
+			tmp[c[d]] = p
+			c[d]++
+		}
+		pairs, tmp = tmp, pairs
+	}
+	return pairs
 }
 
 // ResultWithTenant returns the result encoding b (Result.JSON's bytes,
