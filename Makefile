@@ -75,8 +75,9 @@ cluster:
 # tracer/log/prom/chrome units, the shard-level trace and Prometheus
 # endpoints, tenant-label overflow folding, and the cluster-level
 # proofs — a trace stitched across router and shards over real TCP,
-# and the router's shard-labelled Prometheus aggregation passing the
-# exposition-format linter. Profile-off purity (a profiled run is
+# a malformed trace ID answered 404 without a fan-out, and the router's
+# shard-labelled Prometheus aggregation passing the exposition-format
+# linter. Profile-off purity (a profiled run is
 # byte-identical to an unprofiled one) rides along from internal/sim.
 # CI runs this as its own job.
 obs:
@@ -85,7 +86,7 @@ obs:
 		-run 'Trace|Prom|Overflow|Profile|RetriesExhausted' \
 		./internal/jobs ./internal/jobs/client ./internal/sim
 	$(GO) test -race -count=1 \
-		-run 'TestClusterTraceStitch|TestRouterPromAggregation' ./internal/cluster
+		-run 'TestClusterTraceStitch|TestRouterTraceMalformedID|TestRouterPromAggregation' ./internal/cluster
 
 # Nemesis suite under the race detector: the fencing wire contract and
 # shipper latch/rejoin in-process, the standby fence/resync races, the
@@ -133,13 +134,18 @@ bench-gpu:
 # backends; 69 and 35 measured), the kernel front end's allocation
 # budget (parse + compile of generated kernels), the pinned results
 # against the non-race golden, the pool's live heap per job
-# (TestPoolKeepsNoKernels: a pool keeps results, not compiled kernels),
-# and BenchmarkSim once per workload (ns and allocations per simulated
+# (TestPoolKeepsNoKernels: a pool keeps results, not compiled kernels;
+# TestPoolKeepsNoKernelText: nor its jobs' kernel sources), the
+# tracer's cost (TestSpanAllocations: 3 allocations a span;
+# TestTracerHeap: a default-capacity tracer's live heap once its ring
+# has wrapped, and the 136-byte bound on a ring entry), and
+# BenchmarkSim once per workload (ns and allocations per simulated
 # cycle). CI runs this in its bench job.
 simcost:
 	$(GO) test -count=1 -run 'TestSteadyStateAllocatesNothing|TestLaunchAllocations' ./internal/sim
 	$(GO) test -count=1 -run 'TestFrontEndAllocations' ./internal/compiler
-	$(GO) test -count=1 -run 'TestResultsPinned|TestPoolKeepsNoKernels' ./internal/jobs
+	$(GO) test -count=1 -run 'TestResultsPinned|TestPoolKeepsNoKernels|TestPoolKeepsNoKernelText' ./internal/jobs
+	$(GO) test -count=1 -run 'TestSpanAllocations|TestTracerHeap' ./internal/obs
 	$(GO) test -run=^$$ -bench='^BenchmarkSim$$' -benchtime=1x .
 
 # The end-to-end benchmark (bench/) is its own module, so the root

@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,6 +103,53 @@ func TestClusterTraceStitch(t *testing.T) {
 	}
 	if len(cf.TraceEvents) < len(tr.Spans) {
 		t.Fatalf("chrome export has %d events for %d spans", len(cf.TraceEvents), len(tr.Spans))
+	}
+}
+
+// TestRouterTraceMalformedID: the router answers GET /v1/trace/{id}
+// for a malformed trace ID with the 404 an unknown ID gets, without
+// asking any shard; a well-formed unknown ID is still looked up on
+// every shard.
+func TestRouterTraceMalformedID(t *testing.T) {
+	var traceGets atomic.Int32
+	pool := jobs.NewPoolWith(jobs.Options{Workers: 1, Tracer: obs.NewTracer("s1")})
+	t.Cleanup(pool.Close)
+	inner := jobs.NewServer(pool).Handler()
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v1/trace/") {
+			traceGets.Add(1)
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(shard.Close)
+	_, routerURL := startRouter(t, []ShardInfo{{Name: "s1", URL: shard.URL}})
+
+	// Only the first ID, unknown but well-formed, reaches the shard.
+	for _, id := range []string{
+		"0123456789abcdef0123456789abcdef",
+		"deadbeef",
+		"0123456789ABCDEF0123456789abcdef",
+		"00000000000000000000000000000000",
+		"0123456789abcdef0123456789abcdef0",
+		"not-a-trace",
+	} {
+		resp, err := http.Get(routerURL + "/v1/trace/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := httptest.NewRecorder()
+		jobs.WriteTrace(want, httptest.NewRequest(http.MethodGet, "/v1/trace/"+id, nil), id, nil)
+		if resp.StatusCode != http.StatusNotFound || string(body) != want.Body.String() {
+			t.Errorf("trace %q: HTTP %d %s, want 404 %s", id, resp.StatusCode, body, want.Body)
+		}
+		if n := traceGets.Load(); n != 1 {
+			t.Errorf("after trace %q the shard saw %d trace requests, want 1", id, n)
+		}
 	}
 }
 

@@ -643,8 +643,8 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	ctx = obs.WithJobID(obs.WithTenant(ctx, job.Tenant), id)
 	ctx, span := r.tracer.Start(ctx, "router.submit")
 	defer span.End()
-	if sc := span.Context(); sc.TraceID != "" {
-		w.Header().Set(obs.TraceHeader, sc.HeaderValue())
+	if v := span.HeaderValue(); v != "" {
+		w.Header().Set(obs.TraceHeader, v)
 	}
 
 	if res, ok := r.cache.Get(id); ok {
@@ -702,8 +702,8 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 	ctx = obs.WithJobID(ctx, id)
 	ctx, span := r.tracer.Start(ctx, "router.status")
 	defer span.End()
-	if sc := span.Context(); sc.TraceID != "" {
-		w.Header().Set(obs.TraceHeader, sc.HeaderValue())
+	if v := span.HeaderValue(); v != "" {
+		w.Header().Set(obs.TraceHeader, v)
 	}
 	if res, ok := r.cache.Get(id); ok {
 		r.cacheHits.Add(1)
@@ -922,10 +922,15 @@ func fanOut[T any](ctx context.Context, r *Router, path string, keep func(n *nod
 // retained spans plus every reachable backend's, merged and sorted.
 // This is how a single submit becomes one timeline — router.submit and
 // its forward hops interleaved with the owning shard's http.submit,
-// queue.wait and sim.run.
+// queue.wait and sim.run. A malformed ID names no trace on any node, so
+// it is answered 404 without asking the shards.
 func (r *Router) handleTrace(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
-	spans := append([]obs.SpanRecord(nil), r.tracer.Trace(id)...)
+	if !obs.ValidTraceID(id) {
+		jobs.WriteTrace(w, req, id, nil)
+		return
+	}
+	spans := r.tracer.Trace(id)
 	fanOut(req.Context(), r, "/v1/trace/"+id, func(_ *node, tr jobs.TraceResponse) {
 		spans = append(spans, tr.Spans...)
 	})

@@ -188,7 +188,7 @@ func (s *ShardServer) handleShip(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.RawQuery
 	shard := jobs.QueryValue(q, "shard")
-	if shard == "" || shard == s.name {
+	if shard == s.name || !store.ValidShard(shard) {
 		jobs.WriteError(w, http.StatusBadRequest, "invalid source shard %q", shard)
 		return
 	}
@@ -259,7 +259,9 @@ func (s *ShardServer) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if req.Shard == "" || req.Shard == s.name {
+	// The standby's own naming rule, checked before any fence or
+	// recover work: a name it would refuse is bad input, not a fault.
+	if req.Shard == s.name || !store.ValidShard(req.Shard) {
 		jobs.WriteError(w, http.StatusBadRequest, "cannot adopt shard %q", req.Shard)
 		return
 	}

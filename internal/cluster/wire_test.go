@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/textproto"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -70,6 +71,40 @@ func TestControlBodyBounded(t *testing.T) {
 		if body.n > maxControlBody {
 			t.Errorf("%s: read %d body bytes, want at most %d", path, body.n, maxControlBody)
 		}
+	}
+}
+
+// TestInvalidShardNameRefused: an adoption request or a ship naming a
+// shard the standby store cannot hold (outside [A-Za-z0-9_-], or over
+// 128 bytes) is a 400, answered before any fence or recover work, and
+// the standby is left as it was.
+func TestInvalidShardNameRefused(t *testing.T) {
+	sb, err := store.OpenStandby(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sb.Close() })
+	pool := jobs.NewPool(1)
+	t.Cleanup(pool.Close)
+	h := NewShardServer("a", pool, nil, sb, nil).Handler(http.NotFoundHandler())
+	for _, name := range []string{"../x", strings.Repeat("b", 129)} {
+		for _, req := range []*http.Request{
+			httptest.NewRequest(http.MethodPost, "/v1/cluster/adopt", strings.NewReader(`{"shard":"`+name+`","epoch":2}`)),
+			httptest.NewRequest(http.MethodPost, "/v1/cluster/adopt", strings.NewReader(`{"shard":"`+name+`"}`)),
+			httptest.NewRequest(http.MethodPost, "/v1/cluster/ship?shard="+url.QueryEscape(name)+"&epoch=2&gen=1", strings.NewReader("")),
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("%s naming %.8q…: HTTP %d (%s), want 400", req.URL.Path, name, rec.Code, strings.TrimSpace(rec.Body.String()))
+			}
+		}
+		if f := sb.FenceEpoch(name); f != 0 {
+			t.Errorf("standby fenced %.8q… at epoch %d", name, f)
+		}
+	}
+	if st := sb.Status(); len(st) != 0 {
+		t.Errorf("standby holds %+v after refused requests, want nothing", st)
 	}
 }
 

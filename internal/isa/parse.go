@@ -43,7 +43,10 @@ func Parse(src string) (*Program, error) {
 		}
 		switch {
 		case strings.HasPrefix(text, ".kernel"):
-			p.Name = strings.TrimSpace(strings.TrimPrefix(text, ".kernel"))
+			// A clone: a substring would keep the whole source alive
+			// for as long as anything holds the name, a cached result
+			// among them.
+			p.Name = strings.Clone(strings.TrimSpace(strings.TrimPrefix(text, ".kernel")))
 			if p.Name == "" {
 				return nil, &ParseError{line, ".kernel requires a name"}
 			}

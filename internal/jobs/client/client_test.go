@@ -549,12 +549,13 @@ func TestClientPropagatesTraceHeader(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := New(ts.URL, WithPolicy(fastPolicy(1)))
-	ctx := obs.ContextWithSpan(context.Background(), obs.SpanContext{TraceID: "deadbeef", SpanID: "beef"})
+	sc := obs.SpanContext{TraceID: "0000000000000000000000000000dead", SpanID: "000000000000beef"}
+	ctx := obs.ContextWithSpan(context.Background(), sc)
 	if _, err := c.Submit(ctx, jobs.Job{Workload: "VectorAdd"}); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if got.Load() != "deadbeef/beef" {
-		t.Errorf("trace header = %q, want deadbeef/beef", got.Load())
+	if want := sc.HeaderValue(); got.Load() != want {
+		t.Errorf("trace header = %q, want %s", got.Load(), want)
 	}
 }
 

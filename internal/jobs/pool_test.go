@@ -334,6 +334,48 @@ func TestInlineKernelJob(t *testing.T) {
 	}
 }
 
+// TestPoolKeepsNoKernelText: a cached result does not keep its job's
+// kernel source alive. Each job's source is padded with a 16 KiB
+// comment and dropped once submitted, so a result whose kernel name is
+// a substring of the source pins 16 KiB or more a job, and the live
+// heap, read after a collection, must grow by at most heapPerJob a job.
+func TestPoolKeepsNoKernelText(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const n, heapPerJob = 100, 4 << 10
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	p := NewPool(2)
+	defer p.Close()
+	submit := func(base int64, n int) {
+		for i := 0; i < n; i++ {
+			kseed := base | int64(i)
+			params := kernelgen.Params{Regs: 8 + int(kseed%8), MaxItems: 10, MaxDepth: 2}
+			src := "# " + strings.Repeat("x", 16<<10) + "\n" + kernelgen.Generate(kseed, params).String()
+			if _, err := p.Submit(ctx, Job{Kernel: src}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // and what sync.Pools kept through the first
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	submit(26<<20, 4) // one-time set-up, not counted
+	before := liveHeap()
+	submit(27<<20, n)
+	perJob := (int64(liveHeap()) - int64(before)) / n
+	if perJob > heapPerJob {
+		t.Errorf("live heap grew %d bytes a job over %d jobs, want at most %d", perJob, n, heapPerJob)
+	} else {
+		t.Logf("live heap grew %d bytes a job over %d jobs", perJob, n)
+	}
+}
+
 // TestPoolKeepsNoKernels: a pool keeps each job's result, not its
 // compiled kernel. Distinct generated kernels at the cold benchmark's
 // parameters and backend rotation run through a pool without a store,

@@ -350,8 +350,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	ctx, hsp := s.pool.Tracer().Start(ctx, "http.submit")
 	defer hsp.End()
 	hsp.SetTenant(job.Tenant)
-	if sc := hsp.Context(); sc.TraceID != "" {
-		w.Header().Set(obs.TraceHeader, sc.HeaderValue())
+	if v := hsp.HeaderValue(); v != "" {
+		w.Header().Set(obs.TraceHeader, v)
 	}
 	if job.Async {
 		st, err := s.pool.submitAsync(job)

@@ -138,6 +138,11 @@ func (ss *StandbyStore) FenceEpoch(shard string) uint64 {
 	return 0
 }
 
+// ValidShard reports whether name can name a shard's standby copy, by
+// the rule every StandbyStore method applies: 1 to 128 characters of
+// [A-Za-z0-9_-].
+func ValidShard(name string) bool { return safeID(name) }
+
 // shard returns (creating if needed) the shard's state; ss.mu held.
 func (ss *StandbyStore) shardLocked(shard string) (*standbyShard, error) {
 	if !safeID(shard) {

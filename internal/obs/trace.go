@@ -21,18 +21,68 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // TraceHeader carries trace context across HTTP hops. The value is
 // "<trace-id>/<span-id>": the trace ID names the whole request tree,
 // the span ID is the caller's span (the parent of whatever the callee
-// records). Both are lowercase hex. The name is spelled in the
-// canonical form net/http puts on the wire, so Header.Get and Set find
-// it without building a canonical key first.
+// records). They are 32 and 16 lowercase hex digits, the widths of W3C
+// trace-context, and neither may be all zeros. The name is spelled in
+// the canonical form net/http puts on the wire, so Header.Get and Set
+// find it without building a canonical key first.
 const TraceHeader = "X-Regvd-Trace"
 
-// SpanContext is the propagated identity of a point in a trace.
+// traceID and spanID are a trace's and a span's identity as the tracer
+// mints and keeps them: bytes, hex-encoded only where they leave the
+// process (the TraceHeader, SpanRecord, log lines). The zero value means
+// none: a root span's parent is zero, and no valid context carries one.
+type (
+	traceID [16]byte
+	spanID  [8]byte
+)
+
+// traceHex and spanHex are the IDs' widths on the wire.
+const traceHex, spanHex = 2 * len(traceID{}), 2 * len(spanID{})
+
+// decodeID fills id from s, which must be exactly 2·len(id) lowercase
+// hex digits and not all zeros; it reports whether s was.
+func decodeID(id []byte, s string) bool {
+	if len(s) != 2*len(id) {
+		return false
+	}
+	var nonzero byte
+	for i := range id {
+		hi, lo := unhex(s[2*i]), unhex(s[2*i+1])
+		if hi > 0xf || lo > 0xf {
+			return false
+		}
+		id[i] = hi<<4 | lo
+		nonzero |= id[i]
+	}
+	return nonzero != 0
+}
+
+func unhex(c byte) byte {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0'
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10
+	}
+	return 0xff
+}
+
+// ValidTraceID reports whether id is a trace ID this package mints and
+// accepts: 32 lowercase hex digits, not all zeros.
+func ValidTraceID(id string) bool {
+	var t traceID
+	return decodeID(t[:], id)
+}
+
+// SpanContext is the propagated identity of a point in a trace, in its
+// wire form.
 type SpanContext struct {
 	TraceID string
 	SpanID  string
@@ -41,20 +91,11 @@ type SpanContext struct {
 // HeaderValue encodes the context for the TraceHeader.
 func (sc SpanContext) HeaderValue() string { return sc.TraceID + "/" + sc.SpanID }
 
-// Valid reports whether both IDs are present and well-formed.
-func (sc SpanContext) Valid() bool { return validID(sc.TraceID, 64) && validID(sc.SpanID, 32) }
-
-func validID(s string, max int) bool {
-	if len(s) == 0 || len(s) > max {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
+// Valid reports whether both IDs are well-formed: 32 and 16 lowercase
+// hex digits, neither all zeros.
+func (sc SpanContext) Valid() bool {
+	var s spanID
+	return ValidTraceID(sc.TraceID) && decodeID(s[:], sc.SpanID)
 }
 
 // ParseTraceHeader decodes a TraceHeader value. Malformed values are
@@ -160,13 +201,16 @@ func ExtractHTTP(ctx context.Context, h http.Header) context.Context {
 // request's headers. No span in ctx means no header: the callee mints
 // its own trace.
 func InjectHTTP(ctx context.Context, h http.Header) {
-	if sc, ok := SpanContextFrom(ctx); ok {
-		h.Set(TraceHeader, sc.HeaderValue())
+	switch v := ctx.Value(spanCtxKey{}).(type) {
+	case *Span:
+		h.Set(TraceHeader, v.HeaderValue())
+	case SpanContext:
+		h.Set(TraceHeader, v.HeaderValue())
 	}
 }
 
-// SpanRecord is one completed span as stored in the ring buffer and
-// served by GET /v1/trace/{id}.
+// SpanRecord is one completed span as GET /v1/trace/{id} serves it.
+// The ring keeps a compact spanEntry; Trace renders records from it.
 type SpanRecord struct {
 	TraceID string `json:"trace_id"`
 	SpanID  string `json:"span_id"`
@@ -233,8 +277,10 @@ func (a *Attrs) UnmarshalJSON(b []byte) error {
 
 // Defaults for Tracer bounds.
 const (
-	// defaultSpanCapacity is the ring size: at ~300 bytes/span this
-	// bounds the tracer near 2.5 MB however hot the service runs.
+	// defaultSpanCapacity is the ring size. The ring is allocated
+	// whole at NewTracer, 8,192 entries of 136 bytes (1.06 MiB); with
+	// one attribute on every retained span a tracer holds 1.28 MiB
+	// however hot the service runs (TestTracerHeap).
 	defaultSpanCapacity = 8192
 	// maxHistNames bounds the per-span-name duration histogram table —
 	// span names are static strings in this codebase, so hitting the
@@ -242,23 +288,60 @@ const (
 	maxHistNames = 64
 )
 
-// Tracer records completed spans into a fixed-size ring buffer indexed
-// by trace ID, and accumulates a duration histogram per span name for
-// the Prometheus exposition. All methods are safe for concurrent use
-// and nil-safe: a nil *Tracer starts no-op spans.
+// Tracer records completed spans into a fixed-size ring buffer and
+// accumulates a duration histogram per span name for the Prometheus
+// exposition. All methods are safe for concurrent use and nil-safe: a
+// nil *Tracer starts no-op spans.
 type Tracer struct {
 	service string
 	cap     int
 	now     func() time.Time
-	newID   func(bytes int) string
+	newID   func(id []byte)
 
 	mu      sync.Mutex
-	ring    []SpanRecord
+	ring    []spanEntry
 	next    int
 	filled  bool
-	byTrace map[string][]int
 	hists   map[string]*Histogram
-	dropped uint64 // spans not indexed because the histogram table is full
+	dropped uint64 // spans left out of the histograms because their table is full
+}
+
+// spanEntry is one ring slot: a completed span without its tier name,
+// which is the tracer's, and with its IDs as bytes.
+type spanEntry struct {
+	trace          traceID
+	span, parent   spanID // parent is zero for a root
+	name           string
+	tenant, jobID  string
+	startNS, durNS int64
+	attrs          Attrs
+	err            string
+}
+
+// spanRecord renders the entry as the exported SpanRecord. trace is the
+// entry's trace ID already encoded; the span and parent IDs share one
+// allocation.
+func (e *spanEntry) spanRecord(trace, service string) SpanRecord {
+	var b [2 * spanHex]byte
+	hex.Encode(b[:spanHex], e.span[:])
+	hex.Encode(b[spanHex:], e.parent[:])
+	ids := string(b[:])
+	r := SpanRecord{
+		TraceID: trace,
+		SpanID:  ids[:spanHex],
+		Name:    e.name,
+		Service: service,
+		Tenant:  e.tenant,
+		JobID:   e.jobID,
+		StartNS: e.startNS,
+		DurNS:   e.durNS,
+		Attrs:   e.attrs,
+		Error:   e.err,
+	}
+	if e.parent != (spanID{}) {
+		r.Parent = ids[spanHex:]
+	}
+	return r
 }
 
 // TracerOption configures a Tracer.
@@ -279,21 +362,15 @@ func WithClock(now func() time.Time) TracerOption {
 	return func(t *Tracer) { t.now = now }
 }
 
-// WithDeterministicIDs replaces the random ID source with a
-// seeded counter, so tests (and the golden Chrome trace) get stable
-// IDs run over run.
+// WithDeterministicIDs replaces the random ID source with a seeded
+// counter written big-endian into each ID's low 8 bytes, so tests (and
+// the golden Chrome trace) get stable IDs run over run.
 func WithDeterministicIDs(seed uint64) TracerOption {
 	return func(t *Tracer) {
-		var mu sync.Mutex
-		ctr := seed
-		t.newID = func(bytes int) string {
-			mu.Lock()
-			ctr++
-			v := ctr
-			mu.Unlock()
-			b := make([]byte, bytes)
-			binary.BigEndian.PutUint64(b[bytes-8:], v)
-			return hex.EncodeToString(b)
+		var ctr atomic.Uint64
+		ctr.Store(seed)
+		t.newID = func(id []byte) {
+			binary.BigEndian.PutUint64(id[len(id)-8:], ctr.Add(1))
 		}
 	}
 }
@@ -310,23 +387,27 @@ func NewTracer(service string, opts ...TracerOption) *Tracer {
 	for _, o := range opts {
 		o(t)
 	}
-	t.ring = make([]SpanRecord, t.cap)
-	t.byTrace = make(map[string][]int)
+	t.ring = make([]spanEntry, t.cap)
 	t.hists = make(map[string]*Histogram)
 	return t
 }
 
-// randomID returns bytes (at most 16) random bytes as lowercase hex,
-// allocating only the string. The source is math/rand/v2's, which the
-// runtime seeds from the operating system per process: IDs must be
-// unique, not secret.
-func randomID(bytes int) string {
-	var b [16]byte
-	binary.LittleEndian.PutUint64(b[:8], rand.Uint64())
-	binary.LittleEndian.PutUint64(b[8:], rand.Uint64())
-	var h [32]byte
-	hex.Encode(h[:], b[:])
-	return string(h[:2*bytes])
+// randomID fills id (a multiple of 8 bytes) with random bytes, drawing
+// again in the 2^-64 case that they are all zero, which means none. The
+// source is math/rand/v2's, which the runtime seeds from the operating
+// system per process: IDs must be unique, not secret.
+func randomID(id []byte) {
+	for {
+		var nonzero uint64
+		for i := 0; i < len(id); i += 8 {
+			v := rand.Uint64()
+			binary.LittleEndian.PutUint64(id[i:], v)
+			nonzero |= v
+		}
+		if nonzero != 0 {
+			return
+		}
+	}
 }
 
 // Service returns the tracer's tier name ("" for a nil tracer).
@@ -345,7 +426,7 @@ type Span struct {
 	start time.Time
 
 	mu    sync.Mutex
-	rec   SpanRecord
+	rec   spanEntry
 	ended bool
 }
 
@@ -356,41 +437,50 @@ type Span struct {
 // an unended span is simply never recorded (no leak — the handle is
 // garbage).
 //
-// A child span costs three allocations: the span, its ID string and the
-// context value, which holds the *Span itself. A root span adds its
-// trace ID.
+// A span costs two allocations, root or child: the span, whose IDs are
+// bytes inside it, and the context value that holds it. Its first
+// attribute adds the attribute slice.
 func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil
 	}
-	parent, _ := SpanContextFrom(ctx)
-	traceID := parent.TraceID
-	if traceID == "" {
-		traceID = t.newID(16)
+	sp := &Span{t: t, start: t.now(), rec: spanEntry{name: name, tenant: TenantFrom(ctx), jobID: JobIDFrom(ctx)}}
+	switch p := ctx.Value(spanCtxKey{}).(type) {
+	case *Span:
+		sp.rec.trace, sp.rec.parent = p.rec.trace, p.rec.span
+	case SpanContext:
+		// ContextWithSpan installs only a Valid context, so both decode.
+		decodeID(sp.rec.trace[:], p.TraceID)
+		decodeID(sp.rec.parent[:], p.SpanID)
 	}
-	sp := &Span{
-		t:     t,
-		start: t.now(),
-		rec: SpanRecord{
-			TraceID: traceID,
-			SpanID:  t.newID(8),
-			Parent:  parent.SpanID,
-			Name:    name,
-			Service: t.service,
-			Tenant:  TenantFrom(ctx),
-			JobID:   JobIDFrom(ctx),
-		},
+	if sp.rec.trace == (traceID{}) {
+		t.newID(sp.rec.trace[:])
 	}
+	t.newID(sp.rec.span[:])
 	return context.WithValue(ctx, spanCtxKey{}, sp), sp
 }
 
-// Context returns the span's propagation identity. TraceID and SpanID
-// are fixed at Start, so reading them needs no lock.
+// HeaderValue is the span's TraceHeader value, "<trace-id>/<span-id>",
+// built in one allocation ("" for a nil span). IDs are fixed at Start,
+// so reading them needs no lock.
+func (s *Span) HeaderValue() string {
+	if s == nil {
+		return ""
+	}
+	var b [traceHex + 1 + spanHex]byte
+	hex.Encode(b[:], s.rec.trace[:])
+	b[traceHex] = '/'
+	hex.Encode(b[traceHex+1:], s.rec.span[:])
+	return string(b[:])
+}
+
+// Context returns the span's propagation identity, hex-encoded.
 func (s *Span) Context() SpanContext {
 	if s == nil {
 		return SpanContext{}
 	}
-	return SpanContext{TraceID: s.rec.TraceID, SpanID: s.rec.SpanID}
+	v := s.HeaderValue()
+	return SpanContext{TraceID: v[:traceHex], SpanID: v[traceHex+1:]}
 }
 
 // SetAttr attaches a string attribute, overriding an earlier value of
@@ -400,7 +490,7 @@ func (s *Span) SetAttr(k, v string) {
 		return
 	}
 	s.mu.Lock()
-	s.rec.Attrs = append(s.rec.Attrs, Attr{k, v})
+	s.rec.attrs = append(s.rec.attrs, Attr{k, v})
 	s.mu.Unlock()
 }
 
@@ -410,7 +500,7 @@ func (s *Span) SetTenant(tenant string) {
 		return
 	}
 	s.mu.Lock()
-	s.rec.Tenant = tenant
+	s.rec.tenant = tenant
 	s.mu.Unlock()
 }
 
@@ -419,7 +509,7 @@ func (s *Span) SetJob(id string) {
 		return
 	}
 	s.mu.Lock()
-	s.rec.JobID = id
+	s.rec.jobID = id
 	s.mu.Unlock()
 }
 
@@ -430,7 +520,7 @@ func (s *Span) SetError(err error) {
 		return
 	}
 	s.mu.Lock()
-	s.rec.Error = err.Error()
+	s.rec.err = err.Error()
 	s.mu.Unlock()
 }
 
@@ -448,40 +538,25 @@ func (s *Span) End() {
 	s.ended = true
 	rec := s.rec
 	s.mu.Unlock()
-	rec.StartNS = s.start.UnixNano()
+	rec.startNS = s.start.UnixNano()
 	d := s.t.now().Sub(s.start)
 	if d < 0 {
 		d = 0
 	}
-	rec.DurNS = int64(d)
-	s.t.record(rec)
+	rec.durNS = int64(d)
+	s.t.record(&rec)
 }
 
-func (t *Tracer) record(rec SpanRecord) {
+// record copies a span into the next ring slot, overwriting the oldest
+// span once the ring is full.
+func (t *Tracer) record(rec *spanEntry) {
 	t.mu.Lock()
-	slot := t.next
-	if t.filled {
-		old := t.ring[slot]
-		idx := t.byTrace[old.TraceID]
-		for i, v := range idx {
-			if v == slot {
-				idx = append(idx[:i], idx[i+1:]...)
-				break
-			}
-		}
-		if len(idx) == 0 {
-			delete(t.byTrace, old.TraceID)
-		} else {
-			t.byTrace[old.TraceID] = idx
-		}
-	}
-	t.ring[slot] = rec
-	t.byTrace[rec.TraceID] = append(t.byTrace[rec.TraceID], slot)
+	t.ring[t.next] = *rec
 	t.next++
 	if t.next == t.cap {
 		t.next, t.filled = 0, true
 	}
-	h, ok := t.hists[rec.Name]
+	h, ok := t.hists[rec.name]
 	if !ok {
 		if len(t.hists) >= maxHistNames {
 			t.dropped++
@@ -489,27 +564,39 @@ func (t *Tracer) record(rec SpanRecord) {
 			return
 		}
 		h = NewHistogram(DefLatencyBuckets...)
-		t.hists[rec.Name] = h
+		t.hists[rec.name] = h
 	}
 	t.mu.Unlock()
-	h.Observe(float64(rec.DurNS) / float64(time.Second))
+	h.Observe(float64(rec.durNS) / float64(time.Second))
 }
 
 // Trace returns the retained spans of one trace, sorted by start time
-// then span ID (deterministic for equal timestamps). Spans evicted by
-// the ring are simply absent — the caller sees a partial trace, never
-// an error.
+// then span ID (deterministic for equal timestamps); a malformed ID has
+// none. Spans evicted by the ring are simply absent — the caller sees a
+// partial trace, never an error. The ring keeps no index: the lookup
+// compares every slot's trace ID under the lock, a cost paid only by
+// trace fetches, never by recording.
 func (t *Tracer) Trace(id string) []SpanRecord {
-	if t == nil {
+	var tid traceID
+	if t == nil || !decodeID(tid[:], id) {
 		return nil
 	}
+	var hits []spanEntry
 	t.mu.Lock()
-	idx := t.byTrace[id]
-	out := make([]SpanRecord, 0, len(idx))
-	for _, slot := range idx {
-		out = append(out, t.ring[slot])
+	n := t.next
+	if t.filled {
+		n = len(t.ring)
+	}
+	for i := range t.ring[:n] {
+		if t.ring[i].trace == tid {
+			hits = append(hits, t.ring[i])
+		}
 	}
 	t.mu.Unlock()
+	out := make([]SpanRecord, len(hits))
+	for i := range hits {
+		out[i] = hits[i].spanRecord(id, t.service)
+	}
 	SortSpans(out)
 	return out
 }

@@ -94,6 +94,13 @@ func TestSpanParentLinksAndTraceRetrieval(t *testing.T) {
 	if childRec.DurNS < 0 || rootRec.DurNS < 0 {
 		t.Fatalf("negative durations")
 	}
+	// Only the canonical form of a minted ID names a trace, and the
+	// all-zero ID of an unfilled ring slot names none.
+	for _, bad := range []string{traceID + "0", traceID[:16], "00000000000000000000000000000000"} {
+		if got := tr.Trace(bad); len(got) != 0 {
+			t.Fatalf("Trace(%q) = %d spans, want none", bad, len(got))
+		}
+	}
 	// Tenant propagates via context too.
 	ctx3 := WithTenant(context.Background(), "beta")
 	_, sp3 := tr.Start(ctx3, "admission")
@@ -150,7 +157,18 @@ func TestHeaderRoundTrip(t *testing.T) {
 		t.Fatalf("remote child not linked: %+v", recs)
 	}
 
-	for _, bad := range []string{"", "zz/11", "abc", "abc/", "/def", "ABC/def", "abc/DEF g"} {
+	const tid, sid = "0123456789abcdef0123456789abcdef", "0123456789abcdef"
+	if sc, ok := ParseTraceHeader(tid + "/" + sid); !ok || sc.TraceID != tid || sc.SpanID != sid {
+		t.Fatalf("well-formed header rejected: %+v %v", sc, ok)
+	}
+	for _, bad := range []string{
+		"", "zz/11", "abc", "abc/", "/def", "ABC/def", "abc/DEF g", "deadbeef/beef",
+		tid[1:] + "/" + sid, tid + "/" + sid[1:], // short
+		tid + "0/" + sid, tid + "/" + sid + "0", // long
+		"0123456789ABCDEF0123456789abcdef/" + sid, tid + "/0123456789ABCDEF", // upper case
+		"00000000000000000000000000000000/" + sid, tid + "/0000000000000000", // all zeros
+		tid + "/" + sid + "/" + sid,
+	} {
 		if _, ok := ParseTraceHeader(bad); ok {
 			t.Fatalf("malformed header %q accepted", bad)
 		}
@@ -212,11 +230,11 @@ func TestAttrsEncodeLikeAMap(t *testing.T) {
 			sp.SetAttr(k, v)
 		}
 		for k, v := range m {
-			if got := sp.rec.Attrs.Get(k); got != v {
+			if got := sp.rec.attrs.Get(k); got != v {
 				t.Fatalf("Get(%q) = %q, want the last value set, %q", k, got, v)
 			}
 		}
-		got, err := json.MarshalIndent(SpanRecord{Name: "x", Attrs: sp.rec.Attrs}, "", "  ")
+		got, err := json.MarshalIndent(SpanRecord{Name: "x", Attrs: sp.rec.attrs}, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
