@@ -105,8 +105,8 @@ nemesis:
 # exactly the longest valid prefix), the standby's apply of shipped
 # journal bytes (a batch appends exactly the frames a correct copy
 # takes; a snapshot installs only if it replays whole), the ISA text
-# and binary parsers, and
-# the integrity-envelope decoders behind every result/checkpoint read
+# parser (what parses prints and re-parses unchanged), and the
+# integrity-envelope decoders behind every result/checkpoint read
 # (differential against an independent open+decode; corrupt bytes are
 # misses, never wrong answers). ~30s per target; CI runs this as its
 # own job.
@@ -116,7 +116,6 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzResultDecode -fuzztime=30s ./internal/jobs/store
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointDecode -fuzztime=30s ./internal/jobs/store
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=30s ./internal/isa
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeBinary -fuzztime=30s ./internal/isa
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

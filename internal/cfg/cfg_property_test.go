@@ -3,6 +3,7 @@ package cfg
 import (
 	"testing"
 
+	"regvirt/internal/isa"
 	"regvirt/internal/kernelgen"
 )
 
@@ -65,7 +66,7 @@ func TestCFGInvariantsOnRandomPrograms(t *testing.T) {
 		}
 		// Conditional branches reconverge at a block start or warp exit.
 		for _, in := range p.Instrs {
-			if in.Op.IsBranch() && in.Guard.Guarded() {
+			if in.Op == isa.OpBra && in.Guard.Guarded() {
 				if in.Reconv >= 0 && g.Blocks[g.BlockOf[in.Reconv]].Start != in.Reconv {
 					t.Fatalf("seed %d: reconvergence pc %d is not a block start", seed, in.Reconv)
 				}

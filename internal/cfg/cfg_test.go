@@ -181,8 +181,15 @@ func TestNestedLoops(t *testing.T) {
 	if len(g.Loops) != 2 {
 		t.Fatalf("got %d loops, want 2: %s", len(g.Loops), g)
 	}
-	inner := g.InnermostLoopOf(g.BlockOf[g.Prog.Labels["inner"]])
-	outer := g.InnermostLoopOf(g.BlockOf[g.Prog.Labels["outer"]])
+	loopAt := func(label string) *Loop {
+		for _, l := range g.Loops {
+			if l.Head == g.BlockOf[g.Prog.Labels[label]] {
+				return l
+			}
+		}
+		return nil
+	}
+	inner, outer := loopAt("inner"), loopAt("outer")
 	if inner == nil || outer == nil {
 		t.Fatal("loops not found by header")
 	}

@@ -142,14 +142,3 @@ func (g *Graph) findLoops() {
 		}
 	}
 }
-
-// InnermostLoopOf returns the innermost loop containing block b, or nil.
-func (g *Graph) InnermostLoopOf(b int) *Loop {
-	var best *Loop
-	for _, l := range g.Loops {
-		if l.Contains(b) && (best == nil || len(l.Blocks) < len(best.Blocks)) {
-			best = l
-		}
-	}
-	return best
-}

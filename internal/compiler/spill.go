@@ -153,12 +153,3 @@ func SpillTo(src *isa.Program, maxRegs int) (*isa.Program, error) {
 	}
 	return q, nil
 }
-
-// SpillCount returns how many registers SpillTo would move to memory.
-func SpillCount(src *isa.Program, maxRegs int) int {
-	used := len(src.UsedRegs())
-	if used <= maxRegs {
-		return 0
-	}
-	return used - (maxRegs - spillTemps)
-}

@@ -71,16 +71,6 @@ func TestSpillToInsertsFillsAndStores(t *testing.T) {
 	}
 }
 
-func TestSpillCount(t *testing.T) {
-	p := isa.MustParse(spillSrc) // 8 registers
-	if got := SpillCount(p, 6); got != 8-(6-spillTemps) {
-		t.Errorf("SpillCount = %d, want %d", got, 8-(6-spillTemps))
-	}
-	if got := SpillCount(p, 8); got != 0 {
-		t.Errorf("SpillCount = %d, want 0", got)
-	}
-}
-
 func TestSpillRejectsTinyBudget(t *testing.T) {
 	if _, err := SpillTo(isa.MustParse(spillSrc), 3); err == nil {
 		t.Error("SpillTo accepted a budget smaller than the temps")

@@ -17,7 +17,7 @@ const MaxSrcOperands = 3
 type Instr struct {
 	PC    int
 	Op    Opcode
-	Guard Pred // optional @p / @!p execution guard
+	Guard Pred // optional @p / @!p execution guard; sel's select predicate
 
 	Dst  Operand                 // destination register (if Op.WritesReg)
 	Srcs [MaxSrcOperands]Operand // source operands, in encoding order
@@ -102,24 +102,11 @@ func (in *Instr) DstReg() (RegID, bool) {
 	return 0, false
 }
 
-// ReadsPred reports whether execution consults predicate register p.
-func (in *Instr) ReadsPred(p int8) bool {
-	return in.Guard.Guarded() && in.Guard.Reg == p
-}
-
-// IsLongLatency reports whether the instruction should demote its warp to
-// the pending queue of the two-level scheduler while it completes
-// (global/spill memory and SFU ops).
-func (in *Instr) IsLongLatency() bool {
-	if in.Op.IsMemory() {
-		return in.Space != SpaceShared
-	}
-	return in.Op == OpRcp
-}
-
 func (in *Instr) String() string {
 	var b strings.Builder
-	b.WriteString(in.Guard.String())
+	if in.Op != OpSel { // sel's Guard is its select operand, printed last
+		b.WriteString(in.Guard.String())
+	}
 	switch in.Op {
 	case OpPir:
 		fmt.Fprintf(&b, ".pir %#x", in.PirFlags)
@@ -138,6 +125,12 @@ func (in *Instr) String() string {
 		fmt.Fprintf(&b, "st.%s [%s%+d], %s", in.Space, in.Srcs[0], in.MemOff, in.Srcs[1])
 	case OpISetp:
 		fmt.Fprintf(&b, "isetp.%s p%d, %s, %s", in.Cmp, in.SetPred, in.Srcs[0], in.Srcs[1])
+	case OpSel:
+		neg := ""
+		if in.Guard.Neg {
+			neg = "!"
+		}
+		fmt.Fprintf(&b, "sel %s, %s, %s, %sp%d", in.Dst, in.Srcs[0], in.Srcs[1], neg, in.Guard.Reg)
 	case OpBra:
 		lbl := in.TargetLabel
 		if lbl == "" {

@@ -32,7 +32,7 @@ const (
 	OpShl          // shl   rd, ra, rb
 	OpShr          // shr   rd, ra, rb       — logical shift right
 	OpISetp        // isetp.cc pd, ra, rb    — set predicate from compare
-	OpSel          // sel   rd, ra, rb, pc.. — rd = p ? ra : rb (guard pred used)
+	OpSel          // sel   rd, ra, rb, pN   — rd = pN ? ra : rb (pN kept in Guard)
 	OpFAdd         // fadd  rd, ra, rb
 	OpFMul         // fmul  rd, ra, rb
 	OpFFma         // ffma  rd, ra, rb, rc   — rd = ra*rb + rc (float)
@@ -72,9 +72,6 @@ func (o Opcode) Valid() bool { return o < opCount }
 // Metadata instructions are fetched and decoded but never issued to an
 // execution unit (§6.2, §7.2).
 func (o Opcode) IsMeta() bool { return o == OpPir || o == OpPbr }
-
-// IsBranch reports whether o transfers control.
-func (o Opcode) IsBranch() bool { return o == OpBra }
 
 // IsMemory reports whether o accesses a memory space.
 func (o Opcode) IsMemory() bool { return o == OpLd || o == OpSt }

@@ -215,6 +215,9 @@ func parseInstr(in *Instr, text string) error {
 		}
 	case "sel":
 		in.Op = OpSel
+		if in.Guard.Guarded() {
+			return fmt.Errorf("sel takes no guard; its predicate is the fourth operand")
+		}
 		if len(args) != 4 {
 			return fmt.Errorf("sel takes rd, ra, rb, pN")
 		}

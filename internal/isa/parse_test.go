@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -113,6 +114,7 @@ func TestParseErrors(t *testing.T) {
 		{"bad predicate", ".kernel k\n isetp.lt p9, r1, r2\n exit", "predicate"},
 		{"guard alone", ".kernel k\n@p0\n exit", "guard without instruction"},
 		{"reg over declared", ".kernel k\n.reg 2\n mov r5, r1\n exit", "beyond declared"},
+		{"guarded sel", ".kernel k\n@p0 sel r6, r4, r5, p1\n exit", "sel takes no guard"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -130,19 +132,42 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// metaKernel has release metadata, guards of both signs, a negative
+// immediate, a constant, a special register and a sel.
+const metaKernel = `
+.kernel meta
+.reg 10
+    .pir 0x249
+    movi r1, -123456
+    s2r  r2, %ctaid.x
+    imad r3, r1, c[5], r2
+    isetp.ge p2, r3, r1
+@!p2 iadd r4, r3, 7
+    .pbr r1, r3
+    ld.shared r5, [r4+36]
+    st.global [r5-4], r3
+l:
+@p2 bra l
+    sel  r6, r4, r5, p1
+    rcp  r7, r6
+    exit
+`
+
 func TestPrintParseRoundTrip(t *testing.T) {
-	p := MustParse(sampleKernel)
-	text := p.String()
-	q, err := Parse(text)
-	if err != nil {
-		t.Fatalf("reparse printed program: %v\n%s", err, text)
-	}
-	if len(q.Instrs) != len(p.Instrs) {
-		t.Fatalf("round trip length %d != %d", len(q.Instrs), len(p.Instrs))
-	}
-	for i := range p.Instrs {
-		if p.Instrs[i].String() != q.Instrs[i].String() {
-			t.Errorf("instr %d: %q != %q", i, p.Instrs[i], q.Instrs[i])
+	for _, src := range []string{sampleKernel, metaKernel} {
+		p := MustParse(src)
+		text := p.String()
+		q, err := Parse(text)
+		if err != nil {
+			t.Fatalf("reparse printed program: %v\n%s", err, text)
+		}
+		if len(q.Instrs) != len(p.Instrs) {
+			t.Fatalf("round trip length %d != %d", len(q.Instrs), len(p.Instrs))
+		}
+		for i := range p.Instrs {
+			if !reflect.DeepEqual(p.Instrs[i], q.Instrs[i]) {
+				t.Errorf("%s instr %d: %q != %q", p.Name, i, p.Instrs[i], q.Instrs[i])
+			}
 		}
 	}
 }

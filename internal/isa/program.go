@@ -78,26 +78,6 @@ func (p *Program) Rebuild() error {
 	return nil
 }
 
-// InsertAt inserts instructions before PC at, shifting labels and resolved
-// numeric branch targets that point at or after the insertion point.
-func (p *Program) InsertAt(at int, ins ...*Instr) {
-	n := len(ins)
-	p.Instrs = append(p.Instrs[:at], append(ins, p.Instrs[at:]...)...)
-	for name, pc := range p.Labels {
-		if pc >= at {
-			p.Labels[name] = pc + n
-		}
-	}
-	for _, in := range p.Instrs {
-		if in.Op == OpBra && in.TargetLabel == "" && in.Target >= at {
-			in.Target += n
-		}
-		if in.Reconv >= at {
-			in.Reconv += n
-		}
-	}
-}
-
 // MaxUsedReg returns the highest architected register id referenced by the
 // program (excluding RZ), or -1 if no registers are used.
 func (p *Program) MaxUsedReg() int {

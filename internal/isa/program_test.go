@@ -4,54 +4,6 @@ import (
 	"testing"
 )
 
-func TestInsertAtShiftsLabelsAndTargets(t *testing.T) {
-	p := MustParse(sampleKernel)
-	loopPC := p.Labels["loop"]
-	// Resolve targets numerically (drop labels) to test numeric shifting.
-	for _, in := range p.Instrs {
-		if in.Op == OpBra {
-			in.TargetLabel = ""
-		}
-	}
-	meta := &Instr{Op: OpPir, Guard: NoPred, SetPred: -1, Target: -1, Reconv: -1}
-	p.InsertAt(loopPC, meta)
-	if err := p.Rebuild(); err != nil {
-		t.Fatalf("Rebuild: %v", err)
-	}
-	if got := p.Labels["loop"]; got != loopPC+1 {
-		t.Errorf("loop label = %d, want %d", got, loopPC+1)
-	}
-	var bra *Instr
-	for _, in := range p.Instrs {
-		if in.Op == OpBra {
-			bra = in
-		}
-	}
-	if bra.Target != loopPC+1 {
-		t.Errorf("branch target = %d, want %d", bra.Target, loopPC+1)
-	}
-	if err := p.Validate(); err != nil {
-		t.Errorf("Validate after insert: %v", err)
-	}
-}
-
-func TestInsertAtBeforeInsertionPointLeavesEarlierTargetsAlone(t *testing.T) {
-	// A backward branch to pc 0 must not shift when inserting after it.
-	p := MustParse(".kernel k\ntop:\n iadd r1, r1, r2\n bra top\n exit")
-	for _, in := range p.Instrs {
-		if in.Op == OpBra {
-			in.TargetLabel = ""
-		}
-	}
-	p.InsertAt(2, &Instr{Op: OpNop, Guard: NoPred, SetPred: -1, Target: -1, Reconv: -1})
-	if err := p.Rebuild(); err != nil {
-		t.Fatalf("Rebuild: %v", err)
-	}
-	if p.Instrs[1].Target != 0 {
-		t.Errorf("backward target shifted to %d", p.Instrs[1].Target)
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	p := MustParse(sampleKernel)
 	p.Instrs[0].PbrRegs = []RegID{1, 2}
@@ -112,6 +64,7 @@ func TestInstrStringForms(t *testing.T) {
 		{"@!p1 mov r1, r2", "@!p1 mov r1, r2"},
 		{" s2r r0, %tid.x", "s2r r0, %tid.x"},
 		{" .pbr r1, r2", ".pbr r1, r2"},
+		{" sel r1, r2, r3, !p1", "sel r1, r2, r3, !p1"},
 	}
 	for _, tc := range cases {
 		p := MustParse(".kernel k\n" + tc.src + "\n exit")
@@ -148,9 +101,6 @@ func TestOpcodeClassification(t *testing.T) {
 	if !OpLd.IsMemory() || !OpSt.IsMemory() || OpIAdd.IsMemory() {
 		t.Error("IsMemory wrong")
 	}
-	if !OpBra.IsBranch() || OpExit.IsBranch() {
-		t.Error("IsBranch wrong")
-	}
 	for _, o := range []Opcode{OpMov, OpMovi, OpS2R, OpIAdd, OpIMad, OpLd, OpRcp, OpSel} {
 		if !o.WritesReg() {
 			t.Errorf("%v should write a register", o)
@@ -160,25 +110,6 @@ func TestOpcodeClassification(t *testing.T) {
 		if o.WritesReg() {
 			t.Errorf("%v should not write a register", o)
 		}
-	}
-}
-
-func TestLongLatencyClassification(t *testing.T) {
-	gl := MustParse(".kernel k\n ld.global r1, [r2]\n exit").Instrs[0]
-	sh := MustParse(".kernel k\n ld.shared r1, [r2]\n exit").Instrs[0]
-	sfu := MustParse(".kernel k\n rcp r1, r2\n exit").Instrs[0]
-	alu := MustParse(".kernel k\n iadd r1, r2, r3\n exit").Instrs[0]
-	if !gl.IsLongLatency() {
-		t.Error("global load should be long latency")
-	}
-	if sh.IsLongLatency() {
-		t.Error("shared load should not be long latency")
-	}
-	if !sfu.IsLongLatency() {
-		t.Error("rcp should be long latency")
-	}
-	if alu.IsLongLatency() {
-		t.Error("iadd should not be long latency")
 	}
 }
 
@@ -202,43 +133,24 @@ func TestValidateRejectsOutOfRangeReads(t *testing.T) {
 
 // TestValidateBoundsDecodedRegisters feeds Validate programs that carry
 // register ids Parse would refuse: a .reg above MaxRegsPerThread, and a
-// destination above RZ. A program built in memory, or decoded, can hold
-// them. Later passes index per-register tables by these ids, so
-// Validate must refuse them.
+// destination above RZ. A program built in memory can hold them. Later
+// passes index per-register tables by these ids, so Validate must
+// refuse them.
 func TestValidateBoundsDecodedRegisters(t *testing.T) {
 	const src = ".kernel k\n.reg 4\n movi r1, 5\n st.global [r1+0], r1\n exit"
 
 	// A program built in memory takes .reg and every register id as set.
 	p := MustParse(src)
 	p.RegCount = 255
-	p.Instrs[0].Dst = R(200)
 	if err := p.Validate(); err == nil {
 		t.Error("built program: .reg 255 validated")
 	}
 	p.RegCount = MaxRegsPerThread
+	if err := p.Validate(); err != nil {
+		t.Errorf("built program: .reg %d refused: %v", MaxRegsPerThread, err)
+	}
+	p.Instrs[0].Dst = R(200)
 	if err := p.Validate(); err == nil {
 		t.Error("built program: a write to r200 validated")
-	}
-
-	// DecodeBinary's register fields are six bits wide, but .reg comes
-	// from the header word.
-	words, err := EncodeBinary(MustParse(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	words[0] = words[0]&0xffffffff | 255<<32
-	b, err := DecodeBinary(words)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.RegCount != 255 {
-		t.Fatalf("DecodeBinary: .reg %d, want 255", b.RegCount)
-	}
-	if err := b.Validate(); err == nil {
-		t.Error("DecodeBinary: .reg 255 validated")
-	}
-	b.RegCount = MaxRegsPerThread
-	if err := b.Validate(); err != nil {
-		t.Errorf("DecodeBinary: .reg %d refused: %v", MaxRegsPerThread, err)
 	}
 }

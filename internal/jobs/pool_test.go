@@ -425,7 +425,9 @@ func TestPoolKeepsNoKernels(t *testing.T) {
 	measured := coldJobs(25<<20, n)
 	before := liveHeap()
 	submit(measured)
-	perJob := (int64(liveHeap()) - int64(before)) / n
+	after := liveHeap()
+	runtime.KeepAlive(measured) // "before" counted the sources; so must "after"
+	perJob := (int64(after) - int64(before)) / n
 	if perJob > heapPerJob {
 		t.Errorf("live heap grew %d bytes a job over %d jobs, want at most %d", perJob, n, heapPerJob)
 	} else {

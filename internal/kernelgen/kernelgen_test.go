@@ -5,7 +5,6 @@ import (
 
 	"regvirt/internal/cfg"
 	"regvirt/internal/compiler"
-	"regvirt/internal/isa"
 	"regvirt/internal/liveness"
 )
 
@@ -79,40 +78,5 @@ func TestParamsClamping(t *testing.T) {
 	q := Generate(1, Params{Regs: 100, MaxItems: 5, MaxDepth: 1})
 	if q.RegCount > 30 {
 		t.Errorf("RegCount %d exceeds clamp", q.RegCount)
-	}
-}
-
-// Binary round-trip over random compiled kernels: the 64-bit encoding
-// must preserve every instruction including release metadata.
-func TestGeneratedBinaryRoundTrip(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
-		p := Generate(seed, Params{Regs: 12, MaxItems: 10, MaxDepth: 2})
-		k, err := compiler.Compile(p, compiler.Options{TableBytes: 1024, ResidentWarps: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		words, err := isa.EncodeBinary(k.Prog)
-		if err != nil {
-			t.Fatalf("seed %d: EncodeBinary: %v", seed, err)
-		}
-		q, err := isa.DecodeBinary(words)
-		if err != nil {
-			t.Fatalf("seed %d: DecodeBinary: %v", seed, err)
-		}
-		if err := q.Validate(); err != nil {
-			t.Fatalf("seed %d: decoded program invalid: %v", seed, err)
-		}
-		words2, err := isa.EncodeBinary(q)
-		if err != nil {
-			t.Fatalf("seed %d: re-encode: %v", seed, err)
-		}
-		if len(words) != len(words2) {
-			t.Fatalf("seed %d: binary not idempotent", seed)
-		}
-		for i := range words {
-			if words[i] != words2[i] {
-				t.Fatalf("seed %d: word %d differs", seed, i)
-			}
-		}
 	}
 }

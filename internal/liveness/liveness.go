@@ -279,9 +279,6 @@ func (li *Info) computePointLiveness() {
 // compiler uses it to compute pbr release sets at reconvergence points.
 func (li *Info) PlainLiveIn(b int) RegSet { return li.plainLiveIn[b] }
 
-// ForceAt returns the forced-live set applying to block b.
-func (li *Info) ForceAt(b int) RegSet { return li.force[b] }
-
 // SiblingSafe reports whether releasing register r at a point inside
 // block x is safe with respect to divergence: for every region containing
 // x, no *sibling* block of the region (one not mutually reachable with x
@@ -357,12 +354,6 @@ func (li *Info) reachInRegion(x int, bit uint8) {
 			}
 		}
 	}
-}
-
-// AccessedInRegion reports whether r is read or written anywhere in the
-// region's member blocks.
-func (li *Info) AccessedInRegion(reg Region, r isa.RegID) bool {
-	return li.RegionAccessed(reg).Has(r)
 }
 
 // RegionAccessed is the set of registers read or written anywhere in

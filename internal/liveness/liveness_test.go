@@ -266,11 +266,11 @@ func TestLiveInOfEntryHoldsKernelInputs(t *testing.T) {
 
 func TestAccessedInRegion(t *testing.T) {
 	li := analyze(t, diamondShared)
-	reg := li.Regions[0]
-	if !li.AccessedInRegion(reg, 1) || !li.AccessedInRegion(reg, 4) {
+	acc := li.RegionAccessed(li.Regions[0])
+	if !acc.Has(1) || !acc.Has(4) {
 		t.Error("r1/r4 are accessed in the region")
 	}
-	if li.AccessedInRegion(reg, 5) {
+	if acc.Has(5) {
 		t.Error("r5 is only accessed at the join, not in the region")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"regvirt/internal/compiler"
-	"regvirt/internal/isa"
 	"regvirt/internal/kernelgen"
 	"regvirt/internal/rename"
 )
@@ -123,44 +122,5 @@ func TestFuzzSpillDifferential(t *testing.T) {
 				t.Fatalf("spilled output differs\noriginal:\n%s\nspilled:\n%s", prog, sp)
 			}
 		})
-	}
-}
-
-// A compiled kernel shipped through the binary encoding must run
-// identically to the in-memory form.
-func TestFuzzBinaryShippedKernels(t *testing.T) {
-	for seed := int64(200); seed < 212; seed++ {
-		prog := kernelgen.Generate(seed, kernelgen.Params{Regs: 10, MaxItems: 8, MaxDepth: 2})
-		virt, err := compiler.Compile(prog, compiler.Options{TableBytes: 1024, ResidentWarps: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := LaunchSpec{
-			GridCTAs: 16, ThreadsPerCTA: 64, ConcCTAs: 2,
-			Consts: []uint32{64},
-		}
-		spec.Kernel = virt
-		want, err := Run(Config{Mode: rename.ModeCompiler}, spec)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		words, err := isa.EncodeBinary(virt.Prog)
-		if err != nil {
-			t.Fatalf("seed %d: encode: %v", seed, err)
-		}
-		decoded, err := isa.DecodeBinary(words)
-		if err != nil {
-			t.Fatalf("seed %d: decode: %v", seed, err)
-		}
-		shipped := *virt
-		shipped.Prog = decoded
-		spec.Kernel = &shipped
-		got, err := Run(Config{Mode: rename.ModeCompiler, PoisonReleased: true}, spec)
-		if err != nil {
-			t.Fatalf("seed %d: shipped run: %v", seed, err)
-		}
-		if !reflect.DeepEqual(got.Stores, want.Stores) {
-			t.Fatalf("seed %d: binary-shipped kernel diverged", seed)
-		}
 	}
 }
