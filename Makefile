@@ -73,7 +73,10 @@ cluster:
 
 # Observability proofs under the race detector: the obs package's
 # tracer/log/prom/chrome units, the shard-level trace and Prometheus
-# endpoints, tenant-label overflow folding, and the cluster-level
+# endpoints (an async refusal's error reaches its trace), the
+# jobs.submit span as a submit's one timer (the /metrics quantiles and
+# the retry hint read from it) and the result cache as its one outcome
+# counter, tenant-label overflow folding, and the cluster-level
 # proofs — a trace stitched across router and shards over real TCP,
 # a malformed trace ID answered 404 without a fan-out, and the router's
 # shard-labelled Prometheus aggregation passing the exposition-format
@@ -83,7 +86,7 @@ cluster:
 obs:
 	$(GO) test -race -count=1 ./internal/obs
 	$(GO) test -race -count=1 \
-		-run 'Trace|Prom|Overflow|Profile|RetriesExhausted' \
+		-run 'Trace|Prom|Overflow|Profile|RetriesExhausted|SubmitSpan' \
 		./internal/jobs ./internal/jobs/client ./internal/sim
 	$(GO) test -race -count=1 \
 		-run 'TestClusterTraceStitch|TestRouterTraceMalformedID|TestRouterPromAggregation' ./internal/cluster

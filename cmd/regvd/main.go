@@ -65,18 +65,18 @@
 // arrival checkpoint-preempts the lowest-priority running job — the
 // victim snapshots, re-queues, and later resumes byte-identically from
 // its checkpoint. GET /v1/queues shows every queue's weight, quotas,
-// depth and per-tenant latency percentiles.
+// depth and per-tenant counters.
 //
 // Integrity: every result and checkpoint is written inside a
 // checksummed envelope (internal/integrity); corrupt files read as
 // misses, never as wrong answers. -scrub-every arms a background pass
-// that verifies every envelope and self-heals corruption — refetch
-// from the standby peer, deterministic re-simulation from the sealed
-// job spec, quarantine as the last resort — surfacing scrub_* counters
-// in /metrics. -nemesis (chaos drills only) adds POST
-// /v1/faults/partition, which black-holes this process's outbound
-// traffic to named host:port targets so partition behavior — fencing,
-// resync, failover — can be driven from a test harness.
+// that verifies every envelope and self-heals corruption —
+// deterministic re-simulation from the sealed job spec, quarantine as
+// the last resort — surfacing scrub_* counters in /metrics. -nemesis
+// (chaos drills only) adds POST /v1/faults/partition, which
+// black-holes this process's outbound traffic to named host:port
+// targets so partition behavior — fencing, resync, failover — can be
+// driven from a test harness.
 //
 // Durability: -data-dir arms the write-ahead journal, on-disk result
 // store and checkpoint store (internal/jobs/store). Accepted jobs are
@@ -130,7 +130,6 @@ import (
 	"regvirt/internal/faultinject"
 	"regvirt/internal/integrity"
 	"regvirt/internal/jobs"
-	"regvirt/internal/jobs/client"
 	"regvirt/internal/jobs/sched"
 	"regvirt/internal/jobs/store"
 	"regvirt/internal/obs"
@@ -391,23 +390,6 @@ func nemesisHandler(parts *faultinject.PartitionSet, log *slog.Logger, next http
 	return mux
 }
 
-// peerResultFetcher is the scrubber's first repair rung: ask a peer
-// that may hold the same content-addressed result (this shard's
-// standby) for its copy, in one status call of at most 5 s. The
-// scrubber checks the result's ID against the content address before
-// sealing it, so a peer answering with another job's result can never
-// poison the local store.
-func peerResultFetcher(base string, rt http.RoundTripper) func(string) (*jobs.Result, bool) {
-	c := client.New(base, client.WithPolicy(client.RetryPolicy{MaxAttempts: 1}), client.WithTenant(""),
-		client.WithHTTPClient(&http.Client{Transport: rt}))
-	return func(id string) (*jobs.Result, bool) {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		st, err := c.Status(ctx, id)
-		return st.Result, err == nil && st.State == "done" && st.Result != nil
-	}
-}
-
 // armDebug binds the -debug-addr pprof listener. It is a separate
 // listener on purpose: profiling endpoints leak internals (heap
 // contents, symbol names), so they bind to an operator-chosen address
@@ -559,26 +541,16 @@ func newDaemon(cfg config) (*daemon, error) {
 	}
 
 	// Background integrity scrub: walk the result and checkpoint stores
-	// every -scrub-every, verifying envelopes and self-healing — peer
-	// refetch from the standby when one is configured, deterministic
-	// re-simulation from the embedded spec otherwise, quarantine as the
-	// last resort. Tallies surface as scrub_* in /metrics.
+	// every -scrub-every, verifying envelopes and self-healing —
+	// deterministic re-simulation from the embedded spec, quarantine as
+	// the last resort. Tallies surface as scrub_* in /metrics.
 	var scrubber *integrity.Scrubber
 	if st != nil && cfg.scrubEvery > 0 {
-		var fetch func(string) (*jobs.Result, bool)
-		if standbyURL != "" {
-			var rt http.RoundTripper
-			if parts != nil {
-				rt = parts.Transport(nil)
-			}
-			fetch = peerResultFetcher(standbyURL, rt)
-		}
 		scrubber = &integrity.Scrubber{
 			Every: cfg.scrubEvery,
 			Log:   logger,
 			Pass: func() integrity.Report {
 				rep := st.Scrub(store.ScrubOptions{
-					Fetch: fetch,
 					Resim: func(j jobs.Job) (*jobs.Result, error) { return jobs.Execute(context.Background(), j) },
 					Log:   logger,
 				})

@@ -330,9 +330,9 @@ func TestNemesis(t *testing.T) {
 
 	// --- Phase 5: flip one payload bit of an at-rest result file on the
 	// rejoined shard. The 300ms scrubber must detect the checksum break
-	// and self-heal it (peer refetch or deterministic re-simulation —
-	// the content address is the oracle), counting exactly as many
-	// repairs as corruptions. ---
+	// and self-heal it (deterministic re-simulation — the content
+	// address is the oracle), counting exactly as many repairs as
+	// corruptions. ---
 	scrubJob := ptJobs[3]
 	sc := client.New(procs[partTarget].base)
 	if _, err := sc.Submit(context.Background(), scrubJob); err != nil {
@@ -355,8 +355,7 @@ func TestNemesis(t *testing.T) {
 	}
 	// Bit 3 of the payload's second byte: inside the checksummed body,
 	// clear of the header and of the trailing spec section, so the
-	// spec still salvages and both repair rungs (peer refetch and
-	// re-simulation) stay open.
+	// spec still salvages and the re-simulation rung stays open.
 	if err := faultinject.FlipBit(resultPath, uint64(nl+2)*8+3); err != nil {
 		t.Fatal(err)
 	}

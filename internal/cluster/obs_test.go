@@ -164,7 +164,8 @@ func TestRouterPromAggregation(t *testing.T) {
 	b.serve("", "")
 	_, routerURL := startRouter(t, []ShardInfo{{Name: "shard-a", URL: a.url}, {Name: "shard-b", URL: b.url}})
 
-	// A few distinct jobs so at least one shard has real traffic.
+	// A few distinct jobs; their content addresses reach both shards,
+	// so each renders jobs.submit spans.
 	for i := 0; i < 4; i++ {
 		body, _ := json.Marshal(jobs.Job{Workload: "VectorAdd", PhysRegs: 512 + 32*i, Tenant: "team-prom"})
 		resp, err := http.Post(routerURL+"/v1/jobs", "application/json", bytes.NewReader(body))
@@ -200,8 +201,8 @@ func TestRouterPromAggregation(t *testing.T) {
 		`regvd_jobs_submitted_total{shard="shard-a"}`,
 		`regvd_jobs_submitted_total{shard="shard-b"}`,
 		`regvd_router_span_duration_seconds_bucket{span="router.submit",le="+Inf"}`,
-		`regvd_submit_latency_seconds_bucket{shard="shard-a",le="+Inf"}`,
-		`regvd_submit_latency_seconds_bucket{shard="shard-b",le="+Inf"}`,
+		`regvd_span_duration_seconds_bucket{shard="shard-a",span="jobs.submit",le="+Inf"}`,
+		`regvd_span_duration_seconds_bucket{shard="shard-b",span="jobs.submit",le="+Inf"}`,
 	} {
 		if !strings.Contains(data, want) {
 			t.Errorf("aggregated exposition missing %q", want)

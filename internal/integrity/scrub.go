@@ -10,8 +10,8 @@ import (
 type Report struct {
 	Scanned  int // files examined
 	Corrupt  int // files that failed envelope verification
-	Repaired int // corrupt files restored (refetched, re-simulated, or
-	// safely dropped so the journal re-runs the job)
+	Repaired int // corrupt files restored (re-simulated, or safely
+	// dropped so the journal re-runs the job)
 }
 
 func (r *Report) Add(o Report) {

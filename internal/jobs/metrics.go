@@ -10,14 +10,14 @@ import (
 )
 
 // metrics is the pool's counter set: the monotonic counters, indexed
-// by counter and described once in counterRows, and two gauges.
+// by counter and described once in counterRows, and two gauges. A
+// submit's latency is its jobs.submit span's, and its cache outcome is
+// the result cache's count; the pool keeps a copy of neither.
 type metrics struct {
 	c [numCounters]atomic.Uint64
 
 	queued  atomic.Int64 // tasks enqueued but not yet picked up
 	running atomic.Int64 // tasks executing on a worker
-
-	lat *obs.Histogram // submit latency, seconds
 }
 
 // counter names one monotonic pool counter.
@@ -29,15 +29,12 @@ const (
 	cSubmitted counter = iota
 	cCompleted
 	cFailed
-	cExecuted
-	cDeduped
-	cCacheHits
 	cShed
 	cQuotaRejected
 	cPanicsRecovered
 	cPreemptions
 	cResumes
-	// Rendered after the queue gauges and the latency histogram.
+	// Rendered after the queue gauges.
 	cJournalReplayed
 	cCheckpointsWritten
 	cResultsPersisted
@@ -62,9 +59,6 @@ var counterRows = [numCounters]counterRow{
 	cSubmitted:          {func(m *MetricsSnapshot) *uint64 { return &m.Submitted }, "regvd_jobs_submitted_total", "Submissions accepted past validation."},
 	cCompleted:          {func(m *MetricsSnapshot) *uint64 { return &m.Completed }, "regvd_jobs_completed_total", "Submissions that returned a result."},
 	cFailed:             {func(m *MetricsSnapshot) *uint64 { return &m.Failed }, "regvd_jobs_failed_total", "Submissions that returned an error."},
-	cExecuted:           {func(m *MetricsSnapshot) *uint64 { return &m.Executed }, "regvd_jobs_executed_total", "Submissions that started a simulation (cache misses)."},
-	cDeduped:            {func(m *MetricsSnapshot) *uint64 { return &m.Deduped }, "regvd_jobs_deduped_total", "Submissions that joined an in-flight run."},
-	cCacheHits:          {func(m *MetricsSnapshot) *uint64 { return &m.CacheHits }, "regvd_jobs_cache_hits_total", "Submissions answered from the completed-result cache."},
 	cShed:               {func(m *MetricsSnapshot) *uint64 { return &m.Shed }, "regvd_jobs_shed_total", "Submissions refused by admission control (HTTP 429)."},
 	cQuotaRejected:      {func(m *MetricsSnapshot) *uint64 { return &m.QuotaRejected }, "regvd_jobs_quota_rejected_total", "Submissions refused by tenant quota or admission policy (HTTP 403)."},
 	cPanicsRecovered:    {func(m *MetricsSnapshot) *uint64 { return &m.PanicsRecovered }, "regvd_panics_recovered_total", "Panics contained by a worker or submit barrier."},
@@ -76,7 +70,7 @@ var counterRows = [numCounters]counterRow{
 	cDiskHits:           {func(m *MetricsSnapshot) *uint64 { return &m.DiskHits }, "regvd_disk_hits_total", "Cache fills served from the on-disk store."},
 	cScrubScanned:       {func(m *MetricsSnapshot) *uint64 { return &m.ScrubScanned }, "regvd_scrub_scanned_total", "Files examined by the at-rest integrity scrubber."},
 	cScrubCorrupt:       {func(m *MetricsSnapshot) *uint64 { return &m.ScrubCorrupt }, "regvd_scrub_corrupt_total", "Files that failed at-rest envelope verification."},
-	cScrubRepaired:      {func(m *MetricsSnapshot) *uint64 { return &m.ScrubRepaired }, "regvd_scrub_repaired_total", "Corrupt files self-healed by the scrubber (refetch, re-simulate, or safe drop)."},
+	cScrubRepaired:      {func(m *MetricsSnapshot) *uint64 { return &m.ScrubRepaired }, "regvd_scrub_repaired_total", "Corrupt files self-healed by the scrubber (re-simulate or safe drop)."},
 	cTenantOverflow:     {func(m *MetricsSnapshot) *uint64 { return &m.TenantsOverflowed }, "regvd_tenant_overflow_folds_total", "Counter updates folded into the ~overflow row because the tenant table was full."},
 }
 
@@ -99,21 +93,12 @@ var tenantRows = []struct {
 
 // tenantCounters is one tenant's copy of the pool counters in
 // tenantRows. Gauges (queued/running) live in the scheduler.
-type tenantCounters struct {
-	c   [numCounters]atomic.Uint64
-	lat *obs.Histogram
-}
+type tenantCounters [numCounters]atomic.Uint64
 
 // count bumps pool counter c together with tenant tc's copy of it.
 func (p *Pool) count(tc *tenantCounters, c counter) {
 	p.m.c[c].Add(1)
-	tc.c[c].Add(1)
-}
-
-// quantilesMS estimates the p50 and p99 of a latency histogram in
-// milliseconds.
-func quantilesMS(s obs.HistogramSnapshot) (p50, p99 float64) {
-	return s.Quantile(0.5) * 1000, s.Quantile(0.99) * 1000
+	tc[c].Add(1)
 }
 
 // maxTrackedTenants bounds the per-tenant counter map; tenants beyond
@@ -142,7 +127,7 @@ func (p *Pool) tenantCounters(tenant string) *tenantCounters {
 			return tc
 		}
 	}
-	tc := &tenantCounters{lat: obs.NewHistogram(obs.DefLatencyBuckets...)}
+	tc := new(tenantCounters)
 	p.tcs[tenant] = tc
 	return tc
 }
@@ -167,9 +152,6 @@ type TenantSnapshot struct {
 	QuotaRejected uint64 `json:"quota_rejected"`
 	Preemptions   uint64 `json:"preemptions"`
 	Resumes       uint64 `json:"resumes"`
-
-	LatencyP50MS float64 `json:"latency_p50_ms"`
-	LatencyP99MS float64 `json:"latency_p99_ms"`
 }
 
 // QueuesSnapshot is the GET /v1/queues body: whether unknown tenants
@@ -219,9 +201,8 @@ func (p *Pool) Queues() QueuesSnapshot {
 		}
 		if tc, ok := tcs[name]; ok {
 			for _, r := range tenantRows {
-				*r.field(&ts) = tc.c[r.c].Load()
+				*r.field(&ts) = tc[r.c].Load()
 			}
-			ts.LatencyP50MS, ts.LatencyP99MS = quantilesMS(tc.lat.Snapshot())
 		}
 		qs.Queues = append(qs.Queues, ts)
 	}
@@ -235,19 +216,26 @@ func (p *Pool) Queues() QueuesSnapshot {
 //	submitted == completed + failed
 //	submitted == executed + deduped + cache_hits
 //
-// (executed counts fill *starts*, so both invariants survive a fill
-// that panics out of the cache; shed submissions count as executed +
-// failed.)
+// executed, deduped and cache_hits are the result cache's misses,
+// dedups and hits: every submit past admission makes one Cache.Do
+// call. A miss is counted when its fill *starts*, so both invariants
+// survive a fill that panics out of the cache; shed submissions count
+// as executed + failed.
 type MetricsSnapshot struct {
-	Workers      int     `json:"workers"`
-	Submitted    uint64  `json:"submitted"`
-	Completed    uint64  `json:"completed"`
-	Failed       uint64  `json:"failed"`
-	Executed     uint64  `json:"executed"`
-	Deduped      uint64  `json:"deduped"`
-	CacheHits    uint64  `json:"cache_hits"`
-	QueueDepth   int64   `json:"queue_depth"`
-	Running      int64   `json:"running"`
+	Workers    int    `json:"workers"`
+	Submitted  uint64 `json:"submitted"`
+	Completed  uint64 `json:"completed"`
+	Failed     uint64 `json:"failed"`
+	Executed   uint64 `json:"executed"`
+	Deduped    uint64 `json:"deduped"`
+	CacheHits  uint64 `json:"cache_hits"`
+	QueueDepth int64  `json:"queue_depth"`
+	Running    int64  `json:"running"`
+	// LatencyP50MS and LatencyP99MS estimate submit latency from the
+	// jobs.submit span's histogram in SpanDurations, the way
+	// Prometheus's histogram_quantile does, so they are exact only to
+	// the bucket layout (obs.DefLatencyBuckets). Both are zero without a
+	// tracer.
 	LatencyP50MS float64 `json:"latency_p50_ms"`
 	LatencyP99MS float64 `json:"latency_p99_ms"`
 
@@ -286,8 +274,8 @@ type MetricsSnapshot struct {
 	// Integrity-scrubber counters (all zero until -scrub-every arms the
 	// background scrubber): ScrubScanned files examined, ScrubCorrupt
 	// envelope verification failures, ScrubRepaired corrupt files
-	// self-healed — peer refetch, deterministic re-simulation, or (for
-	// checkpoints, which are pure optimization) a safe drop.
+	// self-healed — deterministic re-simulation, or (for checkpoints,
+	// which are pure optimization) a safe drop.
 	ScrubScanned  uint64 `json:"scrub_scanned"`
 	ScrubCorrupt  uint64 `json:"scrub_corrupt"`
 	ScrubRepaired uint64 `json:"scrub_repaired"`
@@ -307,16 +295,10 @@ type MetricsSnapshot struct {
 	// configuration, by GET /v1/queues).
 	Tenants map[string]TenantSnapshot `json:"tenants,omitempty"`
 
-	// Latency is the submit-latency histogram (seconds). The p50/p99
-	// fields, here and per tenant, are estimated from such buckets the
-	// way Prometheus's histogram_quantile does, so they are exact only
-	// to the bucket layout (obs.DefLatencyBuckets). Shipped whole so
-	// the cluster router can aggregate it: bucket counts sum across
-	// shards, quantiles do not.
-	Latency obs.HistogramSnapshot `json:"latency"`
-
 	// SpanDurations is the tracer's per-span-name duration histogram
-	// table (seconds), present only when tracing is on.
+	// table (seconds), present only when tracing is on. Shipped whole
+	// so the cluster router can aggregate it: bucket counts sum across
+	// shards, quantiles do not.
 	SpanDurations map[string]obs.HistogramSnapshot `json:"span_durations,omitempty"`
 }
 
@@ -331,7 +313,6 @@ func (p *Pool) AddScrubStats(scanned, corrupt, repaired int) {
 
 // Metrics snapshots the pool counters.
 func (p *Pool) Metrics() MetricsSnapshot {
-	lat := p.m.lat.Snapshot()
 	p.tmu.Lock()
 	tenantsTracked := len(p.tcs)
 	p.tmu.Unlock()
@@ -344,13 +325,14 @@ func (p *Pool) Metrics() MetricsSnapshot {
 		ResultCache:    p.results.Stats(),
 		TenantsTracked: tenantsTracked,
 		Tenants:        make(map[string]TenantSnapshot, len(queues.Queues)),
-		Latency:        lat,
 		SpanDurations:  p.tracer.Histograms(),
 	}
-	m.LatencyP50MS, m.LatencyP99MS = quantilesMS(lat)
 	for c, row := range counterRows {
 		*row.field(&m) = p.m.c[c].Load()
 	}
+	m.Executed, m.Deduped, m.CacheHits = m.ResultCache.Misses, m.ResultCache.Dedups, m.ResultCache.Hits
+	lat := m.SpanDurations[submitSpan]
+	m.LatencyP50MS, m.LatencyP99MS = lat.Quantile(0.5)*1000, lat.Quantile(0.99)*1000
 	for _, ts := range queues.Queues {
 		m.Tenants[ts.Tenant] = ts
 	}

@@ -8,9 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"regvirt/internal/faultinject"
 	"regvirt/internal/jobs"
+	"regvirt/internal/jobs/sched"
 	"regvirt/internal/obs"
 )
 
@@ -156,6 +160,145 @@ func TestTraceHeaderPropagation(t *testing.T) {
 	}
 }
 
+// TestAsyncRefusalReachesTrace: an async submit refused at admission
+// leaves its error on the http.submit span, as a sync refusal does; the
+// span is the request's only record.
+func TestAsyncRefusalReachesTrace(t *testing.T) {
+	p := jobs.NewPoolWith(jobs.Options{
+		Workers: 1,
+		Tracer:  obs.NewTracer("jobsd"),
+		Sched:   sched.Config{Strict: true, Tenants: map[string]sched.TenantConfig{"team-a": {Weight: 1}}},
+	})
+	defer p.Close()
+	srv := httptest.NewServer(jobs.NewServer(p).Handler())
+	defer srv.Close()
+
+	job := obsJob("stranger")
+	job.Async = true
+	body, _ := json.Marshal(job)
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusForbidden {
+		t.Fatalf("async submit from an unknown tenant: HTTP %d, want 403", resp.StatusCode)
+	}
+	sc, ok := obs.ParseTraceHeader(resp.Header.Get(obs.TraceHeader))
+	if !ok {
+		t.Fatalf("refusal carries no %s header", obs.TraceHeader)
+	}
+	tresp, err := http.Get(srv.URL + "/v1/trace/" + sc.TraceID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tresp.Body.Close()
+	var tr jobs.TraceResponse
+	if err := json.NewDecoder(tresp.Body).Decode(&tr); err != nil {
+		t.Fatalf("trace fetch (HTTP %d): %v", tresp.StatusCode, err)
+	}
+	want := (&sched.AdmissionError{Tenant: "stranger", Reason: "not in the configured tenant set"}).Error()
+	for _, sp := range tr.Spans {
+		if sp.Name == "http.submit" {
+			if sp.Error != want {
+				t.Errorf("http.submit error = %q, want %q", sp.Error, want)
+			}
+			return
+		}
+	}
+	t.Fatalf("trace has no http.submit span (got %v)", spanNames(tr.Spans))
+}
+
+// TestSubmitSpanAndCacheAreTheRecord: a submit is timed by its
+// jobs.submit span alone and its outcome is counted by the result cache
+// alone. A traced pool serves a failure, an admission refusal, dedups,
+// fills and hits; the span histogram holds one duration per submission
+// and refusal, the snapshot's outcome counters are the cache's, and its
+// latency quantiles are the histogram's.
+func TestSubmitSpanAndCacheAreTheRecord(t *testing.T) {
+	p := jobs.NewPoolWith(jobs.Options{
+		Workers: 1,
+		Tracer:  obs.NewTracer("jobsd"),
+		Faults:  faultinject.New(1, faultinject.Rule{Site: faultinject.SiteCacheFill, Kind: faultinject.KindError, Every: 1, Times: 1}),
+		Sched:   sched.Config{Strict: true, Tenants: map[string]sched.TenantConfig{"team-a": {Weight: 1}}},
+	})
+	defer p.Close()
+	ctx := context.Background()
+	job := func(physregs int) jobs.Job {
+		return jobs.Job{Workload: "VectorAdd", PhysRegs: physregs, Tenant: "team-a"}
+	}
+
+	// The first fill meets the injected error; a stranger is refused.
+	if _, err := p.Submit(ctx, job(512)); err == nil {
+		t.Fatal("first fill succeeded despite the injected error")
+	}
+	if _, err := p.Submit(ctx, obsJob("stranger")); err == nil {
+		t.Fatal("strict pool admitted an unknown tenant")
+	}
+
+	// Hold the one worker so three identical submits share one fill.
+	gate, held := make(chan struct{}), make(chan struct{})
+	go p.Exec(ctx, func() error {
+		close(held)
+		<-gate
+		return nil
+	})
+	<-held
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := p.Submit(ctx, job(544)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); p.Metrics().ResultCache.Dedups < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("identical submits never joined the in-flight fill")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	wg.Wait()
+
+	// The failed job refills, a new one fills, and it hits twice.
+	for _, physregs := range []int{512, 576, 576, 576} {
+		if _, err := p.Submit(ctx, job(physregs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	m := p.Metrics()
+	c := m.ResultCache
+	if m.Executed != c.Misses || m.Deduped != c.Dedups || m.CacheHits != c.Hits {
+		t.Errorf("executed/deduped/cache_hits = %d/%d/%d, want the cache's misses/dedups/hits %d/%d/%d",
+			m.Executed, m.Deduped, m.CacheHits, c.Misses, c.Dedups, c.Hits)
+	}
+	if m.Executed != 4 || m.Deduped != 2 || m.CacheHits != 2 || c.Failures != 1 {
+		t.Errorf("executed/deduped/cache_hits/failures = %d/%d/%d/%d, want 4/2/2/1",
+			m.Executed, m.Deduped, m.CacheHits, c.Failures)
+	}
+	if m.Submitted != 8 || m.Completed != 7 || m.Failed != 1 || m.QuotaRejected != 1 {
+		t.Errorf("submitted/completed/failed/quota_rejected = %d/%d/%d/%d, want 8/7/1/1",
+			m.Submitted, m.Completed, m.Failed, m.QuotaRejected)
+	}
+	if m.Submitted != m.Executed+m.Deduped+m.CacheHits {
+		t.Errorf("submitted %d != executed + deduped + cache_hits %d", m.Submitted, m.Executed+m.Deduped+m.CacheHits)
+	}
+
+	h := m.SpanDurations["jobs.submit"]
+	if h.Count != m.Submitted+m.QuotaRejected {
+		t.Errorf("jobs.submit spans = %d, want submissions + refusals = %d", h.Count, m.Submitted+m.QuotaRejected)
+	}
+	p50, p99 := h.Quantile(0.5)*1000, h.Quantile(0.99)*1000
+	if m.LatencyP50MS != p50 || m.LatencyP99MS != p99 || p50 <= 0 {
+		t.Errorf("latency p50/p99 = %v/%v ms, want the jobs.submit histogram's %v/%v ms (non-zero)",
+			m.LatencyP50MS, m.LatencyP99MS, p50, p99)
+	}
+}
+
 // TestTraceEndpointWithoutTracer: tracing off means 404, not a crash.
 func TestTraceEndpointWithoutTracer(t *testing.T) {
 	p := jobs.NewPool(1)
@@ -207,7 +350,7 @@ func TestPromExposition(t *testing.T) {
 		"regvd_jobs_submitted_total 2",
 		`regvd_tenant_submitted_total{tenant="team-a"} 1`,
 		`regvd_span_duration_seconds_bucket{span="sim.run",le="+Inf"}`,
-		`regvd_submit_latency_seconds_bucket{le="+Inf"} 2`,
+		`regvd_span_duration_seconds_bucket{span="jobs.submit",le="+Inf"} 2`,
 		`regvd_cache_evictions_total{cache="result"} 0`,
 		"regvd_tenant_overflow_folds_total 0",
 	} {

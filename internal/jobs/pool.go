@@ -139,9 +139,11 @@ type Options struct {
 	// ring buffer, served by the server's GET /v1/trace/{id}. Nil turns
 	// tracing off; instrumented paths pay one nil-check.
 	Tracer *obs.Tracer
-	// Logger receives the pool's structured log lines (job accepted,
-	// completed, failed, preempted), each stamped with the trace ID,
-	// tenant and job ID from the request context. Nil discards them.
+	// Logger receives the pool's structured log lines (a resume from
+	// checkpoint, a preemption, a dropped checkpoint), each stamped with
+	// the trace ID, tenant and job ID from the request context; a
+	// submit itself is recorded by its span, not logged. Nil discards
+	// them.
 	Logger *slog.Logger
 }
 
@@ -180,7 +182,6 @@ func NewPoolWith(opts Options) *Pool {
 		tracer:    opts.Tracer,
 		log:       logger,
 	}
-	p.m.lat = obs.NewHistogram(obs.DefLatencyBuckets...)
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
@@ -259,6 +260,11 @@ func (p *Pool) admit(job Job) error {
 	return nil
 }
 
+// submitSpan names the span that times each Submit from admission to
+// its answer. Its histogram is the pool's one latency record: /metrics
+// quantiles and the retry hint are read from it.
+const submitSpan = "jobs.submit"
+
 // Submit runs a job synchronously: it validates, applies the job's
 // deadline (TimeoutMS, covering queue wait as well as simulation),
 // dedups against identical in-flight or completed jobs, and returns
@@ -279,7 +285,7 @@ func (p *Pool) Submit(ctx context.Context, job Job) (*Result, error) {
 	// Correlation context first, so the submit span, every child span
 	// and every log line below carry the tenant and job ID.
 	ctx = obs.WithJobID(obs.WithTenant(ctx, tenant), key)
-	ctx, span := p.tracer.Start(ctx, "jobs.submit")
+	ctx, span := p.tracer.Start(ctx, submitSpan)
 	defer span.End()
 	_, asp := p.tracer.Start(ctx, "jobs.admit")
 	aerr := p.admit(job)
@@ -287,7 +293,6 @@ func (p *Pool) Submit(ctx context.Context, job Job) (*Result, error) {
 	asp.End()
 	if aerr != nil {
 		span.SetError(aerr)
-		p.log.WarnContext(ctx, "job refused at admission", "err", aerr)
 		return nil, aerr
 	}
 	if err := p.enter(); err != nil {
@@ -302,24 +307,18 @@ func (p *Pool) Submit(ctx context.Context, job Job) (*Result, error) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(job.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	start := time.Now()
 	res, outcome, err := p.submitContained(ctx, job, key)
-	ms := float64(time.Since(start)) / float64(time.Millisecond)
-	p.m.lat.Observe(ms / 1000)
-	tc.lat.Observe(ms / 1000)
 	span.SetAttr("outcome", outcomeLabel(outcome))
 	if err != nil {
 		p.count(tc, cFailed)
 		span.SetError(err)
-		p.log.WarnContext(ctx, "job failed", "outcome", outcomeLabel(outcome), "ms", ms, "err", err)
 		return nil, err
 	}
 	p.count(tc, cCompleted)
-	p.log.InfoContext(ctx, "job completed", "outcome", outcomeLabel(outcome), "ms", ms)
 	return res, nil
 }
 
-// outcomeLabel names a cache outcome for span attributes and logs.
+// outcomeLabel names a cache outcome for the submit span's attribute.
 func outcomeLabel(o Outcome) string {
 	switch o {
 	case Hit:
@@ -341,11 +340,9 @@ func (p *Pool) submitContained(ctx context.Context, job Job, key string) (res *R
 			res, err = nil, toPanicError(v)
 		}
 	}()
-	res, outcome, err = p.results.Do(ctx, key, func() (*Result, error) {
-		// Counted at fill start (not on the Miss outcome) so the
-		// submitted == executed+deduped+hits invariant holds even when
-		// the fill panics out of Do.
-		p.m.c[cExecuted].Add(1)
+	// The cache counts the outcome: its misses, dedups and hits are the
+	// pool's executed, deduped and cache_hits.
+	return p.results.Do(ctx, key, func() (*Result, error) {
 		// Second cache tier: a result persisted by an earlier process
 		// (or an earlier life of this one) is served from disk without
 		// re-simulating.
@@ -376,13 +373,6 @@ func (p *Pool) submitContained(ctx context.Context, job Job, key string) (res *R
 		}
 		return p.runOnWorker(ctx, job, key)
 	})
-	switch outcome {
-	case Hit:
-		p.m.c[cCacheHits].Add(1)
-	case Deduped:
-		p.m.c[cDeduped].Add(1)
-	}
-	return res, outcome, err
 }
 
 // errPreempted is the internal signal that a running job was
@@ -598,14 +588,15 @@ func (p *Pool) runJobContained(ctx context.Context, job Job, key string, e *exec
 }
 
 // retryAfter estimates when a shed (or quota-refused) client should
-// retry: the tenant's own queue drain time at the observed p50 service
-// latency and the tenant's weighted share of the workers, clamped to
-// [1s, 30s]. The estimate is deliberately per-tenant — a quiet tenant
-// shed during another tenant's flood gets a short, honest hint, while
-// the flooding tenant gets one scaled to its own backlog.
+// retry: the tenant's own queue drain time at the observed p50 submit
+// latency (the submit span's; none without a tracer) and the tenant's
+// weighted share of the workers, clamped to [1s, 30s]. The estimate is
+// deliberately per-tenant — a quiet tenant shed during another
+// tenant's flood gets a short, honest hint, while the flooding tenant
+// gets one scaled to its own backlog.
 func (p *Pool) retryAfter(tenant string) time.Duration {
 	queued, share := p.sched.Share(tenant)
-	p50 := p.m.lat.Snapshot().Quantile(0.5)
+	p50 := p.tracer.Histograms()[submitSpan].Quantile(0.5)
 	workers := float64(p.workers) * share
 	if workers <= 0 {
 		workers = 1

@@ -10,10 +10,13 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"regvirt/internal/jobs/sched"
 	"regvirt/internal/kernelgen"
+	"regvirt/internal/obs"
 	"regvirt/internal/rename"
 	"regvirt/internal/sim"
 	"regvirt/internal/workloads"
@@ -197,6 +200,57 @@ func TestDeadline(t *testing.T) {
 	// The failed flight must not have been cached.
 	if _, ok := p.results.Get(Job{Workload: "MUM", TimeoutMS: 1}.Key()); ok {
 		t.Error("cancelled job left a cached result")
+	}
+}
+
+// TestRetryAfterFollowsSubmitSpan: the retry hint scales the
+// jobs.submit span's p50 by the tenant's backlog, floored at 1 s. A
+// traced pool's hint moves with that histogram; a pool without a
+// tracer has no latency to scale and stays at the floor.
+func TestRetryAfterFollowsSubmitSpan(t *testing.T) {
+	// The clock moves step on every read, so a span without children
+	// lasts exactly step.
+	var now, step atomic.Int64
+	clock := func() time.Time { return time.Unix(0, now.Add(step.Load())) }
+	p := NewPoolWith(Options{Workers: 1, Tracer: obs.NewTracer("jobsd", obs.WithClock(clock))})
+	defer p.Close()
+	spans := func(n int, d time.Duration) {
+		step.Store(int64(d))
+		for i := 0; i < n; i++ {
+			_, sp := p.tracer.Start(context.Background(), submitSpan)
+			sp.End()
+		}
+	}
+	if got := p.retryAfter(sched.DefaultTenant); got != time.Second {
+		t.Fatalf("hint before any submit = %v, want the 1s floor", got)
+	}
+	var last time.Duration
+	for _, c := range []struct {
+		n int
+		d time.Duration
+	}{{20, 2 * time.Second}, {60, 8 * time.Second}} {
+		spans(c.n, c.d)
+		// An idle default tenant has the whole single worker, so the
+		// hint is the p50 itself.
+		want := time.Duration(p.Metrics().LatencyP50MS * float64(time.Millisecond))
+		if got := p.retryAfter(sched.DefaultTenant); got != want || got <= last {
+			t.Errorf("after %d spans of %v: hint = %v, want the jobs.submit p50 %v, above %v", c.n, c.d, got, want, last)
+		}
+		last = want
+	}
+
+	untraced := NewPool(1)
+	defer untraced.Close()
+	for _, physregs := range []int{512, 544} {
+		if _, err := untraced.Submit(context.Background(), Job{Workload: "VectorAdd", PhysRegs: physregs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := untraced.Metrics(); m.LatencyP50MS != 0 || m.LatencyP99MS != 0 {
+		t.Errorf("untraced pool reports latency p50/p99 %v/%v ms, want none", m.LatencyP50MS, m.LatencyP99MS)
+	}
+	if got := untraced.retryAfter(sched.DefaultTenant); got != time.Second {
+		t.Errorf("untraced hint = %v, want the 1s floor", got)
 	}
 }
 

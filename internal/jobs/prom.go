@@ -62,13 +62,11 @@ func WriteProm(w *obs.PromWriter, shards ...PromShard) {
 		func(m MetricsSnapshot) float64 { return float64(m.QueueDepth) })
 	family(w.Gauge, "regvd_running", "Tasks executing on a worker.",
 		func(m MetricsSnapshot) float64 { return float64(m.Running) })
-	for _, s := range shards {
-		w.Histogram("regvd_submit_latency_seconds", "Submit latency (hits, dedups and fills), in seconds.",
-			s.M.Latency, s.Labels...)
-	}
 	counters(cJournalReplayed, cTenantOverflow)
 
-	// The result cache, one family per counter.
+	// The result cache, one family per counter. Its hits, misses and
+	// dedups are the submits' outcomes: the JSON's cache_hits, executed
+	// and deduped.
 	caches(w.Counter, "regvd_cache_hits_total", "Cache.Do calls answered from a completed entry.",
 		func(c CacheStats) float64 { return float64(c.Hits) })
 	caches(w.Counter, "regvd_cache_misses_total", "Cache.Do calls that executed the fill.",
@@ -98,8 +96,9 @@ func WriteProm(w *obs.PromWriter, shards ...PromShard) {
 	tenants(w.Gauge, "regvd_tenant_running", "Per-tenant tasks executing on a worker.",
 		func(t TenantSnapshot) float64 { return float64(t.Running) })
 
-	// Span duration histograms from the tracer — the aggregatable
-	// latency signal (bucket counts sum across shards and over time).
+	// Span duration histograms from the tracer — the one latency
+	// signal, submits included (span="jobs.submit"); bucket counts sum
+	// across shards and over time.
 	for _, s := range shards {
 		for _, name := range sortedSpanNames(s.M.SpanDurations) {
 			w.Histogram("regvd_span_duration_seconds", "Span durations by span name, in seconds.",

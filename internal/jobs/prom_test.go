@@ -61,7 +61,6 @@ func goldenSnapshot(t *testing.T, salt string, seen map[uint64]string) MetricsSn
 		}
 		return h.Snapshot()
 	}
-	m.Latency = hist(0.0005, 0.003, 0.003, 0.25)
 	m.SpanDurations = map[string]obs.HistogramSnapshot{"sim.run": hist(0.002, 0.04)}
 	return m
 }

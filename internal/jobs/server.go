@@ -356,6 +356,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if job.Async {
 		st, err := s.pool.submitAsync(job)
 		if err != nil {
+			hsp.SetError(err)
 			writeSubmitError(w, err)
 			return
 		}

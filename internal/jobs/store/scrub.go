@@ -13,13 +13,9 @@ import (
 )
 
 // ScrubOptions wires the repair ladder into one scrub pass. Both
-// hooks are optional; with neither set, corrupt results can only be
+// fields are optional; without Resim, corrupt results can only be
 // quarantined (removed so the journal re-runs them on next restart).
 type ScrubOptions struct {
-	// Fetch retrieves a copy of a result by content address from a peer
-	// or standby. The scrubber requires its ID to be the content
-	// address, and seals it itself.
-	Fetch func(id string) (*jobs.Result, bool)
 	// Resim deterministically re-executes a job spec salvaged from a
 	// corrupt envelope. The spec is only used after its content address
 	// matches the file name, so a rotted spec can never re-simulate the
@@ -31,17 +27,16 @@ type ScrubOptions struct {
 
 // Scrub walks the result and checkpoint stores once, verifying every
 // envelope and self-healing corruption (an unsealed file counts as
-// corrupt): results are refetched from a peer, else re-simulated from
-// the embedded spec, else quarantined; a corrupt checkpoint is
-// simply dropped (it is an optimization — the journal re-runs the job
-// from cycle 0, byte-identically). Safe to run concurrently with
-// normal store traffic. Done writes a result in place under the store
-// lock, so the scrubber reads each result under that lock too and
-// never mistakes a half-written file for a corrupt one. A repair is
-// fetched or re-simulated outside the lock, then written or quarantined
-// under it only if the file still fails to open: a racing Done has
-// already written the identical bytes the scrubber would (determinism
-// is the tiebreak).
+// corrupt): results are re-simulated from the embedded spec, else
+// quarantined; a corrupt checkpoint is simply dropped (it is an
+// optimization — the journal re-runs the job from cycle 0,
+// byte-identically). Safe to run concurrently with normal store
+// traffic. Done writes a result in place under the store lock, so the
+// scrubber reads each result under that lock too and never mistakes a
+// half-written file for a corrupt one. A repair is re-simulated outside
+// the lock, then written or quarantined under it only if the file still
+// fails to open: a racing Done has already written the identical bytes
+// the scrubber would (determinism is the tiebreak).
 func (s *Store) Scrub(o ScrubOptions) integrity.Report {
 	log := o.Log
 	if log == nil {
@@ -111,8 +106,8 @@ func (s *Store) replaceCorrupt(id string, sealed []byte) error {
 	return writeInPlace(s.resultPath(id), sealed)
 }
 
-// repairResult climbs the ladder: peer refetch, deterministic
-// re-simulation from the salvaged spec, then quarantine.
+// repairResult climbs the ladder: deterministic re-simulation from the
+// salvaged spec, then quarantine.
 func (s *Store) repairResult(o ScrubOptions, log *slog.Logger, id string, raw []byte) bool {
 	// The spec sits inside the corrupt envelope, so it proves itself by
 	// hashing back to the file's content address. A proven spec is
@@ -121,16 +116,6 @@ func (s *Store) repairResult(o ScrubOptions, log *slog.Logger, id string, raw []
 	_, spec, _ := integrity.Salvage(raw)
 	if json.Unmarshal(spec, &job) != nil || job.Key() != id {
 		spec = nil
-	}
-	if o.Fetch != nil {
-		if res, ok := o.Fetch(id); ok {
-			if res.ID != id {
-				log.Warn("scrub rejected peer copy", "job", id, "peer_id", res.ID)
-			} else if werr := s.replaceCorrupt(id, integrity.Seal(res.JSON(), spec)); werr == nil {
-				log.Info("scrub repaired result", "job", id, "source", "peer")
-				return true
-			}
-		}
 	}
 	if o.Resim != nil && spec != nil {
 		if res, err := o.Resim(job); err == nil && res != nil {

@@ -25,30 +25,25 @@ func TestScrubRepairLadder(t *testing.T) {
 		b[bytes.IndexByte(b, '\n')+2] ^= 0x08
 		return b
 	}
-	peer := func(r *jobs.Result) func(string) (*jobs.Result, bool) {
-		return func(string) (*jobs.Result, bool) { return r, true }
-	}
 
 	cases := []struct {
 		name       string
 		checkpoint bool   // plant under checkpoints/ instead of results/
 		data       []byte // planted before the pass
-		fetch      func(string) (*jobs.Result, bool)
 		want       integrity.Report
 		wantData   []byte // on disk after the pass; nil = removed
 		wantResims int
 	}{
-		{"clean result is skipped", false, good, nil,
+		{"clean result is skipped", false, good,
 			integrity.Report{Scanned: 1}, good, 0},
-		{"corrupt result healed from a correct peer", false, flip(good), peer(res),
-			integrity.Report{Scanned: 1, Corrupt: 1, Repaired: 1}, good, 0},
-		{"peer answering another job's result is rejected; re-simulated", false, flip(good), peer(fakeResult("other")),
+		{"corrupt result re-simulated from its spec", false, flip(good),
 			integrity.Report{Scanned: 1, Corrupt: 1, Repaired: 1}, good, 1},
-		{"unsealed result counts as corrupt", false, res.JSON(), peer(res),
-			integrity.Report{Scanned: 1, Corrupt: 1, Repaired: 1}, integrity.Seal(res.JSON(), nil), 0},
-		{"no peer and no spec: removed, not repaired", false, flip(integrity.Seal(res.JSON(), nil)), nil,
+		// An unsealed file carries no spec to re-simulate from.
+		{"unsealed result counts as corrupt", false, res.JSON(),
 			integrity.Report{Scanned: 1, Corrupt: 1}, nil, 0},
-		{"corrupt checkpoint is dropped", true, flip(integrity.Seal([]byte("ckpt"), nil)), nil,
+		{"no peer and no spec: removed, not repaired", false, flip(integrity.Seal(res.JSON(), nil)),
+			integrity.Report{Scanned: 1, Corrupt: 1}, nil, 0},
+		{"corrupt checkpoint is dropped", true, flip(integrity.Seal([]byte("ckpt"), nil)),
 			integrity.Report{Scanned: 1, Corrupt: 1, Repaired: 1}, nil, 0},
 	}
 	for _, c := range cases {
@@ -64,7 +59,6 @@ func TestScrubRepairLadder(t *testing.T) {
 			}
 			resims := 0
 			rep := s.Scrub(ScrubOptions{
-				Fetch: c.fetch,
 				Resim: func(j jobs.Job) (*jobs.Result, error) {
 					resims++
 					if j.Key() != id {
