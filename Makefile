@@ -140,7 +140,9 @@ bench-gpu:
 # TestPoolKeepsNoKernelText: nor its jobs' kernel sources), the
 # tracer's cost (TestSpanAllocations: 3 allocations a span;
 # TestTracerHeap: a default-capacity tracer's live heap once its ring
-# has wrapped, and the 136-byte bound on a ring entry), and
+# has wrapped, and the 80-byte bound on a ring slot;
+# TestTracerHeapBounded: the same when no two spans share a string,
+# and an intern table holding exactly what the live slots name), and
 # BenchmarkSim once per workload (ns and allocations per simulated
 # cycle). CI runs this in its bench job.
 simcost:

@@ -183,7 +183,11 @@ func (p *Pool) runDurable(ctx context.Context, job Job, id string, e *execution)
 		// in the journal: the next start resumes them.
 		return nil, err
 	}
-	if p.store.Done(id, res) == nil {
+	_, sp := p.tracer.Start(ctx, "store.done")
+	err = p.store.Done(id, res)
+	sp.SetError(err)
+	sp.End()
+	if err == nil {
 		p.m.c[cResultsPersisted].Add(1)
 	}
 	return res, nil

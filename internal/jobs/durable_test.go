@@ -19,6 +19,7 @@ import (
 
 	"regvirt/internal/jobs"
 	"regvirt/internal/jobs/store"
+	"regvirt/internal/obs"
 )
 
 // spinKernel loops long enough that a test can reliably interrupt it
@@ -46,6 +47,42 @@ func openStoreT(t *testing.T, dir string) (*store.Store, []jobs.RecoveredJob) {
 		t.Fatal(err)
 	}
 	return st, recovered
+}
+
+// TestTraceStoreDone: persisting a result has a span of its own, a
+// child of the job's sim.run span that lies inside it.
+func TestTraceStoreDone(t *testing.T) {
+	st, _ := openStoreT(t, t.TempDir())
+	defer st.Close()
+	tr := obs.NewTracer("jobsd")
+	p := jobs.NewPoolWith(jobs.Options{Workers: 1, Store: st, Tracer: tr})
+	defer p.Close()
+	ctx, root := tr.Start(context.Background(), "test")
+	if _, err := p.Submit(ctx, jobs.Job{Workload: "VectorAdd", PhysRegs: 512}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	byName := map[string]obs.SpanRecord{}
+	for _, sp := range tr.Trace(root.Context().TraceID) {
+		byName[sp.Name] = sp
+	}
+	run, ok := byName["sim.run"]
+	if !ok {
+		t.Fatalf("trace has no sim.run span: %+v", byName)
+	}
+	done, ok := byName["store.done"]
+	if !ok {
+		t.Fatalf("trace has no store.done span: %+v", byName)
+	}
+	if done.Parent != run.SpanID {
+		t.Errorf("store.done's parent is %q, want sim.run's span %q", done.Parent, run.SpanID)
+	}
+	if done.StartNS < run.StartNS || done.StartNS+done.DurNS > run.StartNS+run.DurNS {
+		t.Errorf("store.done [%d, +%d] lies outside sim.run [%d, +%d]", done.StartNS, done.DurNS, run.StartNS, run.DurNS)
+	}
+	if done.Error != "" {
+		t.Errorf("store.done carries error %q", done.Error)
+	}
 }
 
 // TestDurableResultSurvivesRestart: a result computed by one pool life

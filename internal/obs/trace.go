@@ -210,7 +210,7 @@ func InjectHTTP(ctx context.Context, h http.Header) {
 }
 
 // SpanRecord is one completed span as GET /v1/trace/{id} serves it.
-// The ring keeps a compact spanEntry; Trace renders records from it.
+// The ring keeps a compact spanSlot; Trace renders records from it.
 type SpanRecord struct {
 	TraceID string `json:"trace_id"`
 	SpanID  string `json:"span_id"`
@@ -278,9 +278,11 @@ func (a *Attrs) UnmarshalJSON(b []byte) error {
 // Defaults for Tracer bounds.
 const (
 	// defaultSpanCapacity is the ring size. The ring is allocated
-	// whole at NewTracer, 8,192 entries of 136 bytes (1.06 MiB); with
-	// one attribute on every retained span a tracer holds 1.28 MiB
-	// however hot the service runs (TestTracerHeap).
+	// whole at NewTracer, 8,192 slots of 80 bytes (640 KiB) that hold no
+	// pointers; the strings they name live once each in the tracer's
+	// intern table, which the ring bounds. A tracer whose ring has
+	// wrapped over spans that share their strings holds little more
+	// than the ring however hot the service runs (TestTracerHeap).
 	defaultSpanCapacity = 8192
 	// maxHistNames bounds the per-span-name duration histogram table —
 	// span names are static strings in this codebase, so hitting the
@@ -299,15 +301,16 @@ type Tracer struct {
 	newID   func(id []byte)
 
 	mu      sync.Mutex
-	ring    []spanEntry
+	ring    []spanSlot
 	next    int
-	filled  bool
+	strs    strtab
 	hists   map[string]*Histogram
 	dropped uint64 // spans left out of the histograms because their table is full
 }
 
-// spanEntry is one ring slot: a completed span without its tier name,
-// which is the tracer's, and with its IDs as bytes.
+// spanEntry is a live span's record: a span without its tier name,
+// which is the tracer's, and with its IDs as bytes. record packs it
+// into a ring slot.
 type spanEntry struct {
 	trace          traceID
 	span, parent   spanID // parent is zero for a root
@@ -318,28 +321,61 @@ type spanEntry struct {
 	err            string
 }
 
-// spanRecord renders the entry as the exported SpanRecord. trace is the
-// entry's trace ID already encoded; the span and parent IDs share one
-// allocation.
-func (e *spanEntry) spanRecord(trace, service string) SpanRecord {
+// spanSlot is one ring slot: a completed span in 80 bytes that hold no
+// pointer, so the ring is allocated noscan and the collector never
+// walks it. Its strings are indexes into the tracer's intern table (0
+// is ""): the name, the tenant and attributes as one entry, the error,
+// and a job ID unless it is a job key (32 lowercase hex digits, the
+// form jobs.Job.Key returns), which is kept as its 16 bytes instead.
+type spanSlot struct {
+	trace                   traceID
+	span, parent            spanID
+	startNS, durNS          int64
+	jobKey                  [16]byte // zero when the job ID is not a key
+	name, attrs, err, jobID uint32
+}
+
+// pack fills sl from rec, interning its strings.
+func (t *Tracer) pack(sl *spanSlot, rec *spanEntry) {
+	*sl = spanSlot{
+		trace: rec.trace, span: rec.span, parent: rec.parent,
+		startNS: rec.startNS, durNS: rec.durNS,
+		name:  t.strs.intern(rec.name),
+		attrs: t.strs.internAttrs(rec.tenant, rec.attrs),
+		err:   t.strs.intern(rec.err),
+	}
+	if !decodeID(sl.jobKey[:], rec.jobID) {
+		sl.jobKey = [16]byte{}
+		sl.jobID = t.strs.intern(rec.jobID)
+	}
+}
+
+// unpack renders sl as the exported SpanRecord, exactly as its span
+// was recorded. trace is the slot's trace ID already encoded; the span
+// and parent IDs share one allocation, and the tenant and attributes
+// another.
+func (t *Tracer) unpack(sl *spanSlot, trace string) SpanRecord {
 	var b [2 * spanHex]byte
-	hex.Encode(b[:spanHex], e.span[:])
-	hex.Encode(b[spanHex:], e.parent[:])
+	hex.Encode(b[:spanHex], sl.span[:])
+	hex.Encode(b[spanHex:], sl.parent[:])
 	ids := string(b[:])
 	r := SpanRecord{
 		TraceID: trace,
 		SpanID:  ids[:spanHex],
-		Name:    e.name,
-		Service: service,
-		Tenant:  e.tenant,
-		JobID:   e.jobID,
-		StartNS: e.startNS,
-		DurNS:   e.durNS,
-		Attrs:   e.attrs,
-		Error:   e.err,
+		Name:    t.strs.str(sl.name),
+		Service: t.service,
+		StartNS: sl.startNS,
+		DurNS:   sl.durNS,
+		Error:   t.strs.str(sl.err),
 	}
-	if e.parent != (spanID{}) {
+	r.Tenant, r.Attrs = decodeAttrs(t.strs.str(sl.attrs))
+	if sl.parent != (spanID{}) {
 		r.Parent = ids[spanHex:]
+	}
+	if sl.jobKey != ([16]byte{}) {
+		r.JobID = hex.EncodeToString(sl.jobKey[:])
+	} else {
+		r.JobID = t.strs.str(sl.jobID)
 	}
 	return r
 }
@@ -387,7 +423,8 @@ func NewTracer(service string, opts ...TracerOption) *Tracer {
 	for _, o := range opts {
 		o(t)
 	}
-	t.ring = make([]spanEntry, t.cap)
+	t.ring = make([]spanSlot, t.cap)
+	t.strs = newStrtab()
 	t.hists = make(map[string]*Histogram)
 	return t
 }
@@ -547,14 +584,19 @@ func (s *Span) End() {
 	s.t.record(&rec)
 }
 
-// record copies a span into the next ring slot, overwriting the oldest
-// span once the ring is full.
+// record packs a span into the next ring slot, overwriting the oldest
+// span once the ring is full and releasing its strings. Once the table
+// holds the strings spans repeat, it allocates nothing.
 func (t *Tracer) record(rec *spanEntry) {
 	t.mu.Lock()
-	t.ring[t.next] = *rec
+	sl := &t.ring[t.next]
+	for _, i := range [...]uint32{sl.name, sl.attrs, sl.err, sl.jobID} {
+		t.strs.release(i)
+	}
+	t.pack(sl, rec)
 	t.next++
 	if t.next == t.cap {
-		t.next, t.filled = 0, true
+		t.next = 0
 	}
 	h, ok := t.hists[rec.name]
 	if !ok {
@@ -574,29 +616,22 @@ func (t *Tracer) record(rec *spanEntry) {
 // then span ID (deterministic for equal timestamps); a malformed ID has
 // none. Spans evicted by the ring are simply absent — the caller sees a
 // partial trace, never an error. The ring keeps no index: the lookup
-// compares every slot's trace ID under the lock, a cost paid only by
-// trace fetches, never by recording.
+// compares every slot's trace ID under the lock (an unfilled slot's is
+// zero, which no valid ID decodes to) and unpacks the matches there, a
+// cost paid only by trace fetches, never by recording.
 func (t *Tracer) Trace(id string) []SpanRecord {
 	var tid traceID
 	if t == nil || !decodeID(tid[:], id) {
 		return nil
 	}
-	var hits []spanEntry
+	out := []SpanRecord{}
 	t.mu.Lock()
-	n := t.next
-	if t.filled {
-		n = len(t.ring)
-	}
-	for i := range t.ring[:n] {
-		if t.ring[i].trace == tid {
-			hits = append(hits, t.ring[i])
+	for i := range t.ring {
+		if sl := &t.ring[i]; sl.trace == tid {
+			out = append(out, t.unpack(sl, id))
 		}
 	}
 	t.mu.Unlock()
-	out := make([]SpanRecord, len(hits))
-	for i := range hits {
-		out[i] = hits[i].spanRecord(id, t.service)
-	}
 	SortSpans(out)
 	return out
 }

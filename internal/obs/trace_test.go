@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -257,6 +259,103 @@ func TestAttrsEncodeLikeAMap(t *testing.T) {
 			if back.Attrs.Get(k) != v {
 				t.Fatalf("decoded %q = %q, want %q", k, back.Attrs.Get(k), v)
 			}
+		}
+	}
+}
+
+// TestSpanSlotHoldsNoPointers: a ring slot has no field that can hold a
+// pointer, so the ring stays noscan.
+func TestSpanSlotHoldsNoPointers(t *testing.T) {
+	var check func(path string, typ reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.String, reflect.Slice, reflect.Map, reflect.Pointer, reflect.Interface,
+			reflect.Func, reflect.Chan, reflect.UnsafePointer:
+			t.Errorf("%s is a %s, which can hold a pointer", path, typ.Kind())
+		case reflect.Array:
+			check(path+"[i]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				check(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		}
+	}
+	check("spanSlot", reflect.TypeOf(spanSlot{}))
+}
+
+// TestRingRoundTrip: every span Trace returns is, field for field, the
+// record of what was set on it: root, child and remote-parent spans; a
+// tenant from the context; no, one and three attributes with a key set
+// twice; an error; a job key, and job IDs that are not keys; a name
+// past the histogram table's bound.
+func TestRingRoundTrip(t *testing.T) {
+	now := time.Unix(1_700_000_000, 0)
+	tr := NewTracer("shard-a", WithDeterministicIDs(1), WithClock(func() time.Time { return now }))
+	for i := 0; i < maxHistNames; i++ {
+		_, sp := tr.Start(context.Background(), fmt.Sprintf("fill-%d", i))
+		sp.End()
+	}
+	const key = "0123456789abcdef0123456789abcdef"
+	var want []SpanRecord
+	start := func(ctx context.Context, name string) (context.Context, *Span, SpanRecord) {
+		now = now.Add(time.Second)
+		ctx, sp := tr.Start(ctx, name)
+		sc := sp.Context()
+		return ctx, sp, SpanRecord{TraceID: sc.TraceID, SpanID: sc.SpanID, Name: name, Service: "shard-a", StartNS: now.UnixNano()}
+	}
+	end := func(sp *Span, w SpanRecord) {
+		now = now.Add(3 * time.Millisecond)
+		sp.End()
+		w.DurNS = now.UnixNano() - w.StartNS
+		want = append(want, w)
+	}
+
+	ctx, root, w := start(WithTenant(context.Background(), "acme"), "submit")
+	root.SetJob(key)
+	w.Tenant, w.JobID = "acme", key
+
+	_, child, wc := start(WithJobID(ctx, "job-0"), "sim.run")
+	child.SetAttr("outcome", "miss")
+	child.SetError(fmt.Errorf("boom"))
+	wc.Parent, wc.Tenant, wc.JobID, wc.Error = w.SpanID, "acme", "job-0", "boom"
+	wc.Attrs = Attrs{{"outcome", "miss"}}
+	end(child, wc)
+	end(root, w)
+
+	remote := SpanContext{TraceID: "fedcba9876543210fedcba9876543210", SpanID: "0011223344556677"}
+	_, sp, wr := start(ContextWithSpan(context.Background(), remote), "name-past-the-histogram-table")
+	sp.SetAttr("shard", "s1")
+	sp.SetAttr("peer", "s2")
+	sp.SetAttr("shard", "s3")
+	sp.SetJob(strings.ToUpper(key))
+	wr.Parent, wr.JobID = remote.SpanID, strings.ToUpper(key)
+	wr.Attrs = Attrs{{"shard", "s1"}, {"peer", "s2"}, {"shard", "s3"}}
+	end(sp, wr)
+
+	// A second span with the first's tenant and attributes shares their
+	// entry; a 32-digit all-zero job ID is not a key.
+	_, sp, ws := start(WithTenant(context.Background(), "acme"), "sim.run")
+	sp.SetAttr("outcome", "miss")
+	sp.SetJob(strings.Repeat("0", 32))
+	ws.Tenant, ws.JobID, ws.Attrs = "acme", strings.Repeat("0", 32), Attrs{{"outcome", "miss"}}
+	end(sp, ws)
+
+	if _, ok := tr.Histograms()[wr.Name]; ok {
+		t.Fatalf("%q has a histogram; the table should be full", wr.Name)
+	}
+	for _, w := range want {
+		var got *SpanRecord
+		recs := tr.Trace(w.TraceID)
+		for i := range recs {
+			if recs[i].SpanID == w.SpanID {
+				got = &recs[i]
+			}
+		}
+		if got == nil {
+			t.Fatalf("span %s (%s) not in its trace: %+v", w.SpanID, w.Name, recs)
+		}
+		if !reflect.DeepEqual(*got, w) {
+			t.Errorf("span %s reads back as\n%#v\nwant\n%#v", w.Name, *got, w)
 		}
 	}
 }

@@ -74,21 +74,27 @@ func (s *SM) schedule() bool {
 	// cycle across both schedulers).
 	stamp := s.cycle + 1
 	for sched := 0; sched < arch.NumSchedulers; sched++ {
-		for _, w := range s.pickOrder() {
-			if w.issuedStamp == stamp || w.state != wReady || w.readyAt > s.cycle {
-				continue
+		if s.cfg.Scheduler == SchedGTO {
+			for _, w := range s.gtoOrder() {
+				if s.pick(w, stamp) {
+					issuedAny = true
+					break
+				}
 			}
-			if s.tryIssue(w) {
-				w.issuedStamp = stamp
-				issuedAny = true
-				s.lastIssued = w
-				if s.prof != nil && w.slot < len(s.prof.WarpIssued) {
-					s.prof.WarpIssued[w.slot]++
-				}
-				if s.cfg.Scheduler == SchedLRR {
+		} else if n := len(s.ready); n > 0 {
+			// Loose round-robin: the ready queue in place, rotated to
+			// start at rrIndex. Only an issue changes the queue (a
+			// failed attempt leaves it as it was), and the walk stops
+			// at the first issue.
+			for i, k := 0, s.rrIndex%n; i < n; i++ {
+				if s.pick(s.ready[k], stamp) {
+					issuedAny = true
 					s.rrIndex++
+					break
 				}
-				break
+				if k++; k == n {
+					k = 0
+				}
 			}
 		}
 		if len(s.ready) == 0 {
@@ -123,38 +129,44 @@ func (s *SM) schedule() bool {
 	return false
 }
 
-// pickOrder returns the ready warps in this cycle's selection order,
-// in the SM's reused order buffer (valid until the next call).
-func (s *SM) pickOrder() []*warp {
-	n := len(s.ready)
+// pick tries to issue from w for one scheduler, unless w already
+// issued this cycle (stamp) or is not ready yet, and reports whether
+// it issued.
+func (s *SM) pick(w *warp, stamp uint64) bool {
+	if w.issuedStamp == stamp || w.state != wReady || w.readyAt > s.cycle || !s.tryIssue(w) {
+		return false
+	}
+	w.issuedStamp = stamp
+	s.lastIssued = w
+	if s.prof != nil && w.slot < len(s.prof.WarpIssued) {
+		s.prof.WarpIssued[w.slot]++
+	}
+	return true
+}
+
+// gtoOrder returns the ready warps in greedy-then-oldest order, in the
+// SM's reused order buffer (valid until the next call): the last
+// issuer first, then the rest by warp slot.
+func (s *SM) gtoOrder() []*warp {
 	order := s.order[:0]
-	if s.cfg.Scheduler == SchedGTO {
-		// Greedy: the last issuer first; then oldest (lowest warp slot).
-		for _, w := range s.ready {
-			if w == s.lastIssued {
-				order = append(order, w)
-			}
-		}
-		// The rest by slot: an insertion sort, the ready queue holding
-		// at most ReadyQueueSize warps.
-		greedy := len(order)
-		for _, w := range s.ready {
-			if w == s.lastIssued {
-				continue
-			}
-			i := len(order)
+	for _, w := range s.ready {
+		if w == s.lastIssued {
 			order = append(order, w)
-			for ; i > greedy && order[i-1].slot > w.slot; i-- {
-				order[i] = order[i-1]
-			}
-			order[i] = w
 		}
-	} else if n > 0 {
-		// Loose round-robin: the ready queue rotated to start at
-		// rrIndex.
-		start := s.rrIndex % n
-		order = append(order, s.ready[start:]...)
-		order = append(order, s.ready[:start]...)
+	}
+	// The rest by slot: an insertion sort, the ready queue holding at
+	// most ReadyQueueSize warps.
+	greedy := len(order)
+	for _, w := range s.ready {
+		if w == s.lastIssued {
+			continue
+		}
+		i := len(order)
+		order = append(order, w)
+		for ; i > greedy && order[i-1].slot > w.slot; i-- {
+			order[i] = order[i-1]
+		}
+		order[i] = w
 	}
 	s.order = order
 	return order

@@ -177,8 +177,8 @@ type SM struct {
 	// promote skips its scan before it (pend lowers it; a scan that
 	// finds no warp to promote raises it to their earliest readyAt).
 	promoteAt uint64
-	// order is the scheduler's selection-order buffer, refilled by
-	// pickOrder every scheduler pass.
+	// order is the GTO scheduler's selection-order buffer, refilled by
+	// gtoOrder every scheduler pass.
 	order []*warp
 
 	// operands is the operand scratch: issue reads an instruction's
