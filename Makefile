@@ -95,10 +95,11 @@ obs:
 # shipper latch/rejoin in-process, the standby fence/resync races, the
 # nemesis primitives, then the full Jepsen-style drill — five real
 # regvd binaries under a seeded schedule of SIGKILL, asymmetric
-# partition (adoption fences the deposed primary out), at-rest bit-flip
-# (the scrubber heals it), and SIGSTOP, with every acked job completing
-# byte-identical to a never-faulted control and at most one writer per
-# (keyspace, epoch). CI runs this as its own job.
+# partition (adoption fences the deposed primary out), SIGSTOP, and a
+# restart plus an at-rest bit-flip (healed by the read that finds it),
+# with every acked job completing byte-identical to a never-faulted
+# control and at most one writer per (keyspace, epoch). CI runs this
+# as its own job.
 nemesis:
 	$(GO) test -race -count=1 -run 'Fenc|StandbyFence|StandbyResync' ./internal/cluster ./internal/jobs/store
 	$(GO) test -race -count=1 ./internal/faultinject ./internal/integrity

@@ -7,7 +7,7 @@
 //
 //	regvd [-addr host:port] [-j workers] [-drain d] [-data-dir dir]
 //	      [-checkpoint-every n] [-tenants spec] [-strict-tenants]
-//	      [-faults spec] [-fault-seed n] [-scrub-every d] [-nemesis]
+//	      [-faults spec] [-fault-seed n] [-nemesis]
 //	      [-log-format text|json] [-debug-addr host:port]
 //	      [-shard name] [-peers name=url,...] [-standby name] [-cluster]
 //
@@ -69,14 +69,13 @@
 //
 // Integrity: every result and checkpoint is written inside a
 // checksummed envelope (internal/integrity); corrupt files read as
-// misses, never as wrong answers. -scrub-every arms a background pass
-// that verifies every envelope and self-heals corruption —
-// deterministic re-simulation from the sealed job spec, quarantine as
-// the last resort — surfacing scrub_* counters in /metrics. -nemesis
-// (chaos drills only) adds POST /v1/faults/partition, which
-// black-holes this process's outbound traffic to named host:port
-// targets so partition behavior — fencing, resync, failover — can be
-// driven from a test harness.
+// misses, never as wrong answers. The read that finds a corrupt result
+// heals it: a submit re-runs the job, and a status lookup by ID re-runs
+// it as an async job from the spec sealed in the file, once that spec
+// hashes back to the ID. -nemesis (chaos drills only) adds
+// POST /v1/faults/partition, which black-holes this process's outbound
+// traffic to named host:port targets so partition behavior — fencing,
+// resync, failover — can be driven from a test harness.
 //
 // Durability: -data-dir arms the write-ahead journal, on-disk result
 // store and checkpoint store (internal/jobs/store). Accepted jobs are
@@ -128,7 +127,6 @@ import (
 
 	"regvirt/internal/cluster"
 	"regvirt/internal/faultinject"
-	"regvirt/internal/integrity"
 	"regvirt/internal/jobs"
 	"regvirt/internal/jobs/sched"
 	"regvirt/internal/jobs/store"
@@ -138,17 +136,16 @@ import (
 // config is everything the daemon needs to boot, separated from flag
 // parsing so tests can construct daemons directly.
 type config struct {
-	addr       string
-	workers    int
-	drain      time.Duration
-	dataDir    string
-	ckptEvery  uint64
-	tenants    string
-	strict     bool
-	faults     string
-	faultSeed  int64
-	scrubEvery time.Duration
-	nemesis    bool
+	addr      string
+	workers   int
+	drain     time.Duration
+	dataDir   string
+	ckptEvery uint64
+	tenants   string
+	strict    bool
+	faults    string
+	faultSeed int64
+	nemesis   bool
 
 	// Observability flags.
 	logFormat string // "text" (human key=value) or "json" (machine-shipped)
@@ -175,7 +172,6 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.debugAddr, "debug-addr", "", "serve net/http/pprof on this address (separate listener; empty = off)")
 	fs.StringVar(&cfg.faults, "faults", "", "fault injection spec, comma-separated site:kind:every[:arg] (chaos drills only)")
 	fs.Int64Var(&cfg.faultSeed, "fault-seed", 0, "seed for fault-injection phase offsets")
-	fs.DurationVar(&cfg.scrubEvery, "scrub-every", 0, "background integrity-scrub interval: verify every stored result/checkpoint envelope and self-heal corruption (0 = off; needs -data-dir)")
 	fs.BoolVar(&cfg.nemesis, "nemesis", false, "arm the nemesis surface: POST /v1/faults/partition black-holes outbound traffic to named hosts (chaos drills only)")
 	fs.StringVar(&cfg.shard, "shard", "regvd", "this shard's name in the cluster")
 	fs.StringVar(&cfg.peers, "peers", "", "peer address book, comma-separated name=url: the ring shards under -cluster, the ship-target book under -standby")
@@ -186,11 +182,6 @@ func parseFlags(args []string) (config, error) {
 	}
 	if cfg.logFormat != "text" && cfg.logFormat != "json" {
 		err := fmt.Errorf("regvd: -log-format %q (want text or json)", cfg.logFormat)
-		fmt.Fprintln(fs.Output(), err)
-		return config{}, err
-	}
-	if cfg.scrubEvery > 0 && cfg.dataDir == "" {
-		err := fmt.Errorf("regvd: -scrub-every needs -data-dir (there is nothing at rest to scrub without one)")
 		fmt.Fprintln(fs.Output(), err)
 		return config{}, err
 	}
@@ -355,7 +346,6 @@ type daemon struct {
 	shipper *cluster.Shipper    // our journal's outbound replication
 	router  *cluster.Router     // router mode only
 
-	scrubber   *integrity.Scrubber       // -scrub-every background pass, nil when off
 	partitions *faultinject.PartitionSet // -nemesis outbound partition set, nil when off
 	debugSrv   *http.Server              // -debug-addr pprof listener, nil when off
 }
@@ -540,28 +530,6 @@ func newDaemon(cfg config) (*daemon, error) {
 		logger.Info("shipping journal to standby", "standby", cfg.standby, "url", standbyURL)
 	}
 
-	// Background integrity scrub: walk the result and checkpoint stores
-	// every -scrub-every, verifying envelopes and self-healing —
-	// deterministic re-simulation from the embedded spec, quarantine as
-	// the last resort. Tallies surface as scrub_* in /metrics.
-	var scrubber *integrity.Scrubber
-	if st != nil && cfg.scrubEvery > 0 {
-		scrubber = &integrity.Scrubber{
-			Every: cfg.scrubEvery,
-			Log:   logger,
-			Pass: func() integrity.Report {
-				rep := st.Scrub(store.ScrubOptions{
-					Resim: func(j jobs.Job) (*jobs.Result, error) { return jobs.Execute(context.Background(), j) },
-					Log:   logger,
-				})
-				pool.AddScrubStats(rep.Scanned, rep.Corrupt, rep.Repaired)
-				return rep
-			},
-		}
-		scrubber.Start()
-		logger.Info("integrity scrubber armed", "every", cfg.scrubEvery)
-	}
-
 	shardSrv := cluster.NewShardServer(cfg.shard, pool, nil, standby, shipper)
 	shardSrv.SetLogger(logger)
 	handler := shardSrv.Handler(jobs.NewServer(pool).Handler())
@@ -577,7 +545,6 @@ func newDaemon(cfg config) (*daemon, error) {
 		log:        logger,
 		standby:    standby,
 		shipper:    shipper,
-		scrubber:   scrubber,
 		partitions: parts,
 	}
 	if err := d.armDebug(); err != nil {
@@ -683,11 +650,6 @@ func (d *daemon) serve(stop <-chan os.Signal) error {
 // ship), then the shipper (final flush to the standby), then the
 // stores, then the router's prober.
 func (d *daemon) closeBackends() {
-	if d.scrubber != nil {
-		// Stop before the pool and store close: an in-flight pass still
-		// reads result files and folds tallies into the pool's counters.
-		d.scrubber.Stop()
-	}
 	if d.pool != nil {
 		d.pool.Close()
 	}

@@ -2,17 +2,17 @@ package main
 
 // The nemesis suite: a Jepsen-style fault schedule driven against real
 // regvd binaries — three shards shipping to a warm-standby hub behind
-// a router, all armed with -nemesis and -scrub-every. The schedule
-// SIGKILLs the shard owning a long job mid-batch, partitions the
-// router away from a second shard (forcing an adoption the deposed —
-// but still living — primary must be fenced out of), flips a bit in a
-// third's at-rest result file for the scrubber to heal, and SIGSTOPs
-// the remaining shard through a probe window. Afterward every job the
-// cluster ever acked must complete through the router byte-identical
-// to a never-faulted control, and the ownership ack headers must show
-// at most one writer per (keyspace, epoch). `make nemesis` runs
-// exactly this file under -race; plain `go test` runs it too (skipped
-// under -short).
+// a router, all armed with -nemesis. The schedule SIGKILLs the shard
+// owning a long job mid-batch, partitions the router away from a
+// second shard (forcing an adoption the deposed — but still living —
+// primary must be fenced out of), SIGSTOPs the remaining shard through
+// a probe window, then restarts the second shard and flips a bit in
+// one of its at-rest result files for the status lookup that finds it
+// to heal. Afterward every job the cluster ever acked must complete
+// through the router byte-identical to a never-faulted control, and
+// the ownership ack headers must show at most one writer per
+// (keyspace, epoch). `make nemesis` runs exactly this file under
+// -race; plain `go test` runs it too (skipped under -short).
 
 import (
 	"bytes"
@@ -30,6 +30,7 @@ import (
 
 	"regvirt/internal/cluster"
 	"regvirt/internal/faultinject"
+	"regvirt/internal/integrity"
 	"regvirt/internal/jobs"
 	"regvirt/internal/jobs/client"
 )
@@ -153,14 +154,16 @@ func TestNemesis(t *testing.T) {
 	shardNames := []string{"s1", "s2", "s3"}
 	procs := map[string]*regvdProc{}
 	dirs := map[string]string{}
+	shardArgs := func(name string) []string {
+		return []string{"-data-dir", dirs[name], "-shard", name,
+			"-standby", "standby", "-peers", "standby=" + hub.base,
+			"-checkpoint-every", "2000", "-j", "2", "-nemesis",
+			"-faults", "sim.mem.accept:latency:500:2", "-fault-seed", "7"}
+	}
 	var peerSpec []string
 	for _, name := range shardNames {
 		dirs[name] = t.TempDir()
-		p := startRegvd(t, bin, "-data-dir", dirs[name], "-shard", name,
-			"-standby", "standby", "-peers", "standby="+hub.base,
-			"-checkpoint-every", "2000", "-j", "2",
-			"-scrub-every", "300ms", "-nemesis",
-			"-faults", "sim.mem.accept:latency:500:2", "-fault-seed", "7")
+		p := startRegvd(t, bin, shardArgs(name)...)
 		procs[name] = p
 		peerSpec = append(peerSpec, name+"="+p.base)
 	}
@@ -173,7 +176,8 @@ func TestNemesis(t *testing.T) {
 
 	// Cast the schedule: the spin job's owner is the SIGKILL victim;
 	// of the survivors (sorted, so the cast is deterministic), the
-	// first is partitioned+fenced+bit-flipped, the second is paused.
+	// first is partitioned+fenced, then restarted+bit-flipped, and the
+	// second is paused.
 	spin := jobs.Job{Kernel: recoverySpin, GridCTAs: 2, ThreadsPerCTA: 64, ConcCTAs: 2}
 	victim := ring.Owner(spin.Key())
 	var rest []string
@@ -184,7 +188,7 @@ func TestNemesis(t *testing.T) {
 	}
 	sort.Strings(rest)
 	partTarget, pauseTarget := rest[0], rest[1]
-	t.Logf("schedule: kill=%s partition+flip=%s pause=%s", victim, partTarget, pauseTarget)
+	t.Logf("schedule: kill=%s partition+restart+flip=%s pause=%s", victim, partTarget, pauseTarget)
 
 	ptJobs := jobsOwnedBy(t, ring, partTarget, 4)
 	vJobs := jobsOwnedBy(t, ring, victim, 1)
@@ -328,23 +332,33 @@ func TestNemesis(t *testing.T) {
 	}
 	ids = append(ids, pzJobs[0].Key())
 
-	// --- Phase 5: flip one payload bit of an at-rest result file on the
-	// rejoined shard. The 300ms scrubber must detect the checksum break
-	// and self-heal it (deterministic re-simulation — the content
-	// address is the oracle), counting exactly as many repairs as
-	// corruptions. ---
-	scrubJob := ptJobs[3]
-	sc := client.New(procs[partTarget].base)
-	if _, err := sc.Submit(context.Background(), scrubJob); err != nil {
-		t.Fatalf("scrub seed job: %v", err)
+	// --- Phase 5: rot a stored result where only the read that needs it
+	// can find it. Seed a job on the rejoined shard, then restart the
+	// shard (SIGTERM, then the same flags on the same address, so the
+	// router's peer list still names it): the restart's compaction drops
+	// the job's accept, so journal replay cannot re-run it, and the
+	// result cache starts empty, so the status read comes from disk.
+	// Flip one payload bit; the status lookup must find the checksum
+	// break and re-run the job from the spec sealed in the file (the
+	// content address proves the spec), exactly once. ---
+	healJob := ptJobs[3]
+	if _, err := client.New(procs[partTarget].base).Submit(context.Background(), healJob); err != nil {
+		t.Fatalf("heal seed job: %v", err)
 	}
-	ids = append(ids, scrubJob.Key())
-	resultPath := filepath.Join(dirs[partTarget], "results", scrubJob.Key()+".json")
-	waitNemesis(t, "scrub seed result on disk", 30*time.Second, func() bool {
-		_, err := os.Stat(resultPath)
-		return err == nil
+	ids = append(ids, healJob.Key())
+	ptAddr := strings.TrimPrefix(procs[partTarget].base, "http://")
+	procs[partTarget].kill(t, syscall.SIGTERM)
+	procs[partTarget] = startRegvd(t, bin, append(shardArgs(partTarget), "-addr", ptAddr)...)
+	// A restarted shard reports epoch 1; the router grants it a fresh
+	// one, as in phase 3, and the grant clears any fence its first ship
+	// met at the hub.
+	waitNemesis(t, "restarted shard to rejoin unfenced", 60*time.Second, func() bool {
+		row := routerShardRow(t, router.base, partTarget)
+		st := shardNodeStatus(t, procs[partTarget].base)
+		return row.Healthy && !st.Fenced && st.Epoch > 1 && st.Epoch >= row.Epoch
 	})
 	m0 := daemonMetrics(t, procs[partTarget].base)
+	resultPath := filepath.Join(dirs[partTarget], "results", healJob.Key()+".json")
 	sealed, err := os.ReadFile(resultPath)
 	if err != nil {
 		t.Fatal(err)
@@ -354,26 +368,27 @@ func TestNemesis(t *testing.T) {
 		t.Fatalf("result file %s has no envelope header to corrupt", resultPath)
 	}
 	// Bit 3 of the payload's second byte: inside the checksummed body,
-	// clear of the header and of the trailing spec section, so the
-	// spec still salvages and the re-simulation rung stays open.
+	// clear of the header and of the trailing spec section, so the spec
+	// still salvages and the heal can re-run the job.
 	if err := faultinject.FlipBit(resultPath, uint64(nl+2)*8+3); err != nil {
 		t.Fatal(err)
 	}
-	waitNemesis(t, "scrubber to heal the flipped bit", 60*time.Second, func() bool {
-		m := daemonMetrics(t, procs[partTarget].base)
-		return m.ScrubRepaired > m0.ScrubRepaired
-	})
-	m1 := daemonMetrics(t, procs[partTarget].base)
-	corrupt, repaired := m1.ScrubCorrupt-m0.ScrubCorrupt, m1.ScrubRepaired-m0.ScrubRepaired
-	if corrupt == 0 || repaired != corrupt {
-		t.Errorf("scrub deltas corrupt=%d repaired=%d, want equal and nonzero", corrupt, repaired)
+	hctx, hcancel := context.WithTimeout(context.Background(), 60*time.Second)
+	res, err := client.New(procs[partTarget].base).Wait(hctx, healJob.Key(), 20*time.Millisecond)
+	hcancel()
+	if err != nil {
+		t.Fatalf("status of the corrupt result: %v", err)
 	}
-	st, err := sc.Status(context.Background(), scrubJob.Key())
-	if err != nil || st.State != "done" || st.Result == nil {
-		t.Fatalf("healed result unreadable: state=%v err=%v", st.State, err)
-	}
-	if !bytes.Equal(st.Result.JSON(), control[scrubJob.Key()]) {
+	if !bytes.Equal(res.JSON(), control[healJob.Key()]) {
 		t.Error("healed result differs from never-faulted control")
+	}
+	if m1 := daemonMetrics(t, procs[partTarget].base); m1.Executed-m0.Executed != 1 {
+		t.Errorf("the heal ran the job %d times, want 1", m1.Executed-m0.Executed)
+	}
+	if data, err := os.ReadFile(resultPath); err != nil {
+		t.Error(err)
+	} else if _, err := integrity.Open(data); err != nil {
+		t.Errorf("healed result file does not verify: %v", err)
 	}
 
 	// --- The ledger: every job the cluster ever acked completes through

@@ -103,10 +103,10 @@ func (p *PartitionSet) Transport(base http.RoundTripper) http.RoundTripper {
 }
 
 // FlipBit flips one bit of the file at path, in place — the at-rest
-// corruption a scrubber must detect and heal. bit indexes from the
-// start of the file (bit 0 = lowest bit of byte 0) and wraps modulo
-// the file size, so callers can hammer arbitrary offsets without
-// sizing the file first. Empty files are left alone.
+// corruption the read that meets it must detect and heal. bit indexes
+// from the start of the file (bit 0 = lowest bit of byte 0) and wraps
+// modulo the file size, so callers can hammer arbitrary offsets
+// without sizing the file first. Empty files are left alone.
 func FlipBit(path string, bit uint64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {

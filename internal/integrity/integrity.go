@@ -1,6 +1,5 @@
 // Package integrity provides a checksummed at-rest envelope for the
-// store's content-addressed artifacts (results and checkpoints) plus a
-// small interval scrubber that walks them in the background.
+// store's content-addressed artifacts (results and checkpoints).
 //
 // The journal already CRC-frames every record, but the files it points
 // at — results/<id>.json and checkpoints/<id>.ckpt — were written raw,
@@ -12,9 +11,9 @@
 //
 // The CRC (Castagnoli, same polynomial as the journal) covers payload
 // and spec together. The optional spec section carries the JSON job
-// spec that produced a result, so a scrubber that finds a corrupt
-// payload but an intact spec can deterministically re-simulate — the
-// content address is the oracle for which of the two rotted.
+// spec that produced a result, so a read that finds a corrupt payload
+// but an intact spec can deterministically re-simulate — the content
+// address is the oracle for which of the two rotted.
 //
 // Input that does not start with the magic is corrupt like any other
 // failed verification: there is no unverified read path.
@@ -36,17 +35,13 @@ const maxSection = 64 << 20
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // CorruptError reports an envelope whose header or checksum failed
-// verification. Path is filled by callers that know it.
+// verification.
 type CorruptError struct {
-	Path   string
 	Reason string
 }
 
 func (e *CorruptError) Error() string {
-	if e.Path == "" {
-		return "integrity: corrupt envelope: " + e.Reason
-	}
-	return "integrity: " + e.Path + ": corrupt envelope: " + e.Reason
+	return "integrity: corrupt envelope: " + e.Reason
 }
 
 // Envelope is the parsed form of a sealed file.
@@ -117,10 +112,12 @@ func Open(data []byte) (Envelope, error) {
 }
 
 // Salvage extracts the payload and spec sections of a sealed envelope
-// WITHOUT checksum verification — the scrubber's last resort on a
-// corrupt file. Neither section can be trusted; callers must validate
-// them independently (the job spec validates against the content
-// address, which is exactly what makes re-simulation a safe repair).
+// WITHOUT checksum verification — what the store's heal on read uses
+// on a result file that fails Open. Neither section can be trusted;
+// callers must validate them independently (the job spec validates
+// against the content address, which is exactly what makes
+// re-simulation a safe repair). A prefix of an envelope never splits:
+// the body must be exactly as long as its header says.
 func Salvage(data []byte) (payload, spec []byte, ok bool) {
 	env, _, err := split(data)
 	return env.Payload, env.Spec, err == nil

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestSealOpenRoundTrip(t *testing.T) {
@@ -86,36 +84,4 @@ func TestOpenTruncationAndExtension(t *testing.T) {
 	if _, err := Open([]byte(magic + " 00000000 99999999999999999999 0\n")); err == nil {
 		t.Fatalf("overflowing length field opened cleanly")
 	}
-}
-
-func TestScrubberRunsAndStops(t *testing.T) {
-	var passes atomic.Int64
-	s := &Scrubber{
-		Every: 5 * time.Millisecond,
-		Pass: func() Report {
-			passes.Add(1)
-			return Report{Scanned: 1}
-		},
-	}
-	s.Start()
-	deadline := time.Now().Add(2 * time.Second)
-	for passes.Load() < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	s.Stop()
-	if got := passes.Load(); got < 3 {
-		t.Fatalf("scrubber ran %d passes, want >= 3", got)
-	}
-	settled := passes.Load()
-	time.Sleep(30 * time.Millisecond)
-	if passes.Load() != settled {
-		t.Fatalf("scrubber kept running after Stop")
-	}
-	s.Stop() // second Stop is a no-op
-}
-
-func TestScrubberDisabled(t *testing.T) {
-	s := &Scrubber{Every: 0, Pass: func() Report { return Report{} }}
-	s.Start() // no-op; Stop on a never-started scrubber must not hang
-	s.Stop()
 }

@@ -32,8 +32,10 @@ type Recorder interface {
 	SaveCheckpoint(id string, data []byte) error
 	// LoadCheckpoint returns the job's latest checkpoint, if any.
 	LoadCheckpoint(id string) ([]byte, bool)
-	// DropCheckpoint removes an unusable checkpoint.
-	DropCheckpoint(id string) error
+	// Salvage returns the job sealed with id's result when that result
+	// fails verification but its spec still hashes to id: the job a
+	// status lookup re-runs to heal the file.
+	Salvage(id string) (Job, bool)
 }
 
 // RecoveredJob is one journal entry reconstructed at startup, in
@@ -160,9 +162,10 @@ func (p *Pool) runDurable(ctx context.Context, job Job, id string, e *execution)
 			hooks.resume = &ck
 			p.log.InfoContext(ctx, "resuming from checkpoint", "cycle", ck.Cycle)
 		} else {
-			// Undecodable blob: drop it and restart from scratch.
-			p.store.DropCheckpoint(id)
-			p.log.WarnContext(ctx, "dropped undecodable checkpoint", "err", err)
+			// Undecodable blob: a miss, like a corrupt envelope. The run
+			// starts from cycle 0, and its next checkpoint or its Done
+			// replaces or removes the file.
+			p.log.WarnContext(ctx, "undecodable checkpoint; running from cycle 0", "err", err)
 		}
 	}
 

@@ -10,13 +10,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"regvirt/internal/integrity"
 	"regvirt/internal/jobs"
 	"regvirt/internal/jobs/store"
 	"regvirt/internal/obs"
@@ -372,5 +379,207 @@ func TestDeterministicFailureNotResumed(t *testing.T) {
 	}
 	if stt, ok := p2.Status(job.Key()); !ok || stt.State != "failed" {
 		t.Fatalf("Status = %+v, %v, want the failure visible", stt, ok)
+	}
+}
+
+// TestUndecodableCheckpointRunsFromCycleZero: a sealed checkpoint whose
+// payload is not a gob is a miss, like one that fails its envelope
+// check: the job runs from cycle 0 to the result a fresh run gives, and
+// its Done removes the file.
+func TestUndecodableCheckpointRunsFromCycleZero(t *testing.T) {
+	job := jobs.Job{Workload: "VectorAdd", PhysRegs: 512}
+	id := job.Key()
+	control, err := jobs.Execute(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, _ := openStoreT(t, dir)
+	defer st.Close()
+	if err := st.SaveCheckpoint(id, []byte("not a gob")); err != nil {
+		t.Fatal(err)
+	}
+	p := jobs.NewPoolWith(jobs.Options{Workers: 1, Store: st})
+	defer p.Close()
+	res, err := p.Submit(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.JSON(), control.JSON()) {
+		t.Fatal("a run past an undecodable checkpoint differs from a fresh run")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "checkpoints", id+".ckpt")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("checkpoint left behind after the job finished (stat err %v)", err)
+	}
+}
+
+// flipPayloadBit flips bit 3 of a sealed file's second payload byte:
+// inside the checksummed body, clear of the header and of the trailing
+// spec section.
+func flipPayloadBit(sealed []byte) []byte {
+	b := bytes.Clone(sealed)
+	b[bytes.IndexByte(b, '\n')+2] ^= 0x08
+	return b
+}
+
+// TestStatusHealsCorruptResult: once a finished job's accept is
+// compacted out of the journal, a status lookup by ID is the read that
+// meets its corrupt result. A sealed result whose payload rotted but
+// whose spec still hashes to the ID is re-run as an async job and
+// rewritten; a file that cannot prove its job stays an honest
+// not-found, untouched, and runs nothing; a healthy file is served
+// from disk.
+func TestStatusHealsCorruptResult(t *testing.T) {
+	ctx := context.Background()
+	job := jobs.Job{Workload: "VectorAdd", PhysRegs: 512}
+	id := job.Key()
+	control, err := jobs.Execute(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// seed runs the job on a pool with a store and returns the data
+	// directory and the sealed result it wrote. compact reopens the
+	// store once, so that Open's compaction drops the job's accept.
+	seed := func(t *testing.T, compact bool) (dir string, sealed []byte) {
+		dir = t.TempDir()
+		st, _ := openStoreT(t, dir)
+		p := jobs.NewPoolWith(jobs.Options{Workers: 1, Store: st})
+		if _, err := p.Submit(ctx, job); err != nil {
+			t.Fatal(err)
+		}
+		p.Close()
+		st.Close()
+		if compact {
+			st, _ = openStoreT(t, dir)
+			st.Close()
+		}
+		sealed, err := os.ReadFile(filepath.Join(dir, "results", id+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dir, sealed
+	}
+	// start reopens the store under a fresh pool that logs into a buffer.
+	start := func(t *testing.T, dir string) (*jobs.Pool, []jobs.RecoveredJob, *bytes.Buffer) {
+		st, recovered := openStoreT(t, dir)
+		logs := &bytes.Buffer{}
+		p := jobs.NewPoolWith(jobs.Options{Workers: 1, Store: st, Logger: obs.NewLogger(logs, "text")})
+		t.Cleanup(func() {
+			p.Close()
+			st.Close()
+		})
+		return p, recovered, logs
+	}
+	waitDone := func(t *testing.T, p *jobs.Pool) jobs.JobStatus {
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			stt, ok := p.Status(id)
+			if ok && stt.State != "running" {
+				return stt
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job did not finish: status %+v, %v", stt, ok)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	// healed checks the job finished with the control's bytes, its file
+	// opens again and is what the first run sealed, and the pool ran it
+	// exactly once.
+	healed := func(t *testing.T, p *jobs.Pool, dir string, sealed []byte) {
+		if stt := waitDone(t, p); stt.State != "done" || stt.Result == nil || !bytes.Equal(stt.Result.JSON(), control.JSON()) {
+			t.Fatalf("healed status %+v, want done with the control's bytes", stt)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "results", id+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := integrity.Open(data); err != nil || !bytes.Equal(data, sealed) {
+			t.Fatalf("file after the heal: open err %v, identical to the first seal %v", err, bytes.Equal(data, sealed))
+		}
+		m := p.Metrics()
+		if m.Executed != 1 || m.Submitted != m.Executed+m.Deduped+m.CacheHits {
+			t.Fatalf("executed %d, submitted %d = %d+%d+%d; want one run, counted like any submit",
+				m.Executed, m.Submitted, m.Executed, m.Deduped, m.CacheHits)
+		}
+	}
+
+	t.Run("payload bit flipped", func(t *testing.T) {
+		dir, sealed := seed(t, true)
+		path := filepath.Join(dir, "results", id+".json")
+		if err := os.WriteFile(path, flipPayloadBit(sealed), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, recovered, logs := start(t, dir)
+		if len(recovered) != 0 {
+			t.Fatalf("journal still names %+v after compaction", recovered)
+		}
+		if stt, ok := p.Status(id); !ok || stt.State != "running" {
+			t.Fatalf("status of a corrupt result = %+v, %v; want running", stt, ok)
+		}
+		healed(t, p, dir, sealed)
+		if n := strings.Count(logs.String(), "level=WARN"); n != 1 || !strings.Contains(logs.String(), "job="+id) {
+			t.Fatalf("heal logged %d Warn lines, want one naming the job:\n%s", n, logs)
+		}
+	})
+
+	t.Run("accept still journaled", func(t *testing.T) {
+		dir, sealed := seed(t, false)
+		path := filepath.Join(dir, "results", id+".json")
+		if err := os.WriteFile(path, flipPayloadBit(sealed), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, recovered, _ := start(t, dir)
+		if resumed := p.Restore(recovered); resumed != 1 {
+			t.Fatalf("replay re-ran %d jobs, want the corrupt one", resumed)
+		}
+		healed(t, p, dir, sealed)
+	})
+
+	t.Run("healthy result", func(t *testing.T) {
+		dir, _ := seed(t, true)
+		p, _, _ := start(t, dir)
+		stt, ok := p.Status(id)
+		if !ok || stt.State != "done" || stt.Result == nil || !bytes.Equal(stt.Result.JSON(), control.JSON()) {
+			t.Fatalf("status %+v, %v; want done with the control's bytes", stt, ok)
+		}
+		if m := p.Metrics(); m.Submitted != 0 {
+			t.Fatalf("serving a healthy result submitted %d jobs", m.Submitted)
+		}
+	})
+
+	// Files that cannot prove which job they hold.
+	_, sealed := seed(t, true)
+	nl := bytes.IndexByte(sealed, '\n')
+	header := strings.Fields(string(sealed[:nl]))
+	plen, _ := strconv.Atoi(header[2])
+	otherSpec, _ := json.Marshal(jobs.Job{Workload: "MUM"})
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"unsealed", control.JSON()},
+		{"corrupt header", append([]byte(fmt.Sprintf("%s %s %d %s", header[0], header[1], plen+1, header[3])), sealed[nl:]...)},
+		{"no spec", flipPayloadBit(integrity.Seal(control.JSON(), nil))},
+		{"spec of another job", flipPayloadBit(integrity.Seal(control.JSON(), otherSpec))},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir, _ := seed(t, true)
+			path := filepath.Join(dir, "results", id+".json")
+			if err := os.WriteFile(path, c.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			p, _, _ := start(t, dir)
+			if stt, ok := p.Status(id); ok {
+				t.Fatalf("status = %+v, want not found", stt)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, c.data) {
+				t.Fatalf("file changed by the lookup (err %v)", err)
+			}
+			if m := p.Metrics(); m.Submitted != 0 {
+				t.Fatalf("the lookup submitted %d jobs", m.Submitted)
+			}
+		})
 	}
 }

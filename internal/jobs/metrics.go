@@ -39,9 +39,6 @@ const (
 	cCheckpointsWritten
 	cResultsPersisted
 	cDiskHits
-	cScrubScanned
-	cScrubCorrupt
-	cScrubRepaired
 	// Rendered after the cache families and the tenant-table gauge.
 	cTenantOverflow
 	numCounters
@@ -68,9 +65,6 @@ var counterRows = [numCounters]counterRow{
 	cCheckpointsWritten: {func(m *MetricsSnapshot) *uint64 { return &m.CheckpointsWritten }, "regvd_checkpoints_written_total", "Durable checkpoints of in-flight simulations."},
 	cResultsPersisted:   {func(m *MetricsSnapshot) *uint64 { return &m.ResultsPersisted }, "regvd_results_persisted_total", "Results written to the on-disk store."},
 	cDiskHits:           {func(m *MetricsSnapshot) *uint64 { return &m.DiskHits }, "regvd_disk_hits_total", "Cache fills served from the on-disk store."},
-	cScrubScanned:       {func(m *MetricsSnapshot) *uint64 { return &m.ScrubScanned }, "regvd_scrub_scanned_total", "Files examined by the at-rest integrity scrubber."},
-	cScrubCorrupt:       {func(m *MetricsSnapshot) *uint64 { return &m.ScrubCorrupt }, "regvd_scrub_corrupt_total", "Files that failed at-rest envelope verification."},
-	cScrubRepaired:      {func(m *MetricsSnapshot) *uint64 { return &m.ScrubRepaired }, "regvd_scrub_repaired_total", "Corrupt files self-healed by the scrubber (re-simulate or safe drop)."},
 	cTenantOverflow:     {func(m *MetricsSnapshot) *uint64 { return &m.TenantsOverflowed }, "regvd_tenant_overflow_folds_total", "Counter updates folded into the ~overflow row because the tenant table was full."},
 }
 
@@ -271,15 +265,6 @@ type MetricsSnapshot struct {
 	ResultsPersisted   uint64 `json:"results_persisted"`
 	DiskHits           uint64 `json:"disk_hits"`
 
-	// Integrity-scrubber counters (all zero until -scrub-every arms the
-	// background scrubber): ScrubScanned files examined, ScrubCorrupt
-	// envelope verification failures, ScrubRepaired corrupt files
-	// self-healed — deterministic re-simulation, or (for checkpoints,
-	// which are pure optimization) a safe drop.
-	ScrubScanned  uint64 `json:"scrub_scanned"`
-	ScrubCorrupt  uint64 `json:"scrub_corrupt"`
-	ScrubRepaired uint64 `json:"scrub_repaired"`
-
 	ResultCache CacheStats `json:"result_cache"`
 
 	// TenantsTracked is the per-tenant counter table's current size.
@@ -300,15 +285,6 @@ type MetricsSnapshot struct {
 	// so the cluster router can aggregate it: bucket counts sum across
 	// shards, quantiles do not.
 	SpanDurations map[string]obs.HistogramSnapshot `json:"span_durations,omitempty"`
-}
-
-// AddScrubStats folds one scrub pass's tallies into the pool counters.
-// The daemon's background scrubber calls this after every pass so the
-// scrub_* metrics surface through /metrics in both formats.
-func (p *Pool) AddScrubStats(scanned, corrupt, repaired int) {
-	p.m.c[cScrubScanned].Add(uint64(scanned))
-	p.m.c[cScrubCorrupt].Add(uint64(corrupt))
-	p.m.c[cScrubRepaired].Add(uint64(repaired))
 }
 
 // Metrics snapshots the pool counters.

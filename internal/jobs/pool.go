@@ -140,10 +140,10 @@ type Options struct {
 	// tracing off; instrumented paths pay one nil-check.
 	Tracer *obs.Tracer
 	// Logger receives the pool's structured log lines (a resume from
-	// checkpoint, a preemption, a dropped checkpoint), each stamped with
-	// the trace ID, tenant and job ID from the request context; a
-	// submit itself is recorded by its span, not logged. Nil discards
-	// them.
+	// checkpoint, a preemption, an undecodable checkpoint, a heal of a
+	// corrupt result), each stamped with the trace ID, tenant and job
+	// ID from the request context; a submit itself is recorded by its
+	// span, not logged. Nil discards them.
 	Logger *slog.Logger
 }
 
@@ -756,7 +756,8 @@ func (p *Pool) finished(id string) (*Result, bool) {
 // of the daemon. A result outranks a failure record: a job that failed
 // as an async job and was finished since, by a sync submit or a
 // restart, is done, and its record goes. Without a store, a finished
-// job the result cache has evicted is unknown.
+// job the result cache has evicted is unknown. A lookup that finds
+// nothing else heals a corrupt stored result (heal).
 func (p *Pool) Status(id string) (JobStatus, bool) {
 	p.mu.Lock()
 	_, running := p.running[id]
@@ -776,7 +777,30 @@ func (p *Pool) Status(id string) (JobStatus, bool) {
 	if failed {
 		return JobStatus{ID: id, State: "failed", Error: f.msg}, true
 	}
-	return JobStatus{}, false
+	return p.heal(id)
+}
+
+// heal answers a status lookup that found no running job, result or
+// failure: when the store holds a sealed result for id that fails
+// verification but whose spec names id, the job is resubmitted as an
+// async job. The repair is admitted, journaled, scheduled, traced and
+// counted like any other async job, and its Done rewrites the file. A
+// refused resubmit leaves the job unknown, as it was.
+func (p *Pool) heal(id string) (JobStatus, bool) {
+	if p.store == nil {
+		return JobStatus{}, false
+	}
+	job, ok := p.store.Salvage(id)
+	if !ok {
+		return JobStatus{}, false
+	}
+	st, err := p.submitAsync(job)
+	if err != nil {
+		return JobStatus{}, false
+	}
+	ctx := obs.WithJobID(obs.WithTenant(context.Background(), job.schedTenant()), id)
+	p.log.WarnContext(ctx, "stored result failed verification; re-running its job")
+	return st, true
 }
 
 // failureLog holds the last error of each async job whose run failed,

@@ -18,9 +18,13 @@ func unsealed(data []byte) bool { return !bytes.HasPrefix(data, []byte("RVI1 "))
 // FuzzResultDecode holds the result read path against arbitrary file
 // bytes: decodeResult never panics, and it answers exactly when an
 // independent envelope-open + JSON decode would — corrupt input
-// (unsealed input included) is a miss, never a wrong answer.
+// (unsealed input included) is a miss, never a wrong answer. It also
+// holds the heal's trust boundary: salvageJob returns a job only for
+// input that fails to open and only a job whose key is the file's ID,
+// so a read can never re-run a job its ID does not name.
 func FuzzResultDecode(f *testing.F) {
 	job := jobs.Job{Workload: "VectorAdd", PhysRegs: 512}
+	id := job.Key()
 	spec, _ := json.Marshal(job)
 	payload := fakeResult("fz01").JSON()
 
@@ -34,6 +38,16 @@ func FuzzResultDecode(f *testing.F) {
 	f.Add(integrity.Seal(nil, nil))
 	f.Add([]byte("RVI1 00000000 9999999999 0\n"))
 	f.Add([]byte{})
+	// A payload bit flipped with the spec intact salvages; with another
+	// job's spec it must not.
+	flipPayload := func(b []byte) []byte {
+		b = append([]byte(nil), b...)
+		b[bytes.IndexByte(b, '\n')+2] ^= 0x08
+		return b
+	}
+	f.Add(flipPayload(sealed))
+	other, _ := json.Marshal(jobs.Job{Workload: "MUM"})
+	f.Add(flipPayload(integrity.Seal(payload, other)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, ok := decodeResult(data)
@@ -51,11 +65,19 @@ func FuzzResultDecode(f *testing.F) {
 			t.Fatalf("decodeResult returned %+v, independent decode %+v", res, &want)
 		}
 
-		// Salvage is the scrubber's lenient parse: it must never panic
-		// and its sections must tile the body exactly.
+		// Salvage is the heal's lenient parse: it must never panic and
+		// its sections must tile the body exactly.
 		if p, sp, sok := integrity.Salvage(data); sok {
 			if len(p)+len(sp) > len(data) {
 				t.Fatalf("salvaged sections (%d+%d) exceed input (%d)", len(p), len(sp), len(data))
+			}
+		}
+		if sj, sok := salvageJob(id, data); sok {
+			if err == nil {
+				t.Fatalf("salvageJob salvaged input that opens cleanly")
+			}
+			if sj.Key() != id {
+				t.Fatalf("salvageJob returned job %s for ID %s", sj.Key(), id)
 			}
 		}
 	})

@@ -2,10 +2,9 @@ package store
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"regvirt/internal/jobs"
@@ -60,44 +59,53 @@ func TestTornResultIsAMiss(t *testing.T) {
 	}
 }
 
-// TestScrubRacingDoneQuarantinesNothing: Done writes results in place,
-// so a scrubber reading a file mid-write would see it torn and
-// quarantine a good result. Scrubs racing the Dones of distinct jobs
-// must find nothing corrupt and leave every result loadable.
-func TestScrubRacingDoneQuarantinesNothing(t *testing.T) {
+// TestSalvageRacingDoneReturnsNothing: Done writes results in place
+// and Salvage reads them without the store lock, so a Salvage can read
+// a file mid-write, which would re-run a job whose result is fine.
+// Salvages racing the Dones of distinct jobs, each sealed with its
+// spec, must return no job and leave every result loadable.
+func TestSalvageRacingDoneReturnsNothing(t *testing.T) {
 	s, _ := openT(t, t.TempDir())
 	defer s.Close()
 	const n = 300
-	var wg sync.WaitGroup
+	specs, ids := make([]jobs.Job, n), make([]string, n)
+	for i := range specs {
+		specs[i] = jobs.Job{Workload: "VectorAdd", PhysRegs: 16 * (i + 1)}
+		ids[i] = specs[i].Key()
+	}
+	var writing atomic.Int64 // index of the job whose result is being written
 	stop := make(chan struct{})
-	wg.Add(1)
 	go func() {
-		defer wg.Done()
 		defer close(stop)
-		for i := 0; i < n; i++ {
-			id := fmt.Sprintf("job%04d", i)
+		for i, id := range ids {
+			writing.Store(int64(i))
+			if err := s.Accept(id, specs[i], false); err != nil {
+				t.Error(err)
+				return
+			}
 			if err := s.Done(id, largeResult(id)); err != nil {
 				t.Error(err)
 				return
 			}
 		}
 	}()
-	corrupt := 0
+	salvaged := 0
 	for running := true; running; {
 		select {
 		case <-stop:
 			running = false
 		default:
 		}
-		corrupt += s.Scrub(ScrubOptions{}).Corrupt
+		if _, ok := s.Salvage(ids[writing.Load()]); ok {
+			salvaged++
+		}
 	}
-	wg.Wait()
-	if corrupt != 0 {
-		t.Fatalf("scrubs found %d corrupt results among in-place writes", corrupt)
+	if salvaged != 0 {
+		t.Fatalf("Salvage returned a job %d times among in-place writes", salvaged)
 	}
-	for i := 0; i < n; i++ {
-		if _, ok := s.LoadResult(fmt.Sprintf("job%04d", i)); !ok {
-			t.Fatalf("job%04d does not load after the race", i)
+	for _, id := range ids {
+		if _, ok := s.LoadResult(id); !ok {
+			t.Fatalf("%s does not load after the race", id)
 		}
 	}
 }

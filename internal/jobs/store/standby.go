@@ -80,7 +80,8 @@ func OpenStandby(dir string) (*StandbyStore, error) {
 // replay, cut the torn tail, recover (gen, lastSeq). Also the "standby
 // restart during resync" path — whatever valid prefix the interrupted
 // shipment left is where continuity resumes, and the next frame either
-// extends it or forces a resync.
+// extends it or forces a resync. Temp files a crash left in the copy's
+// directory are deleted first, as Open deletes the primary's.
 func (ss *StandbyStore) loadShard(shard string) (*standbyShard, error) {
 	sdir := filepath.Join(ss.dir, shard)
 	if err := os.MkdirAll(sdir, 0o755); err != nil {
@@ -91,6 +92,9 @@ func (ss *StandbyStore) loadShard(shard string) (*standbyShard, error) {
 	// it, so loading the copy reclaims the space.
 	if err := os.RemoveAll(filepath.Join(sdir, checkpointsDir)); err != nil {
 		return nil, fmt.Errorf("store: standby: %w", err)
+	}
+	if err := removeTemps(sdir); err != nil {
+		return nil, err
 	}
 	j, recs, err := openJournal(sdir, shippedName)
 	if err != nil {

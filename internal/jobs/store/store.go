@@ -23,7 +23,8 @@
 // file a miss, which re-simulates, so no temp file or rename is needed.
 // Its directory entry becomes durable no later than the compaction
 // that drops its accept, which fsyncs results/ first. Checkpoints are
-// written to a temp file, fsynced and renamed into place; journal
+// written to a temp file, fsynced and renamed into place, and Open
+// deletes the temp files a crash left before their rename; journal
 // replay truncates to the longest valid prefix, so a torn append loses
 // only the torn record, and an append that fails is cut back to the
 // last whole frame at once, so no later record follows a torn one;
@@ -108,11 +109,17 @@ func diskAware(op string, err error) error {
 // result decides between done and pending, not the done frame: a job
 // whose sealed result loads is done even if its done frame was lost
 // (Done does not fsync it), and a done job whose result file has gone
-// missing re-runs.
+// missing re-runs. Temp files a crash left in the data directory or in
+// checkpoints/ are deleted first.
 func Open(dir string) (*Store, []jobs.RecoveredJob, error) {
 	for _, d := range []string{dir, filepath.Join(dir, resultsDir), filepath.Join(dir, checkpointsDir)} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, nil, fmt.Errorf("store: %w", err)
+		}
+	}
+	for _, d := range []string{dir, filepath.Join(dir, checkpointsDir)} {
+		if err := removeTemps(d); err != nil {
+			return nil, nil, err
 		}
 	}
 	j, recs, err := openJournal(dir, journalName)
@@ -212,15 +219,14 @@ func (s *Store) acceptLocked(id string, job jobs.Job, async bool) (Sink, error) 
 
 // Done persists the result (the file is the durable artifact), closes
 // the journal entry and drops the job's checkpoint. The result is
-// written in place and fsynced under the store lock; every other reader
-// or writer that must not see it half-written (Accept, the scrubber)
-// takes that lock, and LoadResult outside it treats a half-written file
-// as the miss it would have been a moment earlier. The journal frame is
-// not fsynced: if it is lost, the next Open finds the sealed result and
-// counts the job done all the same. A crash that loses the result's
-// directory entry leaves its accept in the journal, so the job re-runs:
-// compaction, the only thing that drops the accept, fsyncs results/
-// first.
+// written in place and fsynced under the store lock; Accept, which must
+// not see it half-written, takes that lock, and LoadResult and Salvage
+// outside it treat a half-written file as the miss it would have been
+// a moment earlier. The journal frame is not fsynced: if it is lost,
+// the next Open finds the sealed result and counts the job done all
+// the same. A crash that loses the result's directory entry leaves its
+// accept in the journal, so the job re-runs: compaction, the only
+// thing that drops the accept, fsyncs results/ first.
 func (s *Store) Done(id string, res *jobs.Result) error {
 	if !safeID(id) {
 		return fmt.Errorf("store: invalid job id %q", id)
@@ -235,9 +241,10 @@ func (s *Store) Done(id string, res *jobs.Result) error {
 		return diskAware("result persist", fmt.Errorf("store: persist result: %w", err))
 	}
 	// The result is sealed in a checksummed envelope together with the
-	// job spec that produced it: a scrubber that later finds the payload
-	// rotted can re-simulate from the spec (the content address in the
-	// filename is the oracle for whether the spec itself is intact).
+	// job spec that produced it: a read that later finds the payload
+	// rotted can re-run the job from the spec (Salvage; the content
+	// address in the filename is the oracle for whether the spec itself
+	// is intact).
 	var spec []byte
 	if pa, ok := s.pending[id]; ok {
 		spec, _ = json.Marshal(pa.job)
@@ -277,7 +284,7 @@ func (s *Store) Failed(id, msg string) error {
 // LoadResult reads a persisted result by job ID — the second tier
 // behind the in-memory cache. A missing, corrupt (unsealed, torn, or an
 // envelope checksum failure) or unparseable file is simply a miss: the
-// job re-simulates and the scrubber heals the file in the background.
+// job re-simulates, and its Done rewrites the file.
 func (s *Store) LoadResult(id string) (*jobs.Result, bool) {
 	if !safeID(id) {
 		return nil, false
@@ -351,15 +358,40 @@ func decodeCheckpoint(data []byte) ([]byte, bool) {
 	return env.Payload, true
 }
 
-// DropCheckpoint removes the job's checkpoint (used when a checkpoint
-// turns out to be unusable; Done and Failed drop it themselves).
-func (s *Store) DropCheckpoint(id string) error {
+// Salvage returns the job sealed with id's result file when that file
+// fails verification but still names the job: its header splits, and
+// its spec section decodes to a job whose content address is id. The
+// pool re-runs that job to heal the file (Pool.Status). A missing,
+// healthy or unsalvageable file returns false. Salvage takes no lock,
+// so a lookup of an unknown ID never waits behind an Accept's fsync. A
+// read racing Done's in-place write sees a prefix of the new file,
+// which never splits; whatever does salvage is trusted only because it
+// hashes to id, so at worst a heal is redundant and writes the same
+// bytes.
+func (s *Store) Salvage(id string) (jobs.Job, bool) {
 	if !safeID(id) {
-		return fmt.Errorf("store: invalid job id %q", id)
+		return jobs.Job{}, false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropCheckpointLocked(id)
+	data, err := os.ReadFile(s.resultPath(id))
+	if err != nil {
+		return jobs.Job{}, false
+	}
+	return salvageJob(id, data)
+}
+
+// salvageJob is Salvage's decision on a result file's bytes, split out
+// so the fuzzer can hold it without disk: a job only when the envelope
+// fails to open and its salvaged spec hashes back to id.
+func salvageJob(id string, data []byte) (jobs.Job, bool) {
+	if _, err := integrity.Open(data); err == nil {
+		return jobs.Job{}, false
+	}
+	_, spec, ok := integrity.Salvage(data)
+	var job jobs.Job
+	if !ok || json.Unmarshal(spec, &job) != nil || job.Key() != id {
+		return jobs.Job{}, false
+	}
+	return job, true
 }
 
 func (s *Store) resultPath(id string) string {
@@ -493,12 +525,16 @@ func writeUint(path string, v uint64) error {
 	return writeAtomic(path, []byte(strconv.FormatUint(v, 10)))
 }
 
+// tmpPrefix starts the name of every temp file writeAtomic creates.
+const tmpPrefix = ".tmp-"
+
 // writeAtomic writes data to path via a temp file in the same
 // directory: write, fsync, rename, fsync the directory. Readers see
-// the old content or the new, never a prefix.
+// the old content or the new, never a prefix. A crash before the rename
+// leaves the temp file behind; removeTemps deletes it at the next open.
 func writeAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	tmp, err := os.CreateTemp(dir, tmpPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -523,6 +559,25 @@ func writeAtomic(path string, data []byte) error {
 		return fmt.Errorf("store: rename %s: %w", filepath.Base(path), err)
 	}
 	syncDir(dir)
+	return nil
+}
+
+// removeTemps deletes the temp files writeAtomic left in dir. Call it
+// before anything writes there: a live writeAtomic's temp file has the
+// same name shape.
+func removeTemps(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), tmpPrefix) {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("store: %w", err)
+		}
+	}
 	return nil
 }
 

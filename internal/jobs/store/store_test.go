@@ -2,10 +2,13 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"regvirt/internal/jobs"
@@ -239,8 +242,84 @@ func TestCheckpointLifecycle(t *testing.T) {
 	if _, ok := s.LoadCheckpoint("aaa1"); ok {
 		t.Fatal("checkpoint survived Done")
 	}
-	if err := s.DropCheckpoint("aaa1"); err != nil {
-		t.Fatal("DropCheckpoint of absent checkpoint must be a no-op:", err)
+}
+
+// TestOpenRemovesCrashTemps: a crash between writeAtomic's create and
+// its rename leaves a temp file beside its target. Opening the store
+// deletes those in the data directory and checkpoints/, and opening a
+// standby those in each shard copy's directory; every other file is
+// left byte-identical, except the journal and its generation, which
+// Open's compaction rewrites by design.
+func TestOpenRemovesCrashTemps(t *testing.T) {
+	dir := t.TempDir()
+	sbDir := filepath.Join(dir, "standby")
+	s, _ := openT(t, dir)
+	s.Accept("aaa1", jobs.Job{Workload: "VectorAdd"}, false)
+	if err := s.SaveCheckpoint("aaa1", []byte("opaque gob bytes")); err != nil {
+		t.Fatal(err)
+	}
+	s.Accept("bbb2", jobs.Job{Workload: "MUM"}, false)
+	if err := s.Done("bbb2", fakeResult("bbb2")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	ss, err := OpenStandby(sbDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ss.ApplyFrames("s1", 1, frameFor(t, 1, acceptRec("ccc3"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := ss.Fence("s1", 2); err != nil {
+		t.Fatal(err)
+	}
+	ss.Close()
+
+	temps := []string{
+		filepath.Join(dir, ".tmp-1234"),
+		filepath.Join(dir, checkpointsDir, ".tmp-5678"),
+		filepath.Join(sbDir, "s1", ".tmp-9012"),
+	}
+	for _, p := range temps {
+		if err := os.WriteFile(p, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rewritten := map[string]bool{filepath.Join(dir, journalName): true, filepath.Join(dir, genName): true}
+	before := map[string][]byte{}
+	filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.IsDir() && !rewritten[p] && !strings.HasPrefix(d.Name(), tmpPrefix) {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before[p] = data
+		}
+		return nil
+	})
+
+	s2, recovered := openT(t, dir)
+	defer s2.Close()
+	ss2, err := OpenStandby(sbDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss2.Close()
+	for _, p := range temps {
+		if _, err := os.Stat(p); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s survived the open (stat err %v)", p, err)
+		}
+	}
+	for p, want := range before {
+		if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s changed across the open (err %v)", p, err)
+		}
+	}
+	if len(recovered) != 2 || s2.PendingCount() != 1 {
+		t.Errorf("recovered %+v with %d pending, want aaa1 pending and bbb2 done", recovered, s2.PendingCount())
 	}
 }
 
