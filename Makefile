@@ -76,17 +76,17 @@ cluster:
 # endpoints (an async refusal's error reaches its trace), the
 # jobs.submit span as a submit's one timer (the /metrics quantiles and
 # the retry hint read from it) and the result cache as its one outcome
-# counter, tenant-label overflow folding, and the cluster-level
-# proofs — a trace stitched across router and shards over real TCP,
-# a malformed trace ID answered 404 without a fan-out, and the router's
-# shard-labelled Prometheus aggregation passing the exposition-format
-# linter. Profile-off purity (a profiled run is
+# counter, one exact tenant series per scheduler tenant, and the
+# cluster-level proofs — a trace stitched across router and shards over
+# real TCP, a malformed trace ID answered 404 without a fan-out, and the
+# router's shard-labelled Prometheus aggregation passing the
+# exposition-format linter. Profile-off purity (a profiled run is
 # byte-identical to an unprofiled one) rides along from internal/sim.
 # CI runs this as its own job.
 obs:
 	$(GO) test -race -count=1 ./internal/obs
 	$(GO) test -race -count=1 \
-		-run 'Trace|Prom|Overflow|Profile|RetriesExhausted|SubmitSpan' \
+		-run 'Trace|Prom|TenantSeries|Profile|RetriesExhausted|SubmitSpan' \
 		./internal/jobs ./internal/jobs/client ./internal/sim
 	$(GO) test -race -count=1 \
 		-run 'TestClusterTraceStitch|TestRouterTraceMalformedID|TestRouterPromAggregation' ./internal/cluster
@@ -113,11 +113,15 @@ nemesis:
 # integrity-envelope decoders behind every result/checkpoint read
 # (differential against an independent open+decode; corrupt bytes are
 # misses, never wrong answers). ~30s per target; CI runs this as its
-# own job.
+# own job. FuzzResultDecode minimizes each new input for at most 1s, not
+# the 60s default: its salvage path JSON-decodes the spec of any input
+# whose header splits, so mutations keep finding new encoding/json
+# coverage, and at the default the target spends its 30s minimizing
+# rather than fuzzing.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzJournalReplay -fuzztime=30s ./internal/jobs/store
 	$(GO) test -run=^$$ -fuzz=FuzzShipFrames -fuzztime=30s ./internal/jobs/store
-	$(GO) test -run=^$$ -fuzz=FuzzResultDecode -fuzztime=30s ./internal/jobs/store
+	$(GO) test -run=^$$ -fuzz=FuzzResultDecode -fuzztime=30s -fuzzminimizetime=1s ./internal/jobs/store
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointDecode -fuzztime=30s ./internal/jobs/store
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=30s ./internal/isa
 

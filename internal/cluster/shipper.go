@@ -126,9 +126,6 @@ func (sh *Shipper) SetOnFenced(fn func(fence uint64)) {
 	sh.onFenced = fn
 }
 
-// Epoch returns the epoch currently stamped on outbound requests.
-func (sh *Shipper) Epoch() uint64 { return sh.epoch.Load() }
-
 // SetEpoch installs a freshly granted ownership epoch: the fenced
 // latch clears and the shipper rejoins by resyncing its whole journal
 // at the new epoch (nothing shipped while fenced, so only a snapshot

@@ -6,11 +6,13 @@ package jobs_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -215,7 +217,7 @@ func TestChaosMixedLoadUnderFaults(t *testing.T) {
 	// tracked, nobody was shed or quota-refused (no caps were set), and
 	// the per-tenant counters sum to the pool totals.
 	var sumSubmitted, sumCompleted uint64
-	perTenant := map[string]jobs.TenantSnapshot{}
+	perTenant := map[string]sched.QueueStat{}
 	for _, q := range pool.Queues().Queues {
 		perTenant[q.Tenant] = q
 		sumSubmitted += q.Submitted
@@ -280,6 +282,66 @@ func submitUntilSuccess(ctx context.Context, c *client.Client, job jobs.Job, asy
 		lastErr = err
 	}
 	return nil, fmt.Errorf("still failing after 30 rounds: %w", lastErr)
+}
+
+// TestShedDepthExact: the shed limit is exact. With the one worker held
+// and a shed depth of 4, 12 concurrent unique submits leave exactly 4
+// queued; the other 8 get *OverloadError and are counted as shed, on
+// the pool and on the tenant's row.
+func TestShedDepthExact(t *testing.T) {
+	const depth, submits = 4, 12
+	pool := jobs.NewPool(1)
+	defer pool.Close()
+	jobs.SetShedDepth(pool, depth)
+
+	block, held := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(block) })
+	defer release()
+	go pool.Exec(context.Background(), func() error { close(held); <-block; return nil })
+	<-held
+
+	var (
+		wg, start sync.WaitGroup
+		shed      atomic.Int64
+		errs      = make(chan error, submits)
+	)
+	start.Add(1)
+	for i := 0; i < submits; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			start.Wait()
+			_, err := pool.Submit(context.Background(), jobs.Job{Workload: "VectorAdd", PhysRegs: 512 + 16*i, Tenant: "burst"})
+			var oe *jobs.OverloadError
+			switch {
+			case errors.As(err, &oe):
+				shed.Add(1)
+			case err != nil:
+				errs <- err
+			}
+		}(i)
+	}
+	start.Done()
+	deadline := time.Now().Add(10 * time.Second)
+	for shed.Load()+pool.Metrics().QueueDepth < submits {
+		if time.Now().After(deadline) {
+			t.Fatalf("after 10s: %d shed, %d queued of %d submits", shed.Load(), pool.Metrics().QueueDepth, submits)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if q := pool.Metrics().QueueDepth; q != depth || shed.Load() != submits-depth {
+		t.Errorf("%d queued, %d shed; want %d queued, %d shed", q, shed.Load(), depth, submits-depth)
+	}
+	m := pool.Metrics()
+	if m.Shed != submits-depth || m.Tenants["burst"].Shed != submits-depth {
+		t.Errorf("shed = %d, burst's row %d; want %d", m.Shed, m.Tenants["burst"].Shed, submits-depth)
+	}
+	release()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Errorf("queued submit failed: %v", err)
+	}
 }
 
 // TestShedUnderOverload wedges a 1-worker pool, fills the queue past a

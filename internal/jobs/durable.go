@@ -79,7 +79,7 @@ func (p *Pool) isStopping() bool {
 func (p *Pool) Restore(recovered []RecoveredJob) int {
 	resumed := 0
 	for _, rj := range recovered {
-		p.m.c[cJournalReplayed].Add(1)
+		p.m[cJournalReplayed].Add(1)
 		if rj.State == "pending" {
 			if _, ok := p.finished(rj.ID); ok {
 				continue // e.g. an earlier adoption of the same shard ran it
@@ -150,7 +150,7 @@ func (p *Pool) runDurable(ctx context.Context, job Job, id string, e *execution)
 				return
 			}
 			if err := p.store.SaveCheckpoint(id, buf.Bytes()); err == nil {
-				p.m.c[cCheckpointsWritten].Add(1)
+				p.m[cCheckpointsWritten].Add(1)
 			} else {
 				sp.SetError(err)
 			}
@@ -191,7 +191,7 @@ func (p *Pool) runDurable(ctx context.Context, job Job, id string, e *execution)
 	sp.SetError(err)
 	sp.End()
 	if err == nil {
-		p.m.c[cResultsPersisted].Add(1)
+		p.m[cResultsPersisted].Add(1)
 	}
 	return res, nil
 }

@@ -8,4 +8,4 @@ func SetResultCacheBound(p *Pool, n int) { p.results = newCache[string, *Result]
 // SetShedDepth lowers p's shed depth from ShedDepth to n, so external
 // tests can drive shedding with a handful of queued tasks. Call it
 // before the pool serves any submission.
-func SetShedDepth(p *Pool, n int) { p.shedDepth = n }
+func SetShedDepth(p *Pool, n int) { p.sched.SetCapacity(n) }

@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -10,15 +9,11 @@ import (
 )
 
 // metrics is the pool's counter set: the monotonic counters, indexed
-// by counter and described once in counterRows, and two gauges. A
-// submit's latency is its jobs.submit span's, and its cache outcome is
-// the result cache's count; the pool keeps a copy of neither.
-type metrics struct {
-	c [numCounters]atomic.Uint64
-
-	queued  atomic.Int64 // tasks enqueued but not yet picked up
-	running atomic.Int64 // tasks executing on a worker
-}
+// by counter and described once in counterRows. The queue gauges are
+// the scheduler's totals, a submit's latency is its jobs.submit span's,
+// and its cache outcome is the result cache's count; the pool keeps a
+// copy of none of them.
+type metrics [numCounters]atomic.Uint64
 
 // counter names one monotonic pool counter.
 type counter int
@@ -39,8 +34,6 @@ const (
 	cCheckpointsWritten
 	cResultsPersisted
 	cDiskHits
-	// Rendered after the cache families and the tenant-table gauge.
-	cTenantOverflow
 	numCounters
 )
 
@@ -65,142 +58,42 @@ var counterRows = [numCounters]counterRow{
 	cCheckpointsWritten: {func(m *MetricsSnapshot) *uint64 { return &m.CheckpointsWritten }, "regvd_checkpoints_written_total", "Durable checkpoints of in-flight simulations."},
 	cResultsPersisted:   {func(m *MetricsSnapshot) *uint64 { return &m.ResultsPersisted }, "regvd_results_persisted_total", "Results written to the on-disk store."},
 	cDiskHits:           {func(m *MetricsSnapshot) *uint64 { return &m.DiskHits }, "regvd_disk_hits_total", "Cache fills served from the on-disk store."},
-	cTenantOverflow:     {func(m *MetricsSnapshot) *uint64 { return &m.TenantsOverflowed }, "regvd_tenant_overflow_folds_total", "Counter updates folded into the ~overflow row because the tenant table was full."},
 }
 
-// tenantRows are the counters also kept per tenant: the TenantSnapshot
-// field each fills and its Prometheus family (none for the two that
-// only /v1/queues and the JSON breakdown show).
+// tenantRows are the tenant counters the Prometheus exposition renders:
+// the sched.QueueStat field each reads and its family. Preemptions and
+// resumes are shown per tenant only by /v1/queues and the JSON
+// breakdown.
 var tenantRows = []struct {
-	c          counter
-	field      func(*TenantSnapshot) *uint64
+	field      func(*sched.QueueStat) *uint64
 	name, help string
 }{
-	{cSubmitted, func(t *TenantSnapshot) *uint64 { return &t.Submitted }, "regvd_tenant_submitted_total", "Per-tenant submissions accepted past validation."},
-	{cCompleted, func(t *TenantSnapshot) *uint64 { return &t.Completed }, "regvd_tenant_completed_total", "Per-tenant submissions that returned a result."},
-	{cFailed, func(t *TenantSnapshot) *uint64 { return &t.Failed }, "regvd_tenant_failed_total", "Per-tenant submissions that returned an error."},
-	{cShed, func(t *TenantSnapshot) *uint64 { return &t.Shed }, "regvd_tenant_shed_total", "Per-tenant submissions refused by admission control."},
-	{cQuotaRejected, func(t *TenantSnapshot) *uint64 { return &t.QuotaRejected }, "regvd_tenant_quota_rejected_total", "Per-tenant submissions refused by quota or admission policy."},
-	{cPreemptions, func(t *TenantSnapshot) *uint64 { return &t.Preemptions }, "", ""},
-	{cResumes, func(t *TenantSnapshot) *uint64 { return &t.Resumes }, "", ""},
+	{func(t *sched.QueueStat) *uint64 { return &t.Submitted }, "regvd_tenant_submitted_total", "Per-tenant submissions accepted past validation."},
+	{func(t *sched.QueueStat) *uint64 { return &t.Completed }, "regvd_tenant_completed_total", "Per-tenant submissions that returned a result."},
+	{func(t *sched.QueueStat) *uint64 { return &t.Failed }, "regvd_tenant_failed_total", "Per-tenant submissions that returned an error."},
+	{func(t *sched.QueueStat) *uint64 { return &t.Shed }, "regvd_tenant_shed_total", "Per-tenant submissions refused by admission control."},
+	{func(t *sched.QueueStat) *uint64 { return &t.QuotaRejected }, "regvd_tenant_quota_rejected_total", "Per-tenant submissions refused by quota or admission policy."},
 }
 
-// tenantCounters is one tenant's copy of the pool counters in
-// tenantRows. Gauges (queued/running) live in the scheduler.
-type tenantCounters [numCounters]atomic.Uint64
-
-// count bumps pool counter c together with tenant tc's copy of it.
-func (p *Pool) count(tc *tenantCounters, c counter) {
-	p.m.c[c].Add(1)
-	tc[c].Add(1)
-}
-
-// maxTrackedTenants bounds the per-tenant counter map; tenants beyond
-// it aggregate under overflowTenant so hostile tenant churn cannot
-// grow the metrics without bound (the scheduler bounds its own table
-// separately, at sched.MaxTenants).
-const (
-	maxTrackedTenants = 128
-	overflowTenant    = "~overflow"
-)
-
-// tenantCounters returns (creating if needed) the tenant's counter
-// slice, folding excess tenants into the overflow bucket.
-func (p *Pool) tenantCounters(tenant string) *tenantCounters {
-	p.tmu.Lock()
-	defer p.tmu.Unlock()
-	if tc, ok := p.tcs[tenant]; ok {
-		return tc
-	}
-	if len(p.tcs) >= maxTrackedTenants {
-		// Every folded lookup is counted so the overflow is visible in
-		// /metrics (tenants_overflowed) instead of silently aggregating.
-		p.m.c[cTenantOverflow].Add(1)
-		tenant = overflowTenant
-		if tc, ok := p.tcs[tenant]; ok {
-			return tc
-		}
-	}
-	tc := new(tenantCounters)
-	p.tcs[tenant] = tc
-	return tc
-}
-
-// TenantSnapshot is one tenant's point-in-time view: scheduler state
-// (weight, quotas, gauges) merged with the pool's per-tenant counters.
-type TenantSnapshot struct {
-	Tenant      string `json:"tenant"`
-	Weight      int    `json:"weight"`
-	MaxQueued   int    `json:"max_queued,omitempty"`
-	MaxRunning  int    `json:"max_running,omitempty"`
-	MaxPriority int    `json:"max_priority,omitempty"`
-
-	Queued     int64  `json:"queued"`
-	Running    int64  `json:"running"`
-	Dispatched uint64 `json:"dispatched"`
-
-	Submitted     uint64 `json:"submitted"`
-	Completed     uint64 `json:"completed"`
-	Failed        uint64 `json:"failed"`
-	Shed          uint64 `json:"shed"`
-	QuotaRejected uint64 `json:"quota_rejected"`
-	Preemptions   uint64 `json:"preemptions"`
-	Resumes       uint64 `json:"resumes"`
+// count bumps pool counter c and n, the tenant row's copy of it (see
+// sched.Counts).
+func (p *Pool) count(c counter, n *atomic.Uint64) {
+	p.m[c].Add(1)
+	n.Add(1)
 }
 
 // QueuesSnapshot is the GET /v1/queues body: whether unknown tenants
 // are refused, whether checkpoint preemption is armed, and every tenant
 // queue, sorted by tenant name.
 type QueuesSnapshot struct {
-	Strict     bool             `json:"strict"`
-	Preemption bool             `json:"preemption"`
-	Queues     []TenantSnapshot `json:"queues"`
+	Strict     bool              `json:"strict"`
+	Preemption bool              `json:"preemption"`
+	Queues     []sched.QueueStat `json:"queues"`
 }
 
-// Queues snapshots the per-tenant scheduler and counter state.
+// Queues snapshots the scheduler's tenant table.
 func (p *Pool) Queues() QueuesSnapshot {
-	stats := p.sched.Snapshot()
-	byName := make(map[string]sched.QueueStat, len(stats))
-	names := make(map[string]bool, len(stats))
-	for _, st := range stats {
-		byName[st.Tenant] = st
-		names[st.Tenant] = true
-	}
-	p.tmu.Lock()
-	tcs := make(map[string]*tenantCounters, len(p.tcs))
-	for name, tc := range p.tcs {
-		tcs[name] = tc
-		names[name] = true
-	}
-	p.tmu.Unlock()
-
-	sorted := make([]string, 0, len(names))
-	for name := range names {
-		sorted = append(sorted, name)
-	}
-	sort.Strings(sorted)
-
-	qs := QueuesSnapshot{
-		Strict:     p.sched.Strict(),
-		Preemption: p.store != nil,
-		Queues:     make([]TenantSnapshot, 0, len(sorted)),
-	}
-	for _, name := range sorted {
-		ts := TenantSnapshot{Tenant: name}
-		if st, ok := byName[name]; ok {
-			ts.Weight = st.Weight
-			ts.MaxQueued, ts.MaxRunning, ts.MaxPriority = st.MaxQueued, st.MaxRunning, st.MaxPriority
-			ts.Queued, ts.Running = int64(st.Queued), int64(st.Running)
-			ts.Dispatched = st.Dispatched
-		}
-		if tc, ok := tcs[name]; ok {
-			for _, r := range tenantRows {
-				*r.field(&ts) = tc[r.c].Load()
-			}
-		}
-		qs.Queues = append(qs.Queues, ts)
-	}
-	return qs
+	return QueuesSnapshot{Strict: p.sched.Strict(), Preemption: p.store != nil, Queues: p.sched.Snapshot()}
 }
 
 // MetricsSnapshot is the point-in-time view /metrics serves. The
@@ -240,7 +133,10 @@ type MetricsSnapshot struct {
 	// Shed counts submissions refused by admission control (HTTP 429).
 	Shed uint64 `json:"shed"`
 	// QuotaRejected counts submissions refused by per-tenant quota or
-	// admission policy (HTTP 403).
+	// admission policy (HTTP 403). Unlike every other counter it can
+	// exceed the sum over Tenants: a refusal that leaves its tenant
+	// without a row (an unknown tenant under strict admission, or a new
+	// one once the table holds sched.MaxTenants) is counted here only.
 	QuotaRejected uint64 `json:"quota_rejected"`
 	// Preemptions counts running jobs checkpoint-interrupted to make
 	// room for a higher-priority arrival; Resumes counts their
@@ -267,18 +163,10 @@ type MetricsSnapshot struct {
 
 	ResultCache CacheStats `json:"result_cache"`
 
-	// TenantsTracked is the per-tenant counter table's current size.
-	// The table is bounded at 128 tenants; once full, counter updates
-	// for new tenants aggregate under the "~overflow" row in Tenants
-	// (and /v1/queues) rather than being dropped. TenantsOverflowed
-	// counts those folded updates — any non-zero value means the
-	// "~overflow" row is live and per-tenant attribution is partial.
-	TenantsTracked    int    `json:"tenants_tracked"`
-	TenantsOverflowed uint64 `json:"tenants_overflowed"`
-
-	// Tenants is the per-tenant breakdown (also served, with scheduler
-	// configuration, by GET /v1/queues).
-	Tenants map[string]TenantSnapshot `json:"tenants,omitempty"`
+	// Tenants is the scheduler's tenant table, one row per tenant (also
+	// served by GET /v1/queues). The table is bounded at
+	// sched.MaxTenants rows, which bounds the per-tenant series.
+	Tenants map[string]sched.QueueStat `json:"tenants,omitempty"`
 
 	// SpanDurations is the tracer's per-span-name duration histogram
 	// table (seconds), present only when tracing is on. Shipped whole
@@ -289,27 +177,23 @@ type MetricsSnapshot struct {
 
 // Metrics snapshots the pool counters.
 func (p *Pool) Metrics() MetricsSnapshot {
-	p.tmu.Lock()
-	tenantsTracked := len(p.tcs)
-	p.tmu.Unlock()
-	queues := p.Queues()
+	queues := p.sched.Snapshot()
 	m := MetricsSnapshot{
-		Workers:        p.workers,
-		QueueDepth:     p.m.queued.Load(),
-		Running:        p.m.running.Load(),
-		UptimeSeconds:  time.Since(p.started).Seconds(),
-		ResultCache:    p.results.Stats(),
-		TenantsTracked: tenantsTracked,
-		Tenants:        make(map[string]TenantSnapshot, len(queues.Queues)),
-		SpanDurations:  p.tracer.Histograms(),
+		Workers:       p.workers,
+		QueueDepth:    int64(p.sched.Queued()),
+		Running:       int64(p.sched.Running()),
+		UptimeSeconds: time.Since(p.started).Seconds(),
+		ResultCache:   p.results.Stats(),
+		Tenants:       make(map[string]sched.QueueStat, len(queues)),
+		SpanDurations: p.tracer.Histograms(),
 	}
 	for c, row := range counterRows {
-		*row.field(&m) = p.m.c[c].Load()
+		*row.field(&m) = p.m[c].Load()
 	}
 	m.Executed, m.Deduped, m.CacheHits = m.ResultCache.Misses, m.ResultCache.Dedups, m.ResultCache.Hits
 	lat := m.SpanDurations[submitSpan]
 	m.LatencyP50MS, m.LatencyP99MS = lat.Quantile(0.5)*1000, lat.Quantile(0.99)*1000
-	for _, ts := range queues.Queues {
+	for _, ts := range queues {
 		m.Tenants[ts.Tenant] = ts
 	}
 	return m

@@ -352,7 +352,6 @@ func TestPromExposition(t *testing.T) {
 		`regvd_span_duration_seconds_bucket{span="sim.run",le="+Inf"}`,
 		`regvd_span_duration_seconds_bucket{span="jobs.submit",le="+Inf"} 2`,
 		`regvd_cache_evictions_total{cache="result"} 0`,
-		"regvd_tenant_overflow_folds_total 0",
 	} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("exposition missing %q", want)
@@ -360,11 +359,12 @@ func TestPromExposition(t *testing.T) {
 	}
 }
 
-// TestTenantOverflowFold: past 128 tenants the counter table folds new
-// tenants into the explicit "~overflow" row instead of growing, the
-// fold is counted, and no attribution is lost — per-tenant submitted
-// counts still sum to the pool total.
-func TestTenantOverflowFold(t *testing.T) {
+// TestTenantSeriesExact: the scheduler's tenant table is the one
+// per-tenant record. After 140 tenants submit once each, every tenant's
+// row and its exposition series read submitted 1, no catch-all row
+// exists, the rows sum to the pool total, and the exposition carries
+// exactly one regvd_tenant_submitted_total series per scheduler tenant.
+func TestTenantSeriesExact(t *testing.T) {
 	p := jobs.NewPool(2)
 	defer p.Close()
 
@@ -376,34 +376,40 @@ func TestTenantOverflowFold(t *testing.T) {
 	}
 
 	m := p.Metrics()
-	if m.TenantsTracked > 129 { // 128 real rows + "~overflow"
-		t.Errorf("tenant table grew to %d rows", m.TenantsTracked)
-	}
-	if m.TenantsOverflowed == 0 {
-		t.Error("tenants_overflowed = 0 after 140 tenants")
-	}
-	ov, ok := m.Tenants["~overflow"]
-	if !ok {
-		t.Fatal("no ~overflow row in the tenant breakdown")
-	}
-	if ov.Submitted == 0 {
-		t.Error("~overflow row absorbed no submissions")
+	if len(m.Tenants) != tenants+1 { // the 140 and "default"
+		t.Errorf("%d tenant rows, want %d", len(m.Tenants), tenants+1)
 	}
 	var sum uint64
-	for _, ts := range m.Tenants {
+	for name, ts := range m.Tenants {
+		want := uint64(1)
+		if name == sched.DefaultTenant {
+			want = 0
+		}
+		if ts.Submitted != want {
+			t.Errorf("tenant %q: submitted %d, want %d", name, ts.Submitted, want)
+		}
 		sum += ts.Submitted
 	}
-	if sum != m.Submitted {
-		t.Errorf("per-tenant submitted sums to %d, pool total %d", sum, m.Submitted)
+	if sum != m.Submitted || m.Submitted != tenants {
+		t.Errorf("per-tenant submitted sums to %d, pool total %d, want %d", sum, m.Submitted, tenants)
 	}
 
-	// The overflow row is a legal Prometheus label value too.
-	var w obs.PromWriter
-	jobs.WriteProm(&w, jobs.PromShard{M: m})
-	if err := obs.LintProm(w.Bytes()); err != nil {
-		t.Fatalf("overflowed exposition fails lint: %v", err)
+	data := jobs.PromMetrics(p)
+	if err := obs.LintProm(data); err != nil {
+		t.Fatalf("exposition fails lint: %v", err)
 	}
-	if !strings.Contains(string(w.Bytes()), `tenant="~overflow"`) {
-		t.Error("exposition has no ~overflow series")
+	series := 0
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, "regvd_tenant_submitted_total{") {
+			series++
+		}
+	}
+	if series != tenants+1 {
+		t.Errorf("%d regvd_tenant_submitted_total series, want one per scheduler tenant (%d)", series, tenants+1)
+	}
+	for i := 0; i < tenants; i++ {
+		if want := fmt.Sprintf(`regvd_tenant_submitted_total{tenant="t%03d"} 1`, i); !strings.Contains(string(data), want+"\n") {
+			t.Errorf("exposition missing %q", want)
+		}
 	}
 }

@@ -38,13 +38,13 @@ type Pool struct {
 	workers int
 	faults  *faultinject.Injector
 
-	// shedDepth and asyncMax are the ShedDepth and AsyncMax constants;
-	// tests shrink them through export_test.go.
-	shedDepth int
-	asyncMax  int
+	// asyncMax is the AsyncMax constant; tests shrink it.
+	asyncMax int
 
-	// sched replaces the old FIFO task channel: workers block in Next
-	// and Release each task when done.
+	// sched is the one record of queued work: workers block in Next and
+	// Release each task when done, its totals are the queue gauges, its
+	// Capacity (ShedDepth) is the shed limit, and its tenant table holds
+	// the per-tenant counters.
 	sched *sched.Scheduler
 
 	wg sync.WaitGroup
@@ -75,11 +75,6 @@ type Pool struct {
 	running  map[string]struct{}
 	failures failureLog
 
-	// tcs is the per-tenant counter table (metrics.go), bounded by
-	// maxTrackedTenants.
-	tmu sync.Mutex
-	tcs map[string]*tenantCounters
-
 	// execs tracks running durable simulations for victim selection.
 	execMu  sync.Mutex
 	execs   map[*execution]struct{}
@@ -96,16 +91,12 @@ type Pool struct {
 
 // Admission limits of every pool.
 const (
-	// QueueCap bounds how many tasks may wait unpicked (the scheduler's
-	// Capacity); beyond it the scheduler refuses with ErrSaturated,
-	// which surfaces as an *OverloadError (429) — the backpressure the
-	// HTTP layer propagates.
-	QueueCap = 1024
 	// ShedDepth is the queued-task count at which unique submissions
-	// are shed with *OverloadError instead of waiting. It sheds before
-	// the queue saturates, leaving headroom so Exec and
-	// already-admitted work still enqueue.
-	ShedDepth = QueueCap * 3 / 4
+	// are shed with *OverloadError (429) instead of waiting: the
+	// scheduler's Capacity, which it enforces under its own lock, so
+	// concurrent submits never overshoot it. Exempt tasks (Exec, a
+	// preempted job's resume) still enqueue past it.
+	ShedDepth = 768
 	// AsyncMax bounds the async jobs running at once (past it an async
 	// submission is shed) and the failure records kept for Status.
 	AsyncMax = 4096
@@ -118,7 +109,7 @@ type Options struct {
 	Workers int
 	// Sched configures the multi-tenant scheduler: the tenant table
 	// with weights and quotas, strict admission. Its Capacity is
-	// ignored: the pool always runs the scheduler at QueueCap.
+	// ignored: the pool always runs the scheduler at ShedDepth.
 	Sched sched.Config
 	// Faults arms fault injection at the jobs/sim sites (nil = off;
 	// see internal/faultinject). Never set it in production configs.
@@ -159,14 +150,13 @@ func NewPoolWith(opts Options) *Pool {
 		workers = 1
 	}
 	scfg := opts.Sched
-	scfg.Capacity = QueueCap
+	scfg.Capacity = ShedDepth
 	logger := opts.Logger
 	if logger == nil {
 		logger = obs.Nop()
 	}
 	p := &Pool{
 		workers:   workers,
-		shedDepth: ShedDepth,
 		asyncMax:  AsyncMax,
 		faults:    opts.Faults,
 		store:     opts.Store,
@@ -177,7 +167,6 @@ func NewPoolWith(opts Options) *Pool {
 		results:   NewCache[string, *Result](),
 		running:   map[string]struct{}{},
 		failures:  failureLog{byID: map[string]failure{}},
-		tcs:       map[string]*tenantCounters{},
 		execs:     map[*execution]struct{}{},
 		tracer:    opts.Tracer,
 		log:       logger,
@@ -191,7 +180,6 @@ func NewPoolWith(opts Options) *Pool {
 				if !ok {
 					return
 				}
-				p.m.queued.Add(-1)
 				p.runTask(task.Do)
 				p.sched.Release(task)
 			}
@@ -212,7 +200,7 @@ func (p *Pool) Tracer() *obs.Tracer { return p.tracer }
 func (p *Pool) runTask(task func()) {
 	defer func() {
 		if v := recover(); v != nil {
-			p.m.c[cPanicsRecovered].Add(1)
+			p.m[cPanicsRecovered].Add(1)
 		}
 	}()
 	task()
@@ -250,14 +238,19 @@ func (p *Pool) enter() error {
 // admit applies admission policy — the strict tenant set, the tenant
 // table bound, per-tenant priority caps — before anything else,
 // including the cache lookup, so a disallowed request is refused even
-// when its result is already cached. Failures are *sched.AdmissionError
-// (403, never retry unchanged).
-func (p *Pool) admit(job Job) error {
-	if err := p.sched.Admit(job.schedTenant(), job.Priority); err != nil {
-		p.count(p.tenantCounters(job.schedTenant()), cQuotaRejected)
-		return err
+// when its result is already cached. It returns the tenant's row in the
+// scheduler's table, on whose counters the submission is counted.
+// Failures are *sched.AdmissionError (403, never retry unchanged),
+// counted pool-wide, and on the row when the tenant has one.
+func (p *Pool) admit(job Job) (*sched.Counts, error) {
+	row, err := p.sched.Admit(job.schedTenant(), job.Priority)
+	if err != nil {
+		p.m[cQuotaRejected].Add(1)
+		if row != nil {
+			row.QuotaRejected.Add(1)
+		}
 	}
-	return nil
+	return row, err
 }
 
 // submitSpan names the span that times each Submit from admission to
@@ -288,7 +281,7 @@ func (p *Pool) Submit(ctx context.Context, job Job) (*Result, error) {
 	ctx, span := p.tracer.Start(ctx, submitSpan)
 	defer span.End()
 	_, asp := p.tracer.Start(ctx, "jobs.admit")
-	aerr := p.admit(job)
+	row, aerr := p.admit(job)
 	asp.SetError(aerr)
 	asp.End()
 	if aerr != nil {
@@ -300,21 +293,20 @@ func (p *Pool) Submit(ctx context.Context, job Job) (*Result, error) {
 		return nil, err
 	}
 	defer p.submitWG.Done()
-	tc := p.tenantCounters(tenant)
-	p.count(tc, cSubmitted)
+	p.count(cSubmitted, &row.Submitted)
 	if job.TimeoutMS > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(job.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	res, outcome, err := p.submitContained(ctx, job, key)
+	res, outcome, err := p.submitContained(ctx, job, key, row)
 	span.SetAttr("outcome", outcomeLabel(outcome))
 	if err != nil {
-		p.count(tc, cFailed)
+		p.count(cFailed, &row.Failed)
 		span.SetError(err)
 		return nil, err
 	}
-	p.count(tc, cCompleted)
+	p.count(cCompleted, &row.Completed)
 	return res, nil
 }
 
@@ -332,11 +324,12 @@ func outcomeLabel(o Outcome) string {
 
 // submitContained is the Submit body behind the panic barrier: a panic
 // escaping the cache layer (e.g. an injected fill fault) becomes a
-// *PanicError instead of unwinding into net/http. key is job.Key().
-func (p *Pool) submitContained(ctx context.Context, job Job, key string) (res *Result, outcome Outcome, err error) {
+// *PanicError instead of unwinding into net/http. key is job.Key(), row
+// the tenant's counters.
+func (p *Pool) submitContained(ctx context.Context, job Job, key string, row *sched.Counts) (res *Result, outcome Outcome, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			p.m.c[cPanicsRecovered].Add(1)
+			p.m[cPanicsRecovered].Add(1)
 			res, err = nil, toPanicError(v)
 		}
 	}()
@@ -352,7 +345,7 @@ func (p *Pool) submitContained(ctx context.Context, job Job, key string) (res *R
 			lsp.SetAttr("hit", strconv.FormatBool(ok))
 			lsp.End()
 			if ok {
-				p.m.c[cDiskHits].Add(1)
+				p.m[cDiskHits].Add(1)
 				return r, nil
 			}
 		}
@@ -371,7 +364,7 @@ func (p *Pool) submitContained(ctx context.Context, job Job, key string) (res *R
 				return nil, aerr
 			}
 		}
-		return p.runOnWorker(ctx, job, key)
+		return p.runOnWorker(ctx, job, key, row)
 	})
 }
 
@@ -384,9 +377,10 @@ var errPreempted = errors.New("jobs: preempted for higher-priority work")
 
 // execution is one running durable simulation's preemption handle:
 // maybePreempt closes preempt to ask the simulation to checkpoint and
-// free its worker.
+// free its worker, and counts the preemption on row, its tenant's
+// counters.
 type execution struct {
-	tenant   string
+	row      *sched.Counts
 	priority int
 	seq      uint64
 	preempt  chan struct{}
@@ -434,7 +428,7 @@ func (p *Pool) maybePreempt(priority int) {
 	if p.store == nil { // preemption needs a durable checkpoint
 		return
 	}
-	if p.m.running.Load() < int64(p.workers) {
+	if p.sched.Running() < p.workers {
 		return // a worker is (or is about to be) free; no need for violence
 	}
 	p.execMu.Lock()
@@ -453,7 +447,7 @@ func (p *Pool) maybePreempt(priority int) {
 		return
 	}
 	victim.interrupt()
-	p.count(p.tenantCounters(victim.tenant), cPreemptions)
+	p.count(cPreemptions, &victim.row.Preemptions)
 }
 
 // runOnWorker schedules the simulation onto a pool worker and waits.
@@ -462,34 +456,31 @@ func (p *Pool) maybePreempt(priority int) {
 // within a few thousand simulated cycles instead of wedging a worker.
 // Only unique work reaches here (cache hits and dedups are answered
 // upstream), so this is also where admission control shelters the
-// queue: at or beyond the shed depth, new unique work is refused with
-// a retry hint instead of waiting unboundedly. A preempted dispatch
-// loops: the job re-enqueues exempt from quotas (its slot was admitted
-// once already) and resumes from its journaled checkpoint.
-func (p *Pool) runOnWorker(ctx context.Context, job Job, key string) (*Result, error) {
-	tenant := job.schedTenant()
-	if depth := p.m.queued.Load(); depth >= int64(p.shedDepth) {
-		return nil, p.overload(tenant, depth)
-	}
+// queue: at the shed depth the scheduler refuses new unique work, which
+// gets a retry hint instead of waiting unboundedly. A preempted
+// dispatch loops: the job re-enqueues exempt from quotas and capacity
+// (its slot was admitted once already) and resumes from its journaled
+// checkpoint.
+func (p *Pool) runOnWorker(ctx context.Context, job Job, key string, row *sched.Counts) (*Result, error) {
 	exempt := false
 	for {
-		res, err := p.dispatch(ctx, job, key, exempt)
+		res, err := p.dispatch(ctx, job, key, row, exempt)
 		if !errors.Is(err, errPreempted) {
 			return res, err
 		}
 		exempt = true
-		p.count(p.tenantCounters(tenant), cResumes)
+		p.count(cResumes, &row.Resumes)
 	}
 }
 
 // dispatch enqueues one attempt at the job and waits for its outcome.
-func (p *Pool) dispatch(ctx context.Context, job Job, key string, exempt bool) (*Result, error) {
+func (p *Pool) dispatch(ctx context.Context, job Job, key string, row *sched.Counts, exempt bool) (*Result, error) {
 	type out struct {
 		res *Result
 		err error
 	}
 	ch := make(chan out, 1)
-	e := &execution{tenant: job.schedTenant(), priority: job.Priority, preempt: make(chan struct{})}
+	e := &execution{row: row, priority: job.Priority, preempt: make(chan struct{})}
 	// The queue-wait span opens before the enqueue and closes when a
 	// worker picks the task up — the gap a saturated pool shows up as.
 	_, qspan := p.tracer.Start(ctx, "queue.wait")
@@ -499,8 +490,6 @@ func (p *Pool) dispatch(ctx context.Context, job Job, key string, exempt bool) (
 		Exempt:   exempt,
 		Do: func() {
 			qspan.End()
-			p.m.running.Add(1)
-			defer p.m.running.Add(-1)
 			if err := ctx.Err(); err != nil {
 				ch <- out{nil, err} // expired while queued: don't simulate
 				return
@@ -511,7 +500,7 @@ func (p *Pool) dispatch(ctx context.Context, job Job, key string, exempt bool) (
 			ch <- out{res, err}
 		},
 	}
-	if err := p.enqueueTask(task); err != nil {
+	if err := p.enqueueTask(task, row); err != nil {
 		qspan.SetError(err)
 		qspan.End()
 		return nil, err
@@ -528,35 +517,34 @@ func (p *Pool) dispatch(ctx context.Context, job Job, key string, exempt bool) (
 }
 
 // enqueueTask hands a task to the scheduler, translating its typed
-// refusals: saturation becomes an *OverloadError (429), quota errors
-// get their Retry-After hint filled from the tenant's own drain time,
-// and a closed scheduler becomes ErrClosed. Exempt tasks meet neither
-// saturation nor quotas, so only ErrClosed can refuse them.
-func (p *Pool) enqueueTask(task *sched.Task) error {
+// refusals, which it counts on row, the tenant's counters: saturation
+// becomes an *OverloadError (429), quota errors get their Retry-After
+// hint filled from the tenant's own drain time, and a closed scheduler
+// becomes ErrClosed. Exempt tasks meet neither saturation nor quotas,
+// so only ErrClosed can refuse them, and Exec passes no row.
+func (p *Pool) enqueueTask(task *sched.Task, row *sched.Counts) error {
 	err := p.sched.Enqueue(task)
-	if err == nil {
-		p.m.queued.Add(1)
-		return nil
-	}
 	switch {
+	case err == nil:
+		return nil
 	case errors.Is(err, sched.ErrClosed):
 		return ErrClosed
 	case errors.Is(err, sched.ErrSaturated):
-		return p.overload(task.Tenant, p.m.queued.Load())
+		return p.overload(task.Tenant, row)
 	}
 	var qe *sched.QuotaError
 	if errors.As(err, &qe) {
 		qe.RetryAfter = int64(p.retryAfter(task.Tenant) / time.Millisecond)
 	}
-	p.count(p.tenantCounters(task.Tenant), cQuotaRejected)
+	p.count(cQuotaRejected, &row.QuotaRejected)
 	return err
 }
 
-// overload counts a shed submission of tenant's, refused at queue
-// depth depth, and returns its *OverloadError (429).
-func (p *Pool) overload(tenant string, depth int64) error {
-	p.count(p.tenantCounters(tenant), cShed)
-	return &OverloadError{Tenant: tenant, QueueDepth: int(depth), RetryAfter: p.retryAfter(tenant)}
+// overload counts a shed submission of tenant's, pool-wide and on row,
+// the tenant's counters, and returns its *OverloadError (429).
+func (p *Pool) overload(tenant string, row *sched.Counts) error {
+	p.count(cShed, &row.Shed)
+	return &OverloadError{Tenant: tenant, QueueDepth: p.sched.Queued(), RetryAfter: p.retryAfter(tenant)}
 }
 
 // runJobContained executes one job on the worker goroutine with panic
@@ -574,7 +562,7 @@ func (p *Pool) runJobContained(ctx context.Context, job Job, key string, e *exec
 	}()
 	defer func() {
 		if v := recover(); v != nil {
-			p.m.c[cPanicsRecovered].Add(1)
+			p.m[cPanicsRecovered].Add(1)
 			res, err = nil, toPanicError(v)
 		}
 	}()
@@ -613,9 +601,7 @@ func (p *Pool) retryAfter(tenant string) time.Duration {
 
 // Overloaded reports whether the pool is currently shedding; /healthz
 // degrades on it.
-func (p *Pool) Overloaded() bool {
-	return p.m.queued.Load() >= int64(p.shedDepth)
-}
+func (p *Pool) Overloaded() bool { return p.sched.Saturated() }
 
 // Exec runs an arbitrary function on a pool worker and waits for it —
 // the hook cmd/experiments -j uses to bound its figure-level
@@ -636,14 +622,14 @@ func (p *Pool) Exec(ctx context.Context, fn func() error) error {
 		Do: func() {
 			defer func() {
 				if v := recover(); v != nil {
-					p.m.c[cPanicsRecovered].Add(1)
+					p.m[cPanicsRecovered].Add(1)
 					done <- toPanicError(v)
 				}
 			}()
 			done <- fn()
 		},
 	}
-	if err := p.enqueueTask(task); err != nil {
+	if err := p.enqueueTask(task, nil); err != nil {
 		return err
 	}
 	select {
@@ -684,7 +670,8 @@ func (p *Pool) submitAsync(job Job) (JobStatus, error) {
 	if err := job.Validate(); err != nil {
 		return JobStatus{}, err
 	}
-	if err := p.admit(job); err != nil {
+	row, err := p.admit(job)
+	if err != nil {
 		return JobStatus{}, err
 	}
 	if err := p.enter(); err != nil {
@@ -705,7 +692,7 @@ func (p *Pool) submitAsync(job Job) (JobStatus, error) {
 	}
 	if len(p.running) >= p.asyncMax {
 		p.mu.Unlock()
-		return JobStatus{}, p.overload(job.schedTenant(), p.m.queued.Load())
+		return JobStatus{}, p.overload(job.schedTenant(), row)
 	}
 	p.running[id] = struct{}{}
 	p.mu.Unlock()

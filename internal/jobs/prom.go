@@ -3,6 +3,7 @@ package jobs
 import (
 	"sort"
 
+	"regvirt/internal/jobs/sched"
 	"regvirt/internal/obs"
 )
 
@@ -45,7 +46,7 @@ func WriteProm(w *obs.PromWriter, shards ...PromShard) {
 			add(name, help, get(s.M.ResultCache), withLabel(s.Labels, "cache", "result")...)
 		}
 	}
-	tenants := func(add emit, name, help string, get func(TenantSnapshot) float64) {
+	tenants := func(add emit, name, help string, get func(sched.QueueStat) float64) {
 		for _, s := range shards {
 			for _, t := range sortedTenants(s.M.Tenants) {
 				add(name, help, get(s.M.Tenants[t]), withLabel(s.Labels, "tenant", t)...)
@@ -62,7 +63,7 @@ func WriteProm(w *obs.PromWriter, shards ...PromShard) {
 		func(m MetricsSnapshot) float64 { return float64(m.QueueDepth) })
 	family(w.Gauge, "regvd_running", "Tasks executing on a worker.",
 		func(m MetricsSnapshot) float64 { return float64(m.Running) })
-	counters(cJournalReplayed, cTenantOverflow)
+	counters(cJournalReplayed, numCounters)
 
 	// The result cache, one family per counter. Its hits, misses and
 	// dedups are the submits' outcomes: the JSON's cache_hits, executed
@@ -80,21 +81,15 @@ func WriteProm(w *obs.PromWriter, shards ...PromShard) {
 	caches(w.Gauge, "regvd_cache_entries", "Completed entries held by the cache.",
 		func(c CacheStats) float64 { return float64(c.Entries) })
 
-	// Per-tenant counters. The table is bounded at 128 tenants; the
-	// "~overflow" row aggregates the rest, and the fold counter below
-	// says how much attribution it absorbed.
-	family(w.Gauge, "regvd_tenants_tracked", "Per-tenant counter rows (including ~overflow once live).",
-		func(m MetricsSnapshot) float64 { return float64(m.TenantsTracked) })
-	counters(cTenantOverflow, numCounters)
+	// Per-tenant series, one per row of the scheduler's tenant table,
+	// which sched.MaxTenants bounds.
 	for _, row := range tenantRows {
-		if row.name != "" {
-			tenants(w.Counter, row.name, row.help, func(t TenantSnapshot) float64 { return float64(*row.field(&t)) })
-		}
+		tenants(w.Counter, row.name, row.help, func(t sched.QueueStat) float64 { return float64(*row.field(&t)) })
 	}
 	tenants(w.Gauge, "regvd_tenant_queued", "Per-tenant tasks waiting in the scheduler.",
-		func(t TenantSnapshot) float64 { return float64(t.Queued) })
+		func(t sched.QueueStat) float64 { return float64(t.Queued) })
 	tenants(w.Gauge, "regvd_tenant_running", "Per-tenant tasks executing on a worker.",
-		func(t TenantSnapshot) float64 { return float64(t.Running) })
+		func(t sched.QueueStat) float64 { return float64(t.Running) })
 
 	// Span duration histograms from the tracer — the one latency
 	// signal, submits included (span="jobs.submit"); bucket counts sum
@@ -123,7 +118,7 @@ func withLabel(base []obs.Label, name, value string) []obs.Label {
 	return append(out, obs.Label{Name: name, Value: value})
 }
 
-func sortedTenants(m map[string]TenantSnapshot) []string {
+func sortedTenants(m map[string]sched.QueueStat) []string {
 	names := make([]string, 0, len(m))
 	for name := range m {
 		names = append(names, name)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"regvirt/internal/jobs/sched"
 	"regvirt/internal/obs"
 )
 
@@ -47,9 +48,9 @@ func goldenSnapshot(t *testing.T, salt string, seen map[uint64]string) MetricsSn
 	}
 	var m MetricsSnapshot
 	fill(reflect.ValueOf(&m).Elem(), salt)
-	m.Tenants = map[string]TenantSnapshot{}
-	for _, tenant := range []string{"team-a", overflowTenant} {
-		ts := TenantSnapshot{Tenant: tenant}
+	m.Tenants = map[string]sched.QueueStat{}
+	for _, tenant := range []string{"team-a", "team-b"} {
+		ts := sched.QueueStat{Tenant: tenant}
 		fill(reflect.ValueOf(&ts).Elem(), salt+"/"+tenant)
 		ts.Tenant = tenant
 		m.Tenants[tenant] = ts

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"regvirt/internal/faultinject"
+	"regvirt/internal/jobs/sched"
 )
 
 // TestCacheFillPanicDoesNotPoison: a panicking fill must release its
@@ -120,16 +121,36 @@ func TestExecPanicContained(t *testing.T) {
 }
 
 // TestAdmissionLimits pins the fixed admission limits every pool runs
-// with.
+// with, and that the scheduler runs at ShedDepth: with the one worker
+// held, the pool turns overloaded at exactly ShedDepth queued tasks,
+// and the next unique submit is shed there.
 func TestAdmissionLimits(t *testing.T) {
-	if QueueCap != 1024 || ShedDepth != 768 || AsyncMax != 4096 {
-		t.Errorf("limits = queue %d, shed %d, async %d; want 1024, 768, 4096",
-			QueueCap, ShedDepth, AsyncMax)
+	if ShedDepth != 768 || AsyncMax != 4096 {
+		t.Errorf("limits = shed %d, async %d; want 768, 4096", ShedDepth, AsyncMax)
 	}
 	p := NewPool(1)
 	defer p.Close()
-	if p.shedDepth != ShedDepth || p.asyncMax != AsyncMax {
-		t.Errorf("pool runs shed %d, async %d; want the constants", p.shedDepth, p.asyncMax)
+	if p.asyncMax != AsyncMax {
+		t.Errorf("pool runs async %d; want AsyncMax", p.asyncMax)
+	}
+	block, held := make(chan struct{}), make(chan struct{})
+	defer close(block)
+	go p.Exec(context.Background(), func() error { close(held); <-block; return nil })
+	<-held
+	for i := 0; i < ShedDepth; i++ {
+		if p.Overloaded() {
+			t.Fatalf("overloaded at %d queued tasks, want %d", i, ShedDepth)
+		}
+		if err := p.sched.Enqueue(&sched.Task{Exempt: true, Do: func() {}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !p.Overloaded() {
+		t.Fatalf("not overloaded at %d queued tasks", ShedDepth)
+	}
+	var oe *OverloadError
+	if _, err := p.Submit(context.Background(), Job{Workload: "VectorAdd"}); !errors.As(err, &oe) || oe.QueueDepth != ShedDepth {
+		t.Fatalf("submit at the shed depth: %v, want *OverloadError at depth %d", err, ShedDepth)
 	}
 }
 

@@ -14,6 +14,11 @@
 // tenant's trickle. Within a tenant, higher Priority goes first and
 // equal priorities keep arrival order. Everything is deterministic for
 // a serialized caller: ties break on the tenant name.
+//
+// The scheduler is the one record of queued work: its totals are the
+// pool's queue depth and running gauges, its Capacity is the pool's one
+// shed limit, and its tenant table, bounded at MaxTenants, carries each
+// tenant's outcome counters (Counts) beside its queue.
 package sched
 
 import (
@@ -22,6 +27,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // TenantConfig is one tenant's share and quota settings. The zero
@@ -55,7 +61,8 @@ type Config struct {
 	// (requests that name no tenant) is always admitted.
 	Strict bool
 	// Capacity bounds the total queued tasks across all tenants;
-	// enqueueing beyond it fails with ErrSaturated. 0 = unbounded.
+	// enqueueing a task that is not exempt at or beyond it fails with
+	// ErrSaturated. 0 = unbounded.
 	Capacity int
 }
 
@@ -129,10 +136,19 @@ type Task struct {
 	seq uint64
 }
 
-// tenantQ is one tenant's queue plus its stride state.
+// Counts are one tenant's outcome counters. The scheduler keeps them
+// on the tenant's row and reports them in Snapshot; the pool bumps them
+// without the scheduler's lock, through the row Admit returns.
+type Counts struct {
+	Submitted, Completed, Failed, Shed, QuotaRejected, Preemptions, Resumes atomic.Uint64
+}
+
+// tenantQ is one tenant's row: its queue, its stride state and its
+// counters.
 type tenantQ struct {
-	name string
-	cfg  TenantConfig
+	name   string
+	cfg    TenantConfig
+	counts Counts
 
 	pass   uint64
 	stride uint64
@@ -151,7 +167,10 @@ type Scheduler struct {
 	tenants    map[string]*tenantQ
 	maxTenants int // MaxTenants; tests shrink it
 
-	queued int
+	// queued and running total the tenants' queued and running tasks.
+	// They change under mu; Queued and Running read them without it.
+	queued, running atomic.Int64
+
 	seq    uint64
 	vtime  uint64 // pass of the last dispatched queue (pre-advance)
 	closed bool
@@ -186,15 +205,22 @@ func newTenantQ(name string, tc TenantConfig) *tenantQ {
 
 // Admit validates tenant and priority against policy without touching
 // any queue — the pool runs it before cache lookup so a disallowed
-// request is refused even when its result is already cached.
-func (s *Scheduler) Admit(tenant string, priority int) error {
+// request is refused even when its result is already cached. It returns
+// the tenant's counters, creating its row if policy allows. A priority
+// above the tenant's cap is refused with the row; an unknown tenant
+// under Strict, or a new one once the table is full, gets no row.
+func (s *Scheduler) Admit(tenant string, priority int) (*Counts, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, err := s.admitLocked(tenant, priority)
-	return err
+	tn, err := s.admitLocked(tenant, priority)
+	if tn == nil {
+		return nil, err
+	}
+	return &tn.counts, err
 }
 
-// admitLocked resolves (creating if allowed) the tenant's queue.
+// admitLocked resolves (creating if allowed) the tenant's queue. A
+// priority refusal returns the queue with its error.
 func (s *Scheduler) admitLocked(tenant string, priority int) (*tenantQ, error) {
 	tn, ok := s.tenants[tenant]
 	if !ok {
@@ -208,7 +234,7 @@ func (s *Scheduler) admitLocked(tenant string, priority int) (*tenantQ, error) {
 		s.tenants[tenant] = tn
 	}
 	if tn.cfg.MaxPriority > 0 && priority > tn.cfg.MaxPriority {
-		return nil, &AdmissionError{
+		return tn, &AdmissionError{
 			Tenant: tenant,
 			Reason: fmt.Sprintf("priority %d above the tenant cap %d", priority, tn.cfg.MaxPriority),
 		}
@@ -239,7 +265,7 @@ func (s *Scheduler) Enqueue(t *Task) error {
 	}
 	t.Tenant = tn.name // Release accounts against the queue that ran it
 	if !t.Exempt {
-		if s.cfg.Capacity > 0 && s.queued >= s.cfg.Capacity {
+		if s.saturatedLocked() {
 			return ErrSaturated
 		}
 		if tn.cfg.MaxQueued > 0 && tn.tasks.Len() >= tn.cfg.MaxQueued {
@@ -254,7 +280,7 @@ func (s *Scheduler) Enqueue(t *Task) error {
 	s.seq++
 	t.seq = s.seq
 	heap.Push(&tn.tasks, t)
-	s.queued++
+	s.queued.Add(1)
 	s.cond.Broadcast()
 	return nil
 }
@@ -270,7 +296,7 @@ func (s *Scheduler) Next() (*Task, bool) {
 		if t := s.popLocked(); t != nil {
 			return t, true
 		}
-		if s.closed && s.queued == 0 {
+		if s.closed && s.queued.Load() == 0 {
 			return nil, false
 		}
 		s.cond.Wait()
@@ -296,7 +322,8 @@ func (s *Scheduler) popLocked() *Task {
 	best.pass += best.stride
 	best.running++
 	best.dispatched++
-	s.queued--
+	s.queued.Add(-1)
+	s.running.Add(1)
 	return t
 }
 
@@ -310,6 +337,7 @@ func (s *Scheduler) Release(t *Task) {
 	s.mu.Lock()
 	if tn, ok := s.tenants[t.Tenant]; ok && tn.running > 0 {
 		tn.running--
+		s.running.Add(-1)
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -325,10 +353,29 @@ func (s *Scheduler) Close() {
 }
 
 // Queued is the total queued-task gauge.
-func (s *Scheduler) Queued() int {
+func (s *Scheduler) Queued() int { return int(s.queued.Load()) }
+
+// Running is the total gauge of tasks between Next and Release.
+func (s *Scheduler) Running() int { return int(s.running.Load()) }
+
+// Saturated reports whether Enqueue refuses tasks that are not exempt
+// with ErrSaturated: the queued total has reached Capacity.
+func (s *Scheduler) Saturated() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.queued
+	return s.saturatedLocked()
+}
+
+func (s *Scheduler) saturatedLocked() bool {
+	return s.cfg.Capacity > 0 && s.queued.Load() >= int64(s.cfg.Capacity)
+}
+
+// SetCapacity replaces Config.Capacity, so tests can drive saturation
+// with a handful of tasks.
+func (s *Scheduler) SetCapacity(n int) {
+	s.mu.Lock()
+	s.cfg.Capacity = n
+	s.mu.Unlock()
 }
 
 // Share reports a tenant's queued count and its weight share of the
@@ -367,16 +414,27 @@ func (s *Scheduler) Share(tenant string) (queued int, share float64) {
 	return queued, float64(selfWeight) / float64(total)
 }
 
-// QueueStat is one tenant's point-in-time scheduler view.
+// QueueStat is one tenant's point-in-time view: its configuration, its
+// queue gauges and its outcome counters. It is a row of GET /v1/queues
+// and of the /metrics tenant breakdown.
 type QueueStat struct {
 	Tenant      string `json:"tenant"`
 	Weight      int    `json:"weight"`
 	MaxQueued   int    `json:"max_queued,omitempty"`
 	MaxRunning  int    `json:"max_running,omitempty"`
 	MaxPriority int    `json:"max_priority,omitempty"`
-	Queued      int    `json:"queued"`
-	Running     int    `json:"running"`
-	Dispatched  uint64 `json:"dispatched"`
+
+	Queued     int64  `json:"queued"`
+	Running    int64  `json:"running"`
+	Dispatched uint64 `json:"dispatched"`
+
+	Submitted     uint64 `json:"submitted"`
+	Completed     uint64 `json:"completed"`
+	Failed        uint64 `json:"failed"`
+	Shed          uint64 `json:"shed"`
+	QuotaRejected uint64 `json:"quota_rejected"`
+	Preemptions   uint64 `json:"preemptions"`
+	Resumes       uint64 `json:"resumes"`
 }
 
 // Snapshot returns every tenant's stats, sorted by tenant name.
@@ -384,15 +442,23 @@ func (s *Scheduler) Snapshot() []QueueStat {
 	s.mu.Lock()
 	stats := make([]QueueStat, 0, len(s.tenants))
 	for _, tn := range s.tenants {
+		c := &tn.counts
 		stats = append(stats, QueueStat{
-			Tenant:      tn.name,
-			Weight:      tn.cfg.Weight,
-			MaxQueued:   tn.cfg.MaxQueued,
-			MaxRunning:  tn.cfg.MaxRunning,
-			MaxPriority: tn.cfg.MaxPriority,
-			Queued:      tn.tasks.Len(),
-			Running:     tn.running,
-			Dispatched:  tn.dispatched,
+			Tenant:        tn.name,
+			Weight:        tn.cfg.Weight,
+			MaxQueued:     tn.cfg.MaxQueued,
+			MaxRunning:    tn.cfg.MaxRunning,
+			MaxPriority:   tn.cfg.MaxPriority,
+			Queued:        int64(tn.tasks.Len()),
+			Running:       int64(tn.running),
+			Dispatched:    tn.dispatched,
+			Submitted:     c.Submitted.Load(),
+			Completed:     c.Completed.Load(),
+			Failed:        c.Failed.Load(),
+			Shed:          c.Shed.Load(),
+			QuotaRejected: c.QuotaRejected.Load(),
+			Preemptions:   c.Preemptions.Load(),
+			Resumes:       c.Resumes.Load(),
 		})
 	}
 	s.mu.Unlock()

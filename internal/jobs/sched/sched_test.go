@@ -140,17 +140,33 @@ func TestAdmissionStrictAndPriority(t *testing.T) {
 		Tenants: map[string]TenantConfig{"gold": {Weight: 4, MaxPriority: 10}},
 	})
 	var ae *AdmissionError
-	if err := s.Admit("stranger", 0); !errors.As(err, &ae) {
-		t.Fatalf("strict unknown tenant: %v, want AdmissionError", err)
+	if row, err := s.Admit("stranger", 0); !errors.As(err, &ae) || row != nil {
+		t.Fatalf("strict unknown tenant: %v, row %p; want AdmissionError and no row", err, row)
 	}
-	if err := s.Admit(DefaultTenant, 0); err != nil {
+	if _, err := s.Admit(DefaultTenant, 0); err != nil {
 		t.Fatalf("default tenant must always admit: %v", err)
 	}
-	if err := s.Admit("gold", 11); !errors.As(err, &ae) {
+	over, err := s.Admit("gold", 11)
+	if !errors.As(err, &ae) {
 		t.Fatalf("over-priority admit: %v, want AdmissionError", err)
 	}
-	if err := s.Admit("gold", 10); err != nil {
+	row, err := s.Admit("gold", 10)
+	if err != nil {
 		t.Fatalf("at-cap priority: %v", err)
+	}
+	// A priority refusal hands back the tenant's row, so it can be
+	// counted there; the row's counters are what Snapshot reports.
+	if over != row {
+		t.Fatal("over-priority refusal returned another row than gold's")
+	}
+	row.QuotaRejected.Add(1)
+	for _, st := range s.Snapshot() {
+		if st.Tenant == "gold" && st.QuotaRejected != 1 {
+			t.Errorf("gold quota_rejected = %d, want 1", st.QuotaRejected)
+		}
+	}
+	if len(s.Snapshot()) != 2 {
+		t.Errorf("snapshot = %+v, want default and gold only", s.Snapshot())
 	}
 }
 
@@ -180,13 +196,35 @@ func TestMaxRunningCapsDispatch(t *testing.T) {
 }
 
 // TestGlobalCapacity: the scheduler-wide bound fails with ErrSaturated
-// (backpressure, 429) rather than a tenant quota (policy, 403).
+// (backpressure, 429) rather than a tenant quota (policy, 403), exempt
+// tasks pass it, and the Queued and Running totals follow Enqueue, Next
+// and Release.
 func TestGlobalCapacity(t *testing.T) {
 	s := New(Config{Capacity: 2})
 	enq(t, s, "a", 0)
+	if s.Saturated() {
+		t.Fatal("saturated at 1 of 2")
+	}
 	enq(t, s, "b", 0)
+	if !s.Saturated() {
+		t.Fatal("not saturated at 2 of 2")
+	}
 	if err := s.Enqueue(&Task{Tenant: "c", Do: func() {}}); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("over capacity: %v, want ErrSaturated", err)
+	}
+	if err := s.Enqueue(&Task{Tenant: "c", Exempt: true, Do: func() {}}); err != nil {
+		t.Fatalf("exempt enqueue past capacity: %v", err)
+	}
+	a, _ := s.Next()
+	b, _ := s.Next()
+	if s.Queued() != 1 || s.Running() != 2 || s.Saturated() {
+		t.Fatalf("after two dispatches: queued %d, running %d, saturated %v; want 1, 2, false",
+			s.Queued(), s.Running(), s.Saturated())
+	}
+	s.Release(a)
+	s.Release(b)
+	if s.Running() != 0 {
+		t.Fatalf("running %d after release, want 0", s.Running())
 	}
 }
 
@@ -289,18 +327,18 @@ func TestTenantTableBounded(t *testing.T) {
 		t.Fatalf("tenant table bound %d (MaxTenants %d), want 1024", s.maxTenants, MaxTenants)
 	}
 	s.maxTenants = 3 // default queue occupies one slot
-	if err := s.Admit("t1", 0); err != nil {
+	if _, err := s.Admit("t1", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Admit("t2", 0); err != nil {
+	if _, err := s.Admit("t2", 0); err != nil {
 		t.Fatal(err)
 	}
 	var ae *AdmissionError
-	if err := s.Admit("t3", 0); !errors.As(err, &ae) {
+	if _, err := s.Admit("t3", 0); !errors.As(err, &ae) {
 		t.Fatalf("over MaxTenants: %v, want AdmissionError", err)
 	}
 	// Known tenants still admit.
-	if err := s.Admit("t1", 0); err != nil {
+	if _, err := s.Admit("t1", 0); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -498,6 +498,45 @@ func TestHTTPTenantSurface(t *testing.T) {
 	}
 }
 
+// TestStrictRefusedTenantsGetNoRow: a refusal that leaves its tenant
+// without a row is counted pool-wide only. A strict pool configured with
+// "gold" refuses 200 unknown tenant names; /v1/queues then holds exactly
+// "default" and "gold", and quota_rejected reads 200.
+func TestStrictRefusedTenantsGetNoRow(t *testing.T) {
+	p, ts := newSchedServer(t, jobs.Options{
+		Workers: 1,
+		Sched: sched.Config{
+			Strict:  true,
+			Tenants: map[string]sched.TenantConfig{"gold": {Weight: 4}},
+		},
+	})
+	for i := 0; i < 200; i++ {
+		resp, body := postJSON(t, ts.URL+"/v1/jobs", fmt.Sprintf(`{"workload":"VectorAdd","tenant":"stranger-%d"}`, i))
+		if resp.StatusCode != http.StatusForbidden {
+			t.Fatalf("stranger %d: status %d, want 403: %s", i, resp.StatusCode, body)
+		}
+	}
+	var qs jobs.QueuesSnapshot
+	qresp, err := http.Get(ts.URL + "/v1/queues")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(qresp.Body).Decode(&qs); err != nil {
+		t.Fatal(err)
+	}
+	qresp.Body.Close()
+	var names []string
+	for _, q := range qs.Queues {
+		names = append(names, q.Tenant)
+	}
+	if got := strings.Join(names, ","); got != "default,gold" {
+		t.Errorf("/v1/queues rows = %s, want default,gold", got)
+	}
+	if m := p.Metrics(); m.QuotaRejected != 200 {
+		t.Errorf("quota_rejected = %d, want 200", m.QuotaRejected)
+	}
+}
+
 func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))

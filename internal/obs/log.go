@@ -8,8 +8,9 @@ import (
 
 // Structured logging: a log/slog handler wrapper that stamps every
 // line logged with a context (logger.InfoContext and friends) with
-// the trace/span IDs, tenant, job ID and shard that context carries.
-// Code logs plainly; the handler supplies the correlation fields.
+// the trace/span IDs, tenant and job ID that context carries. Code
+// logs plainly; the handler supplies the correlation fields, and the
+// logger's fixed attributes (regvd's shard name) ride on every line.
 
 // NewLogger builds a *slog.Logger writing to w. format selects the
 // handler: "json" for machine-shipped logs, anything else (regvd's
@@ -47,9 +48,6 @@ func (h *CtxHandler) Handle(ctx context.Context, r slog.Record) error {
 	}
 	if j := JobIDFrom(ctx); j != "" {
 		r.AddAttrs(slog.String("job", j))
-	}
-	if s := ShardFrom(ctx); s != "" {
-		r.AddAttrs(slog.String("shard", s))
 	}
 	return h.Inner.Handle(ctx, r)
 }

@@ -11,13 +11,12 @@ import (
 
 func TestCtxHandlerStampsCorrelationFields(t *testing.T) {
 	var buf bytes.Buffer
-	lg := NewLogger(&buf, "json", slog.String("service", "s1"))
+	lg := NewLogger(&buf, "json", slog.String("service", "s1"), slog.String("shard", "s1"))
 
 	tr := testTracer("s1")
 	ctx, sp := tr.Start(context.Background(), "submit")
 	ctx = WithTenant(ctx, "acme")
 	ctx = WithJobID(ctx, "j42")
-	ctx = WithShard(ctx, "s1")
 	lg.InfoContext(ctx, "job accepted", "queue", 3)
 	sp.End()
 

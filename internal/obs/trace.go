@@ -121,7 +121,6 @@ type (
 	spanCtxKey struct{}
 	tenantKey  struct{}
 	jobIDKey   struct{}
-	shardKey   struct{}
 )
 
 // SpanContextFrom returns the current span context, if any. The
@@ -171,19 +170,6 @@ func WithJobID(ctx context.Context, id string) context.Context {
 func JobIDFrom(ctx context.Context) string {
 	id, _ := ctx.Value(jobIDKey{}).(string)
 	return id
-}
-
-// WithShard / ShardFrom thread the shard name (router-side hops).
-func WithShard(ctx context.Context, shard string) context.Context {
-	if shard == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, shardKey{}, shard)
-}
-
-func ShardFrom(ctx context.Context) string {
-	s, _ := ctx.Value(shardKey{}).(string)
-	return s
 }
 
 // ExtractHTTP parses an incoming request's TraceHeader into ctx; with
@@ -445,14 +431,6 @@ func randomID(id []byte) {
 			return
 		}
 	}
-}
-
-// Service returns the tracer's tier name ("" for a nil tracer).
-func (t *Tracer) Service() string {
-	if t == nil {
-		return ""
-	}
-	return t.service
 }
 
 // Span is a live (unended) span. The zero of *Span (nil) is a valid
