@@ -93,7 +93,9 @@ obs:
 
 # Nemesis suite under the race detector: the fencing wire contract and
 # shipper latch/rejoin in-process, the standby fence/resync races, the
-# nemesis primitives, then the full Jepsen-style drill — five real
+# ship stream's lifecycle (re-dial, a break under a batch, a bounded
+# Close, a partition cutting an open stream) and its decoder's seeds,
+# the nemesis primitives, then the full Jepsen-style drill — five real
 # regvd binaries under a seeded schedule of SIGKILL, asymmetric
 # partition (adoption fences the deposed primary out), SIGSTOP, and a
 # restart plus an at-rest bit-flip (healed by the read that finds it),
@@ -101,14 +103,17 @@ obs:
 # control and at most one writer per (keyspace, epoch). CI runs this
 # as its own job.
 nemesis:
-	$(GO) test -race -count=1 -run 'Fenc|StandbyFence|StandbyResync' ./internal/cluster ./internal/jobs/store
+	$(GO) test -race -count=1 -run 'Fenc|StandbyFence|StandbyResync|ShipStream' ./internal/cluster ./internal/jobs/store
 	$(GO) test -race -count=1 ./internal/faultinject ./internal/integrity
 	$(GO) test -race -count=1 -run 'TestNemesis' -v ./cmd/regvd
 
 # Short fuzz smoke: the journal-replay parser (never panics, accepts
 # exactly the longest valid prefix), the standby's apply of shipped
 # journal bytes (a batch appends exactly the frames a correct copy
-# takes; a snapshot installs only if it replays whole), the ISA text
+# takes; a snapshot installs only if it replays whole), the standby's
+# ship stream decoder (one ack per whole message, nothing applied of a
+# message cut short or past the size bound, the copy the store's own
+# calls would leave), the ISA text
 # parser (what parses prints and re-parses unchanged), and the
 # integrity-envelope decoders behind every result/checkpoint read
 # (differential against an independent open+decode; corrupt bytes are
@@ -117,10 +122,13 @@ nemesis:
 # the 60s default: its salvage path JSON-decodes the spec of any input
 # whose header splits, so mutations keep finding new encoding/json
 # coverage, and at the default the target spends its 30s minimizing
-# rather than fuzzing.
+# rather than fuzzing. FuzzShipStream does the same: each input opens
+# two standby stores and fsyncs, so minimizing a long stream one byte
+# at a time takes the default's whole minute.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzJournalReplay -fuzztime=30s ./internal/jobs/store
 	$(GO) test -run=^$$ -fuzz=FuzzShipFrames -fuzztime=30s ./internal/jobs/store
+	$(GO) test -run=^$$ -fuzz=FuzzShipStream -fuzztime=30s -fuzzminimizetime=1s ./internal/cluster
 	$(GO) test -run=^$$ -fuzz=FuzzResultDecode -fuzztime=30s -fuzzminimizetime=1s ./internal/jobs/store
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointDecode -fuzztime=30s ./internal/jobs/store
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=30s ./internal/isa

@@ -547,6 +547,9 @@ func newDaemon(cfg config) (*daemon, error) {
 		shipper:    shipper,
 		partitions: parts,
 	}
+	// A peer's ship stream is never idle, so Shutdown would wait out
+	// the drain window for it; end inbound streams as the drain begins.
+	d.srv.RegisterOnShutdown(shardSrv.EndShipStreams)
 	if err := d.armDebug(); err != nil {
 		d.closeBackends()
 		ln.Close()

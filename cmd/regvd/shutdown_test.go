@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"regvirt/internal/cluster"
 	"regvirt/internal/jobs"
+	"regvirt/internal/jobs/store"
 )
 
 // TestGracefulShutdown drives the real daemon loop through SIGTERM:
@@ -114,6 +116,55 @@ func TestGracefulShutdown(t *testing.T) {
 	case err := <-serveDone:
 		if err != nil {
 			t.Errorf("serve returned %v", err)
+		}
+	case <-time.After(d.cfg.drain + 10*time.Second):
+		t.Fatal("serve did not return within the drain window")
+	}
+}
+
+// TestShutdownEndsInboundShipStream: a shard holding a peer's open ship
+// stream still exits promptly on SIGTERM. The stream is never idle, so
+// the drain would otherwise wait for it until its next message's read
+// deadline (10 s) ran out, or the drain window.
+func TestShutdownEndsInboundShipStream(t *testing.T) {
+	d, err := newDaemon(config{
+		addr:    "127.0.0.1:0",
+		workers: 1,
+		drain:   20 * time.Second,
+		dataDir: t.TempDir(),
+		shard:   "sb",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan os.Signal, 1)
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- d.serve(stop) }()
+
+	// A peer shard's shipper: its first resync opens the stream.
+	st, _, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sh := cluster.NewShipper("p", "sb", "http://"+d.addr(), st)
+	sh.Start()
+	defer sh.Close()
+	for deadline := time.Now().Add(10 * time.Second); sh.Status().Resyncs == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the peer's stream never delivered its resync")
+		}
+	}
+
+	start := time.Now()
+	stop <- syscall.SIGTERM
+	select {
+	case err := <-serveDone:
+		if err != nil {
+			t.Errorf("serve returned %v", err)
+		}
+		if took := time.Since(start); took > 3*time.Second {
+			t.Errorf("shutdown took %v with a ship stream open, want well under its 10 s message deadline", took)
 		}
 	case <-time.After(d.cfg.drain + 10*time.Second):
 		t.Fatal("serve did not return within the drain window")

@@ -406,7 +406,7 @@ func TestShardRejectsSelfShipment(t *testing.T) {
 	s1 := newTestShard(t, "s1")
 	s1.serve("", "")
 	for _, req := range []struct{ path, contentType, body string }{
-		{"/v1/cluster/ship?shard=s1&gen=1&snapshot=1", shipType, ""},
+		{"/v1/cluster/ship?shard=s1", shipType, ""},
 		{"/v1/cluster/adopt", "application/json", fmt.Sprintf(`{"shard":%q}`, "s1")},
 	} {
 		resp, err := http.Post(s1.url+req.path, req.contentType, bytes.NewReader([]byte(req.body)))

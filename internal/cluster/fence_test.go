@@ -18,7 +18,7 @@ import (
 // lifecycle at package level: a shard ships to its standby, the
 // standby's copy is adopted at a higher epoch (as the router would
 // after declaring the shard dead), and from that instant the deposed
-// shard must stop being a writer — its ships bounce with 409, its
+// shard must stop being a writer — its ships are answered fenced, its
 // shipper latches, its submit endpoint turns away work — until a
 // fresh epoch grant lets it rejoin via snapshot resync.
 func TestFencingShipperLatchesAndRejoins(t *testing.T) {
@@ -56,7 +56,7 @@ func TestFencingShipperLatchesAndRejoins(t *testing.T) {
 	// The deposed shard may not know yet. If the fence hasn't propagated
 	// (the background flusher hasn't bounced), the next submission still
 	// succeeds locally — local durability never depends on the standby —
-	// and its synchronous ship comes back 409, latching the shipper. If
+	// and its synchronous ship is answered fenced, latching the shipper. If
 	// the flusher already latched, the submission is refused 503 instead.
 	// Either way, no epoch-1 write ever reaches the hub's copy again.
 	resp2, err := http.Post(a.url+"/v1/jobs", "application/json",
@@ -159,65 +159,71 @@ func TestFencingShipperLatchesAndRejoins(t *testing.T) {
 	}
 }
 
-// TestShipFencedAtLowerEpoch pins the wire-level contract directly: a
-// ship stamped below the standby's fence gets a 409 whose body decodes
-// as the typed fencing verdict, and a higher-epoch ship teaches the
-// standby the new fence. Every ship is a snapshot of an empty journal,
-// but the last: a torn one, which is refused.
+// TestShipFencedAtLowerEpoch pins the wire-level contract directly,
+// one message per POST: a message stamped below the standby's fence is
+// answered with a fenced ack carrying the fence, and applies nothing;
+// a higher epoch teaches the standby the new fence. Every message is a
+// snapshot of an empty journal, but the last: a torn one, which is
+// refused.
 func TestShipFencedAtLowerEpoch(t *testing.T) {
 	hub := newTestShard(t, "hub")
 	hub.serve("", "")
 
 	var journal []byte
-	post := func(query string) (*http.Response, []byte) {
+	ship := func(shard string, epoch uint64) shipAck {
 		t.Helper()
-		resp, err := http.Post(hub.url+"/v1/cluster/ship?"+query+"&gen=1&snapshot=1", shipType, bytes.NewReader(journal))
+		resp, err := http.Post(hub.url+"/v1/cluster/ship?shard="+shard, shipType, bytes.NewReader(shipMessage(epoch, 1, true, journal)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
 		raw, _ := io.ReadAll(resp.Body)
-		return resp, raw
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("ship to %s at epoch %d: HTTP %d (body %s), want 200", shard, epoch, resp.StatusCode, raw)
+		}
+		acks := decodeAcks(t, raw)
+		if len(acks) != 1 {
+			t.Fatalf("ship to %s at epoch %d: %d acks for one message", shard, epoch, len(acks))
+		}
+		return acks[0]
 	}
 
 	// Epoch 5 snapshot: accepted, fence learned.
-	resp, _ := post("shard=a&epoch=5")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("epoch-5 ship: HTTP %d, want 200", resp.StatusCode)
+	if a := ship("a", 5); a.verdict != shipOK || a.fence != 5 {
+		t.Fatalf("epoch-5 ship: ack %+v, want ok at fence 5", a)
 	}
 	if got := hub.sb.FenceEpoch("a"); got != 5 {
 		t.Fatalf("fence after epoch-5 ship = %d, want 5", got)
 	}
 
-	// Epoch 3 ship: fenced with the typed body.
-	resp, raw := post("shard=a&epoch=3")
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("stale ship: HTTP %d, want 409 (body %s)", resp.StatusCode, raw)
+	// Epoch 3: fenced, with the fence it fell below, and nothing
+	// applied: a one-record journal at a new generation would have
+	// replaced the copy.
+	journal = wholeJournal(t)
+	if a := ship("a", 3); a.verdict != shipFenced || a.fence != 5 || a.applied != 0 {
+		t.Errorf("stale ship: ack %+v, want fenced at 5 with nothing applied", a)
 	}
-	var fb fencedBody
-	if err := json.Unmarshal(raw, &fb); err != nil || fb.Kind != "fenced" || fb.Epoch != 5 {
-		t.Errorf("fenced body = %s, want kind fenced epoch 5", raw)
+	if _, last := hub.sb.State("a"); last != 0 {
+		t.Errorf("stale ship reached the copy: last seq %d", last)
 	}
+	journal = nil
 
 	// Epoch 0 (a pre-fencing peer) is fenced too once any fence exists:
 	// an unstamped ship cannot prove ownership. Before the first fence
 	// (0 < 0 is false) such peers pass, preserving mixed-version compat
 	// until the first failover.
-	resp, raw = post("shard=a")
-	if resp.StatusCode != http.StatusConflict {
-		t.Errorf("epoch-0 ship against fence 5: HTTP %d, want 409 (body %s)", resp.StatusCode, raw)
+	if a := ship("a", 0); a.verdict != shipFenced || a.fence != 5 {
+		t.Errorf("epoch-0 ship against fence 5: ack %+v, want fenced at 5", a)
 	}
-	resp, raw = post("shard=b")
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("epoch-0 ship on unfenced keyspace: HTTP %d, want 200 (body %s)", resp.StatusCode, raw)
+	if a := ship("b", 0); a.verdict != shipOK {
+		t.Errorf("epoch-0 ship on unfenced keyspace: ack %+v, want ok", a)
 	}
 
 	// A snapshot that does not replay whole is refused, not acknowledged
-	// with a resync flag: the shipper must keep its resync pending.
+	// with a resync verdict: the shipper must keep its resync pending.
 	journal = []byte{9, 0, 0, 0, 1, 2, 3, 4, '{'}
-	resp, raw = post("shard=b")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("torn snapshot: HTTP %d, want 400 (body %s)", resp.StatusCode, raw)
+	if a := ship("b", 0); a.verdict != shipRefused {
+		t.Errorf("torn snapshot: ack %+v, want refused", a)
 	}
 }
 

@@ -1,15 +1,18 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"regvirt/internal/jobs"
 	"regvirt/internal/jobs/store"
@@ -19,7 +22,7 @@ import (
 // ShardServer is the shard-side cluster surface, layered over the
 // plain job API:
 //
-//	POST /v1/cluster/ship   receive shipped journal frames/snapshots
+//	POST /v1/cluster/ship   receive a stream of shipped journal batches/snapshots
 //	POST /v1/cluster/adopt  take over a dead shard's jobs
 //	POST /v1/cluster/epoch  install a router-granted ownership epoch
 //	GET  /v1/cluster        role, shipping target, standby holdings
@@ -45,6 +48,13 @@ type ShardServer struct {
 	epoch  atomic.Uint64
 	fenced atomic.Bool
 
+	// streams is cancelled by EndShipStreams; msgTimeout bounds the
+	// read of one ship message, counted from the previous ack,
+	// jobs.BodyReadTimeout outside tests.
+	streams    context.Context
+	endStreams context.CancelFunc
+	msgTimeout time.Duration
+
 	mu      sync.Mutex
 	adopted map[string]AdoptResult
 }
@@ -69,13 +79,15 @@ func NewShardServer(name string, pool *jobs.Pool,
 	_ jobs.Recorder,
 	standby *store.StandbyStore, shipper *Shipper) *ShardServer {
 	s := &ShardServer{
-		name:    name,
-		pool:    pool,
-		standby: standby,
-		shipper: shipper,
-		log:     obs.Nop(),
-		adopted: map[string]AdoptResult{},
+		name:       name,
+		pool:       pool,
+		standby:    standby,
+		shipper:    shipper,
+		log:        obs.Nop(),
+		msgTimeout: jobs.BodyReadTimeout,
+		adopted:    map[string]AdoptResult{},
 	}
+	s.streams, s.endStreams = context.WithCancel(context.Background())
 	s.epoch.Store(1)
 	if shipper != nil {
 		shipper.SetOnFenced(func(fence uint64) {
@@ -114,31 +126,6 @@ func (s *ShardServer) Handler(next http.Handler) http.Handler {
 	return mux
 }
 
-// fenceCheck enforces the epoch fence on an inbound replication
-// request for keyspace shard. A stale epoch is refused with HTTP 409
-// (kind "fenced", carrying the fence); a higher one is learned and
-// persisted — a legitimate ship from a newer owner ratchets the fence
-// forward so the deposed owner can never slip back in.
-func (s *ShardServer) fenceCheck(w http.ResponseWriter, shard string, epoch uint64) bool {
-	fence := s.standby.FenceEpoch(shard)
-	if epoch < fence {
-		jobs.WriteJSON(w, http.StatusConflict, fencedBody{
-			Error:  (&FencedError{Keyspace: shard, Epoch: epoch, Fence: fence}).Error(),
-			Kind:   "fenced",
-			Epoch:  fence,
-			Status: http.StatusConflict,
-		})
-		return false
-	}
-	if epoch > fence {
-		if err := s.standby.Fence(shard, epoch); err != nil {
-			jobs.WriteError(w, http.StatusInternalServerError, "persist fence for %s: %v", shard, err)
-			return false
-		}
-	}
-	return true
-}
-
 // handleEpoch installs a router-granted ownership epoch for this
 // shard's own keyspace: the fenced latch clears and the shipper (when
 // present) rejoins by resyncing at the new epoch.
@@ -173,75 +160,172 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// handleShip files shipped journal bytes into the standby copy: a
-// batch of frames, or with snapshot=1 a whole journal that replaces the
-// copy. The fence check runs before anything is applied. Continuity
-// violations in a batch are not errors at the HTTP layer: the
-// response's resync flag tells the shipper to send a snapshot. A batch
-// that ends mid-frame applies the whole frames before that point and
-// asks for a resync, as a frame that fails verification does; a
-// snapshot that does not replay whole is a 400 and installs nothing.
+// handleShip serves one primary's ship stream: it reads the messages
+// in turn and answers each with one ack once it is applied, so the
+// primary's accept returns only after the standby holds its frame
+// (fsynced, for an accept). Each message is read whole, under
+// msgTimeout counted from the previous ack and under maxShipBody, into
+// a buffer dropped once it is applied; so a stream idle past msgTimeout
+// ends, and the shipper dials again. A message longer than maxShipBody
+// is refused unread and ends the stream; a message cut short ends it
+// with no ack and nothing applied. A claimed length costs memory only
+// as its bytes arrive (readMessage). Refusals of the request itself (no
+// standby storage, a bad shard name) are HTTP errors, answered before
+// any message is read.
 func (s *ShardServer) handleShip(w http.ResponseWriter, r *http.Request) {
 	if s.standby == nil {
 		jobs.WriteError(w, http.StatusServiceUnavailable, "shard %s has no standby storage (-data-dir required)", s.name)
 		return
 	}
-	q := r.URL.RawQuery
-	shard := jobs.QueryValue(q, "shard")
+	shard := jobs.QueryValue(r.URL.RawQuery, "shard")
 	if shard == s.name || !store.ValidShard(shard) {
 		jobs.WriteError(w, http.StatusBadRequest, "invalid source shard %q", shard)
 		return
 	}
-	epoch, err := queryUint(q, "epoch")
-	if err != nil {
-		jobs.WriteError(w, http.StatusBadRequest, "bad epoch: %v", err)
+	in := &inboundStream{rc: http.NewResponseController(w)}
+	// Acks go out while later messages are still arriving. A writer
+	// that cannot (a test recorder) has the whole body already.
+	_ = in.rc.EnableFullDuplex()
+	defer in.close(context.AfterFunc(s.streams, in.end))
+	w.Header().Set("Content-Type", shipType)
+	w.WriteHeader(http.StatusOK)
+	if in.rc.Flush() != nil {
 		return
 	}
-	gen, err := queryUint(q, "gen")
-	if err != nil {
-		jobs.WriteError(w, http.StatusBadRequest, "bad gen: %v", err)
-		return
-	}
-	var body []byte
-	if err := jobs.ReadBody(w, r, func() (err error) {
-		body, err = jobs.ReadLimited(r.Body, r.ContentLength, maxShipBody)
-		return err
-	}); err != nil {
-		jobs.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if !s.fenceCheck(w, shard, epoch) {
-		return
-	}
-	var resp shipResponse
-	if jobs.QueryValue(q, "snapshot") == "1" {
-		if resp.Applied, err = s.standby.InstallSnapshot(shard, gen, body); err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, store.ErrBadFrame) {
-				status = http.StatusBadRequest
+	buf := make([]byte, shipHeaderSize, max(shipHeaderSize, shipAckSize)) // a message header, then its ack
+	for in.arm(s.msgTimeout) {
+		if _, err := io.ReadFull(r.Body, buf); err != nil {
+			return // the shipper ended the stream, or it idled past msgTimeout
+		}
+		h := parseShipHeader(buf)
+		var ack shipAck
+		if h.size > maxShipBody {
+			s.log.Warn("ship message refused", "shard", s.name, "from", shard, "bytes", h.size, "limit", maxShipBody)
+			ack.verdict = shipRefused
+		} else {
+			body, err := readMessage(r.Body, int(h.size))
+			if err != nil {
+				return
 			}
-			jobs.WriteError(w, status, "install snapshot from %s: %v", shard, err)
+			ack = s.applyShip(shard, h, body)
+		}
+		ack.gen, ack.lastSeq = s.standby.State(shard)
+		ack.fence = s.standby.FenceEpoch(shard)
+		buf = buf[:shipAckSize]
+		putShipAck(buf, ack)
+		if _, err := w.Write(buf); err != nil || in.rc.Flush() != nil || h.size > maxShipBody {
 			return
 		}
-		s.log.Info("installed journal snapshot", "shard", s.name, "from", shard, "gen", gen, "records", resp.Applied)
-	} else if resp.Applied, err = s.standby.ApplyFrames(shard, gen, body); err != nil {
-		if !errors.Is(err, store.ErrGap) && !errors.Is(err, store.ErrBadFrame) {
-			jobs.WriteError(w, http.StatusInternalServerError, "apply frames from %s: %v", shard, err)
-			return
-		}
-		resp.Resync = true
+		buf = buf[:shipHeaderSize]
 	}
-	resp.Gen, resp.LastSeq = s.standby.State(shard)
-	jobs.WriteJSON(w, http.StatusOK, resp)
 }
 
-// queryUint reads an optional decimal query value; absent reads as 0.
-func queryUint(rawQuery, key string) (uint64, error) {
-	v := jobs.QueryValue(rawQuery, key)
-	if v == "" {
-		return 0, nil
+// shipReadChunk is the most a message's buffer holds before its bytes
+// arrive: a length claimed but never sent costs this much, not up to
+// maxShipBody.
+const shipReadChunk = 64 << 10
+
+// readMessage reads a message's n journal bytes into a buffer that
+// starts at shipReadChunk at most and grows as they arrive.
+func readMessage(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, shipReadChunk))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n, 2*len(buf))-len(buf))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return nil, err
+		}
 	}
-	return strconv.ParseUint(v, 10, 64)
+	return buf, nil
+}
+
+// applyShip files one message into the standby copy of shard and
+// returns its verdict and count; the caller adds the copy's state. The
+// fence check runs first, DESIGN §15's epoch-0 rule included: an epoch
+// below the fence is refused, a higher one is learned and persisted (a
+// legitimate ship from a newer owner ratchets the fence forward so the
+// deposed owner can never slip back in). Then a batch appends the
+// frames that extend the copy, and a gap or a bad frame asks for a
+// resync after the whole frames before it; a snapshot replaces the copy
+// only if it replays whole.
+func (s *ShardServer) applyShip(shard string, h shipHeader, body []byte) shipAck {
+	if fence := s.standby.FenceEpoch(shard); h.epoch < fence {
+		return shipAck{verdict: shipFenced}
+	} else if h.epoch > fence {
+		if err := s.standby.Fence(shard, h.epoch); err != nil {
+			s.log.Warn("ship message refused: persist fence", "shard", s.name, "from", shard, "epoch", h.epoch, "err", err)
+			return shipAck{verdict: shipRefused}
+		}
+	}
+	if h.snapshot {
+		n, err := s.standby.InstallSnapshot(shard, h.gen, body)
+		if err != nil {
+			s.log.Warn("ship snapshot refused", "shard", s.name, "from", shard, "gen", h.gen, "err", err)
+			return shipAck{verdict: shipRefused}
+		}
+		s.log.Info("installed journal snapshot", "shard", s.name, "from", shard, "gen", h.gen, "records", n)
+		return shipAck{verdict: shipOK, applied: uint32(n)}
+	}
+	n, err := s.standby.ApplyFrames(shard, h.gen, body)
+	ack := shipAck{verdict: shipOK, applied: uint32(n)}
+	switch {
+	case err == nil:
+	case errors.Is(err, store.ErrGap) || errors.Is(err, store.ErrBadFrame):
+		ack.verdict = shipResync
+	default:
+		s.log.Warn("ship batch refused", "shard", s.name, "from", shard, "gen", h.gen, "err", err)
+		ack.verdict = shipRefused
+	}
+	return ack
+}
+
+// EndShipStreams ends every inbound ship stream at its next message
+// boundary, and any that opens later at once. A message being applied
+// is still acked; one still arriving is cut. regvd calls it when a
+// graceful shutdown starts, so that an open stream, which is never
+// idle, does not hold the drain window; its shipper dials again.
+func (s *ShardServer) EndShipStreams() { s.endStreams() }
+
+// inboundStream is one ship stream being served. Each message re-arms
+// its read deadline; end sets the deadline to now, failing the read in
+// progress, and keeps it from being re-armed.
+type inboundStream struct {
+	rc    *http.ResponseController
+	mu    sync.Mutex
+	ended bool
+}
+
+// arm sets the deadline for the next message and reports whether the
+// stream goes on. A writer without deadline support (a test recorder)
+// reads without one.
+func (in *inboundStream) arm(d time.Duration) bool {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if !in.ended {
+		_ = in.rc.SetReadDeadline(time.Now().Add(d))
+	}
+	return !in.ended
+}
+
+func (in *inboundStream) end() {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if !in.ended {
+		in.ended = true
+		_ = in.rc.SetReadDeadline(time.Now())
+	}
+}
+
+// close runs as the handler returns: after it, end touches nothing, so
+// a connection the server goes on to reuse keeps its own deadlines.
+func (in *inboundStream) close(stop func() bool) {
+	stop()
+	in.mu.Lock()
+	in.ended = true
+	in.mu.Unlock()
 }
 
 // handleAdopt replays a dead shard's shipped journal into this shard's

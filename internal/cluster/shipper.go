@@ -1,16 +1,13 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,8 +18,10 @@ import (
 )
 
 // Shipper is the sending half of journal shipping: a store.Sink that
-// replicates one shard's journal to its warm-standby peer over HTTP, as
-// the journal's own bytes.
+// replicates one shard's journal to its warm-standby peer, as the
+// journal's own bytes, over one long-lived full-duplex HTTP stream.
+// Each batch of frames and each resync snapshot is one message on it,
+// answered by one ack (wire.go).
 //
 // Delivery discipline mirrors the durability contract: an accept frame
 // (the fsynced one) is shipped before the daemon acknowledges the job,
@@ -34,33 +33,43 @@ import (
 // not two. Any loss (network error, full queue, journal rewrite,
 // standby gap report) degrades to a full resync: the shipper exports
 // the current journal and ships it whole, replacing the standby's copy.
-// Nothing is ever silently divergent.
+// Nothing is ever silently divergent. The stream is dialed by the first
+// message and dialed again when the standby has ended it between
+// messages (an idle stream it timed out, or a restart); a stream that
+// breaks with a message unacknowledged fails that message, which for a
+// batch means a resync.
 type Shipper struct {
 	shard   string // our shard name (labels everything shipped)
 	peer    string // the standby's name (status only)
 	base    string // the standby's base URL
-	shipURL string // the ship URL, up to the epoch's value
+	shipURL string // the stream's URL
 	hc      *http.Client
 	log     *slog.Logger
 
-	// send serializes ship POSTs, so the standby sees frames in journal
-	// order. Nothing an append takes waits for it: Queue and
-	// JournalRewritten take only mu.
-	send sync.Mutex
+	// send serializes messages, so the standby sees frames in journal
+	// order, and owns the stream between them. Nothing an append takes
+	// waits for it: Queue and JournalRewritten take only mu.
+	send   sync.Mutex
+	stream *shipStream // the open stream, or nil; changed under send and mu
 
-	mu         sync.Mutex
+	mu sync.Mutex
+	// queue holds the queued frames back to back, as the journal holds
+	// them, after shipHeaderSize bytes of room for the batch message's
+	// header; it is nil while nothing is queued.
+	queue      []byte
 	gen        uint64 // generation of the queued frames
-	queue      []byte // queued frames, back to back, as the journal holds them
 	queued     int    // frames in queue
 	needResync bool
 	fenced     bool // standby refused our epoch: stop shipping until SetEpoch
 	closed     bool
+	cut        bool // Close's deadline passed: dial no new stream
 
 	onFenced func(fence uint64) // fired once per fenced transition
 
 	// flushEvery is the background flusher's tick, shipFlushEvery
-	// outside tests.
-	flushEvery time.Duration
+	// outside tests; timeout bounds one message's round trip and Close's
+	// final flush, shipTimeout outside tests.
+	flushEvery, timeout time.Duration
 
 	wake chan struct{}
 	done chan struct{}
@@ -68,7 +77,7 @@ type Shipper struct {
 
 	st *store.Store
 
-	epoch            atomic.Uint64 // our keyspace ownership epoch, stamped on every request
+	epoch            atomic.Uint64 // our keyspace ownership epoch, stamped on every message
 	framesShipped    atomic.Uint64
 	resyncs          atomic.Uint64
 	syncShipFailures atomic.Uint64
@@ -82,12 +91,11 @@ type Shipper struct {
 const (
 	shipQueueMax   = 4096
 	shipFlushEvery = 50 * time.Millisecond
-	// shipTimeout bounds one ship request, from dial to the read of the
-	// standby's answer.
+	// shipTimeout bounds one message, from the write of its first byte
+	// (and the dial, for a stream's first message) to the read of its
+	// ack, and Close's final flush.
 	shipTimeout = 5 * time.Second
-	// maxShipReply bounds the standby's answer to one ship request.
-	maxShipReply = 1 << 20
-	shipPath     = "/v1/cluster/ship"
+	shipPath    = "/v1/cluster/ship"
 )
 
 // NewShipper wires a shipper for st's journal toward the standby at
@@ -98,10 +106,11 @@ func NewShipper(shard, peer, base string, st *store.Store) *Shipper {
 		shard:      shard,
 		peer:       peer,
 		base:       base,
-		shipURL:    base + shipPath + "?shard=" + url.QueryEscape(shard) + "&epoch=",
+		shipURL:    base + shipPath + "?shard=" + url.QueryEscape(shard),
 		hc:         &http.Client{},
 		log:        obs.Nop(),
 		flushEvery: shipFlushEvery,
+		timeout:    shipTimeout,
 		wake:       make(chan struct{}, 1),
 		done:       make(chan struct{}),
 		exit:       make(chan struct{}),
@@ -168,7 +177,9 @@ func (sh *Shipper) Start() {
 	sh.poke()
 }
 
-// Close detaches from the store, flushes what it can, and stops.
+// Close detaches from the store, flushes what it can within the ship
+// timeout, and stops: past it, the stream the final flush waits on is
+// cut, so a standby that vanished mid-stream does not hold Close.
 func (sh *Shipper) Close() {
 	sh.mu.Lock()
 	if sh.closed {
@@ -178,8 +189,14 @@ func (sh *Shipper) Close() {
 	sh.closed = true
 	sh.mu.Unlock()
 	sh.st.SetSink(nil)
+	cut := time.AfterFunc(sh.timeout, sh.cutOff)
 	close(sh.done)
 	<-sh.exit
+	cut.Stop()
+	sh.cutOff() // an accept shipping late opens no stream after Close
+	sh.send.Lock()
+	sh.dropStream()
+	sh.send.Unlock()
 }
 
 // Queue implements store.Sink: it queues one appended frame, under
@@ -203,6 +220,9 @@ func (sh *Shipper) Queue(gen uint64, frame []byte) {
 		return
 	}
 	sh.gen = gen
+	if sh.queued == 0 {
+		sh.queue = make([]byte, shipHeaderSize, shipHeaderSize+len(frame))
+	}
 	sh.queue = append(sh.queue, frame...)
 	sh.queued++
 }
@@ -210,7 +230,7 @@ func (sh *Shipper) Queue(gen uint64, frame []byte) {
 // Ship implements store.Sink: Accept calls it, outside the store lock,
 // once its frame is queued. While the stream is in sync it ships the
 // queue, the accept's frame and everything before it, and returns once
-// the standby has answered; a failure marks the stream for resync and
+// the standby has acked it; a failure marks the stream for resync and
 // counts against syncShipFailures, but never fails the accept (local
 // durability is already secured). While a resync is pending or the
 // shipper is fenced it returns at once: the flusher resyncs, and the
@@ -285,7 +305,7 @@ func (sh *Shipper) flush() {
 }
 
 // noteFencedLocked latches the fenced state when err is a fencing
-// rejection of our current epoch (sh.mu held). A refusal of an epoch
+// refusal of our current epoch (sh.mu held). A refusal of an epoch
 // that a grant has since replaced is stale and ignored. Queued frames
 // are dropped — they belong to a keyspace this node no longer owns —
 // and the transition callback fires once so the shard server can
@@ -304,21 +324,21 @@ func (sh *Shipper) noteFencedLocked(err error) {
 	}
 }
 
-// shipFrames posts the queued frames as one batch. Under send, a queue
-// found empty was shipped by the POST before this one. The queue is
-// taken whole; a failed POST or a gap report marks the stream for
-// resync, whose snapshot carries the frames.
+// shipFrames ships the queued frames as one batch message. Under send,
+// a queue found empty was shipped by the message before this one. The
+// queue is taken whole; a failed message or a gap report marks the
+// stream for resync, whose snapshot carries the frames.
 func (sh *Shipper) shipFrames() error {
 	sh.send.Lock()
 	defer sh.send.Unlock()
 	sh.mu.Lock()
-	batch, gen := sh.queue, sh.gen
+	msg, gen, queued := sh.queue, sh.gen, sh.queued
 	sh.queue, sh.queued = nil, 0
 	sh.mu.Unlock()
-	if len(batch) == 0 {
+	if queued == 0 {
 		return nil
 	}
-	resp, err := sh.post(gen, false, batch)
+	ack, err := sh.roundTrip(gen, false, msg)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if err != nil {
@@ -326,10 +346,10 @@ func (sh *Shipper) shipFrames() error {
 		sh.noteFencedLocked(err)
 		return err
 	}
-	sh.framesShipped.Add(uint64(resp.Applied))
-	sh.ackGen.Store(resp.Gen)
-	sh.ackSeq.Store(resp.LastSeq)
-	if resp.Resync {
+	sh.framesShipped.Add(uint64(ack.applied))
+	sh.ackGen.Store(ack.gen)
+	sh.ackSeq.Store(ack.lastSeq)
+	if ack.verdict == shipResync {
 		sh.needResync = true
 		sh.poke()
 		return fmt.Errorf("cluster: standby requests resync")
@@ -337,8 +357,8 @@ func (sh *Shipper) shipFrames() error {
 	return nil
 }
 
-// resync ships the whole journal as a snapshot. ExportJournal takes
-// the store lock; the POST runs under send only.
+// resync ships the whole journal as a snapshot message. ExportJournal
+// takes the store lock; the message goes out under send only.
 func (sh *Shipper) resync() error {
 	sh.send.Lock()
 	defer sh.send.Unlock()
@@ -346,7 +366,8 @@ func (sh *Shipper) resync() error {
 	if err != nil {
 		return err
 	}
-	resp, err := sh.post(gen, true, journal)
+	msg := append(make([]byte, shipHeaderSize, shipHeaderSize+len(journal)), journal...)
+	ack, err := sh.roundTrip(gen, true, msg)
 	if err != nil {
 		sh.mu.Lock()
 		sh.noteFencedLocked(err)
@@ -354,9 +375,9 @@ func (sh *Shipper) resync() error {
 		return err
 	}
 	sh.resyncs.Add(1)
-	sh.log.Info("journal resynced to standby", "shard", sh.shard, "standby", sh.peer, "gen", gen, "records", resp.Applied)
-	sh.ackGen.Store(resp.Gen)
-	sh.ackSeq.Store(resp.LastSeq)
+	sh.log.Info("journal resynced to standby", "shard", sh.shard, "standby", sh.peer, "gen", gen, "records", ack.applied)
+	sh.ackGen.Store(ack.gen)
+	sh.ackSeq.Store(ack.lastSeq)
 	sh.mu.Lock()
 	sh.needResync = false
 	// Frames queued while the snapshot was in flight may predate it;
@@ -365,48 +386,192 @@ func (sh *Shipper) resync() error {
 	return nil
 }
 
-// post sends one ship request, journal frames of generation gen (the
-// whole journal when snapshot is set), to the standby under shipTimeout
-// and decodes its acknowledgement.
-func (sh *Shipper) post(gen uint64, snapshot bool, body []byte) (*shipResponse, error) {
+// errShipperClosed fails a message that Close's deadline cut off.
+var errShipperClosed = errors.New("cluster: shipper closed")
+
+// errShipTimeout is the cause of a stream aborted because a message
+// waited longer than the shipper's timeout for its ack.
+var errShipTimeout = errors.New("cluster: ship timed out")
+
+// roundTrip sends one message, journal bytes of generation gen (the
+// whole journal when snapshot is set) stamped with the current epoch,
+// and returns the standby's ack. msg's first shipHeaderSize bytes are
+// room for the header. It runs under send: it opens a stream if there
+// is none, or if the standby ended the last one between messages, and
+// closes a stream that fails. A fenced or refused verdict is an error.
+func (sh *Shipper) roundTrip(gen uint64, snapshot bool, msg []byte) (shipAck, error) {
 	epoch := sh.epoch.Load()
-	target := sh.shipURL + strconv.FormatUint(epoch, 10) + "&gen=" + strconv.FormatUint(gen, 10)
-	if snapshot {
-		target += "&snapshot=1"
+	putShipHeader(msg, shipHeader{size: uint32(len(msg) - shipHeaderSize), epoch: epoch, gen: gen, snapshot: snapshot})
+	if sh.stream != nil && sh.stream.over() {
+		sh.dropStream() // idle past the standby's bound, or a standby restart
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), shipTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(body))
+	if sh.stream == nil {
+		if err := sh.dial(); err != nil {
+			return shipAck{}, err
+		}
+	}
+	ack, err := sh.stream.roundTrip(msg, sh.timeout)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: %s: %w", shipPath, err)
+		sh.dropStream()
+		return shipAck{}, fmt.Errorf("cluster: %s: %w", shipPath, err)
+	}
+	switch ack.verdict {
+	case shipOK, shipResync:
+		return ack, nil
+	case shipFenced:
+		return ack, &FencedError{Keyspace: sh.shard, Epoch: epoch, Fence: ack.fence}
+	case shipRefused:
+		return ack, fmt.Errorf("cluster: %s: standby %s refused the message", shipPath, sh.peer)
+	}
+	sh.dropStream() // not an ack: whatever answers is not a standby in step with us
+	return ack, fmt.Errorf("cluster: %s: malformed ack (verdict %d)", shipPath, ack.verdict)
+}
+
+// dial opens a stream to the standby and makes it the current one,
+// unless Close's deadline has passed. The request is answered while
+// its body is still being written, so the first message's round trip
+// bounds the dial too.
+func (sh *Shipper) dial() error {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	pr, pw := io.Pipe()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, sh.shipURL, pr)
+	if err != nil {
+		cancel(err)
+		return fmt.Errorf("cluster: %s: %w", shipPath, err)
 	}
 	req.Header.Set("Content-Type", shipType)
-	resp, err := sh.hc.Do(req)
+	st := &shipStream{
+		ctx:    ctx,
+		cancel: cancel,
+		pw:     pw,
+		acks:   make(chan [shipAckSize]byte),
+		done:   make(chan struct{}),
+	}
+	st.timer = time.AfterFunc(sh.timeout, func() { st.abort(errShipTimeout) })
+	sh.mu.Lock()
+	if sh.cut {
+		sh.mu.Unlock()
+		st.timer.Stop()
+		cancel(errShipperClosed)
+		return errShipperClosed
+	}
+	sh.stream = st
+	sh.mu.Unlock()
+	go st.run(sh.hc, req)
+	return nil
+}
+
+// dropStream aborts the current stream, if any, and waits for its
+// reader to stop. It runs under send.
+func (sh *Shipper) dropStream() {
+	sh.mu.Lock()
+	st := sh.stream
+	sh.stream = nil
+	sh.mu.Unlock()
+	if st != nil {
+		st.abort(errShipperClosed)
+		<-st.done
+	}
+}
+
+// cutOff is Close's deadline: it aborts the stream the final flush is
+// waiting on and keeps a new one from being dialed.
+func (sh *Shipper) cutOff() {
+	sh.mu.Lock()
+	sh.cut = true
+	st := sh.stream
+	sh.mu.Unlock()
+	if st != nil {
+		st.abort(errShipperClosed)
+	}
+}
+
+// shipStream is one open ship stream: the request body the shipper
+// writes messages into and the response body the standby's acks
+// arrive on. One goroutine reads the acks, so a stream the standby
+// ends between messages is seen before the next message is sent.
+type shipStream struct {
+	ctx    context.Context
+	cancel context.CancelCauseFunc // aborts the request: its dial, body and ack reads
+	pw     *io.PipeWriter
+	timer  *time.Timer // aborts the stream when a round trip outlasts its bound
+	acks   chan [shipAckSize]byte
+	done   chan struct{} // closed when the reader stops: the stream is over
+	err    error         // why the reader stopped; read after done
+}
+
+// run makes the request and reads acks until the stream ends.
+func (st *shipStream) run(hc *http.Client, req *http.Request) {
+	defer close(st.done)
+	resp, err := hc.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: %s: %w", shipPath, err)
+		st.err = err
+		return
 	}
 	defer resp.Body.Close()
-	// An ack and a refusal are both a few dozen bytes: read either under
-	// one bound, so a broken or hostile standby cannot make the shipper
-	// buffer an endless body.
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxShipReply))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: read %s response: %w", shipPath, err)
-	}
 	if resp.StatusCode != http.StatusOK {
-		// A 409 of kind "fenced" is a typed verdict (we lost the
-		// keyspace), not a generic transport error.
-		var fb fencedBody
-		if resp.StatusCode == http.StatusConflict && json.Unmarshal(raw, &fb) == nil && fb.Kind == "fenced" {
-			return nil, &FencedError{Keyspace: sh.shard, Epoch: epoch, Fence: fb.Epoch}
+		// A refusal (no standby storage, a bad shard name) is a short
+		// JSON error.
+		raw, _ := io.ReadAll(io.LimitReader(resp.Body, maxControlBody))
+		st.err = fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(raw)))
+		return
+	}
+	var ack [shipAckSize]byte
+	for {
+		if _, err := io.ReadFull(resp.Body, ack[:]); err != nil {
+			st.err = fmt.Errorf("stream ended: %w", err)
+			return
 		}
-		return nil, fmt.Errorf("cluster: %s: HTTP %d: %s", shipPath, resp.StatusCode, strings.TrimSpace(string(raw)))
+		select {
+		case st.acks <- ack:
+		case <-st.ctx.Done():
+			return
+		}
 	}
-	var ack shipResponse
-	if err := json.Unmarshal(raw, &ack); err != nil {
-		return nil, fmt.Errorf("cluster: decode %s response: %w", shipPath, err)
+}
+
+// roundTrip writes one message and waits for its ack, within d.
+func (st *shipStream) roundTrip(msg []byte, d time.Duration) (shipAck, error) {
+	st.timer.Reset(d)
+	defer st.timer.Stop()
+	if _, err := st.pw.Write(msg); err != nil {
+		// Only a failing stream closes the pipe under a write; its
+		// reader knows why, and the timer bounds the wait.
+		<-st.done
+		return shipAck{}, st.failure()
 	}
-	return &ack, nil
+	select {
+	case ack := <-st.acks:
+		return parseShipAck(ack[:]), nil
+	case <-st.done:
+		return shipAck{}, st.failure()
+	}
+}
+
+// abort ends the stream with cause: the request is cancelled, which
+// stops the reader, and a blocked message write fails.
+func (st *shipStream) abort(cause error) {
+	st.cancel(cause)
+	st.pw.CloseWithError(cause)
+}
+
+// over reports whether the stream has ended.
+func (st *shipStream) over() bool {
+	select {
+	case <-st.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// failure says why an ended stream ended: the cause it was aborted
+// with, or else what its reader met.
+func (st *shipStream) failure() error {
+	if cause := context.Cause(st.ctx); cause != nil {
+		return cause
+	}
+	return st.err
 }
 
 // Status reports the shipper's view for /v1/cluster.

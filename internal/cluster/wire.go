@@ -1,31 +1,111 @@
 package cluster
 
-import "regvirt/internal/jobs/store"
+import (
+	"encoding/binary"
 
-// Wire types of the cluster control plane. Everything but shipped
-// journal bytes is JSON over the same HTTP listener the job API uses;
+	"regvirt/internal/jobs/store"
+)
+
+// Wire types of the cluster control plane. Everything but journal
+// shipping is JSON over the same HTTP listener the job API uses;
 // shard-to-shard traffic (shipping, adoption) shares these shapes with
 // the router's probes.
 
-// Journal replication reaches POST /v1/cluster/ship as the journal's
-// own bytes, a body of type shipType: a batch is the frames the primary
-// appended, and a resync snapshot (snapshot=1 in the query) its whole
-// journal. The query names the sender's shard, its ownership epoch and
-// the journal generation (?shard=NAME&epoch=N&gen=G). The standby checks
-// the bytes with the store's replay decoder; this package never looks
-// inside them. The answer is a JSON shipResponse, or a 409 fencedBody.
+// Journal replication is one long-lived stream per standby: POST
+// /v1/cluster/ship?shard=NAME, whose request body is a sequence of
+// messages and whose response body carries one fixed-size ack per
+// message, written while the next messages may still be arriving
+// (full-duplex HTTP/1.1). A message is a shipHeaderSize header, then
+// the journal's own bytes: a batch is the frames the primary appended,
+// a resync snapshot its whole journal. The header holds the length of
+// those bytes (u32), the sender's ownership epoch and the journal
+// generation (u64 each) and a flags byte (shipSnapshot), little-endian
+// as the journal's own integers are. A body of one message is a valid
+// stream of one, so a plain POST ships one batch or snapshot. The
+// standby checks the bytes with the store's replay decoder; this
+// package never looks inside them.
 const shipType = "application/octet-stream"
 
-// shipResponse acknowledges what the standby now holds. Applied counts
-// the frames a batch appended, or the records a snapshot installed.
-// Resync asks the shipper to send a snapshot: the batch did not extend
-// the copy contiguously (a gap, a generation change, or a corrupt
-// frame).
-type shipResponse struct {
-	Gen     uint64 `json:"gen"`
-	LastSeq uint64 `json:"last_seq"`
-	Applied int    `json:"applied"`
-	Resync  bool   `json:"resync,omitempty"`
+const (
+	shipHeaderSize = 21
+	// shipSnapshot flags a message whose journal bytes are a whole
+	// journal that replaces the standby's copy.
+	shipSnapshot = 1
+)
+
+// shipHeader is one message's decoded header.
+type shipHeader struct {
+	size       uint32 // journal bytes that follow the header
+	epoch, gen uint64
+	snapshot   bool
+}
+
+func putShipHeader(b []byte, h shipHeader) {
+	binary.LittleEndian.PutUint32(b[0:], h.size)
+	binary.LittleEndian.PutUint64(b[4:], h.epoch)
+	binary.LittleEndian.PutUint64(b[12:], h.gen)
+	b[20] = 0
+	if h.snapshot {
+		b[20] = shipSnapshot
+	}
+}
+
+func parseShipHeader(b []byte) shipHeader {
+	return shipHeader{
+		size:     binary.LittleEndian.Uint32(b[0:]),
+		epoch:    binary.LittleEndian.Uint64(b[4:]),
+		gen:      binary.LittleEndian.Uint64(b[12:]),
+		snapshot: b[20]&shipSnapshot != 0,
+	}
+}
+
+// Ship verdicts, the first byte of an ack.
+const (
+	// shipOK: the message is applied. A batch appended the frames that
+	// extend the copy, a snapshot replaced it.
+	shipOK = 1 + iota
+	// shipResync: a batch did not extend the copy contiguously (a gap,
+	// a generation change or a bad frame). The whole frames before that
+	// point are applied; the shipper must send a snapshot.
+	shipResync
+	// shipFenced: the message's epoch is below the copy's fence, which
+	// the ack carries. Nothing is applied.
+	shipFenced
+	// shipRefused: nothing is applied. A snapshot did not replay whole,
+	// the message was longer than maxShipBody (which also ends the
+	// stream), or the standby failed to store it.
+	shipRefused
+)
+
+// shipAckSize is an ack's length: the verdict, the frames a batch
+// appended or the records a snapshot installed (u32), then the copy's
+// generation and last sequence number after the message and the fence
+// (u64 each).
+const shipAckSize = 29
+
+// shipAck is one decoded ack: what the standby now holds.
+type shipAck struct {
+	verdict             byte
+	applied             uint32
+	gen, lastSeq, fence uint64
+}
+
+func putShipAck(b []byte, a shipAck) {
+	b[0] = a.verdict
+	binary.LittleEndian.PutUint32(b[1:], a.applied)
+	binary.LittleEndian.PutUint64(b[5:], a.gen)
+	binary.LittleEndian.PutUint64(b[13:], a.lastSeq)
+	binary.LittleEndian.PutUint64(b[21:], a.fence)
+}
+
+func parseShipAck(b []byte) shipAck {
+	return shipAck{
+		verdict: b[0],
+		applied: binary.LittleEndian.Uint32(b[1:]),
+		gen:     binary.LittleEndian.Uint64(b[5:]),
+		lastSeq: binary.LittleEndian.Uint64(b[13:]),
+		fence:   binary.LittleEndian.Uint64(b[21:]),
+	}
 }
 
 // adoptRequest asks a standby to take over a dead shard's jobs. Epoch
@@ -44,15 +124,6 @@ type adoptRequest struct {
 type epochRequest struct {
 	Keyspace string `json:"keyspace"`
 	Epoch    uint64 `json:"epoch"`
-}
-
-// fencedBody is the JSON body of an HTTP 409 fencing rejection; Epoch
-// carries the fence the sender fell below.
-type fencedBody struct {
-	Error  string `json:"error"`
-	Kind   string `json:"kind"`
-	Epoch  uint64 `json:"epoch"`
-	Status int    `json:"status"`
 }
 
 // AdoptResult reports one adoption: how many journal entries were
@@ -94,10 +165,10 @@ type NodeStatus struct {
 	Adopted    []AdoptResult       `json:"adopted,omitempty"`
 }
 
-// maxShipBody bounds a ship body. A resync carries the whole journal:
-// the accepts still pending and whatever finished since the last
-// compaction (which runs once the journal passes 1 MiB), so the cap is
-// far above the job API's 1 MiB.
+// maxShipBody bounds the journal bytes of one ship message. A resync
+// carries the whole journal: the accepts still pending and whatever
+// finished since the last compaction (which runs once the journal
+// passes 1 MiB), so the cap is far above the job API's 1 MiB.
 const maxShipBody = 64 << 20
 
 // maxControlBody bounds the JSON body of an epoch grant or an adoption

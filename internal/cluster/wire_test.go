@@ -91,7 +91,7 @@ func TestInvalidShardNameRefused(t *testing.T) {
 		for _, req := range []*http.Request{
 			httptest.NewRequest(http.MethodPost, "/v1/cluster/adopt", strings.NewReader(`{"shard":"`+name+`","epoch":2}`)),
 			httptest.NewRequest(http.MethodPost, "/v1/cluster/adopt", strings.NewReader(`{"shard":"`+name+`"}`)),
-			httptest.NewRequest(http.MethodPost, "/v1/cluster/ship?shard="+url.QueryEscape(name)+"&epoch=2&gen=1", strings.NewReader("")),
+			httptest.NewRequest(http.MethodPost, "/v1/cluster/ship?shard="+url.QueryEscape(name), strings.NewReader("")),
 		} {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)

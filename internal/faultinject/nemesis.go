@@ -8,6 +8,7 @@ package faultinject
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -17,8 +18,9 @@ import (
 
 // PartitionSet is a dynamic network partition: a set of blocked hosts
 // ("host:port") consulted by the Transport wrapper on every outbound
-// request. Blocking is directional — each process owns its own set, so
-// a pairwise partition blocks on both sides. Safe for concurrent use.
+// request and every read of a body it carries. Blocking is directional
+// — each process owns its own set, so a pairwise partition blocks on
+// both sides. Safe for concurrent use.
 type PartitionSet struct {
 	mu      sync.Mutex
 	blocked map[string]bool
@@ -77,27 +79,63 @@ func (p *PartitionSet) Hosts() []string {
 // so callers see an ordinary network failure.
 var ErrPartitioned = fmt.Errorf("faultinject: network partition")
 
-// partitionTransport consults the set before every round trip.
+// partitionTransport consults the set before every round trip, and
+// wraps the bodies of those it lets through so that a partition that
+// begins while one is open cuts it too.
 type partitionTransport struct {
 	set  *PartitionSet
 	base http.RoundTripper
 }
 
 func (t *partitionTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if t.set.Blocked(req.URL.Host) {
-		return nil, fmt.Errorf("%w: %s unreachable", ErrPartitioned, req.URL.Host)
+	host := req.URL.Host
+	if t.set.Blocked(host) {
+		if req.Body != nil {
+			req.Body.Close() // a RoundTripper closes the body, even on failure
+		}
+		return nil, fmt.Errorf("%w: %s unreachable", ErrPartitioned, host)
 	}
 	base := t.base
 	if base == nil {
 		base = http.DefaultTransport
 	}
-	return base.RoundTrip(req)
+	if req.Body != nil && req.Body != http.NoBody {
+		out := *req // a RoundTripper must not modify the request it is given
+		out.Body = &partitionedBody{ReadCloser: req.Body, set: t.set, host: host}
+		req = &out
+	}
+	resp, err := base.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = &partitionedBody{ReadCloser: resp.Body, set: t.set, host: host}
+	return resp, nil
+}
+
+// partitionedBody fails every read made once its host is blocked,
+// dropping what the read returned: a request body stops carrying bytes
+// to the host, and a response body from it, at the next read. So a
+// long-lived stream opened before a Block loses its next message, as a
+// new request to the host fails.
+type partitionedBody struct {
+	io.ReadCloser
+	set  *PartitionSet
+	host string
+}
+
+func (b *partitionedBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	if b.set.Blocked(b.host) {
+		return 0, fmt.Errorf("%w: %s unreachable", ErrPartitioned, b.host)
+	}
+	return n, err
 }
 
 // Transport wraps base (nil = http.DefaultTransport) so requests to
 // blocked hosts fail like a dropped network instead of reaching the
-// peer. Install it on every outbound client of a process to make the
-// process's side of a partition real.
+// peer, and requests and responses already under way to a host that
+// becomes blocked fail at their next read. Install it on every outbound
+// client of a process to make the process's side of a partition real.
 func (p *PartitionSet) Transport(base http.RoundTripper) http.RoundTripper {
 	return &partitionTransport{set: p, base: base}
 }

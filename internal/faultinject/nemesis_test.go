@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -55,6 +56,31 @@ func TestPartitionSetBlocksAndHeals(t *testing.T) {
 	ps.Clear()
 	if ps.Blocked(host) || ps.Blocked("other:1") {
 		t.Fatal("Clear left hosts blocked")
+	}
+
+	// A response already open when its host is blocked fails at its
+	// next read, as a long-lived stream must.
+	release := make(chan struct{})
+	stream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Write([]byte("a"))
+		w.(http.Flusher).Flush()
+		<-release
+		w.Write([]byte("b"))
+	}))
+	defer stream.Close()
+	resp, err := hc.Get(stream.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var b [1]byte
+	if _, err := resp.Body.Read(b[:]); err != nil || b[0] != 'a' {
+		t.Fatalf("open stream before the partition: %q, %v", b, err)
+	}
+	ps.Block(stream.Listener.Addr().String())
+	close(release)
+	if _, err := io.ReadFull(resp.Body, b[:]); !errors.Is(err, ErrPartitioned) {
+		t.Fatalf("read of an open stream after Block: %v, want ErrPartitioned", err)
 	}
 }
 

@@ -18,7 +18,9 @@
 // The scheduler is the one record of queued work: its totals are the
 // pool's queue depth and running gauges, its Capacity is the pool's one
 // shed limit, and its tenant table, bounded at MaxTenants, carries each
-// tenant's outcome counters (Counts) beside its queue.
+// tenant's outcome counters (Counts) beside its queue. A full table
+// makes room for a new tenant by dropping an idle row; dispatch walks
+// only the tenants with work, never the whole table.
 package sched
 
 import (
@@ -70,8 +72,10 @@ type Config struct {
 const DefaultTenant = "default"
 
 // MaxTenants bounds the tenant table in non-strict mode so hostile
-// tenant names cannot grow it without bound. Beyond it, tasks for
-// never-seen tenants fail with *AdmissionError.
+// tenant names cannot grow it without bound. A never-seen tenant that
+// finds the table full takes the place of a row with nothing queued or
+// running that is neither configured nor the default tenant; only when
+// there is none does it fail with *AdmissionError.
 const MaxTenants = 1024
 
 // strideScale is the stride numerator: stride = strideScale / weight.
@@ -156,6 +160,7 @@ type tenantQ struct {
 	tasks      taskHeap
 	running    int
 	dispatched uint64
+	busyAt     int // index in Scheduler.busy, -1 while nothing is queued or running
 }
 
 // Scheduler is the concurrency-safe multi-queue. See the package doc.
@@ -166,6 +171,10 @@ type Scheduler struct {
 	cfg        Config
 	tenants    map[string]*tenantQ
 	maxTenants int // MaxTenants; tests shrink it
+	// busy holds the tenants with queued or running tasks, in no order:
+	// dispatch and Share walk these, not the table. A tenant joins when
+	// it gets its first task and leaves when its last one is released.
+	busy []*tenantQ
 
 	// queued and running total the tenants' queued and running tasks.
 	// They change under mu; Queued and Running read them without it.
@@ -200,7 +209,7 @@ func newTenantQ(name string, tc TenantConfig) *tenantQ {
 		w = maxWeight
 	}
 	tc.Weight = w
-	return &tenantQ{name: name, cfg: tc, stride: strideScale / uint64(w)}
+	return &tenantQ{name: name, cfg: tc, stride: strideScale / uint64(w), busyAt: -1}
 }
 
 // Admit validates tenant and priority against policy without touching
@@ -227,7 +236,7 @@ func (s *Scheduler) admitLocked(tenant string, priority int) (*tenantQ, error) {
 		if s.cfg.Strict && tenant != DefaultTenant {
 			return nil, &AdmissionError{Tenant: tenant, Reason: "not in the configured tenant set"}
 		}
-		if len(s.tenants) >= s.maxTenants {
+		if len(s.tenants) >= s.maxTenants && !s.evictIdleLocked() {
 			return nil, &AdmissionError{Tenant: tenant, Reason: "tenant table full"}
 		}
 		tn = newTenantQ(tenant, s.cfg.Default)
@@ -240,6 +249,42 @@ func (s *Scheduler) admitLocked(tenant string, priority int) (*tenantQ, error) {
 		}
 	}
 	return tn, nil
+}
+
+// evictIdleLocked drops one row that has nothing queued or running and
+// is neither configured nor the default tenant, and reports whether it
+// found one. The row's counters go with it: pool-wide totals keep its
+// outcomes, and the tenant's own series start again at 0 if it returns.
+func (s *Scheduler) evictIdleLocked() bool {
+	for name, tn := range s.tenants {
+		if _, configured := s.cfg.Tenants[name]; tn.busyAt < 0 && !configured && name != DefaultTenant {
+			delete(s.tenants, name)
+			return true
+		}
+	}
+	return false
+}
+
+// markBusy adds tn to the busy tenants if it is not there.
+func (s *Scheduler) markBusy(tn *tenantQ) {
+	if tn.busyAt < 0 {
+		tn.busyAt = len(s.busy)
+		s.busy = append(s.busy, tn)
+	}
+}
+
+// markIdle removes tn from the busy tenants once it has nothing queued
+// or running.
+func (s *Scheduler) markIdle(tn *tenantQ) {
+	if tn.busyAt < 0 || tn.tasks.Len() > 0 || tn.running > 0 {
+		return
+	}
+	last := len(s.busy) - 1
+	s.busy[tn.busyAt] = s.busy[last]
+	s.busy[tn.busyAt].busyAt = tn.busyAt
+	s.busy[last] = nil
+	s.busy = s.busy[:last]
+	tn.busyAt = -1
 }
 
 // Enqueue admits and queues a task. Typed failures: *AdmissionError
@@ -280,6 +325,7 @@ func (s *Scheduler) Enqueue(t *Task) error {
 	s.seq++
 	t.seq = s.seq
 	heap.Push(&tn.tasks, t)
+	s.markBusy(tn)
 	s.queued.Add(1)
 	s.cond.Broadcast()
 	return nil
@@ -303,10 +349,11 @@ func (s *Scheduler) Next() (*Task, bool) {
 	}
 }
 
-// popLocked dequeues the next dispatchable task, or nil.
+// popLocked dequeues the next dispatchable task, or nil: the first by
+// (pass, name) among the tenants with a task queued that may run one.
 func (s *Scheduler) popLocked() *Task {
 	var best *tenantQ
-	for _, tn := range s.tenants {
+	for _, tn := range s.busy {
 		if tn.tasks.Len() == 0 || !tn.canRunLocked() {
 			continue
 		}
@@ -338,6 +385,7 @@ func (s *Scheduler) Release(t *Task) {
 	if tn, ok := s.tenants[t.Tenant]; ok && tn.running > 0 {
 		tn.running--
 		s.running.Add(-1)
+		s.markIdle(tn)
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -399,13 +447,10 @@ func (s *Scheduler) Share(tenant string) (queued int, share float64) {
 		selfWeight = 1
 	}
 	total := 0
-	for _, tn := range s.tenants {
-		if tn != self && tn.tasks.Len() == 0 && tn.running == 0 {
-			continue
-		}
+	for _, tn := range s.busy {
 		total += tn.cfg.Weight
 	}
-	if self == nil {
+	if self == nil || self.busyAt < 0 {
 		total += selfWeight
 	}
 	if total <= 0 {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -320,19 +321,16 @@ func TestSnapshotShape(t *testing.T) {
 }
 
 // TestTenantTableBounded: non-strict mode cannot be grown without
-// bound by hostile tenant names.
+// bound by hostile tenant names. A new tenant is refused only when
+// every row has work queued or running, or is the default tenant.
 func TestTenantTableBounded(t *testing.T) {
 	s := New(Config{})
 	if MaxTenants != 1024 || s.maxTenants != MaxTenants {
 		t.Fatalf("tenant table bound %d (MaxTenants %d), want 1024", s.maxTenants, MaxTenants)
 	}
 	s.maxTenants = 3 // default queue occupies one slot
-	if _, err := s.Admit("t1", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Admit("t2", 0); err != nil {
-		t.Fatal(err)
-	}
+	enq(t, s, "t1", 0)
+	enq(t, s, "t2", 0)
 	var ae *AdmissionError
 	if _, err := s.Admit("t3", 0); !errors.As(err, &ae) {
 		t.Fatalf("over MaxTenants: %v, want AdmissionError", err)
@@ -340,5 +338,96 @@ func TestTenantTableBounded(t *testing.T) {
 	// Known tenants still admit.
 	if _, err := s.Admit("t1", 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFullTableEvictsIdleRow: 1,023 one-off tenant names fill the
+// table, and a new tenant still gets in by taking an idle row's place.
+// The table never passes MaxTenants, and a row with work queued or
+// running, a configured row and the default row are never evicted.
+func TestFullTableEvictsIdleRow(t *testing.T) {
+	plain := New(Config{})
+	for i := 1; i < MaxTenants; i++ {
+		if _, err := plain.Admit(fmt.Sprintf("oneoff-%04d", i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := plain.Admit("alice", 0); err != nil {
+		t.Fatalf("Admit(alice) after 1,023 one-off names: %v", err)
+	}
+
+	s := New(Config{Tenants: map[string]TenantConfig{"gold": {Weight: 4}}})
+	enq(t, s, "running", 0)
+	task, _ := s.Next()
+	defer s.Release(task)
+	enq(t, s, "queued", 0)
+	for i := len(s.tenants); i < MaxTenants; i++ {
+		if _, err := s.Admit(fmt.Sprintf("oneoff-%04d", i), 0); err != nil {
+			t.Fatalf("filling the table, tenant %d: %v", i, err)
+		}
+	}
+	for i := 0; i < 2*MaxTenants; i++ {
+		name := fmt.Sprintf("alice-%04d", i)
+		if _, err := s.Admit(name, 0); err != nil {
+			t.Fatalf("Admit(%s) with a full table of idle rows: %v", name, err)
+		}
+		if n := len(s.tenants); n > MaxTenants {
+			t.Fatalf("table holds %d rows, bound %d", n, MaxTenants)
+		}
+	}
+	for _, name := range []string{"gold", DefaultTenant, "queued", "running"} {
+		if _, ok := s.tenants[name]; !ok {
+			t.Errorf("row %q was evicted", name)
+		}
+	}
+	if s.tenants["queued"].tasks.Len() != 1 || s.tenants["running"].running != 1 {
+		t.Errorf("busy rows lost their work: queued %d, running %d", s.tenants["queued"].tasks.Len(), s.tenants["running"].running)
+	}
+}
+
+// TestFullTableOfBusyRowsRefuses: when no row can be evicted, a new
+// tenant is refused as before, and an idle row frees a place again.
+func TestFullTableOfBusyRowsRefuses(t *testing.T) {
+	s := New(Config{})
+	s.maxTenants = 3
+	enq(t, s, "a", 0)
+	enq(t, s, "b", 0)
+	var ae *AdmissionError
+	if _, err := s.Admit("c", 0); !errors.As(err, &ae) {
+		t.Fatalf("table of busy rows: %v, want AdmissionError", err)
+	}
+	task, _ := s.Next()
+	s.Release(task) // its tenant is idle again
+	if _, err := s.Admit("c", 0); err != nil {
+		t.Fatalf("after a row went idle: %v", err)
+	}
+	if _, ok := s.tenants[task.Tenant]; ok {
+		t.Errorf("idle row %q kept; want it evicted for c", task.Tenant)
+	}
+}
+
+// BenchmarkDispatch times one Enqueue + Next + Release with the tenant
+// table at 3 rows and at MaxTenants rows, all but one idle. Dispatch
+// walks only the tenants with work, so the two cost the same.
+func BenchmarkDispatch(b *testing.B) {
+	for _, rows := range []int{3, MaxTenants} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			s := New(Config{})
+			for i := len(s.tenants); i < rows; i++ {
+				if _, err := s.Admit(fmt.Sprintf("idle-%04d", i), 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			task := &Task{Tenant: "idle-0001", Do: func() {}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Enqueue(task); err != nil {
+					b.Fatal(err)
+				}
+				t, _ := s.Next()
+				s.Release(t)
+			}
+		})
 	}
 }

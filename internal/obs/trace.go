@@ -54,7 +54,7 @@ func decodeID(id []byte, s string) bool {
 	}
 	var nonzero byte
 	for i := range id {
-		hi, lo := unhex(s[2*i]), unhex(s[2*i+1])
+		hi, lo := hexVal[s[2*i]], hexVal[s[2*i+1]]
 		if hi > 0xf || lo > 0xf {
 			return false
 		}
@@ -64,15 +64,20 @@ func decodeID(id []byte, s string) bool {
 	return nonzero != 0
 }
 
-func unhex(c byte) byte {
-	switch {
-	case '0' <= c && c <= '9':
-		return c - '0'
-	case 'a' <= c && c <= 'f':
-		return c - 'a' + 10
+// hexVal maps a lowercase hex digit to its value and every other byte
+// to 0xff.
+var hexVal = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xff
 	}
-	return 0xff
-}
+	for c := byte('0'); c <= '9'; c++ {
+		t[c] = c - '0'
+	}
+	for c := byte('a'); c <= 'f'; c++ {
+		t[c] = c - 'a' + 10
+	}
+	return t
+}()
 
 // ValidTraceID reports whether id is a trace ID this package mints and
 // accepts: 32 lowercase hex digits, not all zeros.

@@ -177,6 +177,38 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestValidTraceIDDigits: a trace ID is accepted exactly when each of
+// its 32 characters is one of 0-9 and a-f and not all are '0'. Every
+// byte value is tried in every position.
+func TestValidTraceIDDigits(t *testing.T) {
+	const base = "0123456789abcdef0123456789abcdef"
+	for pos := 0; pos < len(base); pos++ {
+		for c := 0; c < 256; c++ {
+			id := base[:pos] + string([]byte{byte(c)}) + base[pos+1:]
+			want := '0' <= c && c <= '9' || 'a' <= c && c <= 'f'
+			if got := ValidTraceID(id); got != want {
+				t.Fatalf("ValidTraceID with byte %#x at %d = %v, want %v", c, pos, got, want)
+			}
+		}
+	}
+	if ValidTraceID(strings.Repeat("0", 32)) || !ValidTraceID(strings.Repeat("0", 31)+"1") {
+		t.Fatal("all-zero rule broken")
+	}
+}
+
+// BenchmarkDecodeID decodes a header's trace and span IDs, as
+// ParseTraceHeader does for every incoming X-Regvd-Trace.
+func BenchmarkDecodeID(b *testing.B) {
+	const tid, sid = "0123456789abcdef0123456789abcdef", "0123456789abcdef"
+	var t traceID
+	var s spanID
+	for i := 0; i < b.N; i++ {
+		if !decodeID(t[:], tid) || !decodeID(s[:], sid) {
+			b.Fatal("valid IDs refused")
+		}
+	}
+}
+
 func TestHistogramsPerSpanName(t *testing.T) {
 	tr := testTracer("s")
 	for i := 0; i < 5; i++ {
