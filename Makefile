@@ -50,7 +50,7 @@ sched:
 # graceful shutdown. CI runs this as its own job.
 chaos:
 	$(GO) test -race -count=2 \
-		-run 'Chaos|Fault|Shed|Overload|Shutdown|Panic|Invariant|Resilien|Eviction|CloseDuring|Retr' \
+		-run 'Chaos|Fault|Shed|Overload|Shutdown|Panic|Invariant|Eviction|CloseDuring|Retr' \
 		./internal/faultinject ./internal/jobs/... ./internal/sim ./cmd/regvd
 
 # Crash-recovery proof: a real regvd subprocess is SIGKILLed mid-batch
@@ -92,10 +92,16 @@ obs:
 		-run 'TestClusterTraceStitch|TestRouterTraceMalformedID|TestRouterPromAggregation' ./internal/cluster
 
 # Nemesis suite under the race detector: the fencing wire contract and
-# shipper latch/rejoin in-process, the standby fence/resync races, the
-# ship stream's lifecycle (re-dial, a break under a batch, a bounded
-# Close, a partition cutting an open stream) and its decoder's seeds,
-# the nemesis primitives, then the full Jepsen-style drill — five real
+# shipper latch/rejoin in-process (TestFencingShipperLatchesAndRejoins,
+# TestShipFencedAtLowerEpoch), a router started after an adoption
+# relearning its epoch and granting the fenced owner a higher one
+# (TestFencedOwnerRejoinsRestartedRouter), the standby store's fence
+# rule checked under the lock that writes the copy and raced against an
+# adoption (TestStandbyFencePersistsAcrossReopen,
+# TestStandbyFenceRacesApply), the standby resync races, the ship
+# stream's lifecycle (re-dial, a break under a batch, a bounded Close, a
+# partition cutting an open stream) and its decoder's seeds, the
+# nemesis primitives, then the full Jepsen-style drill — five real
 # regvd binaries under a seeded schedule of SIGKILL, asymmetric
 # partition (adoption fences the deposed primary out), SIGSTOP, and a
 # restart plus an at-rest bit-flip (healed by the read that finds it),
@@ -155,14 +161,17 @@ bench-gpu:
 # TestTracerHeap: a default-capacity tracer's live heap once its ring
 # has wrapped, and the 80-byte bound on a ring slot;
 # TestTracerHeapBounded: the same when no two spans share a string,
-# and an intern table holding exactly what the live slots name), and
-# BenchmarkSim once per workload (ns and allocations per simulated
-# cycle). CI runs this in its bench job.
+# and an intern table holding exactly what the live slots name), the
+# ship queue's reuse of an acked batch's buffer
+# (TestShipQueueReusesAckedBatch: Queue allocates nothing when the frame
+# fits it), and BenchmarkSim once per workload (ns and allocations per
+# simulated cycle). CI runs this in its bench job.
 simcost:
 	$(GO) test -count=1 -run 'TestSteadyStateAllocatesNothing|TestLaunchAllocations' ./internal/sim
 	$(GO) test -count=1 -run 'TestFrontEndAllocations' ./internal/compiler
 	$(GO) test -count=1 -run 'TestResultsPinned|TestPoolKeepsNoKernels|TestPoolKeepsNoKernelText' ./internal/jobs
 	$(GO) test -count=1 -run 'TestSpanAllocations|TestTracerHeap' ./internal/obs
+	$(GO) test -count=1 -run 'TestShipQueueReusesAckedBatch' ./internal/cluster
 	$(GO) test -run=^$$ -bench='^BenchmarkSim$$' -benchtime=1x .
 
 # The end-to-end benchmark (bench/) is its own module, so the root

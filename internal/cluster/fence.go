@@ -1,26 +1,29 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Split-brain fencing. The router is the epoch authority: every
 // keyspace (named by its owning shard) carries a monotonically
 // increasing ownership epoch, starting at 1. Exactly one writer holds
 // each (keyspace, epoch) pair:
 //
-//   - The primary stamps its current epoch on every ship request.
+//   - The primary stamps its current epoch on every ship message.
 //   - Adoption bumps the epoch: the router hands the bumped value to
-//     the adopting standby, which persists it as a fence on the
-//     shipped copy. From that moment the old primary's ships — stamped
-//     with the previous epoch — are refused with HTTP 409 (kind
-//     "fenced"), however alive the primary still is behind its
-//     partition.
+//     the adopting standby, which fences the shipped copy at it in the
+//     call that replays the copy. From then on the old primary's
+//     messages, stamped with the previous epoch, get a fenced ack and
+//     apply nothing, however alive it still is behind its partition.
 //   - A fenced primary latches: it stops shipping and refuses new
 //     submissions with 503 (kind "fenced") until the router grants it
 //     a fresh, higher epoch via POST /v1/cluster/epoch, at which point
 //     it rejoins by resyncing its whole journal as a snapshot.
 //
-// The fence only ratchets forward, so a delayed or replayed request
-// from a deposed epoch can never be accepted late.
+// The fence only ratchets forward, so a delayed or replayed message
+// from a deposed epoch can never be accepted late; an epoch of 0 is
+// below any fence.
 
 // FencedError is a ship or submit refused because the sender's epoch
 // fell below the receiver's fence — the sender lost ownership of the
@@ -37,4 +40,39 @@ type FencedError struct {
 
 func (e *FencedError) Error() string {
 	return fmt.Sprintf("cluster: keyspace %q fenced: epoch %d is stale (fence %d)", e.Keyspace, e.Epoch, e.Fence)
+}
+
+// ownership is a shard's epoch and fenced latch, kept once: its shipper
+// and shard server share it. A fenced ack latches it, and a higher
+// grant clears it. One word holds both, epoch<<1 | fenced, so a refusal
+// of an epoch that a grant has replaced cannot latch the new one.
+type ownership struct{ w atomic.Uint64 }
+
+func newOwnership() *ownership {
+	o := &ownership{}
+	o.w.Store(1 << 1) // keyspaces start life at epoch 1, matching the router
+	return o
+}
+
+func (o *ownership) load() (epoch uint64, fenced bool) {
+	w := o.w.Load()
+	return w >> 1, w&1 == 1
+}
+
+// fence latches epoch unless a grant has replaced it or it is latched
+// already, and reports whether it did.
+func (o *ownership) fence(epoch uint64) bool { return o.w.CompareAndSwap(epoch<<1, epoch<<1|1) }
+
+// grant installs epoch, clearing the latch, if it advances the record
+// (and fits the word), and returns the record it found.
+func (o *ownership) grant(epoch uint64) (prev uint64, wasFenced, ok bool) {
+	for {
+		w := o.w.Load()
+		if epoch <= w>>1 || epoch >= 1<<63 {
+			return w >> 1, w&1 == 1, false
+		}
+		if o.w.CompareAndSwap(w, epoch<<1) {
+			return w >> 1, w&1 == 1, true
+		}
+	}
 }

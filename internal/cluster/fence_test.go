@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -70,32 +72,27 @@ func TestFencingShipperLatchesAndRejoins(t *testing.T) {
 		t.Fatalf("submit during fencing: HTTP %d, want 200/202 (local durability) or 503 (already latched)", resp2.StatusCode)
 	}
 	waitFor(t, "shipper fenced latch", 10*time.Second, func() bool {
-		st := a.ship.Status()
-		return st.Fenced
+		_, fenced := a.ship.own.load()
+		return fenced
 	})
 
-	// The shard server's own latch follows (via the onFenced callback)
-	// and new submissions are refused with a typed 503 until a grant.
-	waitFor(t, "shard submit fence", 10*time.Second, func() bool {
-		resp, err := http.Post(a.url+"/v1/jobs", "application/json",
-			strings.NewReader(`{"workload":"MatrixMul"}`))
-		if err != nil {
-			return false
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			return false
-		}
-		if ra := resp.Header.Get("Retry-After"); ra == "" {
-			t.Errorf("fenced 503 missing Retry-After")
-		}
-		body, _ := io.ReadAll(resp.Body)
-		var apiErr jobs.APIError
-		if err := json.Unmarshal(body, &apiErr); err != nil || apiErr.Kind != "fenced" {
-			t.Errorf("fenced 503 body = %s, want kind fenced", body)
-		}
-		return true
-	})
+	// The shard server reads the latch the shipper set, so new
+	// submissions are refused with a typed 503 from that moment until a
+	// grant.
+	resp3, err := http.Post(a.url+"/v1/jobs", "application/json",
+		strings.NewReader(`{"workload":"MatrixMul"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp3.Body)
+	resp3.Body.Close()
+	var apiErr jobs.APIError
+	if resp3.StatusCode != http.StatusServiceUnavailable || json.Unmarshal(body, &apiErr) != nil || apiErr.Kind != "fenced" {
+		t.Fatalf("submit right after the latch: HTTP %d %s, want 503 kind fenced", resp3.StatusCode, body)
+	}
+	if ra := resp3.Header.Get("Retry-After"); ra == "" {
+		t.Errorf("fenced 503 missing Retry-After")
+	}
 
 	// Status surfaces the condition for the router's probe.
 	var ns NodeStatus
@@ -154,9 +151,6 @@ func TestFencingShipperLatchesAndRejoins(t *testing.T) {
 	if ns2.Fenced || ns2.Epoch != 3 {
 		t.Errorf("rejoined shard status = epoch %d fenced %v, want epoch 3 unfenced", ns2.Epoch, ns2.Fenced)
 	}
-	if st := a.ship.Status(); st.Fenced || st.Epoch != 3 {
-		t.Errorf("rejoined shipper = epoch %d fenced %v, want epoch 3 unfenced", st.Epoch, st.Fenced)
-	}
 }
 
 // TestShipFencedAtLowerEpoch pins the wire-level contract directly,
@@ -208,10 +202,8 @@ func TestShipFencedAtLowerEpoch(t *testing.T) {
 	}
 	journal = nil
 
-	// Epoch 0 (a pre-fencing peer) is fenced too once any fence exists:
-	// an unstamped ship cannot prove ownership. Before the first fence
-	// (0 < 0 is false) such peers pass, preserving mixed-version compat
-	// until the first failover.
+	// Epoch 0 is below any fence, so it is fenced once one exists; a
+	// keyspace never fenced (0 < 0 is false) takes it.
 	if a := ship("a", 0); a.verdict != shipFenced || a.fence != 5 {
 		t.Errorf("epoch-0 ship against fence 5: ack %+v, want fenced at 5", a)
 	}
@@ -224,6 +216,107 @@ func TestShipFencedAtLowerEpoch(t *testing.T) {
 	journal = []byte{9, 0, 0, 0, 1, 2, 3, 4, '{'}
 	if a := ship("b", 0); a.verdict != shipRefused {
 		t.Errorf("torn snapshot: ack %+v, want refused", a)
+	}
+}
+
+// TestFencedOwnerRejoinsRestartedRouter: a router started after an
+// adoption knows nothing of it and starts every keyspace at epoch 1. It
+// learns the adoption's epoch from the standby's fence in its probes,
+// so it grants the deposed, fenced owner an epoch above that fence
+// instead of marking it healthy at epoch 1; the owner rejoins, and a
+// submit routed to its keyspace succeeds there.
+func TestFencedOwnerRejoinsRestartedRouter(t *testing.T) {
+	a := newTestShard(t, "a")
+	hub := newTestShard(t, "hub")
+	a.serve("hub", hub.url)
+	hub.serve("", "")
+
+	ctx := context.Background()
+	c := client.New(a.url)
+	if _, err := c.Submit(ctx, jobs.Job{Workload: "VectorAdd"}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "hub standby copy of a", 10*time.Second, func() bool {
+		_, lastSeq := hub.sb.State("a")
+		return lastSeq > 0
+	})
+	// The hub adopts a at epoch 2, as a router that has since stopped did;
+	// a's next ship is fenced and latches it.
+	resp, err := http.Post(hub.url+"/v1/cluster/adopt", "application/json",
+		strings.NewReader(`{"shard":"a","epoch":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("adopt: HTTP %d, want 200", resp.StatusCode)
+	}
+	c.Submit(ctx, jobs.Job{Workload: "MatrixMul"}) // served locally or refused fenced
+	waitFor(t, "a fenced", 10*time.Second, func() bool {
+		_, fenced := a.ship.own.load()
+		return fenced
+	})
+
+	r, rURL := startRouter(t, []ShardInfo{{Name: "a", URL: a.url}, {Name: "hub", URL: hub.url}})
+	waitFor(t, "router grants a an epoch above the hub's fence", 10*time.Second, func() bool {
+		for _, row := range routerStatus(t, rURL).Shards {
+			if row.Name == "a" {
+				return row.Healthy && row.Epoch > 2
+			}
+		}
+		return false
+	})
+	epoch, fenced := a.ship.own.load()
+	if fenced || epoch <= 2 {
+		t.Fatalf("a after the grant: epoch %d fenced %v, want an epoch above 2, unfenced", epoch, fenced)
+	}
+	waitFor(t, "a's rejoin resync raises the hub's fence", 10*time.Second, func() bool {
+		return hub.sb.FenceEpoch("a") == epoch
+	})
+
+	var job jobs.Job
+	for i := 0; ; i++ {
+		if job = tinyJob(i); r.ring.Owner(job.Key()) == "a" {
+			break
+		}
+	}
+	body, _ := json.Marshal(job)
+	resp, err = http.Post(rURL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit to a's keyspace: HTTP %d %s, want 200", resp.StatusCode, raw)
+	}
+	if by, ep := resp.Header.Get(ServedByHeader), resp.Header.Get(EpochHeader); by != "a" || ep != strconv.FormatUint(epoch, 10) {
+		t.Errorf("submit served by %q at epoch %s, want a at %d", by, ep, epoch)
+	}
+}
+
+// TestFenceLatchNeverOutlivesGrant races a fenced ack for epoch 1
+// against a grant of epoch 2 on one ownership record. Whichever lands
+// first, the record ends at epoch 2 and unfenced: a latch for an epoch
+// a grant has replaced must not take.
+func TestFenceLatchNeverOutlivesGrant(t *testing.T) {
+	for i := 0; i < 1000; i++ {
+		o := newOwnership()
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); o.fence(1) }()
+		go func() { defer wg.Done(); o.grant(2) }()
+		wg.Wait()
+		if epoch, fenced := o.load(); epoch != 2 || fenced {
+			t.Fatalf("after a latch at 1 and a grant of 2: epoch %d fenced %v, want 2 unfenced", epoch, fenced)
+		}
+	}
+	o := newOwnership()
+	if _, _, ok := o.grant(1); ok {
+		t.Error("a grant of the current epoch took")
+	}
+	if _, _, ok := o.grant(1 << 63); ok {
+		t.Error("a grant past the record's word took")
 	}
 }
 

@@ -115,7 +115,6 @@ type Router struct {
 	submitted atomic.Uint64
 	cacheHits atomic.Uint64
 	peerHits  atomic.Uint64
-	failovers atomic.Uint64
 }
 
 // node is one backend the router knows: a ring shard, or a standby
@@ -262,6 +261,7 @@ func (r *Router) probeOne(n *node) {
 	if n.c.Get(ctx, "/v1/cluster", &st) != nil {
 		st = NodeStatus{}
 	}
+	r.learnEpochs(n, st)
 	// A ring shard reporting an epoch below the router's record is a
 	// rejoiner — deposed while partitioned, or restarted with fresh
 	// state. Grant it a fresh, higher epoch before treating it as
@@ -290,6 +290,27 @@ func (r *Router) probeOne(n *node) {
 	}
 	if sbName != "" {
 		r.ensureNode(sbName, sbURL)
+	}
+}
+
+// learnEpochs raises the router's record of each keyspace to the
+// highest epoch a probe reports for it: a ring shard's own epoch and
+// every standby copy's fence. So a router started after an adoption
+// grants the deposed owner an epoch above the adoption's fence, and its
+// own next adoption bumps past every epoch in use.
+func (r *Router) learnEpochs(n *node, st NodeStatus) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	raise := func(keyspace string, epoch uint64) {
+		if cur, ok := r.epochs[keyspace]; ok && epoch > cur {
+			r.epochs[keyspace] = epoch
+		}
+	}
+	if n.inRing && st.Role == "shard" {
+		raise(n.name, st.Epoch)
+	}
+	for _, sf := range st.StandbyFor {
+		raise(sf.Shard, sf.Fence)
 	}
 }
 
@@ -451,7 +472,6 @@ func (r *Router) route(id string) (target, owner *node, err error) {
 	}
 	defer func() {
 		if target != nil && target != owner {
-			r.failovers.Add(1)
 			owner.failedOver.Add(1)
 		}
 	}()
@@ -786,7 +806,7 @@ type RouterStatus struct {
 	Submitted uint64              `json:"submitted"`
 	CacheHits uint64              `json:"cache_hits"`
 	PeerHits  uint64              `json:"peer_hits"`
-	Failovers uint64              `json:"failovers"`
+	Failovers uint64              `json:"failovers"` // the rows' FailedOver, summed
 	UptimeSec float64             `json:"uptime_sec"`
 }
 
@@ -796,7 +816,6 @@ func (r *Router) status() RouterStatus {
 		Submitted: r.submitted.Load(),
 		CacheHits: r.cacheHits.Load(),
 		PeerHits:  r.peerHits.Load(),
-		Failovers: r.failovers.Load(),
 		UptimeSec: time.Since(r.started).Seconds(),
 	}
 	for _, n := range r.snapshotNodes() {
@@ -815,6 +834,7 @@ func (r *Router) status() RouterStatus {
 		if n.inRing {
 			row.Epoch = r.keyspaceEpoch(n.name)
 		}
+		st.Failovers += row.FailedOver
 		st.Shards = append(st.Shards, row)
 	}
 	sort.Slice(st.Shards, func(i, j int) bool { return st.Shards[i].Name < st.Shards[j].Name })

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"regvirt/internal/jobs"
@@ -40,13 +39,13 @@ type ShardServer struct {
 
 	log *slog.Logger
 
-	// epoch is this shard's ownership epoch for its own keyspace;
-	// fenced latches when the standby refuses it (our keyspace was
-	// adopted elsewhere) and clears when the router grants a fresh
-	// epoch via POST /v1/cluster/epoch. While fenced, new submissions
-	// are refused with 503 (kind "fenced") — reads keep serving.
-	epoch  atomic.Uint64
-	fenced atomic.Bool
+	// own is this shard's ownership epoch for its own keyspace and its
+	// fenced latch, shared with the shipper, which latches it when the
+	// standby refuses the epoch (our keyspace was adopted elsewhere). A
+	// fresh epoch granted via POST /v1/cluster/epoch clears it. While
+	// fenced, new submissions are refused with 503 (kind "fenced") —
+	// reads keep serving.
+	own *ownership
 
 	// streams is cancelled by EndShipStreams; msgTimeout bounds the
 	// read of one ship message, counted from the previous ack,
@@ -70,7 +69,8 @@ func (s *ShardServer) SetLogger(l *slog.Logger) {
 
 // NewShardServer assembles the shard-side surface. standby is the
 // receiving store for peers' shipped journals (nil when not a standby)
-// and shipper the outbound replication (nil when not shipping).
+// and shipper the outbound replication (nil when not shipping), whose
+// ownership record the shard shares.
 func NewShardServer(name string, pool *jobs.Pool,
 	// Deprecated: the recorder argument is ignored. Adoption re-runs
 	// marooned jobs from cycle 0 and imports nothing into the shard's
@@ -86,16 +86,12 @@ func NewShardServer(name string, pool *jobs.Pool,
 		log:        obs.Nop(),
 		msgTimeout: jobs.BodyReadTimeout,
 		adopted:    map[string]AdoptResult{},
+		own:        newOwnership(),
+	}
+	if shipper != nil {
+		s.own = shipper.own
 	}
 	s.streams, s.endStreams = context.WithCancel(context.Background())
-	s.epoch.Store(1)
-	if shipper != nil {
-		shipper.SetOnFenced(func(fence uint64) {
-			s.fenced.Store(true)
-			s.log.Warn("shard fenced: refusing new submissions until a fresh epoch is granted",
-				"shard", s.name, "fence", fence)
-		})
-	}
 	return s
 }
 
@@ -111,10 +107,10 @@ func (s *ShardServer) Handler(next http.Handler) http.Handler {
 		// A fenced shard lost its keyspace: accepting a write here could
 		// produce a second owner for the same (keyspace, epoch). Refuse
 		// until the router grants a fresh epoch; reads fall through.
-		if s.fenced.Load() {
+		if epoch, fenced := s.own.load(); fenced {
 			w.Header().Set("Retry-After", "1")
 			jobs.WriteJSON(w, http.StatusServiceUnavailable, &jobs.APIError{
-				Message: (&FencedError{Keyspace: s.name, Epoch: s.epoch.Load()}).Error(),
+				Message: (&FencedError{Keyspace: s.name, Epoch: epoch}).Error(),
 				Kind:    "fenced",
 				Status:  http.StatusServiceUnavailable,
 			})
@@ -128,7 +124,8 @@ func (s *ShardServer) Handler(next http.Handler) http.Handler {
 
 // handleEpoch installs a router-granted ownership epoch for this
 // shard's own keyspace: the fenced latch clears and the shipper (when
-// present) rejoins by resyncing at the new epoch.
+// present) rejoins by resyncing at the new epoch. A grant must advance
+// the epoch; this is the one place that checks it.
 func (s *ShardServer) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	var req epochRequest
 	if !decodeBody(w, r, &req) {
@@ -138,14 +135,13 @@ func (s *ShardServer) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		jobs.WriteError(w, http.StatusBadRequest, "epoch grant for keyspace %q does not name this shard (%s)", req.Keyspace, s.name)
 		return
 	}
-	if req.Epoch <= s.epoch.Load() {
-		jobs.WriteError(w, http.StatusBadRequest, "epoch %d does not advance current epoch %d", req.Epoch, s.epoch.Load())
+	prev, wasFenced, ok := s.own.grant(req.Epoch)
+	if !ok {
+		jobs.WriteError(w, http.StatusBadRequest, "epoch %d does not advance current epoch %d", req.Epoch, prev)
 		return
 	}
-	s.epoch.Store(req.Epoch)
-	wasFenced := s.fenced.Swap(false)
 	if s.shipper != nil {
-		s.shipper.SetEpoch(req.Epoch)
+		s.shipper.markResync()
 	}
 	s.log.Info("ownership epoch granted", "shard", s.name, "epoch", req.Epoch, "was_fenced", wasFenced)
 	jobs.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "epoch": req.Epoch})
@@ -244,39 +240,30 @@ func readMessage(r io.Reader, n int) ([]byte, error) {
 
 // applyShip files one message into the standby copy of shard and
 // returns its verdict and count; the caller adds the copy's state. The
-// fence check runs first, DESIGN §15's epoch-0 rule included: an epoch
-// below the fence is refused, a higher one is learned and persisted (a
-// legitimate ship from a newer owner ratchets the fence forward so the
-// deposed owner can never slip back in). Then a batch appends the
-// frames that extend the copy, and a gap or a bad frame asks for a
-// resync after the whole frames before it; a snapshot replaces the copy
-// only if it replays whole.
+// store applies the fence rule under the lock it writes the copy under
+// (an epoch below the fence applies nothing, a higher one raises it);
+// here its errors only become verdicts. A batch appends the frames that
+// extend the copy, and a gap or a bad frame asks for a resync after the
+// whole frames before it; a snapshot replaces the copy only if it
+// replays whole.
 func (s *ShardServer) applyShip(shard string, h shipHeader, body []byte) shipAck {
-	if fence := s.standby.FenceEpoch(shard); h.epoch < fence {
-		return shipAck{verdict: shipFenced}
-	} else if h.epoch > fence {
-		if err := s.standby.Fence(shard, h.epoch); err != nil {
-			s.log.Warn("ship message refused: persist fence", "shard", s.name, "from", shard, "epoch", h.epoch, "err", err)
-			return shipAck{verdict: shipRefused}
-		}
-	}
+	apply := s.standby.ApplyFrames
 	if h.snapshot {
-		n, err := s.standby.InstallSnapshot(shard, h.gen, body)
-		if err != nil {
-			s.log.Warn("ship snapshot refused", "shard", s.name, "from", shard, "gen", h.gen, "err", err)
-			return shipAck{verdict: shipRefused}
-		}
-		s.log.Info("installed journal snapshot", "shard", s.name, "from", shard, "gen", h.gen, "records", n)
-		return shipAck{verdict: shipOK, applied: uint32(n)}
+		apply = s.standby.InstallSnapshot
 	}
-	n, err := s.standby.ApplyFrames(shard, h.gen, body)
+	n, err := apply(shard, h.epoch, h.gen, body)
 	ack := shipAck{verdict: shipOK, applied: uint32(n)}
 	switch {
 	case err == nil:
-	case errors.Is(err, store.ErrGap) || errors.Is(err, store.ErrBadFrame):
+		if h.snapshot {
+			s.log.Info("installed journal snapshot", "shard", s.name, "from", shard, "gen", h.gen, "records", n)
+		}
+	case errors.Is(err, store.ErrFenced):
+		ack.verdict = shipFenced
+	case !h.snapshot && (errors.Is(err, store.ErrGap) || errors.Is(err, store.ErrBadFrame)):
 		ack.verdict = shipResync
 	default:
-		s.log.Warn("ship batch refused", "shard", s.name, "from", shard, "gen", h.gen, "err", err)
+		s.log.Warn("ship message refused", "shard", s.name, "from", shard, "gen", h.gen, "snapshot", h.snapshot, "err", err)
 		ack.verdict = shipRefused
 	}
 	return ack
@@ -356,20 +343,14 @@ func (s *ShardServer) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	defer sp.End()
 	sp.SetAttr("shard", s.name)
 	sp.SetAttr("from", req.Shard)
-	// Fence before replaying: from this moment the old primary's ships
+	// Recover fences the copy at the adoption's epoch in the same call
+	// that replays it: from that moment the old primary's messages
 	// (stamped with the pre-adoption epoch) are refused, so the journal
-	// we are about to replay can never be extended behind our back.
-	if req.Epoch > 0 {
-		if err := s.standby.Fence(req.Shard, req.Epoch); err != nil {
-			sp.SetError(err)
-			jobs.WriteError(w, http.StatusInternalServerError, "fence %s at epoch %d: %v", req.Shard, req.Epoch, err)
-			return
-		}
-	}
-	recovered, err := s.standby.Recover(req.Shard)
+	// replayed here can never be extended behind our back.
+	recovered, err := s.standby.Recover(req.Shard, req.Epoch)
 	if err != nil {
 		sp.SetError(err)
-		jobs.WriteError(w, http.StatusInternalServerError, "recover %s: %v", req.Shard, err)
+		jobs.WriteError(w, http.StatusInternalServerError, "recover %s at epoch %d: %v", req.Shard, req.Epoch, err)
 		return
 	}
 	resumed := s.pool.Restore(recovered)
@@ -389,7 +370,8 @@ func (s *ShardServer) handleAdopt(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *ShardServer) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	st := NodeStatus{Role: "shard", Shard: s.name, Epoch: s.epoch.Load(), Fenced: s.fenced.Load()}
+	st := NodeStatus{Role: "shard", Shard: s.name}
+	st.Epoch, st.Fenced = s.own.load()
 	if s.shipper != nil {
 		st.ShipsTo = s.shipper.Status()
 	}

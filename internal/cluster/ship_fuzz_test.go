@@ -19,9 +19,9 @@ import (
 // one stream. The handler never panics. It answers exactly one ack per
 // whole message, and one refusal for a length past maxShipBody, which
 // ends the stream; a message cut short gets no ack and applies nothing.
-// Each ack, and the copy left on disk, match a second standby that runs
-// the fence rule, ApplyFrames and InstallSnapshot directly on the same
-// messages.
+// Each ack, and the copy left on disk, match a second standby that
+// checks the fence itself and then runs ApplyFrames and InstallSnapshot
+// directly on the same messages.
 func FuzzShipStream(f *testing.F) {
 	journal := wholeJournal(f) // one accept, seq 1
 	batch := shipMessage(1, 7, false, journal)
@@ -89,19 +89,17 @@ func FuzzShipStream(f *testing.F) {
 }
 
 // refApply is the standby's rule for one message, applied to ref by
-// calling the store directly: below the fence nothing applies, above it
-// the fence is raised first; then a batch appends, asking for a resync
-// at a gap or a bad frame, and a snapshot installs if it replays whole.
+// calling the store directly. Below the fence nothing applies, checked
+// here before the store is called, so the store's own check is tested
+// against it; otherwise the store raises the fence, and a batch
+// appends, asking for a resync at a gap or a bad frame, and a snapshot
+// installs if it replays whole.
 func refApply(t *testing.T, ref *store.StandbyStore, h shipHeader, body []byte) shipAck {
-	fence := ref.FenceEpoch("p")
-	if h.epoch < fence {
+	if h.epoch < ref.FenceEpoch("p") {
 		return shipAck{verdict: shipFenced}
 	}
-	if err := ref.Fence("p", h.epoch); err != nil {
-		t.Fatal(err)
-	}
 	if h.snapshot {
-		n, err := ref.InstallSnapshot("p", h.gen, body)
+		n, err := ref.InstallSnapshot("p", h.epoch, h.gen, body)
 		if errors.Is(err, store.ErrBadFrame) {
 			return shipAck{verdict: shipRefused}
 		} else if err != nil {
@@ -109,7 +107,7 @@ func refApply(t *testing.T, ref *store.StandbyStore, h shipHeader, body []byte) 
 		}
 		return shipAck{verdict: shipOK, applied: uint32(n)}
 	}
-	n, err := ref.ApplyFrames("p", h.gen, body)
+	n, err := ref.ApplyFrames("p", h.epoch, h.gen, body)
 	switch {
 	case err == nil:
 		return shipAck{verdict: shipOK, applied: uint32(n)}

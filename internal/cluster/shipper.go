@@ -55,16 +55,18 @@ type Shipper struct {
 	mu sync.Mutex
 	// queue holds the queued frames back to back, as the journal holds
 	// them, after shipHeaderSize bytes of room for the batch message's
-	// header; it is nil while nothing is queued.
+	// header; it is nil while nothing is queued. spare is the last acked
+	// batch's buffer when it is at most shipSpareMax bytes: the stream is
+	// done with it once its round trip has returned.
 	queue      []byte
+	spare      []byte
 	gen        uint64 // generation of the queued frames
 	queued     int    // frames in queue
 	needResync bool
-	fenced     bool // standby refused our epoch: stop shipping until SetEpoch
 	closed     bool
 	cut        bool // Close's deadline passed: dial no new stream
 
-	onFenced func(fence uint64) // fired once per fenced transition
+	own *ownership // the shard's epoch, stamped on every message, and fenced latch
 
 	// flushEvery is the background flusher's tick, shipFlushEvery
 	// outside tests; timeout bounds one message's round trip and Close's
@@ -77,7 +79,6 @@ type Shipper struct {
 
 	st *store.Store
 
-	epoch            atomic.Uint64 // our keyspace ownership epoch, stamped on every message
 	framesShipped    atomic.Uint64
 	resyncs          atomic.Uint64
 	syncShipFailures atomic.Uint64
@@ -90,6 +91,7 @@ type Shipper struct {
 // long standby outage costs one snapshot, not unbounded memory.
 const (
 	shipQueueMax   = 4096
+	shipSpareMax   = 4 << 10
 	shipFlushEvery = 50 * time.Millisecond
 	// shipTimeout bounds one message, from the write of its first byte
 	// (and the dial, for a stream's first message) to the read of its
@@ -115,8 +117,8 @@ func NewShipper(shard, peer, base string, st *store.Store) *Shipper {
 		done:       make(chan struct{}),
 		exit:       make(chan struct{}),
 		st:         st,
+		own:        newOwnership(),
 	}
-	sh.epoch.Store(1) // keyspaces start life at epoch 1, matching the router
 	return sh
 }
 
@@ -125,34 +127,6 @@ func NewShipper(shard, peer, base string, st *store.Store) *Shipper {
 // here. Call before Start.
 func (sh *Shipper) SetTransport(rt http.RoundTripper) {
 	sh.hc.Transport = rt
-}
-
-// SetOnFenced registers the fenced-transition callback, fired (on its
-// own goroutine) the first time the standby refuses the shipper's
-// epoch. The shard server uses it to latch its own submit fence. Call
-// before Start.
-func (sh *Shipper) SetOnFenced(fn func(fence uint64)) {
-	sh.onFenced = fn
-}
-
-// SetEpoch installs a freshly granted ownership epoch: the fenced
-// latch clears and the shipper rejoins by resyncing its whole journal
-// at the new epoch (nothing shipped while fenced, so only a snapshot
-// re-establishes continuity).
-func (sh *Shipper) SetEpoch(epoch uint64) {
-	if epoch <= sh.epoch.Load() {
-		return
-	}
-	sh.epoch.Store(epoch)
-	sh.mu.Lock()
-	wasFenced := sh.fenced
-	sh.fenced = false
-	sh.needResync = true
-	sh.mu.Unlock()
-	if wasFenced {
-		sh.log.Info("epoch granted; rejoining via resync", "shard", sh.shard, "epoch", epoch)
-	}
-	sh.poke()
 }
 
 // SetLogger routes the shipper's degradation log lines (sync-ship
@@ -207,7 +181,7 @@ func (sh *Shipper) Close() {
 func (sh *Shipper) Queue(gen uint64, frame []byte) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.closed || sh.fenced {
+	if _, fenced := sh.own.load(); sh.closed || fenced {
 		// Fenced: we lost the keyspace. Nothing ships until a fresh epoch
 		// arrives, at which point a full resync supersedes this frame.
 		return
@@ -221,7 +195,11 @@ func (sh *Shipper) Queue(gen uint64, frame []byte) {
 	}
 	sh.gen = gen
 	if sh.queued == 0 {
-		sh.queue = make([]byte, shipHeaderSize, shipHeaderSize+len(frame))
+		if cap(sh.spare) >= shipHeaderSize+len(frame) {
+			sh.queue, sh.spare = sh.spare[:shipHeaderSize], nil
+		} else {
+			sh.queue = make([]byte, shipHeaderSize, shipHeaderSize+len(frame))
+		}
 	}
 	sh.queue = append(sh.queue, frame...)
 	sh.queued++
@@ -237,8 +215,9 @@ func (sh *Shipper) Queue(gen uint64, frame []byte) {
 // snapshot carries the frame.
 func (sh *Shipper) Ship() {
 	sh.mu.Lock()
-	closed, fenced, needResync := sh.closed, sh.fenced, sh.needResync
+	closed, needResync := sh.closed, sh.needResync
 	sh.mu.Unlock()
+	_, fenced := sh.own.load()
 	switch {
 	case closed || fenced:
 		// Nothing ships; after a grant, a resync carries the frame.
@@ -254,7 +233,11 @@ func (sh *Shipper) Ship() {
 
 // JournalRewritten implements store.Sink: a new generation invalidates
 // every queued frame; the flusher resyncs from ExportJournal.
-func (sh *Shipper) JournalRewritten(uint64) {
+func (sh *Shipper) JournalRewritten(uint64) { sh.markResync() }
+
+// markResync drops the queue and has the flusher ship the whole journal
+// next: after a rewrite, or a grant (nothing shipped while fenced).
+func (sh *Shipper) markResync() {
 	sh.mu.Lock()
 	sh.queue, sh.queued = nil, 0
 	sh.needResync = true
@@ -289,10 +272,10 @@ func (sh *Shipper) run() {
 // flush resyncs if needed, then ships the frame queue.
 func (sh *Shipper) flush() {
 	sh.mu.Lock()
-	needResync, fenced := sh.needResync, sh.fenced
+	needResync := sh.needResync
 	sh.mu.Unlock()
-	if fenced {
-		return // deposed: wait for SetEpoch
+	if _, fenced := sh.own.load(); fenced {
+		return // deposed: wait for a grant
 	}
 	if needResync {
 		if err := sh.resync(); err != nil {
@@ -304,24 +287,19 @@ func (sh *Shipper) flush() {
 	_ = sh.shipFrames()
 }
 
-// noteFencedLocked latches the fenced state when err is a fencing
-// refusal of our current epoch (sh.mu held). A refusal of an epoch
-// that a grant has since replaced is stale and ignored. Queued frames
-// are dropped — they belong to a keyspace this node no longer owns —
-// and the transition callback fires once so the shard server can
-// refuse new submissions too.
+// noteFencedLocked latches the shard's ownership record when err is a
+// fencing refusal of its current epoch (sh.mu held); a refusal of an
+// epoch that a grant has since replaced is stale and ignored. From the
+// latch on, the shard refuses new submissions too. Queued frames are
+// dropped: they belong to a keyspace this node no longer owns.
 func (sh *Shipper) noteFencedLocked(err error) {
 	var fe *FencedError
-	if !errors.As(err, &fe) || sh.fenced || fe.Epoch < sh.epoch.Load() {
+	if !errors.As(err, &fe) || !sh.own.fence(fe.Epoch) {
 		return
 	}
-	sh.fenced = true
 	sh.queue, sh.queued = nil, 0
-	sh.log.Warn("shipper fenced: keyspace adopted elsewhere; awaiting fresh epoch",
+	sh.log.Warn("shard fenced: keyspace adopted elsewhere; refusing new submissions until a fresh epoch is granted",
 		"shard", sh.shard, "standby", sh.peer, "epoch", fe.Epoch, "fence", fe.Fence)
-	if sh.onFenced != nil {
-		go sh.onFenced(fe.Fence)
-	}
 }
 
 // shipFrames ships the queued frames as one batch message. Under send,
@@ -345,6 +323,9 @@ func (sh *Shipper) shipFrames() error {
 		sh.needResync = true
 		sh.noteFencedLocked(err)
 		return err
+	}
+	if cap(msg) <= shipSpareMax {
+		sh.spare = msg
 	}
 	sh.framesShipped.Add(uint64(ack.applied))
 	sh.ackGen.Store(ack.gen)
@@ -400,7 +381,7 @@ var errShipTimeout = errors.New("cluster: ship timed out")
 // is none, or if the standby ended the last one between messages, and
 // closes a stream that fails. A fenced or refused verdict is an error.
 func (sh *Shipper) roundTrip(gen uint64, snapshot bool, msg []byte) (shipAck, error) {
-	epoch := sh.epoch.Load()
+	epoch, _ := sh.own.load()
 	putShipHeader(msg, shipHeader{size: uint32(len(msg) - shipHeaderSize), epoch: epoch, gen: gen, snapshot: snapshot})
 	if sh.stream != nil && sh.stream.over() {
 		sh.dropStream() // idle past the standby's bound, or a standby restart
@@ -577,7 +558,7 @@ func (st *shipStream) failure() error {
 // Status reports the shipper's view for /v1/cluster.
 func (sh *Shipper) Status() *ShipTargetStatus {
 	sh.mu.Lock()
-	queued, pendingResync, fenced := sh.queued, sh.needResync, sh.fenced
+	queued, pendingResync := sh.queued, sh.needResync
 	sh.mu.Unlock()
 	return &ShipTargetStatus{
 		Name:             sh.peer,
@@ -589,7 +570,5 @@ func (sh *Shipper) Status() *ShipTargetStatus {
 		FramesShipped:    sh.framesShipped.Load(),
 		Resyncs:          sh.resyncs.Load(),
 		SyncShipFailures: sh.syncShipFailures.Load(),
-		Epoch:            sh.epoch.Load(),
-		Fenced:           fenced,
 	}
 }

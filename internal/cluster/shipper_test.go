@@ -404,7 +404,7 @@ func TestConcurrentAcceptsShipTheirFrames(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				recovered, err := sb.sb.Recover(pri.name)
+				recovered, err := sb.sb.Recover(pri.name, 0)
 				if err != nil {
 					t.Error(err)
 					return

@@ -147,14 +147,13 @@ type ShipTargetStatus struct {
 	FramesShipped    uint64 `json:"frames_shipped"`
 	Resyncs          uint64 `json:"resyncs"`
 	SyncShipFailures uint64 `json:"sync_ship_failures"`
-	Epoch            uint64 `json:"epoch,omitempty"`
-	Fenced           bool   `json:"fenced,omitempty"`
 }
 
-// NodeStatus is a shard's GET /v1/cluster body: its own name, where it
-// ships, which shards it is standby for, and what it has adopted. The
-// router reads ShipsTo from here to learn failover targets — the dead
-// shard cannot be asked, so the topology is captured while it is alive.
+// NodeStatus is a shard's GET /v1/cluster body: its own name, epoch and
+// latch, where it ships, which shards it is standby for, and what it has
+// adopted. The router reads ShipsTo from here to learn failover targets
+// — the dead shard cannot be asked, so the topology is captured while
+// it is alive — and Epoch and the StandbyFor fences to learn epochs.
 type NodeStatus struct {
 	Role       string              `json:"role"`
 	Shard      string              `json:"shard"`

@@ -62,7 +62,7 @@ func Fig12(r *Runner) ([]Fig12Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		baseEnergy := model.Breakdown(countersOf(base, 0)).TotalPJ()
+		baseEnergy := model.Breakdown(power.CountersOf(base, 0)).TotalPJ()
 		for _, c := range []Fig12Config{Cfg128PG, Cfg64, Cfg64PG} {
 			res, err := r.Run(w, KernelVirt, fig12Cfg(c))
 			if err != nil {
@@ -73,7 +73,7 @@ func Fig12(r *Runner) ([]Fig12Row, error) {
 				return nil, err
 			}
 			tableBytes := tableBytesFor(k.Prog.RegCount, k.Exempt, w.ResidentWarps())
-			e := model.Breakdown(countersOf(res, tableBytes))
+			e := model.Breakdown(power.CountersOf(res, tableBytes))
 			row := Fig12Row{
 				App: w.Name, Config: c,
 				Dynamic:     e.DynamicPJ / baseEnergy,
@@ -101,20 +101,6 @@ func Fig12(r *Runner) ([]Fig12Row, error) {
 		out = append(out, *avg)
 	}
 	return out, nil
-}
-
-// countersOf converts a simulation result into power-model counters.
-func countersOf(res *sim.Result, renameTableBytes int) power.Counters {
-	return power.Counters{
-		Cycles:           res.Cycles,
-		RF:               res.RF,
-		Rename:           res.Rename,
-		Flag:             res.Flag,
-		DecodedPirs:      res.DecodedPirs,
-		DecodedPbrs:      res.DecodedPbrs,
-		PhysRegs:         res.PhysRegs,
-		RenameTableBytes: renameTableBytes,
-	}
 }
 
 func tableBytesFor(regCount, exempt, warps int) int {

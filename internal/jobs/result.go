@@ -313,11 +313,7 @@ func encodeResult(k *compiler.Kernel, cfg sim.Config, tableBytes int, res *sim.R
 		// wrapper backends pay no rename-table energy.
 		tb = tableBytes
 	}
-	e := power.NewModel(power.DefaultParams()).Breakdown(power.Counters{
-		Cycles: res.Cycles, RF: res.RF, Rename: res.Rename, Flag: res.Flag,
-		DecodedPirs: res.DecodedPirs, DecodedPbrs: res.DecodedPbrs,
-		PhysRegs: res.PhysRegs, RenameTableBytes: tb,
-	})
+	e := power.NewModel(power.DefaultParams()).Breakdown(power.CountersOf(res, tb))
 	r.Energy = ResultEnergy{
 		DynamicPJ: e.DynamicPJ, StaticPJ: e.StaticPJ,
 		RenameTablePJ: e.RenameTablePJ, FlagInstrPJ: e.FlagInstrPJ,

@@ -166,10 +166,10 @@ func FuzzShipFrames(f *testing.F) {
 		recs, valid := readJournal(body)
 
 		if snapshot {
-			if _, err := ss.ApplyFrames("p", 1, base); err != nil {
+			if _, err := ss.ApplyFrames("p", 0, 1, base); err != nil {
 				t.Fatal(err)
 			}
-			n, err := ss.InstallSnapshot("p", gen, body)
+			n, err := ss.InstallSnapshot("p", 0, gen, body)
 			g, l := ss.State("p")
 			if valid != int64(len(body)) {
 				if !errors.Is(err, ErrBadFrame) || !bytes.Equal(copyOf(), base) || g != 1 || l != 2 {
@@ -187,7 +187,7 @@ func FuzzShipFrames(f *testing.F) {
 			return
 		}
 
-		applied, err := ss.ApplyFrames("p", gen, body)
+		applied, err := ss.ApplyFrames("p", 0, gen, body)
 		// The copy a correct standby holds after this batch.
 		var (
 			want       []byte

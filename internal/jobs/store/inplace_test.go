@@ -183,14 +183,14 @@ func TestStandbyFailedAppendAppliesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	if n, err := ss.ApplyFrames("s", 1, frameFor(t, 1, acceptRec("aaa1"))); err != nil || n != 1 {
+	if n, err := ss.ApplyFrames("s", 0, 1, frameFor(t, 1, acceptRec("aaa1"))); err != nil || n != 1 {
 		t.Fatalf("first frame: applied %d, err %v", n, err)
 	}
 	ss.mu.Lock()
 	ss.shards["s"].j.f.Close() // every write now fails
 	ss.mu.Unlock()
 	batch := batchOf(frameFor(t, 2, acceptRec("bbb2")), frameFor(t, 3, acceptRec("ccc3")))
-	n, err := ss.ApplyFrames("s", 1, batch)
+	n, err := ss.ApplyFrames("s", 0, 1, batch)
 	if err == nil || errors.Is(err, ErrGap) || errors.Is(err, ErrBadFrame) || n != 0 {
 		t.Fatalf("batch into a failing file: applied %d, err %v; want 0 and a write error", n, err)
 	}

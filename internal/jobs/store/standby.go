@@ -17,7 +17,7 @@ import (
 //
 //	<dir>/<shard>/shipped.wal  — the shipped journal, a journalFile like the primary's
 //	<dir>/<shard>/journal.gen  — the shipped generation
-//	<dir>/<shard>/fence.epoch  — the fence epoch (see Fence)
+//	<dir>/<shard>/fence.epoch  — the fence epoch (see ErrFenced)
 //
 // The copy stays bounded because the primary compacts the journal it
 // ships: a compaction reaches the standby as a snapshot that replaces
@@ -107,30 +107,10 @@ func (ss *StandbyStore) loadShard(shard string) (*standbyShard, error) {
 // a restarted standby keeps refusing a deposed primary's ships.
 const fenceName = "fence.epoch"
 
-// Fence raises (never lowers — the fence only ratchets forward) the
-// minimum ownership epoch accepted for the shard's copy, persisting it
-// durably before it takes effect. Called on adoption with the router's
-// bumped epoch, and on ships that present a legitimately higher epoch.
-func (ss *StandbyStore) Fence(shard string, epoch uint64) error {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.closed {
-		return ErrClosed
-	}
-	sh, err := ss.shardLocked(shard)
-	if err != nil {
-		return err
-	}
-	if epoch <= sh.fence {
-		return nil
-	}
-	sdir := filepath.Join(ss.dir, shard)
-	if err := writeUint(filepath.Join(sdir, fenceName), epoch); err != nil {
-		return err
-	}
-	sh.fence = epoch
-	return nil
-}
+// ErrFenced refuses a shipped message stamped with an ownership epoch
+// below the copy's fence: its sender lost the keyspace to a newer owner,
+// and nothing of the message is applied.
+var ErrFenced = errors.New("store: standby: epoch below the copy's fence")
 
 // FenceEpoch returns the shard copy's current fence (0 = unfenced).
 func (ss *StandbyStore) FenceEpoch(shard string) uint64 {
@@ -147,25 +127,39 @@ func (ss *StandbyStore) FenceEpoch(shard string) uint64 {
 // [A-Za-z0-9_-].
 func ValidShard(name string) bool { return safeID(name) }
 
-// shard returns (creating if needed) the shard's state; ss.mu held.
-func (ss *StandbyStore) shardLocked(shard string) (*standbyShard, error) {
+// shardLocked returns (creating if needed) the shard's copy, its fence
+// raised to epoch and persisted before that takes effect; an epoch at
+// or below the fence leaves it as it is, since the fence only ratchets
+// forward. ss.mu held.
+func (ss *StandbyStore) shardLocked(shard string, epoch uint64) (*standbyShard, error) {
+	if ss.closed {
+		return nil, ErrClosed
+	}
 	if !safeID(shard) {
 		return nil, fmt.Errorf("store: standby: invalid shard name %q", shard)
 	}
-	if sh, ok := ss.shards[shard]; ok {
-		return sh, nil
+	sh, ok := ss.shards[shard]
+	if !ok {
+		var err error
+		if sh, err = ss.loadShard(shard); err != nil {
+			return nil, err
+		}
+		ss.shards[shard] = sh
 	}
-	sh, err := ss.loadShard(shard)
-	if err != nil {
-		return nil, err
+	if epoch > sh.fence {
+		if err := writeUint(filepath.Join(ss.dir, shard, fenceName), epoch); err != nil {
+			return nil, err
+		}
+		sh.fence = epoch
 	}
-	ss.shards[shard] = sh
 	return sh, nil
 }
 
 // ApplyFrames appends a shipped batch — journal frames of generation
-// gen, as the primary's journal holds them — to the shard's copy, and
-// returns how many frames were newly applied. Frames are checked with
+// gen, as the primary's journal holds them, stamped with the sender's
+// ownership epoch — to the shard's copy, and returns how many frames
+// were newly applied. An epoch below the copy's fence applies nothing
+// (ErrFenced); a higher one raises the fence. Frames are checked with
 // the replay decoder, and the ones that extend the copy are appended
 // with one write; a failed write applies none of them. It fsyncs once
 // at the end, and only when the batch applied an accept: an accept is
@@ -180,13 +174,13 @@ func (ss *StandbyStore) shardLocked(shard string) (*standbyShard, error) {
 // ErrGap/ErrBadFrame (everything before it is kept — it extended the
 // copy validly). An empty copy adopts the generation of the first
 // batch whose first frame is seq 1.
-func (ss *StandbyStore) ApplyFrames(shard string, gen uint64, batch []byte) (applied int, err error) {
+func (ss *StandbyStore) ApplyFrames(shard string, epoch, gen uint64, batch []byte) (applied int, err error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if ss.closed {
-		return 0, ErrClosed
+	sh, err := ss.shardLocked(shard, epoch)
+	if err == nil && epoch < sh.fence {
+		err = fmt.Errorf("%w: epoch %d, fence %d", ErrFenced, epoch, sh.fence)
 	}
-	sh, err := ss.shardLocked(shard)
 	if err != nil {
 		return 0, err
 	}
@@ -249,17 +243,18 @@ func (ss *StandbyStore) ApplyFrames(shard string, gen uint64, batch []byte) (app
 }
 
 // InstallSnapshot replaces the shard's copy wholesale with a shipped
-// journal of generation gen: the resync path. The snapshot must replay
-// whole (ErrBadFrame otherwise, and the copy stays as it was); after
-// it, ApplyFrames expects the sequence number after its last record's.
-// It returns the number of records installed.
-func (ss *StandbyStore) InstallSnapshot(shard string, gen uint64, journal []byte) (int, error) {
+// journal of generation gen, stamped with the sender's ownership epoch:
+// the resync path. The fence rule is ApplyFrames'. The snapshot must
+// replay whole (ErrBadFrame otherwise, and the copy stays as it was);
+// after it, ApplyFrames expects the sequence number after its last
+// record's. It returns the number of records installed.
+func (ss *StandbyStore) InstallSnapshot(shard string, epoch, gen uint64, journal []byte) (int, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if ss.closed {
-		return 0, ErrClosed
+	sh, err := ss.shardLocked(shard, epoch)
+	if err == nil && epoch < sh.fence {
+		err = fmt.Errorf("%w: epoch %d, fence %d", ErrFenced, epoch, sh.fence)
 	}
-	sh, err := ss.shardLocked(shard)
 	if err != nil {
 		return 0, err
 	}
@@ -278,19 +273,17 @@ func (ss *StandbyStore) InstallSnapshot(shard string, gen uint64, journal []byte
 	return len(recs), nil
 }
 
-// Recover reconstructs the shard's jobs from its shipped copy, in
-// acceptance order. "done" entries come back as pending: the result
-// file lives on the (dead) primary's disk, and re-running is
-// byte-identical by the determinism contract, so adoption re-enqueues
-// them. "failed" entries stay failed — the journal promises they fail
-// deterministically.
-func (ss *StandbyStore) Recover(shard string) ([]jobs.RecoveredJob, error) {
+// Recover adopts the shard's copy at ownership epoch: under one lock it
+// raises the fence to epoch, so nothing the deposed owner ships lands
+// after the replay, and reconstructs the jobs in acceptance order.
+// "done" entries come back as pending: the result file lives on the
+// (dead) primary's disk, and re-running is byte-identical by the
+// determinism contract, so adoption re-enqueues them. "failed" entries
+// stay failed — the journal promises they fail deterministically.
+func (ss *StandbyStore) Recover(shard string, epoch uint64) ([]jobs.RecoveredJob, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if ss.closed {
-		return nil, ErrClosed
-	}
-	sh, err := ss.shardLocked(shard)
+	sh, err := ss.shardLocked(shard, epoch)
 	if err != nil {
 		return nil, err
 	}

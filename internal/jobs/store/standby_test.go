@@ -194,7 +194,7 @@ func TestStandbyTruncatedFrameMidShip(t *testing.T) {
 	binary.LittleEndian.PutUint32(f2[4:], crc32.Checksum(payload, castagnoli)) // the CRC of the whole payload
 	f3 := frameFor(t, 3, acceptRec("ccc3"))
 
-	applied, err := ss.ApplyFrames("shard1", 1, batchOf(f1, f2, f3))
+	applied, err := ss.ApplyFrames("shard1", 0, 1, batchOf(f1, f2, f3))
 	if !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("err = %v, want ErrBadFrame", err)
 	}
@@ -206,11 +206,11 @@ func TestStandbyTruncatedFrameMidShip(t *testing.T) {
 	}
 	// A CRC forged to match the truncated payload is still rejected:
 	// the payload no longer decodes as a journal record.
-	if _, err := ss.ApplyFrames("shard1", 1, frameBytes(cut)); !errors.Is(err, ErrBadFrame) {
+	if _, err := ss.ApplyFrames("shard1", 0, 1, frameBytes(cut)); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("forged-CRC truncated frame: err = %v, want ErrBadFrame", err)
 	}
 	// Recovery sees only the intact record.
-	recovered, err := ss.Recover("shard1")
+	recovered, err := ss.Recover("shard1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,18 +229,18 @@ func TestStandbyDuplicateReplayIdempotent(t *testing.T) {
 	}
 	defer ss.Close()
 	f1, f2 := frameFor(t, 1, acceptRec("aaa1")), frameFor(t, 2, acceptRec("bbb2"))
-	if n, err := ss.ApplyFrames("shard1", 1, batchOf(f1, f2)); err != nil || n != 2 {
+	if n, err := ss.ApplyFrames("shard1", 0, 1, batchOf(f1, f2)); err != nil || n != 2 {
 		t.Fatalf("first apply = %d, %v", n, err)
 	}
 	// Full replay, then a partially-overlapping batch.
-	if n, err := ss.ApplyFrames("shard1", 1, batchOf(f1, f2)); err != nil || n != 0 {
+	if n, err := ss.ApplyFrames("shard1", 0, 1, batchOf(f1, f2)); err != nil || n != 0 {
 		t.Fatalf("duplicate replay = %d, %v; want 0, nil", n, err)
 	}
 	overlap := batchOf(f2, frameFor(t, 3, acceptRec("ccc3")))
-	if n, err := ss.ApplyFrames("shard1", 1, overlap); err != nil || n != 1 {
+	if n, err := ss.ApplyFrames("shard1", 0, 1, overlap); err != nil || n != 1 {
 		t.Fatalf("overlapping batch = %d, %v; want 1, nil", n, err)
 	}
-	recovered, err := ss.Recover("shard1")
+	recovered, err := ss.Recover("shard1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,24 +258,24 @@ func TestStandbyGapForcesResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	if _, err := ss.ApplyFrames("s", 1, frameFor(t, 1, acceptRec("aaa1"))); err != nil {
+	if _, err := ss.ApplyFrames("s", 0, 1, frameFor(t, 1, acceptRec("aaa1"))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ss.ApplyFrames("s", 1, frameFor(t, 3, acceptRec("ccc3"))); !errors.Is(err, ErrGap) {
+	if _, err := ss.ApplyFrames("s", 0, 1, frameFor(t, 3, acceptRec("ccc3"))); !errors.Is(err, ErrGap) {
 		t.Fatalf("seq gap err = %v, want ErrGap", err)
 	}
-	if _, err := ss.ApplyFrames("s", 2, frameFor(t, 2, acceptRec("ccc3"))); !errors.Is(err, ErrGap) {
+	if _, err := ss.ApplyFrames("s", 0, 2, frameFor(t, 2, acceptRec("ccc3"))); !errors.Is(err, ErrGap) {
 		t.Fatalf("gen change err = %v, want ErrGap", err)
 	}
 	// Resync: a gen 2 journal of 3 records, so the next live seq is 4.
 	snap := batchOf(frameFor(t, 1, acceptRec("aaa1")), frameFor(t, 2, acceptRec("bbb2")), frameFor(t, 3, acceptRec("ccc3")))
-	if n, err := ss.InstallSnapshot("s", 2, snap); err != nil || n != 3 {
+	if n, err := ss.InstallSnapshot("s", 0, 2, snap); err != nil || n != 3 {
 		t.Fatalf("snapshot installed %d records, %v; want 3", n, err)
 	}
-	if n, err := ss.ApplyFrames("s", 2, frameFor(t, 4, acceptRec("ddd4"))); err != nil || n != 1 {
+	if n, err := ss.ApplyFrames("s", 0, 2, frameFor(t, 4, acceptRec("ddd4"))); err != nil || n != 1 {
 		t.Fatalf("post-snapshot frame = %d, %v", n, err)
 	}
-	recovered, err := ss.Recover("s")
+	recovered, err := ss.Recover("s", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestStandbyRestartDuringResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := batchOf(frameFor(t, 1, acceptRec("aaa1")), frameFor(t, 2, acceptRec("bbb2")))
-	if _, err := ss.InstallSnapshot("s", 3, snap); err != nil {
+	if _, err := ss.InstallSnapshot("s", 0, 3, snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := ss.Close(); err != nil {
@@ -311,7 +311,7 @@ func TestStandbyRestartDuringResync(t *testing.T) {
 	if gen, last := ss2.State("s"); gen != 3 || last != 2 {
 		t.Fatalf("reopened state = gen %d seq %d, want 3/2", gen, last)
 	}
-	if n, err := ss2.ApplyFrames("s", 3, frameFor(t, 3, acceptRec("ccc3"))); err != nil || n != 1 {
+	if n, err := ss2.ApplyFrames("s", 0, 3, frameFor(t, 3, acceptRec("ccc3"))); err != nil || n != 1 {
 		t.Fatalf("resumed stream = %d, %v", n, err)
 	}
 	ss2.Close()
@@ -335,10 +335,10 @@ func TestStandbyRestartDuringResync(t *testing.T) {
 		t.Fatalf("post-tear state = gen %d seq %d, want 3/2", gen, last)
 	}
 	// The dropped record re-ships as seq 3 — accepted, not a duplicate.
-	if n, err := ss3.ApplyFrames("s", 3, frameFor(t, 3, acceptRec("ccc3"))); err != nil || n != 1 {
+	if n, err := ss3.ApplyFrames("s", 0, 3, frameFor(t, 3, acceptRec("ccc3"))); err != nil || n != 1 {
 		t.Fatalf("re-shipped torn record = %d, %v", n, err)
 	}
-	recovered, err := ss3.Recover("s")
+	recovered, err := ss3.Recover("s", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,10 +362,10 @@ func TestStandbyRecoverStates(t *testing.T) {
 		frameFor(t, 4, Record{Op: OpDone, ID: "aaa1"}),
 		frameFor(t, 5, Record{Op: OpFailed, ID: "bbb2", Err: "deterministic"}),
 	)
-	if _, err := ss.ApplyFrames("s", 1, batch); err != nil {
+	if _, err := ss.ApplyFrames("s", 0, 1, batch); err != nil {
 		t.Fatal(err)
 	}
-	recovered, err := ss.Recover("s")
+	recovered, err := ss.Recover("s", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestOpenStandbyRemovesCheckpointsDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ss.ApplyFrames("s", 1, frameFor(t, 1, acceptRec("aaa1"))); err != nil {
+	if _, err := ss.ApplyFrames("s", 0, 1, frameFor(t, 1, acceptRec("aaa1"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := ss.Close(); err != nil {

@@ -267,10 +267,7 @@ func TestOpenRemovesCrashTemps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ss.ApplyFrames("s1", 1, frameFor(t, 1, acceptRec("ccc3"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := ss.Fence("s1", 2); err != nil {
+	if _, err := ss.ApplyFrames("s1", 2, 1, frameFor(t, 1, acceptRec("ccc3"))); err != nil {
 		t.Fatal(err)
 	}
 	ss.Close()
@@ -472,7 +469,7 @@ func TestAppendFaultUsesNoSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	if n, err := ss.ApplyFrames("p", gen, batchOf(sink.frames...)); err != nil || n != 2 {
+	if n, err := ss.ApplyFrames("p", 0, gen, batchOf(sink.frames...)); err != nil || n != 2 {
 		t.Fatalf("standby applied %d of the shipped frames, err %v; want 2, nil", n, err)
 	}
 }

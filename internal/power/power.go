@@ -14,6 +14,7 @@ import (
 	"regvirt/internal/flagcache"
 	"regvirt/internal/regfile"
 	"regvirt/internal/rename"
+	"regvirt/internal/sim"
 )
 
 // Params are the 40 nm energy parameters. The Table 2 values come from
@@ -85,6 +86,17 @@ type Counters struct {
 	// RenameTableBytes is the mapping structure footprint (0 disables the
 	// rename component, e.g. for the baseline).
 	RenameTableBytes int
+}
+
+// CountersOf takes a run's event counts into the model, with the
+// mapping structure's footprint (0 for a run that keeps no rename
+// table).
+func CountersOf(res *sim.Result, renameTableBytes int) Counters {
+	return Counters{
+		Cycles: res.Cycles, RF: res.RF, Rename: res.Rename, Flag: res.Flag,
+		DecodedPirs: res.DecodedPirs, DecodedPbrs: res.DecodedPbrs,
+		PhysRegs: res.PhysRegs, RenameTableBytes: renameTableBytes,
+	}
 }
 
 // Model evaluates energy from counters.

@@ -187,15 +187,5 @@ func NewEnergyModel(p EnergyParams) *EnergyModel { return power.NewModel(p) }
 // EnergyOf is a convenience: evaluate the default model over a result.
 // renameTableBytes is the mapping-structure footprint (0 for baselines).
 func EnergyOf(res *Result, renameTableBytes int) Energy {
-	m := power.NewModel(power.DefaultParams())
-	return m.Breakdown(power.Counters{
-		Cycles:           res.Cycles,
-		RF:               res.RF,
-		Rename:           res.Rename,
-		Flag:             res.Flag,
-		DecodedPirs:      res.DecodedPirs,
-		DecodedPbrs:      res.DecodedPbrs,
-		PhysRegs:         res.PhysRegs,
-		RenameTableBytes: renameTableBytes,
-	})
+	return power.NewModel(power.DefaultParams()).Breakdown(power.CountersOf(res, renameTableBytes))
 }
