@@ -100,16 +100,24 @@ obs:
 # adoption (TestStandbyFencePersistsAcrossReopen,
 # TestStandbyFenceRacesApply), the standby resync races, the ship
 # stream's lifecycle (re-dial, a break under a batch, a bounded Close, a
-# partition cutting an open stream) and its decoder's seeds, the
-# nemesis primitives, then the full Jepsen-style drill — five real
-# regvd binaries under a seeded schedule of SIGKILL, asymmetric
-# partition (adoption fences the deposed primary out), SIGSTOP, and a
-# restart plus an at-rest bit-flip (healed by the read that finds it),
+# partition cutting an open stream) and its decoder's seeds, the forward
+# stream's (a partition cutting it under a submit, which fails over
+# exactly once: TestForwardStreamCutByPartition; a caller's cancel
+# reaching the shard: TestForwardCancelReachesShard, also after the
+# stream's idle bound: TestForwardCancelOutlivesIdleBound; an unread
+# request sent again once: TestForwardResendsUnreadRequestOnce; the
+# oversized-frame and in-flight bounds: TestForwardStreamBounds; a
+# graceful shutdown ending it: TestShutdownEndsForwardStream) and its
+# decoder's seeds (FuzzForwardStream), the nemesis primitives, then the
+# full Jepsen-style drill — five real regvd binaries under a seeded
+# schedule of SIGKILL, asymmetric partition (adoption fences the
+# deposed primary out), SIGSTOP, and a restart plus an at-rest
+# bit-flip (healed by the read that finds it),
 # with every acked job completing byte-identical to a never-faulted
 # control and at most one writer per (keyspace, epoch). CI runs this
 # as its own job.
 nemesis:
-	$(GO) test -race -count=1 -run 'Fenc|StandbyFence|StandbyResync|ShipStream' ./internal/cluster ./internal/jobs/store
+	$(GO) test -race -count=1 -run 'Fenc|StandbyFence|StandbyResync|ShipStream|Forward' ./internal/cluster ./internal/jobs/store
 	$(GO) test -race -count=1 ./internal/faultinject ./internal/integrity
 	$(GO) test -race -count=1 -run 'TestNemesis' -v ./cmd/regvd
 
@@ -117,9 +125,12 @@ nemesis:
 # exactly the longest valid prefix), the standby's apply of shipped
 # journal bytes (a batch appends exactly the frames a correct copy
 # takes; a snapshot installs only if it replays whole), the standby's
-# ship stream decoder (one ack per whole message, nothing applied of a
-# message cut short or past the size bound, the copy the store's own
-# calls would leave), the ISA text
+# batch reader (FuzzFrameHead: takes exactly the frames replay takes),
+# the standby's ship stream decoder (one ack per whole message, nothing
+# applied of a message cut short or past the size bound, the copy the
+# store's own calls would leave), the shard's forward stream decoder
+# (FuzzForwardStream: one answer per whole request frame, the bytes a
+# direct POST /v1/jobs call gets, one end frame), the ISA text
 # parser (what parses prints and re-parses unchanged), and the
 # integrity-envelope decoders behind every result/checkpoint read
 # (differential against an independent open+decode; corrupt bytes are
@@ -134,7 +145,9 @@ nemesis:
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzJournalReplay -fuzztime=30s ./internal/jobs/store
 	$(GO) test -run=^$$ -fuzz=FuzzShipFrames -fuzztime=30s ./internal/jobs/store
+	$(GO) test -run=^$$ -fuzz=FuzzFrameHead -fuzztime=30s ./internal/jobs/store
 	$(GO) test -run=^$$ -fuzz=FuzzShipStream -fuzztime=30s -fuzzminimizetime=1s ./internal/cluster
+	$(GO) test -run=^$$ -fuzz=FuzzForwardStream -fuzztime=30s ./internal/cluster
 	$(GO) test -run=^$$ -fuzz=FuzzResultDecode -fuzztime=30s -fuzzminimizetime=1s ./internal/jobs/store
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointDecode -fuzztime=30s ./internal/jobs/store
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=30s ./internal/isa
@@ -164,14 +177,19 @@ bench-gpu:
 # and an intern table holding exactly what the live slots name), the
 # ship queue's reuse of an acked batch's buffer
 # (TestShipQueueReusesAckedBatch: Queue allocates nothing when the frame
-# fits it), and BenchmarkSim once per workload (ns and allocations per
+# fits it), one submit forwarded over an open stream
+# (TestForwardedSubmitAllocations: at most 21 allocations, router and
+# shard ends together; 19 measured), the standby's read of a shipped
+# frame (TestFrameHeadAllocatesNothing: 0 allocations, job spec and
+# all), and BenchmarkSim once per workload (ns and allocations per
 # simulated cycle). CI runs this in its bench job.
 simcost:
 	$(GO) test -count=1 -run 'TestSteadyStateAllocatesNothing|TestLaunchAllocations' ./internal/sim
 	$(GO) test -count=1 -run 'TestFrontEndAllocations' ./internal/compiler
 	$(GO) test -count=1 -run 'TestResultsPinned|TestPoolKeepsNoKernels|TestPoolKeepsNoKernelText' ./internal/jobs
 	$(GO) test -count=1 -run 'TestSpanAllocations|TestTracerHeap' ./internal/obs
-	$(GO) test -count=1 -run 'TestShipQueueReusesAckedBatch' ./internal/cluster
+	$(GO) test -count=1 -run 'TestShipQueueReusesAckedBatch|TestForwardedSubmitAllocations' ./internal/cluster
+	$(GO) test -count=1 -run 'TestFrameHeadAllocatesNothing' ./internal/jobs/store
 	$(GO) test -run=^$$ -bench='^BenchmarkSim$$' -benchtime=1x .
 
 # The end-to-end benchmark (bench/) is its own module, so the root

@@ -549,7 +549,7 @@ func newDaemon(cfg config) (*daemon, error) {
 	}
 	// A peer's ship stream is never idle, so Shutdown would wait out
 	// the drain window for it; end inbound streams as the drain begins.
-	d.srv.RegisterOnShutdown(shardSrv.EndShipStreams)
+	d.srv.RegisterOnShutdown(shardSrv.EndStreams)
 	if err := d.armDebug(); err != nil {
 		d.closeBackends()
 		ln.Close()

@@ -43,36 +43,52 @@ func (e *FencedError) Error() string {
 }
 
 // ownership is a shard's epoch and fenced latch, kept once: its shipper
-// and shard server share it. A fenced ack latches it, and a higher
-// grant clears it. One word holds both, epoch<<1 | fenced, so a refusal
-// of an epoch that a grant has replaced cannot latch the new one.
-type ownership struct{ w atomic.Uint64 }
+// and shard server share it. A fenced ack latches it, keeping the fence
+// the ack carried (the epoch the keyspace moved on to), and a higher
+// grant clears both. It is one immutable record swapped whole, so a
+// refusal of an epoch that a grant has replaced cannot latch the new
+// one, and a reader sees the latch and its fence together.
+type ownership struct{ rec atomic.Pointer[ownRecord] }
+
+// ownRecord is one state of an ownership record.
+type ownRecord struct {
+	epoch  uint64
+	fenced bool
+	fence  uint64 // the fence that latched it; 0 while not fenced
+}
 
 func newOwnership() *ownership {
 	o := &ownership{}
-	o.w.Store(1 << 1) // keyspaces start life at epoch 1, matching the router
+	o.rec.Store(&ownRecord{epoch: 1}) // keyspaces start life at epoch 1, matching the router
 	return o
 }
 
-func (o *ownership) load() (epoch uint64, fenced bool) {
-	w := o.w.Load()
-	return w >> 1, w&1 == 1
+func (o *ownership) load() ownRecord { return *o.rec.Load() }
+
+// fence latches epoch at fence unless a grant has replaced epoch or it
+// is latched already, and reports whether it did.
+func (o *ownership) fence(epoch, fence uint64) bool {
+	for {
+		cur := o.rec.Load()
+		if cur.epoch != epoch || cur.fenced {
+			return false
+		}
+		if o.rec.CompareAndSwap(cur, &ownRecord{epoch: epoch, fenced: true, fence: fence}) {
+			return true
+		}
+	}
 }
 
-// fence latches epoch unless a grant has replaced it or it is latched
-// already, and reports whether it did.
-func (o *ownership) fence(epoch uint64) bool { return o.w.CompareAndSwap(epoch<<1, epoch<<1|1) }
-
-// grant installs epoch, clearing the latch, if it advances the record
-// (and fits the word), and returns the record it found.
-func (o *ownership) grant(epoch uint64) (prev uint64, wasFenced, ok bool) {
+// grant installs epoch, clearing the latch, if it advances the record,
+// and returns the record it found.
+func (o *ownership) grant(epoch uint64) (prev ownRecord, ok bool) {
 	for {
-		w := o.w.Load()
-		if epoch <= w>>1 || epoch >= 1<<63 {
-			return w >> 1, w&1 == 1, false
+		cur := o.rec.Load()
+		if epoch <= cur.epoch {
+			return *cur, false
 		}
-		if o.w.CompareAndSwap(w, epoch<<1) {
-			return w >> 1, w&1 == 1, true
+		if o.rec.CompareAndSwap(cur, &ownRecord{epoch: epoch}) {
+			return *cur, true
 		}
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -72,8 +74,7 @@ func TestFencingShipperLatchesAndRejoins(t *testing.T) {
 		t.Fatalf("submit during fencing: HTTP %d, want 200/202 (local durability) or 503 (already latched)", resp2.StatusCode)
 	}
 	waitFor(t, "shipper fenced latch", 10*time.Second, func() bool {
-		_, fenced := a.ship.own.load()
-		return fenced
+		return a.ship.own.load().fenced
 	})
 
 	// The shard server reads the latch the shipper set, so new
@@ -92,6 +93,32 @@ func TestFencingShipperLatchesAndRejoins(t *testing.T) {
 	}
 	if ra := resp3.Header.Get("Retry-After"); ra == "" {
 		t.Errorf("fenced 503 missing Retry-After")
+	}
+
+	// A router relays the refusal over its forward stream as the shard
+	// wrote it, and it names the fence that deposed a: the adopter's 2.
+	// This router never probes (a probe would see the latch and grant a
+	// fresh epoch) and makes one attempt.
+	r, err := newRouter([]ShardInfo{{Name: "a", URL: a.url}}, RouterOptions{Transport: noProbes{}}, time.Hour,
+		client.RetryPolicy{MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rsrv := httptest.NewServer(r.Handler())
+	defer rsrv.Close()
+	resp4, err := http.Post(rsrv.URL+"/v1/jobs", "application/json", strings.NewReader(`{"workload":"MatrixMul"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	relayed, _ := io.ReadAll(resp4.Body)
+	resp4.Body.Close()
+	var relayedErr jobs.APIError
+	if resp4.StatusCode != http.StatusServiceUnavailable || json.Unmarshal(relayed, &relayedErr) != nil ||
+		relayedErr.Kind != "fenced" || relayedErr.Message != apiErr.Message ||
+		!strings.Contains(relayedErr.Message, "(fence 2)") || resp4.Header.Get("Retry-After") == "" {
+		t.Fatalf("submit through a router: HTTP %d %s, want 503 fenced naming fence 2, as the shard answered: %s",
+			resp4.StatusCode, relayed, body)
 	}
 
 	// Status surfaces the condition for the router's probe.
@@ -253,8 +280,7 @@ func TestFencedOwnerRejoinsRestartedRouter(t *testing.T) {
 	}
 	c.Submit(ctx, jobs.Job{Workload: "MatrixMul"}) // served locally or refused fenced
 	waitFor(t, "a fenced", 10*time.Second, func() bool {
-		_, fenced := a.ship.own.load()
-		return fenced
+		return a.ship.own.load().fenced
 	})
 
 	r, rURL := startRouter(t, []ShardInfo{{Name: "a", URL: a.url}, {Name: "hub", URL: hub.url}})
@@ -266,7 +292,8 @@ func TestFencedOwnerRejoinsRestartedRouter(t *testing.T) {
 		}
 		return false
 	})
-	epoch, fenced := a.ship.own.load()
+	own := a.ship.own.load()
+	epoch, fenced := own.epoch, own.fenced
 	if fenced || epoch <= 2 {
 		t.Fatalf("a after the grant: epoch %d fenced %v, want an epoch above 2, unfenced", epoch, fenced)
 	}
@@ -297,26 +324,30 @@ func TestFencedOwnerRejoinsRestartedRouter(t *testing.T) {
 
 // TestFenceLatchNeverOutlivesGrant races a fenced ack for epoch 1
 // against a grant of epoch 2 on one ownership record. Whichever lands
-// first, the record ends at epoch 2 and unfenced: a latch for an epoch
-// a grant has replaced must not take.
+// first, the record ends at epoch 2, unfenced and with no fence: a latch
+// for an epoch a grant has replaced must not take. A latch keeps the
+// fence that latched it until a grant clears it.
 func TestFenceLatchNeverOutlivesGrant(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		o := newOwnership()
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { defer wg.Done(); o.fence(1) }()
+		go func() { defer wg.Done(); o.fence(1, 2) }()
 		go func() { defer wg.Done(); o.grant(2) }()
 		wg.Wait()
-		if epoch, fenced := o.load(); epoch != 2 || fenced {
-			t.Fatalf("after a latch at 1 and a grant of 2: epoch %d fenced %v, want 2 unfenced", epoch, fenced)
+		if own := o.load(); own != (ownRecord{epoch: 2}) {
+			t.Fatalf("after a latch at 1 and a grant of 2: %+v, want epoch 2 unfenced", own)
 		}
 	}
 	o := newOwnership()
-	if _, _, ok := o.grant(1); ok {
+	if _, ok := o.grant(1); ok {
 		t.Error("a grant of the current epoch took")
 	}
-	if _, _, ok := o.grant(1 << 63); ok {
-		t.Error("a grant past the record's word took")
+	if !o.fence(1, 2) || o.load() != (ownRecord{epoch: 1, fenced: true, fence: 2}) {
+		t.Errorf("a latch at 1 by fence 2 left %+v", o.load())
+	}
+	if o.fence(1, 3) || o.load().fence != 2 {
+		t.Errorf("a second latch replaced the first: %+v", o.load())
 	}
 }
 
@@ -330,4 +361,15 @@ func getJSON(t *testing.T, url string, out any) {
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// noProbes is a transport that refuses the router's probes and passes
+// every other request on.
+type noProbes struct{}
+
+func (noProbes) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == "/v1/cluster" {
+		return nil, errors.New("probe withheld")
+	}
+	return http.DefaultTransport.RoundTrip(req)
 }

@@ -76,14 +76,16 @@ type RouterOptions struct {
 // dead keyspace to the standby holding its shipped journal — after
 // telling that standby to adopt the dead shard's unfinished jobs.
 //
-// Every call to a shard rides its node's internal/jobs/client. Submit,
-// status and peer lookups use its retry loop, so the cluster inherits
-// the single-node failure contract: 429s back off with full jitter and
-// honor Retry-After floors, 403 policy refusals fail fast untried, and
-// network errors burn through the retry budget before the router
-// reroutes. Probes, epoch grants, adoptions and the /metrics, trace and
-// queues fan-outs make one attempt each: the router itself decides what
-// a failure there means.
+// Submits reach a shard over its forward stream (forward.go), one
+// long-lived stream per backend; every other call to a shard is a
+// plain HTTP request of its node's internal/jobs/client. Submit, status
+// and peer lookups use that client's retry loop, so the cluster
+// inherits the single-node failure contract: 429s back off with full
+// jitter and honor Retry-After floors, 403 policy refusals fail fast
+// untried, and network errors (a broken stream, for a submit) burn
+// through the retry budget before the router reroutes. Probes, epoch
+// grants, adoptions and the /metrics, trace and queues fan-outs make one
+// attempt each: the router itself decides what a failure there means.
 type Router struct {
 	ring      *Ring
 	ringNames []string
@@ -123,6 +125,7 @@ type node struct {
 	name   string
 	inRing bool
 	c      *client.Client
+	fwd    *forwarder // the forward stream submits ride
 
 	mu          sync.Mutex
 	failN       int  // consecutive probe failures
@@ -194,24 +197,33 @@ func newRouter(shards []ShardInfo, opts RouterOptions, probeEvery time.Duration,
 }
 
 // newNode builds a backend handle. The client's tenant is pinned empty:
-// the router copies each request's tenant into the job body before
-// forwarding, so the router process's own REGVD_TENANT must not leak
-// onto traffic it relays. Its HTTP client has no timeout of its own (a
-// sync submit waits for its simulation); every other call bounds itself
-// with a context deadline.
+// a forwarded submit carries its request's own tenant, so the router
+// process's own REGVD_TENANT must not leak onto traffic it relays. The
+// client and the forward stream share one HTTP client with no timeout
+// of its own (a sync submit waits for its simulation); every other call
+// bounds itself with a context deadline.
 func (r *Router) newNode(name, url string, inRing bool) *node {
-	return &node{
-		name:   name,
-		inRing: inRing,
-		c: client.New(url, client.WithPolicy(r.policy), client.WithTenant(""),
-			client.WithHTTPClient(&http.Client{Transport: r.transport})),
-	}
+	hc := &http.Client{Transport: r.transport}
+	c := client.New(url, client.WithPolicy(r.policy), client.WithTenant(""), client.WithHTTPClient(hc))
+	return &node{name: name, inRing: inRing, c: c, fwd: newForwarder(c.Base(), hc)}
 }
 
-// Close stops the prober.
+// submit forwards a caller's POST /v1/jobs body, with its tenant and
+// async flag, over the backend's forward stream under the client's
+// retry loop, and returns the body of the shard's success.
+func (n *node) submit(ctx context.Context, async bool, tenant string, body []byte) ([]byte, error) {
+	return n.c.Retry(ctx, http.MethodPost, "/v1/jobs", func(ctx context.Context) (int, string, []byte, error) {
+		return n.fwd.roundTrip(ctx, async, tenant, body)
+	})
+}
+
+// Close stops the prober and ends the forward streams.
 func (r *Router) Close() {
 	r.stopOnce.Do(func() { close(r.stop) })
 	r.wg.Wait()
+	for _, n := range r.snapshotNodes() {
+		n.fwd.close()
+	}
 }
 
 // ---- health probing ----
@@ -647,7 +659,8 @@ func (r *Router) forward(ctx context.Context, w http.ResponseWriter, span *obs.S
 }
 
 func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
-	job, ok := jobs.ReadJob(w, req)
+	job, body, ok := jobs.ReadJobBody(w, req)
+	defer body.Release()
 	if !ok {
 		return
 	}
@@ -656,8 +669,8 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 
 	// Join the caller's trace (or mint one) and echo it on the response
 	// so the caller can fetch the stitched cross-shard trace afterwards.
-	// The context carries the span downstream: the forwarding client
-	// injects the header, so the owning shard's spans land in the same
+	// The context carries the span downstream: the forward frame carries
+	// its trace header, so the owning shard's spans land in the same
 	// trace.
 	ctx := obs.ExtractHTTP(req.Context(), req.Header)
 	ctx = obs.WithJobID(obs.WithTenant(ctx, job.Tenant), id)
@@ -685,15 +698,17 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		}
 		fctx, fsp := r.tracer.Start(ctx, "router.forward")
 		fsp.SetAttr("shard", target.name)
-		var (
-			st  jobs.JobStatus
-			raw []byte // a sync answer: the result encoding, relayed as it came
-			err error
-		)
-		if job.Async {
-			st, err = target.c.SubmitAsyncStatus(fctx, job)
-		} else {
-			raw, err = target.c.SubmitBytes(fctx, job)
+		// The answer is relayed as it came: a sync one is the result
+		// encoding, an async one the job's status record.
+		raw, err := target.submit(fctx, job.Async, job.Tenant, body.Bytes())
+		var st jobs.JobStatus
+		if err == nil && job.Async {
+			if err = json.Unmarshal(raw, &st); err == nil && st.ID == "" {
+				err = errors.New("async submission returned no job ID")
+			}
+			if err != nil {
+				err = fmt.Errorf("cluster: decode async answer: %w", err)
+			}
 		}
 		fsp.SetError(err)
 		fsp.End()
@@ -711,7 +726,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		if st.State == "done" && st.Result != nil {
 			r.cachePutResult(id, st.Result)
 		}
-		jobs.WriteJSON(w, http.StatusAccepted, st)
+		jobs.WriteRaw(w, http.StatusAccepted, raw)
 		return nil
 	})
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -21,10 +20,11 @@ import (
 // ShardServer is the shard-side cluster surface, layered over the
 // plain job API:
 //
-//	POST /v1/cluster/ship   receive a stream of shipped journal batches/snapshots
-//	POST /v1/cluster/adopt  take over a dead shard's jobs
-//	POST /v1/cluster/epoch  install a router-granted ownership epoch
-//	GET  /v1/cluster        role, shipping target, standby holdings
+//	POST /v1/cluster/ship    receive a stream of shipped journal batches/snapshots
+//	POST /v1/cluster/forward serve a router's stream of forwarded submits
+//	POST /v1/cluster/adopt   take over a dead shard's jobs
+//	POST /v1/cluster/epoch   install a router-granted ownership epoch
+//	GET  /v1/cluster         role, shipping target, standby holdings
 //
 // A shard can play both halves at once: primary for its own keyspace
 // (shipping its journal out via Shipper) and standby for a peer's
@@ -47,12 +47,15 @@ type ShardServer struct {
 	// reads keep serving.
 	own *ownership
 
-	// streams is cancelled by EndShipStreams; msgTimeout bounds the
-	// read of one ship message, counted from the previous ack,
-	// jobs.BodyReadTimeout outside tests.
-	streams    context.Context
-	endStreams context.CancelFunc
-	msgTimeout time.Duration
+	// streams is cancelled by EndStreams; msgTimeout bounds the read of
+	// one message, counted from the previous ack on a ship stream and
+	// from the previous frame on a forward stream,
+	// jobs.BodyReadTimeout outside tests. maxInFlight bounds the
+	// requests one forward stream has open, maxInFlight outside tests.
+	streams     context.Context
+	endStreams  context.CancelFunc
+	msgTimeout  time.Duration
+	maxInFlight int
 
 	mu      sync.Mutex
 	adopted map[string]AdoptResult
@@ -79,14 +82,15 @@ func NewShardServer(name string, pool *jobs.Pool,
 	_ jobs.Recorder,
 	standby *store.StandbyStore, shipper *Shipper) *ShardServer {
 	s := &ShardServer{
-		name:       name,
-		pool:       pool,
-		standby:    standby,
-		shipper:    shipper,
-		log:        obs.Nop(),
-		msgTimeout: jobs.BodyReadTimeout,
-		adopted:    map[string]AdoptResult{},
-		own:        newOwnership(),
+		name:        name,
+		pool:        pool,
+		standby:     standby,
+		shipper:     shipper,
+		log:         obs.Nop(),
+		msgTimeout:  jobs.BodyReadTimeout,
+		maxInFlight: maxInFlight,
+		adopted:     map[string]AdoptResult{},
+		own:         newOwnership(),
 	}
 	if shipper != nil {
 		s.own = shipper.own
@@ -98,19 +102,14 @@ func NewShardServer(name string, pool *jobs.Pool,
 // Handler routes the cluster endpoints and falls through to next (the
 // jobs API handler) for everything else.
 func (s *ShardServer) Handler(next http.Handler) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/cluster/ship", s.handleShip)
-	mux.HandleFunc("POST /v1/cluster/adopt", s.handleAdopt)
-	mux.HandleFunc("POST /v1/cluster/epoch", s.handleEpoch)
-	mux.HandleFunc("GET /v1/cluster", s.handleStatus)
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+	submit := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// A fenced shard lost its keyspace: accepting a write here could
 		// produce a second owner for the same (keyspace, epoch). Refuse
 		// until the router grants a fresh epoch; reads fall through.
-		if epoch, fenced := s.own.load(); fenced {
+		if own := s.own.load(); own.fenced {
 			w.Header().Set("Retry-After", "1")
 			jobs.WriteJSON(w, http.StatusServiceUnavailable, &jobs.APIError{
-				Message: (&FencedError{Keyspace: s.name, Epoch: epoch}).Error(),
+				Message: (&FencedError{Keyspace: s.name, Epoch: own.epoch, Fence: own.fence}).Error(),
 				Kind:    "fenced",
 				Status:  http.StatusServiceUnavailable,
 			})
@@ -118,6 +117,13 @@ func (s *ShardServer) Handler(next http.Handler) http.Handler {
 		}
 		next.ServeHTTP(w, r)
 	})
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/cluster/ship", s.handleShip)
+	mux.HandleFunc("POST "+forwardPath, func(w http.ResponseWriter, r *http.Request) { s.handleForward(w, r, submit) })
+	mux.HandleFunc("POST /v1/cluster/adopt", s.handleAdopt)
+	mux.HandleFunc("POST /v1/cluster/epoch", s.handleEpoch)
+	mux.HandleFunc("GET /v1/cluster", s.handleStatus)
+	mux.Handle("POST /v1/jobs", submit)
 	mux.Handle("/", next)
 	return mux
 }
@@ -135,15 +141,15 @@ func (s *ShardServer) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		jobs.WriteError(w, http.StatusBadRequest, "epoch grant for keyspace %q does not name this shard (%s)", req.Keyspace, s.name)
 		return
 	}
-	prev, wasFenced, ok := s.own.grant(req.Epoch)
+	prev, ok := s.own.grant(req.Epoch)
 	if !ok {
-		jobs.WriteError(w, http.StatusBadRequest, "epoch %d does not advance current epoch %d", req.Epoch, prev)
+		jobs.WriteError(w, http.StatusBadRequest, "epoch %d does not advance current epoch %d", req.Epoch, prev.epoch)
 		return
 	}
 	if s.shipper != nil {
 		s.shipper.markResync()
 	}
-	s.log.Info("ownership epoch granted", "shard", s.name, "epoch", req.Epoch, "was_fenced", wasFenced)
+	s.log.Info("ownership epoch granted", "shard", s.name, "epoch", req.Epoch, "was_fenced", prev.fenced)
 	jobs.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "epoch": req.Epoch})
 }
 
@@ -178,16 +184,11 @@ func (s *ShardServer) handleShip(w http.ResponseWriter, r *http.Request) {
 		jobs.WriteError(w, http.StatusBadRequest, "invalid source shard %q", shard)
 		return
 	}
-	in := &inboundStream{rc: http.NewResponseController(w)}
-	// Acks go out while later messages are still arriving. A writer
-	// that cannot (a test recorder) has the whole body already.
-	_ = in.rc.EnableFullDuplex()
-	defer in.close(context.AfterFunc(s.streams, in.end))
-	w.Header().Set("Content-Type", shipType)
-	w.WriteHeader(http.StatusOK)
-	if in.rc.Flush() != nil {
+	in := s.serveStream(w)
+	if in == nil {
 		return
 	}
+	defer in.close()
 	buf := make([]byte, shipHeaderSize, max(shipHeaderSize, shipAckSize)) // a message header, then its ack
 	for in.arm(s.msgTimeout) {
 		if _, err := io.ReadFull(r.Body, buf); err != nil {
@@ -214,28 +215,6 @@ func (s *ShardServer) handleShip(w http.ResponseWriter, r *http.Request) {
 		}
 		buf = buf[:shipHeaderSize]
 	}
-}
-
-// shipReadChunk is the most a message's buffer holds before its bytes
-// arrive: a length claimed but never sent costs this much, not up to
-// maxShipBody.
-const shipReadChunk = 64 << 10
-
-// readMessage reads a message's n journal bytes into a buffer that
-// starts at shipReadChunk at most and grows as they arrive.
-func readMessage(r io.Reader, n int) ([]byte, error) {
-	buf := make([]byte, 0, min(n, shipReadChunk))
-	for len(buf) < n {
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, min(n, 2*len(buf))-len(buf))
-		}
-		m, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
-		buf = buf[:len(buf)+m]
-		if err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
 }
 
 // applyShip files one message into the standby copy of shard and
@@ -269,51 +248,13 @@ func (s *ShardServer) applyShip(shard string, h shipHeader, body []byte) shipAck
 	return ack
 }
 
-// EndShipStreams ends every inbound ship stream at its next message
-// boundary, and any that opens later at once. A message being applied
-// is still acked; one still arriving is cut. regvd calls it when a
-// graceful shutdown starts, so that an open stream, which is never
-// idle, does not hold the drain window; its shipper dials again.
-func (s *ShardServer) EndShipStreams() { s.endStreams() }
-
-// inboundStream is one ship stream being served. Each message re-arms
-// its read deadline; end sets the deadline to now, failing the read in
-// progress, and keeps it from being re-armed.
-type inboundStream struct {
-	rc    *http.ResponseController
-	mu    sync.Mutex
-	ended bool
-}
-
-// arm sets the deadline for the next message and reports whether the
-// stream goes on. A writer without deadline support (a test recorder)
-// reads without one.
-func (in *inboundStream) arm(d time.Duration) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if !in.ended {
-		_ = in.rc.SetReadDeadline(time.Now().Add(d))
-	}
-	return !in.ended
-}
-
-func (in *inboundStream) end() {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if !in.ended {
-		in.ended = true
-		_ = in.rc.SetReadDeadline(time.Now())
-	}
-}
-
-// close runs as the handler returns: after it, end touches nothing, so
-// a connection the server goes on to reuse keeps its own deadlines.
-func (in *inboundStream) close(stop func() bool) {
-	stop()
-	in.mu.Lock()
-	in.ended = true
-	in.mu.Unlock()
-}
+// EndStreams ends every inbound stream, ship and forward, at its next
+// message boundary, and any that opens later at once. A ship message
+// being applied is still acked, and a forwarded request already read is
+// still answered; a message still arriving is cut. regvd calls it when
+// a graceful shutdown starts, so that an open stream, which is never
+// idle, does not hold the drain window; its sender dials again.
+func (s *ShardServer) EndStreams() { s.endStreams() }
 
 // handleAdopt replays a dead shard's shipped journal into this shard's
 // pool: the recovered jobs are re-registered, and pending ones
@@ -371,7 +312,8 @@ func (s *ShardServer) handleAdopt(w http.ResponseWriter, r *http.Request) {
 
 func (s *ShardServer) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	st := NodeStatus{Role: "shard", Shard: s.name}
-	st.Epoch, st.Fenced = s.own.load()
+	own := s.own.load()
+	st.Epoch, st.Fenced = own.epoch, own.fenced
 	if s.shipper != nil {
 		st.ShipsTo = s.shipper.Status()
 	}

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -181,7 +180,7 @@ func (sh *Shipper) Close() {
 func (sh *Shipper) Queue(gen uint64, frame []byte) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, fenced := sh.own.load(); sh.closed || fenced {
+	if sh.closed || sh.own.load().fenced {
 		// Fenced: we lost the keyspace. Nothing ships until a fresh epoch
 		// arrives, at which point a full resync supersedes this frame.
 		return
@@ -217,7 +216,7 @@ func (sh *Shipper) Ship() {
 	sh.mu.Lock()
 	closed, needResync := sh.closed, sh.needResync
 	sh.mu.Unlock()
-	_, fenced := sh.own.load()
+	fenced := sh.own.load().fenced
 	switch {
 	case closed || fenced:
 		// Nothing ships; after a grant, a resync carries the frame.
@@ -274,7 +273,7 @@ func (sh *Shipper) flush() {
 	sh.mu.Lock()
 	needResync := sh.needResync
 	sh.mu.Unlock()
-	if _, fenced := sh.own.load(); fenced {
+	if sh.own.load().fenced {
 		return // deposed: wait for a grant
 	}
 	if needResync {
@@ -294,7 +293,7 @@ func (sh *Shipper) flush() {
 // dropped: they belong to a keyspace this node no longer owns.
 func (sh *Shipper) noteFencedLocked(err error) {
 	var fe *FencedError
-	if !errors.As(err, &fe) || !sh.own.fence(fe.Epoch) {
+	if !errors.As(err, &fe) || !sh.own.fence(fe.Epoch, fe.Fence) {
 		return
 	}
 	sh.queue, sh.queued = nil, 0
@@ -381,7 +380,7 @@ var errShipTimeout = errors.New("cluster: ship timed out")
 // is none, or if the standby ended the last one between messages, and
 // closes a stream that fails. A fenced or refused verdict is an error.
 func (sh *Shipper) roundTrip(gen uint64, snapshot bool, msg []byte) (shipAck, error) {
-	epoch, _ := sh.own.load()
+	epoch := sh.own.load().epoch
 	putShipHeader(msg, shipHeader{size: uint32(len(msg) - shipHeaderSize), epoch: epoch, gen: gen, snapshot: snapshot})
 	if sh.stream != nil && sh.stream.over() {
 		sh.dropStream() // idle past the standby's bound, or a standby restart
@@ -409,36 +408,19 @@ func (sh *Shipper) roundTrip(gen uint64, snapshot bool, msg []byte) (shipAck, er
 }
 
 // dial opens a stream to the standby and makes it the current one,
-// unless Close's deadline has passed. The request is answered while
-// its body is still being written, so the first message's round trip
+// unless Close's deadline has passed. The first message's round trip
 // bounds the dial too.
 func (sh *Shipper) dial() error {
-	ctx, cancel := context.WithCancelCause(context.Background())
-	pr, pw := io.Pipe()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, sh.shipURL, pr)
-	if err != nil {
-		cancel(err)
-		return fmt.Errorf("cluster: %s: %w", shipPath, err)
-	}
-	req.Header.Set("Content-Type", shipType)
-	st := &shipStream{
-		ctx:    ctx,
-		cancel: cancel,
-		pw:     pw,
-		acks:   make(chan [shipAckSize]byte),
-		done:   make(chan struct{}),
-	}
-	st.timer = time.AfterFunc(sh.timeout, func() { st.abort(errShipTimeout) })
+	st := &shipStream{acks: make(chan [shipAckSize]byte)}
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if sh.cut {
-		sh.mu.Unlock()
-		st.timer.Stop()
-		cancel(errShipperClosed)
 		return errShipperClosed
 	}
+	if err := st.dial(sh.hc, sh.shipURL, sh.timeout, errShipTimeout, st.read); err != nil {
+		return fmt.Errorf("cluster: %s: %w", shipPath, err)
+	}
 	sh.stream = st
-	sh.mu.Unlock()
-	go st.run(sh.hc, req)
 	return nil
 }
 
@@ -472,41 +454,21 @@ func (sh *Shipper) cutOff() {
 // arrive on. One goroutine reads the acks, so a stream the standby
 // ends between messages is seen before the next message is sent.
 type shipStream struct {
-	ctx    context.Context
-	cancel context.CancelCauseFunc // aborts the request: its dial, body and ack reads
-	pw     *io.PipeWriter
-	timer  *time.Timer // aborts the stream when a round trip outlasts its bound
-	acks   chan [shipAckSize]byte
-	done   chan struct{} // closed when the reader stops: the stream is over
-	err    error         // why the reader stopped; read after done
+	duplex
+	acks chan [shipAckSize]byte
 }
 
-// run makes the request and reads acks until the stream ends.
-func (st *shipStream) run(hc *http.Client, req *http.Request) {
-	defer close(st.done)
-	resp, err := hc.Do(req)
-	if err != nil {
-		st.err = err
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// A refusal (no standby storage, a bad shard name) is a short
-		// JSON error.
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, maxControlBody))
-		st.err = fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(raw)))
-		return
-	}
+// read passes the acks on until the stream ends.
+func (st *shipStream) read(body io.Reader) error {
 	var ack [shipAckSize]byte
 	for {
-		if _, err := io.ReadFull(resp.Body, ack[:]); err != nil {
-			st.err = fmt.Errorf("stream ended: %w", err)
-			return
+		if _, err := io.ReadFull(body, ack[:]); err != nil {
+			return fmt.Errorf("stream ended: %w", err)
 		}
 		select {
 		case st.acks <- ack:
 		case <-st.ctx.Done():
-			return
+			return context.Cause(st.ctx)
 		}
 	}
 }
@@ -515,11 +477,8 @@ func (st *shipStream) run(hc *http.Client, req *http.Request) {
 func (st *shipStream) roundTrip(msg []byte, d time.Duration) (shipAck, error) {
 	st.timer.Reset(d)
 	defer st.timer.Stop()
-	if _, err := st.pw.Write(msg); err != nil {
-		// Only a failing stream closes the pipe under a write; its
-		// reader knows why, and the timer bounds the wait.
-		<-st.done
-		return shipAck{}, st.failure()
+	if err := st.send(msg); err != nil {
+		return shipAck{}, err
 	}
 	select {
 	case ack := <-st.acks:
@@ -527,32 +486,6 @@ func (st *shipStream) roundTrip(msg []byte, d time.Duration) (shipAck, error) {
 	case <-st.done:
 		return shipAck{}, st.failure()
 	}
-}
-
-// abort ends the stream with cause: the request is cancelled, which
-// stops the reader, and a blocked message write fails.
-func (st *shipStream) abort(cause error) {
-	st.cancel(cause)
-	st.pw.CloseWithError(cause)
-}
-
-// over reports whether the stream has ended.
-func (st *shipStream) over() bool {
-	select {
-	case <-st.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// failure says why an ended stream ended: the cause it was aborted
-// with, or else what its reader met.
-func (st *shipStream) failure() error {
-	if cause := context.Cause(st.ctx); cause != nil {
-		return cause
-	}
-	return st.err
 }
 
 // Status reports the shipper's view for /v1/cluster.

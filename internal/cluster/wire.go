@@ -3,13 +3,15 @@ package cluster
 import (
 	"encoding/binary"
 
+	"regvirt/internal/jobs"
+	"regvirt/internal/jobs/client"
 	"regvirt/internal/jobs/store"
 )
 
 // Wire types of the cluster control plane. Everything but journal
-// shipping is JSON over the same HTTP listener the job API uses;
-// shard-to-shard traffic (shipping, adoption) shares these shapes with
-// the router's probes.
+// shipping and forwarded submits is JSON over the same HTTP listener
+// the job API uses; shard-to-shard traffic (shipping, adoption) shares
+// these shapes with the router's probes.
 
 // Journal replication is one long-lived stream per standby: POST
 // /v1/cluster/ship?shard=NAME, whose request body is a sequence of
@@ -24,6 +26,9 @@ import (
 // stream of one, so a plain POST ships one batch or snapshot. The
 // standby checks the bytes with the store's replay decoder; this
 // package never looks inside them.
+//
+// shipType is the content type of both binary streams, ship and
+// forward.
 const shipType = "application/octet-stream"
 
 const (
@@ -173,3 +178,108 @@ const maxShipBody = 64 << 20
 // maxControlBody bounds the JSON body of an epoch grant or an adoption
 // request: a keyspace or shard name and an epoch, a few dozen bytes.
 const maxControlBody = 4 << 10
+
+// The router forwards submits over one long-lived stream per shard:
+// POST /v1/cluster/forward, full-duplex as the ship stream is, whose
+// request body carries request and cancel frames and whose response
+// body carries response frames, in whatever order the shard finishes
+// them, and one end frame. Every frame is a fwdHeaderSize header, the
+// length of the payload that follows it (u32), the request's ID (u64,
+// chosen by the router, increasing along a stream) and the frame's
+// kind and flags (a byte each), little-endian as the ship stream is,
+// then the payload:
+//
+//   - request: the tenant and the trace header value, each one length
+//     byte and its bytes, then the caller's POST /v1/jobs body as it
+//     arrived; the fwdAsync flag stands for ?async=1.
+//   - response: the HTTP status (u16), the Retry-After value (one
+//     length byte and its bytes, empty when there is none), then the
+//     body the shard's POST /v1/jobs handler wrote.
+//   - cancel: no payload; the caller of that request went away.
+//   - end: no payload; the shard reads no more requests on this
+//     stream, and the ID is the last request it read (0 for none).
+//     Requests above it were never read: the router sends them again
+//     on a new stream. The shard still answers every request it read
+//     before it ends the response body.
+const (
+	fwdHeaderSize = 14
+
+	fwdRequest  = 1
+	fwdResponse = 2
+	fwdCancel   = 3
+	fwdEnd      = 4
+
+	// fwdAsync flags a request made with ?async=1.
+	fwdAsync = 1
+)
+
+// Forward stream bounds. A request's payload holds at most the longest
+// body jobs.ReadJob takes and two fields of up to 255 bytes; a
+// response's, at most what the job client takes as one answer, and its
+// status and Retry-After. Past either bound the stream ends.
+// maxInFlight bounds the requests one stream has open at once: the
+// router waits for a slot, and the shard answers a request past it at
+// once with 429 instead of serving it.
+const (
+	maxForwardRequest  = jobs.MaxJobBody + 2*(1+255)
+	maxForwardResponse = client.MaxResponse + 3 + 255
+	maxInFlight        = 1024
+)
+
+// fwdHeader is one forward frame's decoded header.
+type fwdHeader struct {
+	size        uint32 // payload bytes that follow the header
+	id          uint64
+	kind, flags byte
+}
+
+func putFwdHeader(b []byte, h fwdHeader) {
+	binary.LittleEndian.PutUint32(b[0:], h.size)
+	binary.LittleEndian.PutUint64(b[4:], h.id)
+	b[12], b[13] = h.kind, h.flags
+}
+
+func parseFwdHeader(b []byte) fwdHeader {
+	return fwdHeader{
+		size:  binary.LittleEndian.Uint32(b[0:]),
+		id:    binary.LittleEndian.Uint64(b[4:]),
+		kind:  b[12],
+		flags: b[13],
+	}
+}
+
+// appendField appends a length byte and f, which must fit in it.
+func appendField(b []byte, f string) []byte {
+	return append(append(b, byte(len(f))), f...)
+}
+
+// cutField splits a length byte and its bytes off the head of b.
+func cutField(b []byte) (field, rest []byte, ok bool) {
+	if len(b) < 1 || len(b)-1 < int(b[0]) {
+		return nil, nil, false
+	}
+	return b[1 : 1+int(b[0])], b[1+int(b[0]):], true
+}
+
+// parseFwdRequest splits a request frame's payload.
+func parseFwdRequest(p []byte) (tenant, trace, body []byte, ok bool) {
+	if tenant, p, ok = cutField(p); !ok {
+		return nil, nil, nil, false
+	}
+	if trace, p, ok = cutField(p); !ok {
+		return nil, nil, nil, false
+	}
+	return tenant, trace, p, true
+}
+
+// parseFwdResponse splits a response frame's payload.
+func parseFwdResponse(p []byte) (status int, retryAfter, body []byte, ok bool) {
+	if len(p) < 2 {
+		return 0, nil, nil, false
+	}
+	status = int(binary.LittleEndian.Uint16(p))
+	if retryAfter, body, ok = cutField(p[2:]); !ok {
+		return 0, nil, nil, false
+	}
+	return status, retryAfter, body, true
+}

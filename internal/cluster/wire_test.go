@@ -116,7 +116,7 @@ func TestInvalidShardNameRefused(t *testing.T) {
 func TestMalformedSubmitSameBody(t *testing.T) {
 	pool := jobs.NewPool(1)
 	t.Cleanup(pool.Close)
-	shard := httptest.NewServer(jobs.NewServer(pool).Handler())
+	shard := httptest.NewServer(NewShardServer("s1", pool, nil, nil, nil).Handler(jobs.NewServer(pool).Handler()))
 	t.Cleanup(shard.Close)
 	_, routerURL := startRouter(t, []ShardInfo{{Name: "s1", URL: shard.URL}})
 
@@ -186,7 +186,7 @@ func TestHeaderNamesCanonical(t *testing.T) {
 func TestRouterRelaysResultBytes(t *testing.T) {
 	pool := jobs.NewPool(1)
 	t.Cleanup(pool.Close)
-	shard := httptest.NewServer(jobs.NewServer(pool).Handler())
+	shard := httptest.NewServer(NewShardServer("s1", pool, nil, nil, nil).Handler(jobs.NewServer(pool).Handler()))
 	t.Cleanup(shard.Close)
 	_, routerURL := startRouter(t, []ShardInfo{{Name: "s1", URL: shard.URL}})
 

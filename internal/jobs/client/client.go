@@ -160,15 +160,14 @@ func (c *Client) Submit(ctx context.Context, job jobs.Job) (*jobs.Result, error)
 
 // SubmitBytes is Submit without the decode: it returns the service's
 // answer as it arrived, the result's JSON encoding (a tenant-stamped
-// one when job names a tenant). The cluster router relays these bytes
-// to its caller unchanged.
+// one when job names a tenant).
 func (c *Client) SubmitBytes(ctx context.Context, job jobs.Job) ([]byte, error) {
 	job.Async = false
 	body, err := json.Marshal(job)
 	if err != nil {
 		return nil, fmt.Errorf("client: encode job: %w", err)
 	}
-	return c.do(ctx, http.MethodPost, "/v1/jobs", body)
+	return c.doHTTP(ctx, http.MethodPost, "/v1/jobs", body)
 }
 
 // SubmitAsync registers a job and returns its content-addressed ID.
@@ -182,8 +181,8 @@ func (c *Client) SubmitAsync(ctx context.Context, job jobs.Job) (string, error) 
 
 // SubmitAsyncStatus registers a job and returns the service's full 202
 // status record — already "done" with a result when the submission was
-// a cache hit. The cluster router forwards this so a hit on a shard
-// costs one round trip, not a submit plus a status poll.
+// a cache hit, so a hit costs one round trip, not a submit plus a
+// status poll.
 func (c *Client) SubmitAsyncStatus(ctx context.Context, job jobs.Job) (jobs.JobStatus, error) {
 	job.Async = true
 	body, err := json.Marshal(job)
@@ -274,13 +273,40 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	return decode(method, path, data, out)
 }
 
-// doJSON is do, decoding the successful answer into out.
+// doJSON is an HTTP request under the retry loop, decoding the
+// successful answer into out.
 func (c *Client) doJSON(ctx context.Context, method, path string, body []byte, out any) error {
-	data, err := c.do(ctx, method, path, body)
+	data, err := c.doHTTP(ctx, method, path, body)
 	if err != nil {
 		return err
 	}
 	return decode(method, path, data, out)
+}
+
+// doHTTP is an HTTP request under the retry loop.
+func (c *Client) doHTTP(ctx context.Context, method, path string, body []byte) ([]byte, error) {
+	return c.do(ctx, func(ctx context.Context) ([]byte, bool, error) {
+		return c.attempt(ctx, method, path, body)
+	})
+}
+
+// Retry runs the retry loop over attempts that send makes on a
+// transport of the caller's own instead of one HTTP request each: the
+// policy's backoff and attempt budget, Retry-After floors, fail-fast
+// refusals and the client's counters all apply. send returns what the
+// service answered, its HTTP status, Retry-After value and body, or an
+// error when no answer came, which is retried as a network error is.
+// method and path name the call in errors. The cluster router forwards
+// submits this way, over one stream per shard.
+func (c *Client) Retry(ctx context.Context, method, path string,
+	send func(context.Context) (status int, retryAfter string, body []byte, err error)) ([]byte, error) {
+	return c.do(ctx, func(ctx context.Context) ([]byte, bool, error) {
+		status, retryAfter, body, err := send(ctx)
+		if err != nil {
+			return nil, true, fmt.Errorf("client: %s %s: %w", method, path, err) // network: retriable
+		}
+		return c.answer(method, path, status, retryAfter, body)
+	})
 }
 
 // decode unmarshals a successful answer into out.
@@ -322,13 +348,14 @@ func (e *RetriesExhaustedError) Error() string {
 
 func (e *RetriesExhaustedError) Unwrap() error { return e.Last }
 
-// do is the retry loop: attempts the request up to MaxAttempts times,
-// sleeping exponential-backoff-with-full-jitter between attempts and
-// honoring Retry-After hints as a floor, and returns the body of the
-// first success. Non-retriable failures (4xx validation errors,
-// invariant 500s) return immediately; exhaustion returns a
-// *RetriesExhaustedError wrapping the last attempt.
-func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
+// do is the retry loop: it makes up to MaxAttempts attempts, sleeping
+// exponential-backoff-with-full-jitter between them and honoring
+// Retry-After hints as a floor, and returns the body of the first
+// success. try makes one attempt: it returns that body, or its failure
+// and whether it is worth retrying. Non-retriable failures (4xx
+// validation errors, invariant 500s) return immediately; exhaustion
+// returns a *RetriesExhaustedError wrapping the last attempt.
+func (c *Client) do(ctx context.Context, try func(context.Context) ([]byte, bool, error)) ([]byte, error) {
 	var lastErr error
 	var hint time.Duration
 	for attempt := 0; attempt < c.policy.MaxAttempts; attempt++ {
@@ -348,7 +375,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]by
 			}
 		}
 		c.attempts.Add(1)
-		data, retriable, err := c.attempt(ctx, method, path, body)
+		data, retriable, err := try(ctx)
 		if err == nil {
 			return data, nil
 		}
@@ -369,8 +396,8 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]by
 	return nil, ex
 }
 
-// maxResponse bounds one response body.
-const maxResponse = 16 << 20
+// MaxResponse bounds one response body.
+const MaxResponse = 16 << 20
 
 // attempt performs one HTTP round trip and returns the body of a
 // success. The bool reports whether a failure is worth retrying.
@@ -397,34 +424,43 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 		return nil, true, fmt.Errorf("client: %s %s: %w", method, path, err) // network: retriable
 	}
 	defer resp.Body.Close()
-	// A body past the bound is refused, never cut: the router relays
-	// what SubmitBytes returns as a whole result.
-	data, err := jobs.ReadLimited(resp.Body, resp.ContentLength, maxResponse)
+	// A body past the bound is refused, never cut: SubmitBytes hands
+	// its caller a whole result or none.
+	data, err := jobs.ReadLimited(resp.Body, resp.ContentLength, MaxResponse)
 	if err != nil {
 		return nil, true, fmt.Errorf("client: read response: %w", err)
 	}
-	if resp.StatusCode < 400 {
+	return c.answer(method, path, resp.StatusCode, resp.Header.Get("Retry-After"), data)
+}
+
+// answer turns what the service answered into an attempt's outcome:
+// the body of a success, or else the *jobs.APIError its body carries
+// (its message made up when the body is not one), with the Retry-After
+// value as its hint when the body gives none, and whether a retry may
+// help.
+func (c *Client) answer(method, path string, status int, retryAfter string, data []byte) ([]byte, bool, error) {
+	if status < 400 {
 		return data, false, nil
 	}
-	apiErr := &jobs.APIError{Status: resp.StatusCode}
+	apiErr := &jobs.APIError{Status: status}
 	if err := json.Unmarshal(data, apiErr); err != nil || apiErr.Message == "" {
-		apiErr.Message = fmt.Sprintf("%s %s: HTTP %d: %s", method, path, resp.StatusCode, strings.TrimSpace(string(data)))
+		apiErr.Message = fmt.Sprintf("%s %s: HTTP %d: %s", method, path, status, strings.TrimSpace(string(data)))
 	}
 	if apiErr.Status == 0 {
-		apiErr.Status = resp.StatusCode
+		apiErr.Status = status
 	}
 	if apiErr.RetryAfterMS == 0 {
-		if d := parseRetryAfter(resp.Header.Get("Retry-After")); d > 0 {
+		if d := parseRetryAfter(retryAfter); d > 0 {
 			apiErr.RetryAfterMS = d.Milliseconds()
 		}
 	}
-	if resp.StatusCode == http.StatusTooManyRequests {
+	if status == http.StatusTooManyRequests {
 		c.overloads.Add(1)
 	}
-	if resp.StatusCode == http.StatusForbidden {
+	if status == http.StatusForbidden {
 		c.rejections.Add(1)
 	}
-	return nil, retriable(resp.StatusCode, apiErr.Kind), apiErr
+	return nil, retriable(status, apiErr.Kind), apiErr
 }
 
 // retriable classifies a service failure. 429 (shed) and 503 (closing

@@ -474,9 +474,8 @@ func TestCancelledContextNeverBurnsAnotherAttempt(t *testing.T) {
 	}
 }
 
-// TestSubmitAsyncStatusReturnsFullRecord: the 202 body (used by the
-// cluster router) carries the whole status, including an immediate
-// "done" result on a cache hit.
+// TestSubmitAsyncStatusReturnsFullRecord: the 202 body carries the
+// whole status, including an immediate "done" result on a cache hit.
 func TestSubmitAsyncStatusReturnsFullRecord(t *testing.T) {
 	res := jobs.Result{ID: "abc", Cycles: 7}
 	body, _ := json.Marshal(jobs.JobStatus{ID: "abc", State: "done", Result: &res})
@@ -578,11 +577,11 @@ func TestSubmitBytesReturnsBodyWhole(t *testing.T) {
 	if err != nil || string(got) != body {
 		t.Fatalf("SubmitBytes = %q, %v; want %q", got, err, body)
 	}
-	size.Store(maxResponse)
-	if got, err := c.SubmitBytes(context.Background(), jobs.Job{Workload: "VectorAdd"}); err != nil || len(got) != maxResponse {
+	size.Store(MaxResponse)
+	if got, err := c.SubmitBytes(context.Background(), jobs.Job{Workload: "VectorAdd"}); err != nil || len(got) != MaxResponse {
 		t.Fatalf("a body at the bound: %d bytes, %v", len(got), err)
 	}
-	size.Store(maxResponse + 1)
+	size.Store(MaxResponse + 1)
 	if got, err := c.SubmitBytes(context.Background(), jobs.Job{Workload: "VectorAdd"}); err == nil {
 		t.Fatalf("a body past the bound came back as %d bytes, want an error", len(got))
 	}

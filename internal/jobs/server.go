@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -93,6 +94,10 @@ func bodyReadTimeout() time.Duration {
 // value (an encoder's newline, some whitespace).
 const maxTrailingBytes = 4 << 10
 
+// MaxJobBody is the longest POST /v1/jobs body ReadJob takes: a JSON
+// value read within maxBodyBytes, then at most maxTrailingBytes.
+const MaxJobBody = maxBodyBytes + maxTrailingBytes
+
 // ReadBody runs read — the handler's decode of r's body — under
 // BodyReadTimeout, then reads the rest of the body to EOF under the
 // same deadline: a JSON decoder stops at the end of its value, and
@@ -103,6 +108,11 @@ const maxTrailingBytes = 4 << 10
 // passes fails the read with a timeout and the server's drain of the
 // rest fails too: the connection closes after the error response.
 func ReadBody(w http.ResponseWriter, r *http.Request, read func() error) error {
+	return readBody(w, r.Body, read)
+}
+
+// readBody is ReadBody of the body read through body.
+func readBody(w http.ResponseWriter, body io.Reader, read func() error) error {
 	rc := http.NewResponseController(w)
 	// A writer without deadline support (a test recorder) just reads
 	// without one.
@@ -110,7 +120,7 @@ func ReadBody(w http.ResponseWriter, r *http.Request, read func() error) error {
 	if err := read(); err != nil {
 		return err
 	}
-	n, err := io.Copy(io.Discard, io.LimitReader(r.Body, maxTrailingBytes+1))
+	n, err := io.Copy(io.Discard, io.LimitReader(body, maxTrailingBytes+1))
 	if err != nil {
 		return err
 	}
@@ -297,10 +307,58 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 // false. The shard and the cluster router both read submissions
 // through it, so they refuse a bad one with the same bytes.
 func ReadJob(w http.ResponseWriter, r *http.Request) (Job, bool) {
+	return readJob(w, r, r.Body)
+}
+
+// ReadJobBody is ReadJob that also keeps the body's bytes as they
+// arrived, for a caller that passes the submission on unchanged (the
+// cluster router forwards them to the owning shard). The bytes are the
+// caller's until it calls Release.
+func ReadJobBody(w http.ResponseWriter, r *http.Request) (Job, *JobBody, bool) {
+	b := jobBodies.Get().(*JobBody)
+	b.r, b.b = r.Body, b.b[:0]
+	job, ok := readJob(w, r, b)
+	b.r = nil
+	return job, b, ok
+}
+
+// JobBody is a submission's body as ReadJobBody read it. Its buffers are
+// reused, so a cache hit that never forwards the bytes costs no
+// allocation for them.
+type JobBody struct {
+	r io.Reader // the request body, while it is read
+	b []byte
+}
+
+// jobBodies holds released bodies; jobBodySpareMax bounds the buffer one
+// keeps.
+var jobBodies = sync.Pool{New: func() any { return new(JobBody) }}
+
+const jobBodySpareMax = 64 << 10
+
+// Read reads the request body, keeping a copy of what it reads.
+func (b *JobBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	b.b = append(b.b, p[:n]...)
+	return n, err
+}
+
+// Bytes returns the body's bytes, valid until Release.
+func (b *JobBody) Bytes() []byte { return b.b }
+
+// Release hands the body back for reuse.
+func (b *JobBody) Release() {
+	if cap(b.b) <= jobBodySpareMax {
+		jobBodies.Put(b)
+	}
+}
+
+// readJob is ReadJob of the body read through body.
+func readJob(w http.ResponseWriter, r *http.Request, body io.Reader) (Job, bool) {
 	var job Job
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
+	dec := json.NewDecoder(io.LimitReader(body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := ReadBody(w, r, func() error { return dec.Decode(&job) }); err != nil {
+	if err := readBody(w, body, func() error { return dec.Decode(&job) }); err != nil {
 		WriteError(w, http.StatusBadRequest, "bad job body: %v", err)
 		return job, false
 	}

@@ -118,10 +118,18 @@ func FuzzCheckpointDecode(f *testing.F) {
 
 // TestFuzzSeedsDecode covers the disk halves the fuzzers skip: a
 // planted file reaches LoadResult/LoadCheckpoint through the same
-// decode the fuzzers verify, and corrupt files are plain misses.
+// decode the fuzzers verify, and corrupt files are plain misses. A
+// store knows the checkpoints it saved and those Open listed, so a
+// planted checkpoint is read after a reopen.
 func TestFuzzSeedsDecode(t *testing.T) {
-	st, _ := openT(t, t.TempDir())
-	defer st.Close()
+	dir := t.TempDir()
+	st, _ := openT(t, dir)
+	defer func() { st.Close() }()
+	reopen := func() {
+		t.Helper()
+		st.Close()
+		st, _ = openT(t, dir)
+	}
 
 	res := fakeResult("fz01")
 	if err := os.WriteFile(st.resultPath("fz01"), integrity.Seal(res.JSON(), nil), 0o644); err != nil {
@@ -142,12 +150,14 @@ func TestFuzzSeedsDecode(t *testing.T) {
 	if err := os.WriteFile(st.checkpointPath("fz01"), integrity.Seal(blob, nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	reopen()
 	if b, ok := st.LoadCheckpoint("fz01"); !ok || string(b) != string(blob) {
 		t.Fatalf("LoadCheckpoint sealed file: ok=%v b=%q", ok, b)
 	}
 	if err := os.WriteFile(st.checkpointPath("fz01"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	reopen()
 	if _, ok := st.LoadCheckpoint("fz01"); ok {
 		t.Fatal("LoadCheckpoint returned ok on an empty file")
 	}

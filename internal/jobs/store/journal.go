@@ -91,25 +91,37 @@ func frameBytes(payload []byte) []byte {
 // nextFrame decodes the frame at the head of data and returns its
 // record and its length in bytes. ok is false unless data starts with
 // a whole frame whose length is in bounds, whose checksum matches and
-// whose payload is a valid record. It is the one frame decoder: journal
-// replay, a standby's batch apply and its snapshot check all use it.
+// whose payload is a valid record. Journal replay and a standby's
+// snapshot check decode with it; a standby's batch apply reads with
+// nextFrameHead, which takes exactly the frames it takes.
 func nextFrame(data []byte) (rec Record, n int, ok bool) {
-	if len(data) < frameHeaderSize {
-		return Record{}, 0, false
-	}
-	size := binary.LittleEndian.Uint32(data)
-	if size == 0 || size > maxRecordSize || uint64(len(data)-frameHeaderSize) < uint64(size) {
-		return Record{}, 0, false
-	}
-	n = frameHeaderSize + int(size)
-	payload := data[frameHeaderSize:n]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[4:]) {
+	payload, n, ok := framePayload(data)
+	if !ok {
 		return Record{}, 0, false
 	}
 	if rec, ok = decodeRecord(payload); !ok {
 		return Record{}, 0, false
 	}
 	return rec, n, true
+}
+
+// framePayload returns the payload of the frame at the head of data
+// and the frame's length, if data starts with a whole frame whose
+// length is in bounds and whose checksum matches.
+func framePayload(data []byte) (payload []byte, n int, ok bool) {
+	if len(data) < frameHeaderSize {
+		return nil, 0, false
+	}
+	size := binary.LittleEndian.Uint32(data)
+	if size == 0 || size > maxRecordSize || uint64(len(data)-frameHeaderSize) < uint64(size) {
+		return nil, 0, false
+	}
+	n = frameHeaderSize + int(size)
+	payload = data[frameHeaderSize:n]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[4:]) {
+		return nil, 0, false
+	}
+	return payload, n, true
 }
 
 // readJournal decodes the longest valid prefix of a journal's bytes. It

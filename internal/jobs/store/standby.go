@@ -159,8 +159,9 @@ func (ss *StandbyStore) shardLocked(shard string, epoch uint64) (*standbyShard, 
 // gen, as the primary's journal holds them, stamped with the sender's
 // ownership epoch — to the shard's copy, and returns how many frames
 // were newly applied. An epoch below the copy's fence applies nothing
-// (ErrFenced); a higher one raises the fence. Frames are checked with
-// the replay decoder, and the ones that extend the copy are appended
+// (ErrFenced); a higher one raises the fence. Frames are checked by
+// nextFrameHead, which takes exactly the frames replay takes without
+// building their records, and the ones that extend the copy are appended
 // with one write; a failed write applies none of them. It fsyncs once
 // at the end, and only when the batch applied an accept: an accept is
 // the primary's durability promise, and the standby's copy must be as
@@ -192,7 +193,7 @@ func (ss *StandbyStore) ApplyFrames(shard string, epoch, gen uint64, batch []byt
 		accepts int
 	)
 	for rest := batch; len(rest) > 0; {
-		rec, n, ok := nextFrame(rest)
+		recSeq, op, n, ok := nextFrameHead(rest)
 		if !ok {
 			err = fmt.Errorf("%w: %d bytes after seq %d do not start a whole, valid frame", ErrBadFrame, len(rest), seq)
 			break
@@ -200,22 +201,22 @@ func (ss *StandbyStore) ApplyFrames(shard string, epoch, gen uint64, batch []byt
 		frame := rest[:n]
 		rest = rest[n:]
 		if gen != copyGen {
-			if copyGen != 0 || seq != 0 || rec.Seq != 1 {
+			if copyGen != 0 || seq != 0 || recSeq != 1 {
 				err = fmt.Errorf("%w: batch gen %d, have gen %d", ErrGap, gen, copyGen)
 				break
 			}
 			copyGen = gen // bootstrap: the stream starts at its beginning
 		}
-		if rec.Seq <= seq {
+		if recSeq <= seq {
 			continue // duplicate replay: idempotent
 		}
-		if rec.Seq != seq+1 {
-			err = fmt.Errorf("%w: frame seq %d, have seq %d", ErrGap, rec.Seq, seq)
+		if recSeq != seq+1 {
+			err = fmt.Errorf("%w: frame seq %d, have seq %d", ErrGap, recSeq, seq)
 			break
 		}
 		keep = append(keep, frame...)
-		seq = rec.Seq
-		switch rec.Op {
+		seq = recSeq
+		switch op {
 		case OpAccept:
 			pending++
 			accepts++

@@ -79,7 +79,12 @@ type Store struct {
 	sink    Sink                     // journal-shipping sink, nil when shipping is off
 	pending map[string]pendingAccept // accepted, neither done nor failed
 	order   []string                 // pending IDs in acceptance order
-	closed  bool
+	// ckpts holds every job whose checkpoint file may exist: Open lists
+	// checkpoints/, a save adds its job before it writes, and a drop
+	// removes it. A job outside it has no file, so its load and its drop
+	// touch no disk.
+	ckpts  map[string]struct{}
+	closed bool
 }
 
 // SetFaults arms deterministic fault injection at the store's write
@@ -110,7 +115,7 @@ func diskAware(op string, err error) error {
 // whose sealed result loads is done even if its done frame was lost
 // (Done does not fsync it), and a done job whose result file has gone
 // missing re-runs. Temp files a crash left in the data directory or in
-// checkpoints/ are deleted first.
+// checkpoints/ are deleted first, and the checkpoints left are listed.
 func Open(dir string) (*Store, []jobs.RecoveredJob, error) {
 	for _, d := range []string{dir, filepath.Join(dir, resultsDir), filepath.Join(dir, checkpointsDir)} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -122,11 +127,15 @@ func Open(dir string) (*Store, []jobs.RecoveredJob, error) {
 			return nil, nil, err
 		}
 	}
+	ckpts, err := listCheckpoints(filepath.Join(dir, checkpointsDir))
+	if err != nil {
+		return nil, nil, err
+	}
 	j, recs, err := openJournal(dir, journalName)
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &Store{dir: dir, j: j, pending: map[string]pendingAccept{}}
+	s := &Store{dir: dir, j: j, pending: map[string]pendingAccept{}, ckpts: ckpts}
 	recovered := foldJournal(recs)
 	for i := range recovered {
 		rj := &recovered[i]
@@ -312,21 +321,29 @@ func decodeResult(data []byte) (*jobs.Result, bool) {
 
 // SaveCheckpoint atomically replaces the job's checkpoint. data is an
 // opaque blob (the pool gob-encodes a sim.Checkpoint); the store only
-// files it.
+// files it. The write runs outside the store lock, so a Done or Failed
+// may drop the checkpoint while it is under way; the save then removes
+// the file it wrote, leaving none that ckpts does not hold.
 func (s *Store) SaveCheckpoint(id string, data []byte) error {
 	if !safeID(id) {
 		return fmt.Errorf("store: invalid job id %q", id)
 	}
 	s.mu.Lock()
 	closed := s.closed
+	if !closed {
+		s.ckpts[id] = struct{}{}
+	}
 	s.mu.Unlock()
 	if closed {
 		return ErrClosed
 	}
-	if err := writeAtomic(s.checkpointPath(id), integrity.Seal(data, nil)); err != nil {
-		return diskAware("checkpoint persist", err)
+	err := writeAtomic(s.checkpointPath(id), integrity.Seal(data, nil))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, kept := s.ckpts[id]; !kept {
+		os.Remove(s.checkpointPath(id)) // dropped under way
 	}
-	return nil
+	return diskAware("checkpoint persist", err)
 }
 
 // LoadCheckpoint returns the job's latest checkpoint, if any. A
@@ -335,6 +352,12 @@ func (s *Store) SaveCheckpoint(id string, data []byte) error {
 // result.
 func (s *Store) LoadCheckpoint(id string) ([]byte, bool) {
 	if !safeID(id) {
+		return nil, false
+	}
+	s.mu.Lock()
+	_, saved := s.ckpts[id]
+	s.mu.Unlock()
+	if !saved {
 		return nil, false
 	}
 	data, err := os.ReadFile(s.checkpointPath(id))
@@ -402,12 +425,27 @@ func (s *Store) checkpointPath(id string) string {
 	return filepath.Join(s.dir, checkpointsDir, id+".ckpt")
 }
 
-func (s *Store) dropCheckpointLocked(id string) error {
-	err := os.Remove(s.checkpointPath(id))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("store: drop checkpoint: %w", err)
+// dropCheckpointLocked removes the job's checkpoint, if it has one.
+func (s *Store) dropCheckpointLocked(id string) {
+	if _, saved := s.ckpts[id]; saved {
+		delete(s.ckpts, id)
+		os.Remove(s.checkpointPath(id))
 	}
-	return nil
+}
+
+// listCheckpoints returns the jobs dir holds a checkpoint file for.
+func listCheckpoints(dir string) (map[string]struct{}, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	ckpts := map[string]struct{}{}
+	for _, e := range entries {
+		if id, ok := strings.CutSuffix(e.Name(), ".ckpt"); ok && safeID(id) {
+			ckpts[id] = struct{}{}
+		}
+	}
+	return ckpts, nil
 }
 
 // appendLocked frames and writes one record as the journal's next

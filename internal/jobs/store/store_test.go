@@ -244,6 +244,49 @@ func TestCheckpointLifecycle(t *testing.T) {
 	}
 }
 
+// TestCheckpointSetMatchesDisk: the store's set of checkpoints is the
+// files in checkpoints/. Open lists what a previous run left, so a
+// reopened store still resumes from it, and a save that races its
+// job's Done never leaves a file the set has forgotten: whenever a
+// checkpoint file exists once both return, LoadCheckpoint reads it.
+func TestCheckpointSetMatchesDisk(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, dir)
+	if err := s.SaveCheckpoint("aaa1", []byte("left by a crash")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s, _ = openT(t, dir)
+	defer s.Close()
+	if got, ok := s.LoadCheckpoint("aaa1"); !ok || string(got) != "left by a crash" {
+		t.Fatalf("after a reopen, LoadCheckpoint = %q, %v", got, ok)
+	}
+	for i := 0; i < 200; i++ {
+		id := fmt.Sprintf("race%d", i)
+		s.Accept(id, jobs.Job{Workload: "VectorAdd"}, false)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.Done(id, fakeResult(id))
+		}()
+		if err := s.SaveCheckpoint(id, []byte("blob")); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		_, statErr := os.Stat(s.checkpointPath(id))
+		_, loaded := s.LoadCheckpoint(id)
+		if statErr == nil && !loaded {
+			t.Fatalf("trial %d: a checkpoint file outlived the set", i)
+		}
+		s.mu.Lock()
+		s.dropCheckpointLocked(id)
+		s.mu.Unlock()
+		if _, err := os.Stat(s.checkpointPath(id)); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("trial %d: a drop left the file: %v", i, err)
+		}
+	}
+}
+
 // TestOpenRemovesCrashTemps: a crash between writeAtomic's create and
 // its rename leaves a temp file beside its target. Opening the store
 // deletes those in the data directory and checkpoints/, and opening a

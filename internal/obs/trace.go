@@ -188,15 +188,27 @@ func ExtractHTTP(ctx context.Context, h http.Header) context.Context {
 	return ContextWithSpan(ctx, sc)
 }
 
+// AppendHeaderValue appends to b the TraceHeader value of the span
+// context ctx carries, nothing when it carries none. InjectHTTP stamps
+// it on a request; the cluster router puts it in the frames it
+// forwards to shards.
+func AppendHeaderValue(b []byte, ctx context.Context) []byte {
+	switch v := ctx.Value(spanCtxKey{}).(type) {
+	case *Span:
+		return v.appendHeaderValue(b)
+	case SpanContext:
+		return append(append(append(b, v.TraceID...), '/'), v.SpanID...)
+	}
+	return b
+}
+
 // InjectHTTP stamps the current span context onto an outgoing
 // request's headers. No span in ctx means no header: the callee mints
 // its own trace.
 func InjectHTTP(ctx context.Context, h http.Header) {
-	switch v := ctx.Value(spanCtxKey{}).(type) {
-	case *Span:
-		h.Set(TraceHeader, v.HeaderValue())
-	case SpanContext:
-		h.Set(TraceHeader, v.HeaderValue())
+	var b [traceHex + 1 + spanHex]byte
+	if v := AppendHeaderValue(b[:0], ctx); len(v) > 0 {
+		h.Set(TraceHeader, string(v))
 	}
 }
 
@@ -488,10 +500,13 @@ func (s *Span) HeaderValue() string {
 		return ""
 	}
 	var b [traceHex + 1 + spanHex]byte
-	hex.Encode(b[:], s.rec.trace[:])
-	b[traceHex] = '/'
-	hex.Encode(b[traceHex+1:], s.rec.span[:])
-	return string(b[:])
+	return string(s.appendHeaderValue(b[:0]))
+}
+
+func (s *Span) appendHeaderValue(b []byte) []byte {
+	b = hex.AppendEncode(b, s.rec.trace[:])
+	b = append(b, '/')
+	return hex.AppendEncode(b, s.rec.span[:])
 }
 
 // Context returns the span's propagation identity, hex-encoded.
